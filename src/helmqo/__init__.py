@@ -9,10 +9,11 @@ Helmholtz discretization.
 """
 
 from .mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
-                   build_square_with_hole, build_unit_square,
-                   build_unit_square_unstructured, element_diameter,
-                   element_diameters, global_mesh_size, minimum_angle,
-                   read_mesh, refine_bisection, refine_uniform, write_mesh)
+                   build_geometry, build_square_with_hole,
+                   build_unit_square, build_unit_square_unstructured,
+                   element_diameter, element_diameters, global_mesh_size,
+                   minimum_angle, read_mesh, refine_bisection,
+                   refine_uniform, write_mesh)
 from .quadrature import QuadratureRule, triangle_rule
 from .spaces import (CR, P1, P2, DofSpace, ElementFamily, FeFunction,
                      assemble_load, assemble_mass, assemble_stiffness,
@@ -26,7 +27,8 @@ from .sparsela import (EigenResult, EigenSolveError, EigenSolveOptions,
 from .spectral import (BoundedEigen, Criterion, EigenSet, IndexEstimate,
                        LadderExhaustedError, check_criterion, compute_bounds,
                        cr_lower_bound, cr_upper_bound, eigen_ladder,
-                       estimate_index, separation_ok, th_coercivity_constant)
+                       eigenpairs, estimate_index, separation_ok,
+                       th_coercivity_constant)
 from .estimator import (IndicatorField, mark_dorfler, mark_half_max,
                         residual_indicator)
 from .certify import (CertificationReport, GaussianBump, IterationRecord,

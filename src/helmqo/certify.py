@@ -21,13 +21,11 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .mesh import (Mesh, build_square_with_hole, build_unit_square,
-                   build_unit_square_unstructured, element_diameters,
-                   global_mesh_size, read_mesh, refine_bisection,
-                   refine_uniform)
-from .spaces import (CR, DofSpace, ElementFamily, FeFunction, assemble_load,
-                     assemble_mass, assemble_stiffness, build_space,
-                     constrain, constrain_vector, expand_free, l2_error)
+from .mesh import (Mesh, build_geometry, element_diameters,
+                   global_mesh_size, refine_bisection, refine_uniform)
+from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
+                     assemble_load, build_space, constrain_vector,
+                     expand_free, l2_error)
 from .sparsela import (EigenSolveOptions, ResonanceError, count_below, ldlt,
                        solve)
 from .spectral import (DEFAULT_KAPPA, EigenSet, LadderExhaustedError,
@@ -85,7 +83,7 @@ class ProblemSpec:
     family: ElementFamily
     k2: float
     rhs: Rhs | None = None
-    geometry: str = "unit-square"     # unit-square | square-hole | file
+    geometry: str = "unit-square"     # a name known to build_geometry
     geometry_params: dict = field(default_factory=dict)
     load_degree: int = 4
 
@@ -97,21 +95,14 @@ class ProblemSpec:
         params = dict(self.geometry_params)
         if n is not None:
             params["n"] = n
-        if self.geometry == "unit-square":
-            params.setdefault("n", 8)
-            return build_unit_square(**params)
-        if self.geometry == "unit-square-unstructured":
-            params.setdefault("n", 8)
-            return build_unit_square_unstructured(**params)
-        if self.geometry == "square-hole":
-            params.setdefault("outer", 1.0)
-            params.setdefault("inner", 0.5)
-            params.setdefault("n", 8)
-            return build_square_with_hole(**params)
-        if self.geometry == "file":
-            with open(params["path"], encoding="utf-8") as fh:
-                return read_mesh(fh.read())
-        raise ValueError(f"unknown geometry {self.geometry!r}")
+        return build_geometry(self.geometry, **params)
+
+
+def dirichlet_unit_square(spec: ProblemSpec, mesh: Mesh) -> bool:
+    """Whether ``mesh`` of ``spec``'s geometry is the unit square with an
+    all-Dirichlet boundary, where the sine series is the exact reference."""
+    return (spec.geometry in ("unit-square", "unit-square-unstructured")
+            and bool((mesh.edge_tag[mesh.boundary_edge_ids] == 0).all()))
 
 
 # -- Helmholtz solve --------------------------------------------------------
@@ -123,11 +114,13 @@ def solve_helmholtz(spec: ProblemSpec, mesh: Mesh) -> FeFunction:
     a zero pivot means k^2 is numerically a discrete eigenvalue and raises
     :class:`ResonanceError`.  Relative residual <= 1e-10.
     """
+    return _solve(spec, build_space(mesh, spec.family))
+
+
+def _solve(spec: ProblemSpec, space: DofSpace) -> FeFunction:
     if spec.rhs is None:
         raise ValueError("problem has no right-hand side")
-    space = build_space(mesh, spec.family)
-    A = constrain(space, assemble_stiffness(space))
-    M = constrain(space, assemble_mass(space))
+    A, M = space.pencil
     b = constrain_vector(space,
                          assemble_load(space, spec.rhs, spec.load_degree))
     F = ldlt(A, spec.k2, M)
@@ -418,13 +411,9 @@ def _estimate_cr(space: DofSpace, k2: float, h: float, extra: int,
                               None, False)
         return rec, None, None
     lam_need = k2 / (1.0 - k2 * (kappa * h) ** 2)
-    A = constrain(space, assemble_stiffness(space))
-    M = constrain(space, assemble_mass(space))
-    below_k2 = count_below(A, M, k2)
     # the j* guess lands at count_below(lam_need); carry `extra` more pairs
     # for the averaged indicator plus one for the criterion check
-    m = count_below(A, M, lam_need) + extra + 1
-    m = min(max(m, below_k2 + extra + 1), space.n_free)
+    m = count_below(*space.pencil, lam_need) + extra + 1
     E = eigen_ladder(space, k2, extra, opts, min_pairs=m)
     bounds = compute_bounds(E, kappa)
     for j, b in enumerate(bounds, start=1):
@@ -492,24 +481,19 @@ def convergence_study(spec: ProblemSpec, refinements: int,
     for _ in range(refinements - 1):
         meshes.append(refine_uniform(meshes[-1]))
 
-    on_square = (spec.geometry in ("unit-square", "unit-square-unstructured")
-                 and (meshes[0].edge_tag[meshes[0].boundary_edge_ids]
-                      == 0).all())
+    on_square = dirichlet_unit_square(spec, meshes[0])
     if i_star is None:
         if on_square:
             i_star = unit_square_index(spec.k2)
         else:
-            fine_space = build_space(meshes[-1], spec.family)
-            A = constrain(fine_space, assemble_stiffness(fine_space))
-            M = constrain(fine_space, assemble_mass(fine_space))
-            i_star = count_below(A, M, spec.k2)
+            i_star = count_below(*build_space(meshes[-1], spec.family).pencil,
+                                 spec.k2)
 
     if on_square:
         reference = sine_series_reference(spec.rhs, spec.k2)
     else:
-        from .spaces import P1 as _P1
         ref_mesh = refine_uniform(refine_uniform(meshes[-1]))
-        ref_spec = ProblemSpec(_P1, spec.k2, spec.rhs, spec.geometry,
+        ref_spec = ProblemSpec(P1, spec.k2, spec.rhs, spec.geometry,
                                spec.geometry_params)
         reference = solve_helmholtz(ref_spec, ref_mesh)
 
@@ -520,8 +504,7 @@ def convergence_study(spec: ProblemSpec, refinements: int,
                          min_pairs=min(i_star + 1, space.n_free))
         ev_i = float(E.values[i_star - 1]) if 1 <= i_star <= len(E) else 0.0
         ev_ipo = float(E.values[i_star]) if i_star < len(E) else math.nan
-        u = solve_helmholtz(spec, mesh)
-        err = l2_error(u, reference)
+        err = l2_error(_solve(spec, space), reference)
         records.append(StudyRecord(global_mesh_size(mesh), space.n_free,
                                    err, ev_i, ev_ipo))
     return records

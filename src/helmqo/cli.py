@@ -15,16 +15,14 @@ import argparse
 import os
 import sys
 
-from .mesh import (BoundaryTag, MeshError, build_square_with_hole,
-                   build_unit_square, build_unit_square_unstructured,
-                   global_mesh_size, read_mesh, write_mesh)
-from .spaces import (CR, ElementFamily, assemble_mass, assemble_stiffness,
-                     build_space, constrain, family_from_name)
-from .sparsela import (EigenSolveError, EigenSolveOptions, ResonanceError,
-                       eigs_smallest)
-from .spectral import DEFAULT_KAPPA, EigenSet, compute_bounds
+from .mesh import (BoundaryTag, MeshError, build_geometry, global_mesh_size,
+                   read_mesh, write_mesh)
+from .spaces import CR, ElementFamily, build_space, family_from_name
+from .sparsela import EigenSolveError, EigenSolveOptions, ResonanceError
+from .spectral import DEFAULT_KAPPA, compute_bounds, eigenpairs
 from .certify import (GaussianBump, ProblemSpec, SineProduct,
-                      convergence_study, run_gmr, study_to_csv, _fmt)
+                      convergence_study, dirichlet_unit_square, run_gmr,
+                      study_to_csv, _fmt)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,24 +64,16 @@ def _tag(name: str) -> BoundaryTag:
         raise UsageError(f"unknown boundary tag {name!r}")
 
 
-def _build_geometry(args):
+def _geometry(args) -> tuple[str, dict]:
+    """The geometry flags as a ``build_geometry`` name and parameters."""
     if getattr(args, "mesh", None):
-        with open(args.mesh, encoding="utf-8") as fh:
-            return read_mesh(fh.read())
-    geom = args.geometry
-    if geom is None:
+        return "file", {"path": args.mesh}
+    if args.geometry is None:
         raise UsageError("either --mesh or --geometry is required")
-    if geom == "unit-square":
-        return build_unit_square(args.n, _tag(args.tag))
-    if geom == "unit-square-unstructured":
-        return build_unit_square_unstructured(args.n, seed=args.seed,
-                                              tags=_tag(args.tag))
-    if geom == "square-hole":
-        return build_square_with_hole(
-            args.outer, args.inner, args.n,
-            outer_tag=_tag(args.outer_tag or args.tag),
-            inner_tag=_tag(args.inner_tag or args.tag))
-    raise UsageError(f"unknown geometry {geom!r}")
+    return args.geometry, dict(
+        n=args.n, seed=args.seed, outer=args.outer, inner=args.inner,
+        tags=_tag(args.tag), outer_tag=_tag(args.outer_tag or args.tag),
+        inner_tag=_tag(args.inner_tag or args.tag))
 
 
 def _parse_rhs(args):
@@ -224,7 +214,8 @@ def cmd_mesh(args) -> int:
         return EXIT_OK
     if args.geometry is None:
         raise UsageError("mesh: either --geometry or --validate is required")
-    mesh = _build_geometry(args)
+    geometry, params = _geometry(args)
+    mesh = build_geometry(geometry, **params)
     text = write_mesh(mesh)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -239,22 +230,18 @@ def cmd_mesh(args) -> int:
 def cmd_eig(args) -> int:
     if args.m < 1:
         raise UsageError("--m must be >= 1")
-    mesh = _build_geometry(args)
+    geometry, params = _geometry(args)
     family = family_from_name(args.family)
-    space = build_space(mesh, family)
-    A = constrain(space, assemble_stiffness(space))
-    M = constrain(space, assemble_mass(space))
-    res = eigs_smallest(A, M, EigenSolveOptions(m=args.m, tol=args.tol,
-                                                seed=args.seed))
+    space = build_space(build_geometry(geometry, **params), family)
+    E = eigenpairs(space, args.m, EigenSolveOptions(tol=args.tol,
+                                                    seed=args.seed))
     lower = upper = [None] * args.m
     if family == CR:
-        E = EigenSet(space, mesh.fingerprint(), res.values, res.vectors,
-                     res.residuals, A, M)
         bounds = compute_bounds(E, args.kappa)
         lower = [b.lower if b.separation_ok else None for b in bounds]
         upper = [b.upper for b in bounds]
     lines = ["index,lambda,lower,upper"]
-    for i, lam in enumerate(res.values):
+    for i, lam in enumerate(E.values):
         lines.append(f"{i + 1},{_fmt(lam)},{_fmt(lower[i])},"
                      f"{_fmt(upper[i])}")
     csv = "\n".join(lines) + "\n"
@@ -278,10 +265,10 @@ def cmd_certify(args) -> int:
         source = "cr"
         if family != CR:
             raise UsageError("--estimate cr requires --family cr")
-    mesh = _build_geometry(args)
-    geometry = "file" if args.mesh else args.geometry or "unit-square"
-    spec = ProblemSpec(family, args.k2, geometry=geometry)
-    report = run_gmr(spec, mesh, refine_mode=args.refine,
+    geometry, params = _geometry(args)
+    spec = ProblemSpec(family, args.k2, geometry=geometry,
+                       geometry_params=params)
+    report = run_gmr(spec, spec.build_mesh(), refine_mode=args.refine,
                      i_star_source=source, max_iters=args.max_iters,
                      extra=args.extra, kappa=args.kappa,
                      opts=EigenSolveOptions(tol=args.tol, seed=args.seed))
@@ -303,23 +290,20 @@ def cmd_study(args) -> int:
     if args.refinements < 1:
         raise UsageError("--refinements must be >= 1")
     family = _resolve_family(args)
-    geometry = args.geometry or "unit-square"
-    gp = {}
-    if geometry == "square-hole":
-        gp = dict(outer=args.outer, inner=args.inner)
+    geometry, params = _geometry(args)
     spec = ProblemSpec(family, args.k2, rhs=_parse_rhs(args),
-                       geometry=geometry, geometry_params=gp,
+                       geometry=geometry, geometry_params=params,
                        load_degree=args.load_degree)
     records = convergence_study(spec, args.refinements, initial_n=args.n,
                                 i_star=args.istar,
                                 opts=EigenSolveOptions(seed=args.seed))
     csv = study_to_csv(records)
-    on_square = geometry in ("unit-square", "unit-square-unstructured")
-    ref_note = ("spectral sine series" if on_square
-                else "conforming solution on two extra refinements")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(csv)
+        ref_note = ("spectral sine series"
+                    if dirichlet_unit_square(spec, spec.build_mesh(args.n))
+                    else "conforming solution on two extra refinements")
         print(f"wrote {args.output} ({len(records)} meshes, "
               f"error reference: {ref_note})")
     else:

@@ -4,9 +4,7 @@ The per-element indicator combines the elementwise eigen-residual
 ``h_K^2 |laplace(e) + lambda e|^2`` with the squared normal-derivative jump
 across interior edges, weighted by ``h_K / 2`` on each adjacent element,
 and is averaged over the first ``i* + extra`` eigenfunctions.  Boundary
-edges (Dirichlet and Neumann alike) do not contribute; the flux on Neumann
-edges is only satisfied weakly, so including it is left as an experiment
-(``include_neumann=True``).
+edges (Dirichlet and Neumann alike) do not contribute.
 """
 
 from __future__ import annotations
@@ -17,7 +15,8 @@ import numpy as np
 
 from .mesh import element_diameters
 from .quadrature import edge_rule, triangle_rule
-from .spaces import ElementFamily, shape_gradients, shape_values, _geometry
+from .spaces import (ElementFamily, shape_gradients, shape_values,
+                     _barycentric_in, _geometry)
 from .spectral import EigenSet
 
 
@@ -41,8 +40,8 @@ class IndicatorField:
         return "\n".join(lines) + "\n"
 
 
-def residual_indicator(E: EigenSet, i_star: int, extra: int = 3,
-                       include_neumann: bool = False) -> IndicatorField:
+def residual_indicator(E: EigenSet, i_star: int,
+                       extra: int = 3) -> IndicatorField:
     """Averaged eigenpair residual indicator over the first i*+extra pairs.
 
     Requires ``i_star >= 1`` and a ladder with at least ``i_star + extra``
@@ -65,9 +64,6 @@ def residual_indicator(E: EigenSet, i_star: int, extra: int = 3,
     lap_coeff = _laplacian_coefficients(space.family, G)   # (nt, nloc)
 
     interior = np.flatnonzero(mesh.edge_tag == -1)
-    if include_neumann:
-        interior = np.concatenate([interior,
-                                   np.flatnonzero(mesh.edge_tag == 1)])
     epts, ewts = edge_rule(4)
     edge_vec = (mesh.vertices[mesh.edges[interior, 1]]
                 - mesh.vertices[mesh.edges[interior, 0]])
@@ -124,24 +120,13 @@ def _normal_jump_sq(mesh, space, G, c, interior, exq, edge_vec, edge_len,
     for side in (0, 1):
         tri = mesh.edge2tri[interior, side]
         valid = tri >= 0
-        lam = _bary_points(mesh, tri[valid], exq[valid])
+        lam = _barycentric_in(mesh, tri[valid], exq[valid])
         dN = shape_gradients(space.family, lam)          # (ne, q, nloc, 3)
         grad = np.einsum("eqmj,ejd,em->eqd", dN, G[tri[valid]],
                          c[tri[valid]])
         flux[valid, :, side] = np.einsum("eqd,ed->eq", grad, normal[valid])
     jump = flux[:, :, 0] - flux[:, :, 1]
     return np.einsum("eq,q->e", jump ** 2, ewts) * edge_len
-
-
-def _bary_points(mesh, tri_ids, pts) -> np.ndarray:
-    p = mesh.vertices[mesh.triangles[tri_ids]]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    det = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])[:, None]
-    r = pts - p[:, None, 0, :]
-    l1 = (r[..., 0] * d2[:, None, 1] - r[..., 1] * d2[:, None, 0]) / det
-    l2 = (d1[:, None, 0] * r[..., 1] - d1[:, None, 1] * r[..., 0]) / det
-    return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
 
 
 def mark_half_max(eta: IndicatorField) -> set[int]:

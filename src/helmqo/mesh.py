@@ -98,7 +98,8 @@ class Mesh:
             self.edge_tag[key[(min(a, b), max(a, b))]] = tag_codes[tag]
 
         if refinement_edge is None:
-            self.refinement_edge = self._longest_edge_init()
+            self.refinement_edge = np.argmax(_edge_lengths(self),
+                                             axis=1).astype(np.int8)
         else:
             self.refinement_edge = np.ascontiguousarray(refinement_edge,
                                                         dtype=np.int8)
@@ -150,15 +151,6 @@ class Mesh:
             fill[e] += 1
         self.boundary_edge_ids = np.flatnonzero(counts == 1)
 
-    def _longest_edge_init(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        lengths = np.stack([
-            np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-            np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-            np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-        ], axis=1)
-        return np.argmax(lengths, axis=1).astype(np.int8)
-
     # -- basic queries ---------------------------------------------------
 
     @property
@@ -185,10 +177,7 @@ class Mesh:
         return out
 
     def signed_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return 0.5 * _doubled_signed_areas(self.vertices[self.triangles])
 
     def dirichlet_vertices(self) -> np.ndarray:
         """Indices of vertices lying on Dirichlet-tagged boundary edges."""
@@ -225,15 +214,26 @@ def _boundary_pairs(triangles: np.ndarray) -> np.ndarray:
 
 # -- measures -------------------------------------------------------------
 
-def element_diameters(m: Mesh) -> np.ndarray:
-    """Diameter (longest edge length) of every triangle."""
+def _doubled_signed_areas(p: np.ndarray) -> np.ndarray:
+    """Twice the signed area of triangles with corners ``p`` (nt, 3, 2)."""
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+
+
+def _edge_lengths(m: Mesh) -> np.ndarray:
+    """(nt, 3) edge lengths; edge k is opposite local vertex k."""
     p = m.vertices[m.triangles]
-    lengths = np.stack([
+    return np.stack([
         np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
         np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
         np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
     ], axis=1)
-    return lengths.max(axis=1)
+
+
+def element_diameters(m: Mesh) -> np.ndarray:
+    """Diameter (longest edge length) of every triangle."""
+    return _edge_lengths(m).max(axis=1)
 
 
 def element_diameter(m: Mesh, t: int) -> float:
@@ -312,10 +312,7 @@ def build_unit_square_unstructured(n: int, seed: int = 0,
     shift = rng.uniform(-jitter / n, jitter / n, size=(interior.sum(), 2))
     pts[interior] += shift
     tri = Delaunay(pts).simplices.astype(np.int64)
-    p = pts[tri]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    flip = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] < 0
+    flip = _doubled_signed_areas(pts[tri]) < 0
     tri[flip] = tri[flip][:, [0, 2, 1]]
     return Mesh.from_triangulation(pts, tri, tags)
 
@@ -370,6 +367,33 @@ def build_square_with_hole(outer: float, inner: float, n: int = 16,
         return outer_tag
 
     return Mesh.from_triangulation(vertices, tris, tag_fn)
+
+
+def build_geometry(geometry: str, n: int = 8, *, path: str | None = None,
+                   outer: float = 1.0, inner: float = 0.5, seed: int = 0,
+                   tags: TagAssignment = BoundaryTag.DIRICHLET,
+                   outer_tag: BoundaryTag | None = None,
+                   inner_tag: BoundaryTag | None = None) -> Mesh:
+    """Mesh of a named geometry: the one place geometry names are resolved.
+
+    ``unit-square``, ``unit-square-unstructured`` and ``square-hole`` pass
+    the parameters they use to their builders and ignore the rest;
+    ``file`` reads the mesh text at ``path``.  The hole's ``outer_tag`` and
+    ``inner_tag`` default to ``tags``.
+    """
+    if geometry == "file":
+        with open(path, encoding="utf-8") as fh:
+            return read_mesh(fh.read())
+    if geometry == "unit-square":
+        return build_unit_square(n, tags)
+    if geometry == "unit-square-unstructured":
+        return build_unit_square_unstructured(n, seed, tags=tags)
+    if geometry == "square-hole":
+        return build_square_with_hole(
+            outer, inner, n,
+            tags if outer_tag is None else outer_tag,
+            tags if inner_tag is None else inner_tag)
+    raise ValueError(f"unknown geometry {geometry!r}")
 
 
 # -- refinement -----------------------------------------------------------

@@ -8,11 +8,17 @@ definite for the eigensolver.
 
 All stiffness and mass entries are integrated exactly (the integrands are
 polynomial); load vectors and L2 errors use quadrature of selectable degree.
+
+``DofSpace.pencil`` is the Dirichlet-constrained Laplace pencil (A, M) on
+the free dofs.  It is assembled and constrained on first use and cached on
+the space, so the inertia counts, eigenpairs and Helmholtz solve on one
+space share the same two matrices; they live as long as the space does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,6 +150,12 @@ class DofSpace:
     def n_free(self) -> int:
         return len(self.free_dofs)
 
+    @cached_property
+    def pencil(self) -> tuple[SparseSymMatrix, SparseSymMatrix]:
+        """Constrained stiffness and mass (A, M), assembled once."""
+        return (constrain(self, assemble_stiffness(self)),
+                constrain(self, assemble_mass(self)))
+
     def __repr__(self) -> str:
         return (f"DofSpace({self.family}, ndof={self.ndof}, "
                 f"free={self.n_free})")
@@ -188,16 +200,14 @@ class FeFunction:
 def _geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Barycentric gradients (nt, 3, 2) and areas (nt,)."""
     p = mesh.vertices[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    two_area = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    areas = mesh.signed_areas()
     G = np.empty((len(p), 3, 2))
     for i in range(3):
         e = p[:, (i + 1) % 3] - p[:, (i + 2) % 3]
         G[:, i, 0] = e[:, 1]
         G[:, i, 1] = -e[:, 0]
-    G /= two_area[:, None, None]
-    return G, 0.5 * two_area
+    G /= 2.0 * areas[:, None, None]     # exactly the doubled area
+    return G, areas
 
 
 def _scatter(space: DofSpace, local: np.ndarray) -> SparseSymMatrix:
@@ -380,6 +390,11 @@ def l2_error(u: FeFunction, ref, degree: int = 4) -> float:
     pts = np.einsum("qk,tkd->tqd", rule.points, fine.vertices[fine.triangles])
     ancestors = np.arange(fine.n_triangles) // 4 ** level
     lam = _barycentric_in(coarse, ancestors, pts)
+    l1, l2 = lam[..., 1], lam[..., 2]
+    if (l1 < -1e-9).any() or (l2 < -1e-9).any() \
+            or (l1 + l2 > 1 + 1e-9).any():
+        raise ValueError("point outside its claimed ancestor triangle; "
+                         "meshes are not nested")
     N = shape_values(u.space.family, lam)                     # (nt, q, nloc)
     cu = u.coefficients[u.space.cell_dofs[ancestors]]         # (nt, nloc)
     uvals = np.einsum("tqm,tm->tq", N, cu)
@@ -398,8 +413,4 @@ def _barycentric_in(mesh: Mesh, tri_ids: np.ndarray,
     r = pts - p[:, None, 0, :]
     l1 = (r[..., 0] * d2[:, None, 1] - r[..., 1] * d2[:, None, 0]) / det
     l2 = (d1[:, None, 0] * r[..., 1] - d1[:, None, 1] * r[..., 0]) / det
-    if (l1 < -1e-9).any() or (l2 < -1e-9).any() \
-            or (l1 + l2 > 1 + 1e-9).any():
-        raise ValueError("point outside its claimed ancestor triangle; "
-                         "meshes are not nested")
     return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)

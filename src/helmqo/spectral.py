@@ -11,14 +11,14 @@ the number of continuous eigenvalues below k^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .mesh import global_mesh_size
 from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction, build_space,
-                     assemble_mass, assemble_stiffness, constrain,
-                     cr_to_p1_average, expand_free, rayleigh_quotient)
+                     assemble_mass, assemble_stiffness, cr_to_p1_average,
+                     expand_free, rayleigh_quotient)
 from .sparsela import (EigenSolveOptions, SparseSymMatrix, count_below,
                        eigs_smallest)
 
@@ -102,14 +102,16 @@ def eigen_ladder(space: DofSpace, k2: float, extra: int = 3,
     """
     if space.n_free == 0:
         raise ValueError("space has no free degrees of freedom")
-    A = constrain(space, assemble_stiffness(space))
-    M = constrain(space, assemble_mass(space))
-    below = count_below(A, M, k2)
-    m = min(max(below + extra + 1, min_pairs), space.n_free)
-    base = opts or EigenSolveOptions()
-    res = eigs_smallest(A, M, EigenSolveOptions(
-        m=m, tol=base.tol, max_iter=base.max_iter, block=base.block,
-        seed=base.seed))
+    below = count_below(*space.pencil, k2)
+    return eigenpairs(space, min(max(below + extra + 1, min_pairs),
+                                 space.n_free), opts)
+
+
+def eigenpairs(space: DofSpace, m: int,
+               opts: EigenSolveOptions | None = None) -> EigenSet:
+    """The ``m`` smallest eigenpairs of the space's constrained pencil."""
+    A, M = space.pencil
+    res = eigs_smallest(A, M, replace(opts or EigenSolveOptions(), m=m))
     return EigenSet(space, space.mesh.fingerprint(), res.values, res.vectors,
                     res.residuals, A, M)
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,25 @@ from helmqo.certify import (GaussianBump, ProblemSpec,
                             unit_square_spectrum)
 
 from conftest import enumeration_index, enumeration_spectrum
+
+
+def wrap_everywhere(monkeypatch, fn, record):
+    """Replace ``fn`` in every helmqo namespace holding it by a wrapper that
+    calls ``record(args, result)`` after each call."""
+    def wrapped(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        record(args, result)
+        return result
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "helmqo":
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, wrapped)
+
+
+def matrix_digest(A) -> str:
+    return hashlib.sha256(A.indptr.tobytes() + A.indices.tobytes()
+                          + A.data.tobytes()).hexdigest()
 
 
 class TestSpectrumOracle:
@@ -206,3 +227,39 @@ class TestConvergenceStudy:
         line = study_to_csv(recs).strip().splitlines()[1].split(",")
         assert float(line[0]) == recs[0].h
         assert float(line[2]) == recs[0].error
+
+
+class TestPencilReuse:
+    """Each space assembles, constrains and factorizes its pencil once."""
+
+    def test_cr_run_factorizes_each_shift_once(self, monkeypatch):
+        import helmqo.spaces
+        import helmqo.sparsela
+        factorized = []
+        stiffness = []
+        wrap_everywhere(monkeypatch, helmqo.sparsela.ldlt,
+                        lambda a, F: factorized.append(
+                            (matrix_digest(a[0]), matrix_digest(a[2]),
+                             a[1])))
+        wrap_everywhere(monkeypatch, helmqo.spaces.assemble_stiffness,
+                        lambda a, K: stiffness.append(a[0]))
+        rep = run_gmr(ProblemSpec(CR, 30.0), build_unit_square(4),
+                      "uniform", "cr", max_iters=3)
+        assert len(rep.iterations) == 3
+        # at least count_below(lam_need) and count_below(k2) per step
+        assert len(factorized) >= 2 * 3
+        assert len(set(factorized)) == len(factorized)
+        cr_spaces = [s for s in stiffness if s.family == CR]
+        assert len(cr_spaces) == 3
+        assert len({id(s) for s in cr_spaces}) == len(cr_spaces)
+
+    def test_study_assembles_stiffness_once_per_mesh(self, monkeypatch):
+        import helmqo.spaces
+        stiffness = []
+        wrap_everywhere(monkeypatch, helmqo.spaces.assemble_stiffness,
+                        lambda a, K: stiffness.append(a[0].mesh))
+        spec = ProblemSpec(P1, 30.0, rhs=SineProduct(((1, 2, 1.0),)))
+        recs = convergence_study(spec, 3, initial_n=4)
+        assert len(recs) == 3
+        assert len(stiffness) == 3
+        assert len({id(m) for m in stiffness}) == 3

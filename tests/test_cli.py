@@ -96,6 +96,28 @@ class TestEigCommand:
         exact = 2 * math.pi ** 2
         assert float(lower) <= exact <= float(upper)
 
+    @pytest.mark.parametrize("family", ["p1", "cr"])
+    def test_rows_are_eigenpairs_with_bounds(self, tmp_path, family):
+        from helmqo.certify import _fmt
+        from helmqo.mesh import build_unit_square
+        from helmqo.spaces import build_space, family_from_name
+        from helmqo.sparsela import EigenSolveOptions
+        from helmqo.spectral import compute_bounds, eigenpairs
+        out = tmp_path / "eig.csv"
+        res = run_cli(["eig", "--geometry", "unit-square", "--n", "12",
+                       "--family", family, "--m", "4", "-o", str(out)])
+        assert res.returncode == 0, res.stderr
+        space = build_space(build_unit_square(12), family_from_name(family))
+        E = eigenpairs(space, 4, EigenSolveOptions())
+        bounds = (compute_bounds(E) if family == "cr"
+                  else [None] * len(E))
+        rows = out.read_text().strip().splitlines()[1:]
+        assert len(rows) == 4
+        for i, (row, lam, b) in enumerate(zip(rows, E.values, bounds)):
+            lower = b.lower if b and b.separation_ok else None
+            upper = b.upper if b else None
+            assert row == f"{i + 1},{_fmt(lam)},{_fmt(lower)},{_fmt(upper)}"
+
     def test_m_zero_exit_2(self):
         res = run_cli(["eig", "--geometry", "unit-square", "--family", "p1",
                        "--m", "0"])
@@ -181,6 +203,50 @@ class TestStudyCommand:
                        "--k2", "100", "--family", "p1", "--refinements",
                        "2", "-o", str(out)], env_extra={"HQO_SEED": "3"})
         assert res.returncode == 0
+
+    def test_mesh_file_is_used(self, tmp_path):
+        mesh_file = tmp_path / "hole.mesh"
+        out = tmp_path / "study.csv"
+        assert run_cli(["mesh", "--geometry", "square-hole", "--outer", "2",
+                        "--inner", "0.5", "-o", str(mesh_file)]
+                       ).returncode == 0
+        res = run_cli(["study", "--mesh", str(mesh_file), "--k2", "3",
+                       "--family", "p1", "--refinements", "1",
+                       "-o", str(out)])
+        assert res.returncode == 0, res.stderr
+        assert "conforming solution" in res.stdout
+        from helmqo.mesh import read_mesh
+        from helmqo.spaces import P1, build_space
+        ndof = build_space(read_mesh(mesh_file.read_text()), P1).n_free
+        row = out.read_text().strip().splitlines()[1].split(",")
+        assert int(row[1]) == ndof
+
+    def test_tag_is_used(self, tmp_path):
+        out = tmp_path / "study.csv"
+        res = run_cli(["study", "--geometry", "unit-square", "--n", "8",
+                       "--tag", "neumann", "--k2", "60", "--family", "p1",
+                       "--refinements", "2", "-o", str(out)])
+        assert res.returncode == 0, res.stderr
+        assert "conforming solution" in res.stdout
+        ndof = [int(r.split(",")[1])
+                for r in out.read_text().strip().splitlines()[1:]]
+        assert ndof == [81, 289]     # every vertex is free
+
+    def test_seed_reaches_the_mesh(self, tmp_path):
+        from helmqo.mesh import build_unit_square_unstructured, \
+            global_mesh_size
+        outs = {}
+        for seed in (0, 7):
+            outs[seed] = tmp_path / f"study{seed}.csv"
+            res = run_cli(["--seed", str(seed), "study", "--geometry",
+                           "unit-square-unstructured", "--n", "8", "--k2",
+                           "60", "--family", "p1", "--refinements", "1",
+                           "-o", str(outs[seed])])
+            assert res.returncode == 0, res.stderr
+            row = outs[seed].read_text().strip().splitlines()[1].split(",")
+            h = global_mesh_size(build_unit_square_unstructured(8, seed))
+            assert float(row[0]) == h
+        assert outs[0].read_bytes() != outs[7].read_bytes()
 
     def test_cr_with_p_rejected(self):
         res = run_cli(["study", "--geometry", "unit-square", "--k2", "100",
