@@ -30,7 +30,7 @@ from .sparsela import (EigenSolveOptions, ResonanceError, count_below, ldlt,
                        solve)
 from .spectral import (DEFAULT_KAPPA, EigenSet, LadderExhaustedError,
                        check_criterion, compute_bounds, eigen_ladder,
-                       estimate_index)
+                       estimate_index, separation_threshold)
 from .estimator import mark_half_max, residual_indicator
 
 ALPHA_WARN_THRESHOLD = 1e-6
@@ -393,8 +393,7 @@ def _separation_blockers(mesh: Mesh, E: EigenSet, j_star: int,
     those elements are always scheduled for refinement.
     """
     lam_ref = float(E.values[min(j_star, len(E) - 1)])
-    threshold = ((np.sqrt(1.0 + 1.0 / (j_star + 1)) - 1.0)
-                 / (kappa * np.sqrt(lam_ref)))
+    threshold = separation_threshold(j_star + 1, lam_ref, kappa)
     diam = element_diameters(mesh)
     return set(np.flatnonzero(diam > threshold).tolist())
 

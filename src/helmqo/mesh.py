@@ -26,6 +26,9 @@ class BoundaryTag(enum.Enum):
 # callable evaluated at the edge midpoint.
 TagAssignment = BoundaryTag | Callable[[float, float], BoundaryTag]
 
+# BoundaryTag of each ``Mesh.edge_tag`` code (interior edges carry -1)
+_TAGS = (BoundaryTag.DIRICHLET, BoundaryTag.NEUMANN)
+
 
 class MeshError(ValueError):
     """Invalid mesh topology or geometry."""
@@ -77,25 +80,30 @@ class Mesh:
         if ((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2])
                 | (t[:, 0] == t[:, 2])).any():
             raise MeshError("triangle with repeated vertex")
-        if (self.signed_areas() <= 0).any():
-            bad = int(np.argmin(self.signed_areas()))
+        areas = self.signed_areas()
+        if (areas <= 0).any():
+            bad = int(np.argmin(areas))
             raise MeshError(f"triangle {bad} is not counter-clockwise "
                             "(non-positive signed area)")
 
         self._build_edge_table()
 
-        pairs = [(min(a, b), max(a, b)) for (a, b), _ in boundary_edges]
-        if len(set(pairs)) != len(pairs):
+        # read once: boundary_edges may be a one-shot iterable
+        given = list(boundary_edges)
+        pairs = np.array([pair for pair, _ in given],
+                         dtype=np.int64).reshape(-1, 2)
+        codes = np.array([_TAGS.index(tag) for _, tag in given],
+                         dtype=np.int8)
+        pairs.sort(axis=1)
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        pairs, codes = pairs[order], codes[order]
+        if (pairs[1:] == pairs[:-1]).all(axis=1).any():
             raise MeshError("duplicate boundary edge (conflicting tags?)")
-        computed = {tuple(e) for e in self.edges[self.boundary_edge_ids]}
-        if set(pairs) != computed:
+        if not np.array_equal(pairs, self.edges[self.boundary_edge_ids]):
             raise MeshError("boundary_edges do not match the edges adjacent "
                             "to exactly one triangle")
         self.edge_tag = np.full(len(self.edges), -1, dtype=np.int8)
-        key = {tuple(e): i for i, e in enumerate(self.edges)}
-        tag_codes = {BoundaryTag.DIRICHLET: 0, BoundaryTag.NEUMANN: 1}
-        for (a, b), tag in boundary_edges:
-            self.edge_tag[key[(min(a, b), max(a, b))]] = tag_codes[tag]
+        self.edge_tag[self.boundary_edge_ids] = codes
 
         if refinement_edge is None:
             self.refinement_edge = np.argmax(_edge_lengths(self),
@@ -120,35 +128,30 @@ class Mesh:
         vertices = np.asarray(vertices, dtype=np.float64)
         triangles = np.asarray(triangles, dtype=np.int64)
         tag_fn = _as_tag_fn(tags)
-        pairs = _boundary_pairs(triangles)
-        boundary = []
-        for a, b in pairs:
-            mx, my = vertices[[a, b]].mean(axis=0)
-            boundary.append(((int(a), int(b)), tag_fn(mx, my)))
+        edges, _, counts = _edge_table(triangles,
+                                       int(triangles.max(initial=0)) + 1)
+        pairs = edges[counts == 1]
+        mids = vertices[pairs].mean(axis=1)
+        boundary = [((int(a), int(b)), tag_fn(mx, my))
+                    for (a, b), (mx, my) in zip(pairs, mids)]
         return cls(vertices, triangles, boundary, refinement_edge)
 
     def _build_edge_table(self):
         t = self.triangles
-        # edge k of a triangle is opposite local vertex k
-        raw = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
-        raw.sort(axis=1)
-        self.edges, inv, counts = np.unique(
-            raw, axis=0, return_inverse=True, return_counts=True)
+        nt = len(t)
+        self.edges, inv, counts = _edge_table(t, len(self.vertices))
         if (counts > 2).any():
             raise MeshError("non-conforming mesh: edge shared by more than "
                             "two triangles")
-        nt = len(t)
-        self.tri2edge = np.column_stack(
-            [inv[:nt], inv[nt:2 * nt], inv[2 * nt:]]).astype(np.int64)
+        self.tri2edge = np.ascontiguousarray(inv.reshape(3, nt).T)
+        # the triangles of each edge in ascending order: the first goes to
+        # slot 0, the second (if any) to slot 1
+        tri_of = np.tile(np.arange(nt), 3)[np.argsort(inv, kind="stable")]
+        first = np.cumsum(counts) - counts
+        two = counts == 2
         self.edge2tri = np.full((len(self.edges), 2), -1, dtype=np.int64)
-        fill = np.zeros(len(self.edges), dtype=np.int64)
-        order = np.argsort(inv, kind="stable")
-        tri_of = np.tile(np.arange(nt), 3)[order]
-        eids = inv[order]
-        # stable fill: triangle ids ascend within each edge slot
-        for e, tri in zip(eids, tri_of):
-            self.edge2tri[e, fill[e]] = tri
-            fill[e] += 1
+        self.edge2tri[:, 0] = tri_of[first]
+        self.edge2tri[two, 1] = tri_of[first[two] + 1]
         self.boundary_edge_ids = np.flatnonzero(counts == 1)
 
     # -- basic queries ---------------------------------------------------
@@ -168,13 +171,9 @@ class Mesh:
     @property
     def boundary_edges(self) -> list[tuple[tuple[int, int], BoundaryTag]]:
         """Boundary edges as ((v0, v1), tag), sorted by vertex pair."""
-        out = []
-        for e in self.boundary_edge_ids:
-            a, b = self.edges[e]
-            tag = (BoundaryTag.DIRICHLET if self.edge_tag[e] == 0
-                   else BoundaryTag.NEUMANN)
-            out.append(((int(a), int(b)), tag))
-        return out
+        ids = self.boundary_edge_ids
+        return [((int(a), int(b)), _TAGS[code])
+                for (a, b), code in zip(self.edges[ids], self.edge_tag[ids])]
 
     def signed_areas(self) -> np.ndarray:
         return 0.5 * _doubled_signed_areas(self.vertices[self.triangles])
@@ -204,12 +203,22 @@ class Mesh:
                 f"ne={self.n_edges})")
 
 
-def _boundary_pairs(triangles: np.ndarray) -> np.ndarray:
-    t = np.asarray(triangles)
+def _edge_table(triangles: np.ndarray, base: int):
+    """Sorted unique edges of ``triangles`` with inverse and counts.
+
+    Edge ``k`` of a triangle is opposite local vertex ``k``; the inverse
+    lists all edges 0, then all edges 1, then all edges 2.  Each edge
+    (a, b), a < b, is keyed as ``a*base + b``, so ``base`` must exceed
+    every vertex index; the keys sort like the rows (a, b).
+    """
+    t = triangles
     raw = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
     raw.sort(axis=1)
-    edges, counts = np.unique(raw, axis=0, return_counts=True)
-    return edges[counts == 1]
+    keys, inv, counts = np.unique(raw[:, 0] * base + raw[:, 1],
+                                  return_inverse=True, return_counts=True)
+    edges = np.empty((len(keys), 2), dtype=np.int64)
+    edges[inv] = raw
+    return edges, inv, counts
 
 
 # -- measures -------------------------------------------------------------
@@ -398,6 +407,29 @@ def build_geometry(geometry: str, n: int = 8, *, path: str | None = None,
 
 # -- refinement -----------------------------------------------------------
 
+def _split_edges(m: Mesh, marked_edge: np.ndarray):
+    """Midpoints of the marked edges appended to the vertices.
+
+    Returns ``(vertices, new_of_edge, boundary)``: ``new_of_edge`` maps an
+    edge to its midpoint vertex (-1 if unsplit), and ``boundary`` lists the
+    boundary edges of the refined mesh, halves inheriting the parent's tag.
+    """
+    nv = m.n_vertices
+    split_ids = np.flatnonzero(marked_edge)
+    new_of_edge = np.full(m.n_edges, -1, dtype=np.int64)
+    new_of_edge[split_ids] = nv + np.arange(len(split_ids))
+    mids = 0.5 * (m.vertices[m.edges[split_ids, 0]]
+                  + m.vertices[m.edges[split_ids, 1]])
+    boundary = []
+    for e, ((va, vb), tag) in zip(m.boundary_edge_ids, m.boundary_edges):
+        if marked_edge[e]:
+            vm = int(new_of_edge[e])
+            boundary += [((va, vm), tag), ((vm, vb), tag)]
+        else:
+            boundary.append(((va, vb), tag))
+    return np.vstack([m.vertices, mids]), new_of_edge, boundary
+
+
 def refine_uniform(m: Mesh) -> Mesh:
     """Red refinement: every triangle is split into four similar children.
 
@@ -405,29 +437,15 @@ def refine_uniform(m: Mesh) -> Mesh:
     mesh and the parent's vertices keep their indices, so uniform families
     are nested with a trivial ancestry map.
     """
-    nv = m.n_vertices
-    mids = 0.5 * (m.vertices[m.edges[:, 0]] + m.vertices[m.edges[:, 1]])
-    vertices = np.vstack([m.vertices, mids])
-
+    vertices, new_of_edge, boundary = _split_edges(
+        m, np.ones(m.n_edges, dtype=bool))
     a, b, c = m.triangles.T
-    m0 = nv + m.tri2edge[:, 0]
-    m1 = nv + m.tri2edge[:, 1]
-    m2 = nv + m.tri2edge[:, 2]
-    nt = m.n_triangles
-    tris = np.empty((4 * nt, 3), dtype=np.int64)
+    m0, m1, m2 = new_of_edge[m.tri2edge].T
+    tris = np.empty((4 * m.n_triangles, 3), dtype=np.int64)
     tris[0::4] = np.column_stack([a, m2, m1])
     tris[1::4] = np.column_stack([b, m0, m2])
     tris[2::4] = np.column_stack([c, m1, m0])
     tris[3::4] = np.column_stack([m0, m1, m2])
-
-    boundary = []
-    for e in m.boundary_edge_ids:
-        va, vb = (int(v) for v in m.edges[e])
-        vm = nv + int(e)
-        tag = (BoundaryTag.DIRICHLET if m.edge_tag[e] == 0
-               else BoundaryTag.NEUMANN)
-        boundary.append(((va, vm), tag))
-        boundary.append(((vm, vb), tag))
     return Mesh(vertices, tris, boundary)
 
 
@@ -439,7 +457,7 @@ def refine_bisection(m: Mesh, marked: Iterable[int] | np.ndarray) -> Mesh:
     its refinement edge.  The result is conforming and the generated
     triangles fall into finitely many similarity classes.
     """
-    marked = np.asarray(sorted(set(int(t) for t in marked)), dtype=np.int64)
+    marked = np.unique(np.fromiter(marked, dtype=np.int64))
     if marked.size == 0:
         return m
     if marked.min() < 0 or marked.max() >= m.n_triangles:
@@ -456,67 +474,31 @@ def refine_bisection(m: Mesh, marked: Iterable[int] | np.ndarray) -> Mesh:
             break
         marked_edge[ref_glob[need]] = True
 
-    nv = m.n_vertices
-    new_of_edge = np.full(m.n_edges, -1, dtype=np.int64)
-    split_ids = np.flatnonzero(marked_edge)
-    new_of_edge[split_ids] = nv + np.arange(len(split_ids))
-    mids = 0.5 * (m.vertices[m.edges[split_ids, 0]]
-                  + m.vertices[m.edges[split_ids, 1]])
-    vertices = np.vstack([m.vertices, mids])
+    vertices, new_of_edge, boundary = _split_edges(m, marked_edge)
 
-    out_tris: list[np.ndarray] = []
-    out_ref: list[int] = []
-    tri2edge = m.tri2edge
-    triangles = m.triangles
-    refloc = m.refinement_edge
-    for t in range(m.n_triangles):
-        edges_t = tri2edge[t]
-        flags = marked_edge[edges_t]
-        if not flags.any():
-            out_tris.append(triangles[t])
-            out_ref.append(int(refloc[t]))
-            continue
-        r = int(refloc[t])
-        # rotate so the refinement edge is opposite local vertex 0
-        order = [r, (r + 1) % 3, (r + 2) % 3]
-        p, va, vb = (int(v) for v in triangles[t][order])
-        e0, e1, e2 = (int(e) for e in edges_t[order])
-        m0 = int(new_of_edge[e0])  # closure guarantees e0 is split
-        split1 = marked_edge[e1]
-        split2 = marked_edge[e2]
-        # children of the bisection at m0; ref edges are the parent edges
-        if split2:
-            m2 = int(new_of_edge[e2])
-            out_tris.append(np.array([m0, p, m2]))
-            out_ref.append(2)
-            out_tris.append(np.array([m0, m2, va]))
-            out_ref.append(1)
-        else:
-            out_tris.append(np.array([p, va, m0]))
-            out_ref.append(2)
-        if split1:
-            m1 = int(new_of_edge[e1])
-            out_tris.append(np.array([m0, vb, m1]))
-            out_ref.append(2)
-            out_tris.append(np.array([m0, m1, p]))
-            out_ref.append(1)
-        else:
-            out_tris.append(np.array([p, m0, vb]))
-            out_ref.append(1)
-    tris = np.array(out_tris, dtype=np.int64)
-    refinement_edge = np.array(out_ref, dtype=np.int8)
-
-    boundary = []
-    for e in m.boundary_edge_ids:
-        va, vb = (int(v) for v in m.edges[e])
-        tag = (BoundaryTag.DIRICHLET if m.edge_tag[e] == 0
-               else BoundaryTag.NEUMANN)
-        if marked_edge[e]:
-            vm = int(new_of_edge[e])
-            boundary.append(((va, vm), tag))
-            boundary.append(((vm, vb), tag))
-        else:
-            boundary.append(((va, vb), tag))
+    # rotate each triangle so its refinement edge is opposite local vertex 0
+    rot = (m.refinement_edge[:, None] + np.arange(3)) % 3
+    p, va, vb = np.take_along_axis(m.triangles, rot, axis=1).T
+    m0, m1, m2 = new_of_edge[np.take_along_axis(m.tri2edge, rot, axis=1)].T
+    # closure: a split edge 1 or 2 implies a split refinement edge 0
+    split0, split1, split2 = m0 >= 0, m1 >= 0, m2 >= 0
+    n_child = np.where(split0, 2 + split1 + split2, 1)
+    first = np.cumsum(n_child) - n_child
+    tris = np.empty((n_child.sum(), 3), dtype=np.int64)
+    refinement_edge = np.empty(len(tris), dtype=np.int8)
+    tris[first[~split0]] = m.triangles[~split0]
+    refinement_edge[first[~split0]] = m.refinement_edge[~split0]
+    # children of the bisection at m0, in order; ref edges are parent edges
+    second = first + 1 + split2
+    for mask, slot, child, ref in (
+            (split2, first, (m0, p, m2), 2),
+            (split2, first + 1, (m0, m2, va), 1),
+            (split0 & ~split2, first, (p, va, m0), 2),
+            (split1, second, (m0, vb, m1), 2),
+            (split1, second + 1, (m0, m1, p), 1),
+            (split0 & ~split1, second, (p, m0, vb), 1)):
+        tris[slot[mask]] = np.column_stack([c[mask] for c in child])
+        refinement_edge[slot[mask]] = ref
     return Mesh(vertices, tris, boundary, refinement_edge)
 
 

@@ -19,6 +19,7 @@ import scipy.io
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import structural_rank
 
 DENSE_FACTOR_LIMIT = 400
 DENSE_EIG_LIMIT = 200
@@ -261,9 +262,22 @@ def ldlt(A: SparseSymMatrix, sigma: float = 0.0,
         return Factorization(K, sigma, "dense", np.asarray(perm), inertia,
                              (lu, d, np.asarray(perm)))
 
-    lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0,
-                   options=dict(SymmetricMode=True, Equil=False))
+    # SuperLU may crash rather than raise on a structurally singular
+    # matrix; only a zero on the diagonal makes one possible
+    singular = (K.diagonal() == 0.0).any() and structural_rank(K) < n
+    if not singular:
+        try:
+            lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True, Equil=False))
+        except RuntimeError as exc:
+            if "singular" not in str(exc):
+                raise
+            singular = True
+    if singular:
+        # an exactly singular factor leaves the pivot signs unknown
+        return Factorization(K, sigma, "superlu", np.arange(n), (0, n, 0),
+                             None)
     du = lu.U.diagonal()
     neg = int((du < -tol).sum())
     pos = int((du > tol).sum())

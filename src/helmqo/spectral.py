@@ -152,7 +152,7 @@ def cr_lower_bound(lam: float, h: float,
 
 def separation_ok(h: float, j: int, lam_ref: float,
                   kappa: float = DEFAULT_KAPPA) -> bool:
-    """Mesh-size condition h <= (sqrt(1 + 1/j) - 1) / (kappa sqrt(lam_ref)).
+    """Mesh-size condition h <= :func:`separation_threshold`.
 
     ``lam_ref`` must be an upper reference for the j-th eigenvalue; using a
     larger value only tightens the test, preserving the guarantee.
@@ -161,8 +161,16 @@ def separation_ok(h: float, j: int, lam_ref: float,
         raise ValueError("j must be >= 1")
     if lam_ref <= 0:
         raise ValueError("lam_ref must be positive")
-    threshold = (np.sqrt(1.0 + 1.0 / j) - 1.0) / (kappa * np.sqrt(lam_ref))
-    return h <= threshold
+    return h <= separation_threshold(j, lam_ref, kappa)
+
+
+def separation_threshold(j: int, lam_ref: float,
+                         kappa: float = DEFAULT_KAPPA) -> float:
+    """Separation threshold (sqrt(1 + 1/j) - 1) / (kappa sqrt(lam_ref)).
+
+    The largest mesh size that passes the separation condition at ``j``.
+    """
+    return (np.sqrt(1.0 + 1.0 / j) - 1.0) / (kappa * np.sqrt(lam_ref))
 
 
 def cr_upper_bound(e_h: FeFunction, A_p1: SparseSymMatrix,

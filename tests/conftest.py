@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 
+from helmqo.mesh import BoundaryTag
+
 
 def enumeration_spectrum(count: int) -> np.ndarray:
     """Brute-force Dirichlet spectrum of the unit square, pi^2 (i^2+j^2)."""
@@ -106,3 +108,99 @@ def jacobi_generalized_eigen(A: np.ndarray, M: np.ndarray,
 @pytest.fixture(scope="session")
 def square_spectrum_20():
     return enumeration_spectrum(20)
+
+
+def loop_edge_table(triangles: np.ndarray):
+    """Edge table by row-wise ``np.unique`` and a per-edge ``edge2tri`` fill.
+
+    Returns ``(edges, tri2edge, edge2tri)``; triangle ids ascend within the
+    two slots of each edge.
+    """
+    t = np.asarray(triangles)
+    nt = len(t)
+    raw = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
+    raw.sort(axis=1)
+    edges, inv = np.unique(raw, axis=0, return_inverse=True)
+    inv = inv.ravel()
+    tri2edge = np.column_stack([inv[:nt], inv[nt:2 * nt], inv[2 * nt:]])
+    edge2tri = np.full((len(edges), 2), -1, dtype=np.int64)
+    fill = np.zeros(len(edges), dtype=np.int64)
+    order = np.argsort(inv, kind="stable")
+    for e, tri in zip(inv[order], np.tile(np.arange(nt), 3)[order]):
+        edge2tri[e, fill[e]] = tri
+        fill[e] += 1
+    return edges, tri2edge, edge2tri
+
+
+def loop_edge_tags(edges: np.ndarray, boundary) -> np.ndarray:
+    """Tag code per edge (0 Dirichlet, 1 Neumann, -1 interior) by lookup."""
+    key = {tuple(e): i for i, e in enumerate(edges.tolist())}
+    tags = np.full(len(edges), -1, dtype=np.int8)
+    for (a, b), tag in boundary:
+        tags[key[(min(a, b), max(a, b))]] = (
+            0 if tag == BoundaryTag.DIRICHLET else 1)
+    return tags
+
+
+def loop_refine_bisection(m, marked):
+    """Newest-vertex bisection one triangle at a time.
+
+    Returns ``(vertices, triangles, refinement_edge, boundary_edges)`` of
+    the refined mesh, children in parent order, using only the parent's
+    edge table.
+    """
+    marked = np.asarray(sorted(set(int(t) for t in marked)), dtype=np.int64)
+    marked_edge = np.zeros(m.n_edges, dtype=bool)
+    marked_edge[m.tri2edge[marked].ravel()] = True
+    ref_glob = m.tri2edge[np.arange(m.n_triangles), m.refinement_edge]
+    while True:
+        need = (marked_edge[m.tri2edge].any(axis=1)
+                & ~marked_edge[ref_glob])
+        if not need.any():
+            break
+        marked_edge[ref_glob[need]] = True
+
+    nv = m.n_vertices
+    new_of_edge = np.full(m.n_edges, -1, dtype=np.int64)
+    split_ids = np.flatnonzero(marked_edge)
+    new_of_edge[split_ids] = nv + np.arange(len(split_ids))
+    mids = 0.5 * (m.vertices[m.edges[split_ids, 0]]
+                  + m.vertices[m.edges[split_ids, 1]])
+    vertices = np.vstack([m.vertices, mids])
+
+    out_tris, out_ref = [], []
+    for t in range(m.n_triangles):
+        edges_t = m.tri2edge[t]
+        if not marked_edge[edges_t].any():
+            out_tris.append(m.triangles[t])
+            out_ref.append(int(m.refinement_edge[t]))
+            continue
+        r = int(m.refinement_edge[t])
+        order = [r, (r + 1) % 3, (r + 2) % 3]
+        p, va, vb = (int(v) for v in m.triangles[t][order])
+        e0, e1, e2 = (int(e) for e in edges_t[order])
+        m0 = int(new_of_edge[e0])
+        if marked_edge[e2]:
+            m2 = int(new_of_edge[e2])
+            out_tris += [[m0, p, m2], [m0, m2, va]]
+            out_ref += [2, 1]
+        else:
+            out_tris.append([p, va, m0])
+            out_ref.append(2)
+        if marked_edge[e1]:
+            m1 = int(new_of_edge[e1])
+            out_tris += [[m0, vb, m1], [m0, m1, p]]
+            out_ref += [2, 1]
+        else:
+            out_tris.append([p, m0, vb])
+            out_ref.append(1)
+
+    boundary = []
+    for e, ((va, vb), tag) in zip(m.boundary_edge_ids, m.boundary_edges):
+        if marked_edge[e]:
+            vm = int(new_of_edge[e])
+            boundary += [((va, vm), tag), ((vm, vb), tag)]
+        else:
+            boundary.append(((va, vb), tag))
+    return (vertices, np.array(out_tris, dtype=np.int64),
+            np.array(out_ref, dtype=np.int8), boundary)

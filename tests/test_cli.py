@@ -156,6 +156,14 @@ class TestCertifyCommand:
         assert res.returncode == 6
         assert "resonan" in res.stderr.lower()
 
+    def test_exactly_singular_factor_exit_6(self):
+        # 3072 is a discrete CR eigenvalue of the 16x16 square exactly
+        res = run_cli(["certify", "--geometry", "unit-square", "--n", "16",
+                       "--k2", "3072", "--family", "cr", "--refine",
+                       "uniform", "--istar", "5", "--max-iters", "1"])
+        assert res.returncode == 6
+        assert "resonan" in res.stderr.lower()
+
     def test_budget_exit_5_with_partial_csv(self, tmp_path):
         out = tmp_path / "cert.csv"
         res = run_cli(["certify", "--geometry", "unit-square", "--n", "4",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helmqo.mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
                          build_square_with_hole, build_unit_square,
@@ -9,6 +10,8 @@ from helmqo.mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
                          element_diameters, global_mesh_size, minimum_angle,
                          read_mesh, refine_bisection, refine_uniform,
                          write_mesh)
+
+from conftest import loop_edge_table, loop_edge_tags, loop_refine_bisection
 
 D, N = BoundaryTag.DIRICHLET, BoundaryTag.NEUMANN
 
@@ -76,6 +79,92 @@ class TestBuilders:
         m2 = build_unit_square_unstructured(6, seed=1)
         assert_valid(m1)
         assert m1 == m2
+
+
+class TestConstructorErrors:
+    def square(self):
+        return build_unit_square(2)
+
+    def test_duplicate_boundary_edge(self):
+        m = self.square()
+        (a, b), _ = m.boundary_edges[0]
+        with pytest.raises(MeshError, match="duplicate boundary edge"):
+            Mesh(m.vertices, m.triangles, m.boundary_edges + [((b, a), N)])
+
+    def test_missing_boundary_edge(self):
+        m = self.square()
+        with pytest.raises(MeshError, match="do not match"):
+            Mesh(m.vertices, m.triangles, m.boundary_edges[1:])
+
+    def test_interior_edge_listed(self):
+        m = self.square()
+        interior = tuple(int(v) for v in m.edges[m.edge_tag == -1][0])
+        with pytest.raises(MeshError, match="do not match"):
+            Mesh(m.vertices, m.triangles, m.boundary_edges + [(interior, D)])
+
+    def test_edge_shared_by_three_triangles(self):
+        vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                    [0.5, -1.0]]
+        with pytest.raises(MeshError, match="more than two triangles"):
+            Mesh(vertices, [[0, 1, 2], [1, 3, 2], [4, 1, 2]], [])
+
+    def test_repeated_vertex(self):
+        with pytest.raises(MeshError, match="repeated vertex"):
+            Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 1]], [])
+
+    def test_boundary_edges_from_a_generator(self):
+        m = self.square()
+        g = Mesh(m.vertices, m.triangles, (x for x in m.boundary_edges))
+        assert np.array_equal(g.edge_tag, m.edge_tag)
+        assert np.array_equal(g.dirichlet_vertices(), m.dirichlet_vertices())
+        assert len(g.dirichlet_vertices()) == 8
+
+
+@st.composite
+def base_meshes(draw):
+    kind = draw(st.sampled_from(["structured", "jittered", "hole"]))
+    if kind == "structured":
+        return build_unit_square(draw(st.integers(1, 4)),
+                                 draw(st.sampled_from([D, N])))
+    if kind == "jittered":
+        return build_unit_square_unstructured(
+            draw(st.integers(2, 5)), seed=draw(st.integers(0, 2 ** 16)))
+    outer = draw(st.sampled_from([D, N]))
+    return build_square_with_hole(2.0, draw(st.sampled_from([0.5, 1.0])),
+                                  draw(st.integers(4, 8)), outer_tag=outer,
+                                  inner_tag=N if outer == D else D)
+
+
+def assert_tables_match_loops(m: Mesh):
+    edges, tri2edge, edge2tri = loop_edge_table(m.triangles)
+    assert np.array_equal(m.edges, edges)
+    assert np.array_equal(m.tri2edge, tri2edge)
+    assert np.array_equal(m.edge2tri, edge2tri)
+    assert np.array_equal(m.edge_tag, loop_edge_tags(edges, m.boundary_edges))
+
+
+class TestLoopOracle:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=25)
+    @given(base=base_meshes(), data=st.data())
+    def test_bisection_bit_identical(self, base, data):
+        m = base
+        assert_tables_match_loops(m)
+        assert_tables_match_loops(refine_uniform(m))
+        for _ in range(data.draw(st.integers(1, 3), label="rounds")):
+            frac = data.draw(st.floats(0.0, 1.0), label="fraction")
+            rng = np.random.default_rng(
+                data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+            marked = set(np.flatnonzero(rng.random(m.n_triangles) < frac)
+                         .tolist()) | {int(rng.integers(m.n_triangles))}
+            vertices, tris, ref, boundary = loop_refine_bisection(m, marked)
+            m = refine_bisection(m, marked)
+            assert m.vertices.tobytes() == vertices.tobytes()
+            assert np.array_equal(m.triangles, tris)
+            assert np.array_equal(m.refinement_edge, ref)
+            assert m.edge_tag.tobytes() == loop_edge_tags(
+                m.edges, boundary).tobytes()
+            assert_tables_match_loops(m)
 
 
 class TestUniformRefinement:

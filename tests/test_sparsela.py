@@ -60,6 +60,26 @@ class TestLdlt:
         with pytest.raises(FactorizationError):
             solve(F, np.ones(3))
 
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_exactly_singular_sparse_factor_reported(self, coupled):
+        # past DENSE_FACTOR_LIMIT, so the sparse path meets the zero pivot:
+        # an empty column at the shift 7 (structurally singular), or the
+        # block [[8, 1], [1, 8]] - 7 I with a full diagonal (singular by
+        # value); the eigenvalues below 7.5 are 1..7 either way
+        A = sp.lil_matrix(sp.diags(np.arange(1.0, 501.0)))
+        if coupled:
+            A[6, 6], A[6, 7], A[7, 6] = 8.0, 1.0, 1.0
+        A = SparseSymMatrix(A)
+        M = SparseSymMatrix(sp.identity(A.n))
+        F = ldlt(A, 7.0, M)
+        assert F.n_zero >= 1
+        assert sum(F.inertia) == A.n
+        with pytest.raises(FactorizationError):
+            solve(F, np.ones(A.n))
+        with pytest.raises(ResonanceError):
+            count_below(A, M, 7.0)
+        assert count_below(A, M, 7.5) == 7
+
     @pytest.mark.parametrize("n", [32, 64])
     def test_unit_square_inertia_at_100(self, n):
         # enumeration oracle: six square eigenvalues lie below 100

@@ -10,7 +10,8 @@ from helmqo.sparsela import ResonanceError, count_below
 from helmqo.spectral import (BoundedEigen, EigenSet, LadderExhaustedError,
                              check_criterion, compute_bounds, cr_lower_bound,
                              cr_upper_bound, eigen_ladder, estimate_index,
-                             separation_ok, th_coercivity_constant)
+                             separation_ok, separation_threshold,
+                             th_coercivity_constant)
 
 from conftest import enumeration_index
 
@@ -94,6 +95,7 @@ class TestBounds:
         assert separation_ok(thr - 1e-4, 1, lam)
         assert not separation_ok(thr + 1e-4, 1, lam)
         assert separation_ok(0.0, 5, lam)
+        assert np.isclose(separation_threshold(1, lam), thr, atol=1e-5)
 
     def test_separation_eventually_fails(self):
         assert not separation_ok(0.05, 500, 2 * math.pi ** 2)
