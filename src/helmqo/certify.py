@@ -30,7 +30,7 @@ from .sparsela import (EigenSolveOptions, ResonanceError, count_below, ldlt,
                        solve)
 from .spectral import (DEFAULT_KAPPA, EigenSet, LadderExhaustedError,
                        check_criterion, compute_bounds, eigen_ladder,
-                       estimate_index, separation_threshold)
+                       eigenpairs, estimate_index, separation_threshold)
 from .estimator import mark_half_max, residual_indicator
 
 ALPHA_WARN_THRESHOLD = 1e-6
@@ -114,12 +114,16 @@ def solve_helmholtz(spec: ProblemSpec, mesh: Mesh) -> FeFunction:
     a zero pivot means k^2 is numerically a discrete eigenvalue and raises
     :class:`ResonanceError`.  Relative residual <= 1e-10.
     """
-    return _solve(spec, build_space(mesh, spec.family))
+    return _solve(spec, build_space(mesh, spec.family))[0]
 
 
-def _solve(spec: ProblemSpec, space: DofSpace) -> FeFunction:
+def _solve(spec: ProblemSpec, space: DofSpace) -> tuple[FeFunction, int]:
+    """The solution and, by Sylvester's law of inertia on the same LDL^T,
+    the number of discrete eigenvalues below k^2."""
     if spec.rhs is None:
         raise ValueError("problem has no right-hand side")
+    if space.n_free == 0:
+        raise ValueError("space has no free degrees of freedom")
     A, M = space.pencil
     b = constrain_vector(space,
                          assemble_load(space, spec.rhs, spec.load_degree))
@@ -129,7 +133,7 @@ def _solve(spec: ProblemSpec, space: DofSpace) -> FeFunction:
             f"k^2 = {spec.k2!r} is numerically a discrete eigenvalue on "
             "this mesh; refine the mesh or perturb k^2")
     x = solve(F, b)
-    return FeFunction(space, expand_free(space, x))
+    return FeFunction(space, expand_free(space, x)), F.n_neg
 
 
 # -- unit-square spectrum oracle -------------------------------------------
@@ -209,7 +213,16 @@ def _sine_coefficients(f: Rhs, k2: float, N: int) -> np.ndarray:
     return fij / (lam - k2)
 
 
+# doubles per (points x modes) block of a sine-series evaluation
+_SINE_BLOCK = 250_000
+
+
 def _sine_sum(C: np.ndarray):
+    """Callable evaluating sum C_ij 2 sin(i pi x) sin(j pi y) pointwise.
+
+    Points are evaluated in blocks of at most ``_SINE_BLOCK // N`` so the
+    working set does not grow with the number of points.
+    """
     N = C.shape[0]
     idx = np.arange(1, N + 1)
 
@@ -220,9 +233,11 @@ def _sine_sum(C: np.ndarray):
         xf = np.broadcast_to(x, shape).ravel()
         yf = np.broadcast_to(y, shape).ravel()
         vals = np.empty(xf.size)
-        step = max(1, 8_000_000 // max(N, 1))   # cap the (points x N) blocks
-        for lo in range(0, xf.size, step):
-            sl = slice(lo, lo + step)
+        # blocks of equal size within one point: a one-point block would
+        # take a matrix-vector product, which sums in another order
+        nblocks = -(-xf.size // max(1, _SINE_BLOCK // max(N, 1)))
+        for k in range(nblocks):
+            sl = slice(k * xf.size // nblocks, (k + 1) * xf.size // nblocks)
             Sx = np.sin(np.pi * np.outer(xf[sl], idx))
             Sy = np.sin(np.pi * np.outer(yf[sl], idx))
             vals[sl] = 2.0 * ((Sx @ C) * Sy).sum(axis=1)
@@ -499,11 +514,14 @@ def convergence_study(spec: ProblemSpec, refinements: int,
     records = []
     for mesh in meshes:
         space = build_space(mesh, spec.family)
-        E = eigen_ladder(space, spec.k2, extra, opts,
-                         min_pairs=min(i_star + 1, space.n_free))
+        # the solve's factorization also counts the eigenvalues below k^2,
+        # so the ladder is eigen_ladder's without a second LDL^T
+        u, below = _solve(spec, space)
+        err = l2_error(u, reference)
+        E = eigenpairs(space, min(max(below + extra + 1, i_star + 1),
+                                  space.n_free), opts)
         ev_i = float(E.values[i_star - 1]) if 1 <= i_star <= len(E) else 0.0
         ev_ipo = float(E.values[i_star]) if i_star < len(E) else math.nan
-        err = l2_error(_solve(spec, space), reference)
         records.append(StudyRecord(global_mesh_size(mesh), space.n_free,
                                    err, ev_i, ev_ipo))
     return records

@@ -73,10 +73,8 @@ class Mesh:
         if not np.isfinite(self.vertices).all():
             raise MeshError("vertex coordinates must be finite")
 
-        nv = len(self.vertices)
         t = self.triangles
-        if t.size and (t.min() < 0 or t.max() >= nv):
-            raise MeshError("triangle vertex index out of range")
+        _check_vertex_range(t, len(self.vertices))
         if ((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2])
                 | (t[:, 0] == t[:, 2])).any():
             raise MeshError("triangle with repeated vertex")
@@ -90,6 +88,9 @@ class Mesh:
 
         # read once: boundary_edges may be a one-shot iterable
         given = list(boundary_edges)
+        for _, tag in given:
+            if tag not in _TAGS:
+                raise MeshError(f"boundary tag {tag!r} is not a BoundaryTag")
         pairs = np.array([pair for pair, _ in given],
                          dtype=np.int64).reshape(-1, 2)
         codes = np.array([_TAGS.index(tag) for _, tag in given],
@@ -128,6 +129,7 @@ class Mesh:
         vertices = np.asarray(vertices, dtype=np.float64)
         triangles = np.asarray(triangles, dtype=np.int64)
         tag_fn = _as_tag_fn(tags)
+        _check_vertex_range(triangles, len(vertices))
         edges, _, counts = _edge_table(triangles,
                                        int(triangles.max(initial=0)) + 1)
         pairs = edges[counts == 1]
@@ -219,6 +221,11 @@ def _edge_table(triangles: np.ndarray, base: int):
     edges = np.empty((len(keys), 2), dtype=np.int64)
     edges[inv] = raw
     return edges, inv, counts
+
+
+def _check_vertex_range(triangles: np.ndarray, nv: int) -> None:
+    if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
+        raise MeshError("triangle vertex index out of range")
 
 
 # -- measures -------------------------------------------------------------

@@ -8,6 +8,8 @@ definite for the eigensolver.
 
 All stiffness and mass entries are integrated exactly (the integrands are
 polynomial); load vectors and L2 errors use quadrature of selectable degree.
+``assemble_load`` works through the mesh in fixed slices of quadrature
+points, so its working set does not grow with the mesh.
 
 ``DofSpace.pencil`` is the Dirichlet-constrained Laplace pencil (A, M) on
 the free dofs.  It is assembled and constrained on first use and cached on
@@ -256,21 +258,31 @@ def assemble_mass(space: DofSpace) -> SparseSymMatrix:
     return _scatter(space, local)
 
 
+# quadrature points per slice of assemble_load
+_LOAD_SLICE_POINTS = 65_536
+
+
 def assemble_load(space: DofSpace, f, degree: int = 4) -> np.ndarray:
     """Load vector with entries ``int f * phi_i`` by quadrature.
 
-    ``f`` is called as ``f(x, y)`` on coordinate arrays; scalar-only
-    callables are vectorized transparently.
+    ``f`` is called as ``f(x, y)`` on coordinate arrays, one slice of
+    triangles at a time; scalar-only callables are vectorized
+    transparently.  Slices are summed in triangle order, so the result
+    does not depend on the slice size.
     """
     rule = triangle_rule(max(degree, 4))
     mesh = space.mesh
-    _, areas = _geometry(mesh)
-    pts = np.einsum("qk,tkd->tqd", rule.points, mesh.vertices[mesh.triangles])
-    fvals = _eval_rhs(f, pts[..., 0], pts[..., 1])
+    areas = mesh.signed_areas()
     N = shape_values(space.family, rule.points)
-    local = np.einsum("tq,qm,q,t->tm", fvals, N, rule.weights, areas)
+    step = max(1, _LOAD_SLICE_POINTS // len(rule.weights))
     b = np.zeros(space.ndof)
-    np.add.at(b, space.cell_dofs.ravel(), local.ravel())
+    for lo in range(0, mesh.n_triangles, step):
+        sl = slice(lo, lo + step)
+        pts = np.einsum("qk,tkd->tqd", rule.points,
+                        mesh.vertices[mesh.triangles[sl]])
+        fvals = _eval_rhs(f, pts[..., 0], pts[..., 1])
+        local = np.einsum("tq,qm,q,t->tm", fvals, N, rule.weights, areas[sl])
+        np.add.at(b, space.cell_dofs[sl].ravel(), local.ravel())
     return b
 
 

@@ -15,7 +15,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -88,6 +87,7 @@ class SparseSymMatrix:
 
     def to_matrix_market(self) -> str:
         """Serialize in MatrixMarket coordinate symmetric format."""
+        import scipy.io     # deferred: nothing else needs it at startup
         buf = io.BytesIO()
         scipy.io.mmwrite(buf, sp.coo_matrix(sp.tril(self._m)),
                          symmetry="symmetric")

@@ -174,15 +174,17 @@ def separation_threshold(j: int, lam_ref: float,
 
 
 def cr_upper_bound(e_h: FeFunction, A_p1: SparseSymMatrix,
-                   M_p1: SparseSymMatrix) -> float:
+                   M_p1: SparseSymMatrix,
+                   p1_space: DofSpace | None = None) -> float:
     """Upper reference value: Rayleigh quotient of the averaged companion.
 
     The CR eigenfunction is averaged onto the conforming P1 space (Dirichlet
     vertices zeroed) and its Rayleigh quotient with the P1 matrices is
     returned.  By the min-max principle this is an upper reference for the
     continuous spectrum; it is used for enclosure-width bookkeeping.
+    ``p1_space`` is the P1 space of ``A_p1``, built here when omitted.
     """
-    avg = cr_to_p1_average(e_h)
+    avg = cr_to_p1_average(e_h, p1_space)
     norm2 = float(avg.coefficients @ (M_p1 @ avg.coefficients))
     if norm2 <= 0.0:
         raise ValueError("averaged eigenfunction vanishes identically")
@@ -205,7 +207,7 @@ def compute_bounds(E: EigenSet, kappa: float = DEFAULT_KAPPA,
     for j in range(1, len(E) + 1):
         lam = float(E.values[j - 1])
         lower = cr_lower_bound(lam, h, kappa)
-        upper = cr_upper_bound(E.eigenfunction(j), A_p1, M_p1)
+        upper = cr_upper_bound(E.eigenfunction(j), A_p1, M_p1, p1_space)
         sep = separation_ok(h, j, max(upper, np.finfo(float).tiny),
                             kappa)
         out.append(BoundedEigen(lam, lower, upper, sep))

@@ -204,3 +204,29 @@ def loop_refine_bisection(m, marked):
             boundary.append(((va, vb), tag))
     return (vertices, np.array(out_tris, dtype=np.int64),
             np.array(out_ref, dtype=np.int8), boundary)
+
+
+def oneshot_assemble_load(space, f, degree: int = 4) -> np.ndarray:
+    """Load vector from one evaluation of ``f`` at every quadrature point
+    of the mesh, the arithmetic of ``assemble_load`` without slices."""
+    from helmqo.quadrature import triangle_rule
+    from helmqo.spaces import _eval_rhs, shape_values
+    rule = triangle_rule(max(degree, 4))
+    mesh = space.mesh
+    pts = np.einsum("qk,tkd->tqd", rule.points, mesh.vertices[mesh.triangles])
+    fvals = _eval_rhs(f, pts[..., 0], pts[..., 1])
+    N = shape_values(space.family, rule.points)
+    local = np.einsum("tq,qm,q,t->tm", fvals, N, rule.weights,
+                      mesh.signed_areas())
+    b = np.zeros(space.ndof)
+    np.add.at(b, space.cell_dofs.ravel(), local.ravel())
+    return b
+
+
+def unblocked_sine_sum(C: np.ndarray, x: np.ndarray,
+                       y: np.ndarray) -> np.ndarray:
+    """sum C_ij 2 sin(i pi x) sin(j pi y) at 1-D points, all in one block."""
+    idx = np.arange(1, C.shape[0] + 1)
+    Sx = np.sin(np.pi * np.outer(x, idx))
+    Sy = np.sin(np.pi * np.outer(y, idx))
+    return 2.0 * ((Sx @ C) * Sy).sum(axis=1)

@@ -1,12 +1,15 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helmqo.mesh import build_unit_square
-from helmqo.spaces import CR, P1, l2_error
+import helmqo.certify
+from helmqo.mesh import build_unit_square, refine_uniform
+from helmqo.spaces import CR, P1, build_space, l2_error
+from helmqo.spectral import eigen_ladder
 from helmqo.sparsela import ResonanceError
 from helmqo.certify import (GaussianBump, ProblemSpec,
                             SineProduct, convergence_study, run_gmr,
@@ -14,7 +17,8 @@ from helmqo.certify import (GaussianBump, ProblemSpec,
                             study_to_csv, unit_square_index,
                             unit_square_spectrum)
 
-from conftest import enumeration_index, enumeration_spectrum
+from conftest import (enumeration_index, enumeration_spectrum,
+                      unblocked_sine_sum)
 
 
 def wrap_everywhere(monkeypatch, fn, record):
@@ -109,6 +113,39 @@ class TestSineSeriesReference:
     def test_resonant_wave_number(self):
         with pytest.raises(ResonanceError):
             sine_series_reference(SineProduct(), 2 * math.pi ** 2)
+
+
+class TestSineBlocks:
+    """The sine series is evaluated in blocks that change no bit and keep
+    the working set fixed."""
+
+    def coefficients(self):
+        return sine_series_reference(SineProduct(((3, 4, 1.0), (4, 3, 1.0))),
+                                     100.0, modes=48).coefficients
+
+    @pytest.mark.parametrize("extra", [0, 1, 7])
+    @pytest.mark.parametrize("blocks", [0, 1, 3])
+    def test_bit_identical_to_one_block(self, blocks, extra):
+        C = self.coefficients()
+        step = helmqo.certify._SINE_BLOCK // len(C)
+        n = blocks * step + extra
+        rng = np.random.default_rng(n)
+        x, y = rng.random(n), rng.random(n)
+        u = helmqo.certify._sine_sum(C)
+        assert np.array_equal(u(x, y), unblocked_sine_sum(C, x, y))
+
+    def test_working_set_is_bounded(self):
+        # the last study mesh's L2 error: 73,728 triangles x 6 points
+        u = helmqo.certify._sine_sum(self.coefficients())
+        rng = np.random.default_rng(0)
+        x, y = rng.random(442_368), rng.random(442_368)
+        tracemalloc.start()
+        try:
+            u(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestRunGmr:
@@ -252,6 +289,31 @@ class TestPencilReuse:
         cr_spaces = [s for s in stiffness if s.family == CR]
         assert len(cr_spaces) == 3
         assert len({id(s) for s in cr_spaces}) == len(cr_spaces)
+
+    def test_study_factorizes_each_mesh_once(self, monkeypatch):
+        import helmqo.sparsela
+        factorized = []
+        wrap_everywhere(monkeypatch, helmqo.sparsela.ldlt,
+                        lambda a, F: factorized.append(
+                            (matrix_digest(a[0]), a[1])))
+        counted = []
+        wrap_everywhere(monkeypatch, helmqo.sparsela.count_below,
+                        lambda a, n: counted.append(n))
+        spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((1, 2, 1.0),)))
+        recs = convergence_study(spec, 3, initial_n=4)
+        # each k^2 solve, plus one shift-invert factorization on the
+        # 225-dof mesh, the only one above the dense eigensolver limit
+        assert len(factorized) == 4
+        assert len(set(factorized)) == len(factorized)
+        assert counted == []
+        monkeypatch.undo()
+        # the ladder is the one eigen_ladder builds
+        mesh = build_unit_square(4)
+        for rec in recs:
+            E = eigen_ladder(build_space(mesh, P1), 100.0, 1,
+                             min_pairs=unit_square_index(100.0) + 1)
+            assert (rec.ev_i, rec.ev_ipo) == (E.values[5], E.values[6])
+            mesh = refine_uniform(mesh)
 
     def test_study_assembles_stiffness_once_per_mesh(self, monkeypatch):
         import helmqo.spaces

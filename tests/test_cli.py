@@ -256,6 +256,14 @@ class TestStudyCommand:
             assert float(row[0]) == h
         assert outs[0].read_bytes() != outs[7].read_bytes()
 
+    def test_resonant_mesh_exit_6(self):
+        # 3072 is a discrete CR eigenvalue of the 16x16 square exactly
+        res = run_cli(["study", "--geometry", "unit-square", "--n", "16",
+                       "--k2", "3072", "--family", "cr", "--refinements",
+                       "1"])
+        assert res.returncode == 6
+        assert "resonan" in res.stderr.lower()
+
     def test_cr_with_p_rejected(self):
         res = run_cli(["study", "--geometry", "unit-square", "--k2", "100",
                        "--family", "cr", "--p", "2", "--refinements", "2"])

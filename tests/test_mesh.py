@@ -112,6 +112,20 @@ class TestConstructorErrors:
         with pytest.raises(MeshError, match="repeated vertex"):
             Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 1]], [])
 
+    def test_vertex_index_out_of_range_from_triangulation(self):
+        with pytest.raises(MeshError, match="index out of range"):
+            Mesh.from_triangulation([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                    [[0, 1, 9]])
+
+    def test_unknown_boundary_tag(self):
+        m = self.square()
+        (pair, _), *rest = m.boundary_edges
+        with pytest.raises(MeshError, match="'D' is not a BoundaryTag"):
+            Mesh(m.vertices, m.triangles, [(pair, "D"), *rest])
+        with pytest.raises(MeshError, match="is not a BoundaryTag"):
+            Mesh.from_triangulation(m.vertices, m.triangles,
+                                    lambda x, y: None)
+
     def test_boundary_edges_from_a_generator(self):
         m = self.square()
         g = Mesh(m.vertices, m.triangles, (x for x in m.boundary_edges))

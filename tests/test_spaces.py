@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import helmqo.spaces
 
 from helmqo.mesh import (BoundaryTag, Mesh, build_square_with_hole,
                          build_unit_square, refine_uniform)
@@ -11,7 +14,9 @@ from helmqo.spaces import (CR, P1, P2, FeFunction, assemble_load,
                            expand_free, family_from_name, interpolate,
                            l2_error, rayleigh_quotient)
 from helmqo.sparsela import ldlt, solve
-from helmqo.certify import GaussianBump
+from helmqo.certify import GaussianBump, SineProduct
+
+from conftest import oneshot_assemble_load
 
 N = BoundaryTag.NEUMANN
 
@@ -135,6 +140,53 @@ class TestLoad:
         b2 = assemble_load(s, lambda x, y: float(x) + float(y)
                            if np.isscalar(x) else x + y)
         assert np.allclose(b1, b2, atol=1e-15)
+
+
+def scalar_only(x, y):
+    """Written for one point: given arrays it returns a single number."""
+    return math.exp(np.max(x)) * math.sin(3.0 * np.max(y))
+
+
+class TestLoadSlices:
+    """``assemble_load`` in slices equals one evaluation of the whole mesh
+    bit for bit, and its working set does not grow with the mesh."""
+
+    @pytest.mark.parametrize("fam", [P1, P2, CR], ids=str)
+    @pytest.mark.parametrize("degree", [4, 10])
+    def test_bit_identical_to_one_shot(self, fam, degree):
+        # 3200 triangles: two slices at degree 10, the last one partial
+        s = build_space(build_unit_square(40), fam)
+        bump = GaussianBump(5e4, 40.0, (0.6, 0.7))
+        assert np.array_equal(assemble_load(s, bump, degree),
+                              oneshot_assemble_load(s, bump, degree))
+
+    @pytest.mark.parametrize("fam", [P1, P2, CR], ids=str)
+    def test_many_slices_and_a_one_triangle_tail(self, fam, monkeypatch):
+        # 7 triangles per 25-point slice: 3200 = 457 * 7 + 1
+        monkeypatch.setattr(helmqo.spaces, "_LOAD_SLICE_POINTS", 7 * 25)
+        s = build_space(build_unit_square(40), fam)
+        f = SineProduct(((3, 4, 1.0), (4, 3, 1.0)))
+        assert np.array_equal(assemble_load(s, f, 10),
+                              oneshot_assemble_load(s, f, 10))
+
+    def test_scalar_only_callable(self, monkeypatch):
+        monkeypatch.setattr(helmqo.spaces, "_LOAD_SLICE_POINTS", 5 * 6)
+        s = build_space(build_square_with_hole(2.0, 0.5, 6), P2)
+        b = assemble_load(s, scalar_only)
+        assert np.array_equal(b, oneshot_assemble_load(s, scalar_only))
+        assert b.any()
+
+    def test_working_set_is_bounded(self):
+        # 73,728 triangles x 25 points: 1.8M points in one shot
+        s = build_space(build_unit_square(192), P1)
+        f = SineProduct(((3, 4, 1.0), (4, 3, 1.0)))
+        tracemalloc.start()
+        try:
+            assemble_load(s, f, degree=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestConstrain:

@@ -127,6 +127,27 @@ class TestBounds:
         assert b.separation_ok
         assert b.lower <= 2 * math.pi ** 2 <= b.upper
 
+    def test_one_p1_space_per_ladder(self, monkeypatch):
+        import helmqo.spaces
+        import helmqo.spectral
+        E = square_ladder(8, 100.0, CR)
+        built = []
+
+        def counting(mesh, family):
+            built.append(family)
+            return build_space(mesh, family)
+        for mod in (helmqo.spaces, helmqo.spectral):
+            monkeypatch.setattr(mod, "build_space", counting)
+        bounds = compute_bounds(E)
+        assert built == [P1]
+        monkeypatch.undo()
+        # the same numbers as one fresh P1 space per index
+        s_p1 = build_space(E.space.mesh, P1)
+        A1, M1 = assemble_stiffness(s_p1), assemble_mass(s_p1)
+        assert [b.upper for b in bounds] == [
+            cr_upper_bound(E.eigenfunction(j), A1, M1)
+            for j in range(1, len(E) + 1)]
+
     def test_guaranteed_lower_bounds_hold(self, square_spectrum_20):
         E = square_ladder(16, 100.0, CR, min_pairs=6)
         for j, b in enumerate(compute_bounds(E), start=1):
