@@ -30,7 +30,7 @@ from .sparsela import (EigenSolveOptions, ResonanceError, count_below, ldlt,
                        solve)
 from .spectral import (DEFAULT_KAPPA, EigenSet, LadderExhaustedError,
                        check_criterion, compute_bounds, eigen_ladder,
-                       eigenpairs, estimate_index, separation_threshold)
+                       estimate_index, separation_threshold)
 from .estimator import mark_half_max, residual_indicator
 
 ALPHA_WARN_THRESHOLD = 1e-6
@@ -515,11 +515,11 @@ def convergence_study(spec: ProblemSpec, refinements: int,
     for mesh in meshes:
         space = build_space(mesh, spec.family)
         # the solve's factorization also counts the eigenvalues below k^2,
-        # so the ladder is eigen_ladder's without a second LDL^T
+        # so the ladder needs no second LDL^T
         u, below = _solve(spec, space)
         err = l2_error(u, reference)
-        E = eigenpairs(space, min(max(below + extra + 1, i_star + 1),
-                                  space.n_free), opts)
+        E = eigen_ladder(space, spec.k2, extra, opts, min_pairs=i_star + 1,
+                         below=below)
         ev_i = float(E.values[i_star - 1]) if 1 <= i_star <= len(E) else 0.0
         ev_ipo = float(E.values[i_star]) if i_star < len(E) else math.nan
         records.append(StudyRecord(global_mesh_size(mesh), space.n_free,

@@ -258,8 +258,8 @@ def assemble_mass(space: DofSpace) -> SparseSymMatrix:
     return _scatter(space, local)
 
 
-# quadrature points per slice of assemble_load
-_LOAD_SLICE_POINTS = 65_536
+# quadrature points per slice of assemble_load and nested l2_error
+_SLICE_POINTS = 65_536
 
 
 def assemble_load(space: DofSpace, f, degree: int = 4) -> np.ndarray:
@@ -274,7 +274,7 @@ def assemble_load(space: DofSpace, f, degree: int = 4) -> np.ndarray:
     mesh = space.mesh
     areas = mesh.signed_areas()
     N = shape_values(space.family, rule.points)
-    step = max(1, _LOAD_SLICE_POINTS // len(rule.weights))
+    step = max(1, _SLICE_POINTS // len(rule.weights))
     b = np.zeros(space.ndof)
     for lo in range(0, mesh.n_triangles, step):
         sl = slice(lo, lo + step)
@@ -381,7 +381,7 @@ def l2_error(u: FeFunction, ref, degree: int = 4) -> float:
     rule = triangle_rule(max(degree, 4))
     if callable(ref) and not isinstance(ref, FeFunction):
         mesh = u.space.mesh
-        _, areas = _geometry(mesh)
+        areas = mesh.signed_areas()
         pts = np.einsum("qk,tkd->tqd", rule.points,
                         mesh.vertices[mesh.triangles])
         diff = u.values_on_elements(rule.points) - _eval_rhs(
@@ -393,24 +393,29 @@ def l2_error(u: FeFunction, ref, degree: int = 4) -> float:
     fine = ref.space.mesh
     coarse = u.space.mesh
     level = _nesting_level(coarse, fine)
-    _, areas = _geometry(fine)
+    areas = fine.signed_areas()
     if level == 0 and u.space.family == ref.space.family:
         diff = (u.values_on_elements(rule.points)
                 - ref.values_on_elements(rule.points))
         return float(np.sqrt(np.einsum("tq,q,t->", diff ** 2,
                                        rule.weights, areas)))
-    pts = np.einsum("qk,tkd->tqd", rule.points, fine.vertices[fine.triangles])
-    ancestors = np.arange(fine.n_triangles) // 4 ** level
-    lam = _barycentric_in(coarse, ancestors, pts)
-    l1, l2 = lam[..., 1], lam[..., 2]
-    if (l1 < -1e-9).any() or (l2 < -1e-9).any() \
-            or (l1 + l2 > 1 + 1e-9).any():
-        raise ValueError("point outside its claimed ancestor triangle; "
-                         "meshes are not nested")
-    N = shape_values(u.space.family, lam)                     # (nt, q, nloc)
-    cu = u.coefficients[u.space.cell_dofs[ancestors]]         # (nt, nloc)
-    uvals = np.einsum("tqm,tm->tq", N, cu)
-    diff = uvals - ref.values_on_elements(rule.points)
+    # the reference values, overwritten slice by slice with the difference
+    diff = ref.values_on_elements(rule.points)                # (nt, q)
+    step = max(1, _SLICE_POINTS // len(rule.weights))
+    for lo in range(0, fine.n_triangles, step):
+        sl = slice(lo, lo + step)
+        pts = np.einsum("qk,tkd->tqd", rule.points,
+                        fine.vertices[fine.triangles[sl]])
+        ancestors = np.arange(lo, lo + len(pts)) // 4 ** level
+        lam = _barycentric_in(coarse, ancestors, pts)
+        l1, l2 = lam[..., 1], lam[..., 2]
+        if (l1 < -1e-9).any() or (l2 < -1e-9).any() \
+                or (l1 + l2 > 1 + 1e-9).any():
+            raise ValueError("point outside its claimed ancestor triangle; "
+                             "meshes are not nested")
+        N = shape_values(u.space.family, lam)                 # (t, q, nloc)
+        cu = u.coefficients[u.space.cell_dofs[ancestors]]     # (t, nloc)
+        diff[sl] = np.einsum("tqm,tm->tq", N, cu) - diff[sl]
     return float(np.sqrt(np.einsum("tq,q,t->", diff ** 2,
                                    rule.weights, areas)))
 

@@ -7,6 +7,12 @@ generalized eigenpairs.  Small systems are factorized densely with
 Bunch-Kaufman pivoting (1x1 and 2x2 pivot blocks); larger ones go through a
 symmetric-mode sparse LU restricted to diagonal pivoting, which yields the
 same unit-lower/diagonal decomposition.
+
+Sparse pivots are read only where an inertia count is needed
+(:func:`count_below`, :func:`solve`, or a read of a factorization's
+``inertia``, ``L`` or ``D``).  SuperLU answers such a read with CSC copies of both triangular
+factors, about 12 bytes per factor entry, kept for as long as the factor
+lives; the shift-invert factor of :func:`eigs_smallest` never makes them.
 """
 
 from __future__ import annotations
@@ -129,17 +135,50 @@ class Factorization:
     ``perm`` is the fill-reducing permutation, ``inertia`` the triple
     (n_neg, n_zero, n_pos) of pivot signs.  ``L`` is unit lower triangular
     and ``D`` block diagonal with 1x1 and (dense path only) 2x2 blocks.
+
+    The dense path and an exactly singular sparse factor know their
+    inertia at construction.  Otherwise the first read of ``inertia`` (or
+    ``n_neg``, ``n_zero``, ``n_pos``), ``L`` or ``D`` reads the sparse
+    pivots, and SuperLU keeps CSC copies of L and U for the factor's
+    lifetime; the inertia is cached.  ``singular`` and solves need neither.
     """
 
     def __init__(self, matrix: sp.csr_matrix, sigma: float, mode: str,
-                 perm: np.ndarray, inertia: tuple[int, int, int], payload):
+                 perm: np.ndarray, inertia: tuple[int, int, int] | None,
+                 payload, tol: float = 0.0):
         self.matrix = matrix
         self.sigma = sigma
         self.n = matrix.shape[0]
         self.perm = perm
-        self.inertia = inertia
+        self._inertia = inertia
+        self._tol = tol
         self._mode = mode
         self._payload = payload
+
+    @property
+    def singular(self) -> bool:
+        """Whether the factor is known singular without reading sparse
+        pivots: ``ldlt``'s exactly singular path, an off-diagonal pivot
+        SuperLU was forced into, or a zero dense pivot."""
+        if self._mode == "dense":
+            return self.n_zero > 0
+        lu = self._payload
+        return lu is None or not np.array_equal(lu.perm_r, lu.perm_c)
+
+    @property
+    def inertia(self) -> tuple[int, int, int]:
+        if self._inertia is None:
+            du = self._payload.U.diagonal()
+            neg = int((du < -self._tol).sum())
+            pos = int((du > self._tol).sum())
+            zero = self.n - neg - pos
+            if self.singular:
+                # off-diagonal pivoting was forced by an exactly singular
+                # pivot
+                zero = max(zero, 1)
+                pos = self.n - neg - zero
+            self._inertia = (neg, zero, pos)
+        return self._inertia
 
     @property
     def n_neg(self) -> int:
@@ -236,7 +275,8 @@ def ldlt(A: SparseSymMatrix, sigma: float = 0.0,
     When ``n_zero`` is zero, ``n_neg`` equals the number of generalized
     eigenvalues of (A, M) strictly below ``sigma``.  A zero pivot is
     reported through ``n_zero > 0`` (the shift is numerically an
-    eigenvalue), not raised.
+    eigenvalue), not raised.  Sparse pivots are read on the first inertia
+    query, not here (see :class:`Factorization`).
     """
     if M is None:
         if sigma != 0.0:
@@ -278,17 +318,9 @@ def ldlt(A: SparseSymMatrix, sigma: float = 0.0,
         # an exactly singular factor leaves the pivot signs unknown
         return Factorization(K, sigma, "superlu", np.arange(n), (0, n, 0),
                              None)
-    du = lu.U.diagonal()
-    neg = int((du < -tol).sum())
-    pos = int((du > tol).sum())
-    zero = n - neg - pos
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        # off-diagonal pivoting was forced by an exactly singular pivot
-        zero = max(zero, 1)
-        pos = n - neg - zero
     # with perm = argsort(perm_c): K[perm][:, perm] == L @ U
-    return Factorization(K, sigma, "superlu", np.argsort(lu.perm_c),
-                         (neg, zero, pos), lu)
+    return Factorization(K, sigma, "superlu", np.argsort(lu.perm_c), None,
+                         lu, tol)
 
 
 def solve(F: Factorization, b: np.ndarray) -> np.ndarray:
@@ -337,6 +369,14 @@ def _residual_norms(Asp, Msp, vals, X) -> np.ndarray:
     return np.linalg.norm(R, axis=0)
 
 
+def _check_semidefinite(vals: np.ndarray) -> None:
+    # the shift -1 is at distance >= 1 from a semidefinite spectrum
+    if vals[0] <= -0.5:
+        raise EigenSolveError(
+            f"eigenvalue {vals[0]:.6g} is negative; "
+            "is A positive semidefinite?")
+
+
 def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix,
                   opts: EigenSolveOptions | None = None) -> EigenResult:
     """The ``opts.m`` algebraically smallest eigenpairs of ``A x = l M x``.
@@ -347,6 +387,14 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix,
     spectrum) with a deterministic seeded start vector; dense fallback for
     small systems.  Each returned pair satisfies
     ``|A x - l M x| <= tol * (1 + |l|)``.
+
+    The shift-invert factor's pivots are never read, so it holds no copy
+    of its triangular factors.  Two checks guard the semidefinite
+    contract and raise :class:`EigenSolveError`: an exactly singular
+    ``A + M`` (``Factorization.singular``) before Lanczos starts, and a
+    returned eigenvalue <= -1/2, nearer the shift than any eigenvalue of a
+    semidefinite pencil, on both the Lanczos and the dense path.  A
+    negative eigenvalue above -1/2 is not detected.
     """
     opts = opts or EigenSolveOptions()
     n = A.n
@@ -360,12 +408,13 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix,
     if n <= DENSE_EIG_LIMIT or m >= n - 1:
         vals, X = sla.eigh(Asp.toarray(), Msp.toarray())
         vals, X = vals[:m], X[:, :m]
+        _check_semidefinite(vals)
         X = _m_orthonormalize(X, Msp)
         res = _residual_norms(Asp, Msp, vals, X)
         return EigenResult(vals, X, res)
 
     F = ldlt(A, -1.0, M)
-    if F.n_zero > 0:
+    if F.singular:
         raise EigenSolveError("shift-invert factorization broke down; "
                               "is A positive semidefinite?")
     opinv = spla.LinearOperator((n, n), matvec=F._raw_solve)
@@ -387,6 +436,7 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix,
             continue
         order = np.argsort(vals, kind="stable")
         vals, X = vals[order], X[:, order]
+        _check_semidefinite(vals)
         X = _m_orthonormalize(X, Msp)
         res = _residual_norms(Asp, Msp, vals, X)
         if best is None or res.max() < best[2].max():

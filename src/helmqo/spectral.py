@@ -19,8 +19,8 @@ from .mesh import global_mesh_size
 from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction, build_space,
                      assemble_mass, assemble_stiffness, cr_to_p1_average,
                      expand_free, rayleigh_quotient)
-from .sparsela import (EigenSolveOptions, SparseSymMatrix, count_below,
-                       eigs_smallest)
+from .sparsela import (EigenSolveError, EigenSolveOptions, SparseSymMatrix,
+                       count_below, eigs_smallest)
 
 DEFAULT_KAPPA = 0.1932
 
@@ -93,18 +93,28 @@ class Criterion:
 
 def eigen_ladder(space: DofSpace, k2: float, extra: int = 3,
                  opts: EigenSolveOptions | None = None,
-                 min_pairs: int = 0) -> EigenSet:
+                 min_pairs: int = 0, below: int | None = None) -> EigenSet:
     """Eigenpairs up to one past the wave number, plus ``extra`` more.
 
     The ladder length is ``count_below(k2) + extra + 1`` (clamped to the
     space dimension), which is enough to evaluate both the criterion and
-    the averaged residual indicator.
+    the averaged residual indicator.  A caller that already holds the
+    inertia count at ``k2`` passes it as ``below``, saving the LDL^T.
+    Raises :class:`EigenSolveError` when the number of ladder values below
+    ``k2`` differs from the inertia count.
     """
     if space.n_free == 0:
         raise ValueError("space has no free degrees of freedom")
-    below = count_below(*space.pencil, k2)
-    return eigenpairs(space, min(max(below + extra + 1, min_pairs),
-                                 space.n_free), opts)
+    if below is None:
+        below = count_below(*space.pencil, k2)
+    E = eigenpairs(space, min(max(below + extra + 1, min_pairs),
+                              space.n_free), opts)
+    found = int((E.values < k2).sum())
+    if found != below:
+        raise EigenSolveError(
+            f"{found} ladder values lie below k^2 = {k2!r}, but the LDL^T "
+            f"inertia counts {below}")
+    return E
 
 
 def eigenpairs(space: DofSpace, m: int,

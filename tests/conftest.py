@@ -5,7 +5,10 @@ enumeration, cyclic Jacobi, Gaussian elimination) so that they share no
 code path with the implementations they verify.
 """
 
+import dataclasses
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,3 +233,55 @@ def unblocked_sine_sum(C: np.ndarray, x: np.ndarray,
     Sx = np.sin(np.pi * np.outer(x, idx))
     Sy = np.sin(np.pi * np.outer(y, idx))
     return 2.0 * ((Sx @ C) * Sy).sum(axis=1)
+
+
+def oneshot_nested_l2_error(u, ref, degree: int = 4) -> float:
+    """``l2_error`` against a nested FeFunction reference from one
+    evaluation at every quadrature point of the fine mesh, no slices."""
+    from helmqo.quadrature import triangle_rule
+    from helmqo.spaces import _barycentric_in, _nesting_level, shape_values
+    rule = triangle_rule(max(degree, 4))
+    fine, coarse = ref.space.mesh, u.space.mesh
+    level = _nesting_level(coarse, fine)
+    areas = fine.signed_areas()
+    pts = np.einsum("qk,tkd->tqd", rule.points, fine.vertices[fine.triangles])
+    ancestors = np.arange(fine.n_triangles) // 4 ** level
+    lam = _barycentric_in(coarse, ancestors, pts)
+    N = shape_values(u.space.family, lam)
+    cu = u.coefficients[u.space.cell_dofs[ancestors]]
+    diff = (np.einsum("tqm,tm->tq", N, cu)
+            - ref.values_on_elements(rule.points))
+    return float(np.sqrt(np.einsum("tq,q,t->", diff ** 2,
+                                   rule.weights, areas)))
+
+
+def drop_lowest_pair(monkeypatch):
+    """Make ``spectral.eigenpairs``, in every helmqo namespace holding it,
+    return its ladder without the lowest pair."""
+    import helmqo.spectral
+    real = helmqo.spectral.eigenpairs
+
+    def short(*args, **kwargs):
+        E = real(*args, **kwargs)
+        return dataclasses.replace(E, values=E.values[1:],
+                                   vectors=E.vectors[:, 1:],
+                                   residuals=E.residuals[1:])
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "helmqo":
+            for attr, obj in list(vars(mod).items()):
+                if obj is real:
+                    monkeypatch.setattr(mod, attr, short)
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes tracemalloc sees while ``fn(*args, **kwargs)`` runs.
+
+    Only allocations through Python's allocators count (NumPy arrays
+    among them); storage a C library keeps for itself does not.
+    """
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,15 +9,15 @@ import helmqo.certify
 from helmqo.mesh import build_unit_square, refine_uniform
 from helmqo.spaces import CR, P1, build_space, l2_error
 from helmqo.spectral import eigen_ladder
-from helmqo.sparsela import ResonanceError
+from helmqo.sparsela import EigenSolveError, ResonanceError
 from helmqo.certify import (GaussianBump, ProblemSpec,
                             SineProduct, convergence_study, run_gmr,
                             sine_series_reference, solve_helmholtz,
                             study_to_csv, unit_square_index,
                             unit_square_spectrum)
 
-from conftest import (enumeration_index, enumeration_spectrum,
-                      unblocked_sine_sum)
+from conftest import (drop_lowest_pair, enumeration_index,
+                      enumeration_spectrum, traced_peak, unblocked_sine_sum)
 
 
 def wrap_everywhere(monkeypatch, fn, record):
@@ -139,13 +138,7 @@ class TestSineBlocks:
         u = helmqo.certify._sine_sum(self.coefficients())
         rng = np.random.default_rng(0)
         x, y = rng.random(442_368), rng.random(442_368)
-        tracemalloc.start()
-        try:
-            u(x, y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+        assert traced_peak(u, x, y) < 32 * 2 ** 20
 
 
 class TestRunGmr:
@@ -314,6 +307,18 @@ class TestPencilReuse:
                              min_pairs=unit_square_index(100.0) + 1)
             assert (rec.ev_i, rec.ev_ipo) == (E.values[5], E.values[6])
             mesh = refine_uniform(mesh)
+
+    def test_study_checks_ladder_against_inertia(self, monkeypatch):
+        import helmqo.sparsela
+        drop_lowest_pair(monkeypatch)
+        shifts = []
+        wrap_everywhere(monkeypatch, helmqo.sparsela.ldlt,
+                        lambda a, F: shifts.append(a[1]))
+        spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((1, 2, 1.0),)))
+        with pytest.raises(EigenSolveError, match="inertia counts"):
+            convergence_study(spec, 1, initial_n=8)
+        # the count is the solve's; the 49-dof ladder needs no factor
+        assert shifts == [100.0]
 
     def test_study_assembles_stiffness_once_per_mesh(self, monkeypatch):
         import helmqo.spaces

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,8 @@ from helmqo.spaces import (CR, P1, P2, FeFunction, assemble_load,
 from helmqo.sparsela import ldlt, solve
 from helmqo.certify import GaussianBump, SineProduct
 
-from conftest import oneshot_assemble_load
+from conftest import (oneshot_assemble_load, oneshot_nested_l2_error,
+                      traced_peak)
 
 N = BoundaryTag.NEUMANN
 
@@ -163,14 +163,14 @@ class TestLoadSlices:
     @pytest.mark.parametrize("fam", [P1, P2, CR], ids=str)
     def test_many_slices_and_a_one_triangle_tail(self, fam, monkeypatch):
         # 7 triangles per 25-point slice: 3200 = 457 * 7 + 1
-        monkeypatch.setattr(helmqo.spaces, "_LOAD_SLICE_POINTS", 7 * 25)
+        monkeypatch.setattr(helmqo.spaces, "_SLICE_POINTS", 7 * 25)
         s = build_space(build_unit_square(40), fam)
         f = SineProduct(((3, 4, 1.0), (4, 3, 1.0)))
         assert np.array_equal(assemble_load(s, f, 10),
                               oneshot_assemble_load(s, f, 10))
 
     def test_scalar_only_callable(self, monkeypatch):
-        monkeypatch.setattr(helmqo.spaces, "_LOAD_SLICE_POINTS", 5 * 6)
+        monkeypatch.setattr(helmqo.spaces, "_SLICE_POINTS", 5 * 6)
         s = build_space(build_square_with_hole(2.0, 0.5, 6), P2)
         b = assemble_load(s, scalar_only)
         assert np.array_equal(b, oneshot_assemble_load(s, scalar_only))
@@ -180,13 +180,7 @@ class TestLoadSlices:
         # 73,728 triangles x 25 points: 1.8M points in one shot
         s = build_space(build_unit_square(192), P1)
         f = SineProduct(((3, 4, 1.0), (4, 3, 1.0)))
-        tracemalloc.start()
-        try:
-            assemble_load(s, f, degree=10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2 ** 20
+        assert traced_peak(assemble_load, s, f, degree=10) < 32 * 2 ** 20
 
 
 class TestConstrain:
@@ -352,6 +346,51 @@ class TestL2Error:
                           lambda x, y: x)
         with pytest.raises(ValueError):
             l2_error(u, ref)
+
+
+class TestL2ErrorSlices:
+    """The nested-reference error is streamed in slices of fine triangles
+    that change no bit and keep the working set fixed."""
+
+    fn = staticmethod(lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y))
+
+    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize("fam", [P1, P2, CR], ids=str)
+    def test_bit_identical_to_one_shot(self, fam, levels, monkeypatch):
+        # 7 triangles per 6-point slice: 800 or 3200 = 7 q + 2 or 1
+        monkeypatch.setattr(helmqo.spaces, "_SLICE_POINTS", 7 * 6)
+        coarse = build_unit_square(10)
+        fine = coarse
+        for _ in range(levels):
+            fine = refine_uniform(fine)
+        u = interpolate(build_space(coarse, fam), self.fn)
+        ref = interpolate(build_space(fine, P1), self.fn)
+        err = l2_error(u, ref)
+        assert err > 0.0
+        assert err == oneshot_nested_l2_error(u, ref)
+
+    def test_non_nested_rejected_in_a_later_slice(self, monkeypatch):
+        # the children of coarse triangles 3 and 5 swapped: the first
+        # 7-triangle slice is nested, the second is not
+        monkeypatch.setattr(helmqo.spaces, "_SLICE_POINTS", 7 * 6)
+        coarse = build_unit_square(4)
+        fine = refine_uniform(coarse)
+        order = np.arange(fine.n_triangles)
+        order[12:16], order[20:24] = order[20:24], order[12:16].copy()
+        shuffled = Mesh(fine.vertices, fine.triangles[order],
+                        fine.boundary_edges)
+        u = interpolate(build_space(coarse, P1), self.fn)
+        ref = interpolate(build_space(shuffled, P1), self.fn)
+        with pytest.raises(ValueError, match="not nested"):
+            l2_error(u, ref)
+
+    def test_working_set_is_bounded(self):
+        # 73,728 fine triangles x 6 points; 50.1 MiB in one shot
+        coarse = build_unit_square(24)
+        fine = refine_uniform(refine_uniform(refine_uniform(coarse)))
+        u = interpolate(build_space(coarse, P1), self.fn)
+        ref = interpolate(build_space(fine, P1), self.fn)
+        assert traced_peak(l2_error, u, ref) < 20 * 2 ** 20
 
 
 class TestGalerkinEnergy:

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helmqo.mesh import build_unit_square
+import helmqo.sparsela
+from helmqo.mesh import BoundaryTag, build_unit_square
 from helmqo.spaces import CR, P1, assemble_mass, assemble_stiffness, \
     build_space, constrain
-from helmqo.sparsela import (EigenSolveOptions, FactorizationError,
-                             ResonanceError, SparseSymMatrix, count_below,
-                             eigs_smallest, ldlt, solve)
+from helmqo.sparsela import (EigenSolveError, EigenSolveOptions,
+                             FactorizationError, ResonanceError,
+                             SparseSymMatrix, count_below, eigs_smallest,
+                             ldlt, solve)
 
 from conftest import (enumeration_index, gaussian_elimination_solve,
-                      jacobi_generalized_eigen)
+                      jacobi_generalized_eigen, traced_peak)
 
 
 def sym(mat):
@@ -246,3 +248,74 @@ class TestCountBelow:
             if vals[i + 1] - vals[i] < 1e-8:
                 continue
             assert count_below(A, M, sigma) == i + 1
+
+
+def shifted_pencil(n, family, s):
+    """``(A0 - (lambda_1 + s) M, M)``: lowest eigenvalue -s, not PSD."""
+    A0, M = square_pencil(n, family)
+    lam1 = eigs_smallest(A0, M, EigenSolveOptions(m=1)).values[0]
+    return SparseSymMatrix(A0.to_scipy() - (lam1 + s) * M.to_scipy()), M
+
+
+class TestEigsSmallestContract:
+    """A must be positive semidefinite; the shift-invert factor's pivots
+    are not read to check it."""
+
+    @pytest.mark.parametrize("s", [1.0, 0.75, 3.0])
+    @pytest.mark.parametrize("family,n", [(P1, 40), (CR, 24)], ids=str)
+    def test_negative_eigenvalue_raises(self, family, n, s):
+        A, M = shifted_pencil(n, family, s)
+        assert A.n > helmqo.sparsela.DENSE_FACTOR_LIMIT
+        with pytest.raises(EigenSolveError, match="semidefinite"):
+            eigs_smallest(A, M, EigenSolveOptions(m=3))
+
+    def test_dense_path_applies_the_same_check(self):
+        A, M = shifted_pencil(8, P1, 1.0)
+        assert A.n <= helmqo.sparsela.DENSE_EIG_LIMIT
+        with pytest.raises(EigenSolveError, match="semidefinite"):
+            eigs_smallest(A, M, EigenSolveOptions(m=3))
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_exactly_singular_factor_raises_before_lanczos(self, coupled,
+                                                           monkeypatch):
+        # A + M has an empty column, or the block [[1, 1], [1, 1]]
+        A = sp.lil_matrix(sp.diags(np.arange(1.0, 501.0)))
+        if coupled:
+            A[6, 6], A[6, 7], A[7, 6], A[7, 7] = 0.0, 1.0, 1.0, 0.0
+        else:
+            A[6, 6] = -1.0
+        A = SparseSymMatrix(A)
+        M = SparseSymMatrix(sp.identity(A.n))
+
+        def eigsh(*args, **kwargs):
+            raise AssertionError("Lanczos started")
+        monkeypatch.setattr(helmqo.sparsela.spla, "eigsh", eigsh)
+        assert ldlt(A, -1.0, M).singular
+        with pytest.raises(EigenSolveError, match="broke down"):
+            eigs_smallest(A, M, EigenSolveOptions(m=3))
+
+    def test_pure_neumann_pencil_accepted(self):
+        space = build_space(build_unit_square(24, tags=BoundaryTag.NEUMANN),
+                            P1)
+        A, M = space.pencil
+        assert A.n > helmqo.sparsela.DENSE_FACTOR_LIMIT
+        res = eigs_smallest(A, M, EigenSolveOptions(m=3))
+        assert abs(res.values[0]) < 1e-9
+        assert np.allclose(res.values[1:], math.pi ** 2, rtol=1e-2)
+
+    def test_shift_invert_factor_pivots_not_read(self):
+        # CR pencil, 20,008 dofs: SuperLU's CSC copies of L and U, 12
+        # bytes per entry of each, come to 3.8 MiB on top of about 8 MiB
+        A, M = square_pencil(82, CR)
+        F = ldlt(A, -1.0, M)
+        copies = 12 * (F.L.nnz + F._payload.U.nnz)
+        assert copies > 3 * 2 ** 20
+        peak = traced_peak(eigs_smallest, A, M, EigenSolveOptions(m=1))
+        assert peak < 10 * 2 ** 20
+
+    def test_sparse_inertia_read_once_on_demand(self):
+        A, M = square_pencil(32)
+        F = ldlt(A, 100.0, M)
+        assert F._inertia is None and not F.singular
+        assert F.inertia == (6, 0, A.n - 6)
+        assert F.inertia is F.inertia

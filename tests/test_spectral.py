@@ -6,14 +6,14 @@ import pytest
 from helmqo.mesh import build_unit_square
 from helmqo.spaces import CR, P1, assemble_mass, assemble_stiffness, \
     build_space, constrain, interpolate, rayleigh_quotient
-from helmqo.sparsela import ResonanceError, count_below
+from helmqo.sparsela import EigenSolveError, ResonanceError, count_below
 from helmqo.spectral import (BoundedEigen, EigenSet, LadderExhaustedError,
                              check_criterion, compute_bounds, cr_lower_bound,
                              cr_upper_bound, eigen_ladder, estimate_index,
                              separation_ok, separation_threshold,
                              th_coercivity_constant)
 
-from conftest import enumeration_index
+from conftest import drop_lowest_pair, enumeration_index
 
 
 def synthetic_ladder(values, family=P1, n=2):
@@ -53,6 +53,23 @@ class TestEigenLadder:
         lam = A.toarray()[0, 0] / M.toarray()[0, 0]
         with pytest.raises(ResonanceError):
             eigen_ladder(space, lam)
+
+
+class TestLadderInertiaCheck:
+    """eigen_ladder cross-checks its ladder against the inertia count."""
+
+    @pytest.mark.parametrize("family,n", [(P1, 8), (CR, 24)], ids=str)
+    def test_dropped_pair_raises(self, family, n, monkeypatch):
+        drop_lowest_pair(monkeypatch)
+        with pytest.raises(EigenSolveError, match="inertia counts"):
+            square_ladder(n, 100.0, family)
+
+    def test_caller_held_count_is_checked(self):
+        space = build_space(build_unit_square(8), P1)
+        below = count_below(*space.pencil, 100.0)
+        assert len(eigen_ladder(space, 100.0, below=below)) == below + 4
+        with pytest.raises(EigenSolveError, match="inertia counts"):
+            eigen_ladder(space, 100.0, below=below + 1)
 
 
 class TestCheckCriterion:
