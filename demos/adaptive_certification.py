@@ -3,12 +3,13 @@
 When the pivotal index is not known a priori, the Crouzeix-Raviart
 guaranteed bounds estimate it: j* is the first index whose successor's
 lower bound clears k^2, and the estimate is certified once the j*-th
-enclosure is tighter than its distance to k^2 (with the separation
-condition in force).  The driver refines until that happens, marking
-elements by the averaged eigenpair residual indicator plus every element
-whose diameter alone blocks the separation condition.
+enclosure is tighter than its distance to k^2.  The lower bound holds on
+every mesh (Liu 2015) but tightens only with the global mesh size, so the
+driver refines the elements marked by the averaged eigenpair residual
+indicator plus every element larger than the largest global mesh size at
+which the current ladder could certify.
 
-Run with:  python demos/adaptive_certification.py   (takes ~15 s)
+Run with:  python demos/adaptive_certification.py   (takes ~1 s)
 """
 
 from helmqo import CR, ProblemSpec, run_gmr
@@ -38,8 +39,8 @@ for mode in ("adaptive", "uniform"):
 print("""
 Reading the trace: the index guess j* settles early (the criterion
 k^2 - lambda_h^(j*) > 0 holds on coarse meshes already), but certification
-waits until the enclosure width drops below that distance AND the mesh
-satisfies the separation condition at j* -- both of which hinge on the
-global mesh size, so the guaranteed runs converge alike.  The final line
-of the CSV written by `helmqo certify` records the certified iteration.
+waits until the enclosure width drops below that distance.  The width is
+governed by the global mesh size, so the guaranteed runs converge alike.
+The final line of the CSV written by `helmqo certify` records the
+certified iteration.
 """)

@@ -24,10 +24,10 @@ from .sparsela import (EigenResult, EigenSolveError, EigenSolveOptions,
                        Factorization, FactorizationError, ResonanceError,
                        SparseSymMatrix, count_below, eigs_smallest, ldlt,
                        solve)
-from .spectral import (BoundedEigen, Criterion, EigenSet, IndexEstimate,
-                       LadderExhaustedError, check_criterion, compute_bounds,
-                       cr_lower_bound, cr_upper_bound, eigen_ladder,
-                       eigenpairs, estimate_index, separation_ok,
+from .spectral import (MIN_KAPPA, BoundedEigen, Criterion, EigenSet,
+                       IndexEstimate, LadderExhaustedError, check_criterion,
+                       compute_bounds, cr_lower_bound, cr_upper_bound,
+                       eigen_ladder, eigenpairs, estimate_index,
                        th_coercivity_constant)
 from .estimator import (IndicatorField, mark_dorfler, mark_half_max,
                         residual_indicator)

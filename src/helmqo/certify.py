@@ -28,9 +28,9 @@ from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
                      expand_free, l2_error)
 from .sparsela import (EigenSolveOptions, ResonanceError, count_below, ldlt,
                        solve)
-from .spectral import (DEFAULT_KAPPA, EigenSet, LadderExhaustedError,
+from .spectral import (DEFAULT_KAPPA, BoundedEigen, LadderExhaustedError,
                        check_criterion, compute_bounds, eigen_ladder,
-                       estimate_index, separation_threshold)
+                       estimate_index)
 from .estimator import mark_half_max, residual_indicator
 
 ALPHA_WARN_THRESHOLD = 1e-6
@@ -351,8 +351,9 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
         space = build_space(mesh, spec.family)
         h = global_mesh_size(mesh)
         if use_cr:
-            rec, E, index = _estimate_cr(space, k2, h, extra, kappa, opts,
-                                         report)
+            rec, E, bounds = _estimate_cr(space, k2, h, extra, kappa, opts,
+                                          report)
+            index = rec.index
         elif space.n_free < int(i_star_source) + 1:
             # the space cannot hold enough eigenpairs to bracket k^2
             index = int(i_star_source)
@@ -388,7 +389,7 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
             rec.eta_total = float(eta.values.sum())
             marked = mark_half_max(eta)
             if use_cr:
-                marked |= _separation_blockers(mesh, E, index, kappa)
+                marked |= _certification_blockers(mesh, bounds, k2, kappa)
             mesh = (refine_bisection(mesh, marked) if marked
                     else refine_uniform(mesh))
     report.final_mesh = mesh
@@ -399,24 +400,29 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
     return report
 
 
-def _separation_blockers(mesh: Mesh, E: EigenSet, j_star: int,
-                         kappa: float) -> set[int]:
-    """Elements too large for the separation condition at the pivotal index.
+def _certification_blockers(mesh: Mesh, bounds: list[BoundedEigen],
+                            k2: float, kappa: float) -> set[int]:
+    """Elements larger than the largest global h that could certify.
 
-    Certification cannot happen while the global mesh size violates the
-    separation threshold at j* and j*+1, regardless of the indicator, so
-    those elements are always scheduled for refinement.
+    With i = #{lambda_h < k^2}: (A) lower^(i+1) >= k^2 and (B) for i >= 1,
+    width^(i) < k^2 - lambda_h^(i); lower(lam, h) >= t holds for
+    h <= sqrt(1/t - 1/lam) / kappa, and for every h when t <= 0.
     """
-    lam_ref = float(E.values[min(j_star, len(E) - 1)])
-    threshold = separation_threshold(j_star + 1, lam_ref, kappa)
-    diam = element_diameters(mesh)
-    return set(np.flatnonzero(diam > threshold).tolist())
+    def h_max(lam: float, t: float) -> float:
+        return (math.sqrt(max(1.0 / t - 1.0 / lam, 0.0)) / kappa if t > 0
+                else math.inf)
+    i = sum(b.lam < k2 for b in bounds)
+    threshold = h_max(bounds[i].lam, k2)
+    if i:
+        b = bounds[i - 1]
+        threshold = min(threshold, h_max(b.lam, b.upper - (k2 - b.lam)))
+    return set(np.flatnonzero(element_diameters(mesh) > threshold).tolist())
 
 
 def _estimate_cr(space: DofSpace, k2: float, h: float, extra: int,
                  kappa: float, opts: EigenSolveOptions | None,
                  report: CertificationReport):
-    """One guaranteed-bounds ESTIMATE step; returns (record, ladder, j*)."""
+    """One guaranteed-bounds ESTIMATE; returns (record, ladder, bounds)."""
     # the lower bound saturates at 1/(kappa h)^2: below that, no ladder
     # length can clear k^2 and the mesh must be refined first
     cap = 1.0 / (kappa * h) ** 2
@@ -431,7 +437,7 @@ def _estimate_cr(space: DofSpace, k2: float, h: float, extra: int,
     E = eigen_ladder(space, k2, extra, opts, min_pairs=m)
     bounds = compute_bounds(E, kappa)
     for j, b in enumerate(bounds, start=1):
-        if (b.separation_ok and b.lower <= k2 <= b.upper
+        if (b.lower <= k2 <= b.upper
                 and b.upper - b.lower <= RESONANCE_ENCLOSURE_RTOL * k2):
             raise ResonanceError(
                 f"k^2 = {k2!r} lies in the certified enclosure "
@@ -453,7 +459,7 @@ def _estimate_cr(space: DofSpace, k2: float, h: float, extra: int,
         report.warnings.append(
             f"iteration {len(report.iterations)}: coercivity constant "
             f"{crit.alpha_star:.2e} is tiny; k^2 is nearly resonant")
-    return rec, E, est.j_star
+    return rec, E, bounds
 
 
 # -- convergence studies ------------------------------------------------------

@@ -19,7 +19,7 @@ from .mesh import (BoundaryTag, MeshError, build_geometry, global_mesh_size,
                    read_mesh, write_mesh)
 from .spaces import CR, ElementFamily, build_space, family_from_name
 from .sparsela import EigenSolveError, EigenSolveOptions, ResonanceError
-from .spectral import DEFAULT_KAPPA, compute_bounds, eigenpairs
+from .spectral import DEFAULT_KAPPA, MIN_KAPPA, compute_bounds, eigenpairs
 from .certify import (GaussianBump, ProblemSpec, SineProduct,
                       convergence_study, dirichlet_unit_square, run_gmr,
                       study_to_csv, _fmt)
@@ -238,7 +238,7 @@ def cmd_eig(args) -> int:
     lower = upper = [None] * args.m
     if family == CR:
         bounds = compute_bounds(E, args.kappa)
-        lower = [b.lower if b.separation_ok else None for b in bounds]
+        lower = [b.lower for b in bounds]
         upper = [b.upper for b in bounds]
     lines = ["index,lambda,lower,upper"]
     for i, lam in enumerate(E.values):
@@ -317,6 +317,9 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
+        if not getattr(args, "kappa", MIN_KAPPA) >= MIN_KAPPA:
+            raise UsageError(f"--kappa must be >= {MIN_KAPPA}, the proven "
+                             f"CR interpolation constant, got {args.kappa!r}")
         handler = {"mesh": cmd_mesh, "eig": cmd_eig,
                    "certify": cmd_certify, "study": cmd_study}[args.command]
         return handler(args)

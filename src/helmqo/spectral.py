@@ -23,6 +23,7 @@ from .sparsela import (EigenSolveError, EigenSolveOptions, SparseSymMatrix,
                        count_below, eigs_smallest)
 
 DEFAULT_KAPPA = 0.1932
+MIN_KAPPA = 0.1893    # Liu's CR interpolation constant C_h / h
 
 
 class LadderExhaustedError(RuntimeError):
@@ -66,7 +67,6 @@ class BoundedEigen:
     lam: float
     lower: float
     upper: float
-    separation_ok: bool
 
 
 @dataclass(frozen=True)
@@ -150,37 +150,25 @@ def cr_lower_bound(lam: float, h: float,
                    kappa: float = DEFAULT_KAPPA) -> float:
     """Guaranteed lower bound lambda / (1 + kappa^2 lambda h^2).
 
-    Valid for CR eigenvalues under the separation condition; always at most
-    ``lam``. ``h`` is the global mesh size (largest element diameter).
+    Liu, "A framework of verified eigenvalue bounds for self-adjoint
+    differential operators" (Appl. Math. Comput. 2015): if the CR
+    interpolation Pi_h is a_h-orthogonal to the CR space (it keeps edge
+    means, and CR gradients are elementwise constant) and
+    ||u - Pi_h u|| <= C_h ||grad_h (u - Pi_h u)|| with C_h = 0.1893 h, then
+    lambda_j >= lambda_h,j / (1 + C_h^2 lambda_h,j) for every
+    j <= dim V_h, with no condition on the mesh size.  A larger kappa only
+    lowers the bound, so every ``kappa >= MIN_KAPPA`` is valid; a smaller
+    one raises :class:`ValueError`.  ``lam`` is the j-th CR eigenvalue and
+    ``h`` the global mesh size (largest element diameter).
     """
+    if not kappa >= MIN_KAPPA:
+        raise ValueError(f"kappa must be >= {MIN_KAPPA} (the proven CR "
+                         f"interpolation constant), got {kappa!r}")
     if lam < 0:
         raise ValueError("eigenvalue must be nonnegative")
     if h <= 0:
         raise ValueError("mesh size must be positive")
     return lam / (1.0 + kappa ** 2 * lam * h ** 2)
-
-
-def separation_ok(h: float, j: int, lam_ref: float,
-                  kappa: float = DEFAULT_KAPPA) -> bool:
-    """Mesh-size condition h <= :func:`separation_threshold`.
-
-    ``lam_ref`` must be an upper reference for the j-th eigenvalue; using a
-    larger value only tightens the test, preserving the guarantee.
-    """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    if lam_ref <= 0:
-        raise ValueError("lam_ref must be positive")
-    return h <= separation_threshold(j, lam_ref, kappa)
-
-
-def separation_threshold(j: int, lam_ref: float,
-                         kappa: float = DEFAULT_KAPPA) -> float:
-    """Separation threshold (sqrt(1 + 1/j) - 1) / (kappa sqrt(lam_ref)).
-
-    The largest mesh size that passes the separation condition at ``j``.
-    """
-    return (np.sqrt(1.0 + 1.0 / j) - 1.0) / (kappa * np.sqrt(lam_ref))
 
 
 def cr_upper_bound(e_h: FeFunction, A_p1: SparseSymMatrix,
@@ -218,9 +206,7 @@ def compute_bounds(E: EigenSet, kappa: float = DEFAULT_KAPPA,
         lam = float(E.values[j - 1])
         lower = cr_lower_bound(lam, h, kappa)
         upper = cr_upper_bound(E.eigenfunction(j), A_p1, M_p1, p1_space)
-        sep = separation_ok(h, j, max(upper, np.finfo(float).tiny),
-                            kappa)
-        out.append(BoundedEigen(lam, lower, upper, sep))
+        out.append(BoundedEigen(lam, lower, upper))
     return out
 
 
@@ -228,11 +214,11 @@ def estimate_index(bounds: list[BoundedEigen], k2: float) -> IndexEstimate:
     """Estimate the number of continuous eigenvalues below k^2.
 
     The guess ``j*`` is the first index whose successor's lower bound
-    clears k^2.  The estimate is *certified* when the separation condition
-    holds at ``j*`` and ``j*+1`` (so the bounds are guaranteed) and the
-    j*-th enclosure is tighter than its distance to k^2: then the true
-    eigenvalue lambda^(j*) lies below k^2 while lambda^(j*+1) is
-    guaranteed above, so the index can no longer change under refinement.
+    clears k^2.  The estimate is *certified* when the j*-th enclosure is
+    tighter than its distance to k^2: then the true eigenvalue
+    lambda^(j*) lies below k^2 while lambda^(j*+1) is guaranteed above, so
+    the index can no longer change under refinement.  ``j* = 0`` is always
+    certified: the first lower bound already clears k^2.
     """
     if not bounds:
         raise ValueError("empty bounds list")
@@ -245,14 +231,11 @@ def estimate_index(bounds: list[BoundedEigen], k2: float) -> IndexEstimate:
         raise LadderExhaustedError(
             "no lower bound clears k^2; increase j_max or refine the mesh")
     if j_star == 0:
-        certified = bounds[0].separation_ok
-        return IndexEstimate(0, certified, k2, 0.0)
+        return IndexEstimate(0, True, k2, 0.0)
     b = bounds[j_star - 1]
     gap = k2 - b.lam
     width = b.upper - b.lower
-    certified = (b.separation_ok and bounds[j_star].separation_ok
-                 and gap > 0.0 and width < gap)
-    return IndexEstimate(j_star, certified, gap, width)
+    return IndexEstimate(j_star, gap > 0.0 and width < gap, gap, width)
 
 
 def th_coercivity_constant(E: EigenSet, k2: float) -> float:

@@ -55,23 +55,36 @@ def test_criterion_1_eigenvalue_oracle():
 
 
 def test_criterion_2_guaranteed_bounds():
-    """CR enclosures of the first ten square eigenvalues, zero violations."""
-    exact = enumeration_spectrum(10)
+    """CR enclosures of the first ten square eigenvalues, and the lower
+    bound at every index of coarse and jittered squares; zero violations."""
+    exact = enumeration_spectrum(1000)
     checked = violations = 0
     for n in (16, 32, 64):
         space = hq.build_space(hq.build_unit_square(n), hq.CR)
         E = hq.eigen_ladder(space, 1.0, extra=9)   # exactly ten pairs
-        bounds = hq.compute_bounds(E)
-        for j, b in enumerate(bounds, start=1):
-            if not b.separation_ok:
-                continue
+        for j, b in enumerate(hq.compute_bounds(E), start=1):
             checked += 1
             if not (b.lower <= exact[j - 1] + 1e-12
                     and exact[j - 1] <= b.upper):
                 violations += 1
-    report(2, checked >= 10 and violations == 0,
-           f"{checked} separation-valid (j, mesh) pairs checked, "
-           f"{violations} enclosure violations")
+    # every CR eigenvalue of the n = 2..12 squares, structured and jittered
+    # with three seeds, at Liu's constant; mostly where the old separation
+    # condition h <= (sqrt(1 + 1/j) - 1) / (kappa sqrt(lambda)) fails
+    lower_checked = 0
+    for n in range(2, 13):
+        for mesh in (hq.build_unit_square(n),
+                     *(hq.build_unit_square_unstructured(n, seed=seed)
+                       for seed in (0, 1, 2))):
+            space = hq.build_space(mesh, hq.CR)
+            E = hq.eigenpairs(space, space.n_free)
+            for j, b in enumerate(hq.compute_bounds(E, hq.MIN_KAPPA),
+                                  start=1):
+                lower_checked += 1
+                if b.lower > exact[j - 1] + 1e-12:
+                    violations += 1
+    report(2, checked == 30 and lower_checked >= 7000 and violations == 0,
+           f"{checked} (j, mesh) enclosures and {lower_checked} lower "
+           f"bounds at every index checked, {violations} violations")
 
 
 def _study_slope(family, n0, refinements, geometry="unit-square"):

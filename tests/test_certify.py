@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 import helmqo.certify
-from helmqo.mesh import build_unit_square, refine_uniform
-from helmqo.spaces import CR, P1, build_space, l2_error
-from helmqo.spectral import eigen_ladder
-from helmqo.sparsela import EigenSolveError, ResonanceError
+from helmqo.mesh import (build_square_with_hole, build_unit_square,
+                         build_unit_square_unstructured, element_diameters,
+                         refine_uniform)
+from helmqo.spaces import CR, P1, P2, build_space, l2_error
+from helmqo.spectral import (DEFAULT_KAPPA, BoundedEigen, cr_lower_bound,
+                             eigen_ladder)
+from helmqo.sparsela import EigenSolveError, ResonanceError, count_below
 from helmqo.certify import (GaussianBump, ProblemSpec,
                             SineProduct, convergence_study, run_gmr,
                             sine_series_reference, solve_helmholtz,
@@ -206,6 +209,52 @@ class TestRunGmr:
         assert last.index == unit_square_index(30.0)
         assert last.enclosure < last.condition
 
+    def test_cr_certifies_flagship_at_k2_1500(self):
+        # the README's square with a hole; a P2 count on a fine mesh is a
+        # conforming (min-max) lower bound on the exact index, and the
+        # certificate's lower bound on lambda^(i*+1) an upper one
+        spec = ProblemSpec(CR, 1500.0, geometry="square-hole",
+                           geometry_params=dict(outer=0.75, inner=0.3))
+        rep = run_gmr(spec, spec.build_mesh(10), "uniform", "cr",
+                      max_iters=6)
+        assert rep.termination == "certified"
+        assert rep.iterations[-1].index == 41
+        fine = build_square_with_hole(0.75, 0.3, 10)
+        for _ in range(3):
+            fine = refine_uniform(fine)
+        assert count_below(*build_space(fine, P2).pencil, 1500.0) == 41
+
+    @pytest.mark.parametrize("bounds,everything", [
+        # i = 2, (B) binds: 95 - lower(60, h) < 100 - 60 for small h only
+        ([(20.0, 21.0), (60.0, 95.0), (130.0, 140.0)], False),
+        # i = 2, (A) binds: lower(130, h) >= 100 for small h only
+        ([(20.0, 21.0), (60.0, 60.5), (130.0, 140.0)], False),
+        # i = 0: (A) alone
+        ([(130.0, 140.0)], False),
+        # i = 2, upper above k^2: no h certifies
+        ([(20.0, 21.0), (60.0, 101.0), (130.0, 140.0)], True),
+    ])
+    def test_blockers_are_elements_too_large_to_certify(self, bounds,
+                                                         everything):
+        mesh = build_unit_square_unstructured(6, seed=3)
+        k2 = 100.0
+        bounds = [BoundedEigen(lam, cr_lower_bound(lam, 0.2), up)
+                  for lam, up in bounds]
+        marked = helmqo.certify._certification_blockers(mesh, bounds, k2,
+                                                        DEFAULT_KAPPA)
+        i = sum(b.lam < k2 for b in bounds)
+
+        def certifiable(h):
+            ok = cr_lower_bound(bounds[i].lam, h) >= k2
+            if i:
+                b = bounds[i - 1]
+                ok &= b.upper - cr_lower_bound(b.lam, h) < k2 - b.lam
+            return ok
+        diam = element_diameters(mesh)
+        assert marked == {t for t, d in enumerate(diam) if not certifiable(d)}
+        assert (len(marked) == mesh.n_triangles) == everything
+        assert marked
+
     def test_cr_estimate_requires_cr(self):
         spec = ProblemSpec(P1, 30.0)
         with pytest.raises(ValueError):
@@ -273,9 +322,9 @@ class TestPencilReuse:
                              a[1])))
         wrap_everywhere(monkeypatch, helmqo.spaces.assemble_stiffness,
                         lambda a, K: stiffness.append(a[0]))
-        rep = run_gmr(ProblemSpec(CR, 30.0), build_unit_square(4),
+        rep = run_gmr(ProblemSpec(CR, 100.0), build_unit_square(4),
                       "uniform", "cr", max_iters=3)
-        assert len(rep.iterations) == 3
+        assert len(rep.iterations) == 3 and not rep.certified
         # at least count_below(lam_need) and count_below(k2) per step
         assert len(factorized) >= 2 * 3
         assert len(set(factorized)) == len(factorized)

@@ -114,7 +114,7 @@ class TestEigCommand:
         rows = out.read_text().strip().splitlines()[1:]
         assert len(rows) == 4
         for i, (row, lam, b) in enumerate(zip(rows, E.values, bounds)):
-            lower = b.lower if b and b.separation_ok else None
+            lower = b.lower if b else None
             upper = b.upper if b else None
             assert row == f"{i + 1},{_fmt(lam)},{_fmt(lower)},{_fmt(upper)}"
 
@@ -184,6 +184,31 @@ class TestCertifyCommand:
                        "100", "--family", "p1", "-o", str(out)])
         assert res.returncode == 2
         assert not out.exists()
+
+
+class TestKappaGuard:
+    """--kappa below Liu's proven CR constant 0.1893 is an argument error."""
+
+    EIG = ["eig", "--geometry", "unit-square", "--n", "4", "--family", "cr",
+           "--m", "2"]
+    CERTIFY = ["certify", "--geometry", "unit-square", "--n", "4", "--k2",
+               "30", "--family", "cr", "--estimate", "cr"]
+
+    @pytest.mark.parametrize("cmd", ["eig", "certify"])
+    @pytest.mark.parametrize("kappa", ["0.1892", "nan"])
+    def test_below_proven_constant_exit_2(self, tmp_path, cmd, kappa):
+        out = tmp_path / "out.csv"
+        args = self.EIG if cmd == "eig" else self.CERTIFY
+        res = run_cli([*args, "--kappa", kappa, "-o", str(out)])
+        assert res.returncode == 2
+        assert "--kappa must be >= 0.1893" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["eig", "certify"])
+    def test_proven_constant_accepted(self, cmd):
+        args = self.EIG if cmd == "eig" else self.CERTIFY
+        res = run_cli([*args, "--kappa", "0.1893"])
+        assert res.returncode == 0, res.stderr
 
 
 class TestStudyCommand:

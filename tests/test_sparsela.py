@@ -261,7 +261,8 @@ class TestEigsSmallestContract:
     """A must be positive semidefinite; the shift-invert factor's pivots
     are not read to check it."""
 
-    @pytest.mark.parametrize("s", [1.0, 0.75, 3.0])
+    # -1e-6 is far beyond the roundoff of a zero eigenvalue
+    @pytest.mark.parametrize("s", [1.0, 0.75, 3.0, 0.25, 1e-6])
     @pytest.mark.parametrize("family,n", [(P1, 40), (CR, 24)], ids=str)
     def test_negative_eigenvalue_raises(self, family, n, s):
         A, M = shifted_pencil(n, family, s)

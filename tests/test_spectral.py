@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helmqo.mesh import build_unit_square
+from helmqo.mesh import (build_unit_square, build_unit_square_unstructured,
+                         global_mesh_size)
 from helmqo.spaces import CR, P1, assemble_mass, assemble_stiffness, \
     build_space, constrain, interpolate, rayleigh_quotient
 from helmqo.sparsela import EigenSolveError, ResonanceError, count_below
-from helmqo.spectral import (BoundedEigen, EigenSet, LadderExhaustedError,
-                             check_criterion, compute_bounds, cr_lower_bound,
-                             cr_upper_bound, eigen_ladder, estimate_index,
-                             separation_ok, separation_threshold,
+from helmqo.spectral import (MIN_KAPPA, BoundedEigen, EigenSet,
+                             LadderExhaustedError, check_criterion,
+                             compute_bounds, cr_lower_bound, cr_upper_bound,
+                             eigen_ladder, eigenpairs, estimate_index,
                              th_coercivity_constant)
 
-from conftest import drop_lowest_pair, enumeration_index
+from conftest import (drop_lowest_pair, enumeration_index,
+                      enumeration_spectrum)
 
 
 def synthetic_ladder(values, family=P1, n=2):
@@ -105,17 +108,13 @@ class TestBounds:
         assert np.isclose(cr_lower_bound(50.0, 1e-9), 50.0)
         assert cr_lower_bound(50.0, 0.3) <= 50.0
 
-    def test_separation_threshold(self):
-        # hand evaluation: (sqrt(2) - 1) / (0.1932 sqrt(2 pi^2)) = 0.48256
-        thr = 0.48256
-        lam = 2 * math.pi ** 2
-        assert separation_ok(thr - 1e-4, 1, lam)
-        assert not separation_ok(thr + 1e-4, 1, lam)
-        assert separation_ok(0.0, 5, lam)
-        assert np.isclose(separation_threshold(1, lam), thr, atol=1e-5)
-
-    def test_separation_eventually_fails(self):
-        assert not separation_ok(0.05, 500, 2 * math.pi ** 2)
+    def test_kappa_below_proven_constant_raises(self):
+        # Liu's CR interpolation constant; a larger kappa lowers the bound
+        assert MIN_KAPPA == 0.1893
+        assert cr_lower_bound(19.8, 0.1, MIN_KAPPA) > cr_lower_bound(19.8, 0.1)
+        for kappa in (0.1892, 0.0, -0.1932, math.nan):
+            with pytest.raises(ValueError, match="kappa"):
+                cr_lower_bound(19.8, 0.1, kappa)
 
     def test_upper_bound_of_continuous_function(self):
         # a CR function that is already continuous keeps its Rayleigh
@@ -141,7 +140,6 @@ class TestBounds:
     def test_first_eigenvalue_enclosure(self, n):
         E = square_ladder(n, 30.0, CR)
         b = compute_bounds(E)[0]
-        assert b.separation_ok
         assert b.lower <= 2 * math.pi ** 2 <= b.upper
 
     def test_one_p1_space_per_ladder(self, monkeypatch):
@@ -168,13 +166,32 @@ class TestBounds:
     def test_guaranteed_lower_bounds_hold(self, square_spectrum_20):
         E = square_ladder(16, 100.0, CR, min_pairs=6)
         for j, b in enumerate(compute_bounds(E), start=1):
-            if b.separation_ok:
-                assert b.lower <= square_spectrum_20[j - 1] + 1e-12
+            assert b.lower <= square_spectrum_20[j - 1] + 1e-12
+
+
+class TestLowerBoundSoundness:
+    """Liu's bound needs no mesh-size condition: every CR eigenvalue of a
+    coarse jittered square, at the proven constant, stays below the exact
+    one of the same index (multiplicities included)."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=30)
+    @given(n=st.integers(2, 10), seed=st.integers(0, 2 ** 16),
+           jitter=st.floats(0.0, 0.45))
+    def test_lower_below_exact_at_every_index(self, n, seed, jitter):
+        mesh = build_unit_square_unstructured(n, seed=seed, jitter=jitter)
+        space = build_space(mesh, CR)
+        E = eigenpairs(space, space.n_free)
+        h = global_mesh_size(mesh)
+        exact = enumeration_spectrum(len(E))
+        lower = np.array([cr_lower_bound(lam, h, MIN_KAPPA)
+                          for lam in E.values])
+        assert (lower <= exact).all()
 
 
 class TestEstimateIndex:
-    def tight(self, lam, sep=True):
-        return BoundedEigen(lam, lam - 0.1, lam + 0.1, sep)
+    def tight(self, lam):
+        return BoundedEigen(lam, lam - 0.1, lam + 0.1)
 
     def test_below_first(self):
         est = estimate_index([self.tight(10.0)], 5.0)
@@ -189,14 +206,17 @@ class TestEstimateIndex:
         assert np.isclose(est.enclosure_width, 0.2)
 
     def test_certification_needs_tight_enclosure(self):
-        bounds = [BoundedEigen(10.0, 4.0, 18.0, True), self.tight(20.0)]
+        bounds = [BoundedEigen(10.0, 4.0, 18.0), self.tight(20.0)]
         est = estimate_index(bounds, 12.0)
         assert est.j_star == 1 and not est.certified   # width 14 > gap 2
 
-    def test_certification_needs_separation(self):
-        bounds = [BoundedEigen(10.0, 9.9, 10.1, False), self.tight(20.0)]
+    @pytest.mark.parametrize("width,certified",
+                             [(4.9, True), (5.0, False), (5.1, False)])
+    def test_certifies_iff_width_below_gap(self, width, certified):
+        # gap k^2 - lambda_h = 5; no mesh-size condition enters
+        bounds = [BoundedEigen(10.0, 10.0 - width, 10.0), self.tight(20.0)]
         est = estimate_index(bounds, 15.0)
-        assert est.j_star == 1 and not est.certified
+        assert est.j_star == 1 and est.certified == certified
 
     def test_exhausted_ladder(self):
         with pytest.raises(LadderExhaustedError):
