@@ -29,8 +29,7 @@ from .spectral import (MIN_KAPPA, BoundedEigen, Criterion, EigenSet,
                        compute_bounds, cr_lower_bound, cr_upper_bound,
                        eigen_ladder, eigenpairs, estimate_index,
                        th_coercivity_constant)
-from .estimator import (IndicatorField, mark_dorfler, mark_half_max,
-                        residual_indicator)
+from .estimator import IndicatorField, mark_half_max, residual_indicator
 from .certify import (CertificationReport, GaussianBump, IterationRecord,
                       ProblemSpec, SineProduct, StudyRecord,
                       convergence_study, run_gmr, sine_series_reference,

@@ -1,10 +1,19 @@
-"""Residual-based error indicator for eigenfunctions and marking strategies.
+"""Residual-based error indicator for eigenfunctions, and half-max marking.
 
 The per-element indicator combines the elementwise eigen-residual
 ``h_K^2 |laplace(e) + lambda e|^2`` with the squared normal-derivative jump
 across interior edges, weighted by ``h_K / 2`` on each adjacent element,
 and is averaged over the first ``i* + extra`` eigenfunctions.  Boundary
 edges (Dirichlet and Neumann alike) do not contribute.
+
+The edge geometry depends on the mesh alone, so it is built once per call,
+before the loop over eigenfunctions: for each side of each interior edge, a
+normal-flux operator mapping the element's coefficients to the normal
+derivative at the edge quadrature points.  The points' barycentric
+coordinates come straight from the edge table, since an edge's two vertices
+are vertices of both neighbours.  Each eigenfunction then costs one volume
+residual and one jump per edge; the squared jumps are summed per edge and
+scattered to the elements once.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import numpy as np
 from .mesh import element_diameters
 from .quadrature import edge_rule, triangle_rule
 from .spaces import (ElementFamily, shape_gradients, shape_values,
-                     _barycentric_in, _geometry)
+                     _geometry)
 from .spectral import EigenSet
 
 
@@ -59,18 +68,20 @@ def residual_indicator(E: EigenSet, i_star: int,
     G, areas = _geometry(mesh)
 
     rule = triangle_rule(4)
-    dN = shape_gradients(space.family, rule.points)    # (q, nloc, 3)
     N = shape_values(space.family, rule.points)        # (q, nloc)
     lap_coeff = _laplacian_coefficients(space.family, G)   # (nt, nloc)
 
     interior = np.flatnonzero(mesh.edge_tag == -1)
+    ends = mesh.edges[interior]                        # (ne, 2) vertex ids
+    sides = mesh.edge2tri[interior].T                  # (2, ne) triangles
     epts, ewts = edge_rule(4)
-    edge_vec = (mesh.vertices[mesh.edges[interior, 1]]
-                - mesh.vertices[mesh.edges[interior, 0]])
+    edge_vec = mesh.vertices[ends[:, 1]] - mesh.vertices[ends[:, 0]]
     edge_len = np.linalg.norm(edge_vec, axis=1)
-    # physical quadrature points along each interior edge
-    p0 = mesh.vertices[mesh.edges[interior, 0]]
-    exq = p0[:, None, :] + edge_vec[:, None, :] * epts[None, :, None]
+    normal = np.column_stack([edge_vec[:, 1], -edge_vec[:, 0]]) / \
+        edge_len[:, None]
+    flux_ops = [_normal_flux(space.family, mesh.triangles[tri], G[tri], ends,
+                             normal, epts) for tri in sides]
+    jump2 = np.zeros(len(interior))
 
     eta = np.zeros(mesh.n_triangles)
     for i in range(1, nfun + 1):
@@ -82,17 +93,32 @@ def residual_indicator(E: EigenSet, i_star: int,
         resid = lap[:, None] + lam * vals
         vol = np.einsum("tq,q,t->t", resid ** 2, rule.weights, areas)
         eta += hK ** 2 * vol
-
-        # edge term: squared normal-gradient jump, h_K/2 per neighbor
-        jump2 = _normal_jump_sq(mesh, space, G, c, interior, exq,
-                                edge_vec, edge_len, ewts)
-        for side in (0, 1):
-            tri = mesh.edge2tri[interior, side]
-            valid = tri >= 0
-            np.add.at(eta, tri[valid],
-                      0.5 * hK[tri[valid]] * jump2[valid])
+        # edge term: squared normal-gradient jump, integrated along the edge
+        jump = (np.einsum("eqm,em->eq", flux_ops[0], c[sides[0]])
+                - np.einsum("eqm,em->eq", flux_ops[1], c[sides[1]]))
+        jump2 += np.einsum("eq,q->e", jump ** 2, ewts) * edge_len
+    # ... weighted by h_K / 2 on each adjacent element
+    for tri in sides:
+        np.add.at(eta, tri, 0.5 * hK[tri] * jump2)
     eta /= i_star
     return IndicatorField(eta, i_star, extra, space.family)
+
+
+def _normal_flux(family: ElementFamily, verts: np.ndarray, G: np.ndarray,
+                 ends: np.ndarray, normal: np.ndarray,
+                 epts: np.ndarray) -> np.ndarray:
+    """(ne, q, nloc) map from one neighbour's coefficients to the normal
+    derivative at the points ``epts`` of each edge ``ends = (a, b)``.
+
+    The point at parameter t has lambda = 1 - t at the local vertex equal
+    to a, t at the one equal to b, and 0 at the third, however the
+    neighbour orders its vertices.
+    """
+    verts = verts[:, None, :]                                    # (ne, 1, 3)
+    bary = ((1.0 - epts)[:, None] * (verts == ends[:, None, :1])
+            + epts[:, None] * (verts == ends[:, None, 1:]))      # (ne, q, 3)
+    dN = shape_gradients(family, bary)                   # (ne, q, nloc, 3)
+    return np.einsum("eqmj,ejd,ed->eqm", dN, G, normal)
 
 
 def _laplacian_coefficients(family: ElementFamily,
@@ -110,25 +136,6 @@ def _laplacian_coefficients(family: ElementFamily,
     return out
 
 
-def _normal_jump_sq(mesh, space, G, c, interior, exq, edge_vec, edge_len,
-                    ewts) -> np.ndarray:
-    """Integral over each interior edge of the squared normal-grad jump."""
-    normal = np.column_stack([edge_vec[:, 1], -edge_vec[:, 0]]) / \
-        edge_len[:, None]
-    qn = len(ewts)
-    flux = np.zeros((len(interior), qn, 2))
-    for side in (0, 1):
-        tri = mesh.edge2tri[interior, side]
-        valid = tri >= 0
-        lam = _barycentric_in(mesh, tri[valid], exq[valid])
-        dN = shape_gradients(space.family, lam)          # (ne, q, nloc, 3)
-        grad = np.einsum("eqmj,ejd,em->eqd", dN, G[tri[valid]],
-                         c[tri[valid]])
-        flux[valid, :, side] = np.einsum("eqd,ed->eq", grad, normal[valid])
-    jump = flux[:, :, 0] - flux[:, :, 1]
-    return np.einsum("eq,q->e", jump ** 2, ewts) * edge_len
-
-
 def mark_half_max(eta: IndicatorField) -> set[int]:
     """Elements whose indicator exceeds half the maximum value."""
     v = eta.values
@@ -138,18 +145,3 @@ def mark_half_max(eta: IndicatorField) -> set[int]:
     if vmax == 0.0:
         return set()
     return set(np.flatnonzero(v > 0.5 * vmax).tolist())
-
-
-def mark_dorfler(eta: IndicatorField, theta: float = 0.5) -> set[int]:
-    """Smallest set of elements carrying a ``theta`` fraction of the total
-    indicator (bulk chasing); available as an alternative to half-max."""
-    if not 0 < theta <= 1:
-        raise ValueError("theta must be in (0, 1]")
-    v = eta.values
-    total = v.sum()
-    if total == 0.0:
-        return set()
-    order = np.argsort(v, kind="stable")[::-1]
-    csum = np.cumsum(v[order])
-    count = int(np.searchsorted(csum, theta * total) + 1)
-    return set(order[:count].tolist())

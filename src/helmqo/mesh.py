@@ -9,7 +9,6 @@ operations are pure: they return new meshes and never touch their input.
 from __future__ import annotations
 
 import enum
-import hashlib
 from typing import Callable, Iterable
 
 import numpy as np
@@ -184,13 +183,6 @@ class Mesh:
         """Indices of vertices lying on Dirichlet-tagged boundary edges."""
         d_edges = self.edges[self.edge_tag == 0]
         return np.unique(d_edges)
-
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.vertices.tobytes())
-        h.update(self.triangles.tobytes())
-        h.update(self.edge_tag.tobytes())
-        return h.hexdigest()[:16]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mesh):

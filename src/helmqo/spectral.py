@@ -11,7 +11,7 @@ the number of continuous eigenvalues below k^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,12 +39,9 @@ class EigenSet:
     """
 
     space: DofSpace
-    mesh_fingerprint: str
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
-    stiffness: SparseSymMatrix = field(repr=False)
-    mass: SparseSymMatrix = field(repr=False)
 
     @property
     def family(self) -> ElementFamily:
@@ -120,10 +117,9 @@ def eigen_ladder(space: DofSpace, k2: float, extra: int = 3,
 def eigenpairs(space: DofSpace, m: int,
                opts: EigenSolveOptions | None = None) -> EigenSet:
     """The ``m`` smallest eigenpairs of the space's constrained pencil."""
-    A, M = space.pencil
-    res = eigs_smallest(A, M, replace(opts or EigenSolveOptions(), m=m))
-    return EigenSet(space, space.mesh.fingerprint(), res.values, res.vectors,
-                    res.residuals, A, M)
+    res = eigs_smallest(*space.pencil,
+                        replace(opts or EigenSolveOptions(), m=m))
+    return EigenSet(space, res.values, res.vectors, res.residuals)
 
 
 def check_criterion(E: EigenSet, k2: float, i_star: int) -> Criterion:
@@ -191,7 +187,13 @@ def cr_upper_bound(e_h: FeFunction, A_p1: SparseSymMatrix,
 
 def compute_bounds(E: EigenSet, kappa: float = DEFAULT_KAPPA,
                    p1_space: DofSpace | None = None) -> list[BoundedEigen]:
-    """Guaranteed lower bounds and upper references for a CR ladder."""
+    """Guaranteed lower bounds and upper references for a CR ladder.
+
+    The continuous operator is semidefinite, so a roundoff-negative
+    eigenvalue or upper value (a pure-Neumann zero mode) is read as 0;
+    ``eigs_smallest`` has already rejected anything below
+    -min(1/2, 1e3 tol).
+    """
     if E.family != CR:
         raise ValueError("guaranteed bounds require a Crouzeix-Raviart "
                          "ladder")
@@ -203,9 +205,10 @@ def compute_bounds(E: EigenSet, kappa: float = DEFAULT_KAPPA,
     M_p1 = assemble_mass(p1_space)
     out = []
     for j in range(1, len(E) + 1):
-        lam = float(E.values[j - 1])
+        lam = max(float(E.values[j - 1]), 0.0)
         lower = cr_lower_bound(lam, h, kappa)
-        upper = cr_upper_bound(E.eigenfunction(j), A_p1, M_p1, p1_space)
+        upper = max(cr_upper_bound(E.eigenfunction(j), A_p1, M_p1,
+                                   p1_space), 0.0)
         out.append(BoundedEigen(lam, lower, upper))
     return out
 

@@ -199,7 +199,8 @@ def test_criterion_6_sign_flip_coercivity():
         E = hq.eigen_ladder(space, k2, extra=3)
         alpha = hq.th_coercivity_constant(E, k2)
         i_star = int((E.values < k2).sum())
-        Ah = E.stiffness.to_scipy() - k2 * E.mass.to_scipy()
+        A, M = E.space.pencil
+        Ah = A.to_scipy() - k2 * M.to_scipy()
         signs = np.where(np.arange(1, len(E) + 1) <= i_star, -1.0, 1.0)
         rng = np.random.default_rng(7)
         for _ in range(100):

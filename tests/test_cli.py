@@ -118,6 +118,20 @@ class TestEigCommand:
             upper = b.upper if b else None
             assert row == f"{i + 1},{_fmt(lam)},{_fmt(lower)},{_fmt(upper)}"
 
+    def test_cr_pure_neumann_zero_mode(self, tmp_path):
+        # the zero eigenvalue comes out roundoff-negative; 0 bounds it
+        out = tmp_path / "eig.csv"
+        res = run_cli(["eig", "--geometry", "unit-square", "--n", "24",
+                       "--tag", "neumann", "--family", "cr", "--m", "3",
+                       "-o", str(out)])
+        assert res.returncode == 0, res.stderr
+        rows = [[float(x) for x in line.split(",")[2:]]
+                for line in out.read_text().strip().splitlines()[1:]]
+        lower, upper = rows[0]
+        assert lower <= 0.0 <= upper
+        for lower, upper in rows[1:]:
+            assert lower <= math.pi ** 2 <= upper
+
     def test_m_zero_exit_2(self):
         res = run_cli(["eig", "--geometry", "unit-square", "--family", "p1",
                        "--m", "0"])

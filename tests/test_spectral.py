@@ -22,12 +22,9 @@ from conftest import (drop_lowest_pair, enumeration_index,
 def synthetic_ladder(values, family=P1, n=2):
     """EigenSet with prescribed eigenvalues on a small real space."""
     space = build_space(build_unit_square(n), family)
-    A = constrain(space, assemble_stiffness(space))
-    M = constrain(space, assemble_mass(space))
     values = np.asarray(values, dtype=float)
     k = len(values)
-    return EigenSet(space, space.mesh.fingerprint(), values,
-                    np.zeros((space.n_free, k)), np.zeros(k), A, M)
+    return EigenSet(space, values, np.zeros((space.n_free, k)), np.zeros(k))
 
 
 def square_ladder(n, k2, family=P1, extra=3, min_pairs=0):
@@ -284,7 +281,8 @@ class TestCrossValidation:
         E = square_ladder(32, k2)
         alpha = th_coercivity_constant(E, k2)
         i_star = int((E.values < k2).sum())
-        Ah = E.stiffness.to_scipy() - k2 * E.mass.to_scipy()
+        A, M = E.space.pencil
+        Ah = A.to_scipy() - k2 * M.to_scipy()
         signs = np.where(np.arange(1, len(E) + 1) <= i_star, -1.0, 1.0)
         rng = np.random.default_rng(2)
         for _ in range(20):
