@@ -2,9 +2,10 @@
 
 The nonconforming ladder is post-processed into a guaranteed lower bound
 lambda / (1 + kappa^2 lambda h^2) (Liu 2015: valid at every index, on every
-mesh, for kappa >= 0.1893) and an upper reference value (Rayleigh quotient
-of the averaged conforming companion).  On the unit square the exact
-spectrum pi^2 (i^2 + j^2) lets us watch the enclosures at work.
+mesh, for kappa >= 0.1893) and a guaranteed upper bound (the Ritz values of
+the P2 pencil on the ladder's eigenvectors lifted into P2).  On the unit
+square the exact spectrum pi^2 (i^2 + j^2) lets us watch the enclosures at
+work.
 
 Run with:  python demos/eigenvalue_bounds.py
 """
@@ -13,8 +14,8 @@ import numpy as np
 
 from helmqo import (CR, MIN_KAPPA, build_space, build_unit_square,
                     build_unit_square_unstructured, compute_bounds,
-                    cr_lower_bound, eigen_ladder, eigenpairs,
-                    global_mesh_size, unit_square_spectrum)
+                    eigen_ladder, eigenpairs, global_mesh_size,
+                    unit_square_spectrum)
 
 exact = unit_square_spectrum(8)
 
@@ -40,18 +41,22 @@ Notes
   conforming families approach from above.
 * the lower bound holds at every index with no mesh-size condition, so
   even the n=4 ladder is enclosed from below; it tightens like h^2.
-* the upper value is a min-max upper bound for j = 1 only; at higher
-  indices it is a reference value, which can fall below the exact
-  eigenvalue on coarse meshes (not in the rows above).
+* the upper bound holds at every index too: each CR eigenvector is lifted
+  into P2 (edge values kept, vertex means of the elementwise limits), and
+  by the min-max principle the j-th Ritz value of the P2 pencil on the
+  span of the lifted ladder lies above the j-th exact eigenvalue.
 """)
 
 # every eigenvalue of a coarse jittered mesh, at the proven constant
 mesh = build_unit_square_unstructured(6, seed=1)
 space = build_space(mesh, CR)
-values = eigenpairs(space, space.n_free).values
+bounds = compute_bounds(eigenpairs(space, space.n_free), MIN_KAPPA)
 h = global_mesh_size(mesh)
-lower = np.array([cr_lower_bound(lam, h, MIN_KAPPA) for lam in values])
-ratio = unit_square_spectrum(len(values)) / lower
-print(f"jittered n=6 square (h = {h:.4f}), all {len(values)} CR eigenvalues "
-      f"at kappa = {MIN_KAPPA}:\n  every lower bound below the exact value: "
-      f"{bool((ratio >= 1).all())}; smallest exact/lower = {ratio.min():.4f}")
+exact = unit_square_spectrum(len(bounds))
+lower = np.array([b.lower for b in bounds])
+upper = np.array([b.upper for b in bounds])
+print(f"jittered n=6 square (h = {h:.4f}), all {len(bounds)} CR eigenvalues "
+      f"at kappa = {MIN_KAPPA}:\n  every exact value enclosed: "
+      f"{bool(((lower <= exact) & (exact <= upper)).all())}; smallest "
+      f"exact/lower = {(exact / lower).min():.4f}, smallest upper/exact = "
+      f"{(upper / exact).min():.4f}")

@@ -323,13 +323,53 @@ def interpolate(space: DofSpace, fn) -> FeFunction:
     return FeFunction(space, _eval_rhs(fn, x, y))
 
 
+def _cr_vertex_average(mesh: Mesh) -> sp.csr_matrix:
+    """(n_vertices, n_edges) map from CR coefficients to vertex means.
+
+    Row ``v`` averages, over the triangles at ``v``, the elementwise limit
+    ``sum(c_t) - 2 c_i`` of the CR function at ``v`` (local vertex ``i``,
+    whose opposite edge carries ``c_i``).
+    """
+    tris, t2e = mesh.triangles, mesh.tri2edge
+    cnt = np.bincount(tris.ravel(), minlength=mesh.n_vertices)
+    w = 1.0 / np.maximum(cnt, 1)[tris]                  # (nt, 3)
+    # local vertex i: +1 on each of the three edges, -2 on the opposite one
+    rows = np.repeat(tris, 3, axis=1).ravel()
+    cols = np.tile(t2e, (1, 3)).ravel()
+    coef = np.where(np.eye(3, dtype=bool), -1.0, 1.0)   # (vertex, edge)
+    vals = (w[:, :, None] * coef[None]).ravel()
+    return sp.csr_matrix((vals, (rows, cols)),
+                         shape=(mesh.n_vertices, mesh.n_edges))
+
+
+def cr_to_p2_lift(cr_space: DofSpace, p2_space: DofSpace) -> sp.csr_matrix:
+    """Sparse map from CR free coefficients to P2 free coefficients.
+
+    The lifted function keeps the CR values at the edge midpoints (the edge
+    rows are the identity) and takes at each vertex the mean of the CR
+    function's elementwise limits there; Dirichlet vertices are
+    constrained, so they are 0.  The result is conforming, and the map is
+    injective because every free CR dof reappears as a free P2 edge dof.
+    """
+    if cr_space.family != CR or p2_space.family != P2:
+        raise ValueError("expected a Crouzeix-Raviart and a Lagrange(2) "
+                         "space")
+    mesh = cr_space.mesh
+    if p2_space.mesh is not mesh:
+        raise ValueError("the two spaces must share one mesh")
+    full = sp.vstack([_cr_vertex_average(mesh),
+                      sp.identity(mesh.n_edges, format="csr")], format="csr")
+    return full[p2_space.free_dofs][:, cr_space.free_dofs]
+
+
 def cr_to_p1_average(u: FeFunction,
                      p1_space: DofSpace | None = None) -> FeFunction:
     """Conforming companion of a CR function by vertex averaging.
 
     Each vertex receives the arithmetic mean of the elementwise limits of
-    ``u`` at that vertex; vertices on the Dirichlet boundary are set to 0,
-    so the result satisfies the constraint exactly.
+    ``u`` at that vertex (the vertex rows of :func:`cr_to_p2_lift`);
+    vertices on the Dirichlet boundary are set to 0, so the result
+    satisfies the constraint exactly.
     """
     if u.space.family != CR:
         raise ValueError("input must be a Crouzeix-Raviart function")
@@ -339,14 +379,7 @@ def cr_to_p1_average(u: FeFunction,
     elif p1_space.mesh is not mesh or p1_space.family != P1:
         raise ValueError("p1_space must be a Lagrange(1) space on the "
                          "same mesh")
-    c = u.coefficients[u.space.cell_dofs]       # (nt, 3), dof i opp vertex i
-    # value at local vertex i equals sum(c) - 2*c_i
-    vertex_vals = c.sum(axis=1, keepdims=True) - 2.0 * c
-    acc = np.zeros(mesh.n_vertices)
-    cnt = np.zeros(mesh.n_vertices)
-    np.add.at(acc, mesh.triangles.ravel(), vertex_vals.ravel())
-    np.add.at(cnt, mesh.triangles.ravel(), 1.0)
-    vals = acc / np.maximum(cnt, 1.0)
+    vals = _cr_vertex_average(mesh) @ u.coefficients
     vals[mesh.dirichlet_vertices()] = 0.0
     return FeFunction(p1_space, vals)
 

@@ -28,6 +28,7 @@ from scipy.sparse.csgraph import structural_rank
 
 DENSE_FACTOR_LIMIT = 400
 DENSE_EIG_LIMIT = 200
+RECOUNT_RTOL = 1e-8     # relative shift of count_below's two recounts
 
 
 class FactorizationError(RuntimeError):
@@ -345,15 +346,28 @@ def count_below(A: SparseSymMatrix, M: SparseSymMatrix, sigma: float) -> int:
     """Exact number of generalized eigenvalues of (A, M) below ``sigma``.
 
     Uses Sylvester inertia of the LDL^T pivots, independent of any
-    eigensolver convergence.  Raises :class:`ResonanceError` when ``sigma``
-    is numerically an eigenvalue of the pencil.
+    eigensolver convergence.  A factor with a zero pivot (including one
+    SuperLU was forced to pivot off the diagonal, whose pivots say nothing)
+    is not trusted: the count is redone at ``sigma * (1 -+ RECOUNT_RTOL)``,
+    and equal counts from two factors without a zero pivot prove that no
+    eigenvalue lies between the two shifts, so that count is returned.
+    Otherwise ``sigma`` is numerically an eigenvalue of the pencil and
+    :class:`ResonanceError` is raised.
     """
     F = ldlt(A, sigma, M)
-    if F.n_zero > 0:
-        raise ResonanceError(
-            f"shift {sigma!r} is numerically an eigenvalue of the pencil "
-            "(resonant at this mesh)")
-    return F.n_neg
+    if F.n_zero == 0:
+        return F.n_neg
+    counts = []
+    for s in (sigma * (1.0 - RECOUNT_RTOL), sigma * (1.0 + RECOUNT_RTOL)):
+        G = ldlt(A, s, M)
+        if G.n_zero > 0:
+            break
+        counts.append(G.n_neg)
+    if len(counts) == 2 and counts[0] == counts[1]:
+        return counts[0]
+    raise ResonanceError(
+        f"shift {sigma!r} is numerically an eigenvalue of the pencil "
+        "(resonant at this mesh)")
 
 
 def _m_orthonormalize(X: np.ndarray, Msp: sp.csr_matrix) -> np.ndarray:

@@ -14,16 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg as sla
 
 from .mesh import global_mesh_size
-from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction, build_space,
-                     assemble_mass, assemble_stiffness, cr_to_p1_average,
-                     expand_free, rayleigh_quotient)
+from .spaces import (CR, P2, DofSpace, ElementFamily, FeFunction, build_space,
+                     cr_to_p2_lift, expand_free)
 from .sparsela import (EigenSolveError, EigenSolveOptions, SparseSymMatrix,
                        count_below, eigs_smallest)
 
 DEFAULT_KAPPA = 0.1932
 MIN_KAPPA = 0.1893    # Liu's CR interpolation constant C_h / h
+_RITZ_SLICE = 8       # eigenvector columns lifted at a time
+# smallest Cholesky pivot^2 of the lifted Gram matrix, relative to its
+# largest diagonal entry, below which the lifted vectors count as dependent
+_GRAM_RTOL = 1e-8
 
 
 class LadderExhaustedError(RuntimeError):
@@ -59,7 +63,7 @@ class EigenSet:
 
 @dataclass(frozen=True)
 class BoundedEigen:
-    """A discrete eigenvalue with guaranteed lower/upper reference values."""
+    """A discrete eigenvalue with guaranteed lower and upper bounds."""
 
     lam: float
     lower: float
@@ -167,27 +171,19 @@ def cr_lower_bound(lam: float, h: float,
     return lam / (1.0 + kappa ** 2 * lam * h ** 2)
 
 
-def cr_upper_bound(e_h: FeFunction, A_p1: SparseSymMatrix,
-                   M_p1: SparseSymMatrix,
-                   p1_space: DofSpace | None = None) -> float:
-    """Upper reference value: Rayleigh quotient of the averaged companion.
+def compute_bounds(E: EigenSet,
+                   kappa: float = DEFAULT_KAPPA) -> list[BoundedEigen]:
+    """Guaranteed lower and upper bounds for a CR ladder, at every index.
 
-    The CR eigenfunction is averaged onto the conforming P1 space (Dirichlet
-    vertices zeroed) and its Rayleigh quotient with the P1 matrices is
-    returned.  By the min-max principle this is an upper reference for the
-    continuous spectrum; it is used for enclosure-width bookkeeping.
-    ``p1_space`` is the P1 space of ``A_p1``, built here when omitted.
-    """
-    avg = cr_to_p1_average(e_h, p1_space)
-    norm2 = float(avg.coefficients @ (M_p1 @ avg.coefficients))
-    if norm2 <= 0.0:
-        raise ValueError("averaged eigenfunction vanishes identically")
-    return rayleigh_quotient(avg, A_p1, M_p1)
-
-
-def compute_bounds(E: EigenSet, kappa: float = DEFAULT_KAPPA,
-                   p1_space: DofSpace | None = None) -> list[BoundedEigen]:
-    """Guaranteed lower bounds and upper references for a CR ladder.
+    The lower bounds are :func:`cr_lower_bound`.  The upper bounds are the
+    Ritz values of the pencil (A_2, M_2) of the P2 space on the same mesh,
+    taken on the span of the ladder's eigenvectors lifted by
+    :func:`cr_to_p2_lift`: that span is an m-dimensional subspace of the
+    conforming space, so by the Poincare min-max principle its j-th Ritz
+    value bounds the j-th continuous eigenvalue from above, for every
+    j <= m.  Raises :class:`EigenSolveError` when the lifted vectors are
+    numerically dependent (their Gram matrix in M_2 fails its Cholesky
+    check), which independent eigenvectors cannot cause.
 
     The continuous operator is semidefinite, so a roundoff-negative
     eigenvalue or upper value (a pure-Neumann zero mode) is read as 0;
@@ -199,18 +195,42 @@ def compute_bounds(E: EigenSet, kappa: float = DEFAULT_KAPPA,
                          "ladder")
     mesh = E.space.mesh
     h = global_mesh_size(mesh)
-    if p1_space is None:
-        p1_space = build_space(mesh, P1)
-    A_p1 = assemble_stiffness(p1_space)
-    M_p1 = assemble_mass(p1_space)
+    p2 = build_space(mesh, P2)
+    uppers = _ritz_values(*p2.pencil, cr_to_p2_lift(E.space, p2), E.vectors)
     out = []
-    for j in range(1, len(E) + 1):
-        lam = max(float(E.values[j - 1]), 0.0)
-        lower = cr_lower_bound(lam, h, kappa)
-        upper = max(cr_upper_bound(E.eigenfunction(j), A_p1, M_p1,
-                                   p1_space), 0.0)
-        out.append(BoundedEigen(lam, lower, upper))
+    for lam, upper in zip(E.values, uppers):
+        lam = max(float(lam), 0.0)
+        out.append(BoundedEigen(lam, cr_lower_bound(lam, h, kappa),
+                                max(float(upper), 0.0)))
     return out
+
+
+def _ritz_values(A: SparseSymMatrix, M: SparseSymMatrix, L,
+                 X: np.ndarray) -> np.ndarray:
+    """Ascending Ritz values of (A, M) on the span of the columns of L X.
+
+    The Gram matrices (L X)^T A (L X) and (L X)^T M (L X) are formed
+    ``_RITZ_SLICE`` columns at a time, so no dense block of A's dimension
+    by more than ``_RITZ_SLICE`` columns is ever held.
+    """
+    m = X.shape[1]
+    G_A = np.empty((m, m))
+    G_M = np.empty((m, m))
+    for lo in range(0, m, _RITZ_SLICE):
+        sl = slice(lo, lo + _RITZ_SLICE)
+        Y = L @ X[:, sl]
+        G_A[:, sl] = X.T @ (L.T @ (A @ Y))
+        G_M[:, sl] = X.T @ (L.T @ (M @ Y))
+    G_A = 0.5 * (G_A + G_A.T)
+    G_M = 0.5 * (G_M + G_M.T)
+    try:
+        pivots = np.diag(sla.cholesky(G_M))
+    except sla.LinAlgError:
+        pivots = np.zeros(1)
+    if not pivots.min() ** 2 > _GRAM_RTOL * G_M.diagonal().max():
+        raise EigenSolveError("the lifted eigenvectors are numerically "
+                              "dependent; no Rayleigh-Ritz upper bounds")
+    return sla.eigh(G_A, G_M, eigvals_only=True)
 
 
 def estimate_index(bounds: list[BoundedEigen], k2: float) -> IndexEstimate:

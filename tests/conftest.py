@@ -12,8 +12,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from helmqo.mesh import BoundaryTag
+
+# property tests are reproducible and untimed; each sets its max_examples
+settings.register_profile("helmqo", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("helmqo")
 
 
 def enumeration_spectrum(count: int) -> np.ndarray:

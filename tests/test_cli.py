@@ -163,6 +163,33 @@ class TestCertifyCommand:
         from helmqo.mesh import read_mesh
         read_mesh(mesh_out.read_text())   # final mesh is valid
 
+    @pytest.mark.parametrize("refine", ["adaptive", "uniform"])
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_flagship_certifies_at_952_dofs(self, tmp_path, refine, seed):
+        # the Rayleigh-Ritz upper bound closes the j* = 9 enclosure on the
+        # second mesh (25.24 adaptive, 26.69 uniform, against a gap 29.23)
+        out = tmp_path / "cert.csv"
+        res = run_cli(["--seed", seed, "certify", "--geometry",
+                       "square-hole", "--outer", "0.75", "--inner", "0.3",
+                       "--n", "10", "--k2", "400", "--family", "cr",
+                       "--refine", refine, "--estimate", "cr",
+                       "-o", str(out)])
+        assert res.returncode == 0, res.stderr
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert [(r[1], r[8]) for r in rows] == [("224", "false"),
+                                                 ("952", "true")]
+        assert rows[-1][3] == "9"
+        lo, hi = float(rows[-1][4]), float(rows[-1][5])
+        assert lo < 400.0 < hi
+
+    def test_forced_off_diagonal_pivot_not_resonant(self):
+        # SuperLU's pivots at this shift read 224 zeros, yet the nearest
+        # eigenvalue is 31.96 away; count_below recounts beside it
+        res = run_cli(["certify", "--geometry", "unit-square", "--n", "32",
+                       "--k2", "8192", "--family", "p1", "--istar", "407",
+                       "--max-iters", "1"])
+        assert res.returncode == 0, res.stderr
+
     def test_resonant_k2_exit_6(self):
         res = run_cli(["certify", "--geometry", "unit-square", "--n", "8",
                        "--k2", repr(2 * math.pi ** 2), "--family", "cr",

@@ -184,8 +184,7 @@ def assert_matches_loop(E: EigenSet, i_star: int, extra: int):
 
 
 class TestLoopOracle:
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=20)
+    @settings(max_examples=20)
     @given(family=st.sampled_from([P1, P2, CR]), data=st.data())
     def test_matches_loop_indicator(self, family, data):
         D, N = BoundaryTag.DIRICHLET, BoundaryTag.NEUMANN

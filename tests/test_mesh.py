@@ -158,8 +158,7 @@ def assert_tables_match_loops(m: Mesh):
 
 
 class TestLoopOracle:
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=25)
+    @settings(max_examples=25)
     @given(base=base_meshes(), data=st.data())
     def test_bisection_bit_identical(self, base, data):
         m = base

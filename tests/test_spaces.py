@@ -10,8 +10,8 @@ from helmqo.mesh import (BoundaryTag, Mesh, build_square_with_hole,
 from helmqo.spaces import (CR, P1, P2, FeFunction, assemble_load,
                            assemble_mass, assemble_stiffness, build_space,
                            constrain, constrain_vector, cr_to_p1_average,
-                           expand_free, family_from_name, interpolate,
-                           l2_error, rayleigh_quotient)
+                           cr_to_p2_lift, expand_free, family_from_name,
+                           interpolate, l2_error, rayleigh_quotient)
 from helmqo.sparsela import ldlt, solve
 from helmqo.certify import GaussianBump, SineProduct
 
@@ -253,6 +253,33 @@ class TestAveraging:
         u = interpolate(s, lambda x, y: 1.0 + x * y)
         avg = cr_to_p1_average(u)
         assert np.all(avg.coefficients[avg.space.constrained_dofs] == 0.0)
+
+
+class TestCrToP2Lift:
+    def test_edge_rows_identity_vertex_rows_average(self):
+        # Dirichlet outer boundary: free rows and columns only; the edge
+        # rows being the identity makes the lift injective
+        m = build_unit_square(4)
+        s_cr, s_p2 = build_space(m, CR), build_space(m, P2)
+        L = cr_to_p2_lift(s_cr, s_p2)
+        assert L.shape == (s_p2.n_free, s_cr.n_free)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(s_cr.n_free)
+        lifted = expand_free(s_p2, L @ x)
+        u = FeFunction(s_cr, expand_free(s_cr, x))
+        nv = m.n_vertices
+        assert np.array_equal(lifted[nv:], u.coefficients)
+        assert np.allclose(lifted[:nv], cr_to_p1_average(u).coefficients,
+                           rtol=0.0, atol=1e-14)
+        assert np.all(lifted[m.dirichlet_vertices()] == 0.0)
+
+    def test_rejects_other_spaces(self):
+        m = build_unit_square(2)
+        with pytest.raises(ValueError):
+            cr_to_p2_lift(build_space(m, P1), build_space(m, P2))
+        with pytest.raises(ValueError):
+            cr_to_p2_lift(build_space(m, CR),
+                          build_space(build_unit_square(2), P2))
 
 
 class TestRayleighQuotient:

@@ -1,12 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import helmqo.sparsela
-from helmqo.mesh import BoundaryTag, build_unit_square
-from helmqo.spaces import CR, P1, assemble_mass, assemble_stiffness, \
+from helmqo.mesh import (BoundaryTag, build_unit_square,
+                         build_unit_square_unstructured)
+from helmqo.spaces import CR, P1, P2, assemble_mass, assemble_stiffness, \
     build_space, constrain
 from helmqo.sparsela import (EigenSolveError, EigenSolveOptions,
                              FactorizationError, ResonanceError,
@@ -248,6 +252,56 @@ class TestCountBelow:
             if vals[i + 1] - vals[i] < 1e-8:
                 continue
             assert count_below(A, M, sigma) == i + 1
+
+    def test_forced_off_diagonal_factor_recounted(self):
+        # P1 n = 32 at sigma = 8192: SuperLU is forced off the diagonal and
+        # its pivots read (407, 224, 330), while the nearest eigenvalue is
+        # 31.96 away; the recounts at sigma (1 -+ 1e-8) agree on 407
+        A, M = square_pencil(32)
+        sigma = 8192.0
+        assert ldlt(A, sigma, M).singular
+        w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        assert np.abs(w - sigma).min() > 30.0
+        assert count_below(A, M, sigma) == int((w < sigma).sum()) == 407
+
+    def test_resonance_on_both_paths_against_dense(self):
+        # a 1x1 block with eigenvalue sigma appended to a mesh pencil: the
+        # two recounts straddle it, differ by one, and the shift is resonant
+        A0, M0 = square_pencil(24)       # 529 free dofs: the sparse path
+        for A1, M1 in ((A0, M0), square_pencil(4)):
+            sigma = 250.0
+            A = SparseSymMatrix(sp.block_diag((A1.to_scipy(), [[sigma]])))
+            M = SparseSymMatrix(sp.block_diag((M1.to_scipy(), [[1.0]])))
+            w = scipy.linalg.eigh(A.toarray(), M.toarray(),
+                                  eigvals_only=True)
+            assert np.abs(w - sigma).min() == 0.0
+            with pytest.raises(ResonanceError):
+                count_below(A, M, sigma)
+            assert count_below(A, M, sigma * (1 + 1e-6)) == int(
+                (w <= sigma).sum())
+
+    @settings(max_examples=40)
+    @given(family=st.sampled_from([P1, P2, CR]), n=st.integers(3, 12),
+           seed=st.integers(0, 2 ** 16), jitter=st.floats(0.0, 0.45),
+           data=st.data())
+    def test_adversarial_shifts_sparse_path(self, family, n, seed, jitter,
+                                            data):
+        # a shift equal to a_ii / m_ii puts an exact zero on the diagonal
+        # of A - sigma M, which can force SuperLU off it; the sparse path
+        # is forced at every size and compared with dense eigh
+        space = build_space(build_unit_square_unstructured(
+            n, seed=seed, jitter=jitter), family)
+        A, M = space.pencil
+        i = data.draw(st.integers(0, A.n - 1))
+        sigma = A.to_scipy()[i, i] / M.to_scipy()[i, i]
+        w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        with mock.patch.object(helmqo.sparsela, "DENSE_FACTOR_LIMIT", 0):
+            try:
+                count = count_below(A, M, sigma)
+            except ResonanceError:
+                assert np.abs(w - sigma).min() <= 2e-8 * sigma
+            else:
+                assert count == int((w < sigma).sum())
 
 
 def shifted_pencil(n, family, s):

@@ -2,21 +2,22 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from helmqo.mesh import (build_unit_square, build_unit_square_unstructured,
                          global_mesh_size)
-from helmqo.spaces import CR, P1, assemble_mass, assemble_stiffness, \
-    build_space, constrain, interpolate, rayleigh_quotient
+from helmqo.spaces import CR, P1, P2, assemble_mass, assemble_stiffness, \
+    build_space, constrain, cr_to_p2_lift, interpolate, rayleigh_quotient
 from helmqo.sparsela import EigenSolveError, ResonanceError, count_below
 from helmqo.spectral import (MIN_KAPPA, BoundedEigen, EigenSet,
                              LadderExhaustedError, check_criterion,
-                             compute_bounds, cr_lower_bound, cr_upper_bound,
-                             eigen_ladder, eigenpairs, estimate_index,
+                             compute_bounds, cr_lower_bound, eigen_ladder,
+                             eigenpairs, estimate_index,
                              th_coercivity_constant)
 
 from conftest import (drop_lowest_pair, enumeration_index,
-                      enumeration_spectrum)
+                      enumeration_spectrum, traced_peak)
 
 
 def synthetic_ladder(values, family=P1, n=2):
@@ -113,20 +114,21 @@ class TestBounds:
             with pytest.raises(ValueError, match="kappa"):
                 cr_lower_bound(19.8, 0.1, kappa)
 
-    def test_upper_bound_of_continuous_function(self):
-        # a CR function that is already continuous keeps its Rayleigh
-        # quotient under averaging
+    def test_lift_keeps_continuous_function(self):
+        # a CR function that is already continuous and piecewise affine is
+        # its own P2 lift: the lifted coefficients are the P2 interpolant,
+        # and the Rayleigh quotient does not move
         from helmqo.mesh import BoundaryTag as BT
-        m = build_unit_square(3, tags=BT.NEUMANN)
+        m = build_unit_square_unstructured(4, seed=3, tags=BT.NEUMANN)
         s_cr = build_space(m, CR)
-        s_p1 = build_space(m, P1)
-        u = interpolate(s_cr, lambda x, y: 1.0 + x - 2 * y)
-        A1 = assemble_stiffness(s_p1)
-        M1 = assemble_mass(s_p1)
-        Acr = assemble_stiffness(s_cr)
-        Mcr = assemble_mass(s_cr)
-        assert np.isclose(cr_upper_bound(u, A1, M1),
-                          rayleigh_quotient(u, Acr, Mcr), atol=1e-12)
+        s_p2 = build_space(m, P2)
+        f = lambda x, y: 1.0 + x - 2 * y
+        u = interpolate(s_cr, f)
+        lifted = cr_to_p2_lift(s_cr, s_p2) @ u.coefficients
+        assert np.allclose(lifted, interpolate(s_p2, f).coefficients,
+                           rtol=0.0, atol=1e-14)
+        assert np.isclose(rayleigh_quotient(lifted, *s_p2.pencil),
+                          rayleigh_quotient(u, *s_cr.pencil), rtol=1e-13)
 
     def test_first_upper_bound_above_exact(self):
         E = square_ladder(32, 100.0, CR)
@@ -139,10 +141,11 @@ class TestBounds:
         b = compute_bounds(E)[0]
         assert b.lower <= 2 * math.pi ** 2 <= b.upper
 
-    def test_one_p1_space_per_ladder(self, monkeypatch):
+    def test_one_p2_space_per_ladder(self, monkeypatch):
         import helmqo.spaces
         import helmqo.spectral
         E = square_ladder(8, 100.0, CR)
+        assert len(E) > helmqo.spectral._RITZ_SLICE    # several slices
         built = []
 
         def counting(mesh, family):
@@ -151,14 +154,41 @@ class TestBounds:
         for mod in (helmqo.spaces, helmqo.spectral):
             monkeypatch.setattr(mod, "build_space", counting)
         bounds = compute_bounds(E)
-        assert built == [P1]
+        assert built == [P2]
         monkeypatch.undo()
-        # the same numbers as one fresh P1 space per index
-        s_p1 = build_space(E.space.mesh, P1)
-        A1, M1 = assemble_stiffness(s_p1), assemble_mass(s_p1)
-        assert [b.upper for b in bounds] == [
-            cr_upper_bound(E.eigenfunction(j), A1, M1)
-            for j in range(1, len(E) + 1)]
+        # the numbers of one dense Rayleigh-Ritz step on the whole lifted
+        # block, in any slicing
+        s_p2 = build_space(E.space.mesh, P2)
+        A2, M2 = (B.toarray() for B in s_p2.pencil)
+        Z = cr_to_p2_lift(E.space, s_p2).toarray() @ E.vectors
+        ritz = scipy.linalg.eigh(Z.T @ A2 @ Z, Z.T @ M2 @ Z,
+                                 eigvals_only=True)
+        assert np.allclose([b.upper for b in bounds], ritz, rtol=1e-12,
+                           atol=0.0)
+        for width in (1, 3, len(E)):
+            monkeypatch.setattr(helmqo.spectral, "_RITZ_SLICE", width)
+            assert np.allclose([b.upper for b in compute_bounds(E)], ritz,
+                               rtol=1e-12, atol=0.0)
+
+    def test_dependent_eigenvectors_raise(self):
+        # a repeated column spans too little for a Ritz step at every index
+        E = square_ladder(8, 100.0, CR)
+        E.vectors[:, 3] = E.vectors[:, 2]
+        with pytest.raises(EigenSolveError, match="dependent"):
+            compute_bounds(E)
+
+    def test_gram_slices_not_full_block(self):
+        # the Gram matrices never hold the n_P2 x m lifted block: the
+        # traced peak stays below half of it
+        import helmqo.spectral
+        space = build_space(build_unit_square(48), CR)
+        E = eigenpairs(space, 64)
+        s_p2 = build_space(space.mesh, P2)
+        A2, M2 = s_p2.pencil
+        L = cr_to_p2_lift(space, s_p2)
+        peak = traced_peak(helmqo.spectral._ritz_values, A2, M2, L,
+                           E.vectors)
+        assert peak < 0.5 * s_p2.n_free * len(E) * 8
 
     def test_guaranteed_lower_bounds_hold(self, square_spectrum_20):
         E = square_ladder(16, 100.0, CR, min_pairs=6)
@@ -169,10 +199,10 @@ class TestBounds:
 class TestLowerBoundSoundness:
     """Liu's bound needs no mesh-size condition: every CR eigenvalue of a
     coarse jittered square, at the proven constant, stays below the exact
-    one of the same index (multiplicities included)."""
+    one of the same index (multiplicities included).  The Rayleigh-Ritz
+    upper bound of the same index stays above it."""
 
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=30)
+    @settings(max_examples=30)
     @given(n=st.integers(2, 10), seed=st.integers(0, 2 ** 16),
            jitter=st.floats(0.0, 0.45))
     def test_lower_below_exact_at_every_index(self, n, seed, jitter):
@@ -184,6 +214,9 @@ class TestLowerBoundSoundness:
         lower = np.array([cr_lower_bound(lam, h, MIN_KAPPA)
                           for lam in E.values])
         assert (lower <= exact).all()
+        bounds = compute_bounds(E, MIN_KAPPA)
+        assert [b.lower for b in bounds] == lower.tolist()
+        assert (exact <= np.array([b.upper for b in bounds])).all()
 
 
 class TestEstimateIndex:
