@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.sparse.linalg import splu
 
 from .mesh import (Mesh, build_geometry, element_diameters,
                    global_mesh_size, refine_bisection, refine_uniform)
@@ -28,9 +29,9 @@ from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
                      expand_free, l2_error)
 from .sparsela import (EigenSolveOptions, ResonanceError, count_below, ldlt,
                        solve)
-from .spectral import (DEFAULT_KAPPA, BoundedEigen, LadderExhaustedError,
-                       check_criterion, compute_bounds, eigen_ladder,
-                       estimate_index)
+from .spectral import (DEFAULT_KAPPA, BoundedEigen, Criterion,
+                       LadderExhaustedError, check_criterion, compute_bounds,
+                       eigen_ladder, estimate_index)
 from .estimator import mark_half_max, residual_indicator
 
 ALPHA_WARN_THRESHOLD = 1e-6
@@ -110,16 +111,19 @@ def dirichlet_unit_square(spec: ProblemSpec, mesh: Mesh) -> bool:
 def solve_helmholtz(spec: ProblemSpec, mesh: Mesh) -> FeFunction:
     """Solve the indefinite Helmholtz system on the given mesh.
 
-    The constrained system (stiffness - k^2 mass) is factorized by LDL^T;
-    a zero pivot means k^2 is numerically a discrete eigenvalue and raises
-    :class:`ResonanceError`.  Relative residual <= 1e-10.
+    The constrained system (stiffness - k^2 mass) is factorized by LDL^T.
+    A factor with a zero pivot, or one SuperLU had to pivot off the
+    diagonal, cannot solve: then :func:`count_below` either proves that no
+    discrete eigenvalue lies within 1e-8 of k^2 (relative) or raises
+    :class:`ResonanceError`, and the system is solved by partial-pivoting
+    LU.  Relative residual <= 1e-10, else :class:`ResonanceError`.
     """
     return _solve(spec, build_space(mesh, spec.family))[0]
 
 
 def _solve(spec: ProblemSpec, space: DofSpace) -> tuple[FeFunction, int]:
-    """The solution and, by Sylvester's law of inertia on the same LDL^T,
-    the number of discrete eigenvalues below k^2."""
+    """The solution and, by Sylvester's law of inertia, the number of
+    discrete eigenvalues below k^2."""
     if spec.rhs is None:
         raise ValueError("problem has no right-hand side")
     if space.n_free == 0:
@@ -128,12 +132,18 @@ def _solve(spec: ProblemSpec, space: DofSpace) -> tuple[FeFunction, int]:
     b = constrain_vector(space,
                          assemble_load(space, spec.rhs, spec.load_degree))
     F = ldlt(A, spec.k2, M)
-    if F.n_zero > 0:
-        raise ResonanceError(
-            f"k^2 = {spec.k2!r} is numerically a discrete eigenvalue on "
-            "this mesh; refine the mesh or perturb k^2")
-    x = solve(F, b)
-    return FeFunction(space, expand_free(space, x)), F.n_neg
+    if F.n_zero == 0:
+        x, below = solve(F, b), F.n_neg
+    else:
+        # a flagged factor cannot solve; once the recounts prove k^2 is no
+        # eigenvalue, partial pivoting can
+        below = count_below(A, M, spec.k2)
+        x = splu(F.matrix.tocsc()).solve(b)
+        if np.linalg.norm(F.matrix @ x - b) > 1e-10 * np.linalg.norm(b):
+            raise ResonanceError(
+                f"k^2 = {spec.k2!r} is numerically a discrete eigenvalue "
+                "on this mesh; refine the mesh or perturb k^2")
+    return FeFunction(space, expand_free(space, x)), below
 
 
 # -- unit-square spectrum oracle -------------------------------------------
@@ -368,11 +378,7 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
             rec = IterationRecord(space.n_free, h, index, crit.lambda_lo,
                                   crit.lambda_hi, k2 - crit.lambda_lo,
                                   None, crit.satisfied)
-            if crit.satisfied and crit.alpha_star < ALPHA_WARN_THRESHOLD:
-                report.warnings.append(
-                    f"iteration {len(report.iterations)}: coercivity "
-                    f"constant {crit.alpha_star:.2e} is tiny; k^2 is nearly "
-                    "resonant")
+            _warn_if_nearly_resonant(crit, report)
         report.iterations.append(rec)
         if rec.certified:
             done = True
@@ -423,13 +429,13 @@ def _estimate_cr(space: DofSpace, k2: float, h: float, extra: int,
                  kappa: float, opts: EigenSolveOptions | None,
                  report: CertificationReport):
     """One guaranteed-bounds ESTIMATE; returns (record, ladder, bounds)."""
+    no_estimate = (IterationRecord(space.n_free, h, None, None, None, None,
+                                   None, False), None, None)
     # the lower bound saturates at 1/(kappa h)^2: below that, no ladder
     # length can clear k^2 and the mesh must be refined first
     cap = 1.0 / (kappa * h) ** 2
     if cap <= k2 * 1.01:
-        rec = IterationRecord(space.n_free, h, None, None, None, None,
-                              None, False)
-        return rec, None, None
+        return no_estimate
     lam_need = k2 / (1.0 - k2 * (kappa * h) ** 2)
     # the j* guess lands at count_below(lam_need); carry `extra` more pairs
     # for the averaged indicator plus one for the criterion check
@@ -446,20 +452,22 @@ def _estimate_cr(space: DofSpace, k2: float, h: float, extra: int,
     try:
         est = estimate_index(bounds, k2)
     except LadderExhaustedError:
-        rec = IterationRecord(space.n_free, h, None, None, None, None,
-                              None, False)
-        return rec, None, None
+        return no_estimate
     crit = check_criterion(E, k2, est.j_star)
     certified = bool(est.certified and crit.satisfied)
     rec = IterationRecord(space.n_free, h, est.j_star, crit.lambda_lo,
                           crit.lambda_hi, k2 - crit.lambda_lo,
                           est.enclosure_width if est.j_star else 0.0,
                           certified)
+    _warn_if_nearly_resonant(crit, report)
+    return rec, E, bounds
+
+
+def _warn_if_nearly_resonant(crit: Criterion, report: CertificationReport) -> None:
     if crit.satisfied and crit.alpha_star < ALPHA_WARN_THRESHOLD:
         report.warnings.append(
             f"iteration {len(report.iterations)}: coercivity constant "
             f"{crit.alpha_star:.2e} is tiny; k^2 is nearly resonant")
-    return rec, E, bounds
 
 
 # -- convergence studies ------------------------------------------------------

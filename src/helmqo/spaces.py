@@ -295,15 +295,12 @@ def _eval_rhs(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def constrain(space: DofSpace, A: SparseSymMatrix) -> SparseSymMatrix:
-    """Restrict a matrix assembled on all dofs to the free x free block.
-
-    The free-to-full index map is retained on the result (``dof_map``).
-    """
+    """Restrict a matrix assembled on all dofs to the free x free block."""
     if A.n != space.ndof:
         raise ValueError("matrix dimension does not match the space")
     free = space.free_dofs
     sub = A.to_scipy()[free][:, free]
-    return SparseSymMatrix(sub, dof_map=free.copy())
+    return SparseSymMatrix(sub)
 
 
 def constrain_vector(space: DofSpace, b: np.ndarray) -> np.ndarray:

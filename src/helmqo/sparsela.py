@@ -3,10 +3,9 @@
 CSR symmetric storage, LDL^T factorization of ``A - sigma*M`` with inertia
 extraction (Sylvester eigenvalue counting), triangular solves with iterative
 refinement, and a shift-invert Lanczos eigensolver for the smallest
-generalized eigenpairs.  Small systems are factorized densely with
-Bunch-Kaufman pivoting (1x1 and 2x2 pivot blocks); larger ones go through a
-symmetric-mode sparse LU restricted to diagonal pivoting, which yields the
-same unit-lower/diagonal decomposition.
+generalized eigenpairs.  Every factorization is one symmetric-mode SuperLU
+LU restricted to diagonal pivoting, which yields a unit-lower/diagonal
+decomposition with a diagonal D.
 
 Sparse pivots are read only where an inertia count is needed
 (:func:`count_below`, :func:`solve`, or a read of a factorization's
@@ -17,7 +16,6 @@ lives; the shift-invert factor of :func:`eigs_smallest` never makes them.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +24,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import structural_rank
 
-DENSE_FACTOR_LIMIT = 400
 DENSE_EIG_LIMIT = 200
 RECOUNT_RTOL = 1e-8     # relative shift of count_below's two recounts
 
@@ -50,12 +47,10 @@ class EigenSolveError(RuntimeError):
 class SparseSymMatrix:
     """Symmetric sparse matrix in CSR form storing the full pattern.
 
-    The wrapped matrix must be exactly symmetric (this is checked).  An
-    optional ``dof_map`` records the embedding of this matrix's rows into a
-    larger DOF set, as produced by constraining.
+    The wrapped matrix must be exactly symmetric (this is checked).
     """
 
-    def __init__(self, mat, dof_map: np.ndarray | None = None):
+    def __init__(self, mat):
         m = sp.csr_matrix(mat)
         m.sum_duplicates()
         m.sort_indices()
@@ -65,7 +60,6 @@ class SparseSymMatrix:
         if d.nnz and abs(d).max() > 0:
             raise ValueError("matrix must be symmetric")
         self._m = m
-        self.dof_map = dof_map
 
     @property
     def n(self) -> int:
@@ -91,14 +85,6 @@ class SparseSymMatrix:
 
     def __matmul__(self, other):
         return self._m @ other
-
-    def to_matrix_market(self) -> str:
-        """Serialize in MatrixMarket coordinate symmetric format."""
-        import scipy.io     # deferred: nothing else needs it at startup
-        buf = io.BytesIO()
-        scipy.io.mmwrite(buf, sp.coo_matrix(sp.tril(self._m)),
-                         symmetry="symmetric")
-        return buf.getvalue().decode()
 
     def __repr__(self) -> str:
         return f"SparseSymMatrix(n={self.n}, nnz={self._m.nnz})"
@@ -135,16 +121,16 @@ class Factorization:
 
     ``perm`` is the fill-reducing permutation, ``inertia`` the triple
     (n_neg, n_zero, n_pos) of pivot signs.  ``L`` is unit lower triangular
-    and ``D`` block diagonal with 1x1 and (dense path only) 2x2 blocks.
+    and ``D`` diagonal: SuperLU's U is D L^T.
 
-    The dense path and an exactly singular sparse factor know their
-    inertia at construction.  Otherwise the first read of ``inertia`` (or
-    ``n_neg``, ``n_zero``, ``n_pos``), ``L`` or ``D`` reads the sparse
-    pivots, and SuperLU keeps CSC copies of L and U for the factor's
-    lifetime; the inertia is cached.  ``singular`` and solves need neither.
+    An exactly singular factor knows its inertia at construction.
+    Otherwise the first read of ``inertia`` (or ``n_neg``, ``n_zero``,
+    ``n_pos``), ``L`` or ``D`` reads the pivots, and SuperLU keeps CSC
+    copies of L and U for the factor's lifetime; the inertia is cached.
+    ``singular`` and solves need neither.
     """
 
-    def __init__(self, matrix: sp.csr_matrix, sigma: float, mode: str,
+    def __init__(self, matrix: sp.csr_matrix, sigma: float,
                  perm: np.ndarray, inertia: tuple[int, int, int] | None,
                  payload, tol: float = 0.0):
         self.matrix = matrix
@@ -153,16 +139,13 @@ class Factorization:
         self.perm = perm
         self._inertia = inertia
         self._tol = tol
-        self._mode = mode
         self._payload = payload
 
     @property
     def singular(self) -> bool:
-        """Whether the factor is known singular without reading sparse
-        pivots: ``ldlt``'s exactly singular path, an off-diagonal pivot
-        SuperLU was forced into, or a zero dense pivot."""
-        if self._mode == "dense":
-            return self.n_zero > 0
+        """Whether the factor is known singular without reading its
+        pivots: ``ldlt``'s exactly singular path, or an off-diagonal pivot
+        SuperLU was forced into."""
         lu = self._payload
         return lu is None or not np.array_equal(lu.perm_r, lu.perm_c)
 
@@ -196,77 +179,15 @@ class Factorization:
     @property
     def L(self):
         """Unit lower-triangular factor (rows in permuted order)."""
-        if self._mode == "superlu":
-            return self._payload.L
-        lu, _, perm = self._payload
-        return lu[perm]
+        return self._payload.L
 
     @property
     def D(self):
-        """Block-diagonal factor: P K P^T = L D L^T."""
-        if self._mode == "superlu":
-            return sp.diags(self._payload.U.diagonal())
-        _, d, _ = self._payload
-        return d
+        """Diagonal factor: P K P^T = L D L^T."""
+        return sp.diags(self._payload.U.diagonal())
 
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
-        if self._mode == "superlu":
-            return self._payload.solve(b)
-        # K = lu @ d @ lu.T with lu[perm] lower triangular
-        lu, d, perm = self._payload
-        lo = lu[perm]
-        z = sla.solve_triangular(lo, b[perm], lower=True, unit_diagonal=True)
-        w = _block_diag_solve(d, z)
-        y = sla.solve_triangular(lo.T, w, lower=False, unit_diagonal=True)
-        x = np.empty_like(y)
-        x[perm] = y
-        return x
-
-
-def _block_diag_solve(d: np.ndarray, z: np.ndarray) -> np.ndarray:
-    n = len(z)
-    w = np.empty_like(z)
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i, i + 1] != 0.0:
-            a, b_, c = d[i, i], d[i, i + 1], d[i + 1, i + 1]
-            det = a * c - b_ * b_
-            w[i] = (c * z[i] - b_ * z[i + 1]) / det
-            w[i + 1] = (a * z[i + 1] - b_ * z[i]) / det
-            i += 2
-        else:
-            w[i] = z[i] / d[i, i]
-            i += 1
-    return w
-
-
-def _dense_inertia(d: np.ndarray, tol: float) -> tuple[int, int, int]:
-    n = len(d)
-    neg = zero = pos = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and (d[i, i + 1] != 0.0 or d[i + 1, i] != 0.0):
-            a, b, c = d[i, i], d[i, i + 1], d[i + 1, i + 1]
-            mid = 0.5 * (a + c)
-            disc = np.hypot(0.5 * (a - c), b)
-            for ev in (mid + disc, mid - disc):
-                if ev > tol:
-                    pos += 1
-                elif ev < -tol:
-                    neg += 1
-                else:
-                    zero += 1
-            i += 2
-        else:
-            ev = d[i, i]
-            if ev > tol:
-                pos += 1
-            elif ev < -tol:
-                neg += 1
-            else:
-                zero += 1
-            i += 1
-    return neg, zero, pos
+        return self._payload.solve(b)
 
 
 def ldlt(A: SparseSymMatrix, sigma: float = 0.0,
@@ -297,12 +218,6 @@ def ldlt(A: SparseSymMatrix, sigma: float = 0.0,
         raise ValueError("empty matrix")
     tol = n * np.finfo(float).eps * max(scale, np.finfo(float).tiny)
 
-    if n <= DENSE_FACTOR_LIMIT:
-        lu, d, perm = sla.ldl(K.toarray(), lower=True)
-        inertia = _dense_inertia(d, tol)
-        return Factorization(K, sigma, "dense", np.asarray(perm), inertia,
-                             (lu, d, np.asarray(perm)))
-
     # SuperLU may crash rather than raise on a structurally singular
     # matrix; only a zero on the diagonal makes one possible
     singular = (K.diagonal() == 0.0).any() and structural_rank(K) < n
@@ -317,11 +232,9 @@ def ldlt(A: SparseSymMatrix, sigma: float = 0.0,
             singular = True
     if singular:
         # an exactly singular factor leaves the pivot signs unknown
-        return Factorization(K, sigma, "superlu", np.arange(n), (0, n, 0),
-                             None)
+        return Factorization(K, sigma, np.arange(n), (0, n, 0), None)
     # with perm = argsort(perm_c): K[perm][:, perm] == L @ U
-    return Factorization(K, sigma, "superlu", np.argsort(lu.perm_c), None,
-                         lu, tol)
+    return Factorization(K, sigma, np.argsort(lu.perm_c), None, lu, tol)
 
 
 def solve(F: Factorization, b: np.ndarray) -> np.ndarray:

@@ -9,10 +9,12 @@ import helmqo.certify
 from helmqo.mesh import (build_square_with_hole, build_unit_square,
                          build_unit_square_unstructured, element_diameters,
                          refine_uniform)
-from helmqo.spaces import CR, P1, P2, build_space, l2_error
+from helmqo.spaces import (CR, P1, P2, assemble_load, build_space,
+                           constrain_vector, l2_error)
 from helmqo.spectral import (DEFAULT_KAPPA, BoundedEigen, cr_lower_bound,
                              eigen_ladder)
-from helmqo.sparsela import EigenSolveError, ResonanceError, count_below
+from helmqo.sparsela import (EigenSolveError, ResonanceError, count_below,
+                             ldlt)
 from helmqo.certify import (GaussianBump, ProblemSpec,
                             SineProduct, convergence_study, run_gmr,
                             sine_series_reference, solve_helmholtz,
@@ -84,6 +86,23 @@ class TestSolveHelmholtz:
     def test_missing_rhs(self):
         with pytest.raises(ValueError):
             solve_helmholtz(ProblemSpec(P1, 10.0), build_unit_square(4))
+
+    @pytest.mark.parametrize("n,k2", [(32, 8192.0), (8, 512.0)])
+    def test_flagged_factor_solved(self, n, k2):
+        # k^2 = a_ii / m_ii for some i: SuperLU's LDL^T is flagged and
+        # cannot solve, but k^2 is no discrete eigenvalue
+        spec = ProblemSpec(P1, k2, rhs=GaussianBump(center=(0.6, 0.7)))
+        mesh = build_unit_square(n)
+        space = build_space(mesh, P1)
+        A, M = space.pencil
+        assert ldlt(A, k2, M).n_zero > 0
+        K = A.toarray() - k2 * M.toarray()
+        b = constrain_vector(space, assemble_load(space, spec.rhs,
+                                                  spec.load_degree))
+        x = np.linalg.solve(K, b)
+        u = solve_helmholtz(spec, mesh)
+        assert (np.linalg.norm(u.coefficients[space.free_dofs] - x)
+                <= 1e-9 * np.linalg.norm(x))
 
 
 class TestSineSeriesReference:

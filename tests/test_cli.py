@@ -271,6 +271,14 @@ class TestStudyCommand:
         assert lines[0] == "h,ndof,error,EV_i,EV_ipo"
         assert len(lines) == 3
 
+    def test_flagged_factor_not_resonant(self, tmp_path):
+        # SuperLU's LDL^T at k^2 = 8192 is forced off the diagonal, yet the
+        # nearest eigenvalue is 31.96 away: the solve goes ahead
+        res = run_cli(["study", "--geometry", "unit-square", "--n", "32",
+                       "--k2", "8192", "--family", "p1", "--refinements",
+                       "1", "-o", str(tmp_path / "study.csv")])
+        assert res.returncode == 0, res.stderr
+
     def test_seed_env_override(self, tmp_path):
         out = tmp_path / "s.csv"
         res = run_cli(["study", "--geometry", "unit-square", "--n", "8",

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 import helmqo.sparsela
 from helmqo.mesh import (BoundaryTag, build_unit_square,
                          build_unit_square_unstructured)
-from helmqo.spaces import CR, P1, P2, assemble_mass, assemble_stiffness, \
-    build_space, constrain
+from helmqo.certify import ProblemSpec, SineProduct, solve_helmholtz
+from helmqo.spaces import CR, P1, P2, assemble_load, assemble_mass, \
+    assemble_stiffness, build_space, constrain, constrain_vector
 from helmqo.sparsela import (EigenSolveError, EigenSolveOptions,
                              FactorizationError, ResonanceError,
                              SparseSymMatrix, count_below, eigs_smallest,
@@ -37,15 +37,6 @@ class TestSparseSymMatrix:
         with pytest.raises(ValueError):
             sym([[1.0, 2.0], [0.0, 1.0]])
 
-    def test_matrix_market_round_trip(self):
-        import io
-        import scipy.io
-        A, _ = square_pencil(3)
-        text = A.to_matrix_market()
-        assert "symmetric" in text.splitlines()[0]
-        B = scipy.io.mmread(io.BytesIO(text.encode())).tocsr()
-        assert abs(A.to_scipy() - B).max() < 1e-15
-
 
 class TestLdlt:
     def test_diagonal_inertia(self):
@@ -68,10 +59,10 @@ class TestLdlt:
 
     @pytest.mark.parametrize("coupled", [False, True])
     def test_exactly_singular_sparse_factor_reported(self, coupled):
-        # past DENSE_FACTOR_LIMIT, so the sparse path meets the zero pivot:
-        # an empty column at the shift 7 (structurally singular), or the
-        # block [[8, 1], [1, 8]] - 7 I with a full diagonal (singular by
-        # value); the eigenvalues below 7.5 are 1..7 either way
+        # the zero pivot is an empty column at the shift 7 (structurally
+        # singular), or the block [[8, 1], [1, 8]] - 7 I with a full
+        # diagonal (singular by value); the eigenvalues below 7.5 are 1..7
+        # either way
         A = sp.lil_matrix(sp.diags(np.arange(1.0, 501.0)))
         if coupled:
             A[6, 6], A[6, 7], A[7, 6] = 8.0, 1.0, 1.0
@@ -92,27 +83,20 @@ class TestLdlt:
         A, M = square_pencil(n)
         assert ldlt(A, 100.0, M).n_neg == enumeration_index(100.0) == 6
 
-    def test_reconstruction_dense_path(self):
-        rng = np.random.default_rng(3)
-        B = rng.standard_normal((40, 40))
-        K = B + B.T
-        F = ldlt(sym(K))
-        L = np.asarray(F.L)
-        D = np.asarray(F.D)
-        P = F.perm
-        assert np.allclose(L @ D @ L.T, K[np.ix_(P, P)], atol=1e-10)
-        assert sum(F.inertia) == 40
-
     def test_reconstruction_superlu_path(self):
-        A, M = square_pencil(16)   # 225 dofs... still dense; use CR
+        # a random indefinite 40 x 40 K, and a CR pencil at an indefinite
+        # shift
+        B = np.random.default_rng(3).standard_normal((40, 40))
         A, M = square_pencil(16, CR)
-        F = ldlt(A, 50.0, M)
-        K = (A.to_scipy() - 50.0 * M.to_scipy()).toarray()
-        L = F.L.toarray()
-        D = F.D.toarray()
-        P = F.perm
-        assert np.allclose(L @ D @ L.T, K[np.ix_(P, P)], atol=1e-8)
-        assert sum(F.inertia) == A.n
+        K_cr = (A.to_scipy() - 50.0 * M.to_scipy()).toarray()
+        for F, K, atol in ((ldlt(sym(B + B.T)), B + B.T, 1e-10),
+                           (ldlt(A, 50.0, M), K_cr, 1e-8)):
+            L = F.L.toarray()
+            D = F.D.toarray()
+            P = F.perm
+            assert np.allclose(L @ D @ L.T, K[np.ix_(P, P)], atol=atol)
+            w = np.linalg.eigvalsh(K)
+            assert F.inertia == ((w < 0).sum(), 0, (w > 0).sum())
 
 
 class TestSolve:
@@ -267,7 +251,7 @@ class TestCountBelow:
     def test_resonance_on_both_paths_against_dense(self):
         # a 1x1 block with eigenvalue sigma appended to a mesh pencil: the
         # two recounts straddle it, differ by one, and the shift is resonant
-        A0, M0 = square_pencil(24)       # 529 free dofs: the sparse path
+        A0, M0 = square_pencil(24)       # 529 free dofs
         for A1, M1 in ((A0, M0), square_pencil(4)):
             sigma = 250.0
             A = SparseSymMatrix(sp.block_diag((A1.to_scipy(), [[sigma]])))
@@ -287,21 +271,32 @@ class TestCountBelow:
     def test_adversarial_shifts_sparse_path(self, family, n, seed, jitter,
                                             data):
         # a shift equal to a_ii / m_ii puts an exact zero on the diagonal
-        # of A - sigma M, which can force SuperLU off it; the sparse path
-        # is forced at every size and compared with dense eigh
+        # of A - sigma M, which can force SuperLU off it; the count and the
+        # Helmholtz solve at that shift are compared with dense eigh
         space = build_space(build_unit_square_unstructured(
             n, seed=seed, jitter=jitter), family)
         A, M = space.pencil
         i = data.draw(st.integers(0, A.n - 1))
         sigma = A.to_scipy()[i, i] / M.to_scipy()[i, i]
         w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
-        with mock.patch.object(helmqo.sparsela, "DENSE_FACTOR_LIMIT", 0):
-            try:
-                count = count_below(A, M, sigma)
-            except ResonanceError:
-                assert np.abs(w - sigma).min() <= 2e-8 * sigma
-            else:
-                assert count == int((w < sigma).sum())
+        try:
+            count = count_below(A, M, sigma)
+        except ResonanceError:
+            assert np.abs(w - sigma).min() <= 2e-8 * sigma
+        else:
+            assert count == int((w < sigma).sum())
+        spec = ProblemSpec(family, sigma, rhs=SineProduct())
+        b = constrain_vector(space, assemble_load(space, spec.rhs,
+                                                  spec.load_degree))
+        try:
+            u = solve_helmholtz(spec, space.mesh)
+        except ResonanceError:
+            assert np.abs(w - sigma).min() <= 2e-8 * sigma
+        else:
+            x = u.coefficients[space.free_dofs]
+            K = A.to_scipy() - sigma * M.to_scipy()
+            assert (np.linalg.norm(K @ x - b)
+                    <= 1e-10 * np.linalg.norm(b))
 
 
 def shifted_pencil(n, family, s):
@@ -320,7 +315,7 @@ class TestEigsSmallestContract:
     @pytest.mark.parametrize("family,n", [(P1, 40), (CR, 24)], ids=str)
     def test_negative_eigenvalue_raises(self, family, n, s):
         A, M = shifted_pencil(n, family, s)
-        assert A.n > helmqo.sparsela.DENSE_FACTOR_LIMIT
+        assert A.n > helmqo.sparsela.DENSE_EIG_LIMIT
         with pytest.raises(EigenSolveError, match="semidefinite"):
             eigs_smallest(A, M, EigenSolveOptions(m=3))
 
@@ -353,7 +348,7 @@ class TestEigsSmallestContract:
         space = build_space(build_unit_square(24, tags=BoundaryTag.NEUMANN),
                             P1)
         A, M = space.pencil
-        assert A.n > helmqo.sparsela.DENSE_FACTOR_LIMIT
+        assert A.n > helmqo.sparsela.DENSE_EIG_LIMIT
         res = eigs_smallest(A, M, EigenSolveOptions(m=3))
         assert abs(res.values[0]) < 1e-9
         assert np.allclose(res.values[1:], math.pi ** 2, rtol=1e-2)
