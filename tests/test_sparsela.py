@@ -83,20 +83,25 @@ class TestLdlt:
         A, M = square_pencil(n)
         assert ldlt(A, 100.0, M).n_neg == enumeration_index(100.0) == 6
 
-    def test_reconstruction_superlu_path(self):
-        # a random indefinite 40 x 40 K, and a CR pencil at an indefinite
-        # shift
+    @staticmethod
+    def assert_reconstructs(F, K, atol):
+        L = F.L.toarray()
+        D = F.D.toarray()
+        P = F.perm
+        assert np.allclose(L @ D @ L.T, K[np.ix_(P, P)], atol=atol)
+        w = np.linalg.eigvalsh(K)
+        assert F.inertia == ((w < 0).sum(), 0, (w > 0).sum())
+
+    def test_reconstruction_dense_path(self):
+        # a random indefinite 40 x 40 K, fully populated
         B = np.random.default_rng(3).standard_normal((40, 40))
+        self.assert_reconstructs(ldlt(sym(B + B.T)), B + B.T, 1e-10)
+
+    def test_reconstruction_superlu_path(self):
+        # a CR pencil at an indefinite shift
         A, M = square_pencil(16, CR)
-        K_cr = (A.to_scipy() - 50.0 * M.to_scipy()).toarray()
-        for F, K, atol in ((ldlt(sym(B + B.T)), B + B.T, 1e-10),
-                           (ldlt(A, 50.0, M), K_cr, 1e-8)):
-            L = F.L.toarray()
-            D = F.D.toarray()
-            P = F.perm
-            assert np.allclose(L @ D @ L.T, K[np.ix_(P, P)], atol=atol)
-            w = np.linalg.eigvalsh(K)
-            assert F.inertia == ((w < 0).sum(), 0, (w > 0).sum())
+        K = (A.to_scipy() - 50.0 * M.to_scipy()).toarray()
+        self.assert_reconstructs(ldlt(A, 50.0, M), K, 1e-8)
 
 
 class TestSolve:
