@@ -14,8 +14,7 @@ import numpy as np
 
 from helmqo import (CR, MIN_KAPPA, build_space, build_unit_square,
                     build_unit_square_unstructured, compute_bounds,
-                    eigen_ladder, eigenpairs, global_mesh_size,
-                    unit_square_spectrum)
+                    eigen_ladder, eigenpairs, unit_square_spectrum)
 
 exact = unit_square_spectrum(8)
 
@@ -51,7 +50,7 @@ Notes
 mesh = build_unit_square_unstructured(6, seed=1)
 space = build_space(mesh, CR)
 bounds = compute_bounds(eigenpairs(space, space.n_free), MIN_KAPPA)
-h = global_mesh_size(mesh)
+h = mesh.h
 exact = unit_square_spectrum(len(bounds))
 lower = np.array([b.lower for b in bounds])
 upper = np.array([b.upper for b in bounds])

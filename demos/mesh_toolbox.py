@@ -6,9 +6,8 @@ Run with:  python demos/mesh_toolbox.py
 import numpy as np
 
 from helmqo import (BoundaryTag, build_square_with_hole, build_unit_square,
-                    build_unit_square_unstructured, element_diameters,
-                    global_mesh_size, minimum_angle, read_mesh,
-                    refine_bisection, refine_uniform, write_mesh)
+                    build_unit_square_unstructured, minimum_angle,
+                    read_mesh, refine_bisection, refine_uniform, write_mesh)
 
 print("=" * 64)
 print("Built-in geometries")
@@ -16,7 +15,7 @@ print("=" * 64)
 
 square = build_unit_square(4)
 print(f"unit square, n=4: {square}")
-print(f"  global mesh size h = {global_mesh_size(square):.4f} "
+print(f"  global mesh size h = {square.h:.4f} "
       f"(expected sqrt(2)/4 = {np.sqrt(2)/4:.4f})")
 
 hole = build_square_with_hole(2.0, 1.0, 8,
@@ -44,7 +43,7 @@ m = square
 for level in range(3):
     m = refine_uniform(m)
     print(f"  red level {level + 1}: {m.n_triangles} triangles, "
-          f"h = {global_mesh_size(m):.4f}")
+          f"h = {m.h:.4f}")
 
 # adaptive-style bisection: mark the triangles nearest the origin
 m = build_unit_square(4)
@@ -59,9 +58,9 @@ for level in range(4):
           f"min angle {np.degrees(minimum_angle(m)):.1f} deg "
           f"(bounded: finitely many similarity classes)")
 
-smallest = element_diameters(m).min()
+smallest = m.diameters.min()
 print(f"local refinement: smallest element {smallest:.4f} vs supremum "
-      f"{global_mesh_size(m):.4f}")
+      f"{m.h:.4f}")
 
 print()
 print("=" * 64)

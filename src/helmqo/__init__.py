@@ -11,7 +11,6 @@ Helmholtz discretization.
 from .mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
                    build_geometry, build_square_with_hole,
                    build_unit_square, build_unit_square_unstructured,
-                   element_diameter, element_diameters, global_mesh_size,
                    minimum_angle, read_mesh, refine_bisection,
                    refine_uniform, write_mesh)
 from .quadrature import QuadratureRule, triangle_rule
@@ -23,8 +22,8 @@ from .spaces import (CR, P1, P2, DofSpace, ElementFamily, FeFunction,
                      rayleigh_quotient)
 from .sparsela import (EigenResult, EigenSolveError, EigenSolveOptions,
                        Factorization, FactorizationError, ResonanceError,
-                       SparseSymMatrix, count_below, eigs_smallest, ldlt,
-                       solve)
+                       SparseSymMatrix, count_below, count_from_factor,
+                       eigs_smallest, ldlt, solve)
 from .spectral import (MIN_KAPPA, BoundedEigen, Criterion, EigenSet,
                        IndexEstimate, LadderExhaustedError, check_criterion,
                        compute_bounds, cr_lower_bound, eigen_ladder,

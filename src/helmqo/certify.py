@@ -22,13 +22,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.sparse.linalg import splu
 
-from .mesh import (Mesh, build_geometry, element_diameters,
-                   global_mesh_size, refine_bisection, refine_uniform)
+from .mesh import Mesh, build_geometry, refine_bisection, refine_uniform
 from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
                      assemble_load, build_space, constrain_vector,
                      expand_free, l2_error)
-from .sparsela import (EigenSolveOptions, ResonanceError, count_below, ldlt,
-                       solve)
+from .sparsela import (EigenSolveOptions, ResonanceError, count_below,
+                       count_from_factor, ldlt, solve)
 from .spectral import (DEFAULT_KAPPA, BoundedEigen, Criterion,
                        LadderExhaustedError, check_criterion, compute_bounds,
                        eigen_ladder, estimate_index)
@@ -113,10 +112,11 @@ def solve_helmholtz(spec: ProblemSpec, mesh: Mesh) -> FeFunction:
 
     The constrained system (stiffness - k^2 mass) is factorized by LDL^T.
     A factor with a zero pivot, or one SuperLU had to pivot off the
-    diagonal, cannot solve: then :func:`count_below` either proves that no
-    discrete eigenvalue lies within 1e-8 of k^2 (relative) or raises
-    :class:`ResonanceError`, and the system is solved by partial-pivoting
-    LU.  Relative residual <= 1e-10, else :class:`ResonanceError`.
+    diagonal, cannot solve: then :func:`count_from_factor` either proves
+    that no discrete eigenvalue lies within 1e-8 of k^2 (relative) or
+    raises :class:`ResonanceError`, and the system is solved by
+    partial-pivoting LU.  Relative residual <= 1e-10, else
+    :class:`ResonanceError`.
     """
     return _solve(spec, build_space(mesh, spec.family))[0]
 
@@ -132,12 +132,12 @@ def _solve(spec: ProblemSpec, space: DofSpace) -> tuple[FeFunction, int]:
     b = constrain_vector(space,
                          assemble_load(space, spec.rhs, spec.load_degree))
     F = ldlt(A, spec.k2, M)
+    below = count_from_factor(F, A, M)
     if F.n_zero == 0:
-        x, below = solve(F, b), F.n_neg
+        x = solve(F, b)
     else:
         # a flagged factor cannot solve; once the recounts prove k^2 is no
         # eigenvalue, partial pivoting can
-        below = count_below(A, M, spec.k2)
         x = splu(F.matrix.tocsc()).solve(b)
         if np.linalg.norm(F.matrix @ x - b) > 1e-10 * np.linalg.norm(b):
             raise ResonanceError(
@@ -344,6 +344,10 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
     """
     if refine_mode not in ("uniform", "adaptive"):
         raise ValueError(f"unknown refine mode {refine_mode!r}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if extra < 0:
+        raise ValueError(f"extra must be >= 0, got {extra}")
     use_cr = i_star_source == "cr"
     if use_cr and spec.family != CR:
         raise ValueError("guaranteed index estimation requires the "
@@ -359,7 +363,7 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
     done = False
     while len(report.iterations) < max_iters:
         space = build_space(mesh, spec.family)
-        h = global_mesh_size(mesh)
+        h = mesh.h
         if use_cr:
             rec, E, bounds = _estimate_cr(space, k2, h, extra, kappa, opts,
                                           report)
@@ -422,7 +426,7 @@ def _certification_blockers(mesh: Mesh, bounds: list[BoundedEigen],
     if i:
         b = bounds[i - 1]
         threshold = min(threshold, h_max(b.lam, b.upper - (k2 - b.lam)))
-    return set(np.flatnonzero(element_diameters(mesh) > threshold).tolist())
+    return set(np.flatnonzero(mesh.diameters > threshold).tolist())
 
 
 def _estimate_cr(space: DofSpace, k2: float, h: float, extra: int,
@@ -489,23 +493,23 @@ def study_to_csv(records: Sequence[StudyRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def convergence_study(spec: ProblemSpec, refinements: int,
-                      initial_n: int = 8, i_star: int | None = None,
+def convergence_study(spec: ProblemSpec, initial_mesh: Mesh,
+                      refinements: int, i_star: int | None = None,
                       extra: int = 1,
                       opts: EigenSolveOptions | None = None,
                       ) -> list[StudyRecord]:
     """Solve on a family of uniform refinements and record errors/ladders.
 
-    Produces one record per mesh (``refinements`` meshes, the initial one
-    included).  On the all-Dirichlet unit square the error reference is the
-    spectral sine series and the pivotal index comes from the exact
-    spectrum; on other geometries the reference is a P1 solution two
-    uniform refinements past the finest mesh, and the index is counted by
-    inertia on the finest mesh.
+    Produces one record per mesh (``refinements`` meshes, ``initial_mesh``
+    of ``spec``'s geometry included).  On the all-Dirichlet unit square
+    the error reference is the spectral sine series and the pivotal index
+    comes from the exact spectrum; on other geometries the reference is a
+    P1 solution two uniform refinements past the finest mesh, and the
+    index is counted by inertia on the finest mesh.
     """
     if refinements < 1:
         raise ValueError("refinements must be >= 1")
-    meshes = [spec.build_mesh(initial_n)]
+    meshes = [initial_mesh]
     for _ in range(refinements - 1):
         meshes.append(refine_uniform(meshes[-1]))
 
@@ -536,6 +540,5 @@ def convergence_study(spec: ProblemSpec, refinements: int,
                          below=below)
         ev_i = float(E.values[i_star - 1]) if 1 <= i_star <= len(E) else 0.0
         ev_ipo = float(E.values[i_star]) if i_star < len(E) else math.nan
-        records.append(StudyRecord(global_mesh_size(mesh), space.n_free,
-                                   err, ev_i, ev_ipo))
+        records.append(StudyRecord(mesh.h, space.n_free, err, ev_i, ev_ipo))
     return records

@@ -15,8 +15,8 @@ import argparse
 import os
 import sys
 
-from .mesh import (BoundaryTag, MeshError, build_geometry, global_mesh_size,
-                   read_mesh, write_mesh)
+from .mesh import (BoundaryTag, MeshError, build_geometry, read_mesh,
+                   write_mesh)
 from .spaces import CR, ElementFamily, build_space, family_from_name
 from .sparsela import EigenSolveError, EigenSolveOptions, ResonanceError
 from .spectral import DEFAULT_KAPPA, MIN_KAPPA, compute_bounds, eigenpairs
@@ -221,7 +221,7 @@ def cmd_mesh(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"wrote {args.output}: {mesh.n_vertices} vertices, "
-              f"{mesh.n_triangles} triangles, h = {global_mesh_size(mesh)!r}")
+              f"{mesh.n_triangles} triangles, h = {mesh.h!r}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -294,7 +294,8 @@ def cmd_study(args) -> int:
     spec = ProblemSpec(family, args.k2, rhs=_parse_rhs(args),
                        geometry=geometry, geometry_params=params,
                        load_degree=args.load_degree)
-    records = convergence_study(spec, args.refinements, initial_n=args.n,
+    mesh = spec.build_mesh()
+    records = convergence_study(spec, mesh, args.refinements,
                                 i_star=args.istar,
                                 opts=EigenSolveOptions(seed=args.seed))
     csv = study_to_csv(records)
@@ -302,7 +303,7 @@ def cmd_study(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(csv)
         ref_note = ("spectral sine series"
-                    if dirichlet_unit_square(spec, spec.build_mesh(args.n))
+                    if dirichlet_unit_square(spec, mesh)
                     else "conforming solution on two extra refinements")
         print(f"wrote {args.output} ({len(records)} meshes, "
               f"error reference: {ref_note})")

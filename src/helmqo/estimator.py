@@ -22,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import element_diameters
 from .quadrature import edge_rule, triangle_rule
-from .spaces import (ElementFamily, shape_gradients, shape_values,
-                     _geometry)
+from .spaces import ElementFamily, shape_gradients, shape_values
 from .spectral import EigenSet
 
 
@@ -64,8 +62,8 @@ def residual_indicator(E: EigenSet, i_star: int,
         raise ValueError(f"ladder has {len(E)} pairs, need {nfun}")
     mesh = E.space.mesh
     space = E.space
-    hK = element_diameters(mesh)
-    G, areas = _geometry(mesh)
+    hK = mesh.diameters
+    G = mesh.barycentric_gradients()
 
     rule = triangle_rule(4)
     N = shape_values(space.family, rule.points)        # (q, nloc)
@@ -76,7 +74,7 @@ def residual_indicator(E: EigenSet, i_star: int,
     sides = mesh.edge2tri[interior].T                  # (2, ne) triangles
     epts, ewts = edge_rule(4)
     edge_vec = mesh.vertices[ends[:, 1]] - mesh.vertices[ends[:, 0]]
-    edge_len = np.linalg.norm(edge_vec, axis=1)
+    edge_len = mesh.edge_lengths[interior]
     normal = np.column_stack([edge_vec[:, 1], -edge_vec[:, 0]]) / \
         edge_len[:, None]
     flux_ops = [_normal_flux(space.family, mesh.triangles[tri], G[tri], ends,
@@ -91,7 +89,7 @@ def residual_indicator(E: EigenSet, i_star: int,
         vals = np.einsum("qm,tm->tq", N, c)
         lap = (lap_coeff * c).sum(axis=1)                      # constant
         resid = lap[:, None] + lam * vals
-        vol = np.einsum("tq,q,t->t", resid ** 2, rule.weights, areas)
+        vol = np.einsum("tq,q,t->t", resid ** 2, rule.weights, mesh.areas)
         eta += hK ** 2 * vol
         # edge term: squared normal-gradient jump, integrated along the edge
         jump = (np.einsum("eqm,em->eq", flux_ops[0], c[sides[0]])

@@ -4,6 +4,9 @@ A :class:`Mesh` is immutable after construction.  Triangles are stored
 counter-clockwise, every interior edge is shared by exactly two triangles,
 and every boundary edge carries a Dirichlet or Neumann tag.  Refinement
 operations are pure: they return new meshes and never touch their input.
+
+The mesh is the one place per-element geometry is computed: areas, edge
+lengths, diameters and the barycentric maps.
 """
 
 from __future__ import annotations
@@ -59,6 +62,11 @@ class Mesh:
     refinement_edge : (nt,) int array, optional
         Local index (edge ``k`` is opposite vertex ``k``) of the edge used
         by newest-vertex bisection.  Defaults to the longest edge.
+
+    Besides the topology (``edges``, ``tri2edge``, ``edge2tri``,
+    ``edge_tag``) the mesh keeps, read-only: ``areas`` (nt,),
+    ``edge_lengths`` (n_edges,), ``diameters`` (nt,), the longest edge of
+    each triangle, and ``h``, the largest diameter.
     """
 
     def __init__(self, vertices, triangles, boundary_edges,
@@ -77,13 +85,19 @@ class Mesh:
         if ((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2])
                 | (t[:, 0] == t[:, 2])).any():
             raise MeshError("triangle with repeated vertex")
-        areas = self.signed_areas()
-        if (areas <= 0).any():
-            bad = int(np.argmin(areas))
+        self.areas = 0.5 * _doubled_signed_areas(self.vertices[t])
+        if (self.areas <= 0).any():
+            bad = int(np.argmin(self.areas))
             raise MeshError(f"triangle {bad} is not counter-clockwise "
                             "(non-positive signed area)")
 
         self._build_edge_table()
+        self.edge_lengths = np.linalg.norm(
+            self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]],
+            axis=1)
+        local_lengths = self.edge_lengths[self.tri2edge]
+        self.diameters = local_lengths.max(axis=1)
+        self.h = float(self.diameters.max(initial=0.0))
 
         # read once: boundary_edges may be a one-shot iterable
         given = list(boundary_edges)
@@ -106,7 +120,7 @@ class Mesh:
         self.edge_tag[self.boundary_edge_ids] = codes
 
         if refinement_edge is None:
-            self.refinement_edge = np.argmax(_edge_lengths(self),
+            self.refinement_edge = np.argmax(local_lengths,
                                              axis=1).astype(np.int8)
         else:
             self.refinement_edge = np.ascontiguousarray(refinement_edge,
@@ -115,7 +129,8 @@ class Mesh:
                 raise MeshError("refinement_edge has wrong length")
 
         for arr in (self.vertices, self.triangles, self.edges, self.tri2edge,
-                    self.edge2tri, self.edge_tag, self.refinement_edge):
+                    self.edge2tri, self.edge_tag, self.refinement_edge,
+                    self.areas, self.edge_lengths, self.diameters):
             arr.flags.writeable = False
 
     # -- construction helpers -------------------------------------------
@@ -176,8 +191,37 @@ class Mesh:
         return [((int(a), int(b)), _TAGS[code])
                 for (a, b), code in zip(self.edges[ids], self.edge_tag[ids])]
 
-    def signed_areas(self) -> np.ndarray:
-        return 0.5 * _doubled_signed_areas(self.vertices[self.triangles])
+    # -- per-element maps ------------------------------------------------
+
+    def barycentric_gradients(self) -> np.ndarray:
+        """(nt, 3, 2) gradients of the barycentric coordinates, made on
+        each call so that no such array outlives its user."""
+        p = self.vertices[self.triangles]
+        G = np.empty((len(p), 3, 2))
+        for i in range(3):
+            e = p[:, (i + 1) % 3] - p[:, (i + 2) % 3]
+            G[:, i, 0] = e[:, 1]
+            G[:, i, 1] = -e[:, 0]
+        G /= 2.0 * self.areas[:, None, None]     # exactly the doubled area
+        return G
+
+    def barycentric(self, tri_ids, pts: np.ndarray) -> np.ndarray:
+        """Barycentric coordinates (nt, q, 3) of ``pts`` (nt, q, 2) in the
+        triangles ``tri_ids``."""
+        p = self.vertices[self.triangles[tri_ids]]     # (nt, 3, 2)
+        d1 = p[:, 1] - p[:, 0]
+        d2 = p[:, 2] - p[:, 0]
+        det = 2.0 * self.areas[tri_ids][:, None]
+        r = pts - p[:, None, 0, :]
+        l1 = (r[..., 0] * d2[:, None, 1] - r[..., 1] * d2[:, None, 0]) / det
+        l2 = (d1[:, None, 0] * r[..., 1] - d1[:, None, 1] * r[..., 0]) / det
+        return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+
+    def physical_points(self, tri_ids, bary: np.ndarray) -> np.ndarray:
+        """Physical points (nt, q, 2) of the barycentric points ``bary``
+        (q, 3) in each of the triangles ``tri_ids``."""
+        return np.einsum("qk,tkd->tqd", bary,
+                         self.vertices[self.triangles[tri_ids]])
 
     def dirichlet_vertices(self) -> np.ndarray:
         """Indices of vertices lying on Dirichlet-tagged boundary edges."""
@@ -227,32 +271,6 @@ def _doubled_signed_areas(p: np.ndarray) -> np.ndarray:
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-
-
-def _edge_lengths(m: Mesh) -> np.ndarray:
-    """(nt, 3) edge lengths; edge k is opposite local vertex k."""
-    p = m.vertices[m.triangles]
-    return np.stack([
-        np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-        np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-        np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-    ], axis=1)
-
-
-def element_diameters(m: Mesh) -> np.ndarray:
-    """Diameter (longest edge length) of every triangle."""
-    return _edge_lengths(m).max(axis=1)
-
-
-def element_diameter(m: Mesh, t: int) -> float:
-    if not 0 <= t < m.n_triangles:
-        raise ValueError(f"triangle id {t} out of range")
-    return float(element_diameters(m)[t])
-
-
-def global_mesh_size(m: Mesh) -> float:
-    """Largest element diameter of the mesh."""
-    return float(element_diameters(m).max())
 
 
 def minimum_angle(m: Mesh) -> float:

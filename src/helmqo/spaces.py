@@ -48,10 +48,6 @@ class ElementFamily:
         else:
             raise ValueError(f"unknown element family {self.kind!r}")
 
-    @property
-    def is_conforming(self) -> bool:
-        return self.kind == "lagrange"
-
     def __str__(self) -> str:
         if self.kind == "lagrange":
             return f"p{self.degree}"
@@ -189,7 +185,7 @@ class FeFunction:
     def gradients_on_elements(self, bary: np.ndarray) -> np.ndarray:
         """Gradients at barycentric points of every element; (nt, q, 2)."""
         dN = shape_gradients(self.space.family, bary)
-        G, _ = _geometry(self.space.mesh)
+        G = self.space.mesh.barycentric_gradients()
         c = self.coefficients[self.space.cell_dofs]
         return np.einsum("qmj,tjd,tm->tqd", dN, G, c)
 
@@ -197,19 +193,6 @@ class FeFunction:
         lines = ["index,value"]
         lines += [f"{i},{float(v)!r}" for i, v in enumerate(self.coefficients)]
         return "\n".join(lines) + "\n"
-
-
-def _geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Barycentric gradients (nt, 3, 2) and areas (nt,)."""
-    p = mesh.vertices[mesh.triangles]
-    areas = mesh.signed_areas()
-    G = np.empty((len(p), 3, 2))
-    for i in range(3):
-        e = p[:, (i + 1) % 3] - p[:, (i + 2) % 3]
-        G[:, i, 0] = e[:, 1]
-        G[:, i, 1] = -e[:, 0]
-    G /= 2.0 * areas[:, None, None]     # exactly the doubled area
-    return G, areas
 
 
 def _scatter(space: DofSpace, local: np.ndarray) -> SparseSymMatrix:
@@ -224,9 +207,7 @@ def _scatter(space: DofSpace, local: np.ndarray) -> SparseSymMatrix:
 def assemble_stiffness(space: DofSpace) -> SparseSymMatrix:
     """Global stiffness matrix (broken gradients for CR); exact entries."""
     mesh = space.mesh
-    G, areas = _geometry(mesh)
-    if (areas <= 0).any():
-        raise ValueError("degenerate triangle in mesh")
+    G, areas = mesh.barycentric_gradients(), mesh.areas
     fam = space.family
     if fam == P1:
         local = np.einsum("tjd,tkd,t->tjk", G, G, areas)
@@ -242,9 +223,7 @@ def assemble_stiffness(space: DofSpace) -> SparseSymMatrix:
 
 def assemble_mass(space: DofSpace) -> SparseSymMatrix:
     """Global mass matrix; exact entries (diagonal for CR)."""
-    _, areas = _geometry(space.mesh)
-    if (areas <= 0).any():
-        raise ValueError("degenerate triangle in mesh")
+    areas = space.mesh.areas
     fam = space.family
     if fam == P1:
         ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -272,16 +251,15 @@ def assemble_load(space: DofSpace, f, degree: int = 4) -> np.ndarray:
     """
     rule = triangle_rule(max(degree, 4))
     mesh = space.mesh
-    areas = mesh.signed_areas()
     N = shape_values(space.family, rule.points)
     step = max(1, _SLICE_POINTS // len(rule.weights))
     b = np.zeros(space.ndof)
     for lo in range(0, mesh.n_triangles, step):
         sl = slice(lo, lo + step)
-        pts = np.einsum("qk,tkd->tqd", rule.points,
-                        mesh.vertices[mesh.triangles[sl]])
+        pts = mesh.physical_points(sl, rule.points)
         fvals = _eval_rhs(f, pts[..., 0], pts[..., 1])
-        local = np.einsum("tq,qm,q,t->tm", fvals, N, rule.weights, areas[sl])
+        local = np.einsum("tq,qm,q,t->tm", fvals, N, rule.weights,
+                          mesh.areas[sl])
         np.add.at(b, space.cell_dofs[sl].ravel(), local.ravel())
     return b
 
@@ -401,6 +379,12 @@ def _nesting_level(coarse: Mesh, fine: Mesh) -> int:
     return k
 
 
+def _l2_norm(vals: np.ndarray, weights: np.ndarray,
+             areas: np.ndarray) -> float:
+    """L2 norm of per-element quadrature values (nt, q)."""
+    return float(np.sqrt(np.einsum("tq,q,t->", vals ** 2, weights, areas)))
+
+
 def l2_error(u: FeFunction, ref, degree: int = 4) -> float:
     """L2 distance between ``u`` and a reference.
 
@@ -411,33 +395,27 @@ def l2_error(u: FeFunction, ref, degree: int = 4) -> float:
     rule = triangle_rule(max(degree, 4))
     if callable(ref) and not isinstance(ref, FeFunction):
         mesh = u.space.mesh
-        areas = mesh.signed_areas()
-        pts = np.einsum("qk,tkd->tqd", rule.points,
-                        mesh.vertices[mesh.triangles])
+        pts = mesh.physical_points(slice(None), rule.points)
         diff = u.values_on_elements(rule.points) - _eval_rhs(
             ref, pts[..., 0], pts[..., 1])
-        return float(np.sqrt(np.einsum("tq,q,t->", diff ** 2,
-                                       rule.weights, areas)))
+        return _l2_norm(diff, rule.weights, mesh.areas)
     if not isinstance(ref, FeFunction):
         raise TypeError("ref must be callable or an FeFunction")
     fine = ref.space.mesh
     coarse = u.space.mesh
     level = _nesting_level(coarse, fine)
-    areas = fine.signed_areas()
     if level == 0 and u.space.family == ref.space.family:
         diff = (u.values_on_elements(rule.points)
                 - ref.values_on_elements(rule.points))
-        return float(np.sqrt(np.einsum("tq,q,t->", diff ** 2,
-                                       rule.weights, areas)))
+        return _l2_norm(diff, rule.weights, fine.areas)
     # the reference values, overwritten slice by slice with the difference
     diff = ref.values_on_elements(rule.points)                # (nt, q)
     step = max(1, _SLICE_POINTS // len(rule.weights))
     for lo in range(0, fine.n_triangles, step):
         sl = slice(lo, lo + step)
-        pts = np.einsum("qk,tkd->tqd", rule.points,
-                        fine.vertices[fine.triangles[sl]])
+        pts = fine.physical_points(sl, rule.points)
         ancestors = np.arange(lo, lo + len(pts)) // 4 ** level
-        lam = _barycentric_in(coarse, ancestors, pts)
+        lam = coarse.barycentric(ancestors, pts)
         l1, l2 = lam[..., 1], lam[..., 2]
         if (l1 < -1e-9).any() or (l2 < -1e-9).any() \
                 or (l1 + l2 > 1 + 1e-9).any():
@@ -446,18 +424,4 @@ def l2_error(u: FeFunction, ref, degree: int = 4) -> float:
         N = shape_values(u.space.family, lam)                 # (t, q, nloc)
         cu = u.coefficients[u.space.cell_dofs[ancestors]]     # (t, nloc)
         diff[sl] = np.einsum("tqm,tm->tq", N, cu) - diff[sl]
-    return float(np.sqrt(np.einsum("tq,q,t->", diff ** 2,
-                                   rule.weights, areas)))
-
-
-def _barycentric_in(mesh: Mesh, tri_ids: np.ndarray,
-                    pts: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of ``pts`` (nt, q, 2) in the given triangles."""
-    p = mesh.vertices[mesh.triangles[tri_ids]]     # (nt, 3, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    det = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])[:, None]
-    r = pts - p[:, None, 0, :]
-    l1 = (r[..., 0] * d2[:, None, 1] - r[..., 1] * d2[:, None, 0]) / det
-    l2 = (d1[:, None, 0] * r[..., 1] - d1[:, None, 1] * r[..., 0]) / det
-    return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+    return _l2_norm(diff, rule.weights, fine.areas)

@@ -25,7 +25,8 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import structural_rank
 
 DENSE_EIG_LIMIT = 200
-RECOUNT_RTOL = 1e-8     # relative shift of count_below's two recounts
+RECOUNT_RTOL = 1e-8     # relative shift of count_from_factor's recounts
+LANCZOS_MAXITER = 10000
 
 
 class FactorizationError(RuntimeError):
@@ -96,8 +97,6 @@ class EigenSolveOptions:
 
     m: int = 1
     tol: float = 1e-10
-    max_iter: int = 10000
-    block: int | None = None     # Lanczos basis size (ncv)
     seed: int = 0
 
     def __post_init__(self):
@@ -256,22 +255,28 @@ def solve(F: Factorization, b: np.ndarray) -> np.ndarray:
 
 
 def count_below(A: SparseSymMatrix, M: SparseSymMatrix, sigma: float) -> int:
-    """Exact number of generalized eigenvalues of (A, M) below ``sigma``.
+    """Exact number of generalized eigenvalues of (A, M) below ``sigma``,
+    from Sylvester inertia (see :func:`count_from_factor`)."""
+    return count_from_factor(ldlt(A, sigma, M), A, M)
 
-    Uses Sylvester inertia of the LDL^T pivots, independent of any
-    eigensolver convergence.  A factor with a zero pivot (including one
-    SuperLU was forced to pivot off the diagonal, whose pivots say nothing)
-    is not trusted: the count is redone at ``sigma * (1 -+ RECOUNT_RTOL)``,
-    and equal counts from two factors without a zero pivot prove that no
-    eigenvalue lies between the two shifts, so that count is returned.
-    Otherwise ``sigma`` is numerically an eigenvalue of the pencil and
-    :class:`ResonanceError` is raised.
+
+def count_from_factor(F: Factorization, A: SparseSymMatrix,
+                      M: SparseSymMatrix) -> int:
+    """Number of eigenvalues of (A, M) below ``F.sigma``, read from the
+    factor ``F = ldlt(A, F.sigma, M)`` that the caller already holds.
+
+    A factor with a zero pivot (including one SuperLU was forced to pivot
+    off the diagonal, whose pivots say nothing) is not trusted: the count
+    is redone at ``sigma * (1 -+ RECOUNT_RTOL)``, and equal counts from two
+    factors without a zero pivot prove that no eigenvalue lies between the
+    two shifts, so that count is returned.  Otherwise ``sigma`` is
+    numerically an eigenvalue of the pencil and :class:`ResonanceError` is
+    raised.
     """
-    F = ldlt(A, sigma, M)
     if F.n_zero == 0:
         return F.n_neg
     counts = []
-    for s in (sigma * (1.0 - RECOUNT_RTOL), sigma * (1.0 + RECOUNT_RTOL)):
+    for s in (F.sigma * (1.0 - RECOUNT_RTOL), F.sigma * (1.0 + RECOUNT_RTOL)):
         G = ldlt(A, s, M)
         if G.n_zero > 0:
             break
@@ -279,7 +284,7 @@ def count_below(A: SparseSymMatrix, M: SparseSymMatrix, sigma: float) -> int:
     if len(counts) == 2 and counts[0] == counts[1]:
         return counts[0]
     raise ResonanceError(
-        f"shift {sigma!r} is numerically an eigenvalue of the pencil "
+        f"shift {F.sigma!r} is numerically an eigenvalue of the pencil "
         "(resonant at this mesh)")
 
 
@@ -346,14 +351,14 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix,
                               "is A positive semidefinite?")
     opinv = spla.LinearOperator((n, n), matvec=F._raw_solve)
     v0 = np.random.default_rng(opts.seed).standard_normal(n)
-    ncv = opts.block or min(n, max(2 * m + 1, 20))
+    ncv = min(n, max(2 * m + 1, 20))     # Lanczos basis size
 
     best: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     for attempt in range(3):
         try:
             vals, X = spla.eigsh(Asp, k=m, M=Msp, sigma=-1.0, OPinv=opinv,
                                  v0=v0, which="LM", tol=1e-14,
-                                 maxiter=opts.max_iter, ncv=ncv)
+                                 maxiter=LANCZOS_MAXITER, ncv=ncv)
         except spla.ArpackNoConvergence as exc:
             ncv = min(n, 2 * ncv)
             if attempt == 2:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .mesh import global_mesh_size
 from .spaces import (CR, P2, DofSpace, ElementFamily, FeFunction, build_space,
                      cr_to_p2_lift, expand_free)
 from .sparsela import (EigenSolveError, EigenSolveOptions, SparseSymMatrix,
@@ -194,7 +193,7 @@ def compute_bounds(E: EigenSet,
         raise ValueError("guaranteed bounds require a Crouzeix-Raviart "
                          "ladder")
     mesh = E.space.mesh
-    h = global_mesh_size(mesh)
+    h = mesh.h
     p2 = build_space(mesh, P2)
     uppers = _ritz_values(*p2.pencil, cr_to_p2_lift(E.space, p2), E.vectors)
     out = []

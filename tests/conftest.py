@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here are deliberately written from scratch (brute force
-enumeration, cyclic Jacobi, Gaussian elimination) so that they share no
-code path with the implementations they verify.
+enumeration, cyclic Jacobi, Gaussian elimination, per-triangle corner
+geometry) so that they share no code path with the implementations they
+verify.
 """
 
 import dataclasses
@@ -215,6 +216,52 @@ def loop_refine_bisection(m, marked):
             np.array(out_ref, dtype=np.int8), boundary)
 
 
+def corner_geometry(mesh):
+    """Per-triangle geometry, one triangle at a time from its corners.
+
+    Returns ``(areas, lengths, diameters, h, longest)``: signed areas (nt,),
+    edge lengths (nt, 3) with edge k opposite corner k, the longest length
+    of each triangle, the largest of those, and the local index of the
+    first longest edge.
+    """
+    corners = mesh.vertices[mesh.triangles].tolist()
+    areas, lengths, longest = [], [], []
+    for (x0, y0), (x1, y1), (x2, y2) in corners:
+        areas.append(0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)))
+        row = [math.sqrt((x2 - x1) * (x2 - x1) + (y2 - y1) * (y2 - y1)),
+               math.sqrt((x0 - x2) * (x0 - x2) + (y0 - y2) * (y0 - y2)),
+               math.sqrt((x1 - x0) * (x1 - x0) + (y1 - y0) * (y1 - y0))]
+        lengths.append(row)
+        longest.append(row.index(max(row)))
+    diameters = [max(row) for row in lengths]
+    return (np.array(areas), np.array(lengths).reshape(-1, 3),
+            np.array(diameters), max(diameters, default=0.0),
+            np.array(longest, dtype=np.int8))
+
+
+def corner_barycentric(mesh, tri_ids, pts: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates (nt, q, 3) of ``pts`` (nt, q, 2) in the
+    triangles ``tri_ids``, by Cramer's rule on the corner coordinates."""
+    p = mesh.vertices[mesh.triangles[tri_ids]]
+    x0, y0 = p[:, 0, 0, None], p[:, 0, 1, None]
+    x1, y1 = p[:, 1, 0, None], p[:, 1, 1, None]
+    x2, y2 = p[:, 2, 0, None], p[:, 2, 1, None]
+    det = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    rx, ry = pts[..., 0] - x0, pts[..., 1] - y0
+    l1 = (rx * (y2 - y0) - ry * (x2 - x0)) / det
+    l2 = ((x1 - x0) * ry - (y1 - y0) * rx) / det
+    return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+
+
+def inverse_jacobian_gradients(mesh) -> np.ndarray:
+    """Barycentric gradients (nt, 3, 2): rows of the inverse Jacobian of
+    each element map for corners 1 and 2, minus their sum for corner 0."""
+    p = mesh.vertices[mesh.triangles]
+    B = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    inv = np.linalg.inv(B)                  # rows: grad lambda_1, lambda_2
+    return np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
+
+
 def oneshot_assemble_load(space, f, degree: int = 4) -> np.ndarray:
     """Load vector from one evaluation of ``f`` at every quadrature point
     of the mesh, the arithmetic of ``assemble_load`` without slices."""
@@ -226,7 +273,7 @@ def oneshot_assemble_load(space, f, degree: int = 4) -> np.ndarray:
     fvals = _eval_rhs(f, pts[..., 0], pts[..., 1])
     N = shape_values(space.family, rule.points)
     local = np.einsum("tq,qm,q,t->tm", fvals, N, rule.weights,
-                      mesh.signed_areas())
+                      corner_geometry(mesh)[0])
     b = np.zeros(space.ndof)
     np.add.at(b, space.cell_dofs.ravel(), local.ravel())
     return b
@@ -245,20 +292,20 @@ def oneshot_nested_l2_error(u, ref, degree: int = 4) -> float:
     """``l2_error`` against a nested FeFunction reference from one
     evaluation at every quadrature point of the fine mesh, no slices."""
     from helmqo.quadrature import triangle_rule
-    from helmqo.spaces import _barycentric_in, _nesting_level, shape_values
+    from helmqo.spaces import shape_values
     rule = triangle_rule(max(degree, 4))
     fine, coarse = ref.space.mesh, u.space.mesh
-    level = _nesting_level(coarse, fine)
-    areas = fine.signed_areas()
+    per_ancestor = fine.n_triangles // coarse.n_triangles   # 4 ** level
     pts = np.einsum("qk,tkd->tqd", rule.points, fine.vertices[fine.triangles])
-    ancestors = np.arange(fine.n_triangles) // 4 ** level
-    lam = _barycentric_in(coarse, ancestors, pts)
+    ancestors = np.arange(fine.n_triangles) // per_ancestor
+    lam = corner_barycentric(coarse, ancestors, pts)
     N = shape_values(u.space.family, lam)
     cu = u.coefficients[u.space.cell_dofs[ancestors]]
     diff = (np.einsum("tqm,tm->tq", N, cu)
             - ref.values_on_elements(rule.points))
     return float(np.sqrt(np.einsum("tq,q,t->", diff ** 2,
-                                   rule.weights, areas)))
+                                   rule.weights,
+                                   corner_geometry(fine)[0])))
 
 
 def loop_residual_indicator(E, i_star: int, extra: int = 3):
@@ -266,14 +313,13 @@ def loop_residual_indicator(E, i_star: int, extra: int = 3):
     eigenfunction: edge points located by inverting each neighbour's element
     map, and the normal-gradient jump scattered twice per function."""
     from helmqo.estimator import IndicatorField, _laplacian_coefficients
-    from helmqo.mesh import element_diameters
     from helmqo.quadrature import edge_rule, triangle_rule
-    from helmqo.spaces import _geometry, shape_values
+    from helmqo.spaces import shape_values
     nfun = i_star + extra
     mesh = E.space.mesh
     space = E.space
-    hK = element_diameters(mesh)
-    G, areas = _geometry(mesh)
+    areas, _, hK, _, _ = corner_geometry(mesh)
+    G = inverse_jacobian_gradients(mesh)
 
     rule = triangle_rule(4)
     N = shape_values(space.family, rule.points)        # (q, nloc)
@@ -314,7 +360,7 @@ def loop_residual_indicator(E, i_star: int, extra: int = 3):
 def _loop_normal_jump_sq(mesh, space, G, c, interior, exq, edge_vec,
                          edge_len, ewts) -> np.ndarray:
     """Integral over each interior edge of the squared normal-grad jump."""
-    from helmqo.spaces import _barycentric_in, shape_gradients
+    from helmqo.spaces import shape_gradients
     normal = np.column_stack([edge_vec[:, 1], -edge_vec[:, 0]]) / \
         edge_len[:, None]
     qn = len(ewts)
@@ -322,7 +368,7 @@ def _loop_normal_jump_sq(mesh, space, G, c, interior, exq, edge_vec,
     for side in (0, 1):
         tri = mesh.edge2tri[interior, side]
         valid = tri >= 0
-        lam = _barycentric_in(mesh, tri[valid], exq[valid])
+        lam = corner_barycentric(mesh, tri[valid], exq[valid])
         dN = shape_gradients(space.family, lam)          # (ne, q, nloc, 3)
         grad = np.einsum("eqmj,ejd,em->eqd", dN, G[tri[valid]],
                          c[tri[valid]])

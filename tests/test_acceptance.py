@@ -93,7 +93,7 @@ def _study_slope(family, n0, refinements, geometry="unit-square"):
     data = hq.SineProduct(((3, 4, 1.0), (4, 3, 1.0)))
     spec = hq.ProblemSpec(family, 100.0, rhs=data, geometry=geometry,
                           load_degree=10)
-    recs = hq.convergence_study(spec, refinements, initial_n=n0)
+    recs = hq.convergence_study(spec, spec.build_mesh(n0), refinements)
     sat = np.array([r.ev_i < 100.0 < r.ev_ipo for r in recs])
     onset = int(np.argmax(sat)) if sat.any() else None
     hs = np.array([r.h for r in recs])
@@ -125,7 +125,7 @@ def _first_satisfied_h(family, k2, i_star):
             continue
         E = hq.eigen_ladder(space, k2, extra=1, min_pairs=i_star + 1)
         if hq.check_criterion(E, k2, i_star).satisfied:
-            return hq.global_mesh_size(space.mesh)
+            return space.mesh.h
     return None
 
 

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 import helmqo.certify
+import helmqo.sparsela
 from helmqo.mesh import (build_square_with_hole, build_unit_square,
-                         build_unit_square_unstructured, element_diameters,
-                         refine_uniform)
+                         build_unit_square_unstructured, refine_uniform)
 from helmqo.spaces import (CR, P1, P2, assemble_load, build_space,
                            constrain_vector, l2_error)
 from helmqo.spectral import (DEFAULT_KAPPA, BoundedEigen, cr_lower_bound,
                              eigen_ladder)
-from helmqo.sparsela import (EigenSolveError, ResonanceError, count_below,
-                             ldlt)
+from helmqo.sparsela import (RECOUNT_RTOL, EigenSolveError, ResonanceError,
+                             count_below, ldlt)
 from helmqo.certify import (GaussianBump, ProblemSpec,
                             SineProduct, convergence_study, run_gmr,
                             sine_series_reference, solve_helmholtz,
@@ -88,7 +88,7 @@ class TestSolveHelmholtz:
             solve_helmholtz(ProblemSpec(P1, 10.0), build_unit_square(4))
 
     @pytest.mark.parametrize("n,k2", [(32, 8192.0), (8, 512.0)])
-    def test_flagged_factor_solved(self, n, k2):
+    def test_flagged_factor_solved(self, n, k2, monkeypatch):
         # k^2 = a_ii / m_ii for some i: SuperLU's LDL^T is flagged and
         # cannot solve, but k^2 is no discrete eigenvalue
         spec = ProblemSpec(P1, k2, rhs=GaussianBump(center=(0.6, 0.7)))
@@ -100,9 +100,15 @@ class TestSolveHelmholtz:
         b = constrain_vector(space, assemble_load(space, spec.rhs,
                                                   spec.load_degree))
         x = np.linalg.solve(K, b)
+        shifts = []
+        wrap_everywhere(monkeypatch, helmqo.sparsela.ldlt,
+                        lambda a, F: shifts.append(a[1]))
         u = solve_helmholtz(spec, mesh)
         assert (np.linalg.norm(u.coefficients[space.free_dofs] - x)
                 <= 1e-9 * np.linalg.norm(x))
+        # the flagged factor is made once; only the recounts factorize again
+        assert shifts == [k2, k2 * (1 - RECOUNT_RTOL),
+                          k2 * (1 + RECOUNT_RTOL)]
 
 
 class TestSineSeriesReference:
@@ -269,8 +275,8 @@ class TestRunGmr:
                 b = bounds[i - 1]
                 ok &= b.upper - cr_lower_bound(b.lam, h) < k2 - b.lam
             return ok
-        diam = element_diameters(mesh)
-        assert marked == {t for t, d in enumerate(diam) if not certifiable(d)}
+        assert marked == {t for t, d in enumerate(mesh.diameters)
+                          if not certifiable(d)}
         assert (len(marked) == mesh.n_triangles) == everything
         assert marked
 
@@ -301,7 +307,7 @@ class TestConvergenceStudy:
     def test_csv_schema_and_monotone_errors(self):
         spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((3, 4, 1.0),)),
                            load_degree=8)
-        recs = convergence_study(spec, 3, initial_n=16)
+        recs = convergence_study(spec, spec.build_mesh(16), 3)
         csv = study_to_csv(recs)
         lines = csv.strip().splitlines()
         assert lines[0] == "h,ndof,error,EV_i,EV_ipo"
@@ -315,13 +321,13 @@ class TestConvergenceStudy:
         spec = ProblemSpec(P1, 50.0, rhs=GaussianBump(100.0, 10.0, (0.3, 0.3)),
                            geometry="square-hole",
                            geometry_params=dict(outer=2.0, inner=1.0))
-        recs = convergence_study(spec, 2, initial_n=8)
+        recs = convergence_study(spec, spec.build_mesh(8), 2)
         assert recs[1].error < recs[0].error
         assert recs[0].ndof < recs[1].ndof
 
     def test_round_trip_floats(self):
         spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((3, 4, 1.0),)))
-        recs = convergence_study(spec, 2, initial_n=8)
+        recs = convergence_study(spec, spec.build_mesh(8), 2)
         line = study_to_csv(recs).strip().splitlines()[1].split(",")
         assert float(line[0]) == recs[0].h
         assert float(line[2]) == recs[0].error
@@ -361,7 +367,7 @@ class TestPencilReuse:
         wrap_everywhere(monkeypatch, helmqo.sparsela.count_below,
                         lambda a, n: counted.append(n))
         spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((1, 2, 1.0),)))
-        recs = convergence_study(spec, 3, initial_n=4)
+        recs = convergence_study(spec, spec.build_mesh(4), 3)
         # each k^2 solve, plus one shift-invert factorization on the
         # 225-dof mesh, the only one above the dense eigensolver limit
         assert len(factorized) == 4
@@ -384,7 +390,7 @@ class TestPencilReuse:
                         lambda a, F: shifts.append(a[1]))
         spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((1, 2, 1.0),)))
         with pytest.raises(EigenSolveError, match="inertia counts"):
-            convergence_study(spec, 1, initial_n=8)
+            convergence_study(spec, spec.build_mesh(8), 1)
         # the count is the solve's; the 49-dof ladder needs no factor
         assert shifts == [100.0]
 
@@ -394,7 +400,7 @@ class TestPencilReuse:
         wrap_everywhere(monkeypatch, helmqo.spaces.assemble_stiffness,
                         lambda a, K: stiffness.append(a[0].mesh))
         spec = ProblemSpec(P1, 30.0, rhs=SineProduct(((1, 2, 1.0),)))
-        recs = convergence_study(spec, 3, initial_n=4)
+        recs = convergence_study(spec, spec.build_mesh(4), 3)
         assert len(recs) == 3
         assert len(stiffness) == 3
         assert len({id(m) for m in stiffness}) == 3

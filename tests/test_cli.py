@@ -7,10 +7,13 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args, cwd=None, env_extra=None):
-    env = dict(os.environ, COLUMNS="80")
+    # the CLI runs in its own interpreter with ``src`` on PYTHONPATH, so a
+    # bare ``python -m pytest`` from a checkout tests this checkout
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(SRC))
     env.pop("HQO_SEED", None)
     if env_extra:
         env.update(env_extra)
@@ -214,6 +217,21 @@ class TestCertifyCommand:
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 3   # header + two iterations
 
+    def test_zero_iteration_budget_exit_2(self):
+        res = run_cli(["certify", "--geometry", "unit-square", "--n", "4",
+                       "--k2", "30", "--family", "p1", "--istar", "2",
+                       "--max-iters", "0"])
+        assert res.returncode == 2
+        assert "max_iters must be >= 1" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_negative_extra_pairs_exit_2(self):
+        res = run_cli(["certify", "--geometry", "unit-square", "--n", "4",
+                       "--k2", "30", "--family", "p1", "--istar", "2",
+                       "--l", "-1"])
+        assert res.returncode == 2
+        assert "extra must be >= 0" in res.stderr
+
     def test_oracle_requires_istar(self):
         res = run_cli(["certify", "--geometry", "unit-square", "--k2",
                        "100", "--family", "p1"])
@@ -315,8 +333,7 @@ class TestStudyCommand:
         assert ndof == [81, 289]     # every vertex is free
 
     def test_seed_reaches_the_mesh(self, tmp_path):
-        from helmqo.mesh import build_unit_square_unstructured, \
-            global_mesh_size
+        from helmqo.mesh import build_unit_square_unstructured
         outs = {}
         for seed in (0, 7):
             outs[seed] = tmp_path / f"study{seed}.csv"
@@ -326,7 +343,7 @@ class TestStudyCommand:
                            "-o", str(outs[seed])])
             assert res.returncode == 0, res.stderr
             row = outs[seed].read_text().strip().splitlines()[1].split(",")
-            h = global_mesh_size(build_unit_square_unstructured(8, seed))
+            h = build_unit_square_unstructured(8, seed).h
             assert float(row[0]) == h
         assert outs[0].read_bytes() != outs[7].read_bytes()
 

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from helmqo.estimator import (IndicatorField, mark_half_max,
                               residual_indicator)
 from helmqo.mesh import (BoundaryTag, Mesh, build_square_with_hole,
-                         build_unit_square, element_diameters,
-                         refine_bisection, refine_uniform)
+                         build_unit_square, refine_bisection, refine_uniform)
 from helmqo.spaces import CR, P1, P2, build_space
 from helmqo.spectral import EigenSet, eigen_ladder, eigenpairs
 
@@ -64,7 +63,7 @@ class TestResidualIndicator:
             g = la.solve(B.T, coef[1:] - coef[0])
             grads.append(g)
         jump = (grads[0] - grads[1]) @ normal
-        h = element_diameters(mesh)
+        h = mesh.diameters
         expected = 0.5 * h * jump ** 2 * length
         assert np.allclose(eta.values, expected, rtol=1e-12)
 

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from helmqo.mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
                          build_square_with_hole, build_unit_square,
-                         build_unit_square_unstructured, element_diameter,
-                         element_diameters, global_mesh_size, minimum_angle,
+                         build_unit_square_unstructured, minimum_angle,
                          read_mesh, refine_bisection, refine_uniform,
                          write_mesh)
 
-from conftest import loop_edge_table, loop_edge_tags, loop_refine_bisection
+from conftest import (corner_geometry, loop_edge_table, loop_edge_tags,
+                      loop_refine_bisection)
 
 D, N = BoundaryTag.DIRICHLET, BoundaryTag.NEUMANN
 
@@ -27,7 +27,7 @@ def assert_valid(m: Mesh):
         counts[row] += 1
     assert set(np.unique(counts)) <= {1, 2}
     assert np.array_equal(np.flatnonzero(counts == 1), m.boundary_edge_ids)
-    assert (m.signed_areas() > 0).all()
+    assert (m.areas > 0).all()
 
 
 class TestBuilders:
@@ -192,10 +192,9 @@ class TestUniformRefinement:
 
     def test_mesh_size_halves(self):
         m = build_unit_square(2)
-        before = element_diameters(m)
-        after = element_diameters(refine_uniform(m))
-        assert np.isclose(global_mesh_size(m), math.sqrt(2) / 2)
-        assert np.isclose(after.max(), before.max() / 2)
+        r = refine_uniform(m)
+        assert np.isclose(m.h, math.sqrt(2) / 2)
+        assert np.isclose(r.diameters.max(), m.diameters.max() / 2)
 
     def test_nestedness(self):
         m = build_unit_square(3)
@@ -265,16 +264,57 @@ class TestMeasures:
         m = Mesh.from_triangulation(
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             np.array([[0, 1, 2]]))
-        assert np.isclose(element_diameter(m, 0), math.sqrt(2))
+        assert np.isclose(m.diameters[0], math.sqrt(2))
 
     def test_structured_global_size(self):
         for n in (1, 3, 5):
-            assert np.isclose(global_mesh_size(build_unit_square(n)),
-                              math.sqrt(2) / n)
+            assert np.isclose(build_unit_square(n).h, math.sqrt(2) / n)
 
-    def test_bad_id(self):
-        with pytest.raises(ValueError):
-            element_diameter(build_unit_square(1), 5)
+    @settings(max_examples=30)
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 16),
+           jitter=st.floats(0.0, 0.45),
+           child=st.sampled_from(["none", "red", "bisected"]),
+           data=st.data())
+    def test_geometry_matches_corner_oracle(self, n, seed, jitter, child,
+                                            data):
+        m = build_unit_square_unstructured(n, seed=seed, jitter=jitter)
+        if child == "red":
+            m = refine_uniform(m)
+        elif child == "bisected":
+            rng = np.random.default_rng(
+                data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+            marked = set(np.flatnonzero(rng.random(m.n_triangles) < 0.3)
+                         .tolist()) | {int(rng.integers(m.n_triangles))}
+            bisected_ref = loop_refine_bisection(m, marked)[2]
+            m = refine_bisection(m, marked)
+        areas, lengths, diameters, h, longest = corner_geometry(m)
+        assert m.areas.tobytes() == areas.tobytes()
+        assert m.edge_lengths[m.tri2edge].tobytes() == lengths.tobytes()
+        assert m.diameters.tobytes() == diameters.tobytes()
+        assert m.h == h
+        # bisection hands its children their refinement edges; every other
+        # mesh defaults to the longest edge
+        assert np.array_equal(m.refinement_edge, bisected_ref
+                              if child == "bisected" else longest)
+        for arr in (m.areas, m.edge_lengths, m.diameters):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+        p = m.vertices[m.triangles]                     # (nt, 3, 2)
+        G = m.barycentric_gradients()
+        np.testing.assert_allclose(G.sum(axis=1), 0.0,
+                                   atol=1e-12 * abs(G).max())
+        eye = np.eye(3)
+        for j, k in ((0, 1), (1, 2), (2, 0)):
+            # grad lambda_i . (p_j - p_k) = delta_ij - delta_ik
+            got = np.einsum("tid,td->ti", G, p[:, j] - p[:, k])
+            np.testing.assert_allclose(
+                got, np.broadcast_to(eye[j] - eye[k], got.shape), atol=1e-12)
+        # the determinant is 2 * areas, the same product as the numerators
+        # at the corners, so the corners map to the identity exactly
+        lam = m.barycentric(np.arange(m.n_triangles), p)
+        assert np.array_equal(lam, np.broadcast_to(eye, lam.shape))
+        assert np.array_equal(m.physical_points(slice(None), eye), p)
 
 
 class TestSerialization:

@@ -5,8 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from helmqo.mesh import (build_unit_square, build_unit_square_unstructured,
-                         global_mesh_size)
+from helmqo.mesh import build_unit_square, build_unit_square_unstructured
 from helmqo.spaces import CR, P1, P2, assemble_mass, assemble_stiffness, \
     build_space, constrain, cr_to_p2_lift, interpolate, rayleigh_quotient
 from helmqo.sparsela import EigenSolveError, ResonanceError, count_below
@@ -209,7 +208,7 @@ class TestLowerBoundSoundness:
         mesh = build_unit_square_unstructured(n, seed=seed, jitter=jitter)
         space = build_space(mesh, CR)
         E = eigenpairs(space, space.n_free)
-        h = global_mesh_size(mesh)
+        h = mesh.h
         exact = enumeration_spectrum(len(E))
         lower = np.array([cr_lower_bound(lam, h, MIN_KAPPA)
                           for lam in E.values])
