@@ -505,40 +505,57 @@ def convergence_study(spec: ProblemSpec, initial_mesh: Mesh,
     the error reference is the spectral sine series and the pivotal index
     comes from the exact spectrum; on other geometries the reference is a
     P1 solution two uniform refinements past the finest mesh, and the
-    index is counted by inertia on the finest mesh.
+    index is counted by inertia on the finest mesh.  The meshes are refined
+    one at a time, so a coarser mesh and its pencil are freed before the
+    next one is solved on; off the unit square the finest mesh is built
+    first, without keeping the meshes in between, and reused last.
     """
     if refinements < 1:
         raise ValueError("refinements must be >= 1")
-    meshes = [initial_mesh]
-    for _ in range(refinements - 1):
-        meshes.append(refine_uniform(meshes[-1]))
-
-    on_square = dirichlet_unit_square(spec, meshes[0])
+    on_square = dirichlet_unit_square(spec, initial_mesh)
+    finest = None
+    if not on_square:
+        finest = initial_mesh
+        for _ in range(refinements - 1):
+            finest = refine_uniform(finest)
     if i_star is None:
         if on_square:
             i_star = unit_square_index(spec.k2)
         else:
-            i_star = count_below(*build_space(meshes[-1], spec.family).pencil,
+            i_star = count_below(*build_space(finest, spec.family).pencil,
                                  spec.k2)
 
     if on_square:
         reference = sine_series_reference(spec.rhs, spec.k2)
     else:
-        ref_mesh = refine_uniform(refine_uniform(meshes[-1]))
         ref_spec = ProblemSpec(P1, spec.k2, spec.rhs, spec.geometry,
                                spec.geometry_params)
-        reference = solve_helmholtz(ref_spec, ref_mesh)
+        reference = solve_helmholtz(
+            ref_spec, refine_uniform(refine_uniform(finest)))
 
     records = []
-    for mesh in meshes:
-        space = build_space(mesh, spec.family)
-        # the solve's factorization also counts the eigenvalues below k^2,
-        # so the ladder needs no second LDL^T
-        u, below = _solve(spec, space)
-        err = l2_error(u, reference)
-        E = eigen_ladder(space, spec.k2, extra, opts, min_pairs=i_star + 1,
-                         below=below)
-        ev_i = float(E.values[i_star - 1]) if 1 <= i_star <= len(E) else 0.0
-        ev_ipo = float(E.values[i_star]) if i_star < len(E) else math.nan
-        records.append(StudyRecord(mesh.h, space.n_free, err, ev_i, ev_ipo))
+    mesh = initial_mesh
+    for level in range(refinements):
+        if level == refinements - 1 and finest is not None:
+            mesh = finest
+        elif level:
+            mesh = refine_uniform(mesh)
+        records.append(_study_record(spec, mesh, reference, i_star, extra,
+                                     opts))
     return records
+
+
+def _study_record(spec: ProblemSpec, mesh: Mesh, reference, i_star: int,
+                  extra: int, opts: EigenSolveOptions | None) -> StudyRecord:
+    """One mesh's row of :func:`convergence_study`; its space, solution
+    and ladder are freed on return."""
+    space = build_space(mesh, spec.family)
+    # the solve's factorization also counts the eigenvalues below k^2,
+    # so the ladder needs no second LDL^T
+    u, below = _solve(spec, space)
+    err = l2_error(u, reference)
+    E = eigen_ladder(space, spec.k2, extra, opts, min_pairs=i_star + 1,
+                     below=below)
+    ev_i = float(E.values[i_star - 1]) if 1 <= i_star <= len(E) else 0.0
+    ev_ipo = float(E.values[i_star]) if i_star < len(E) else math.nan
+    return StudyRecord(mesh.h, space.n_free, err, ev_i, ev_ipo)

@@ -2,9 +2,11 @@
 
 The per-element indicator combines the elementwise eigen-residual
 ``h_K^2 |laplace(e) + lambda e|^2`` with the squared normal-derivative jump
-across interior edges, weighted by ``h_K / 2`` on each adjacent element,
-and is averaged over the first ``i* + extra`` eigenfunctions.  Boundary
-edges (Dirichlet and Neumann alike) do not contribute.
+across interior edges, weighted by ``h_K / 2`` on each adjacent element.
+It is summed over the first ``i* + extra`` eigenfunctions and divided by
+``i*``, not by ``i* + extra``; marking is scale-free, so the divisor only
+scales ``eta_total``.  Boundary edges (Dirichlet and Neumann alike) do not
+contribute.
 
 The edge geometry depends on the mesh alone, so it is built once per call,
 before the loop over eigenfunctions: for each side of each interior edge, a
@@ -49,7 +51,8 @@ class IndicatorField:
 
 def residual_indicator(E: EigenSet, i_star: int,
                        extra: int = 3) -> IndicatorField:
-    """Averaged eigenpair residual indicator over the first i*+extra pairs.
+    """Eigenpair residual indicator summed over the first i*+extra pairs,
+    divided by i*.
 
     Requires ``i_star >= 1`` and a ladder with at least ``i_star + extra``
     pairs.  For piecewise-linear families the volume term reduces to

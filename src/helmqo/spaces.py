@@ -207,17 +207,22 @@ def _scatter(space: DofSpace, local: np.ndarray) -> SparseSymMatrix:
 def assemble_stiffness(space: DofSpace) -> SparseSymMatrix:
     """Global stiffness matrix (broken gradients for CR); exact entries."""
     mesh = space.mesh
-    G, areas = mesh.barycentric_gradients(), mesh.areas
+    G = mesh.barycentric_gradients()
+    # |T| grad(lambda_j) . grad(lambda_k): the P1 local matrices
+    gg = np.einsum("tjd,tkd,t->tjk", G, G, mesh.areas)
     fam = space.family
     if fam == P1:
-        local = np.einsum("tjd,tkd,t->tjk", G, G, areas)
+        local = gg
     elif fam == CR:
-        local = 4.0 * np.einsum("tjd,tkd,t->tjk", G, G, areas)
+        local = 4.0 * gg
     else:
         rule = triangle_rule(2)   # gradients of P2 are linear
         dN = shape_gradients(fam, rule.points)          # (q, 6, 3)
-        B = np.einsum("qmj,tjd->tqmd", dN, G)           # physical gradients
-        local = np.einsum("tqmd,tqnd,q,t->tmn", B, B, rule.weights, areas)
+        # reference tensor: local[t, m, n] = sum_jk gg[t, j, k] ref[j, k, m, n]
+        ref = np.einsum("qmj,qnk,q->jkmn", dN, dN, rule.weights)
+        local = (gg.reshape(-1, 9) @ ref.reshape(9, 36)).reshape(-1, 6, 6)
+        # the product sums (m, n) and (n, m) in different orders
+        local = 0.5 * (local + local.transpose(0, 2, 1))
     return _scatter(space, local)
 
 

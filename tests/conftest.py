@@ -262,6 +262,26 @@ def inverse_jacobian_gradients(mesh) -> np.ndarray:
     return np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
 
 
+def loop_p2_stiffness(space) -> np.ndarray:
+    """Dense P2 stiffness matrix, one triangle and one quadrature point at a
+    time: the dot products of the physical basis gradients, written
+    plainly."""
+    from helmqo.quadrature import triangle_rule
+    from helmqo.spaces import shape_gradients
+    rule = triangle_rule(2)
+    G = inverse_jacobian_gradients(space.mesh)
+    areas = corner_geometry(space.mesh)[0]
+    K = np.zeros((space.ndof, space.ndof))
+    for t, dofs in enumerate(space.cell_dofs):
+        for lam, w in zip(rule.points, rule.weights):
+            grads = shape_gradients(space.family, lam) @ G[t]   # (6, 2)
+            for a in range(6):
+                for b in range(6):
+                    K[dofs[a], dofs[b]] += (w * areas[t]
+                                            * (grads[a] @ grads[b]))
+    return K
+
+
 def oneshot_assemble_load(space, f, degree: int = 4) -> np.ndarray:
     """Load vector from one evaluation of ``f`` at every quadrature point
     of the mesh, the arithmetic of ``assemble_load`` without slices."""

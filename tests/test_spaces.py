@@ -6,7 +6,8 @@ import pytest
 import helmqo.spaces
 
 from helmqo.mesh import (BoundaryTag, Mesh, build_square_with_hole,
-                         build_unit_square, refine_uniform)
+                         build_unit_square, build_unit_square_unstructured,
+                         refine_uniform)
 from helmqo.spaces import (CR, P1, P2, FeFunction, assemble_load,
                            assemble_mass, assemble_stiffness, build_space,
                            constrain, constrain_vector, cr_to_p1_average,
@@ -15,8 +16,8 @@ from helmqo.spaces import (CR, P1, P2, FeFunction, assemble_load,
 from helmqo.sparsela import ldlt, solve
 from helmqo.certify import GaussianBump, SineProduct
 
-from conftest import (oneshot_assemble_load, oneshot_nested_l2_error,
-                      traced_peak)
+from conftest import (loop_p2_stiffness, oneshot_assemble_load,
+                      oneshot_nested_l2_error, traced_peak)
 
 N = BoundaryTag.NEUMANN
 
@@ -83,6 +84,16 @@ class TestStiffness:
             A = assemble_stiffness(build_space(build_unit_square(4), fam))
             d = (A.to_scipy() - A.to_scipy().T)
             assert d.nnz == 0 or abs(d).max() == 0.0
+
+    def test_p2_reference_tensor_against_loop(self):
+        # the reference-tensor product sums in another order than the loop;
+        # 16 ulp of the largest entry covers it
+        s = build_space(build_unit_square_unstructured(8, seed=3, jitter=0.4),
+                        P2)
+        K = assemble_stiffness(s).toarray()
+        expected = loop_p2_stiffness(s)
+        scale = abs(expected).max()
+        assert np.abs(K - expected).max() <= 16 * np.finfo(float).eps * scale
 
 
 class TestMass:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import helmqo.sparsela
-from helmqo.mesh import (BoundaryTag, build_unit_square,
-                         build_unit_square_unstructured)
+from helmqo.mesh import (BoundaryTag, build_square_with_hole,
+                         build_unit_square, build_unit_square_unstructured,
+                         refine_bisection)
 from helmqo.certify import ProblemSpec, SineProduct, solve_helmholtz
 from helmqo.spaces import CR, P1, P2, assemble_load, assemble_mass, \
     assemble_stiffness, build_space, constrain, constrain_vector
@@ -102,6 +104,46 @@ class TestLdlt:
         A, M = square_pencil(16, CR)
         K = (A.to_scipy() - 50.0 * M.to_scipy()).toarray()
         self.assert_reconstructs(ldlt(A, 50.0, M), K, 1e-8)
+
+    def test_reconstruction_on_a_bisected_mesh(self):
+        # the RCM pre-order and SuperLU's order compose into F.perm
+        mesh = build_square_with_hole(0.75, 0.3, 6)
+        mesh = refine_bisection(mesh, range(0, mesh.n_triangles, 3))
+        A, M = build_space(mesh, P2).pencil
+        K = (A.to_scipy() - 400.0 * M.to_scipy()).toarray()
+        F = ldlt(A, 400.0, M)
+        assert not np.array_equal(F.perm, np.argsort(F._payload.perm_c))
+        self.assert_reconstructs(F, K, 1e-8)
+
+    def test_ordering_computed_once_per_matrix(self, monkeypatch):
+        # three inertia counts (8192 is flagged and recounted twice) and the
+        # shift-invert factor all reorder by the one RCM order of A
+        calls = []
+        rcm = helmqo.sparsela.reverse_cuthill_mckee
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rcm(*args, **kwargs)
+        monkeypatch.setattr(helmqo.sparsela, "reverse_cuthill_mckee", counted)
+        A, M = build_space(build_unit_square(32), P1).pencil
+        assert ldlt(A, 8192.0, M).singular
+        for sigma in (100.0, 400.0, 8192.0):
+            count_below(A, M, sigma)
+        eigs_smallest(A, M, EigenSolveOptions(m=3))
+        assert len(calls) == 1
+
+    def test_fill_below_superlu_alone_on_a_bisected_mesh(self):
+        # the CR pencil of the flagship geometry bisected thrice, 15,904
+        # dofs: bisection leaves a numbering on which SuperLU's minimum
+        # degree order alone fills more
+        mesh = build_square_with_hole(0.75, 0.3, 10)
+        for _ in range(3):
+            mesh = refine_bisection(mesh, range(mesh.n_triangles))
+        A, M = build_space(mesh, CR).pencil
+        K = (A.to_scipy() - 1500.0 * M.to_scipy()).tocsc()
+        alone = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          options=dict(SymmetricMode=True, Equil=False))
+        assert ldlt(A, 1500.0, M).L.nnz < alone.L.nnz
 
 
 class TestSolve:
@@ -215,6 +257,22 @@ class TestEigsSmallest:
             eigs_smallest(A, M, EigenSolveOptions(m=5))
 
 
+jittered_squares = st.builds(build_unit_square_unstructured,
+                             st.integers(3, 12), seed=st.integers(0, 2 ** 16),
+                             jitter=st.floats(0.0, 0.45))
+
+
+@st.composite
+def bisected_holes(draw):
+    """Square-with-hole meshes after one or two bisections of drawn
+    elements: the numbering that adaptive refinement leaves."""
+    mesh = build_square_with_hole(0.75, 0.3, draw(st.integers(4, 8)))
+    for _ in range(draw(st.integers(1, 2))):
+        mesh = refine_bisection(mesh, draw(st.sets(
+            st.integers(0, mesh.n_triangles - 1), min_size=1)))
+    return mesh
+
+
 class TestCountBelow:
     def test_below_minimum(self):
         A, M = square_pencil(16)
@@ -270,16 +328,14 @@ class TestCountBelow:
                 (w <= sigma).sum())
 
     @settings(max_examples=40)
-    @given(family=st.sampled_from([P1, P2, CR]), n=st.integers(3, 12),
-           seed=st.integers(0, 2 ** 16), jitter=st.floats(0.0, 0.45),
+    @given(family=st.sampled_from([P1, P2, CR]),
+           mesh=st.one_of(jittered_squares, bisected_holes()),
            data=st.data())
-    def test_adversarial_shifts_sparse_path(self, family, n, seed, jitter,
-                                            data):
+    def test_adversarial_shifts_sparse_path(self, family, mesh, data):
         # a shift equal to a_ii / m_ii puts an exact zero on the diagonal
         # of A - sigma M, which can force SuperLU off it; the count and the
         # Helmholtz solve at that shift are compared with dense eigh
-        space = build_space(build_unit_square_unstructured(
-            n, seed=seed, jitter=jitter), family)
+        space = build_space(mesh, family)
         A, M = space.pencil
         i = data.draw(st.integers(0, A.n - 1))
         sigma = A.to_scipy()[i, i] / M.to_scipy()[i, i]
