@@ -16,10 +16,8 @@ from .mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
 from .quadrature import QuadratureRule, triangle_rule
 from .spaces import (CR, P1, P2, DofSpace, ElementFamily, FeFunction,
                      assemble_load, assemble_mass, assemble_stiffness,
-                     build_space, constrain, constrain_vector,
-                     cr_to_p1_average, cr_to_p2_lift, expand_free,
-                     family_from_name, interpolate, l2_error,
-                     rayleigh_quotient)
+                     build_space, constrain, constrain_vector, cr_to_p2_lift,
+                     expand_free, family_from_name, interpolate, l2_error)
 from .sparsela import (EigenResult, EigenSolveError, EigenSolveOptions,
                        Factorization, FactorizationError, ResonanceError,
                        SparseSymMatrix, count_below, count_from_factor,
@@ -27,7 +25,7 @@ from .sparsela import (EigenResult, EigenSolveError, EigenSolveOptions,
 from .spectral import (MIN_KAPPA, BoundedEigen, Criterion, EigenSet,
                        IndexEstimate, LadderExhaustedError, check_criterion,
                        compute_bounds, cr_lower_bound, eigen_ladder,
-                       eigenpairs, estimate_index, th_coercivity_constant)
+                       eigenpairs, estimate_index)
 from .estimator import IndicatorField, mark_half_max, residual_indicator
 from .certify import (CertificationReport, GaussianBump, IterationRecord,
                       ProblemSpec, SineProduct, StudyRecord,

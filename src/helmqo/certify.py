@@ -35,6 +35,8 @@ from .estimator import mark_half_max, residual_indicator
 
 ALPHA_WARN_THRESHOLD = 1e-6
 RESONANCE_ENCLOSURE_RTOL = 1e-3
+SINE_STABILITY_RTOL = 1e-8   # sampled change that ends the series' growth
+STUDY_EXTRA_PAIRS = 1        # study ladder pairs past the first above k^2
 
 
 # -- right-hand sides -------------------------------------------------------
@@ -54,10 +56,6 @@ class GaussianBump:
     def __call__(self, x, y):
         r2 = (x - self.center[0]) ** 2 + (y - self.center[1]) ** 2
         return self.amplitude * np.exp(-self.width ** 2 * r2)
-
-    def total_integral(self) -> float:
-        """Integral over the whole plane: amplitude * pi / width^2."""
-        return self.amplitude * math.pi / self.width ** 2
 
 
 @dataclass(frozen=True)
@@ -88,8 +86,9 @@ class ProblemSpec:
     load_degree: int = 4
 
     def __post_init__(self):
-        if self.k2 <= 0:
-            raise ValueError("k2 must be positive")
+        if not 0 < self.k2 < math.inf:
+            raise ValueError(f"k2 must be positive and finite, got "
+                             f"{self.k2!r}")
 
     def build_mesh(self, n: int | None = None) -> Mesh:
         params = dict(self.geometry_params)
@@ -172,14 +171,13 @@ def unit_square_index(k2: float) -> int:
 
 # -- spectral reference on the unit square ----------------------------------
 
-def sine_series_reference(f: Rhs, k2: float, modes: int | None = None,
-                          stability_tol: float = 1e-8):
+def sine_series_reference(f: Rhs, k2: float, modes: int | None = None):
     """Reference Helmholtz solution on the all-Dirichlet unit square.
 
     Expands f in the normalized sine basis and divides each coefficient by
     (lambda_ij - k^2).  When ``modes`` is omitted the truncation is grown
     in steps of 16 until the sampled solution is stable to
-    ``stability_tol``; the returned callable carries ``.modes`` and
+    ``SINE_STABILITY_RTOL``; the returned callable carries ``.modes`` and
     ``.coefficients``.
     """
     auto = modes is None
@@ -195,7 +193,7 @@ def sine_series_reference(f: Rhs, k2: float, modes: int | None = None,
         vals = u(X, Y)
         if probe is not None:
             scale = max(1.0, abs(vals).max())
-            if abs(vals - probe).max() <= stability_tol * scale:
+            if abs(vals - probe).max() <= SINE_STABILITY_RTOL * scale:
                 break
         if N >= 512:
             raise RuntimeError("sine series did not stabilize; data too "
@@ -495,7 +493,6 @@ def study_to_csv(records: Sequence[StudyRecord]) -> str:
 
 def convergence_study(spec: ProblemSpec, initial_mesh: Mesh,
                       refinements: int, i_star: int | None = None,
-                      extra: int = 1,
                       opts: EigenSolveOptions | None = None,
                       ) -> list[StudyRecord]:
     """Solve on a family of uniform refinements and record errors/ladders.
@@ -512,6 +509,8 @@ def convergence_study(spec: ProblemSpec, initial_mesh: Mesh,
     """
     if refinements < 1:
         raise ValueError("refinements must be >= 1")
+    if i_star is not None and i_star < 0:
+        raise ValueError(f"i_star must be >= 0, got {i_star}")
     on_square = dirichlet_unit_square(spec, initial_mesh)
     finest = None
     if not on_square:
@@ -540,13 +539,12 @@ def convergence_study(spec: ProblemSpec, initial_mesh: Mesh,
             mesh = finest
         elif level:
             mesh = refine_uniform(mesh)
-        records.append(_study_record(spec, mesh, reference, i_star, extra,
-                                     opts))
+        records.append(_study_record(spec, mesh, reference, i_star, opts))
     return records
 
 
 def _study_record(spec: ProblemSpec, mesh: Mesh, reference, i_star: int,
-                  extra: int, opts: EigenSolveOptions | None) -> StudyRecord:
+                  opts: EigenSolveOptions | None) -> StudyRecord:
     """One mesh's row of :func:`convergence_study`; its space, solution
     and ladder are freed on return."""
     space = build_space(mesh, spec.family)
@@ -554,8 +552,8 @@ def _study_record(spec: ProblemSpec, mesh: Mesh, reference, i_star: int,
     # so the ladder needs no second LDL^T
     u, below = _solve(spec, space)
     err = l2_error(u, reference)
-    E = eigen_ladder(space, spec.k2, extra, opts, min_pairs=i_star + 1,
-                     below=below)
+    E = eigen_ladder(space, spec.k2, STUDY_EXTRA_PAIRS, opts,
+                     min_pairs=i_star + 1, below=below)
     ev_i = float(E.values[i_star - 1]) if 1 <= i_star <= len(E) else 0.0
     ev_ipo = float(E.values[i_star]) if i_star < len(E) else math.nan
     return StudyRecord(mesh.h, space.n_free, err, ev_i, ev_ipo)

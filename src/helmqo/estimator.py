@@ -31,22 +31,14 @@ from .spectral import EigenSet
 
 @dataclass
 class IndicatorField:
-    """Nonnegative per-element indicator values with their provenance."""
+    """Nonnegative per-element indicator values."""
 
     values: np.ndarray
-    i_star: int
-    extra: int
-    family: ElementFamily
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if (self.values < 0).any():
             raise ValueError("indicator values must be nonnegative")
-
-    def to_csv(self) -> str:
-        lines = ["element_id,eta"]
-        lines += [f"{i},{float(v)!r}" for i, v in enumerate(self.values)]
-        return "\n".join(lines) + "\n"
 
 
 def residual_indicator(E: EigenSet, i_star: int,
@@ -102,7 +94,7 @@ def residual_indicator(E: EigenSet, i_star: int,
     for tri in sides:
         np.add.at(eta, tri, 0.5 * hK[tri] * jump2)
     eta /= i_star
-    return IndicatorField(eta, i_star, extra, space.family)
+    return IndicatorField(eta)
 
 
 def _normal_flux(family: ElementFamily, verts: np.ndarray, G: np.ndarray,

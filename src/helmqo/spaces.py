@@ -182,18 +182,6 @@ class FeFunction:
         c = self.coefficients[self.space.cell_dofs]
         return np.einsum("qm,tm->tq", N, c)
 
-    def gradients_on_elements(self, bary: np.ndarray) -> np.ndarray:
-        """Gradients at barycentric points of every element; (nt, q, 2)."""
-        dN = shape_gradients(self.space.family, bary)
-        G = self.space.mesh.barycentric_gradients()
-        c = self.coefficients[self.space.cell_dofs]
-        return np.einsum("qmj,tjd,tm->tqd", dN, G, c)
-
-    def to_csv(self) -> str:
-        lines = ["index,value"]
-        lines += [f"{i},{float(v)!r}" for i, v in enumerate(self.coefficients)]
-        return "\n".join(lines) + "\n"
-
 
 def _scatter(space: DofSpace, local: np.ndarray) -> SparseSymMatrix:
     nloc = space.cell_dofs.shape[1]
@@ -340,37 +328,6 @@ def cr_to_p2_lift(cr_space: DofSpace, p2_space: DofSpace) -> sp.csr_matrix:
     full = sp.vstack([_cr_vertex_average(mesh),
                       sp.identity(mesh.n_edges, format="csr")], format="csr")
     return full[p2_space.free_dofs][:, cr_space.free_dofs]
-
-
-def cr_to_p1_average(u: FeFunction,
-                     p1_space: DofSpace | None = None) -> FeFunction:
-    """Conforming companion of a CR function by vertex averaging.
-
-    Each vertex receives the arithmetic mean of the elementwise limits of
-    ``u`` at that vertex (the vertex rows of :func:`cr_to_p2_lift`);
-    vertices on the Dirichlet boundary are set to 0, so the result
-    satisfies the constraint exactly.
-    """
-    if u.space.family != CR:
-        raise ValueError("input must be a Crouzeix-Raviart function")
-    mesh = u.space.mesh
-    if p1_space is None:
-        p1_space = build_space(mesh, P1)
-    elif p1_space.mesh is not mesh or p1_space.family != P1:
-        raise ValueError("p1_space must be a Lagrange(1) space on the "
-                         "same mesh")
-    vals = _cr_vertex_average(mesh) @ u.coefficients
-    vals[mesh.dirichlet_vertices()] = 0.0
-    return FeFunction(p1_space, vals)
-
-
-def rayleigh_quotient(u, A: SparseSymMatrix, M: SparseSymMatrix) -> float:
-    """(u^T A u) / (u^T M u); fails on zero M-norm."""
-    c = u.coefficients if isinstance(u, FeFunction) else np.asarray(u)
-    den = float(c @ (M @ c))
-    if den <= 0.0:
-        raise ValueError("Rayleigh quotient of a function with zero M-norm")
-    return float(c @ (A @ c)) / den
 
 
 def _nesting_level(coarse: Mesh, fine: Mesh) -> int:

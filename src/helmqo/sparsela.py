@@ -121,8 +121,9 @@ class EigenSolveOptions:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got "
+                             f"{self.tol!r}")
 
 
 @dataclass
@@ -139,13 +140,13 @@ class Factorization:
 
     ``perm`` is the fill-reducing permutation: the RCM pre-order composed
     with SuperLU's column order, so that ``K[perm][:, perm] == L @ U``.
-    ``inertia`` is the triple (n_neg, n_zero, n_pos) of pivot signs.  ``L``
+    ``inertia`` counts the negative, zero and positive pivots.  ``L``
     is unit lower triangular and ``D`` diagonal: SuperLU's U is D L^T.
 
     An exactly singular factor knows its inertia at construction.
-    Otherwise the first read of ``inertia`` (or ``n_neg``, ``n_zero``,
-    ``n_pos``), ``L`` or ``D`` reads the pivots, and SuperLU keeps CSC
-    copies of L and U for the factor's lifetime; the inertia is cached.
+    Otherwise the first read of ``inertia`` (or ``n_neg``, ``n_zero``),
+    ``L`` or ``D`` reads the pivots, and SuperLU keeps CSC copies of L and
+    U for the factor's lifetime; the inertia is cached.
     ``singular`` and solves need neither.
     """
 
@@ -196,10 +197,6 @@ class Factorization:
         return self.inertia[1]
 
     @property
-    def n_pos(self) -> int:
-        return self.inertia[2]
-
-    @property
     def L(self):
         """Unit lower-triangular factor (rows in ``perm`` order)."""
         return self._payload.L
@@ -214,8 +211,8 @@ class Factorization:
         return y.take(self._unorder, axis=0)
 
 
-def ldlt(A: SparseSymMatrix, sigma: float = 0.0,
-         M: SparseSymMatrix | None = None) -> Factorization:
+def ldlt(A: SparseSymMatrix, sigma: float,
+         M: SparseSymMatrix) -> Factorization:
     """Factorize ``A - sigma*M`` as P^T L D L^T P and report inertia.
 
     When ``n_zero`` is zero, ``n_neg`` equals the number of generalized
@@ -225,19 +222,13 @@ def ldlt(A: SparseSymMatrix, sigma: float = 0.0,
     query, not here (see :class:`Factorization`).  SuperLU factors the
     matrix reordered by ``A.ordering``.
     """
-    if M is None:
-        if sigma != 0.0:
-            raise ValueError("a mass matrix is required for nonzero shifts")
-        K = A.to_scipy().copy()
-        scale = abs(K.data).max() if K.nnz else 0.0
-    else:
-        if M.n != A.n:
-            raise ValueError("A and M must have the same dimension")
-        K = (A.to_scipy() - sigma * M.to_scipy()).tocsr()
-        # zero detection is relative to the unshifted data, not to K,
-        # which may be uniformly tiny near a resonance
-        scale = max(abs(A.data).max() if len(A.data) else 0.0,
-                    abs(sigma) * (abs(M.data).max() if len(M.data) else 0.0))
+    if M.n != A.n:
+        raise ValueError("A and M must have the same dimension")
+    K = (A.to_scipy() - sigma * M.to_scipy()).tocsr()
+    # zero detection is relative to the unshifted data, not to K,
+    # which may be uniformly tiny near a resonance
+    scale = max(abs(A.data).max() if len(A.data) else 0.0,
+                abs(sigma) * (abs(M.data).max() if len(M.data) else 0.0))
     n = K.shape[0]
     if n == 0:
         raise ValueError("empty matrix")

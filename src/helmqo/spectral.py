@@ -259,17 +259,3 @@ def estimate_index(bounds: list[BoundedEigen], k2: float) -> IndexEstimate:
     width = b.upper - b.lower
     return IndexEstimate(j_star, gap > 0.0 and width < gap, gap, width)
 
-
-def th_coercivity_constant(E: EigenSet, k2: float) -> float:
-    """Coercivity constant of the sign-flipped form when the ladder
-    brackets k^2; raises when it does not."""
-    lam = E.values
-    i_star = int((lam < k2).sum())
-    if i_star >= len(lam):
-        raise ValueError("ladder does not extend past k^2")
-    if (lam == k2).any():
-        raise ValueError("k^2 coincides with a discrete eigenvalue")
-    crit = check_criterion(E, k2, i_star)
-    if not crit.satisfied:
-        raise ValueError("criterion not satisfied on this ladder")
-    return crit.alpha_star

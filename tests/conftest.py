@@ -282,6 +282,21 @@ def loop_p2_stiffness(space) -> np.ndarray:
     return K
 
 
+def loop_cr_vertex_mean(space, coefficients: np.ndarray) -> np.ndarray:
+    """Per vertex, the mean over its triangles of a CR function's limits
+    there, one triangle at a time: on a triangle with edge dofs c (edge i
+    opposite local vertex i) the limit at local vertex i is sum(c) - 2 c_i."""
+    mesh = space.mesh
+    acc = np.zeros(mesh.n_vertices)
+    cnt = np.zeros(mesh.n_vertices)
+    for t in range(mesh.n_triangles):
+        c = coefficients[space.cell_dofs[t]]
+        for i, v in enumerate(mesh.triangles[t]):
+            acc[v] += c.sum() - 2.0 * c[i]
+            cnt[v] += 1
+    return acc / cnt
+
+
 def oneshot_assemble_load(space, f, degree: int = 4) -> np.ndarray:
     """Load vector from one evaluation of ``f`` at every quadrature point
     of the mesh, the arithmetic of ``assemble_load`` without slices."""
@@ -374,7 +389,7 @@ def loop_residual_indicator(E, i_star: int, extra: int = 3):
             np.add.at(eta, tri[valid],
                       0.5 * hK[tri[valid]] * jump2[valid])
     eta /= i_star
-    return IndicatorField(eta, i_star, extra, space.family)
+    return IndicatorField(eta)
 
 
 def _loop_normal_jump_sq(mesh, space, G, c, interior, exq, edge_vec,

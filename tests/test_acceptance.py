@@ -199,8 +199,10 @@ def test_criterion_6_sign_flip_coercivity():
                           (hq.CR, 16, 30.0)):
         space = hq.build_space(hq.build_unit_square(n), family)
         E = hq.eigen_ladder(space, k2, extra=3)
-        alpha = hq.th_coercivity_constant(E, k2)
         i_star = int((E.values < k2).sum())
+        crit = hq.check_criterion(E, k2, i_star)
+        assert crit.satisfied, f"{family} n = {n}: k^2 = {k2} not bracketed"
+        alpha = crit.alpha_star
         A, M = E.space.pencil
         Ah = A.to_scipy() - k2 * M.to_scipy()
         signs = np.where(np.arange(1, len(E) + 1) <= i_star, -1.0, 1.0)

@@ -303,7 +303,21 @@ class TestRunGmr:
         assert float(last[6]) > 0
 
 
+class TestProblemSpec:
+    @pytest.mark.parametrize("k2", [0.0, -1.0, math.nan, math.inf,
+                                    -math.inf])
+    def test_rejects_k2_outside_positive_finite(self, k2):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ProblemSpec(P1, k2)
+
+
 class TestConvergenceStudy:
+    @pytest.mark.parametrize("i_star", [-1, -2])
+    def test_negative_istar_rejected(self, i_star):
+        spec = ProblemSpec(P1, 100.0, rhs=SineProduct())
+        with pytest.raises(ValueError, match="i_star must be >= 0"):
+            convergence_study(spec, spec.build_mesh(4), 2, i_star=i_star)
+
     def test_csv_schema_and_monotone_errors(self):
         spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((3, 4, 1.0),)),
                            load_degree=8)

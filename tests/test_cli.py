@@ -140,6 +140,15 @@ class TestEigCommand:
                        "--m", "0"])
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_tol_exit_2(self, tol):
+        # a NaN tolerance failed every residual check (exit 4); an infinite
+        # one accepted any residual
+        res = run_cli(["eig", "--geometry", "unit-square", "--n", "32",
+                       "--family", "p1", "--m", "3", "--tol", tol])
+        assert res.returncode == 2
+        assert "tol must be positive and finite" in res.stderr
+
 
 class TestCertifyCommand:
     def test_oracle_uniform_square(self, tmp_path):
@@ -231,6 +240,14 @@ class TestCertifyCommand:
                        "--l", "-1"])
         assert res.returncode == 2
         assert "extra must be >= 0" in res.stderr
+
+    @pytest.mark.parametrize("k2", ["nan", "inf"])
+    def test_nonfinite_k2_exit_2(self, k2):
+        # not a false "resonance" (exit 6)
+        res = run_cli(["certify", "--geometry", "square-hole", "--n", "4",
+                       "--k2", k2, "--family", "cr", "--estimate", "cr"])
+        assert res.returncode == 2
+        assert "k2 must be positive and finite" in res.stderr
 
     def test_oracle_requires_istar(self):
         res = run_cli(["certify", "--geometry", "unit-square", "--k2",
@@ -354,6 +371,24 @@ class TestStudyCommand:
                        "1"])
         assert res.returncode == 6
         assert "resonan" in res.stderr.lower()
+
+    @pytest.mark.parametrize("k2", ["nan", "inf"])
+    def test_nonfinite_k2_exit_2(self, k2):
+        res = run_cli(["study", "--geometry", "unit-square", "--k2", k2,
+                       "--family", "p1", "--refinements", "2"])
+        assert res.returncode == 2
+        assert "k2 must be positive and finite" in res.stderr
+
+    @pytest.mark.parametrize("istar", ["-1", "-2"])
+    def test_negative_istar_exit_2(self, tmp_path, istar):
+        # a negative index once read the ladder from its end, and exit 0
+        out = tmp_path / "study.csv"
+        res = run_cli(["study", "--geometry", "unit-square", "--k2", "100",
+                       "--family", "p1", "--refinements", "2", "--istar",
+                       istar, "-o", str(out)])
+        assert res.returncode == 2
+        assert "i_star must be >= 0" in res.stderr
+        assert not out.exists()
 
     def test_cr_with_p_rejected(self):
         res = run_cli(["study", "--geometry", "unit-square", "--k2", "100",

@@ -122,30 +122,23 @@ class TestResidualIndicator:
         touches = any(tuple(np.round(p, 12)) in corners for p in pts)
         assert touches, f"max indicator at {pts}"
 
-    def test_csv_export(self):
-        E = ladder_with_vectors(4, 50.0, extra=1)
-        eta = residual_indicator(E, 2, 1)
-        lines = eta.to_csv().strip().splitlines()
-        assert lines[0] == "element_id,eta"
-        assert len(lines) == 1 + E.space.mesh.n_triangles
-
 
 class TestMarking:
     def test_half_max_definition(self):
-        eta = IndicatorField(np.array([1.0, 0.4, 0.6]), 1, 0, P1)
+        eta = IndicatorField(np.array([1.0, 0.4, 0.6]))
         assert mark_half_max(eta) == {0, 2}
 
     def test_constant_marks_all(self):
-        eta = IndicatorField(np.full(5, 3.0), 1, 0, P1)
+        eta = IndicatorField(np.full(5, 3.0))
         assert mark_half_max(eta) == set(range(5))
 
     def test_zeros_mark_nothing(self):
-        eta = IndicatorField(np.zeros(4), 1, 0, P1)
+        eta = IndicatorField(np.zeros(4))
         assert mark_half_max(eta) == set()
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            IndicatorField(np.array([-1.0]), 1, 0, P1)
+            IndicatorField(np.array([-1.0]))
 
 
 class TestQuadraticElements:

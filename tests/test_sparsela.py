@@ -97,7 +97,8 @@ class TestLdlt:
     def test_reconstruction_dense_path(self):
         # a random indefinite 40 x 40 K, fully populated
         B = np.random.default_rng(3).standard_normal((40, 40))
-        self.assert_reconstructs(ldlt(sym(B + B.T)), B + B.T, 1e-10)
+        F = ldlt(sym(B + B.T), 0.0, sym(np.eye(40)))
+        self.assert_reconstructs(F, B + B.T, 1e-10)
 
     def test_reconstruction_superlu_path(self):
         # a CR pencil at an indefinite shift
@@ -165,7 +166,7 @@ class TestSolve:
         B = rng.standard_normal((50, 50))
         K = B @ B.T + 50 * np.eye(50)
         b = rng.standard_normal(50)
-        F = ldlt(sym(K))
+        F = ldlt(sym(K), 0.0, sym(np.eye(50)))
         assert np.abs(solve(F, b)
                       - gaussian_elimination_solve(K, b)).max() < 1e-8
 
@@ -250,8 +251,9 @@ class TestEigsSmallest:
     def test_invalid_options(self):
         with pytest.raises(ValueError):
             EigenSolveOptions(m=0)
-        with pytest.raises(ValueError):
-            EigenSolveOptions(tol=0.0)
+        for tol in (0.0, -1e-10, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                EigenSolveOptions(tol=tol)
         A, M = square_pencil(2)
         with pytest.raises(ValueError):
             eigs_smallest(A, M, EigenSolveOptions(m=5))

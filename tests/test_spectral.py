@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from helmqo.mesh import build_unit_square, build_unit_square_unstructured
 from helmqo.spaces import CR, P1, P2, assemble_mass, assemble_stiffness, \
-    build_space, constrain, cr_to_p2_lift, interpolate, rayleigh_quotient
+    build_space, constrain, cr_to_p2_lift, interpolate
 from helmqo.sparsela import EigenSolveError, ResonanceError, count_below
 from helmqo.spectral import (MIN_KAPPA, BoundedEigen, EigenSet,
                              LadderExhaustedError, check_criterion,
                              compute_bounds, cr_lower_bound, eigen_ladder,
-                             eigenpairs, estimate_index,
-                             th_coercivity_constant)
+                             eigenpairs, estimate_index)
 
 from conftest import (drop_lowest_pair, enumeration_index,
                       enumeration_spectrum, traced_peak)
@@ -126,8 +125,9 @@ class TestBounds:
         lifted = cr_to_p2_lift(s_cr, s_p2) @ u.coefficients
         assert np.allclose(lifted, interpolate(s_p2, f).coefficients,
                            rtol=0.0, atol=1e-14)
-        assert np.isclose(rayleigh_quotient(lifted, *s_p2.pencil),
-                          rayleigh_quotient(u, *s_cr.pencil), rtol=1e-13)
+        (A2, M2), (A, M), c = s_p2.pencil, s_cr.pencil, u.coefficients
+        assert np.isclose((lifted @ (A2 @ lifted)) / (lifted @ (M2 @ lifted)),
+                          (c @ (A @ c)) / (c @ (M @ c)), rtol=1e-13)
 
     def test_first_upper_bound_above_exact(self):
         E = square_ladder(32, 100.0, CR)
@@ -253,26 +253,34 @@ class TestEstimateIndex:
 
 
 class TestCoercivityConstant:
+    """``Criterion.alpha_star``, min |lambda - k^2| / (1 + lambda)."""
+
     def test_hand_value(self):
         E = synthetic_ladder([19.7, 128.3])
         # min((100 - 19.7)/20.7, (128.3 - 100)/129.3)
-        assert np.isclose(th_coercivity_constant(E, 100.0), 0.2189, atol=1e-3)
+        crit = check_criterion(E, 100.0, 1)
+        assert crit.satisfied
+        assert np.isclose(crit.alpha_star, 0.2189, atol=1e-3)
 
     def test_attained_on_larger_side_when_midway(self):
         lo, hi = 40.0, 60.0
         E = synthetic_ladder([lo, hi])
         k2 = 50.0
         expected = (hi - k2) / (1 + hi)   # larger denominator wins
-        assert np.isclose(th_coercivity_constant(E, k2), expected)
+        crit = check_criterion(E, k2, 1)
+        assert crit.satisfied and np.isclose(crit.alpha_star, expected)
 
     def test_vanishes_near_eigenvalue(self):
         E = synthetic_ladder([19.7, 128.3])
-        assert th_coercivity_constant(E, 19.7 + 1e-9) < 1e-9
+        crit = check_criterion(E, 19.7 + 1e-9, 1)
+        assert crit.satisfied and crit.alpha_star < 1e-9
 
     def test_requires_bracketing(self):
+        # both values lie below k^2: no index brackets it on this ladder
         E = synthetic_ladder([19.7, 49.3])
+        assert not check_criterion(E, 200.0, 1).satisfied
         with pytest.raises(ValueError):
-            th_coercivity_constant(E, 200.0)
+            check_criterion(E, 200.0, 2)
 
 
 class TestCrossValidation:
@@ -311,8 +319,10 @@ class TestCrossValidation:
         # the discrete eigenbasis; the coercivity constant bounds it below
         k2 = 100.0
         E = square_ladder(32, k2)
-        alpha = th_coercivity_constant(E, k2)
         i_star = int((E.values < k2).sum())
+        crit = check_criterion(E, k2, i_star)
+        assert crit.satisfied
+        alpha = crit.alpha_star
         A, M = E.space.pencil
         Ah = A.to_scipy() - k2 * M.to_scipy()
         signs = np.where(np.arange(1, len(E) + 1) <= i_star, -1.0, 1.0)
