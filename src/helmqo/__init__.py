@@ -19,9 +19,9 @@ from .spaces import (CR, P1, P2, DofSpace, ElementFamily, FeFunction,
                      build_space, constrain, constrain_vector, cr_to_p2_lift,
                      expand_free, family_from_name, interpolate, l2_error)
 from .sparsela import (EigenResult, EigenSolveError, EigenSolveOptions,
-                       Factorization, FactorizationError, ResonanceError,
-                       SparseSymMatrix, count_below, count_from_factor,
-                       eigs_smallest, ldlt, solve)
+                       Factorization, ResonanceError, SparseSymMatrix,
+                       count_below, count_from_factor, eigs_smallest, ldlt,
+                       solve)
 from .spectral import (MIN_KAPPA, BoundedEigen, Criterion, EigenSet,
                        IndexEstimate, LadderExhaustedError, check_criterion,
                        compute_bounds, cr_lower_bound, eigen_ladder,

@@ -15,12 +15,11 @@ studies with CSV export.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.sparse.linalg import splu
 
 from .mesh import Mesh, build_geometry, refine_bisection, refine_uniform
 from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
@@ -109,20 +108,21 @@ def dirichlet_unit_square(spec: ProblemSpec, mesh: Mesh) -> bool:
 def solve_helmholtz(spec: ProblemSpec, mesh: Mesh) -> FeFunction:
     """Solve the indefinite Helmholtz system on the given mesh.
 
-    The constrained system (stiffness - k^2 mass) is factorized by LDL^T.
-    A factor with a zero pivot, or one SuperLU had to pivot off the
-    diagonal, cannot solve: then :func:`count_from_factor` either proves
-    that no discrete eigenvalue lies within 1e-8 of k^2 (relative) or
-    raises :class:`ResonanceError`, and the system is solved by
-    partial-pivoting LU.  Relative residual <= 1e-10, else
-    :class:`ResonanceError`.
+    The constrained system (stiffness - k^2 mass) is factorized by LDL^T
+    and solved by :func:`helmqo.sparsela.solve` to a relative residual
+    <= 1e-10, else :class:`ResonanceError`.  A factor with a zero pivot,
+    or one SuperLU had to pivot off the diagonal, is first recounted:
+    :func:`count_from_factor` either proves that no discrete eigenvalue
+    lies within 1e-8 of k^2 (relative), and ``solve`` then uses
+    partial-pivoting LU, or raises :class:`ResonanceError`.
     """
     return _solve(spec, build_space(mesh, spec.family))[0]
 
 
 def _solve(spec: ProblemSpec, space: DofSpace) -> tuple[FeFunction, int]:
     """The solution and, by Sylvester's law of inertia, the number of
-    discrete eigenvalues below k^2."""
+    discrete eigenvalues below k^2.  The count comes first, so a resonant
+    k^2 fails with the recount's message."""
     if spec.rhs is None:
         raise ValueError("problem has no right-hand side")
     if space.n_free == 0:
@@ -132,17 +132,7 @@ def _solve(spec: ProblemSpec, space: DofSpace) -> tuple[FeFunction, int]:
                          assemble_load(space, spec.rhs, spec.load_degree))
     F = ldlt(A, spec.k2, M)
     below = count_from_factor(F, A, M)
-    if F.n_zero == 0:
-        x = solve(F, b)
-    else:
-        # a flagged factor cannot solve; once the recounts prove k^2 is no
-        # eigenvalue, partial pivoting can
-        x = splu(F.matrix.tocsc()).solve(b)
-        if np.linalg.norm(F.matrix @ x - b) > 1e-10 * np.linalg.norm(b):
-            raise ResonanceError(
-                f"k^2 = {spec.k2!r} is numerically a discrete eigenvalue "
-                "on this mesh; refine the mesh or perturb k^2")
-    return FeFunction(space, expand_free(space, x)), below
+    return FeFunction(space, expand_free(space, solve(F, b))), below
 
 
 # -- unit-square spectrum oracle -------------------------------------------
@@ -293,19 +283,27 @@ class CertificationReport:
         return bool(self.iterations) and self.iterations[-1].certified
 
     def to_csv(self) -> str:
-        lines = ["iter,ndof,h,i_star,lambda_lo,lambda_hi,condition,"
-                 "enclosure,certified,eta_total"]
-        for it, rec in enumerate(self.iterations):
-            lines.append(",".join([
-                str(it), str(rec.ndof), _fmt(rec.h), _fmt(rec.index),
-                _fmt(rec.lambda_lo), _fmt(rec.lambda_hi),
-                _fmt(rec.condition), _fmt(rec.enclosure),
-                "true" if rec.certified else "false", _fmt(rec.eta_total),
-            ]))
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            "iter,ndof,h,i_star,lambda_lo,lambda_hi,condition,enclosure,"
+            "certified,eta_total",
+            ((it, rec.ndof, rec.h, rec.index, rec.lambda_lo, rec.lambda_hi,
+              rec.condition, rec.enclosure,
+              "true" if rec.certified else "false", rec.eta_total)
+             for it, rec in enumerate(self.iterations)))
+
+
+def csv_text(header: str, rows: Iterable[Sequence]) -> str:
+    """``header`` and one line per row, each cell written by :func:`_fmt`
+    or, if a string, as given."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else _fmt(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(v) -> str:
+    """A CSV cell: shortest round-trip decimals, None and NaN empty."""
     if v is None:
         return ""
     if isinstance(v, (int, np.integer)):
@@ -479,16 +477,14 @@ class StudyRecord:
     h: float
     ndof: int
     error: float
-    ev_i: float      # lambda_h at the pivotal index (0 when i* = 0)
-    ev_ipo: float    # lambda_h one past the pivotal index
+    ev_i: float      # lambda_h at i* (0 when i* = 0), NaN past n_free
+    ev_ipo: float    # lambda_h one past i*, NaN past n_free
 
 
 def study_to_csv(records: Sequence[StudyRecord]) -> str:
-    lines = ["h,ndof,error,EV_i,EV_ipo"]
-    for r in records:
-        lines.append(",".join([_fmt(r.h), str(r.ndof), _fmt(r.error),
-                               _fmt(r.ev_i), _fmt(r.ev_ipo)]))
-    return "\n".join(lines) + "\n"
+    return csv_text("h,ndof,error,EV_i,EV_ipo",
+                    ((r.h, r.ndof, r.error, r.ev_i, r.ev_ipo)
+                     for r in records))
 
 
 def convergence_study(spec: ProblemSpec, initial_mesh: Mesh,
@@ -501,7 +497,8 @@ def convergence_study(spec: ProblemSpec, initial_mesh: Mesh,
     of ``spec``'s geometry included).  On the all-Dirichlet unit square
     the error reference is the spectral sine series and the pivotal index
     comes from the exact spectrum; on other geometries the reference is a
-    P1 solution two uniform refinements past the finest mesh, and the
+    P1 solution two uniform refinements past the finest mesh (``spec``
+    with ``family=P1``, so its load degree too), and the
     index is counted by inertia on the finest mesh.  The meshes are refined
     one at a time, so a coarser mesh and its pencil are freed before the
     next one is solved on; off the unit square the finest mesh is built
@@ -527,10 +524,8 @@ def convergence_study(spec: ProblemSpec, initial_mesh: Mesh,
     if on_square:
         reference = sine_series_reference(spec.rhs, spec.k2)
     else:
-        ref_spec = ProblemSpec(P1, spec.k2, spec.rhs, spec.geometry,
-                               spec.geometry_params)
         reference = solve_helmholtz(
-            ref_spec, refine_uniform(refine_uniform(finest)))
+            replace(spec, family=P1), refine_uniform(refine_uniform(finest)))
 
     records = []
     mesh = initial_mesh
@@ -554,6 +549,8 @@ def _study_record(spec: ProblemSpec, mesh: Mesh, reference, i_star: int,
     err = l2_error(u, reference)
     E = eigen_ladder(space, spec.k2, STUDY_EXTRA_PAIRS, opts,
                      min_pairs=i_star + 1, below=below)
-    ev_i = float(E.values[i_star - 1]) if 1 <= i_star <= len(E) else 0.0
-    ev_ipo = float(E.values[i_star]) if i_star < len(E) else math.nan
-    return StudyRecord(mesh.h, space.n_free, err, ev_i, ev_ipo)
+
+    def value(j):   # the ladder stops at n_free: no value past it
+        return float(E.values[j - 1]) if j <= len(E) else math.nan
+    return StudyRecord(mesh.h, space.n_free, err,
+                       value(i_star) if i_star else 0.0, value(i_star + 1))

@@ -21,8 +21,8 @@ from .spaces import CR, ElementFamily, build_space, family_from_name
 from .sparsela import EigenSolveError, EigenSolveOptions, ResonanceError
 from .spectral import DEFAULT_KAPPA, MIN_KAPPA, compute_bounds, eigenpairs
 from .certify import (GaussianBump, ProblemSpec, SineProduct,
-                      convergence_study, dirichlet_unit_square, run_gmr,
-                      study_to_csv, _fmt)
+                      convergence_study, csv_text, dirichlet_unit_square,
+                      run_gmr, study_to_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -240,11 +240,8 @@ def cmd_eig(args) -> int:
         bounds = compute_bounds(E, args.kappa)
         lower = [b.lower for b in bounds]
         upper = [b.upper for b in bounds]
-    lines = ["index,lambda,lower,upper"]
-    for i, lam in enumerate(E.values):
-        lines.append(f"{i + 1},{_fmt(lam)},{_fmt(lower[i])},"
-                     f"{_fmt(upper[i])}")
-    csv = "\n".join(lines) + "\n"
+    csv = csv_text("index,lambda,lower,upper",
+                   zip(range(1, args.m + 1), E.values, lower, upper))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(csv)
@@ -280,7 +277,7 @@ def cmd_certify(args) -> int:
             fh.write(write_mesh(report.final_mesh))
     last = report.iterations[-1]
     print(f"{report.termination}: {len(report.iterations)} iterations, "
-          f"final ndof = {last.ndof}, h = {_fmt(last.h)}")
+          f"final ndof = {last.ndof}, h = {last.h!r}")
     for w in report.warnings:
         print(f"warning: {w}")
     return EXIT_OK if report.certified else EXIT_BUDGET

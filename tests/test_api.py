@@ -1,6 +1,7 @@
 """The public surface stays in use: every name that ``helmqo`` re-exports is
 referenced by code outside the tests, so no helper lives on for its tests
-alone."""
+alone.  What two helmqo modules share is public: none imports another's
+underscore name."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,15 @@ def test_every_reexport_has_a_caller_outside_tests():
     unused = exported - used - UNUSED_ALLOWED
     assert not unused, (f"re-exported but referenced only by tests: "
                         f"{sorted(unused)}")
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("helmqo")):
+                private += [f"{path.name}: {alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")]
+    assert not private, f"underscore names imported across modules: {private}"

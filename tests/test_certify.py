@@ -339,6 +339,22 @@ class TestConvergenceStudy:
         assert recs[1].error < recs[0].error
         assert recs[0].ndof < recs[1].ndof
 
+    def test_reference_keeps_load_degree(self, monkeypatch):
+        # off the square the reference is the study's spec with P1
+        # elements: same data, same load quadrature
+        refs = []
+        wrap_everywhere(monkeypatch, helmqo.certify.solve_helmholtz,
+                        lambda a, u: refs.append(a[0]))
+        spec = ProblemSpec(CR, 50.0, rhs=GaussianBump(100.0, 10.0, (0.3, 0.3)),
+                           geometry="square-hole",
+                           geometry_params=dict(outer=2.0, inner=1.0),
+                           load_degree=10)
+        convergence_study(spec, spec.build_mesh(4), 1)
+        [ref] = refs
+        assert (ref.family, ref.load_degree) == (P1, 10)
+        assert (ref.k2, ref.rhs, ref.geometry, ref.geometry_params) == (
+            spec.k2, spec.rhs, spec.geometry, spec.geometry_params)
+
     def test_round_trip_floats(self):
         spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((3, 4, 1.0),)))
         recs = convergence_study(spec, spec.build_mesh(8), 2)

@@ -314,6 +314,23 @@ class TestStudyCommand:
                        "1", "-o", str(tmp_path / "study.csv")])
         assert res.returncode == 0, res.stderr
 
+    @pytest.mark.parametrize("istar,empty", [(500, [True, True]),
+                                             (60, [True, False])])
+    def test_istar_past_free_dofs_left_empty(self, tmp_path, istar, empty):
+        # a mesh with fewer free dofs than i* has no ladder value there:
+        # EV_i is empty, like EV_ipo, not the 0.0 that stands for i* = 0
+        out = tmp_path / "study.csv"
+        res = run_cli(["study", "--geometry", "unit-square", "--k2", "100",
+                       "--family", "p1", "--refinements", "2", "--istar",
+                       str(istar), "-o", str(out)])
+        assert res.returncode == 0, res.stderr
+        rows = [r.split(",")
+                for r in out.read_text().strip().splitlines()[1:]]
+        assert [int(r[1]) for r in rows] == [49, 225]
+        assert [r[3] == "" for r in rows] == empty
+        assert [r[4] == "" for r in rows] == empty
+        assert all(float(r[3]) > 100.0 for r in rows if r[3])
+
     def test_seed_env_override(self, tmp_path):
         out = tmp_path / "s.csv"
         res = run_cli(["study", "--geometry", "unit-square", "--n", "8",

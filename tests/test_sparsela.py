@@ -15,9 +15,8 @@ from helmqo.certify import ProblemSpec, SineProduct, solve_helmholtz
 from helmqo.spaces import CR, P1, P2, assemble_load, assemble_mass, \
     assemble_stiffness, build_space, constrain, constrain_vector
 from helmqo.sparsela import (EigenSolveError, EigenSolveOptions,
-                             FactorizationError, ResonanceError,
-                             SparseSymMatrix, count_below, eigs_smallest,
-                             ldlt, solve)
+                             ResonanceError, SparseSymMatrix, count_below,
+                             eigs_smallest, ldlt, solve)
 
 from conftest import (enumeration_index, gaussian_elimination_solve,
                       jacobi_generalized_eigen, traced_peak)
@@ -56,7 +55,7 @@ class TestLdlt:
         M = sym(np.eye(3))
         F = ldlt(A, 3.0, M)
         assert F.n_zero >= 1
-        with pytest.raises(FactorizationError):
+        with pytest.raises(ResonanceError):
             solve(F, np.ones(3))
 
     @pytest.mark.parametrize("coupled", [False, True])
@@ -73,7 +72,7 @@ class TestLdlt:
         F = ldlt(A, 7.0, M)
         assert F.n_zero >= 1
         assert sum(F.inertia) == A.n
-        with pytest.raises(FactorizationError):
+        with pytest.raises(ResonanceError):
             solve(F, np.ones(A.n))
         with pytest.raises(ResonanceError):
             count_below(A, M, 7.0)
@@ -177,6 +176,27 @@ class TestSolve:
         b = rng.standard_normal(A.n)
         x = solve(F, b)
         assert np.linalg.norm(F.matrix @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_flagged_factor_solved_by_partial_pivoting(self):
+        # P1 n = 32 at sigma = 8192: the LDL^T is forced off the diagonal,
+        # so solve takes partial-pivoting LU, whose first solution already
+        # meets the bound and is returned as it is
+        A, M = square_pencil(32)
+        F = ldlt(A, 8192.0, M)
+        assert F.n_zero > 0
+        b = np.random.default_rng(4).standard_normal(A.n)
+        x = solve(F, b)
+        assert np.linalg.norm(F.matrix @ x - b) <= 1e-10 * np.linalg.norm(b)
+        assert np.array_equal(x, spla.splu(F.matrix.tocsc()).solve(b))
+
+    def test_inaccurate_base_solve_raises(self, monkeypatch):
+        # refinement cannot reach the bound from a base solve that returns
+        # zeros, and the last residual is checked, not returned unread
+        A, M = square_pencil(8)
+        F = ldlt(A, 10.0, M)
+        monkeypatch.setattr(F, "_raw_solve", lambda r: np.zeros_like(r))
+        with pytest.raises(ResonanceError, match="relative residual"):
+            solve(F, np.ones(A.n))
 
 
 class TestEigsSmallest:
