@@ -92,6 +92,20 @@ def _parse_rhs(args):
     raise UsageError(f"unknown rhs kind {kind!r}")
 
 
+def _check_bump_center(args, mesh) -> None:
+    """Reject a gaussian bump centred outside the mesh's bounding box: far
+    from its centre the load underflows to numerically zero data."""
+    if getattr(args, "rhs", None) != "gaussian-bump":
+        return
+    lo = mesh.vertices.min(axis=0).tolist()
+    hi = mesh.vertices.max(axis=0).tolist()
+    if not all(lo[d] <= args.rhs_center[d] <= hi[d] for d in (0, 1)):
+        x, y = args.rhs_center
+        raise UsageError(f"--rhs-center {x!r} {y!r} lies outside the mesh's "
+                         f"bounding box [{lo[0]!r}, {hi[0]!r}] x "
+                         f"[{lo[1]!r}, {hi[1]!r}]")
+
+
 def _add_geometry_args(p: argparse.ArgumentParser, with_mesh: bool = True):
     if with_mesh:
         p.add_argument("--mesh", metavar="FILE",
@@ -292,6 +306,7 @@ def cmd_study(args) -> int:
                        geometry=geometry, geometry_params=params,
                        load_degree=args.load_degree)
     mesh = spec.build_mesh()
+    _check_bump_center(args, mesh)
     records = convergence_study(spec, mesh, args.refinements,
                                 i_star=args.istar,
                                 opts=EigenSolveOptions(seed=args.seed))

@@ -5,6 +5,9 @@ weights (weights sum to one); the integral over a physical triangle K is
 ``area(K) * sum(w_q * f(x_q))``.  Rules up to degree 5 use closed-form
 points; higher degrees fall back to a conical-product construction
 (Gauss-Jacobi x Gauss-Legendre), which has positive weights for any degree.
+The Gauss-Legendre nodes are NumPy's ``leggauss``; the Gauss-Jacobi nodes
+come from the eigendecomposition of their Jacobi matrix (Golub-Welsch), so
+the module needs no ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 
 @dataclass(frozen=True)
@@ -57,10 +60,25 @@ def _seven_point_rule() -> QuadratureRule:
     return QuadratureRule(np.array(pts), np.array(wts), 5)
 
 
+def _gauss_jacobi_10(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight (1 - x) on [-1, 1] (Jacobi
+    alpha = 1, beta = 0), by Golub-Welsch: the nodes are the eigenvalues
+    of the symmetric tridiagonal Jacobi matrix of the three-term
+    recurrence, and each weight is the weight's total mass 2 times the
+    squared first component of its normalized eigenvector."""
+    k = np.arange(n)
+    diag = -1.0 / ((2 * k + 1.0) * (2 * k + 3.0))
+    j = k[1:]
+    off = np.sqrt(j * (j + 1.0)) / (2 * j + 1.0)
+    x, V = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
+                          + np.diag(off, -1))
+    return x, 2.0 * V[0] ** 2
+
+
 def _conical_rule(degree: int) -> QuadratureRule:
     npts = (degree + 2) // 2  # m-point rules are exact to degree 2m-1
-    xj, wj = roots_jacobi(npts, 1.0, 0.0)   # weight (1-x) on [-1, 1]
-    xl, wl = roots_legendre(npts)
+    xj, wj = _gauss_jacobi_10(npts)   # weight (1-x) on [-1, 1]
+    xl, wl = leggauss(npts)
     xi = 0.5 * (xj + 1.0)
     eta = 0.5 * (xl + 1.0)
     # map int_T f = int_0^1 int_0^1 f(xi, eta*(1-xi)) (1-xi) deta dxi
@@ -89,7 +107,7 @@ def triangle_rule(degree: int) -> QuadratureRule:
 def edge_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre points/weights on [0, 1], exact to ``degree``."""
     npts = max(1, (degree + 2) // 2)
-    x, w = roots_legendre(npts)
+    x, w = leggauss(npts)
     return 0.5 * (x + 1.0), 0.5 * w
 
 

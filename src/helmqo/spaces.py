@@ -8,8 +8,10 @@ definite for the eigensolver.
 
 All stiffness and mass entries are integrated exactly (the integrands are
 polynomial); load vectors and L2 errors use quadrature of selectable degree.
-``assemble_load`` works through the mesh in fixed slices of quadrature
-points, so its working set does not grow with the mesh.
+``assemble_load`` and ``l2_error`` (against a callable, a function on the
+same mesh or one on a nested finer mesh) work through the mesh in fixed
+slices of quadrature points, so their working set beyond one value per
+point does not grow with the mesh.
 
 ``DofSpace.pencil`` is the Dirichlet-constrained Laplace pencil (A, M) on
 the free dofs.  It is assembled and constrained on first use and cached on
@@ -176,10 +178,12 @@ class FeFunction:
         if self.coefficients.shape != (self.space.ndof,):
             raise ValueError("coefficient length does not match the space")
 
-    def values_on_elements(self, bary: np.ndarray) -> np.ndarray:
-        """Values at barycentric points of every element; shape (nt, q)."""
+    def values_on_elements(self, bary: np.ndarray,
+                           triangles=slice(None)) -> np.ndarray:
+        """Values at barycentric points of the elements ``triangles`` (all
+        by default); shape (nt, q)."""
         N = shape_values(self.space.family, bary)
-        c = self.coefficients[self.space.cell_dofs]
+        c = self.coefficients[self.space.cell_dofs[triangles]]
         return np.einsum("qm,tm->tq", N, c)
 
 
@@ -230,7 +234,7 @@ def assemble_mass(space: DofSpace) -> SparseSymMatrix:
     return _scatter(space, local)
 
 
-# quadrature points per slice of assemble_load and nested l2_error
+# quadrature points per slice of assemble_load and l2_error
 _SLICE_POINTS = 65_536
 
 
@@ -341,49 +345,57 @@ def _nesting_level(coarse: Mesh, fine: Mesh) -> int:
     return k
 
 
-def _l2_norm(vals: np.ndarray, weights: np.ndarray,
-             areas: np.ndarray) -> float:
-    """L2 norm of per-element quadrature values (nt, q)."""
-    return float(np.sqrt(np.einsum("tq,q,t->", vals ** 2, weights, areas)))
-
-
 def l2_error(u: FeFunction, ref, degree: int = 4) -> float:
     """L2 distance between ``u`` and a reference.
 
     ``ref`` is either a callable ``ref(x, y)`` or an FeFunction living on a
     uniform refinement descendant of ``u``'s mesh; integration is always
-    elementwise on the finer mesh (broken evaluation, valid for CR).
+    elementwise on the finer mesh (broken evaluation, valid for CR).  The
+    finer mesh is worked through in fixed slices of quadrature points; only
+    the squared differences, one per point, are kept whole, and they are
+    summed once, so the result does not depend on the slice size.
     """
     rule = triangle_rule(max(degree, 4))
-    if callable(ref) and not isinstance(ref, FeFunction):
-        mesh = u.space.mesh
-        pts = mesh.physical_points(slice(None), rule.points)
-        diff = u.values_on_elements(rule.points) - _eval_rhs(
-            ref, pts[..., 0], pts[..., 1])
-        return _l2_norm(diff, rule.weights, mesh.areas)
-    if not isinstance(ref, FeFunction):
+    if isinstance(ref, FeFunction):
+        mesh = ref.space.mesh
+        level = _nesting_level(u.space.mesh, mesh)
+        # on u's own mesh and in u's family both share the rule's points
+        nested = level > 0 or u.space.family != ref.space.family
+    elif callable(ref):
+        mesh, nested = u.space.mesh, False
+    else:
         raise TypeError("ref must be callable or an FeFunction")
-    fine = ref.space.mesh
-    coarse = u.space.mesh
-    level = _nesting_level(coarse, fine)
-    if level == 0 and u.space.family == ref.space.family:
-        diff = (u.values_on_elements(rule.points)
-                - ref.values_on_elements(rule.points))
-        return _l2_norm(diff, rule.weights, fine.areas)
-    # the reference values, overwritten slice by slice with the difference
-    diff = ref.values_on_elements(rule.points)                # (nt, q)
+    sq = np.empty((mesh.n_triangles, len(rule.weights)))
     step = max(1, _SLICE_POINTS // len(rule.weights))
-    for lo in range(0, fine.n_triangles, step):
+    for lo in range(0, mesh.n_triangles, step):
         sl = slice(lo, lo + step)
-        pts = fine.physical_points(sl, rule.points)
-        ancestors = np.arange(lo, lo + len(pts)) // 4 ** level
-        lam = coarse.barycentric(ancestors, pts)
-        l1, l2 = lam[..., 1], lam[..., 2]
-        if (l1 < -1e-9).any() or (l2 < -1e-9).any() \
-                or (l1 + l2 > 1 + 1e-9).any():
-            raise ValueError("point outside its claimed ancestor triangle; "
-                             "meshes are not nested")
-        N = shape_values(u.space.family, lam)                 # (t, q, nloc)
-        cu = u.coefficients[u.space.cell_dofs[ancestors]]     # (t, nloc)
-        diff[sl] = np.einsum("tqm,tm->tq", N, cu) - diff[sl]
-    return _l2_norm(diff, rule.weights, fine.areas)
+        if isinstance(ref, FeFunction):
+            ref_vals = ref.values_on_elements(rule.points, sl)
+        else:
+            pts = mesh.physical_points(sl, rule.points)
+            ref_vals = _eval_rhs(ref, pts[..., 0], pts[..., 1])
+        if nested:
+            u_vals = _values_in_ancestors(u, mesh, sl, level, rule.points)
+        else:
+            u_vals = u.values_on_elements(rule.points, sl)
+        sq[sl] = (u_vals - ref_vals) ** 2
+    return float(np.sqrt(np.einsum("tq,q,t->", sq, rule.weights,
+                                   mesh.areas)))
+
+
+def _values_in_ancestors(u: FeFunction, fine: Mesh, sl: slice, level: int,
+                         bary: np.ndarray) -> np.ndarray:
+    """Values (t, q) of ``u`` at the barycentric points ``bary`` of the
+    triangles ``sl`` of ``fine``, each evaluated in its ancestor on
+    ``u``'s mesh, ``level`` uniform refinements coarser."""
+    pts = fine.physical_points(sl, bary)
+    ancestors = np.arange(sl.start, sl.start + len(pts)) // 4 ** level
+    lam = u.space.mesh.barycentric(ancestors, pts)
+    l1, l2 = lam[..., 1], lam[..., 2]
+    if (l1 < -1e-9).any() or (l2 < -1e-9).any() \
+            or (l1 + l2 > 1 + 1e-9).any():
+        raise ValueError("point outside its claimed ancestor triangle; "
+                         "meshes are not nested")
+    N = shape_values(u.space.family, lam)                 # (t, q, nloc)
+    cu = u.coefficients[u.space.cell_dofs[ancestors]]     # (t, nloc)
+    return np.einsum("tqm,tm->tq", N, cu)

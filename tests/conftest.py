@@ -323,21 +323,38 @@ def unblocked_sine_sum(C: np.ndarray, x: np.ndarray,
     return 2.0 * ((Sx @ C) * Sy).sum(axis=1)
 
 
-def oneshot_nested_l2_error(u, ref, degree: int = 4) -> float:
-    """``l2_error`` against a nested FeFunction reference from one
-    evaluation at every quadrature point of the fine mesh, no slices."""
+def oneshot_l2_error(u, ref, degree: int = 4) -> float:
+    """``l2_error`` from one evaluation at every quadrature point of the
+    finer mesh, no slices: against a callable, an FeFunction on ``u``'s
+    mesh in ``u``'s family (values at the rule's points), or any other
+    FeFunction on a nested finer mesh (``u`` evaluated in the ancestors)."""
     from helmqo.quadrature import triangle_rule
-    from helmqo.spaces import shape_values
+    from helmqo.spaces import FeFunction, _eval_rhs, shape_values
     rule = triangle_rule(max(degree, 4))
-    fine, coarse = ref.space.mesh, u.space.mesh
-    per_ancestor = fine.n_triangles // coarse.n_triangles   # 4 ** level
+
+    def values(v):   # v at the rule's points of each of its elements
+        return np.einsum("qm,tm->tq", shape_values(v.space.family,
+                                                   rule.points),
+                         v.coefficients[v.space.cell_dofs])
+
+    coarse = u.space.mesh
+    fine = ref.space.mesh if isinstance(ref, FeFunction) else coarse
     pts = np.einsum("qk,tkd->tqd", rule.points, fine.vertices[fine.triangles])
-    ancestors = np.arange(fine.n_triangles) // per_ancestor
-    lam = corner_barycentric(coarse, ancestors, pts)
-    N = shape_values(u.space.family, lam)
-    cu = u.coefficients[u.space.cell_dofs[ancestors]]
-    diff = (np.einsum("tqm,tm->tq", N, cu)
-            - ref.values_on_elements(rule.points))
+    if isinstance(ref, FeFunction):
+        ref_vals = values(ref)
+    else:
+        ref_vals = _eval_rhs(ref, pts[..., 0], pts[..., 1])
+    per_ancestor = fine.n_triangles // coarse.n_triangles   # 4 ** level
+    if per_ancestor == 1 and (not isinstance(ref, FeFunction)
+                              or ref.space.family == u.space.family):
+        u_vals = values(u)
+    else:
+        ancestors = np.arange(fine.n_triangles) // per_ancestor
+        N = shape_values(u.space.family,
+                         corner_barycentric(coarse, ancestors, pts))
+        u_vals = np.einsum("tqm,tm->tq", N,
+                           u.coefficients[u.space.cell_dofs[ancestors]])
+    diff = u_vals - ref_vals
     return float(np.sqrt(np.einsum("tq,q,t->", diff ** 2,
                                    rule.weights,
                                    corner_geometry(fine)[0])))

@@ -1,9 +1,13 @@
 """The public surface stays in use: every name that ``helmqo`` re-exports is
 referenced by code outside the tests, so no helper lives on for its tests
 alone.  What two helmqo modules share is public: none imports another's
-underscore name."""
+underscore name.  Importing the command line does not load
+``scipy.special``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,3 +67,15 @@ def test_no_module_imports_a_private_name_of_another():
                             for alias in node.names
                             if alias.name.startswith("_")]
     assert not private, f"underscore names imported across modules: {private}"
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special costs every CLI process memory and import time; the
+    # quadrature rules are built with NumPy alone
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, helmqo.cli; print('scipy.special' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert loaded.strip() == "False"

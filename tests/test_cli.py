@@ -412,6 +412,28 @@ class TestStudyCommand:
                        "--family", "cr", "--p", "2", "--refinements", "2"])
         assert res.returncode == 2
 
+    def test_bump_center_off_the_mesh_exit_2(self, tmp_path):
+        # the default centre (0.6, 0.7) lies outside [-0.375, 0.375]^2: the
+        # load was about 5e4 exp(-270) and the errors 1e-112, with exit 0
+        out = tmp_path / "study.csv"
+        res = run_cli(["study", "--geometry", "square-hole", "--outer",
+                       "0.75", "--inner", "0.3", "--n", "10", "--k2", "400",
+                       "--family", "cr", "--refinements", "2", "--rhs",
+                       "gaussian-bump", "-o", str(out)])
+        assert res.returncode == 2
+        assert "--rhs-center 0.6 0.7" in res.stderr
+        assert not out.exists()
+
+    def test_bump_center_on_the_unit_square_accepted(self, tmp_path):
+        out = tmp_path / "study.csv"
+        res = run_cli(["study", "--geometry", "unit-square", "--n", "4",
+                       "--k2", "10", "--family", "p1", "--refinements", "2",
+                       "--rhs", "gaussian-bump", "-o", str(out)])
+        assert res.returncode == 0, res.stderr
+        errors = [float(line.split(",")[2])
+                  for line in out.read_text().splitlines()[1:]]
+        assert len(errors) == 2 and min(errors) > 1e-6
+
 
 class TestDeepValidation:
     def test_too_many_pairs_exit_2(self):

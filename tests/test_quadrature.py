@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
+import helmqo.quadrature
 from helmqo.quadrature import (edge_rule, reference_monomial_integral,
                                triangle_rule)
 
 
-@pytest.mark.parametrize("degree", range(1, 9))
+@pytest.mark.parametrize("degree", range(1, 21))
 def test_monomial_exactness(degree):
     rule = triangle_rule(degree)
     assert rule.degree >= degree
@@ -19,7 +21,7 @@ def test_monomial_exactness(degree):
             assert abs(approx - exact) <= tol, (degree, a, b)
 
 
-@pytest.mark.parametrize("degree", range(1, 9))
+@pytest.mark.parametrize("degree", range(1, 21))
 def test_weights_positive_and_normalized(degree):
     rule = triangle_rule(degree)
     assert (rule.weights > 0).all()
@@ -36,3 +38,17 @@ def test_edge_rule_exactness():
     x, w = edge_rule(5)
     for p in range(6):
         assert np.isclose(np.sum(w * x ** p), 1.0 / (p + 1), atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_gauss_nodes_match_scipy(n):
+    # the library builds both rules without scipy.special
+    x, w = helmqo.quadrature._gauss_jacobi_10(n)
+    xs, ws = roots_jacobi(n, 1.0, 0.0)
+    assert np.abs(x - xs).max() <= 1e-13
+    assert np.abs(w - ws).max() <= 1e-13
+    x, w = edge_rule(2 * n - 1)
+    xs, ws = roots_legendre(n)
+    assert len(x) == n
+    assert np.abs(x - 0.5 * (xs + 1.0)).max() <= 1e-13
+    assert np.abs(w - 0.5 * ws).max() <= 1e-13

@@ -14,10 +14,10 @@ from helmqo.spaces import (CR, P1, P2, FeFunction, assemble_load,
                            expand_free, family_from_name, interpolate,
                            l2_error)
 from helmqo.sparsela import ldlt, solve
-from helmqo.certify import GaussianBump, SineProduct
+from helmqo.certify import GaussianBump, SineProduct, sine_series_reference
 
 from conftest import (loop_cr_vertex_mean, loop_p2_stiffness,
-                      oneshot_assemble_load, oneshot_nested_l2_error,
+                      oneshot_assemble_load, oneshot_l2_error,
                       traced_peak)
 
 N = BoundaryTag.NEUMANN
@@ -363,30 +363,36 @@ class TestL2Error:
 
 
 class TestL2ErrorSlices:
-    """The nested-reference error is streamed in slices of fine triangles
-    that change no bit and keep the working set fixed."""
+    """The error against every kind of reference is streamed in slices of
+    triangles that change no bit and keep the working set fixed."""
 
     fn = staticmethod(lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y))
 
-    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize("levels", [0, 1, 2])
     @pytest.mark.parametrize("fam", [P1, P2, CR], ids=str)
     def test_bit_identical_to_one_shot(self, fam, levels, monkeypatch):
-        # 7 triangles per 6-point slice: 800 or 3200 = 7 q + 2 or 1
-        monkeypatch.setattr(helmqo.spaces, "_SLICE_POINTS", 7 * 6)
-        coarse = build_unit_square(10)
+        # 7 triangles of 7 points per slice: 3200 = 7 q + 1 at levels 0
+        # and 2; at level 0 the reference shares u's mesh and family, so
+        # it interpolates another function
+        monkeypatch.setattr(helmqo.spaces, "_SLICE_POINTS", 7 * 7)
+        coarse = build_unit_square(40 if levels == 0 else 10)
         fine = coarse
         for _ in range(levels):
             fine = refine_uniform(fine)
         u = interpolate(build_space(coarse, fam), self.fn)
-        ref = interpolate(build_space(fine, P1), self.fn)
+        if levels:
+            ref = interpolate(build_space(fine, P1), self.fn)
+        else:
+            ref = interpolate(build_space(fine, fam),
+                              lambda x, y: x * (1 - x) * y)
         err = l2_error(u, ref)
         assert err > 0.0
-        assert err == oneshot_nested_l2_error(u, ref)
+        assert err == oneshot_l2_error(u, ref)
 
     def test_non_nested_rejected_in_a_later_slice(self, monkeypatch):
         # the children of coarse triangles 3 and 5 swapped: the first
         # 7-triangle slice is nested, the second is not
-        monkeypatch.setattr(helmqo.spaces, "_SLICE_POINTS", 7 * 6)
+        monkeypatch.setattr(helmqo.spaces, "_SLICE_POINTS", 7 * 7)
         coarse = build_unit_square(4)
         fine = refine_uniform(coarse)
         order = np.arange(fine.n_triangles)
@@ -398,8 +404,31 @@ class TestL2ErrorSlices:
         with pytest.raises(ValueError, match="not nested"):
             l2_error(u, ref)
 
+    @pytest.mark.parametrize("reference", ["function", "sine-series"])
+    @pytest.mark.parametrize("fam", [P1, P2, CR], ids=str)
+    def test_callable_bit_identical_to_one_shot(self, fam, reference,
+                                                monkeypatch):
+        # 7 triangles of 7 points per slice: 3200 = 7 * 457 + 1; the sine
+        # series is the study's reference, evaluated in its own blocks
+        monkeypatch.setattr(helmqo.spaces, "_SLICE_POINTS", 7 * 7)
+        u = interpolate(build_space(build_unit_square(40), fam),
+                        lambda x, y: x * (1 - x) * y)
+        ref = self.fn if reference == "function" else sine_series_reference(
+            SineProduct(((3, 4, 1.0), (4, 3, 1.0))), 100.0)
+        err = l2_error(u, ref)
+        assert err > 0.0
+        assert err == oneshot_l2_error(u, ref)
+
+    @pytest.mark.parametrize("reference", ["callable", "same-level"])
+    def test_working_set_is_bounded_on_one_mesh(self, reference):
+        # 73,728 triangles x 25 points: 1.8M points in one shot
+        s = build_space(build_unit_square(192), P1)
+        u = interpolate(s, lambda x, y: x * (1 - x) * y)
+        ref = self.fn if reference == "callable" else interpolate(s, self.fn)
+        assert traced_peak(l2_error, u, ref, degree=10) < 32 * 2 ** 20
+
     def test_working_set_is_bounded(self):
-        # 73,728 fine triangles x 6 points; 50.1 MiB in one shot
+        # 73,728 fine triangles x 7 points; 50.1 MiB in one shot
         coarse = build_unit_square(24)
         fine = refine_uniform(refine_uniform(refine_uniform(coarse)))
         u = interpolate(build_space(coarse, P1), self.fn)
