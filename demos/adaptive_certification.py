@@ -12,11 +12,10 @@ which the current ladder could certify.
 Run with:  python demos/adaptive_certification.py   (takes ~1 s)
 """
 
-from helmqo import CR, ProblemSpec, run_gmr
+from helmqo import CR, ProblemSpec, build_square_with_hole, run_gmr
 
-spec = ProblemSpec(CR, 400.0, geometry="square-hole",
-                   geometry_params=dict(outer=0.75, inner=0.3))
-initial = spec.build_mesh(10)
+spec = ProblemSpec(CR, 400.0)
+initial = build_square_with_hole(0.75, 0.3, 10)
 print(f"k^2 = {spec.k2} on a {0.75} x {0.75} square with a {0.3}-hole; "
       f"initial mesh: {initial}")
 

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .mesh import Mesh, build_geometry, refine_bisection, refine_uniform
+from .mesh import Mesh, refine_bisection, refine_uniform
 from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
                      assemble_load, build_space, constrain_vector,
                      expand_free, l2_error)
@@ -49,8 +49,10 @@ class GaussianBump:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("width must be positive")
+        if not (math.isfinite(self.amplitude) and 0 < self.width < math.inf
+                and all(map(math.isfinite, self.center))):
+            raise ValueError("a gaussian bump needs a finite amplitude and "
+                             f"center and a positive finite width: {self}")
 
     def __call__(self, x, y):
         r2 = (x - self.center[0]) ** 2 + (y - self.center[1]) ** 2
@@ -62,6 +64,12 @@ class SineProduct:
     """Combination of normalized sine modes 2 sin(i pi x) sin(j pi y)."""
 
     modes: tuple[tuple[int, int, float], ...] = ((1, 1, 1.0),)
+
+    def __post_init__(self):
+        if not self.modes or not all(i >= 1 and j >= 1 and math.isfinite(c)
+                                     for i, j, c in self.modes):
+            raise ValueError("a sine product needs modes with indices >= 1 "
+                             f"and finite coefficients: {self}")
 
     def __call__(self, x, y):
         out = np.zeros(np.broadcast(x, y).shape)
@@ -75,13 +83,13 @@ Rhs = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 @dataclass
 class ProblemSpec:
-    """A Helmholtz problem: geometry, element family, wave number, data."""
+    """A Helmholtz problem's physics: element family, wave number, data.
+    Its domain is the mesh passed to ``run_gmr``, ``convergence_study`` or
+    ``solve_helmholtz``."""
 
     family: ElementFamily
     k2: float
     rhs: Rhs | None = None
-    geometry: str = "unit-square"     # a name known to build_geometry
-    geometry_params: dict = field(default_factory=dict)
     load_degree: int = 4
 
     def __post_init__(self):
@@ -89,18 +97,17 @@ class ProblemSpec:
             raise ValueError(f"k2 must be positive and finite, got "
                              f"{self.k2!r}")
 
-    def build_mesh(self, n: int | None = None) -> Mesh:
-        params = dict(self.geometry_params)
-        if n is not None:
-            params["n"] = n
-        return build_geometry(self.geometry, **params)
 
-
-def dirichlet_unit_square(spec: ProblemSpec, mesh: Mesh) -> bool:
-    """Whether ``mesh`` of ``spec``'s geometry is the unit square with an
-    all-Dirichlet boundary, where the sine series is the exact reference."""
-    return (spec.geometry in ("unit-square", "unit-square-unstructured")
-            and bool((mesh.edge_tag[mesh.boundary_edge_ids] == 0).all()))
+def dirichlet_unit_square(mesh: Mesh) -> bool:
+    """Whether ``mesh`` is the unit square with an all-Dirichlet boundary,
+    where the sine series is the exact reference: its vertices span exactly
+    [0, 1]^2, and to rounding its areas sum to 1 (a hole lowers it) and its
+    boundary edges' lengths to 4 (a slit raises it)."""
+    b, v = mesh.boundary_edge_ids, mesh.vertices
+    return bool((mesh.edge_tag[b] == 0).all()
+                and (v.min(axis=0) == 0).all() and (v.max(axis=0) == 1).all()
+                and math.isclose(mesh.areas.sum(), 1.0)
+                and math.isclose(mesh.edge_lengths[b].sum(), 4.0))
 
 
 # -- Helmholtz solve --------------------------------------------------------
@@ -186,8 +193,8 @@ def sine_series_reference(f: Rhs, k2: float, modes: int | None = None):
             if abs(vals - probe).max() <= SINE_STABILITY_RTOL * scale:
                 break
         if N >= 512:
-            raise RuntimeError("sine series did not stabilize; data too "
-                               "rough for a spectral reference")
+            raise ValueError("sine series did not stabilize; data too "
+                             "rough for a spectral reference")
         probe = vals
         N += 16
     u.modes = N
@@ -269,10 +276,6 @@ class IterationRecord:
 
 @dataclass
 class CertificationReport:
-    k2: float
-    family: ElementFamily
-    refine_mode: str
-    i_star_source: str
     iterations: list[IterationRecord] = field(default_factory=list)
     final_mesh: Mesh | None = None
     termination: str = "budget"
@@ -352,8 +355,7 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
                        or i_star_source < 0):
         raise ValueError("i_star_source must be 'cr' or a nonnegative index")
 
-    report = CertificationReport(spec.k2, spec.family, refine_mode,
-                                 "cr" if use_cr else str(int(i_star_source)))
+    report = CertificationReport()
     mesh = initial_mesh
     k2 = spec.k2
     done = False
@@ -494,21 +496,21 @@ def convergence_study(spec: ProblemSpec, initial_mesh: Mesh,
     """Solve on a family of uniform refinements and record errors/ladders.
 
     Produces one record per mesh (``refinements`` meshes, ``initial_mesh``
-    of ``spec``'s geometry included).  On the all-Dirichlet unit square
-    the error reference is the spectral sine series and the pivotal index
-    comes from the exact spectrum; on other geometries the reference is a
-    P1 solution two uniform refinements past the finest mesh (``spec``
-    with ``family=P1``, so its load degree too), and the
-    index is counted by inertia on the finest mesh.  The meshes are refined
-    one at a time, so a coarser mesh and its pencil are freed before the
-    next one is solved on; off the unit square the finest mesh is built
-    first, without keeping the meshes in between, and reused last.
+    included).  On any all-Dirichlet unit-square mesh, however it was made
+    (:func:`dirichlet_unit_square`), the error reference is the spectral
+    sine series and the pivotal index comes from the exact spectrum; on
+    other meshes the reference is a P1 solution two uniform refinements
+    past the finest mesh (``spec`` with ``family=P1``, so its load degree
+    too), and the index is counted by inertia on the finest mesh.  The
+    meshes are refined one at a time, so a coarser mesh and its pencil are
+    freed before the next one is solved on; off the unit square the finest
+    mesh is built first, without keeping those between, and reused last.
     """
     if refinements < 1:
         raise ValueError("refinements must be >= 1")
     if i_star is not None and i_star < 0:
         raise ValueError(f"i_star must be >= 0, got {i_star}")
-    on_square = dirichlet_unit_square(spec, initial_mesh)
+    on_square = dirichlet_unit_square(initial_mesh)
     finest = None
     if not on_square:
         finest = initial_mesh

@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 
-from .mesh import (BoundaryTag, MeshError, build_geometry, read_mesh,
+from .mesh import (BoundaryTag, Mesh, MeshError, build_geometry, read_mesh,
                    write_mesh)
 from .spaces import CR, ElementFamily, build_space, family_from_name
 from .sparsela import EigenSolveError, EigenSolveOptions, ResonanceError
@@ -64,15 +64,16 @@ def _tag(name: str) -> BoundaryTag:
         raise UsageError(f"unknown boundary tag {name!r}")
 
 
-def _geometry(args) -> tuple[str, dict]:
-    """The geometry flags as a ``build_geometry`` name and parameters."""
+def _mesh(args) -> Mesh:
+    """The mesh the geometry flags describe, read or built."""
     if getattr(args, "mesh", None):
-        return "file", {"path": args.mesh}
+        return build_geometry("file", path=args.mesh)
     if args.geometry is None:
         raise UsageError("either --mesh or --geometry is required")
-    return args.geometry, dict(
-        n=args.n, seed=args.seed, outer=args.outer, inner=args.inner,
-        tags=_tag(args.tag), outer_tag=_tag(args.outer_tag or args.tag),
+    return build_geometry(
+        args.geometry, n=args.n, seed=args.seed, outer=args.outer,
+        inner=args.inner, tags=_tag(args.tag),
+        outer_tag=_tag(args.outer_tag or args.tag),
         inner_tag=_tag(args.inner_tag or args.tag))
 
 
@@ -228,8 +229,7 @@ def cmd_mesh(args) -> int:
         return EXIT_OK
     if args.geometry is None:
         raise UsageError("mesh: either --geometry or --validate is required")
-    geometry, params = _geometry(args)
-    mesh = build_geometry(geometry, **params)
+    mesh = _mesh(args)
     text = write_mesh(mesh)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -244,9 +244,8 @@ def cmd_mesh(args) -> int:
 def cmd_eig(args) -> int:
     if args.m < 1:
         raise UsageError("--m must be >= 1")
-    geometry, params = _geometry(args)
     family = family_from_name(args.family)
-    space = build_space(build_geometry(geometry, **params), family)
+    space = build_space(_mesh(args), family)
     E = eigenpairs(space, args.m, EigenSolveOptions(tol=args.tol,
                                                     seed=args.seed))
     lower = upper = [None] * args.m
@@ -276,10 +275,8 @@ def cmd_certify(args) -> int:
         source = "cr"
         if family != CR:
             raise UsageError("--estimate cr requires --family cr")
-    geometry, params = _geometry(args)
-    spec = ProblemSpec(family, args.k2, geometry=geometry,
-                       geometry_params=params)
-    report = run_gmr(spec, spec.build_mesh(), refine_mode=args.refine,
+    spec = ProblemSpec(family, args.k2)
+    report = run_gmr(spec, _mesh(args), refine_mode=args.refine,
                      i_star_source=source, max_iters=args.max_iters,
                      extra=args.extra, kappa=args.kappa,
                      opts=EigenSolveOptions(tol=args.tol, seed=args.seed))
@@ -301,11 +298,9 @@ def cmd_study(args) -> int:
     if args.refinements < 1:
         raise UsageError("--refinements must be >= 1")
     family = _resolve_family(args)
-    geometry, params = _geometry(args)
     spec = ProblemSpec(family, args.k2, rhs=_parse_rhs(args),
-                       geometry=geometry, geometry_params=params,
                        load_degree=args.load_degree)
-    mesh = spec.build_mesh()
+    mesh = _mesh(args)
     _check_bump_center(args, mesh)
     records = convergence_study(spec, mesh, args.refinements,
                                 i_star=args.istar,
@@ -315,7 +310,7 @@ def cmd_study(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(csv)
         ref_note = ("spectral sine series"
-                    if dirichlet_unit_square(spec, mesh)
+                    if dirichlet_unit_square(mesh)
                     else "conforming solution on two extra refinements")
         print(f"wrote {args.output} ({len(records)} meshes, "
               f"error reference: {ref_note})")

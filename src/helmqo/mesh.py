@@ -353,8 +353,11 @@ def build_square_with_hole(outer: float, inner: float, n: int = 16,
     cells across the outer side; it is rounded up to an even value >= 4 and
     the hole boundary is snapped to the closest grid line.
     """
-    if not 0 < inner < outer:
-        raise ValueError("need 0 < inner < outer")
+    if not 0 < inner < outer < np.inf:
+        raise ValueError(f"need 0 < inner < outer, both finite, got inner "
+                         f"{inner!r} and outer {outer!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     n = max(4, n + (n % 2))
     cell = outer / n
     half = n // 2

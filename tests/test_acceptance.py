@@ -89,11 +89,10 @@ def test_criterion_2_guaranteed_bounds():
            f"upper bounds at every index checked, {violations} violations")
 
 
-def _study_slope(family, n0, refinements, geometry="unit-square"):
+def _study_slope(family, n0, refinements):
     data = hq.SineProduct(((3, 4, 1.0), (4, 3, 1.0)))
-    spec = hq.ProblemSpec(family, 100.0, rhs=data, geometry=geometry,
-                          load_degree=10)
-    recs = hq.convergence_study(spec, spec.build_mesh(n0), refinements)
+    spec = hq.ProblemSpec(family, 100.0, rhs=data, load_degree=10)
+    recs = hq.convergence_study(spec, hq.build_unit_square(n0), refinements)
     sat = np.array([r.ev_i < 100.0 < r.ev_ipo for r in recs])
     onset = int(np.argmax(sat)) if sat.any() else None
     hs = np.array([r.h for r in recs])
@@ -222,9 +221,8 @@ def test_criterion_6_sign_flip_coercivity():
 def test_criterion_7_certification_end_to_end():
     """Adaptive guaranteed-index run certifies within budget and at no more
     degrees of freedom than the uniform run."""
-    spec = hq.ProblemSpec(hq.CR, 400.0, geometry="square-hole",
-                          geometry_params=dict(outer=0.75, inner=0.3))
-    m0 = spec.build_mesh(10)
+    spec = hq.ProblemSpec(hq.CR, 400.0)
+    m0 = hq.build_square_with_hole(0.75, 0.3, 10)
     rep_a = hq.run_gmr(spec, m0, "adaptive", "cr", max_iters=20)
     rep_u = hq.run_gmr(spec, m0, "uniform", "cr", max_iters=20)
     last_a = rep_a.iterations[-1]

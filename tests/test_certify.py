@@ -4,11 +4,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helmqo.certify
 import helmqo.sparsela
-from helmqo.mesh import (build_square_with_hole, build_unit_square,
-                         build_unit_square_unstructured, refine_uniform)
+from helmqo.mesh import (BoundaryTag, Mesh, build_square_with_hole,
+                         build_unit_square, build_unit_square_unstructured,
+                         refine_bisection, refine_uniform)
 from helmqo.spaces import (CR, P1, P2, assemble_load, build_space,
                            constrain_vector, l2_error)
 from helmqo.spectral import (DEFAULT_KAPPA, BoundedEigen, cr_lower_bound,
@@ -16,7 +18,8 @@ from helmqo.spectral import (DEFAULT_KAPPA, BoundedEigen, cr_lower_bound,
 from helmqo.sparsela import (RECOUNT_RTOL, EigenSolveError, ResonanceError,
                              count_below, ldlt)
 from helmqo.certify import (GaussianBump, ProblemSpec,
-                            SineProduct, convergence_study, run_gmr,
+                            SineProduct, convergence_study,
+                            dirichlet_unit_square, run_gmr,
                             sine_series_reference, solve_helmholtz,
                             study_to_csv, unit_square_index,
                             unit_square_spectrum)
@@ -42,6 +45,86 @@ def wrap_everywhere(monkeypatch, fn, record):
 def matrix_digest(A) -> str:
     return hashlib.sha256(A.indptr.tobytes() + A.indices.tobytes()
                           + A.data.tobytes()).hexdigest()
+
+
+D, N = BoundaryTag.DIRICHLET, BoundaryTag.NEUMANN
+
+
+def moved(mesh, scale=1.0, shift=(0.0, 0.0)):
+    """``mesh`` with its vertices scaled, then shifted; tags kept."""
+    return Mesh(mesh.vertices * scale + shift, mesh.triangles,
+                mesh.boundary_edges)
+
+
+def slit_square(n):
+    """The structured unit square (``n`` even) cut along x = 1/2 from the
+    bottom side up to y = 1/2: the triangles right of the cut take copies
+    of the vertices below its tip.  Area 1, boundary length 5."""
+    m = build_unit_square(n)
+    v = m.vertices
+    on_cut = np.flatnonzero((v[:, 0] == 0.5) & (v[:, 1] < 0.5))
+    copy_of = np.arange(len(v))
+    copy_of[on_cut] = len(v) + np.arange(len(on_cut))
+    tris = m.triangles.copy()
+    right = v[tris].mean(axis=1)[:, 0] > 0.5
+    tris[right] = copy_of[tris[right]]
+    return Mesh.from_triangulation(np.vstack([v, v[on_cut]]), tris)
+
+
+@st.composite
+def labelled_meshes(draw):
+    """A mesh and whether it is an all-Dirichlet unit square."""
+    kind = draw(st.sampled_from(["structured", "jittered", "hole", "neumann",
+                                 "mixed", "shifted", "scaled", "slit"]))
+    n = 2 * draw(st.integers(1, 2))
+    if kind == "structured":
+        return build_unit_square(n), True
+    if kind == "jittered":
+        return build_unit_square_unstructured(
+            n, seed=draw(st.integers(0, 2 ** 16))), True
+    if kind == "hole":     # spans [0, 1]^2, area 3/4
+        return moved(build_square_with_hole(1.0, 0.5, n),
+                     shift=(0.5, 0.5)), False
+    if kind == "neumann":
+        return build_unit_square(n, N), False
+    if kind == "mixed":
+        return build_unit_square(n, lambda x, y: N if x == 0 else D), False
+    if kind == "shifted":
+        return moved(build_unit_square(n),
+                     shift=draw(st.sampled_from([(0.25, 0.0),
+                                                 (0.0, -1.0)]))), False
+    if kind == "scaled":
+        return moved(build_unit_square(n),
+                     scale=draw(st.sampled_from([0.5, 2.0]))), False
+    return slit_square(n), False
+
+
+class TestDirichletUnitSquare:
+    """The sine-series reference is chosen from the mesh alone."""
+
+    @settings(max_examples=40)
+    @given(labelled=labelled_meshes(), data=st.data())
+    def test_verdict_survives_refinement(self, labelled, data):
+        mesh, expected = labelled
+        assert dirichlet_unit_square(mesh) is expected
+        for _ in range(data.draw(st.integers(0, 2), label="rounds")):
+            if data.draw(st.booleans(), label="red"):
+                mesh = refine_uniform(mesh)
+            else:
+                rng = np.random.default_rng(
+                    data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+                mesh = refine_bisection(
+                    mesh, np.flatnonzero(rng.random(mesh.n_triangles) < 0.3)
+                    .tolist() + [int(rng.integers(mesh.n_triangles))])
+            assert dirichlet_unit_square(mesh) is expected
+
+    def test_slit_passes_every_check_but_the_boundary_length(self):
+        m = slit_square(4)
+        assert (m.edge_tag[m.boundary_edge_ids] == 0).all()
+        assert m.vertices.min() == 0.0 and m.vertices.max() == 1.0
+        assert m.areas.sum() == 1.0
+        assert m.edge_lengths[m.boundary_edge_ids].sum() == 5.0
+        assert not dirichlet_unit_square(m)
 
 
 class TestSpectrumOracle:
@@ -221,9 +304,9 @@ class TestRunGmr:
         rep = run_gmr(spec, build_unit_square(8), "uniform", 8, max_iters=12)
         for rec in rep.iterations:
             if rec.lambda_lo is not None:
-                assert rec.condition == rep.k2 - rec.lambda_lo
+                assert rec.condition == spec.k2 - rec.lambda_lo
             if rec.certified:
-                assert rec.lambda_lo < rep.k2 < rec.lambda_hi
+                assert rec.lambda_lo < spec.k2 < rec.lambda_hi
 
     def test_cr_estimate_on_square(self):
         spec = ProblemSpec(CR, 30.0)
@@ -238,9 +321,9 @@ class TestRunGmr:
         # the README's square with a hole; a P2 count on a fine mesh is a
         # conforming (min-max) lower bound on the exact index, and the
         # certificate's lower bound on lambda^(i*+1) an upper one
-        spec = ProblemSpec(CR, 1500.0, geometry="square-hole",
-                           geometry_params=dict(outer=0.75, inner=0.3))
-        rep = run_gmr(spec, spec.build_mesh(10), "uniform", "cr",
+        spec = ProblemSpec(CR, 1500.0)
+        rep = run_gmr(spec, build_square_with_hole(0.75, 0.3, 10), "uniform",
+                      "cr",
                       max_iters=6)
         assert rep.termination == "certified"
         assert rep.iterations[-1].index == 41
@@ -316,12 +399,12 @@ class TestConvergenceStudy:
     def test_negative_istar_rejected(self, i_star):
         spec = ProblemSpec(P1, 100.0, rhs=SineProduct())
         with pytest.raises(ValueError, match="i_star must be >= 0"):
-            convergence_study(spec, spec.build_mesh(4), 2, i_star=i_star)
+            convergence_study(spec, build_unit_square(4), 2, i_star=i_star)
 
     def test_csv_schema_and_monotone_errors(self):
         spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((3, 4, 1.0),)),
                            load_degree=8)
-        recs = convergence_study(spec, spec.build_mesh(16), 3)
+        recs = convergence_study(spec, build_unit_square(16), 3)
         csv = study_to_csv(recs)
         lines = csv.strip().splitlines()
         assert lines[0] == "h,ndof,error,EV_i,EV_ipo"
@@ -332,12 +415,32 @@ class TestConvergenceStudy:
         assert hs[1] == pytest.approx(hs[0] / 2)
 
     def test_nested_reference_off_square(self):
-        spec = ProblemSpec(P1, 50.0, rhs=GaussianBump(100.0, 10.0, (0.3, 0.3)),
-                           geometry="square-hole",
-                           geometry_params=dict(outer=2.0, inner=1.0))
-        recs = convergence_study(spec, spec.build_mesh(8), 2)
+        spec = ProblemSpec(P1, 50.0, rhs=GaussianBump(100.0, 10.0, (0.3, 0.3)))
+        recs = convergence_study(spec, build_square_with_hole(2.0, 1.0, 8), 2)
         assert recs[1].error < recs[0].error
         assert recs[0].ndof < recs[1].ndof
+
+    def test_reference_chosen_from_the_mesh(self, monkeypatch):
+        # a spec names no geometry: on the hole the reference is the P1
+        # solution two refinements past the finest mesh, never the
+        # unit-square series, and i* is the inertia count, 0 at k^2 = 100
+        refs, series = [], []
+        wrap_everywhere(monkeypatch, helmqo.certify.solve_helmholtz,
+                        lambda a, u: refs.append(a))
+        wrap_everywhere(monkeypatch, helmqo.certify.sine_series_reference,
+                        lambda a, u: series.append(a))
+        mesh = build_square_with_hole(1.0, 0.5, 8)
+        spec = ProblemSpec(P1, 100.0,
+                           rhs=SineProduct(((3, 4, 1.0), (4, 3, 1.0))))
+        recs = convergence_study(spec, mesh, 2)
+        assert series == []
+        [(ref_spec, ref_mesh)] = refs
+        assert ref_spec.family == P1
+        assert ref_mesh.n_triangles == 4 ** 3 * mesh.n_triangles
+        assert [r.ev_i for r in recs] == [0.0, 0.0]
+        assert count_below(*build_space(refine_uniform(mesh), P1).pencil,
+                           100.0) == 0
+        assert all(r.ev_ipo > 100.0 for r in recs)
 
     def test_reference_keeps_load_degree(self, monkeypatch):
         # off the square the reference is the study's spec with P1
@@ -346,18 +449,15 @@ class TestConvergenceStudy:
         wrap_everywhere(monkeypatch, helmqo.certify.solve_helmholtz,
                         lambda a, u: refs.append(a[0]))
         spec = ProblemSpec(CR, 50.0, rhs=GaussianBump(100.0, 10.0, (0.3, 0.3)),
-                           geometry="square-hole",
-                           geometry_params=dict(outer=2.0, inner=1.0),
                            load_degree=10)
-        convergence_study(spec, spec.build_mesh(4), 1)
+        convergence_study(spec, build_square_with_hole(2.0, 1.0, 4), 1)
         [ref] = refs
         assert (ref.family, ref.load_degree) == (P1, 10)
-        assert (ref.k2, ref.rhs, ref.geometry, ref.geometry_params) == (
-            spec.k2, spec.rhs, spec.geometry, spec.geometry_params)
+        assert (ref.k2, ref.rhs) == (spec.k2, spec.rhs)
 
     def test_round_trip_floats(self):
         spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((3, 4, 1.0),)))
-        recs = convergence_study(spec, spec.build_mesh(8), 2)
+        recs = convergence_study(spec, build_unit_square(8), 2)
         line = study_to_csv(recs).strip().splitlines()[1].split(",")
         assert float(line[0]) == recs[0].h
         assert float(line[2]) == recs[0].error
@@ -397,7 +497,7 @@ class TestPencilReuse:
         wrap_everywhere(monkeypatch, helmqo.sparsela.count_below,
                         lambda a, n: counted.append(n))
         spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((1, 2, 1.0),)))
-        recs = convergence_study(spec, spec.build_mesh(4), 3)
+        recs = convergence_study(spec, build_unit_square(4), 3)
         # each k^2 solve, plus one shift-invert factorization on the
         # 225-dof mesh, the only one above the dense eigensolver limit
         assert len(factorized) == 4
@@ -420,7 +520,7 @@ class TestPencilReuse:
                         lambda a, F: shifts.append(a[1]))
         spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((1, 2, 1.0),)))
         with pytest.raises(EigenSolveError, match="inertia counts"):
-            convergence_study(spec, spec.build_mesh(8), 1)
+            convergence_study(spec, build_unit_square(8), 1)
         # the count is the solve's; the 49-dof ladder needs no factor
         assert shifts == [100.0]
 
@@ -430,7 +530,7 @@ class TestPencilReuse:
         wrap_everywhere(monkeypatch, helmqo.spaces.assemble_stiffness,
                         lambda a, K: stiffness.append(a[0].mesh))
         spec = ProblemSpec(P1, 30.0, rhs=SineProduct(((1, 2, 1.0),)))
-        recs = convergence_study(spec, spec.build_mesh(4), 3)
+        recs = convergence_study(spec, build_unit_square(4), 3)
         assert len(recs) == 3
         assert len(stiffness) == 3
         assert len({id(m) for m in stiffness}) == 3

@@ -8,6 +8,7 @@ import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
+EXIT_CODES = {0, 2, 3, 4, 5, 6}    # the codes the CLI documents
 
 
 def run_cli(args, cwd=None, env_extra=None):
@@ -17,8 +18,12 @@ def run_cli(args, cwd=None, env_extra=None):
     env.pop("HQO_SEED", None)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "helmqo.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+    res = subprocess.run([sys.executable, "-m", "helmqo.cli", *args],
+                         capture_output=True, text=True, cwd=cwd, env=env)
+    # every failure maps to a documented code with a one-line message
+    assert res.returncode in EXIT_CODES, res.stderr
+    assert "Traceback" not in res.stderr
+    return res
 
 
 class TestHelp:
@@ -55,6 +60,17 @@ class TestMeshCommand:
         from helmqo.mesh import read_mesh
         m = read_mesh(out.read_text())
         assert m.n_vertices - m.n_edges + m.n_triangles == 0
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--n", "-3", "n must be >= 1"),
+        ("--outer", "inf", "both finite"),
+        ("--inner", "nan", "both finite")],
+        ids=["n-negative", "outer-inf", "inner-nan"])
+    def test_bad_hole_exit_2(self, flag, value, message):
+        # an argument error, not a file error (exit 3)
+        res = run_cli(["mesh", "--geometry", "square-hole", flag, value])
+        assert res.returncode == 2
+        assert message in res.stderr
 
     def test_validate_good(self, tmp_path):
         out = tmp_path / "sq.mesh"
@@ -355,6 +371,22 @@ class TestStudyCommand:
         row = out.read_text().strip().splitlines()[1].split(",")
         assert int(row[1]) == ndof
 
+    def test_unit_square_file_gets_the_series(self, tmp_path):
+        # the reference is chosen from the mesh: a unit square read from a
+        # file is the same study as the built one
+        mesh_file = tmp_path / "sq.mesh"
+        assert run_cli(["mesh", "--geometry", "unit-square", "--n", "8",
+                        "-o", str(mesh_file)]).returncode == 0
+        study = ["study", "--k2", "100", "--family", "p1", "--refinements",
+                 "2"]
+        read, built = tmp_path / "read.csv", tmp_path / "built.csv"
+        res = run_cli([*study, "--mesh", str(mesh_file), "-o", str(read)])
+        assert res.returncode == 0, res.stderr
+        assert "spectral sine series" in res.stdout
+        assert run_cli([*study, "--geometry", "unit-square", "--n", "8",
+                        "-o", str(built)]).returncode == 0
+        assert read.read_bytes() == built.read_bytes()
+
     def test_tag_is_used(self, tmp_path):
         out = tmp_path / "study.csv"
         res = run_cli(["study", "--geometry", "unit-square", "--n", "8",
@@ -423,6 +455,39 @@ class TestStudyCommand:
         assert res.returncode == 2
         assert "--rhs-center 0.6 0.7" in res.stderr
         assert not out.exists()
+
+    SQUARE = ["--geometry", "unit-square", "--n", "4"]
+    HOLE = ["--geometry", "square-hole", "--n", "8"]
+    BUMP = ["--rhs", "gaussian-bump", "--rhs-center"]
+
+    @pytest.mark.parametrize("geometry,rhs,message", [
+        (SQUARE, [*BUMP, "0.5", "0.5", "--rhs-amplitude", "nan"],
+         "amplitude=nan"),
+        # NaN data on the hole is not a resonance (exit 6)
+        (HOLE, [*BUMP, "0.3", "0.3", "--rhs-amplitude", "nan"],
+         "amplitude=nan"),
+        (HOLE, ["--rhs-modes", "1,1,inf"], "modes=((1, 1, inf),)"),
+        # sin(0 pi x) vanishes: the data would be zero
+        (SQUARE, ["--rhs-modes", "0,1,1"], "modes=((0, 1, 1.0),)"),
+        (SQUARE, [*BUMP, "0.5", "0.5", "--rhs-width", "inf"], "width=inf"),
+        (SQUARE, [*BUMP, "0.5", "inf"], "center=(0.5, inf)"),
+    ], ids=["amplitude-square", "amplitude-hole", "coef-inf", "mode-0",
+            "width-inf", "center-inf"])
+    def test_bad_rhs_data_exit_2(self, tmp_path, geometry, rhs, message):
+        out = tmp_path / "study.csv"
+        res = run_cli(["study", *geometry, "--k2", "10", "--family", "p1",
+                       "--refinements", "1", *rhs, "-o", str(out)])
+        assert res.returncode == 2
+        assert message in res.stderr
+        assert not out.exists()
+
+    def test_unstable_sine_series_exit_2(self):
+        # finite data, but too narrow a bump for 512 modes
+        res = run_cli(["study", *self.SQUARE, "--k2", "10", "--family",
+                       "p1", "--refinements", "1", *self.BUMP, "0.5", "0.5",
+                       "--rhs-width", "400"])
+        assert res.returncode == 2
+        assert "sine series did not stabilize" in res.stderr
 
     def test_bump_center_on_the_unit_square_accepted(self, tmp_path):
         out = tmp_path / "study.csv"

@@ -74,6 +74,18 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_square_with_hole(1.0, 2.0, 8)
 
+    @pytest.mark.parametrize("outer,inner", [(math.inf, 0.5), (math.nan, 0.5),
+                                             (1.0, math.nan),
+                                             (math.inf, math.inf)])
+    def test_hole_nonfinite_sizes(self, outer, inner):
+        with pytest.raises(ValueError, match="both finite"):
+            build_square_with_hole(outer, inner, 8)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_hole_invalid_n(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            build_square_with_hole(1.0, 0.5, n)
+
     def test_unstructured_valid_and_deterministic(self):
         m1 = build_unit_square_unstructured(6, seed=1)
         m2 = build_unit_square_unstructured(6, seed=1)
