@@ -17,7 +17,7 @@ from .quadrature import QuadratureRule, triangle_rule
 from .spaces import (CR, P1, P2, DofSpace, ElementFamily, FeFunction,
                      assemble_load, assemble_mass, assemble_stiffness,
                      build_space, constrain, constrain_vector, cr_to_p2_lift,
-                     expand_free, family_from_name, interpolate, l2_error)
+                     expand_free, interpolate, l2_error)
 from .sparsela import (EigenResult, EigenSolveError, EigenSolveOptions,
                        Factorization, ResonanceError, SparseSymMatrix,
                        count_below, count_from_factor, eigs_smallest, ldlt,

@@ -104,7 +104,7 @@ def dirichlet_unit_square(mesh: Mesh) -> bool:
     [0, 1]^2, and to rounding its areas sum to 1 (a hole lowers it) and its
     boundary edges' lengths to 4 (a slit raises it)."""
     b, v = mesh.boundary_edge_ids, mesh.vertices
-    return bool((mesh.edge_tag[b] == 0).all()
+    return bool(len(mesh.dirichlet_edge_ids) == len(b)
                 and (v.min(axis=0) == 0).all() and (v.max(axis=0) == 1).all()
                 and math.isclose(mesh.areas.sum(), 1.0)
                 and math.isclose(mesh.edge_lengths[b].sum(), 4.0))
@@ -144,17 +144,19 @@ def _solve(spec: ProblemSpec, space: DofSpace) -> tuple[FeFunction, int]:
 
 # -- unit-square spectrum oracle -------------------------------------------
 
+def _square_eigenvalues(top: int) -> np.ndarray:
+    """The (top, top) grid pi^2 (i^2 + j^2), i, j = 1..top, of unit-square
+    Dirichlet Laplace eigenvalues."""
+    idx = np.arange(1, top + 1)
+    return np.pi ** 2 * (idx[:, None] ** 2 + idx[None, :] ** 2)
+
+
 def unit_square_spectrum(count: int) -> np.ndarray:
     """First ``count`` Dirichlet Laplace eigenvalues pi^2 (i^2 + j^2) of the
     unit square, sorted ascending with multiplicities."""
-    top = int(math.isqrt(2 * count)) + 2
-    vals = sorted(math.pi ** 2 * (i * i + j * j)
-                  for i in range(1, top + 1) for j in range(1, top + 1))
-    while len(vals) < count:
-        top *= 2
-        vals = sorted(math.pi ** 2 * (i * i + j * j)
-                      for i in range(1, top + 1) for j in range(1, top + 1))
-    return np.array(vals[:count])
+    # i, j <= sqrt(2 count) + 2 holds more than the count smallest
+    top = math.isqrt(2 * count) + 2
+    return np.sort(_square_eigenvalues(top), axis=None)[:count]
 
 
 def unit_square_index(k2: float) -> int:
@@ -162,8 +164,7 @@ def unit_square_index(k2: float) -> int:
     if k2 <= 0:
         return 0
     top = int(math.sqrt(k2) / math.pi) + 1
-    return sum(1 for i in range(1, top + 1) for j in range(1, top + 1)
-               if math.pi ** 2 * (i * i + j * j) < k2)
+    return int((_square_eigenvalues(top) < k2).sum())
 
 
 # -- spectral reference on the unit square ----------------------------------
@@ -203,8 +204,7 @@ def sine_series_reference(f: Rhs, k2: float, modes: int | None = None):
 
 
 def _sine_coefficients(f: Rhs, k2: float, N: int) -> np.ndarray:
-    lam = np.pi ** 2 * (np.arange(1, N + 1)[:, None] ** 2
-                        + np.arange(1, N + 1)[None, :] ** 2)
+    lam = _square_eigenvalues(N)
     if abs(lam - k2).min() <= 1e-9 * max(k2, 1.0):
         raise ResonanceError(f"k^2 = {k2!r} coincides with a unit-square "
                              "eigenvalue")

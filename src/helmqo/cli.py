@@ -17,7 +17,7 @@ import sys
 
 from .mesh import (BoundaryTag, Mesh, MeshError, build_geometry, read_mesh,
                    write_mesh)
-from .spaces import CR, ElementFamily, build_space, family_from_name
+from .spaces import CR, ElementFamily, build_space
 from .sparsela import EigenSolveError, EigenSolveOptions, ResonanceError
 from .spectral import DEFAULT_KAPPA, MIN_KAPPA, compute_bounds, eigenpairs
 from .certify import (GaussianBump, ProblemSpec, SineProduct,
@@ -47,21 +47,13 @@ def _default_seed() -> int:
 
 
 def _resolve_family(args) -> ElementFamily:
-    fam = family_from_name(args.family)
+    fam = ElementFamily(args.family)
     p = getattr(args, "p", None)
     if p is not None:
         if fam == CR:
             raise UsageError("--p applies to the conforming family only")
-        fam = family_from_name(f"p{p}")
+        fam = ElementFamily(f"p{p}")
     return fam
-
-
-def _tag(name: str) -> BoundaryTag:
-    try:
-        return {"dirichlet": BoundaryTag.DIRICHLET,
-                "neumann": BoundaryTag.NEUMANN}[name.lower()]
-    except KeyError:
-        raise UsageError(f"unknown boundary tag {name!r}")
 
 
 def _mesh(args) -> Mesh:
@@ -72,9 +64,9 @@ def _mesh(args) -> Mesh:
         raise UsageError("either --mesh or --geometry is required")
     return build_geometry(
         args.geometry, n=args.n, seed=args.seed, outer=args.outer,
-        inner=args.inner, tags=_tag(args.tag),
-        outer_tag=_tag(args.outer_tag or args.tag),
-        inner_tag=_tag(args.inner_tag or args.tag))
+        inner=args.inner, tags=BoundaryTag[args.tag.upper()],
+        outer_tag=BoundaryTag[(args.outer_tag or args.tag).upper()],
+        inner_tag=BoundaryTag[(args.inner_tag or args.tag).upper()])
 
 
 def _parse_rhs(args):
@@ -108,6 +100,7 @@ def _check_bump_center(args, mesh) -> None:
 
 
 def _add_geometry_args(p: argparse.ArgumentParser, with_mesh: bool = True):
+    tags = [t.name.lower() for t in BoundaryTag]
     if with_mesh:
         p.add_argument("--mesh", metavar="FILE",
                        help="read the mesh from FILE instead of building one")
@@ -121,12 +114,11 @@ def _add_geometry_args(p: argparse.ArgumentParser, with_mesh: bool = True):
                    help="outer side length (square-hole)")
     p.add_argument("--inner", type=float, default=0.5,
                    help="inner hole side length (square-hole)")
-    p.add_argument("--tag", default="dirichlet",
-                   choices=["dirichlet", "neumann"],
+    p.add_argument("--tag", default="dirichlet", choices=tags,
                    help="boundary tag for all boundary edges")
-    p.add_argument("--outer-tag", choices=["dirichlet", "neumann"],
+    p.add_argument("--outer-tag", choices=tags,
                    help="tag for the outer boundary (square-hole)")
-    p.add_argument("--inner-tag", choices=["dirichlet", "neumann"],
+    p.add_argument("--inner-tag", choices=tags,
                    help="tag for the hole boundary (square-hole)")
 
 
@@ -153,6 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--seed", type=int, default=None,
                      help="random seed (default: HQO_SEED env var or 0)")
     sub = top.add_subparsers(dest="command", required=True)
+    families = [str(f) for f in ElementFamily]
 
     pm = sub.add_parser("mesh", help="generate or validate a mesh file")
     _add_geometry_args(pm, with_mesh=False)
@@ -164,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eig", help="compute the smallest Laplace "
                                     "eigenvalues (with CR bounds)")
     _add_geometry_args(pe)
-    pe.add_argument("--family", required=True, choices=["p1", "p2", "cr"],
+    pe.add_argument("--family", required=True, choices=families,
                     help="element family")
     pe.add_argument("--m", type=int, required=True,
                     help="number of eigenpairs (>= 1)")
@@ -180,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_geometry_args(pc)
     pc.add_argument("--k2", type=float, required=True, help="wave number "
                     "squared")
-    pc.add_argument("--family", required=True, choices=["p1", "p2", "cr"])
+    pc.add_argument("--family", required=True, choices=families)
     pc.add_argument("--p", type=int, choices=[1, 2],
                     help="conforming polynomial order override")
     pc.add_argument("--refine", choices=["uniform", "adaptive"],
@@ -203,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("study", help="uniform-refinement convergence study")
     _add_geometry_args(ps)
     ps.add_argument("--k2", type=float, required=True)
-    ps.add_argument("--family", required=True, choices=["p1", "p2", "cr"])
+    ps.add_argument("--family", required=True, choices=families)
     ps.add_argument("--p", type=int, choices=[1, 2],
                     help="conforming polynomial order override")
     ps.add_argument("--refinements", type=int, required=True,
@@ -244,7 +237,7 @@ def cmd_mesh(args) -> int:
 def cmd_eig(args) -> int:
     if args.m < 1:
         raise UsageError("--m must be >= 1")
-    family = family_from_name(args.family)
+    family = ElementFamily(args.family)
     space = build_space(_mesh(args), family)
     E = eigenpairs(space, args.m, EigenSolveOptions(tol=args.tol,
                                                     seed=args.seed))

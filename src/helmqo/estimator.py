@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import edge_rule, triangle_rule
-from .spaces import ElementFamily, shape_gradients, shape_values
+from .spaces import P2, ElementFamily, shape_gradients, shape_values
 from .spectral import EigenSet
 
 
@@ -64,7 +64,7 @@ def residual_indicator(E: EigenSet, i_star: int,
     N = shape_values(space.family, rule.points)        # (q, nloc)
     lap_coeff = _laplacian_coefficients(space.family, G)   # (nt, nloc)
 
-    interior = np.flatnonzero(mesh.edge_tag == -1)
+    interior = np.flatnonzero(mesh.edge2tri[:, 1] >= 0)
     ends = mesh.edges[interior]                        # (ne, 2) vertex ids
     sides = mesh.edge2tri[interior].T                  # (2, ne) triangles
     epts, ewts = edge_rule(4)
@@ -118,7 +118,7 @@ def _laplacian_coefficients(family: ElementFamily,
                             G: np.ndarray) -> np.ndarray:
     """Per-element coefficients mapping dofs to the (constant) Laplacian."""
     nt = len(G)
-    if family.degree == 1:
+    if family != P2:
         return np.zeros((nt, 3))
     out = np.empty((nt, 6))
     gg = np.einsum("tjd,tkd->tjk", G, G)

@@ -63,10 +63,12 @@ class Mesh:
         Local index (edge ``k`` is opposite vertex ``k``) of the edge used
         by newest-vertex bisection.  Defaults to the longest edge.
 
-    Besides the topology (``edges``, ``tri2edge``, ``edge2tri``,
-    ``edge_tag``) the mesh keeps, read-only: ``areas`` (nt,),
+    Besides the topology (``edges``, ``tri2edge``, ``edge2tri``, the
+    ascending ``boundary_edge_ids`` and, among them, ``dirichlet_edge_ids``)
+    the mesh keeps, read-only: ``areas`` (nt,),
     ``edge_lengths`` (n_edges,), ``diameters`` (nt,), the longest edge of
-    each triangle, and ``h``, the largest diameter.
+    each triangle, and ``h``, the largest diameter.  The tag codes of
+    ``edge_tag`` are this module's own; others read ``boundary_edges``.
     """
 
     def __init__(self, vertices, triangles, boundary_edges,
@@ -118,6 +120,8 @@ class Mesh:
                             "to exactly one triangle")
         self.edge_tag = np.full(len(self.edges), -1, dtype=np.int8)
         self.edge_tag[self.boundary_edge_ids] = codes
+        self.dirichlet_edge_ids = self.boundary_edge_ids[
+            codes == _TAGS.index(BoundaryTag.DIRICHLET)]
 
         if refinement_edge is None:
             self.refinement_edge = np.argmax(local_lengths,
@@ -129,8 +133,10 @@ class Mesh:
                 raise MeshError("refinement_edge has wrong length")
 
         for arr in (self.vertices, self.triangles, self.edges, self.tri2edge,
-                    self.edge2tri, self.edge_tag, self.refinement_edge,
-                    self.areas, self.edge_lengths, self.diameters):
+                    self.edge2tri, self.boundary_edge_ids,
+                    self.dirichlet_edge_ids, self.edge_tag,
+                    self.refinement_edge, self.areas, self.edge_lengths,
+                    self.diameters):
             arr.flags.writeable = False
 
     # -- construction helpers -------------------------------------------
@@ -225,8 +231,7 @@ class Mesh:
 
     def dirichlet_vertices(self) -> np.ndarray:
         """Indices of vertices lying on Dirichlet-tagged boundary edges."""
-        d_edges = self.edges[self.edge_tag == 0]
-        return np.unique(d_edges)
+        return np.unique(self.edges[self.dirichlet_edge_ids])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mesh):
@@ -288,6 +293,29 @@ def minimum_angle(m: Mesh) -> float:
 
 # -- builders -------------------------------------------------------------
 
+def _grid(n: int, lo: float, hi: float, keep: np.ndarray | None = None):
+    """The uniform grid on [lo, hi]^2 with ``n`` cells per side.
+
+    Returns the (n+1)^2 vertices, x running fastest, and two
+    counter-clockwise triangles per cell, split along its lower-left to
+    upper-right diagonal, for the cells the (n, n) mask ``keep[iy, ix]``
+    selects (all by default), in row-major cell order.
+    """
+    xs = np.linspace(lo, hi, n + 1)
+    xx, yy = np.meshgrid(xs, xs, indexing="xy")
+    vertices = np.column_stack([xx.ravel(), yy.ravel()])
+    ix, iy = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+    corner = iy * (n + 1) + ix           # lower-left vertex of each cell
+    v00 = corner.ravel() if keep is None else corner[keep]
+    v10 = v00 + 1
+    v01 = v00 + (n + 1)
+    v11 = v01 + 1
+    tris = np.empty((2 * len(v00), 3), dtype=np.int64)
+    tris[0::2] = np.column_stack([v00, v10, v11])
+    tris[1::2] = np.column_stack([v00, v11, v01])
+    return vertices, tris
+
+
 def build_unit_square(n: int,
                       tags: TagAssignment = BoundaryTag.DIRICHLET) -> Mesh:
     """Structured mesh of [0,1]^2 with ``n`` cells per side.
@@ -297,19 +325,7 @@ def build_unit_square(n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(xs, xs, indexing="xy")
-    vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    ix, iy = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-    v00 = (iy * (n + 1) + ix).ravel()
-    v10 = v00 + 1
-    v01 = v00 + (n + 1)
-    v11 = v01 + 1
-    tris = np.empty((2 * n * n, 3), dtype=np.int64)
-    tris[0::2] = np.column_stack([v00, v10, v11])
-    tris[1::2] = np.column_stack([v00, v11, v01])
-    return Mesh.from_triangulation(vertices, tris, tags)
+    return Mesh.from_triangulation(*_grid(n, 0.0, 1.0), tags)
 
 
 def build_unit_square_unstructured(n: int, seed: int = 0,
@@ -329,9 +345,7 @@ def build_unit_square_unstructured(n: int, seed: int = 0,
         raise ValueError("jitter must be in [0, 0.5)")
     from scipy.spatial import Delaunay
 
-    xs = np.linspace(0.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(xs, xs, indexing="xy")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
+    pts, _ = _grid(n, 0.0, 1.0)
     interior = ((pts[:, 0] > 0) & (pts[:, 0] < 1)
                 & (pts[:, 1] > 0) & (pts[:, 1] < 1))
     rng = np.random.default_rng(seed)
@@ -364,23 +378,9 @@ def build_square_with_hole(outer: float, inner: float, n: int = 16,
     j = int(round((inner / 2) / cell))
     j = min(max(j, 1), half - 1)
 
-    xs = np.linspace(-outer / 2, outer / 2, n + 1)
-    xx, yy = np.meshgrid(xs, xs, indexing="xy")
-    grid = np.column_stack([xx.ravel(), yy.ravel()])
-
-    ix, iy = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-    ix, iy = ix.ravel(), iy.ravel()
-    in_hole = ((ix >= half - j) & (ix < half + j)
-               & (iy >= half - j) & (iy < half + j))
-    ix, iy = ix[~in_hole], iy[~in_hole]
-    v00 = iy * (n + 1) + ix
-    v10 = v00 + 1
-    v01 = v00 + (n + 1)
-    v11 = v01 + 1
-    tris = np.empty((2 * len(v00), 3), dtype=np.int64)
-    tris[0::2] = np.column_stack([v00, v10, v11])
-    tris[1::2] = np.column_stack([v00, v11, v01])
-
+    keep = np.ones((n, n), dtype=bool)
+    keep[half - j:half + j, half - j:half + j] = False
+    grid, tris = _grid(n, -outer / 2, outer / 2, keep)
     used = np.unique(tris)
     renum = np.full(len(grid), -1, dtype=np.int64)
     renum[used] = np.arange(len(used))
@@ -524,10 +524,6 @@ def refine_bisection(m: Mesh, marked: Iterable[int] | np.ndarray) -> Mesh:
 
 # -- serialization --------------------------------------------------------
 
-_TAG_IO = {BoundaryTag.DIRICHLET: "D", BoundaryTag.NEUMANN: "N"}
-_TAG_PARSE = {"D": BoundaryTag.DIRICHLET, "N": BoundaryTag.NEUMANN}
-
-
 def write_mesh(m: Mesh) -> str:
     """Serialize a mesh to the line-oriented text format.
 
@@ -543,7 +539,7 @@ def write_mesh(m: Mesh) -> str:
     bedges = m.boundary_edges
     lines.append(f"$BoundaryEdges {len(bedges)}")
     for (a, b), tag in bedges:
-        lines.append(f"{a} {b} {_TAG_IO[tag]}")
+        lines.append(f"{a} {b} {tag.value}")
     return "\n".join(lines) + "\n"
 
 
@@ -625,10 +621,12 @@ def read_mesh(text: str) -> Mesh:
             raise MeshFormatError(
                 f"boundary edge vertex index out of range (0..{nv - 1})",
                 lineno)
-        if parts[2] not in _TAG_PARSE:
+        try:
+            tag = BoundaryTag(parts[2])
+        except ValueError:
             raise MeshFormatError(f"unknown boundary tag {parts[2]!r} "
                                   "(expected D or N)", lineno)
-        boundary.append(((a, b), _TAG_PARSE[parts[2]]))
+        boundary.append(((a, b), tag))
     if pos != len(stripped):
         raise MeshFormatError("trailing content after $BoundaryEdges section",
                               stripped[pos][0])

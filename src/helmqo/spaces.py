@@ -21,6 +21,7 @@ space share the same two matrices; they live as long as the space does.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,42 +34,19 @@ from .sparsela import SparseSymMatrix
 import scipy.sparse as sp
 
 
-@dataclass(frozen=True)
-class ElementFamily:
-    """Element family: Lagrange of order p in {1, 2} or Crouzeix-Raviart."""
+class ElementFamily(enum.Enum):
+    """Element family: Lagrange of order 1 or 2, or Crouzeix-Raviart.  The
+    value is the family's command-line name."""
 
-    kind: str       # "lagrange" | "crouzeix_raviart"
-    degree: int
-
-    def __post_init__(self):
-        if self.kind == "lagrange":
-            if self.degree not in (1, 2):
-                raise ValueError("Lagrange order must be 1 or 2")
-        elif self.kind == "crouzeix_raviart":
-            if self.degree != 1:
-                raise ValueError("Crouzeix-Raviart is first order only")
-        else:
-            raise ValueError(f"unknown element family {self.kind!r}")
+    P1 = "p1"
+    P2 = "p2"
+    CR = "cr"
 
     def __str__(self) -> str:
-        if self.kind == "lagrange":
-            return f"p{self.degree}"
-        return "cr"
+        return self.value
 
 
-P1 = ElementFamily("lagrange", 1)
-P2 = ElementFamily("lagrange", 2)
-CR = ElementFamily("crouzeix_raviart", 1)
-
-_FAMILY_NAMES = {"p1": P1, "p2": P2, "cr": CR}
-
-
-def family_from_name(name: str) -> ElementFamily:
-    try:
-        return _FAMILY_NAMES[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown element family {name!r} "
-                         "(expected p1, p2 or cr)")
+P1, P2, CR = ElementFamily
 
 
 def shape_values(family: ElementFamily, lam: np.ndarray) -> np.ndarray:
@@ -123,7 +101,6 @@ class DofSpace:
         nv, ne = mesh.n_vertices, mesh.n_edges
         midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
                            + mesh.vertices[mesh.edges[:, 1]])
-        d_edges = np.flatnonzero(mesh.edge_tag == 0)
         if family == P1:
             self.ndof = nv
             self.cell_dofs = mesh.triangles.copy()
@@ -133,14 +110,14 @@ class DofSpace:
             self.ndof = ne
             self.cell_dofs = mesh.tri2edge.copy()
             self.locations = midpoints
-            constrained = d_edges
+            constrained = mesh.dirichlet_edge_ids
         else:  # P2
             self.ndof = nv + ne
             self.cell_dofs = np.hstack([mesh.triangles,
                                         nv + mesh.tri2edge])
             self.locations = np.vstack([mesh.vertices, midpoints])
             constrained = np.concatenate([mesh.dirichlet_vertices(),
-                                          nv + d_edges])
+                                          nv + mesh.dirichlet_edge_ids])
         mask = np.zeros(self.ndof, dtype=bool)
         mask[constrained] = True
         self.constrained_dofs = np.flatnonzero(mask)

@@ -119,14 +119,14 @@ class TestEigCommand:
     def test_rows_are_eigenpairs_with_bounds(self, tmp_path, family):
         from helmqo.certify import _fmt
         from helmqo.mesh import build_unit_square
-        from helmqo.spaces import build_space, family_from_name
+        from helmqo.spaces import ElementFamily, build_space
         from helmqo.sparsela import EigenSolveOptions
         from helmqo.spectral import compute_bounds, eigenpairs
         out = tmp_path / "eig.csv"
         res = run_cli(["eig", "--geometry", "unit-square", "--n", "12",
                        "--family", family, "--m", "4", "-o", str(out)])
         assert res.returncode == 0, res.stderr
-        space = build_space(build_unit_square(12), family_from_name(family))
+        space = build_space(build_unit_square(12), ElementFamily(family))
         E = eigenpairs(space, 4, EigenSolveOptions())
         bounds = (compute_bounds(E) if family == "cr"
                   else [None] * len(E))

@@ -8,11 +8,10 @@ import helmqo.spaces
 from helmqo.mesh import (BoundaryTag, Mesh, build_square_with_hole,
                          build_unit_square, build_unit_square_unstructured,
                          refine_uniform)
-from helmqo.spaces import (CR, P1, P2, FeFunction, assemble_load,
-                           assemble_mass, assemble_stiffness, build_space,
-                           constrain, constrain_vector, cr_to_p2_lift,
-                           expand_free, family_from_name, interpolate,
-                           l2_error)
+from helmqo.spaces import (CR, P1, P2, ElementFamily, FeFunction,
+                           assemble_load, assemble_mass, assemble_stiffness,
+                           build_space, constrain, constrain_vector,
+                           cr_to_p2_lift, expand_free, interpolate, l2_error)
 from helmqo.sparsela import ldlt, solve
 from helmqo.certify import GaussianBump, SineProduct, sine_series_reference
 
@@ -39,11 +38,11 @@ def laplace_solution(space, f, degree=6):
 
 class TestFamilies:
     def test_names(self):
-        assert family_from_name("P1") == P1
-        assert family_from_name("p2") == P2
-        assert family_from_name("cr") == CR
+        assert [ElementFamily(name) for name in ("p1", "p2", "cr")] \
+            == [P1, P2, CR]
+        assert [str(f) for f in ElementFamily] == ["p1", "p2", "cr"]
         with pytest.raises(ValueError):
-            family_from_name("p3")
+            ElementFamily("p3")
 
     def test_dof_counts(self):
         assert build_space(build_unit_square(1), P1).ndof == 4
