@@ -25,8 +25,8 @@ from .mesh import Mesh, refine_bisection, refine_uniform
 from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
                      assemble_load, build_space, constrain_vector,
                      expand_free, l2_error)
-from .sparsela import (EigenSolveOptions, ResonanceError, count_below,
-                       count_from_factor, ldlt, solve)
+from .sparsela import (EigenSolveError, EigenSolveOptions, ResonanceError,
+                       count_below, count_from_factor, ldlt, solve)
 from .spectral import (DEFAULT_KAPPA, BoundedEigen, Criterion,
                        LadderExhaustedError, check_criterion, compute_bounds,
                        eigen_ladder, estimate_index)
@@ -49,10 +49,12 @@ class GaussianBump:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and 0 < self.width < math.inf
+        if not (math.isfinite(self.amplitude) and self.amplitude != 0
+                and 0 < self.width < math.inf
                 and all(map(math.isfinite, self.center))):
-            raise ValueError("a gaussian bump needs a finite amplitude and "
-                             f"center and a positive finite width: {self}")
+            raise ValueError("a gaussian bump needs a finite nonzero "
+                             "amplitude, a finite center and a positive "
+                             f"finite width: {self}")
 
     def __call__(self, x, y):
         r2 = (x - self.center[0]) ** 2 + (y - self.center[1]) ** 2
@@ -70,6 +72,12 @@ class SineProduct:
                                      for i, j, c in self.modes):
             raise ValueError("a sine product needs modes with indices >= 1 "
                              f"and finite coefficients: {self}")
+        total: dict[tuple[int, int], float] = {}
+        for i, j, c in self.modes:
+            total[i, j] = total.get((i, j), 0.0) + c
+        if not any(total.values()):
+            raise ValueError("a sine product needs a nonzero coefficient sum "
+                             f"on some mode; it is identically zero: {self}")
 
     def __call__(self, x, y):
         out = np.zeros(np.broadcast(x, y).shape)
@@ -154,7 +162,7 @@ def _square_eigenvalues(top: int) -> np.ndarray:
 def unit_square_spectrum(count: int) -> np.ndarray:
     """First ``count`` Dirichlet Laplace eigenvalues pi^2 (i^2 + j^2) of the
     unit square, sorted ascending with multiplicities."""
-    # i, j <= sqrt(2 count) + 2 holds more than the count smallest
+    # no pair with i or j past sqrt(2 count) + 2 is among the count smallest
     top = math.isqrt(2 * count) + 2
     return np.sort(_square_eigenvalues(top), axis=None)[:count]
 
@@ -441,8 +449,16 @@ def _estimate_cr(space: DofSpace, k2: float, h: float, extra: int,
     lam_need = k2 / (1.0 - k2 * (kappa * h) ** 2)
     # the j* guess lands at count_below(lam_need); carry `extra` more pairs
     # for the averaged indicator plus one for the criterion check
-    m = count_below(*space.pencil, lam_need) + extra + 1
-    E = eigen_ladder(space, k2, extra, opts, min_pairs=m)
+    need_below = count_below(*space.pencil, lam_need)
+    E = eigen_ladder(space, k2, extra, opts,
+                     min_pairs=need_below + extra + 1)
+    # eigen_ladder pins the ladder at k^2; pin it at lam_need too, where
+    # j* is read
+    found = int((E.values < lam_need).sum())
+    if found != need_below:
+        raise EigenSolveError(
+            f"{found} ladder values lie below {lam_need!r}, but the LDL^T "
+            f"inertia counts {need_below}")
     bounds = compute_bounds(E, kappa)
     for j, b in enumerate(bounds, start=1):
         if (b.lower <= k2 <= b.upper

@@ -15,6 +15,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .mesh import (BoundaryTag, Mesh, MeshError, build_geometry, read_mesh,
                    write_mesh)
 from .spaces import CR, ElementFamily, build_space
@@ -86,17 +88,17 @@ def _parse_rhs(args):
 
 
 def _check_bump_center(args, mesh) -> None:
-    """Reject a gaussian bump centred outside the mesh's bounding box: far
-    from its centre the load underflows to numerically zero data."""
+    """Reject a gaussian bump centred off the mesh (outside it or in a
+    hole): far from its centre the load underflows to numerically zero
+    data."""
     if getattr(args, "rhs", None) != "gaussian-bump":
         return
-    lo = mesh.vertices.min(axis=0).tolist()
-    hi = mesh.vertices.max(axis=0).tolist()
-    if not all(lo[d] <= args.rhs_center[d] <= hi[d] for d in (0, 1)):
+    center = np.array(args.rhs_center, dtype=np.float64)
+    lam = mesh.barycentric(slice(None), center[None, None, :])
+    if not (lam >= -1e-12).all(axis=-1).any():
         x, y = args.rhs_center
-        raise UsageError(f"--rhs-center {x!r} {y!r} lies outside the mesh's "
-                         f"bounding box [{lo[0]!r}, {hi[0]!r}] x "
-                         f"[{lo[1]!r}, {hi[1]!r}]")
+        raise UsageError(f"--rhs-center {x!r} {y!r} lies in no triangle of "
+                         "the mesh")
 
 
 def _add_geometry_args(p: argparse.ArgumentParser, with_mesh: bool = True):

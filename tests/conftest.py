@@ -429,22 +429,36 @@ def _loop_normal_jump_sq(mesh, space, G, c, interior, exq, edge_vec,
     return np.einsum("eq,q->e", jump ** 2, ewts) * edge_len
 
 
-def drop_lowest_pair(monkeypatch):
-    """Make ``spectral.eigenpairs``, in every helmqo namespace holding it,
-    return its ladder without the lowest pair."""
-    import helmqo.spectral
-    real = helmqo.spectral.eigenpairs
-
+def _drop_pair(monkeypatch, real, pick):
+    """Make ``real``, in every helmqo namespace holding it, return its
+    ladder without the pair at index ``pick(values)``."""
     def short(*args, **kwargs):
         E = real(*args, **kwargs)
-        return dataclasses.replace(E, values=E.values[1:],
-                                   vectors=E.vectors[:, 1:],
-                                   residuals=E.residuals[1:])
+        keep = np.arange(len(E)) != pick(E.values)
+        return dataclasses.replace(E, values=E.values[keep],
+                                   vectors=E.vectors[:, keep],
+                                   residuals=E.residuals[keep])
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "helmqo":
             for attr, obj in list(vars(mod).items()):
                 if obj is real:
                     monkeypatch.setattr(mod, attr, short)
+
+
+def drop_lowest_pair(monkeypatch):
+    """Make ``spectral.eigenpairs`` return its ladder without the lowest
+    pair."""
+    import helmqo.spectral
+    _drop_pair(monkeypatch, helmqo.spectral.eigenpairs, lambda values: 0)
+
+
+def drop_first_pair_above(monkeypatch, k2: float):
+    """Make ``spectral.eigen_ladder`` return its ladder without the first
+    pair at or above ``k2``: the count at ``k2``, which eigen_ladder checks
+    itself, stays right."""
+    import helmqo.spectral
+    _drop_pair(monkeypatch, helmqo.spectral.eigen_ladder,
+               lambda values: np.searchsorted(values, k2))
 
 
 def traced_peak(fn, *args, **kwargs) -> int:

@@ -1,7 +1,8 @@
 """The public surface stays in use: every name that ``helmqo`` re-exports is
 referenced by code outside the tests, so no helper lives on for its tests
 alone.  What two helmqo modules share is public: none imports another's
-underscore name.  Importing the command line does not load
+underscore name.  The boundary tag codes in ``Mesh.edge_tag`` are
+``mesh.py``'s own format.  Importing the command line does not load
 ``scipy.special``."""
 
 import ast
@@ -67,6 +68,17 @@ def test_no_module_imports_a_private_name_of_another():
                             for alias in node.names
                             if alias.name.startswith("_")]
     assert not private, f"underscore names imported across modules: {private}"
+
+
+def test_only_mesh_reads_edge_tag_codes():
+    # other modules read the tags as BoundaryTag members or through
+    # Mesh.dirichlet_edge_ids, so the codes can change in mesh.py alone
+    readers = sorted(str(path.relative_to(ROOT)) for path in callers()
+                     if path.name != "mesh.py" and any(
+                         isinstance(node, ast.Attribute)
+                         and node.attr == "edge_tag"
+                         for node in ast.walk(ast.parse(path.read_text()))))
+    assert not readers, f"edge_tag read outside mesh.py: {readers}"
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

@@ -24,8 +24,9 @@ from helmqo.certify import (GaussianBump, ProblemSpec,
                             study_to_csv, unit_square_index,
                             unit_square_spectrum)
 
-from conftest import (drop_lowest_pair, enumeration_index,
-                      enumeration_spectrum, traced_peak, unblocked_sine_sum)
+from conftest import (drop_first_pair_above, drop_lowest_pair,
+                      enumeration_index, enumeration_spectrum, traced_peak,
+                      unblocked_sine_sum)
 
 
 def wrap_everywhere(monkeypatch, fn, record):
@@ -362,6 +363,14 @@ class TestRunGmr:
                           if not certifiable(d)}
         assert (len(marked) == mesh.n_triangles) == everything
         assert marked
+
+    def test_cr_ladder_checked_where_j_star_is_read(self, monkeypatch):
+        # without the first pair above k^2 the flagship once certified
+        # i* = 9 anyway, each j* read off a ladder one value short
+        drop_first_pair_above(monkeypatch, 400.0)
+        with pytest.raises(EigenSolveError, match="inertia counts 12"):
+            run_gmr(ProblemSpec(CR, 400.0),
+                    build_square_with_hole(0.75, 0.3, 10), "adaptive", "cr")
 
     def test_cr_estimate_requires_cr(self):
         spec = ProblemSpec(P1, 30.0)

@@ -37,6 +37,31 @@ class TestHelp:
         golden = (GOLDEN / f"help_{name}.txt").read_text()
         assert res.stdout == golden
 
+    def test_choices_are_the_enums(self):
+        # --family and the tag flags offer exactly the enums' members,
+        # spelled as the CLI resolves them
+        import argparse
+        from helmqo.cli import _build_parser
+        from helmqo.mesh import BoundaryTag
+        from helmqo.spaces import ElementFamily
+        top = _build_parser()
+        commands = next(a.choices for a in top._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        seen = []
+        for command, parser in commands.items():
+            for action in parser._actions:
+                flag = action.option_strings[-1:]
+                if flag == ["--family"]:
+                    assert [ElementFamily(c) for c in action.choices] \
+                        == list(ElementFamily)
+                elif flag in (["--tag"], ["--outer-tag"], ["--inner-tag"]):
+                    assert [BoundaryTag[c.upper()] for c in action.choices] \
+                        == list(BoundaryTag)
+                else:
+                    continue
+                seen.append((command, flag[0]))
+        assert len(seen) == 3 + 4 * 3
+
     def test_unknown_flag_rejected(self):
         res = run_cli(["mesh", "--geometry", "unit-square", "--frobnicate"])
         assert res.returncode == 2
@@ -456,6 +481,18 @@ class TestStudyCommand:
         assert "--rhs-center 0.6 0.7" in res.stderr
         assert not out.exists()
 
+    def test_bump_center_in_the_hole_exit_2(self, tmp_path):
+        # (0, 0) lies in the mesh's bounding box but in its hole: the load
+        # was e^-100 on the hole's edge and the errors 1e-46, with exit 0
+        out = tmp_path / "study.csv"
+        res = run_cli(["study", "--geometry", "square-hole", "--n", "8",
+                       "--k2", "10", "--family", "p1", "--refinements", "2",
+                       "--rhs", "gaussian-bump", "--rhs-center", "0", "0",
+                       "-o", str(out)])
+        assert res.returncode == 2
+        assert "--rhs-center 0.0 0.0" in res.stderr
+        assert not out.exists()
+
     SQUARE = ["--geometry", "unit-square", "--n", "4"]
     HOLE = ["--geometry", "square-hole", "--n", "8"]
     BUMP = ["--rhs", "gaussian-bump", "--rhs-center"]
@@ -471,8 +508,15 @@ class TestStudyCommand:
         (SQUARE, ["--rhs-modes", "0,1,1"], "modes=((0, 1, 1.0),)"),
         (SQUARE, [*BUMP, "0.5", "0.5", "--rhs-width", "inf"], "width=inf"),
         (SQUARE, [*BUMP, "0.5", "inf"], "center=(0.5, inf)"),
+        # identically zero data: every error would read 0.0
+        (SQUARE, ["--rhs-modes", "1,1,0"], "modes=((1, 1, 0.0),)"),
+        (SQUARE, ["--rhs-modes", "1,1,1;1,1,-1"],
+         "modes=((1, 1, 1.0), (1, 1, -1.0))"),
+        (SQUARE, [*BUMP, "0.5", "0.5", "--rhs-amplitude", "0"],
+         "amplitude=0.0"),
     ], ids=["amplitude-square", "amplitude-hole", "coef-inf", "mode-0",
-            "width-inf", "center-inf"])
+            "width-inf", "center-inf", "coef-0", "coefs-cancel",
+            "amplitude-0"])
     def test_bad_rhs_data_exit_2(self, tmp_path, geometry, rhs, message):
         out = tmp_path / "study.csv"
         res = run_cli(["study", *geometry, "--k2", "10", "--family", "p1",

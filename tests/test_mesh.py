@@ -166,7 +166,9 @@ def assert_tables_match_loops(m: Mesh):
     assert np.array_equal(m.edges, edges)
     assert np.array_equal(m.tri2edge, tri2edge)
     assert np.array_equal(m.edge2tri, edge2tri)
-    assert np.array_equal(m.edge_tag, loop_edge_tags(edges, m.boundary_edges))
+    tags = loop_edge_tags(edges, m.boundary_edges)
+    assert np.array_equal(m.edge_tag, tags)
+    assert np.array_equal(m.dirichlet_edge_ids, np.flatnonzero(tags == 0))
 
 
 class TestLoopOracle:
@@ -331,8 +333,11 @@ class TestMeasures:
 
 class TestSerialization:
     def test_round_trip_builders(self):
+        # the last: D and N alternate along the same sides
         for m in (build_unit_square(1), build_unit_square(3),
-                  build_square_with_hole(2.0, 1.0, 4, outer_tag=N)):
+                  build_square_with_hole(2.0, 1.0, 4, outer_tag=N),
+                  build_unit_square_unstructured(
+                      5, seed=2, tags=lambda x, y: N if x + y < 1 else D)):
             assert read_mesh(write_mesh(m)) == m
 
     def test_round_trip_refined(self):
