@@ -5,7 +5,8 @@ ladder brackets the wave number: then the Helmholtz discretization is
 stable and quasi-optimal.  The pivotal index is either supplied externally
 (``i_star_source=<int>``, e.g. from a modal analysis) or estimated and
 certified from guaranteed Crouzeix-Raviart eigenvalue bounds
-(``i_star_source="cr"``).
+(``i_star_source="cr"``): the estimate j* is the LDL^T inertia count at
+the lambda where Liu's lower bound reaches k^2.
 
 The module also provides the indefinite Helmholtz solve, a spectral
 reference solution on the unit square, and uniform-refinement convergence
@@ -28,8 +29,7 @@ from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
 from .sparsela import (EigenSolveError, EigenSolveOptions, ResonanceError,
                        count_below, count_from_factor, ldlt, solve)
 from .spectral import (DEFAULT_KAPPA, BoundedEigen, Criterion,
-                       LadderExhaustedError, check_criterion, compute_bounds,
-                       eigen_ladder, estimate_index)
+                       check_criterion, compute_bounds, eigen_ladder)
 from .estimator import mark_half_max, residual_indicator
 
 ALPHA_WARN_THRESHOLD = 1e-6
@@ -168,11 +168,14 @@ def unit_square_spectrum(count: int) -> np.ndarray:
 
 
 def unit_square_index(k2: float) -> int:
-    """Number of unit-square Dirichlet eigenvalues strictly below k^2."""
+    """Number of unit-square Dirichlet eigenvalues strictly below k^2,
+    counted one grid row at a time, so memory grows like sqrt(k^2)."""
     if k2 <= 0:
         return 0
     top = int(math.sqrt(k2) / math.pi) + 1
-    return int((_square_eigenvalues(top) < k2).sum())
+    j2 = np.arange(1, top + 1) ** 2
+    return sum(int((np.pi ** 2 * (i * i + j2) < k2).sum())
+               for i in range(1, top + 1))
 
 
 # -- spectral reference on the unit square ----------------------------------
@@ -438,7 +441,12 @@ def _certification_blockers(mesh: Mesh, bounds: list[BoundedEigen],
 def _estimate_cr(space: DofSpace, k2: float, h: float, extra: int,
                  kappa: float, opts: EigenSolveOptions | None,
                  report: CertificationReport):
-    """One guaranteed-bounds ESTIMATE; returns (record, ladder, bounds)."""
+    """One guaranteed-bounds ESTIMATE; returns (record, ladder, bounds).
+
+    Liu's lower bound is increasing in lambda and reaches k^2 at lam_need,
+    so j* is the inertia count there.  j* is certified when the criterion
+    holds and the j*-th enclosure is narrower than k^2 - lambda_h^(j*):
+    then the index can no longer change under refinement."""
     no_estimate = (IterationRecord(space.n_free, h, None, None, None, None,
                                    None, False), None, None)
     # the lower bound saturates at 1/(kappa h)^2: below that, no ladder
@@ -447,13 +455,13 @@ def _estimate_cr(space: DofSpace, k2: float, h: float, extra: int,
     if cap <= k2 * 1.01:
         return no_estimate
     lam_need = k2 / (1.0 - k2 * (kappa * h) ** 2)
-    # the j* guess lands at count_below(lam_need); carry `extra` more pairs
-    # for the averaged indicator plus one for the criterion check
+    # j* is the count below lam_need; carry `extra` more pairs for the
+    # averaged indicator plus one for the criterion check
     need_below = count_below(*space.pencil, lam_need)
     E = eigen_ladder(space, k2, extra, opts,
                      min_pairs=need_below + extra + 1)
-    # eigen_ladder pins the ladder at k^2; pin it at lam_need too, where
-    # j* is read
+    # eigen_ladder pins the ladder at k^2; pin it at lam_need too, so the
+    # bounds at j* and j* + 1 belong to those indices
     found = int((E.values < lam_need).sum())
     if found != need_below:
         raise EigenSolveError(
@@ -467,15 +475,16 @@ def _estimate_cr(space: DofSpace, k2: float, h: float, extra: int,
                 f"k^2 = {k2!r} lies in the certified enclosure "
                 f"[{b.lower!r}, {b.upper!r}] of eigenvalue {j}; the problem "
                 "is resonant")
-    try:
-        est = estimate_index(bounds, k2)
-    except LadderExhaustedError:
+    j = need_below
+    # a space with no eigenvalue past lam_need gives no estimate; the
+    # floating-point lower bound at j + 1 must clear k^2 too
+    if len(bounds) <= j or bounds[j].lower < k2:
         return no_estimate
-    crit = check_criterion(E, k2, est.j_star)
-    certified = bool(est.certified and crit.satisfied)
-    rec = IterationRecord(space.n_free, h, est.j_star, crit.lambda_lo,
-                          crit.lambda_hi, k2 - crit.lambda_lo,
-                          est.enclosure_width if est.j_star else 0.0,
+    crit = check_criterion(E, k2, j)
+    width = bounds[j - 1].upper - bounds[j - 1].lower if j else 0.0
+    certified = crit.satisfied and (not j or width < k2 - bounds[j - 1].lam)
+    rec = IterationRecord(space.n_free, h, j, crit.lambda_lo,
+                          crit.lambda_hi, k2 - crit.lambda_lo, width,
                           certified)
     _warn_if_nearly_resonant(crit, report)
     return rec, E, bounds

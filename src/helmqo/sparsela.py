@@ -106,13 +106,10 @@ class SparseSymMatrix:
 class EigenSolveOptions:
     """Options for :func:`eigs_smallest`."""
 
-    m: int = 1
     tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got "
                              f"{self.tol!r}")
@@ -335,9 +332,9 @@ def _check_semidefinite(vals: np.ndarray, tol: float) -> None:
             "is A positive semidefinite?")
 
 
-def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix,
+def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
                   opts: EigenSolveOptions | None = None) -> EigenResult:
-    """The ``opts.m`` algebraically smallest eigenpairs of ``A x = l M x``.
+    """The ``m`` algebraically smallest eigenpairs of ``A x = l M x``.
 
     A must be symmetric positive semidefinite, M symmetric positive
     definite.  Eigenvalues are ascending with multiplicities; eigenvectors
@@ -357,7 +354,8 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix,
     n = A.n
     if M.n != n:
         raise ValueError("A and M must have the same dimension")
-    m = opts.m
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if m > n:
         raise ValueError(f"requested {m} pairs from a dimension-{n} pencil")
     Asp, Msp = A.to_scipy(), M.to_scipy()

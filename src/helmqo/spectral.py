@@ -5,13 +5,14 @@ the free (Dirichlet-constrained) space.  A wave number k^2 placed strictly
 between two consecutive ladder values makes the Helmholtz bilinear form
 stable (sign-flipping coercivity) with an explicit constant; for
 Crouzeix-Raviart discretizations the ladder can additionally be enclosed by
-guaranteed lower and upper bounds, which allows estimating and certifying
-the number of continuous eigenvalues below k^2.
+guaranteed lower and upper bounds at every index; from those,
+:func:`helmqo.certify.run_gmr` estimates and certifies the number of
+continuous eigenvalues below k^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -27,10 +28,6 @@ _RITZ_SLICE = 8       # eigenvector columns lifted at a time
 # smallest Cholesky pivot^2 of the lifted Gram matrix, relative to its
 # largest diagonal entry, below which the lifted vectors count as dependent
 _GRAM_RTOL = 1e-8
-
-
-class LadderExhaustedError(RuntimeError):
-    """The eigenvalue ladder is too short for the requested estimate."""
 
 
 @dataclass
@@ -70,21 +67,9 @@ class BoundedEigen:
 
 
 @dataclass(frozen=True)
-class IndexEstimate:
-    """Estimated index j* with certification state."""
-
-    j_star: int
-    certified: bool
-    gap_to_k2: float        # k^2 - lambda_h^(j*)
-    enclosure_width: float  # upper - lower at j*
-
-
-@dataclass(frozen=True)
 class Criterion:
     """Outcome of the two-sided ladder check at a wave number."""
 
-    k2: float
-    i_star: int
     lambda_lo: float
     lambda_hi: float
     satisfied: bool
@@ -120,8 +105,7 @@ def eigen_ladder(space: DofSpace, k2: float, extra: int = 3,
 def eigenpairs(space: DofSpace, m: int,
                opts: EigenSolveOptions | None = None) -> EigenSet:
     """The ``m`` smallest eigenpairs of the space's constrained pencil."""
-    res = eigs_smallest(*space.pencil,
-                        replace(opts or EigenSolveOptions(), m=m))
+    res = eigs_smallest(*space.pencil, m, opts)
     return EigenSet(space, res.values, res.vectors, res.residuals)
 
 
@@ -142,7 +126,7 @@ def check_criterion(E: EigenSet, k2: float, i_star: int) -> Criterion:
     lambda_hi = float(lam[i_star])
     satisfied = lambda_lo < k2 < lambda_hi if i_star >= 1 else k2 < lambda_hi
     alpha = float(np.min(np.abs(lam - k2) / (1.0 + lam)))
-    return Criterion(k2, i_star, lambda_lo, lambda_hi, satisfied, alpha)
+    return Criterion(lambda_lo, lambda_hi, satisfied, alpha)
 
 
 def cr_lower_bound(lam: float, h: float,
@@ -230,32 +214,3 @@ def _ritz_values(A: SparseSymMatrix, M: SparseSymMatrix, L,
         raise EigenSolveError("the lifted eigenvectors are numerically "
                               "dependent; no Rayleigh-Ritz upper bounds")
     return sla.eigh(G_A, G_M, eigvals_only=True)
-
-
-def estimate_index(bounds: list[BoundedEigen], k2: float) -> IndexEstimate:
-    """Estimate the number of continuous eigenvalues below k^2.
-
-    The guess ``j*`` is the first index whose successor's lower bound
-    clears k^2.  The estimate is *certified* when the j*-th enclosure is
-    tighter than its distance to k^2: then the true eigenvalue
-    lambda^(j*) lies below k^2 while lambda^(j*+1) is guaranteed above, so
-    the index can no longer change under refinement.  ``j* = 0`` is always
-    certified: the first lower bound already clears k^2.
-    """
-    if not bounds:
-        raise ValueError("empty bounds list")
-    j_star = None
-    for j in range(len(bounds)):
-        if bounds[j].lower >= k2:
-            j_star = j
-            break
-    if j_star is None:
-        raise LadderExhaustedError(
-            "no lower bound clears k^2; increase j_max or refine the mesh")
-    if j_star == 0:
-        return IndexEstimate(0, True, k2, 0.0)
-    b = bounds[j_star - 1]
-    gap = k2 - b.lam
-    width = b.upper - b.lower
-    return IndexEstimate(j_star, gap > 0.0 and width < gap, gap, width)
-

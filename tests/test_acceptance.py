@@ -37,8 +37,7 @@ def test_criterion_1_eigenvalue_oracle():
     for n in (16, 32, 64):
         t0 = time.time()
         _, A, M = square_pencil(n, hq.P1)
-        val = float(hq.eigs_smallest(A, M, hq.EigenSolveOptions(m=1))
-                    .values[0])
+        val = float(hq.eigs_smallest(A, M, 1).values[0])
         runtimes[n] = time.time() - t0
         errors[n] = val - TWO_PI_SQ
         if n == 64:
@@ -168,7 +167,7 @@ def test_criterion_5_inertia_ladder_consistency():
         k2 = float(rng.uniform(20.0, 300.0))
         count = hq.count_below(A, M, k2)
         m = min(count + 2, space.n_free)
-        vals = hq.eigs_smallest(A, M, hq.EigenSolveOptions(m=m)).values
+        vals = hq.eigs_smallest(A, M, m).values
         below = int((vals < k2).sum())
         if count < space.n_free - 1 and below != count:
             mismatches += 1
@@ -181,8 +180,7 @@ def test_criterion_5_inertia_ladder_consistency():
         M = C @ C.T + n * np.eye(n)
         import scipy.sparse as sp
         res = hq.eigs_smallest(hq.SparseSymMatrix(sp.csr_matrix(A)),
-                               hq.SparseSymMatrix(sp.csr_matrix(M)),
-                               hq.EigenSolveOptions(m=5))
+                               hq.SparseSymMatrix(sp.csr_matrix(M)), 5)
         oracle = jacobi_generalized_eigen(A, M)[:5]
         max_dev = max(max_dev, float(np.abs(res.values - oracle).max()))
     report(5, mismatches == 0 and max_dev < 1e-8,

@@ -1,11 +1,12 @@
 """The public surface stays in use: every name that ``helmqo`` re-exports is
 referenced by code outside the tests, so no helper lives on for its tests
-alone.  What two helmqo modules share is public: none imports another's
+alone, and every exception it re-exports is raised in the package.  What two helmqo modules share is public: none imports another's
 underscore name.  The boundary tag codes in ``Mesh.edge_tag`` are
 ``mesh.py``'s own format.  Importing the command line does not load
 ``scipy.special``."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -56,6 +57,30 @@ def test_every_reexport_has_a_caller_outside_tests():
     unused = exported - used - UNUSED_ALLOWED
     assert not unused, (f"re-exported but referenced only by tests: "
                         f"{sorted(unused)}")
+
+
+def raised_names() -> set[str]:
+    """Names of the exceptions the package raises, as ``raise E(...)`` or
+    ``raise E``."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+    return names
+
+
+def test_every_reexported_exception_is_raised():
+    helmqo = importlib.import_module("helmqo")
+    exceptions = {name for name in reexported_names()
+                  if isinstance(getattr(helmqo, name), type)
+                  and issubclass(getattr(helmqo, name), BaseException)}
+    assert exceptions, "helmqo re-exports no exception class"
+    never = exceptions - raised_names()
+    assert not never, f"re-exported but never raised: {sorted(never)}"
 
 
 def test_no_module_imports_a_private_name_of_another():

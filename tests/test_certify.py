@@ -138,6 +138,24 @@ class TestSpectrumOracle:
     def test_index_counts(self, k2, expected):
         assert unit_square_index(k2) == enumeration_index(k2) == expected
 
+    @staticmethod
+    def grid_index(k2):
+        top = int(math.sqrt(k2) / math.pi) + 1
+        return int((helmqo.certify._square_eigenvalues(top) < k2).sum())
+
+    @pytest.mark.parametrize("k2", [1.0, 100.0, 400.0, 1500.0, 6000.0, 1e6])
+    def test_index_equals_grid_count(self, k2):
+        assert unit_square_index(k2) == self.grid_index(k2)
+
+    def test_index_strict_at_exact_eigenvalues(self):
+        # k^2 on an eigenvalue: the strict < leaves it and its copies out
+        for lam in unit_square_spectrum(40):
+            assert unit_square_index(lam) == self.grid_index(lam)
+
+    def test_index_memory_grows_like_sqrt_k2(self):
+        # the (top, top) grid at k^2 = 1e8 peaks at 155 MiB
+        assert traced_peak(unit_square_index, 1e8) < 4 * 2 ** 20
+
 
 class TestSolveHelmholtz:
     def test_zero_rhs(self):
@@ -393,6 +411,81 @@ class TestRunGmr:
         last = lines[-1].split(",")
         assert last[8] == "true"
         assert float(last[6]) > 0
+
+
+class TestCrEstimate:
+    """j* is the inertia count at the lambda where the lower bound reaches
+    k^2; the bound after it must clear k^2 in floating point."""
+
+    @pytest.fixture(scope="class")
+    def flagship(self):
+        """The README flagship's report and (record, bounds) per row."""
+        rows = []
+        real = helmqo.certify._estimate_cr
+
+        def recorded(*args):
+            out = real(*args)
+            rows.append((out[0], out[2]))
+            return out
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(helmqo.certify, "_estimate_cr", recorded)
+            rep = run_gmr(ProblemSpec(CR, 400.0),
+                          build_square_with_hole(0.75, 0.3, 10), "adaptive",
+                          "cr", max_iters=6)
+        return rep, rows
+
+    def test_below_the_whole_spectrum(self):
+        rep = run_gmr(ProblemSpec(CR, 15.0), build_unit_square(4),
+                      "adaptive", "cr", max_iters=1)
+        rec = rep.iterations[0]
+        assert rec.index == 0 and rec.enclosure == 0.0 and rec.certified
+
+    def test_exhausted_ladder_gives_a_blank_row(self):
+        # 8 free dofs; lam_need ~ 746 lies above all 8 CR eigenvalues
+        rep = run_gmr(ProblemSpec(CR, 50.0), build_unit_square(2),
+                      "adaptive", "cr", max_iters=1)
+        rec = rep.iterations[0]
+        assert rec.ndof == 8
+        assert (rec.index, rec.lambda_lo, rec.lambda_hi, rec.condition,
+                rec.enclosure, rec.certified) == (None,) * 5 + (False,)
+
+    def test_wide_enclosure_is_not_certified(self, flagship):
+        rep, rows = flagship
+        rec = rep.iterations[0]
+        assert rec.index > 0 and rec.enclosure >= rec.condition
+        assert not rec.certified
+
+    @pytest.mark.parametrize("excess,certified",
+                             [(-0.01, True), (0.0, False), (0.01, False)])
+    def test_certifies_iff_width_below_gap(self, excess, certified,
+                                           monkeypatch):
+        k2 = 30.0
+        real = helmqo.certify.compute_bounds
+
+        def widened(E, kappa):
+            bounds = real(E, kappa)
+            j = sum(b.lam < k2 for b in bounds)
+            lam = bounds[j - 1].lam
+            # width k^2 - lam + excess * gap, exactly the gap at excess 0
+            bounds[j - 1] = BoundedEigen(lam, lam, k2 + excess * (k2 - lam))
+            return bounds
+        monkeypatch.setattr(helmqo.certify, "compute_bounds", widened)
+        rep = run_gmr(ProblemSpec(CR, k2), build_unit_square(4), "uniform",
+                      "cr", max_iters=1)
+        rec = rep.iterations[0]
+        assert rec.index == 1 and rec.condition > 0
+        assert (rec.enclosure < rec.condition) == certified
+        assert rec.certified == certified
+
+    def test_j_star_is_the_first_bound_to_clear_k2(self, flagship):
+        rep, rows = flagship
+        estimated = [(rec, bounds) for rec, bounds in rows
+                     if rec.index is not None]
+        assert len(estimated) == len(rep.iterations) >= 2
+        for rec, bounds in estimated:
+            j = rec.index
+            assert bounds[j].lower >= 400.0
+            assert j == 0 or bounds[j - 1].lower < 400.0
 
 
 class TestProblemSpec:

@@ -129,7 +129,7 @@ class TestLdlt:
         assert ldlt(A, 8192.0, M).singular
         for sigma in (100.0, 400.0, 8192.0):
             count_below(A, M, sigma)
-        eigs_smallest(A, M, EigenSolveOptions(m=3))
+        eigs_smallest(A, M, 3)
         assert len(calls) == 1
 
     def test_fill_below_superlu_alone_on_a_bisected_mesh(self):
@@ -201,8 +201,7 @@ class TestSolve:
 
 class TestEigsSmallest:
     def test_diagonal(self):
-        res = eigs_smallest(sym(np.diag([2.0, 1.0, 3.0])), sym(np.eye(3)),
-                            EigenSolveOptions(m=2))
+        res = eigs_smallest(sym(np.diag([2.0, 1.0, 3.0])), sym(np.eye(3)), 2)
         assert np.allclose(res.values, [1.0, 2.0], atol=1e-12)
 
     def test_p1_first_eigenvalue_from_above(self):
@@ -211,7 +210,7 @@ class TestEigsSmallest:
         prev = None
         for n in (16, 32, 64):
             A, M = square_pencil(n)
-            val = eigs_smallest(A, M, EigenSolveOptions(m=1)).values[0]
+            val = eigs_smallest(A, M, 1).values[0]
             assert exact < val < exact + 1.0
             if prev is not None:
                 assert val < prev
@@ -219,7 +218,7 @@ class TestEigsSmallest:
 
     def test_cr_first_eigenvalue_below(self):
         A, M = square_pencil(64, CR)
-        val = eigs_smallest(A, M, EigenSolveOptions(m=1)).values[0]
+        val = eigs_smallest(A, M, 1).values[0]
         assert val < 2 * math.pi ** 2
 
     def test_against_jacobi_oracle(self):
@@ -230,53 +229,53 @@ class TestEigsSmallest:
             C = rng.standard_normal((n, n))
             M = C @ C.T + n * np.eye(n)
             m = 6
-            res = eigs_smallest(sym(A), sym(M), EigenSolveOptions(m=m))
+            res = eigs_smallest(sym(A), sym(M), m)
             oracle = jacobi_generalized_eigen(A, M)[:m]
             assert np.abs(res.values - oracle).max() < 1e-8
 
     def test_m_orthonormality(self):
         A, M = square_pencil(32)
-        res = eigs_smallest(A, M, EigenSolveOptions(m=8))
+        res = eigs_smallest(A, M, 8)
         G = res.vectors.T @ (M @ res.vectors)
         assert np.abs(G - np.eye(8)).max() <= 1e-8
 
     def test_residual_contract(self):
         A, M = square_pencil(32, CR)
-        opts = EigenSolveOptions(m=6, tol=1e-10)
-        res = eigs_smallest(A, M, opts)
+        opts = EigenSolveOptions(tol=1e-10)
+        res = eigs_smallest(A, M, 6, opts)
         assert np.all(res.residuals <= opts.tol * (1 + np.abs(res.values)))
 
     def test_deterministic(self):
         A, M = square_pencil(32)
-        v1 = eigs_smallest(A, M, EigenSolveOptions(m=5, seed=7)).values
-        v2 = eigs_smallest(A, M, EigenSolveOptions(m=5, seed=7)).values
+        v1 = eigs_smallest(A, M, 5, EigenSolveOptions(seed=7)).values
+        v2 = eigs_smallest(A, M, 5, EigenSolveOptions(seed=7)).values
         assert np.array_equal(v1, v2)
 
     def test_tolerance_stability(self):
         A, M = square_pencil(32)
-        v1 = eigs_smallest(A, M, EigenSolveOptions(m=5, tol=1e-10)).values
-        v2 = eigs_smallest(A, M, EigenSolveOptions(m=5, tol=1e-12)).values
+        v1 = eigs_smallest(A, M, 5, EigenSolveOptions(tol=1e-10)).values
+        v2 = eigs_smallest(A, M, 5, EigenSolveOptions(tol=1e-12)).values
         assert np.abs((v1 - v2) / v1).max() < 1e-8
 
     def test_monotone_conforming_convergence(self, square_spectrum_20):
         prev = None
         for n in (8, 16, 32):
             A, M = square_pencil(n)
-            vals = eigs_smallest(A, M, EigenSolveOptions(m=5)).values
+            vals = eigs_smallest(A, M, 5).values
             assert np.all(vals >= square_spectrum_20[:5])
             if prev is not None:
                 assert np.all(vals <= prev + 1e-12)
             prev = vals
 
     def test_invalid_options(self):
-        with pytest.raises(ValueError):
-            EigenSolveOptions(m=0)
         for tol in (0.0, -1e-10, math.nan, math.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 EigenSolveOptions(tol=tol)
         A, M = square_pencil(2)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            eigs_smallest(A, M, 0)
         with pytest.raises(ValueError):
-            eigs_smallest(A, M, EigenSolveOptions(m=5))
+            eigs_smallest(A, M, 5)
 
 
 jittered_squares = st.builds(build_unit_square_unstructured,
@@ -315,7 +314,7 @@ class TestCountBelow:
 
     def test_consistency_with_ladder(self):
         A, M = square_pencil(24)
-        vals = eigs_smallest(A, M, EigenSolveOptions(m=8)).values
+        vals = eigs_smallest(A, M, 8).values
         for i in range(7):
             sigma = 0.5 * (vals[i] + vals[i + 1])
             if vals[i + 1] - vals[i] < 1e-8:
@@ -385,7 +384,7 @@ class TestCountBelow:
 def shifted_pencil(n, family, s):
     """``(A0 - (lambda_1 + s) M, M)``: lowest eigenvalue -s, not PSD."""
     A0, M = square_pencil(n, family)
-    lam1 = eigs_smallest(A0, M, EigenSolveOptions(m=1)).values[0]
+    lam1 = eigs_smallest(A0, M, 1).values[0]
     return SparseSymMatrix(A0.to_scipy() - (lam1 + s) * M.to_scipy()), M
 
 
@@ -400,13 +399,13 @@ class TestEigsSmallestContract:
         A, M = shifted_pencil(n, family, s)
         assert A.n > helmqo.sparsela.DENSE_EIG_LIMIT
         with pytest.raises(EigenSolveError, match="semidefinite"):
-            eigs_smallest(A, M, EigenSolveOptions(m=3))
+            eigs_smallest(A, M, 3)
 
     def test_dense_path_applies_the_same_check(self):
         A, M = shifted_pencil(8, P1, 1.0)
         assert A.n <= helmqo.sparsela.DENSE_EIG_LIMIT
         with pytest.raises(EigenSolveError, match="semidefinite"):
-            eigs_smallest(A, M, EigenSolveOptions(m=3))
+            eigs_smallest(A, M, 3)
 
     @pytest.mark.parametrize("coupled", [False, True])
     def test_exactly_singular_factor_raises_before_lanczos(self, coupled,
@@ -425,14 +424,14 @@ class TestEigsSmallestContract:
         monkeypatch.setattr(helmqo.sparsela.spla, "eigsh", eigsh)
         assert ldlt(A, -1.0, M).singular
         with pytest.raises(EigenSolveError, match="broke down"):
-            eigs_smallest(A, M, EigenSolveOptions(m=3))
+            eigs_smallest(A, M, 3)
 
     def test_pure_neumann_pencil_accepted(self):
         space = build_space(build_unit_square(24, tags=BoundaryTag.NEUMANN),
                             P1)
         A, M = space.pencil
         assert A.n > helmqo.sparsela.DENSE_EIG_LIMIT
-        res = eigs_smallest(A, M, EigenSolveOptions(m=3))
+        res = eigs_smallest(A, M, 3)
         assert abs(res.values[0]) < 1e-9
         assert np.allclose(res.values[1:], math.pi ** 2, rtol=1e-2)
 
@@ -443,7 +442,7 @@ class TestEigsSmallestContract:
         F = ldlt(A, -1.0, M)
         copies = 12 * (F.L.nnz + F._payload.U.nnz)
         assert copies > 3 * 2 ** 20
-        peak = traced_peak(eigs_smallest, A, M, EigenSolveOptions(m=1))
+        peak = traced_peak(eigs_smallest, A, M, 1)
         assert peak < 10 * 2 ** 20
 
     def test_sparse_inertia_read_once_on_demand(self):

@@ -9,10 +9,9 @@ from helmqo.mesh import build_unit_square, build_unit_square_unstructured
 from helmqo.spaces import CR, P1, P2, assemble_mass, assemble_stiffness, \
     build_space, constrain, cr_to_p2_lift, interpolate
 from helmqo.sparsela import EigenSolveError, ResonanceError, count_below
-from helmqo.spectral import (MIN_KAPPA, BoundedEigen, EigenSet,
-                             LadderExhaustedError, check_criterion,
+from helmqo.spectral import (MIN_KAPPA, EigenSet, check_criterion,
                              compute_bounds, cr_lower_bound, eigen_ladder,
-                             eigenpairs, estimate_index)
+                             eigenpairs)
 
 from conftest import (drop_lowest_pair, enumeration_index,
                       enumeration_spectrum, traced_peak)
@@ -42,7 +41,7 @@ class TestEigenLadder:
         E = square_ladder(8, 10.0)
         assert len(E) == 4
         crit = check_criterion(E, 10.0, 0)
-        assert crit.satisfied and crit.i_star == 0
+        assert crit.satisfied and crit.lambda_lo == 0.0
 
     def test_resonant_exact_single_dof(self):
         # one free dof: its eigenvalue is exactly representable
@@ -216,40 +215,6 @@ class TestLowerBoundSoundness:
         bounds = compute_bounds(E, MIN_KAPPA)
         assert [b.lower for b in bounds] == lower.tolist()
         assert (exact <= np.array([b.upper for b in bounds])).all()
-
-
-class TestEstimateIndex:
-    def tight(self, lam):
-        return BoundedEigen(lam, lam - 0.1, lam + 0.1)
-
-    def test_below_first(self):
-        est = estimate_index([self.tight(10.0)], 5.0)
-        assert est.j_star == 0 and est.certified
-
-    def test_synthetic_definition(self):
-        bounds = [self.tight(10.0), self.tight(20.0), self.tight(30.0)]
-        est = estimate_index(bounds, 25.0)
-        assert est.j_star == 2
-        assert est.certified
-        assert np.isclose(est.gap_to_k2, 5.0)
-        assert np.isclose(est.enclosure_width, 0.2)
-
-    def test_certification_needs_tight_enclosure(self):
-        bounds = [BoundedEigen(10.0, 4.0, 18.0), self.tight(20.0)]
-        est = estimate_index(bounds, 12.0)
-        assert est.j_star == 1 and not est.certified   # width 14 > gap 2
-
-    @pytest.mark.parametrize("width,certified",
-                             [(4.9, True), (5.0, False), (5.1, False)])
-    def test_certifies_iff_width_below_gap(self, width, certified):
-        # gap k^2 - lambda_h = 5; no mesh-size condition enters
-        bounds = [BoundedEigen(10.0, 10.0 - width, 10.0), self.tight(20.0)]
-        est = estimate_index(bounds, 15.0)
-        assert est.j_star == 1 and est.certified == certified
-
-    def test_exhausted_ladder(self):
-        with pytest.raises(LadderExhaustedError):
-            estimate_index([self.tight(10.0), self.tight(20.0)], 100.0)
 
 
 class TestCoercivityConstant:
