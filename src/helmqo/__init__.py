@@ -9,10 +9,9 @@ Helmholtz discretization.
 """
 
 from .mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
-                   build_geometry, build_square_with_hole,
-                   build_unit_square, build_unit_square_unstructured,
-                   minimum_angle, read_mesh, refine_bisection,
-                   refine_uniform, write_mesh)
+                   build_square_with_hole, build_unit_square,
+                   build_unit_square_unstructured, minimum_angle, read_mesh,
+                   refine_bisection, refine_uniform, write_mesh)
 from .quadrature import QuadratureRule, triangle_rule
 from .spaces import (CR, P1, P2, DofSpace, ElementFamily, FeFunction,
                      assemble_load, assemble_mass, assemble_stiffness,

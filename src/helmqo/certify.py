@@ -28,7 +28,7 @@ from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
                      expand_free, l2_error)
 from .sparsela import (EigenSolveError, EigenSolveOptions, ResonanceError,
                        count_below, count_from_factor, ldlt, solve)
-from .spectral import (DEFAULT_KAPPA, BoundedEigen, Criterion,
+from .spectral import (DEFAULT_KAPPA, MIN_KAPPA, BoundedEigen, Criterion,
                        check_criterion, compute_bounds, eigen_ladder)
 from .estimator import mark_half_max, residual_indicator
 
@@ -186,7 +186,7 @@ def sine_series_reference(f: Rhs, k2: float, modes: int | None = None):
     Expands f in the normalized sine basis and divides each coefficient by
     (lambda_ij - k^2).  When ``modes`` is omitted the truncation is grown
     in steps of 16 until the sampled solution is stable to
-    ``SINE_STABILITY_RTOL``; the returned callable carries ``.modes`` and
+    ``SINE_STABILITY_RTOL``; the returned callable carries its
     ``.coefficients``.
     """
     auto = modes is None
@@ -209,7 +209,6 @@ def sine_series_reference(f: Rhs, k2: float, modes: int | None = None):
                              "rough for a spectral reference")
         probe = vals
         N += 16
-    u.modes = N
     u.coefficients = C
     return u
 
@@ -346,6 +345,8 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
         ``"cr"`` to estimate and certify it from guaranteed
         Crouzeix-Raviart bounds (requires a CR family).
     extra : additional eigenpairs carried for the indicator average.
+    kappa : the trace constant in the CR lower bounds, at least
+        ``MIN_KAPPA``.
 
     The loop estimates first (so an adequate initial mesh terminates
     immediately) and stops when the criterion holds -- in ``"cr"`` mode,
@@ -358,6 +359,9 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if extra < 0:
         raise ValueError(f"extra must be >= 0, got {extra}")
+    if not kappa >= MIN_KAPPA:
+        raise ValueError(f"kappa must be >= {MIN_KAPPA} (the proven CR "
+                         f"interpolation constant), got {kappa!r}")
     use_cr = i_star_source == "cr"
     if use_cr and spec.family != CR:
         raise ValueError("guaranteed index estimation requires the "

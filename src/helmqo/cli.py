@@ -17,8 +17,9 @@ import sys
 
 import numpy as np
 
-from .mesh import (BoundaryTag, Mesh, MeshError, build_geometry, read_mesh,
-                   write_mesh)
+from .mesh import (BoundaryTag, Mesh, MeshError, build_square_with_hole,
+                   build_unit_square, build_unit_square_unstructured,
+                   read_mesh, write_mesh)
 from .spaces import CR, ElementFamily, build_space
 from .sparsela import EigenSolveError, EigenSolveOptions, ResonanceError
 from .spectral import DEFAULT_KAPPA, MIN_KAPPA, compute_bounds, eigenpairs
@@ -58,45 +59,73 @@ def _resolve_family(args) -> ElementFamily:
     return fam
 
 
-def _mesh(args) -> Mesh:
-    """The mesh the geometry flags describe, read or built."""
-    if getattr(args, "mesh", None):
-        return build_geometry("file", path=args.mesh)
+def _square_hole(a) -> Mesh:
+    return build_square_with_hole(
+        a.outer, a.inner, a.n, BoundaryTag[(a.outer_tag or a.tag).upper()],
+        BoundaryTag[(a.inner_tag or a.tag).upper()])
+
+
+# each --geometry name and its builder, called on the parsed flags
+_GEOMETRIES = {
+    "unit-square": lambda a: build_unit_square(a.n,
+                                               BoundaryTag[a.tag.upper()]),
+    "unit-square-unstructured": lambda a: build_unit_square_unstructured(
+        a.n, a.seed, tags=BoundaryTag[a.tag.upper()]),
+    "square-hole": _square_hole,
+}
+
+
+def _sine_modes(text: str) -> tuple[tuple[int, int, float], ...]:
+    modes = []
+    for part in text.split(";"):
+        bits = part.split(",")
+        if len(bits) != 3:
+            raise UsageError("--rhs-modes expects 'i,j,coef;i,j,coef;…'")
+        modes.append((int(bits[0]), int(bits[1]), float(bits[2])))
+    return tuple(modes)
+
+
+# each --rhs name and its constructor, called on the parsed flags; the
+# first is the default
+_RHS = {
+    "sine-product": lambda a: SineProduct(_sine_modes(a.rhs_modes)),
+    "gaussian-bump": lambda a: GaussianBump(a.rhs_amplitude, a.rhs_width,
+                                            tuple(a.rhs_center)),
+}
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _mesh(args, path: str | None, path_flag: str = "--mesh") -> Mesh:
+    """The one mesh the flags give: read from ``path``, the file that
+    ``path_flag`` names, or built by ``--geometry``."""
+    if path and args.geometry:
+        raise UsageError(f"give {path_flag} or --geometry, not both")
+    if ((args.outer_tag or args.inner_tag)
+            and _GEOMETRIES.get(args.geometry) is not _square_hole):
+        raise UsageError("--outer-tag and --inner-tag apply to --geometry "
+                         "square-hole only")
+    if path:
+        with open(path, encoding="utf-8") as fh:
+            return read_mesh(fh.read())
     if args.geometry is None:
-        raise UsageError("either --mesh or --geometry is required")
-    return build_geometry(
-        args.geometry, n=args.n, seed=args.seed, outer=args.outer,
-        inner=args.inner, tags=BoundaryTag[args.tag.upper()],
-        outer_tag=BoundaryTag[(args.outer_tag or args.tag).upper()],
-        inner_tag=BoundaryTag[(args.inner_tag or args.tag).upper()])
+        raise UsageError(f"either {path_flag} or --geometry is required")
+    return _GEOMETRIES[args.geometry](args)
 
 
-def _parse_rhs(args):
-    kind = getattr(args, "rhs", None) or "sine-product"
-    if kind == "gaussian-bump":
-        cx, cy = args.rhs_center
-        return GaussianBump(args.rhs_amplitude, args.rhs_width, (cx, cy))
-    if kind == "sine-product":
-        modes = []
-        for part in args.rhs_modes.split(";"):
-            bits = part.split(",")
-            if len(bits) != 3:
-                raise UsageError("--rhs-modes expects 'i,j,coef;i,j,coef;…'")
-            modes.append((int(bits[0]), int(bits[1]), float(bits[2])))
-        return SineProduct(tuple(modes))
-    raise UsageError(f"unknown rhs kind {kind!r}")
-
-
-def _check_bump_center(args, mesh) -> None:
+def _check_bump_center(rhs, mesh) -> None:
     """Reject a gaussian bump centred off the mesh (outside it or in a
     hole): far from its centre the load underflows to numerically zero
     data."""
-    if getattr(args, "rhs", None) != "gaussian-bump":
+    if not isinstance(rhs, GaussianBump):
         return
-    center = np.array(args.rhs_center, dtype=np.float64)
+    center = np.array(rhs.center, dtype=np.float64)
     lam = mesh.barycentric(slice(None), center[None, None, :])
     if not (lam >= -1e-12).all(axis=-1).any():
-        x, y = args.rhs_center
+        x, y = rhs.center
         raise UsageError(f"--rhs-center {x!r} {y!r} lies in no triangle of "
                          "the mesh")
 
@@ -106,9 +135,7 @@ def _add_geometry_args(p: argparse.ArgumentParser, with_mesh: bool = True):
     if with_mesh:
         p.add_argument("--mesh", metavar="FILE",
                        help="read the mesh from FILE instead of building one")
-    p.add_argument("--geometry",
-                   choices=["unit-square", "unit-square-unstructured",
-                            "square-hole"],
+    p.add_argument("--geometry", choices=list(_GEOMETRIES),
                    help="built-in geometry to mesh")
     p.add_argument("--n", type=int, default=8,
                    help="resolution (cells per side) of built-in geometries")
@@ -125,8 +152,9 @@ def _add_geometry_args(p: argparse.ArgumentParser, with_mesh: bool = True):
 
 
 def _add_rhs_args(p: argparse.ArgumentParser):
-    p.add_argument("--rhs", choices=["sine-product", "gaussian-bump"],
-                   default="sine-product", help="right-hand side data")
+    kinds = list(_RHS)
+    p.add_argument("--rhs", choices=kinds, default=kinds[0],
+                   help="right-hand side data")
     p.add_argument("--rhs-modes", default="3,4,1;4,3,1",
                    help="sine-product modes as 'i,j,coef;…'")
     p.add_argument("--rhs-amplitude", type=float, default=5e4,
@@ -215,20 +243,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_mesh(args) -> int:
+    mesh = _mesh(args, args.validate, "--validate")
     if args.validate:
-        with open(args.validate, encoding="utf-8") as fh:
-            mesh = read_mesh(fh.read())
         print(f"{args.validate}: valid mesh with {mesh.n_vertices} vertices, "
               f"{mesh.n_triangles} triangles, "
               f"{len(mesh.boundary_edge_ids)} boundary edges")
         return EXIT_OK
-    if args.geometry is None:
-        raise UsageError("mesh: either --geometry or --validate is required")
-    mesh = _mesh(args)
     text = write_mesh(mesh)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
         print(f"wrote {args.output}: {mesh.n_vertices} vertices, "
               f"{mesh.n_triangles} triangles, h = {mesh.h!r}")
     else:
@@ -240,7 +263,7 @@ def cmd_eig(args) -> int:
     if args.m < 1:
         raise UsageError("--m must be >= 1")
     family = ElementFamily(args.family)
-    space = build_space(_mesh(args), family)
+    space = build_space(_mesh(args, args.mesh), family)
     E = eigenpairs(space, args.m, EigenSolveOptions(tol=args.tol,
                                                     seed=args.seed))
     lower = upper = [None] * args.m
@@ -251,8 +274,7 @@ def cmd_eig(args) -> int:
     csv = csv_text("index,lambda,lower,upper",
                    zip(range(1, args.m + 1), E.values, lower, upper))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(csv)
+        _write(args.output, csv)
         print(f"wrote {args.output} ({args.m} eigenpairs, "
               f"ndof = {space.n_free})")
     else:
@@ -271,16 +293,14 @@ def cmd_certify(args) -> int:
         if family != CR:
             raise UsageError("--estimate cr requires --family cr")
     spec = ProblemSpec(family, args.k2)
-    report = run_gmr(spec, _mesh(args), refine_mode=args.refine,
+    report = run_gmr(spec, _mesh(args, args.mesh), refine_mode=args.refine,
                      i_star_source=source, max_iters=args.max_iters,
                      extra=args.extra, kappa=args.kappa,
                      opts=EigenSolveOptions(tol=args.tol, seed=args.seed))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
+        _write(args.output, report.to_csv())
     if args.mesh_out and report.final_mesh is not None:
-        with open(args.mesh_out, "w", encoding="utf-8") as fh:
-            fh.write(write_mesh(report.final_mesh))
+        _write(args.mesh_out, write_mesh(report.final_mesh))
     last = report.iterations[-1]
     print(f"{report.termination}: {len(report.iterations)} iterations, "
           f"final ndof = {last.ndof}, h = {last.h!r}")
@@ -293,17 +313,16 @@ def cmd_study(args) -> int:
     if args.refinements < 1:
         raise UsageError("--refinements must be >= 1")
     family = _resolve_family(args)
-    spec = ProblemSpec(family, args.k2, rhs=_parse_rhs(args),
+    spec = ProblemSpec(family, args.k2, rhs=_RHS[args.rhs](args),
                        load_degree=args.load_degree)
-    mesh = _mesh(args)
-    _check_bump_center(args, mesh)
+    mesh = _mesh(args, args.mesh)
+    _check_bump_center(spec.rhs, mesh)
     records = convergence_study(spec, mesh, args.refinements,
                                 i_star=args.istar,
                                 opts=EigenSolveOptions(seed=args.seed))
     csv = study_to_csv(records)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(csv)
+        _write(args.output, csv)
         ref_note = ("spectral sine series"
                     if dirichlet_unit_square(mesh)
                     else "conforming solution on two extra refinements")

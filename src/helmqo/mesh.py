@@ -398,33 +398,6 @@ def build_square_with_hole(outer: float, inner: float, n: int = 16,
     return Mesh.from_triangulation(vertices, tris, tag_fn)
 
 
-def build_geometry(geometry: str, n: int = 8, *, path: str | None = None,
-                   outer: float = 1.0, inner: float = 0.5, seed: int = 0,
-                   tags: TagAssignment = BoundaryTag.DIRICHLET,
-                   outer_tag: BoundaryTag | None = None,
-                   inner_tag: BoundaryTag | None = None) -> Mesh:
-    """Mesh of a named geometry: the one place geometry names are resolved.
-
-    ``unit-square``, ``unit-square-unstructured`` and ``square-hole`` pass
-    the parameters they use to their builders and ignore the rest;
-    ``file`` reads the mesh text at ``path``.  The hole's ``outer_tag`` and
-    ``inner_tag`` default to ``tags``.
-    """
-    if geometry == "file":
-        with open(path, encoding="utf-8") as fh:
-            return read_mesh(fh.read())
-    if geometry == "unit-square":
-        return build_unit_square(n, tags)
-    if geometry == "unit-square-unstructured":
-        return build_unit_square_unstructured(n, seed, tags=tags)
-    if geometry == "square-hole":
-        return build_square_with_hole(
-            outer, inner, n,
-            tags if outer_tag is None else outer_tag,
-            tags if inner_tag is None else inner_tag)
-    raise ValueError(f"unknown geometry {geometry!r}")
-
-
 # -- refinement -----------------------------------------------------------
 
 def _split_edges(m: Mesh, marked_edge: np.ndarray):

@@ -473,3 +473,18 @@ def traced_peak(fn, *args, **kwargs) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def cli_choices(flag: str) -> list[str]:
+    """The values the helmqo parser offers for ``flag``, in its order,
+    gathered over every subcommand that takes it."""
+    import argparse
+    from helmqo.cli import _build_parser
+    parsers, names = [_build_parser()], []
+    while parsers:
+        for action in parsers.pop(0)._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            elif action.option_strings[-1:] == [flag]:
+                names += [c for c in action.choices if c not in names]
+    return names

@@ -2,7 +2,8 @@
 referenced by code outside the tests, so no helper lives on for its tests
 alone, and every exception it re-exports is raised in the package.  What two helmqo modules share is public: none imports another's
 underscore name.  The boundary tag codes in ``Mesh.edge_tag`` are
-``mesh.py``'s own format.  Importing the command line does not load
+``mesh.py``'s own format, and the ``--geometry`` and ``--rhs`` names are
+``cli.py``'s own.  Importing the command line does not load
 ``scipy.special``."""
 
 import ast
@@ -11,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import cli_choices
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "helmqo"
@@ -104,6 +107,29 @@ def test_only_mesh_reads_edge_tag_codes():
                          and node.attr == "edge_tag"
                          for node in ast.walk(ast.parse(path.read_text()))))
     assert not readers, f"edge_tag read outside mesh.py: {readers}"
+
+
+def string_literals(path: Path) -> set[str]:
+    """The string constants in ``path``, docstrings left out."""
+    tree = ast.parse(path.read_text())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef, ast.AsyncFunctionDef))
+                  and isinstance(node.body[0], ast.Expr)}
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings}
+
+
+def test_only_cli_spells_geometry_and_rhs_names():
+    # the CLI maps each name to its builder in one table; a second
+    # dispatcher on the names would have to be kept in step with it
+    names = set(cli_choices("--geometry") + cli_choices("--rhs"))
+    assert names <= string_literals(PACKAGE / "cli.py")
+    spelled = sorted(f"{path.name}: {name}"
+                     for path in PACKAGE.glob("*.py") if path.name != "cli.py"
+                     for name in names & string_literals(path))
+    assert not spelled, f"CLI names spelled outside cli.py: {spelled}"
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

@@ -390,6 +390,18 @@ class TestRunGmr:
             run_gmr(ProblemSpec(CR, 400.0),
                     build_square_with_hole(0.75, 0.3, 10), "adaptive", "cr")
 
+    @pytest.mark.parametrize("kappa", [math.nan, 0.0, 0.1, -DEFAULT_KAPPA])
+    def test_kappa_below_proven_constant_rejected(self, monkeypatch, kappa):
+        # nan once read as a resonant shift, 0 divided by zero, and 0.1 was
+        # rejected only after the factorizations and a Lanczos run
+        shifts = []
+        wrap_everywhere(monkeypatch, helmqo.sparsela.ldlt,
+                        lambda a, F: shifts.append(a[1]))
+        with pytest.raises(ValueError, match="kappa must be >= 0.1893"):
+            run_gmr(ProblemSpec(CR, 30.0), build_unit_square(4), "uniform",
+                    "cr", kappa=kappa)
+        assert shifts == []
+
     def test_cr_estimate_requires_cr(self):
         spec = ProblemSpec(P1, 30.0)
         with pytest.raises(ValueError):

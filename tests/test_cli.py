@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import cli_choices
+
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 EXIT_CODES = {0, 2, 3, 4, 5, 6}    # the codes the CLI documents
@@ -117,7 +119,71 @@ class TestMeshCommand:
         assert res.returncode == 3
 
 
+class TestOneMeshSource:
+    """Each mesh flag given is used: a second mesh source, or a hole's tag
+    on a mesh without the hole, exits 2 instead of being dropped."""
+
+    @pytest.fixture
+    def mesh_file(self, tmp_path):
+        from helmqo.mesh import build_unit_square, write_mesh
+        path = tmp_path / "sq.mesh"
+        path.write_text(write_mesh(build_unit_square(4)))
+        return str(path)
+
+    @pytest.mark.parametrize("command", [
+        ["eig", "--family", "cr", "--m", "3"],
+        ["certify", "--k2", "30", "--family", "cr", "--estimate", "cr"],
+        ["study", "--k2", "10", "--family", "p1", "--refinements", "1"]],
+        ids=["eig", "certify", "study"])
+    def test_mesh_and_geometry_exit_2(self, tmp_path, mesh_file, command):
+        # the file was read and --geometry ignored, with exit 0
+        out = tmp_path / "out.csv"
+        res = run_cli([*command, "--mesh", mesh_file, "--geometry",
+                       "square-hole", "-o", str(out)])
+        assert res.returncode == 2
+        assert "give --mesh or --geometry, not both" in res.stderr
+        assert not out.exists()
+
+    def test_validate_and_geometry_exit_2(self, mesh_file):
+        res = run_cli(["mesh", "--validate", mesh_file, "--geometry",
+                       "square-hole"])
+        assert res.returncode == 2
+        assert "give --validate or --geometry, not both" in res.stderr
+
+    @pytest.mark.parametrize("flag", ["--outer-tag", "--inner-tag"])
+    @pytest.mark.parametrize("source", [
+        ["mesh", "--geometry", "unit-square"],
+        ["mesh", "--geometry", "unit-square-unstructured"],
+        ["eig", "--family", "cr", "--m", "3", "--mesh"]],
+        ids=["unit-square", "unit-square-unstructured", "mesh-file"])
+    def test_hole_tag_off_the_hole_exit_2(self, tmp_path, mesh_file, source,
+                                          flag):
+        out = tmp_path / "out"
+        argv = [*source, mesh_file] if source[-1] == "--mesh" else source
+        res = run_cli([*argv, flag, "neumann", "-o", str(out)])
+        assert res.returncode == 2
+        assert ("--outer-tag and --inner-tag apply to --geometry "
+                "square-hole only") in res.stderr
+        assert not out.exists()
+
+
 class TestEigCommand:
+    @pytest.mark.parametrize("geometry", cli_choices("--geometry"))
+    def test_mesh_file_matches_geometry(self, tmp_path, geometry):
+        # the mesh file `helmqo mesh` writes is the geometry's mesh to the
+        # last bit: eig on either gives the same bytes
+        flags = ["--geometry", geometry, "--n", "6"]
+        mesh_file = tmp_path / "g.mesh"
+        read, built = tmp_path / "read.csv", tmp_path / "built.csv"
+        seed = ["--seed", "3"]
+        eig = [*seed, "eig", "--family", "cr", "--m", "3"]
+        assert run_cli([*seed, "mesh", *flags, "-o", str(mesh_file)]
+                       ).returncode == 0
+        res = run_cli([*eig, "--mesh", str(mesh_file), "-o", str(read)])
+        assert res.returncode == 0, res.stderr
+        assert run_cli([*eig, *flags, "-o", str(built)]).returncode == 0
+        assert read.read_bytes() == built.read_bytes()
+
     def test_p1_first_eigenvalue(self, tmp_path):
         out = tmp_path / "eig.csv"
         res = run_cli(["eig", "--geometry", "unit-square", "--n", "64",
