@@ -243,6 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_mesh(args) -> int:
+    if args.validate and args.output:
+        raise UsageError("give -o or --validate, not both")
     mesh = _mesh(args, args.validate, "--validate")
     if args.validate:
         print(f"{args.validate}: valid mesh with {mesh.n_vertices} vertices, "

@@ -166,8 +166,9 @@ class FeFunction:
 
 def _scatter(space: DofSpace, local: np.ndarray) -> SparseSymMatrix:
     nloc = space.cell_dofs.shape[1]
-    rows = np.repeat(space.cell_dofs, nloc, axis=1).ravel()
-    cols = np.tile(space.cell_dofs, (1, nloc)).ravel()
+    dofs = space.cell_dofs.astype(np.int32)
+    rows = np.repeat(dofs, nloc, axis=1).ravel()
+    cols = np.tile(dofs, (1, nloc)).ravel()
     mat = sp.coo_matrix((local.ravel(), (rows, cols)),
                         shape=(space.ndof, space.ndof))
     return SparseSymMatrix(mat.tocsr())

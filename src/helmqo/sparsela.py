@@ -3,7 +3,19 @@
 CSR symmetric storage, LDL^T factorization of ``A - sigma*M`` with inertia
 extraction (Sylvester eigenvalue counting), residual-checked solves with
 iterative refinement, and a shift-invert Lanczos eigensolver for the smallest
-generalized eigenpairs.  Every factorization is an RCM pre-order, then
+generalized eigenpairs.
+
+The eigensolver is a thick-restart (symmetric Krylov-Schur) Lanczos on
+``(A + M)^-1 M``, written here rather than called through ARPACK: its
+basis of ``ncv + 1`` vectors is the only n-sized storage it keeps.  Each
+step solves with the factor of ``A + M`` and M-orthogonalizes the new
+vector against the whole basis twice; each restart, and the Ritz vectors
+at the end, overwrite the basis's leading vectors in place.  A run stops
+when every wanted Ritz estimate is at most ``LANCZOS_TOL`` relative to its
+Ritz value; the result is then checked against the pencil itself (see
+:func:`eigs_smallest`).
+
+Every factorization is an RCM pre-order, then
 symmetric-mode SuperLU: the reverse Cuthill-McKee order of A's pattern
 (:attr:`SparseSymMatrix.ordering`, computed once per matrix) renumbers
 ``A - sigma*M`` before SuperLU's own ``MMD_AT_PLUS_A`` ordering, and the LU
@@ -37,7 +49,9 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee, structural_rank
 
 DENSE_EIG_LIMIT = 200
 RECOUNT_RTOL = 1e-8     # relative shift of count_from_factor's recounts
-LANCZOS_MAXITER = 10000
+LANCZOS_MAXITER = 10000     # restarts of one Lanczos run
+LANCZOS_TOL = 1e-14         # Ritz estimate relative to |theta| at convergence
+_SLICE_BYTES = 2 ** 20      # n-sized temporaries, per slice of columns
 
 
 class ResonanceError(RuntimeError):
@@ -51,7 +65,9 @@ class EigenSolveError(RuntimeError):
 class SparseSymMatrix:
     """Symmetric sparse matrix in CSR form storing the full pattern.
 
-    The wrapped matrix must be exactly symmetric (this is checked).
+    The wrapped matrix must be exactly symmetric, explicitly stored zeros
+    included: it must equal its transpose entry for entry (this is
+    checked).
     """
 
     def __init__(self, mat):
@@ -60,8 +76,15 @@ class SparseSymMatrix:
         m.sort_indices()
         if m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
-        d = m - m.T
-        if d.nnz and abs(d).max() > 0:
+        # summing duplicates leaves views on the longer arrays before it
+        if m.indices.base is not None:
+            m.indices = m.indices.copy()
+        if m.data.base is not None:
+            m.data = m.data.copy()
+        t = m.T.tocsr()
+        if not (np.array_equal(m.indices, t.indices)
+                and np.array_equal(m.indptr, t.indptr)
+                and np.array_equal(m.data, t.data)):
             raise ValueError("matrix must be symmetric")
         self._m = m
 
@@ -310,8 +333,16 @@ def count_from_factor(F: Factorization, A: SparseSymMatrix,
         "(resonant at this mesh)")
 
 
+def _column_slices(X: np.ndarray) -> list[slice]:
+    """Slices of X's columns with at most ``_SLICE_BYTES`` in each."""
+    step = max(1, _SLICE_BYTES // (8 * X.shape[0]))
+    return [slice(lo, lo + step) for lo in range(0, X.shape[1], step)]
+
+
 def _m_orthonormalize(X: np.ndarray, Msp: sp.csr_matrix) -> np.ndarray:
-    G = X.T @ (Msp @ X)
+    G = np.empty((X.shape[1], X.shape[1]))
+    for sl in _column_slices(X):
+        G[:, sl] = X.T @ (Msp @ X[:, sl])
     if abs(G - np.eye(G.shape[0])).max() <= 1e-13:
         return X
     R = sla.cholesky(G, lower=False)
@@ -319,8 +350,11 @@ def _m_orthonormalize(X: np.ndarray, Msp: sp.csr_matrix) -> np.ndarray:
 
 
 def _residual_norms(Asp, Msp, vals, X) -> np.ndarray:
-    R = Asp @ X - (Msp @ X) * vals
-    return np.linalg.norm(R, axis=0)
+    res = np.empty(len(vals))
+    for sl in _column_slices(X):
+        R = Asp @ X[:, sl] - (Msp @ X[:, sl]) * vals[sl]
+        res[sl] = np.linalg.norm(R, axis=0)
+    return res
 
 
 def _check_semidefinite(vals: np.ndarray, tol: float) -> None:
@@ -332,16 +366,114 @@ def _check_semidefinite(vals: np.ndarray, tol: float) -> None:
             "is A positive semidefinite?")
 
 
+def _append(Q: np.ndarray, j: int, w: np.ndarray, Msp: sp.csr_matrix,
+            rng: np.random.Generator):
+    """Store ``w``, M-orthogonalized against ``Q[:j]``, as the M-unit row
+    ``Q[j]``; ``w`` is overwritten.  Returns the coefficients removed,
+    the M-norm that was left (the Lanczos beta) and ``M Q[j]``.
+
+    Two classical Gram-Schmidt passes in the M inner product.  When the
+    second removes more than ``1 - 1/sqrt(2)`` of what the first left, ``w``
+    lay in the span of ``Q[:j]`` to working precision (Kahan-Parlett): that
+    span is invariant, the Lanczos recurrence has broken down, and a fresh
+    vector from ``rng`` takes ``w``'s place with beta = 0.
+    """
+    h = np.zeros(j)
+    Mw = Msp @ w
+    norms = []
+    for _ in range(2):
+        c = Q[:j] @ Mw
+        w -= c @ Q[:j]
+        h += c
+        Mw = Msp @ w
+        norms.append(np.sqrt(max(w @ Mw, 0.0)))
+    beta = norms[1]
+    if not beta > 0.717 * norms[0]:
+        _, _, Mq = _append(Q, j, rng.standard_normal(len(w)), Msp, rng)
+        return h, 0.0, Mq
+    np.divide(w, beta, out=Q[j])
+    return h, beta, Mw / beta
+
+
+def _rotate(Q: np.ndarray, Y: np.ndarray) -> None:
+    """``Q[:k] = Y^T Q[:p]`` in place for Y of shape (p, k), one slice of
+    Q's columns at a time."""
+    p, k = Y.shape
+    for sl in _column_slices(Q[:p]):
+        Q[:k, sl] = Y.T @ Q[:p, sl]
+
+
+def _lanczos(solve, Msp: sp.csr_matrix, m: int, ncv: int,
+             seed: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Thick-restart Lanczos for ``OP = solve(M .)``, self-adjoint in the M
+    inner product: the ``m`` Ritz values theta of largest modulus, as the
+    eigenvalues ``1/theta - 1`` of the pencil in ascending order, and their
+    M-orthonormal Ritz vectors as the rows of an (m, n) array.  None when
+    ``LANCZOS_MAXITER`` restarts leave a wanted pair unconverged.
+
+    The basis Q holds ``ncv + 1`` rows and is all the n-sized storage: the
+    symmetric Krylov-Schur restart (Wu & Simon, SIAM J. Matrix Anal. Appl.
+    2000; Stewart, ibid. 2001) keeps the ``(m + ncv) // 2`` Ritz vectors of
+    largest |theta| in Q's leading rows, and the returned vectors are Q's
+    first m rows, shrunk in place.  A pair has converged when its Ritz
+    estimate ``|beta y_last|`` is at most ``LANCZOS_TOL * |theta|``.
+    """
+    n = Msp.shape[0]
+    rng = np.random.default_rng(seed)
+    Q = np.empty((ncv + 1, n))
+    T = np.zeros((ncv, ncv))        # the projection Q^T M OP Q
+    _, _, Mq = _append(Q, 0, rng.standard_normal(n), Msp, rng)
+    k = 0
+    for _ in range(LANCZOS_MAXITER):
+        for j in range(k, ncv):
+            h, beta, Mq = _append(Q, j + 1, solve(Mq), Msp, rng)
+            T[j, j] = h[j]
+            if j + 1 < ncv:
+                T[j, j + 1] = T[j + 1, j] = beta
+        theta, Y = np.linalg.eigh(T)
+        order = np.argsort(-abs(theta), kind="stable")
+        wanted = order[:m]
+        if (abs(beta * Y[-1, wanted])
+                <= LANCZOS_TOL * abs(theta[wanted])).all():
+            vals = 1.0 / theta[wanted] - 1.0
+            ascending = np.argsort(vals, kind="stable")
+            _rotate(Q, Y[:, wanted[ascending]])
+            Q.resize((m, n), refcheck=False)   # no view of Q is left
+            return vals[ascending], Q
+        k = (m + ncv) // 2
+        keep = order[:k]
+        _rotate(Q, Y[:, keep])
+        Q[k] = Q[ncv]
+        T[:] = 0.0
+        T[:k, :k] = np.diag(theta[keep])
+        T[k, :k] = T[:k, k] = beta * Y[-1, keep]
+    return None
+
+
+def _accept(Asp, Msp, vals, X, tol: float) -> EigenResult:
+    _check_semidefinite(vals, tol)
+    X = _m_orthonormalize(X, Msp)
+    return EigenResult(vals, X, _residual_norms(Asp, Msp, vals, X))
+
+
 def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
                   opts: EigenSolveOptions | None = None) -> EigenResult:
     """The ``m`` algebraically smallest eigenpairs of ``A x = l M x``.
 
     A must be symmetric positive semidefinite, M symmetric positive
     definite.  Eigenvalues are ascending with multiplicities; eigenvectors
-    are M-orthonormal.  Shift-invert Lanczos (shift -1, strictly below the
-    spectrum) with a deterministic seeded start vector; dense fallback for
-    small systems.  Each returned pair satisfies
+    are M-orthonormal.  Each returned pair satisfies
     ``|A x - l M x| <= tol * (1 + |l|)``.
+
+    Pencils of at most ``DENSE_EIG_LIMIT`` dofs, and requests with
+    ``2m + 1 >= n - 1``, are solved densely.  Otherwise thick-restart
+    Lanczos (:func:`_lanczos`) runs on ``(A + M)^-1 M``, the shift-invert
+    operator at -1, strictly below the spectrum, from a start vector drawn
+    from ``opts.seed``, with a basis of ``ncv = 2m + 1`` vectors (at least
+    20).  Its working set is the basis, n (ncv + 1) floats, and the factor
+    of ``A + M``; the checks on its result run a few columns at a time.  A
+    result that misses the residual bound, or ``LANCZOS_MAXITER`` restarts
+    without convergence, is retried twice with ``ncv`` doubled.
 
     The shift-invert factor's pivots are never read, so it holds no copy
     of its triangular factors.  Two checks guard the semidefinite
@@ -349,6 +481,8 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
     ``A + M`` (``Factorization.singular``) before Lanczos starts, and a
     returned eigenvalue below ``-min(1/2, 1e3 * opts.tol)``, beyond the
     roundoff of a zero eigenvalue, on both the Lanczos and the dense path.
+    Lanczos takes the Ritz values of largest modulus, so a negative
+    eigenvalue whose shift-invert image is large in modulus is found.
     """
     opts = opts or EigenSolveOptions()
     n = A.n
@@ -360,41 +494,28 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
         raise ValueError(f"requested {m} pairs from a dimension-{n} pencil")
     Asp, Msp = A.to_scipy(), M.to_scipy()
 
-    if n <= DENSE_EIG_LIMIT or m >= n - 1:
+    if n <= DENSE_EIG_LIMIT or 2 * m + 1 >= n - 1:
         vals, X = sla.eigh(Asp.toarray(), Msp.toarray())
-        vals, X = vals[:m], X[:, :m]
-        _check_semidefinite(vals, opts.tol)
-        X = _m_orthonormalize(X, Msp)
-        res = _residual_norms(Asp, Msp, vals, X)
-        return EigenResult(vals, X, res)
+        return _accept(Asp, Msp, vals[:m], X[:, :m], opts.tol)
 
     F = ldlt(A, -1.0, M)
     if F.singular:
         raise EigenSolveError("shift-invert factorization broke down; "
                               "is A positive semidefinite?")
-    opinv = spla.LinearOperator((n, n), matvec=F._raw_solve)
-    v0 = np.random.default_rng(opts.seed).standard_normal(n)
-    ncv = min(n, max(2 * m + 1, 20))     # Lanczos basis size
-
+    ncv = min(n - 1, max(2 * m + 1, 20))     # Lanczos basis size
     for attempt in range(3):
-        try:
-            vals, X = spla.eigsh(Asp, k=m, M=Msp, sigma=-1.0, OPinv=opinv,
-                                 v0=v0, which="LM", tol=1e-14,
-                                 maxiter=LANCZOS_MAXITER, ncv=ncv)
-        except spla.ArpackNoConvergence as exc:
-            ncv = min(n, 2 * ncv)
+        found = _lanczos(F._raw_solve, Msp, m, ncv, opts.seed)
+        ncv = min(n - 1, 2 * ncv)
+        if found is None:
             if attempt == 2:
                 raise EigenSolveError(
-                    f"Lanczos iteration did not converge: {exc}") from exc
+                    f"Lanczos iteration did not converge in "
+                    f"{LANCZOS_MAXITER} restarts")
             continue
-        order = np.argsort(vals, kind="stable")
-        vals, X = vals[order], X[:, order]
-        _check_semidefinite(vals, opts.tol)
-        X = _m_orthonormalize(X, Msp)
-        res = _residual_norms(Asp, Msp, vals, X)
-        if (res <= opts.tol * (1.0 + abs(vals))).all():
-            return EigenResult(vals, X, res)
-        ncv = min(n, 2 * ncv)
+        vals, Q = found
+        res = _accept(Asp, Msp, vals, Q.T, opts.tol)
+        if (res.residuals <= opts.tol * (1.0 + abs(vals))).all():
+            return res
     raise EigenSolveError(
         "eigensolver residuals exceed tolerance "
-        f"(max {res.max():.3e} vs tol {opts.tol:.1e})")
+        f"(max {res.residuals.max():.3e} vs tol {opts.tol:.1e})")

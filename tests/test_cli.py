@@ -150,6 +150,14 @@ class TestOneMeshSource:
         assert res.returncode == 2
         assert "give --validate or --geometry, not both" in res.stderr
 
+    def test_validate_and_output_exit_2(self, tmp_path, mesh_file):
+        # the file was validated and -o ignored, with exit 0
+        out = tmp_path / "other.mesh"
+        res = run_cli(["mesh", "--validate", mesh_file, "-o", str(out)])
+        assert res.returncode == 2
+        assert "give -o or --validate, not both" in res.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--outer-tag", "--inner-tag"])
     @pytest.mark.parametrize("source", [
         ["mesh", "--geometry", "unit-square"],

@@ -1,11 +1,13 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import helmqo.sparsela
 from helmqo.mesh import (BoundaryTag, build_square_with_hole,
@@ -381,6 +383,111 @@ class TestCountBelow:
                     <= 1e-10 * np.linalg.norm(b))
 
 
+def lanczos_pencil(family, n, rgap):
+    """The unit-square pencil, its dense spectrum, and the 0-based indices
+    i of its first two pairs with w[i + 1] - w[i] <= rgap * w[i + 1]."""
+    A, M = square_pencil(n, family)
+    w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+    double = np.flatnonzero(np.diff(w) <= rgap * w[1:])[:2]
+    assert len(double) == 2 and A.n > helmqo.sparsela.DENSE_EIG_LIMIT
+    return A, M, w, double
+
+
+@contextlib.contextmanager
+def basis_sizes():
+    """The ``ncv`` of each Lanczos run inside the block, in call order."""
+    sizes = []
+    real = helmqo.sparsela._lanczos
+
+    def counted(solve, Msp, m, ncv, seed):
+        sizes.append(ncv)
+        return real(solve, Msp, m, ncv, seed)
+    with mock.patch.object(helmqo.sparsela, "_lanczos", counted):
+        yield sizes
+
+
+def assert_matches_dense(res, A, M, w, rtol=1e-10):
+    m = len(res.values)
+    assert np.all(np.abs(res.values - w[:m]) <= rtol * (1 + w[:m]))
+    G = res.vectors.T @ (M @ res.vectors)
+    assert np.abs(G - np.eye(m)).max() <= 1e-12
+    assert np.all(res.residuals <= 1e-10 * (1 + np.abs(res.values)))
+
+
+class TestThickRestartLanczos:
+    """The shift-invert Lanczos path against dense ``eigh``."""
+
+    @pytest.mark.parametrize("past", [0, 1], ids=["inside", "past"])
+    @pytest.mark.parametrize("which", [0, 1])
+    @pytest.mark.parametrize("family,n,rgap", [(P1, 16, 1e-2),
+                                               (CR, 10, 1e-12)], ids=str)
+    def test_every_copy_of_a_double_eigenvalue(self, family, n, rgap, which,
+                                               past):
+        # m ends on the first copy of a double eigenvalue, or on the second;
+        # both copies must be there in the second case.  CR keeps the
+        # square's double eigenvalues (to 1e-13); P1's diagonals split them
+        # into pairs 1e-3 to 1e-2 apart
+        A, M, w, double = lanczos_pencil(family, n, rgap)
+        m = double[which] + 1 + past
+        assert_matches_dense(eigs_smallest(A, M, m), A, M, w)
+
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from([P1, P2, CR]),
+           mesh=st.one_of(jittered_squares, bisected_holes()),
+           data=st.data())
+    def test_matches_dense_on_drawn_meshes(self, family, mesh, data):
+        # every pencil with room for the basis takes the Lanczos path
+        A, M = build_space(mesh, family).pencil
+        assume(A.n >= 6)
+        m = data.draw(st.integers(1, min(12, (A.n - 4) // 2)))
+        w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        with mock.patch.object(helmqo.sparsela, "DENSE_EIG_LIMIT", 0), \
+                basis_sizes() as ncv:
+            res = eigs_smallest(A, M, m)
+        assert ncv
+        assert_matches_dense(res, A, M, w, rtol=1e-9)
+
+    @pytest.mark.parametrize("m,lanczos", [(110, True), (111, False),
+                                           (144, False)])
+    def test_dense_when_the_basis_fills_the_space(self, m, lanczos):
+        # the flagship's first mesh, 224 dofs: 2m + 1 = 221 vectors still
+        # fit below n - 1 = 223, 223 do not and the dense path answers;
+        # the flagship at k^2 = 1500 asks for m = 144 there
+        space = build_space(build_square_with_hole(0.75, 0.3, 10), CR)
+        A, M = space.pencil
+        assert A.n == 224
+        w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        with basis_sizes() as ncv:
+            assert_matches_dense(eigs_smallest(A, M, m), A, M, w)
+        assert ncv == ([2 * m + 1] if lanczos else [])
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_breakdown_restarts_from_a_fresh_vector(self, m):
+        # five distinct eigenvalues, 100 copies each: the Krylov space of
+        # one start vector is invariant after five steps and holds one copy
+        # of each, so every further copy of 1 needs a fresh vector
+        A = sym(np.diag(np.repeat(np.arange(1.0, 6.0), 100)))
+        res = eigs_smallest(A, sym(np.eye(500)), m)
+        assert np.all(np.abs(res.values - 1.0) <= 1e-12)
+        assert np.abs(res.vectors.T @ res.vectors - np.eye(m)).max() <= 1e-12
+        assert np.abs(res.vectors[100:]).max() <= 1e-12
+
+    def test_unconverged_runs_double_the_basis_then_raise(self, monkeypatch):
+        monkeypatch.setattr(helmqo.sparsela, "LANCZOS_MAXITER", 0)
+        A, M = square_pencil(16)
+        with basis_sizes() as ncv, pytest.raises(EigenSolveError,
+                                                 match="did not converge"):
+            eigs_smallest(A, M, 4)
+        assert ncv == [20, 40, 80]
+
+    def test_working_set_is_the_basis(self):
+        # CR pencil, 20,008 dofs, m = 20: the basis holds ncv + 1 = 42
+        # vectors; ARPACK's copies of it brought the peak to 2.77 times that
+        A, M = square_pencil(82, CR)
+        basis = 8 * A.n * (2 * 20 + 2)
+        assert traced_peak(eigs_smallest, A, M, 20) < 2 * basis
+
+
 def shifted_pencil(n, family, s):
     """``(A0 - (lambda_1 + s) M, M)``: lowest eigenvalue -s, not PSD."""
     A0, M = square_pencil(n, family)
@@ -392,7 +499,9 @@ class TestEigsSmallestContract:
     """A must be positive semidefinite; the shift-invert factor's pivots
     are not read to check it."""
 
-    # -1e-6 is far beyond the roundoff of a zero eigenvalue
+    # -1e-6 is far beyond the roundoff of a zero eigenvalue; at s = 3 the
+    # shift-invert image 1/(1 - s) = -1/2 is the smallest Ritz value, so
+    # only the order by modulus finds it
     @pytest.mark.parametrize("s", [1.0, 0.75, 3.0, 0.25, 1e-6])
     @pytest.mark.parametrize("family,n", [(P1, 40), (CR, 24)], ids=str)
     def test_negative_eigenvalue_raises(self, family, n, s):
@@ -419,9 +528,9 @@ class TestEigsSmallestContract:
         A = SparseSymMatrix(A)
         M = SparseSymMatrix(sp.identity(A.n))
 
-        def eigsh(*args, **kwargs):
+        def lanczos(*args, **kwargs):
             raise AssertionError("Lanczos started")
-        monkeypatch.setattr(helmqo.sparsela.spla, "eigsh", eigsh)
+        monkeypatch.setattr(helmqo.sparsela, "_lanczos", lanczos)
         assert ldlt(A, -1.0, M).singular
         with pytest.raises(EigenSolveError, match="broke down"):
             eigs_smallest(A, M, 3)
