@@ -146,7 +146,7 @@ def _solve(spec: ProblemSpec, space: DofSpace) -> tuple[FeFunction, int]:
     b = constrain_vector(space,
                          assemble_load(space, spec.rhs, spec.load_degree))
     F = ldlt(A, spec.k2, M)
-    below = count_from_factor(F, A, M)
+    below = count_from_factor(F)
     return FeFunction(space, expand_free(space, solve(F, b))), below
 
 
@@ -180,25 +180,20 @@ def unit_square_index(k2: float) -> int:
 
 # -- spectral reference on the unit square ----------------------------------
 
-def sine_series_reference(f: Rhs, k2: float, modes: int | None = None):
+def sine_series_reference(f: Rhs, k2: float):
     """Reference Helmholtz solution on the all-Dirichlet unit square.
 
     Expands f in the normalized sine basis and divides each coefficient by
-    (lambda_ij - k^2).  When ``modes`` is omitted the truncation is grown
-    in steps of 16 until the sampled solution is stable to
-    ``SINE_STABILITY_RTOL``; the returned callable carries its
-    ``.coefficients``.
+    (lambda_ij - k^2).  The truncation is grown from 32 modes in steps of
+    16 until the sampled solution is stable to ``SINE_STABILITY_RTOL``.
     """
-    auto = modes is None
-    N = 32 if auto else int(modes)
+    N = 32
+    xs = np.linspace(0.0, 1.0, 33)
+    X, Y = np.meshgrid(xs, xs)
     probe = None
     while True:
         C = _sine_coefficients(f, k2, N)
         u = _sine_sum(C)
-        if not auto:
-            break
-        xs = np.linspace(0.0, 1.0, 33)
-        X, Y = np.meshgrid(xs, xs)
         vals = u(X, Y)
         if probe is not None:
             scale = max(1.0, abs(vals).max())
@@ -209,7 +204,6 @@ def sine_series_reference(f: Rhs, k2: float, modes: int | None = None):
                              "rough for a spectral reference")
         probe = vals
         N += 16
-    u.coefficients = C
     return u
 
 

@@ -73,6 +73,9 @@ _GEOMETRIES = {
         a.n, a.seed, tags=BoundaryTag[a.tag.upper()]),
     "square-hole": _square_hole,
 }
+# the built-in geometries' flags and their values when omitted
+_GEOMETRY_FLAGS = {"n": 8, "tag": "dirichlet", "outer": 1.0, "inner": 0.5,
+                   "outer_tag": None, "inner_tag": None}
 
 
 def _sine_modes(text: str) -> tuple[tuple[int, int, float], ...]:
@@ -101,18 +104,26 @@ def _write(path: str, text: str) -> None:
 
 def _mesh(args, path: str | None, path_flag: str = "--mesh") -> Mesh:
     """The one mesh the flags give: read from ``path``, the file that
-    ``path_flag`` names, or built by ``--geometry``."""
+    ``path_flag`` names, or built by ``--geometry``.  A geometry flag that
+    the mesh's source would not read is a usage error."""
     if path and args.geometry:
         raise UsageError(f"give {path_flag} or --geometry, not both")
-    if ((args.outer_tag or args.inner_tag)
+    given = {name for name in _GEOMETRY_FLAGS
+             if getattr(args, name) is not None}
+    if (given - {"n", "tag"}
             and _GEOMETRIES.get(args.geometry) is not _square_hole):
-        raise UsageError("--outer-tag and --inner-tag apply to --geometry "
-                         "square-hole only")
+        raise UsageError("--outer, --inner, --outer-tag and --inner-tag "
+                         "apply to --geometry square-hole only")
     if path:
+        if given:
+            raise UsageError(f"--n and --tag apply to --geometry, not to "
+                             f"{path_flag}")
         with open(path, encoding="utf-8") as fh:
             return read_mesh(fh.read())
     if args.geometry is None:
         raise UsageError(f"either {path_flag} or --geometry is required")
+    vars(args).update({name: value for name, value in _GEOMETRY_FLAGS.items()
+                       if name not in given})
     return _GEOMETRIES[args.geometry](args)
 
 
@@ -137,13 +148,13 @@ def _add_geometry_args(p: argparse.ArgumentParser, with_mesh: bool = True):
                        help="read the mesh from FILE instead of building one")
     p.add_argument("--geometry", choices=list(_GEOMETRIES),
                    help="built-in geometry to mesh")
-    p.add_argument("--n", type=int, default=8,
+    p.add_argument("--n", type=int,
                    help="resolution (cells per side) of built-in geometries")
-    p.add_argument("--outer", type=float, default=1.0,
+    p.add_argument("--outer", type=float,
                    help="outer side length (square-hole)")
-    p.add_argument("--inner", type=float, default=0.5,
+    p.add_argument("--inner", type=float,
                    help="inner hole side length (square-hole)")
-    p.add_argument("--tag", default="dirichlet", choices=tags,
+    p.add_argument("--tag", choices=tags,
                    help="boundary tag for all boundary edges")
     p.add_argument("--outer-tag", choices=tags,
                    help="tag for the outer boundary (square-hole)")
@@ -292,6 +303,8 @@ def cmd_certify(args) -> int:
         source: int | str = args.istar
     else:
         source = "cr"
+        if args.istar is not None:
+            raise UsageError("--istar applies to --estimate oracle only")
         if family != CR:
             raise UsageError("--estimate cr requires --family cr")
     spec = ProblemSpec(family, args.k2)

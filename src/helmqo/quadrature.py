@@ -109,9 +109,3 @@ def edge_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     npts = max(1, (degree + 2) // 2)
     x, w = leggauss(npts)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def reference_monomial_integral(a: int, b: int) -> float:
-    """Exact integral of x^a y^b over the reference triangle."""
-    from math import factorial
-    return factorial(a) * factorial(b) / factorial(a + b + 2)

@@ -92,7 +92,7 @@ class DofSpace:
     ndof : total number of degrees of freedom
     cell_dofs : (nt, nloc) global dof indices per triangle
     locations : (ndof, 2) geometric dof positions
-    free_dofs / constrained_dofs : partition induced by Dirichlet tags
+    free_dofs : the dofs not constrained by Dirichlet tags
     """
 
     def __init__(self, mesh: Mesh, family: ElementFamily):
@@ -118,10 +118,7 @@ class DofSpace:
             self.locations = np.vstack([mesh.vertices, midpoints])
             constrained = np.concatenate([mesh.dirichlet_vertices(),
                                           nv + mesh.dirichlet_edge_ids])
-        mask = np.zeros(self.ndof, dtype=bool)
-        mask[constrained] = True
-        self.constrained_dofs = np.flatnonzero(mask)
-        self.free_dofs = np.flatnonzero(~mask)
+        self.free_dofs = np.setdiff1d(np.arange(self.ndof), constrained)
 
     @property
     def n_free(self) -> int:

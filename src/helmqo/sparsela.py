@@ -31,9 +31,10 @@ long as M's pattern lies inside A's, as it does for every Laplace pencil of
 
 Sparse pivots are read only where an inertia count is needed
 (:func:`count_below`, :func:`solve`, or a read of a factorization's
-``inertia``, ``L`` or ``D``).  SuperLU answers such a read with CSC copies of both triangular
-factors, about 12 bytes per factor entry, kept for as long as the factor
-lives; the shift-invert factor of :func:`eigs_smallest` never makes them.
+``inertia`` or ``L``).  SuperLU answers such a read with CSC copies of both
+triangular factors, about 12 bytes per factor entry, kept for as long as
+the factor lives; the shift-invert factor of :func:`eigs_smallest` never
+makes them.
 """
 
 from __future__ import annotations
@@ -150,26 +151,27 @@ class EigenResult:
 class Factorization:
     """LDL^T factorization of ``K = A - sigma*M`` with inertia.
 
-    ``perm`` is the fill-reducing permutation: the RCM pre-order composed
-    with SuperLU's column order, so that ``K[perm][:, perm] == L @ U``.
-    ``inertia`` counts the negative, zero and positive pivots.  ``L``
-    is unit lower triangular and ``D`` diagonal: SuperLU's U is D L^T.
+    ``inertia`` counts the negative, zero and positive pivots.  ``L`` is
+    the unit lower triangular factor; SuperLU's U is D L^T with D diagonal.
+    The factor keeps the pencil (A, M) it was made from, for
+    :func:`count_from_factor`'s recounts.
 
     An exactly singular factor knows its inertia at construction.
-    Otherwise the first read of ``inertia`` (or ``n_neg``, ``n_zero``),
-    ``L`` or ``D`` reads the pivots, and SuperLU keeps CSC copies of L and
-    U for the factor's lifetime; the inertia is cached.
-    ``singular`` and solves need neither.
+    Otherwise the first read of ``inertia`` (or ``n_neg``, ``n_zero``) or
+    ``L`` reads the pivots, and SuperLU keeps CSC copies of L and U for the
+    factor's lifetime; the inertia is cached.  ``singular`` and solves
+    need neither.
     """
 
     def __init__(self, matrix: sp.csr_matrix, sigma: float,
-                 perm: np.ndarray, inertia: tuple[int, int, int] | None,
+                 pencil: tuple[SparseSymMatrix, SparseSymMatrix],
+                 inertia: tuple[int, int, int] | None,
                  payload, tol: float = 0.0,
                  order: np.ndarray | None = None):
         self.matrix = matrix
         self.sigma = sigma
         self.n = matrix.shape[0]
-        self.perm = perm
+        self._pencil = pencil
         self._inertia = inertia
         self._tol = tol
         self._payload = payload
@@ -210,13 +212,9 @@ class Factorization:
 
     @property
     def L(self):
-        """Unit lower-triangular factor (rows in ``perm`` order)."""
+        """Unit lower-triangular factor of K reordered by the RCM pre-order,
+        then SuperLU's column order."""
         return self._payload.L
-
-    @property
-    def D(self):
-        """Diagonal factor: P K P^T = L D L^T."""
-        return sp.diags(self._payload.U.diagonal())
 
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
         y = self._payload.solve(b.take(self._order, axis=0))
@@ -225,7 +223,7 @@ class Factorization:
 
 def ldlt(A: SparseSymMatrix, sigma: float,
          M: SparseSymMatrix) -> Factorization:
-    """Factorize ``A - sigma*M`` as P^T L D L^T P and report inertia.
+    """Factorize ``A - sigma*M`` by LDL^T and report inertia.
 
     When ``n_zero`` is zero, ``n_neg`` equals the number of generalized
     eigenvalues of (A, M) strictly below ``sigma``.  A zero pivot is
@@ -261,10 +259,8 @@ def ldlt(A: SparseSymMatrix, sigma: float,
             singular = True
     if singular:
         # an exactly singular factor leaves the pivot signs unknown
-        return Factorization(K, sigma, np.arange(n), (0, n, 0), None)
-    # with perm = order[argsort(perm_c)]: K[perm][:, perm] == L @ U
-    return Factorization(K, sigma, order[np.argsort(lu.perm_c)], None, lu,
-                         tol, order)
+        return Factorization(K, sigma, (A, M), (0, n, 0), None)
+    return Factorization(K, sigma, (A, M), None, lu, tol, order)
 
 
 def solve(F: Factorization, b: np.ndarray) -> np.ndarray:
@@ -302,24 +298,24 @@ def solve(F: Factorization, b: np.ndarray) -> np.ndarray:
 def count_below(A: SparseSymMatrix, M: SparseSymMatrix, sigma: float) -> int:
     """Exact number of generalized eigenvalues of (A, M) below ``sigma``,
     from Sylvester inertia (see :func:`count_from_factor`)."""
-    return count_from_factor(ldlt(A, sigma, M), A, M)
+    return count_from_factor(ldlt(A, sigma, M))
 
 
-def count_from_factor(F: Factorization, A: SparseSymMatrix,
-                      M: SparseSymMatrix) -> int:
+def count_from_factor(F: Factorization) -> int:
     """Number of eigenvalues of (A, M) below ``F.sigma``, read from the
     factor ``F = ldlt(A, F.sigma, M)`` that the caller already holds.
 
     A factor with a zero pivot (including one SuperLU was forced to pivot
     off the diagonal, whose pivots say nothing) is not trusted: the count
-    is redone at ``sigma * (1 -+ RECOUNT_RTOL)``, and equal counts from two
-    factors without a zero pivot prove that no eigenvalue lies between the
-    two shifts, so that count is returned.  Otherwise ``sigma`` is
-    numerically an eigenvalue of the pencil and :class:`ResonanceError` is
-    raised.
+    is redone on F's own A and M at ``sigma * (1 -+ RECOUNT_RTOL)``, and
+    equal counts from two factors without a zero pivot prove that no
+    eigenvalue lies between the two shifts, so that count is returned.
+    Otherwise ``sigma`` is numerically an eigenvalue of the pencil and
+    :class:`ResonanceError` is raised.
     """
     if F.n_zero == 0:
         return F.n_neg
+    A, M = F._pencil
     counts = []
     for s in (F.sigma * (1.0 - RECOUNT_RTOL), F.sigma * (1.0 + RECOUNT_RTOL)):
         G = ldlt(A, s, M)

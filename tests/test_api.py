@@ -1,10 +1,12 @@
-"""The public surface stays in use: every name that ``helmqo`` re-exports is
-referenced by code outside the tests, so no helper lives on for its tests
-alone, and every exception it re-exports is raised in the package.  What two helmqo modules share is public: none imports another's
-underscore name.  The boundary tag codes in ``Mesh.edge_tag`` are
-``mesh.py``'s own format, and the ``--geometry`` and ``--rhs`` names are
-``cli.py``'s own.  Importing the command line does not load
-``scipy.special``."""
+"""The public surface stays in use: every public function and class of every
+helmqo module, and every public method, property, field and instance
+attribute of its classes, is referenced by code outside the tests, so
+nothing lives on for its tests alone, and every exception ``helmqo``
+re-exports is raised in the package.  What two helmqo modules share is
+public: none imports another's underscore name.  The boundary tag codes in
+``Mesh.edge_tag`` are ``mesh.py``'s own format, and the ``--geometry`` and
+``--rhs`` names are ``cli.py``'s own.  Importing the command line does not
+load ``scipy.special``."""
 
 import ast
 import importlib
@@ -21,6 +23,10 @@ PACKAGE = ROOT / "src" / "helmqo"
 # public names that need no caller in the package, demos or benchmark
 UNUSED_ALLOWED = {
     "interpolate",    # the nodal interpolant, for users' own data
+}
+# public class members that need no reader there
+UNREAD_ALLOWED = {
+    "MeshFormatError.line",    # the line number for callers that catch it
 }
 
 
@@ -45,8 +51,13 @@ def referenced_names(path: Path) -> set[str]:
     return names
 
 
+def modules() -> list[Path]:
+    """The package's modules, ``__init__`` left out."""
+    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
 def callers() -> list[Path]:
-    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files = modules()
     for folder in ("demos", "perfbench"):
         files += (ROOT / folder).glob("*.py")
     return files
@@ -60,6 +71,53 @@ def test_every_reexport_has_a_caller_outside_tests():
     unused = exported - used - UNUSED_ALLOWED
     assert not unused, (f"re-exported but referenced only by tests: "
                         f"{sorted(unused)}")
+
+
+def test_every_module_function_and_class_has_a_caller_outside_tests():
+    used = set().union(*(referenced_names(p) for p in callers()))
+    defined = {f"{path.stem}.{node.name}": node.name for path in modules()
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    assert UNUSED_ALLOWED <= set(defined.values()) - used
+    unused = sorted(qual for qual, name in defined.items()
+                    if name not in used | UNUSED_ALLOWED)
+    assert not unused, f"defined but referenced only by tests: {unused}"
+
+
+def class_members(cls: ast.ClassDef) -> set[str]:
+    """Public methods, properties, annotated fields and ``self.`` attributes
+    of ``cls``."""
+    members = set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            members.add(node.name)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            members.add(node.target.id)
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"):
+            members.add(node.attr)
+    return {name for name in members if not name.startswith("_")}
+
+
+def attributes_read(path: Path) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_class_member_is_read_outside_tests():
+    read = set().union(*(attributes_read(p) for p in callers()))
+    unread = {f"{node.name}.{member}" for path in modules()
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.ClassDef)
+              for member in class_members(node) if member not in read}
+    assert UNREAD_ALLOWED <= unread
+    unread = sorted(unread - UNREAD_ALLOWED)
+    assert not unread, f"class members read only by tests: {unread}"
 
 
 def raised_names() -> set[str]:

@@ -175,6 +175,39 @@ class TestOneMeshSource:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("flag,value", [("--n", "6"),
+                                            ("--outer", "0.75"),
+                                            ("--inner", "0.3"),
+                                            ("--tag", "neumann")])
+    @pytest.mark.parametrize("source", [
+        ["eig", "--family", "cr", "--m", "3", "--mesh"],
+        ["mesh", "--validate"]], ids=["mesh-file", "validate"])
+    def test_geometry_flag_with_a_mesh_file_exit_2(self, tmp_path, mesh_file,
+                                                   source, flag, value):
+        # the file was read with its own tags and size, and the flag
+        # dropped, with exit 0
+        out = tmp_path / "out.csv"
+        extra = ["-o", str(out)] if source[0] == "eig" else []
+        res = run_cli([*source, mesh_file, flag, value, *extra])
+        assert res.returncode == 2
+        assert "apply to --geometry" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--outer", "0.75"),
+                                            ("--inner", "0.3")])
+    @pytest.mark.parametrize("geometry", ["unit-square",
+                                          "unit-square-unstructured"])
+    def test_hole_size_off_the_hole_exit_2(self, tmp_path, geometry, flag,
+                                           value):
+        out = tmp_path / "out.mesh"
+        res = run_cli(["mesh", "--geometry", geometry, flag, value,
+                       "-o", str(out)])
+        assert res.returncode == 2
+        assert ("--outer, --inner, --outer-tag and --inner-tag apply to "
+                "--geometry square-hole only") in res.stderr
+        assert not out.exists()
+
+
 class TestEigCommand:
     @pytest.mark.parametrize("geometry", cli_choices("--geometry"))
     def test_mesh_file_matches_geometry(self, tmp_path, geometry):
@@ -368,6 +401,17 @@ class TestCertifyCommand:
         res = run_cli(["certify", "--geometry", "unit-square", "--k2",
                        "100", "--family", "p1"])
         assert res.returncode == 2
+
+    def test_cr_estimate_with_istar_exit_2(self, tmp_path):
+        # the README flagship: --istar was dropped, with exit 0
+        out = tmp_path / "cert.csv"
+        res = run_cli(["certify", "--geometry", "square-hole", "--outer",
+                       "0.75", "--inner", "0.3", "--n", "10", "--k2", "400",
+                       "--family", "cr", "--refine", "adaptive",
+                       "--estimate", "cr", "--istar", "3", "-o", str(out)])
+        assert res.returncode == 2
+        assert "--istar applies to --estimate oracle only" in res.stderr
+        assert not out.exists()
 
     def test_no_output_file_on_usage_error(self, tmp_path):
         out = tmp_path / "cert.csv"

@@ -16,8 +16,9 @@ from helmqo.mesh import (BoundaryTag, build_square_with_hole,
 from helmqo.certify import ProblemSpec, SineProduct, solve_helmholtz
 from helmqo.spaces import CR, P1, P2, assemble_load, assemble_mass, \
     assemble_stiffness, build_space, constrain, constrain_vector
-from helmqo.sparsela import (EigenSolveError, EigenSolveOptions,
-                             ResonanceError, SparseSymMatrix, count_below,
+from helmqo.sparsela import (RECOUNT_RTOL, EigenSolveError,
+                             EigenSolveOptions, ResonanceError,
+                             SparseSymMatrix, count_below, count_from_factor,
                              eigs_smallest, ldlt, solve)
 
 from conftest import (enumeration_index, gaussian_elimination_solve,
@@ -87,10 +88,15 @@ class TestLdlt:
         assert ldlt(A, 100.0, M).n_neg == enumeration_index(100.0) == 6
 
     @staticmethod
-    def assert_reconstructs(F, K, atol):
+    def permutation(F):
+        """The RCM pre-order composed with SuperLU's column order:
+        ``K[p][:, p] == L D L^T``."""
+        return F._order[np.argsort(F._payload.perm_c)]
+
+    def assert_reconstructs(self, F, K, atol):
         L = F.L.toarray()
-        D = F.D.toarray()
-        P = F.perm
+        D = np.diag(F._payload.U.diagonal())
+        P = self.permutation(F)
         assert np.allclose(L @ D @ L.T, K[np.ix_(P, P)], atol=atol)
         w = np.linalg.eigvalsh(K)
         assert F.inertia == ((w < 0).sum(), 0, (w > 0).sum())
@@ -108,13 +114,14 @@ class TestLdlt:
         self.assert_reconstructs(ldlt(A, 50.0, M), K, 1e-8)
 
     def test_reconstruction_on_a_bisected_mesh(self):
-        # the RCM pre-order and SuperLU's order compose into F.perm
+        # the RCM pre-order and SuperLU's order compose into the permutation
         mesh = build_square_with_hole(0.75, 0.3, 6)
         mesh = refine_bisection(mesh, range(0, mesh.n_triangles, 3))
         A, M = build_space(mesh, P2).pencil
         K = (A.to_scipy() - 400.0 * M.to_scipy()).toarray()
         F = ldlt(A, 400.0, M)
-        assert not np.array_equal(F.perm, np.argsort(F._payload.perm_c))
+        assert not np.array_equal(self.permutation(F),
+                                  np.argsort(F._payload.perm_c))
         self.assert_reconstructs(F, K, 1e-8)
 
     def test_ordering_computed_once_per_matrix(self, monkeypatch):
@@ -133,6 +140,25 @@ class TestLdlt:
             count_below(A, M, sigma)
         eigs_smallest(A, M, 3)
         assert len(calls) == 1
+
+    def test_recount_refactors_the_factors_own_pencil(self, monkeypatch):
+        # P1 n = 32 at sigma = 8192 is flagged: the recounts factor the A
+        # and M the flagged factor was made from, nothing the caller passes
+        A, M = square_pencil(32)
+        F = ldlt(A, 8192.0, M)
+        assert F.n_zero > 0
+        factored = []
+        factor = helmqo.sparsela.ldlt
+
+        def recorded(A_, sigma, M_):
+            factored.append((A_, sigma, M_))
+            return factor(A_, sigma, M_)
+        monkeypatch.setattr(helmqo.sparsela, "ldlt", recorded)
+        w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        assert count_from_factor(F) == (w < 8192.0).sum()
+        assert [(a is A, sigma, m is M) for a, sigma, m in factored] == [
+            (True, 8192.0 * (1 - RECOUNT_RTOL), True),
+            (True, 8192.0 * (1 + RECOUNT_RTOL), True)]
 
     def test_fill_below_superlu_alone_on_a_bisected_mesh(self):
         # the CR pencil of the flagship geometry bisected thrice, 15,904
