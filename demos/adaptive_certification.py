@@ -1,13 +1,14 @@
 """Certified mesh generation on a domain with a hole.
 
 When the pivotal index is not known a priori, the Crouzeix-Raviart
-guaranteed bounds estimate it: j* is the first index whose successor's
-lower bound clears k^2, and the estimate is certified once the j*-th
-enclosure is tighter than its distance to k^2.  The lower bound holds on
-every mesh (Liu 2015) but tightens only with the global mesh size, so the
-driver refines the elements marked by the averaged eigenpair residual
-indicator plus every element larger than the largest global mesh size at
-which the current ladder could certify.
+guaranteed bounds estimate it: j* is the LDL^T inertia count at the
+lambda where the lower bound lambda / (1 + kappa^2 lambda h^2) reaches
+k^2, and the estimate is certified once the j*-th enclosure is tighter
+than its distance to k^2.  The lower bound holds on every mesh (Liu 2015)
+but tightens only with the global mesh size, so the driver refines the
+elements marked by the averaged eigenpair residual indicator plus every
+element larger than the largest global mesh size at which the current
+ladder could certify.
 
 Run with:  python demos/adaptive_certification.py   (takes ~1 s)
 """

@@ -15,7 +15,8 @@ import numpy as np
 
 from helmqo import (P1, ProblemSpec, SineProduct, build_space,
                     build_unit_square, check_criterion, convergence_study,
-                    eigen_ladder, study_to_csv, unit_square_index)
+                    count_below, eigen_ladder, study_to_csv,
+                    unit_square_index)
 
 K2 = 100.0
 I_STAR = unit_square_index(K2)
@@ -27,7 +28,8 @@ print(f"{'n':>4} {'lambda_h^(6)':>13} {'lambda_h^(7)':>13} "
       f"{'bracketed':>10} {'alpha*':>10}")
 for n in (8, 16, 32, 64):
     space = build_space(build_unit_square(n), P1)
-    ladder = eigen_ladder(space, K2, extra=1, min_pairs=I_STAR + 1)
+    below = count_below(*space.pencil, K2)
+    ladder = eigen_ladder(space, max(below + 2, I_STAR + 1), {K2: below})
     crit = check_criterion(ladder, K2, I_STAR)
     alpha = f"{crit.alpha_star:.4f}" if crit.satisfied else "-"
     print(f"{n:>4} {crit.lambda_lo:>13.4f} {crit.lambda_hi:>13.4f} "

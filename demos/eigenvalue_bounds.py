@@ -14,14 +14,16 @@ import numpy as np
 
 from helmqo import (CR, MIN_KAPPA, build_space, build_unit_square,
                     build_unit_square_unstructured, compute_bounds,
-                    eigen_ladder, eigenpairs, unit_square_spectrum)
+                    count_below, eigen_ladder, eigenpairs,
+                    unit_square_spectrum)
 
 exact = unit_square_spectrum(8)
 
 for n in (4, 16, 64):
     mesh = build_unit_square(n)
     space = build_space(mesh, CR)
-    ladder = eigen_ladder(space, 1.0, extra=7)   # eight pairs
+    # eight pairs, checked against the LDL^T count below 1 (none)
+    ladder = eigen_ladder(space, 8, {1.0: count_below(*space.pencil, 1.0)})
     bounds = compute_bounds(ladder)
     h = np.sqrt(2) / n
     print(f"\nCR ladder on the n={n} square (h = {h:.4f}, "

@@ -20,14 +20,14 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .mesh import Mesh, refine_bisection, refine_uniform
 from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
                      assemble_load, build_space, constrain_vector,
                      expand_free, l2_error)
-from .sparsela import (EigenSolveError, EigenSolveOptions, ResonanceError,
-                       count_below, count_from_factor, ldlt, solve)
+from .quadrature import edge_rule
+from .sparsela import (EigenSolveOptions, ResonanceError, count_below,
+                       count_from_factor, ldlt, solve)
 from .spectral import (DEFAULT_KAPPA, MIN_KAPPA, BoundedEigen, Criterion,
                        check_criterion, compute_bounds, eigen_ladder)
 from .estimator import mark_half_max, residual_indicator
@@ -212,10 +212,7 @@ def _sine_coefficients(f: Rhs, k2: float, N: int) -> np.ndarray:
     if abs(lam - k2).min() <= 1e-9 * max(k2, 1.0):
         raise ResonanceError(f"k^2 = {k2!r} coincides with a unit-square "
                              "eigenvalue")
-    q = max(2 * N, 128)
-    x, w = leggauss(q)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
+    x, w = edge_rule(2 * max(2 * N, 128) - 1)
     F = np.asarray(f(x[:, None], x[None, :]), dtype=np.float64)
     S = np.sin(np.pi * np.outer(np.arange(1, N + 1), x)) * w  # (N, q)
     fij = 2.0 * (S @ F @ S.T)
@@ -367,7 +364,6 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
     report = CertificationReport()
     mesh = initial_mesh
     k2 = spec.k2
-    done = False
     while len(report.iterations) < max_iters:
         space = build_space(mesh, spec.family)
         h = mesh.h
@@ -383,8 +379,9 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
                                   None, None, False)
         else:
             index = int(i_star_source)
-            E = eigen_ladder(space, k2, extra, opts,
-                             min_pairs=index + extra + 1)
+            below = count_below(*space.pencil, k2)
+            E = eigen_ladder(space, max(below, index) + extra + 1,
+                             {k2: below}, opts)
             crit = check_criterion(E, k2, index)
             rec = IterationRecord(space.n_free, h, index, crit.lambda_lo,
                                   crit.lambda_hi, k2 - crit.lambda_lo,
@@ -392,7 +389,7 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
             _warn_if_nearly_resonant(crit, report)
         report.iterations.append(rec)
         if rec.certified:
-            done = True
+            report.termination = "certified" if use_cr else "satisfied"
             break
         if len(report.iterations) >= max_iters:
             break
@@ -410,10 +407,6 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
             mesh = (refine_bisection(mesh, marked) if marked
                     else refine_uniform(mesh))
     report.final_mesh = mesh
-    if done:
-        report.termination = "certified" if use_cr else "satisfied"
-    else:
-        report.termination = "budget"
     return report
 
 
@@ -442,7 +435,9 @@ def _estimate_cr(space: DofSpace, k2: float, h: float, extra: int,
     """One guaranteed-bounds ESTIMATE; returns (record, ladder, bounds).
 
     Liu's lower bound is increasing in lambda and reaches k^2 at lam_need,
-    so j* is the inertia count there.  j* is certified when the criterion
+    so j* is the inertia count there.  The ladder holds j* + extra + 1
+    pairs and must agree with the inertia counts at lam_need and at k^2,
+    else :class:`EigenSolveError`.  j* is certified when the criterion
     holds and the j*-th enclosure is narrower than k^2 - lambda_h^(j*):
     then the index can no longer change under refinement."""
     no_estimate = (IterationRecord(space.n_free, h, None, None, None, None,
@@ -456,15 +451,9 @@ def _estimate_cr(space: DofSpace, k2: float, h: float, extra: int,
     # j* is the count below lam_need; carry `extra` more pairs for the
     # averaged indicator plus one for the criterion check
     need_below = count_below(*space.pencil, lam_need)
-    E = eigen_ladder(space, k2, extra, opts,
-                     min_pairs=need_below + extra + 1)
-    # eigen_ladder pins the ladder at k^2; pin it at lam_need too, so the
-    # bounds at j* and j* + 1 belong to those indices
-    found = int((E.values < lam_need).sum())
-    if found != need_below:
-        raise EigenSolveError(
-            f"{found} ladder values lie below {lam_need!r}, but the LDL^T "
-            f"inertia counts {need_below}")
+    below = count_below(*space.pencil, k2)
+    E = eigen_ladder(space, need_below + extra + 1,
+                     {lam_need: need_below, k2: below}, opts)
     bounds = compute_bounds(E, kappa)
     for j, b in enumerate(bounds, start=1):
         if (b.lower <= k2 <= b.upper
@@ -572,8 +561,8 @@ def _study_record(spec: ProblemSpec, mesh: Mesh, reference, i_star: int,
     # so the ladder needs no second LDL^T
     u, below = _solve(spec, space)
     err = l2_error(u, reference)
-    E = eigen_ladder(space, spec.k2, STUDY_EXTRA_PAIRS, opts,
-                     min_pairs=i_star + 1, below=below)
+    E = eigen_ladder(space, max(below + STUDY_EXTRA_PAIRS + 1, i_star + 1),
+                     {spec.k2: below}, opts)
 
     def value(j):   # the ladder stops at n_free: no value past it
         return float(E.values[j - 1]) if j <= len(E) else math.nan

@@ -114,6 +114,9 @@ def _mesh(args, path: str | None, path_flag: str = "--mesh") -> Mesh:
             and _GEOMETRIES.get(args.geometry) is not _square_hole):
         raise UsageError("--outer, --inner, --outer-tag and --inner-tag "
                          "apply to --geometry square-hole only")
+    if {"tag", "outer_tag", "inner_tag"} <= given:
+        raise UsageError("--tag applies to no boundary when --outer-tag and "
+                         "--inner-tag are both given")
     if path:
         if given:
             raise UsageError(f"--n and --tag apply to --geometry, not to "

@@ -143,8 +143,8 @@ class Mesh:
 
     @classmethod
     def from_triangulation(cls, vertices, triangles,
-                           tags: TagAssignment = BoundaryTag.DIRICHLET,
-                           refinement_edge=None) -> "Mesh":
+                           tags: TagAssignment = BoundaryTag.DIRICHLET
+                           ) -> "Mesh":
         """Build a mesh deriving boundary edges and tagging them via `tags`."""
         vertices = np.asarray(vertices, dtype=np.float64)
         triangles = np.asarray(triangles, dtype=np.int64)
@@ -156,7 +156,7 @@ class Mesh:
         mids = vertices[pairs].mean(axis=1)
         boundary = [((int(a), int(b)), tag_fn(mx, my))
                     for (a, b), (mx, my) in zip(pairs, mids)]
-        return cls(vertices, triangles, boundary, refinement_edge)
+        return cls(vertices, triangles, boundary)
 
     def _build_edge_table(self):
         t = self.triangles

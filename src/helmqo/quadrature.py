@@ -78,12 +78,10 @@ def _gauss_jacobi_10(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _conical_rule(degree: int) -> QuadratureRule:
     npts = (degree + 2) // 2  # m-point rules are exact to degree 2m-1
     xj, wj = _gauss_jacobi_10(npts)   # weight (1-x) on [-1, 1]
-    xl, wl = leggauss(npts)
+    eta, weta = edge_rule(2 * npts - 1)
     xi = 0.5 * (xj + 1.0)
-    eta = 0.5 * (xl + 1.0)
     # map int_T f = int_0^1 int_0^1 f(xi, eta*(1-xi)) (1-xi) deta dxi
     wxi = wj / 4.0   # includes the (1-xi) Jacobi weight and interval scaling
-    weta = wl / 2.0
     X = np.repeat(xi, npts)
     Y = np.tile(eta, npts) * (1.0 - X)
     W = np.repeat(wxi, npts) * np.tile(weta, npts)

@@ -7,7 +7,8 @@ free degrees of freedom, which keeps stiffness/mass pencils symmetric
 definite for the eigensolver.
 
 All stiffness and mass entries are integrated exactly (the integrands are
-polynomial); load vectors and L2 errors use quadrature of selectable degree.
+polynomial); load vectors use quadrature of selectable degree, and L2
+errors the degree-4 rule.
 ``assemble_load`` and ``l2_error`` (against a callable, a function on the
 same mesh or one on a nested finer mesh) work through the mesh in fixed
 slices of quadrature points, so their working set beyond one value per
@@ -320,7 +321,7 @@ def _nesting_level(coarse: Mesh, fine: Mesh) -> int:
     return k
 
 
-def l2_error(u: FeFunction, ref, degree: int = 4) -> float:
+def l2_error(u: FeFunction, ref) -> float:
     """L2 distance between ``u`` and a reference.
 
     ``ref`` is either a callable ``ref(x, y)`` or an FeFunction living on a
@@ -330,7 +331,7 @@ def l2_error(u: FeFunction, ref, degree: int = 4) -> float:
     the squared differences, one per point, are kept whole, and they are
     summed once, so the result does not depend on the slice size.
     """
-    rule = triangle_rule(max(degree, 4))
+    rule = triangle_rule(4)
     if isinstance(ref, FeFunction):
         mesh = ref.space.mesh
         level = _nesting_level(u.space.mesh, mesh)

@@ -20,7 +20,7 @@ import scipy.linalg as sla
 from .spaces import (CR, P2, DofSpace, ElementFamily, FeFunction, build_space,
                      cr_to_p2_lift, expand_free)
 from .sparsela import (EigenSolveError, EigenSolveOptions, SparseSymMatrix,
-                       count_below, eigs_smallest)
+                       eigs_smallest)
 
 DEFAULT_KAPPA = 0.1932
 MIN_KAPPA = 0.1893    # Liu's CR interpolation constant C_h / h
@@ -76,29 +76,26 @@ class Criterion:
     alpha_star: float
 
 
-def eigen_ladder(space: DofSpace, k2: float, extra: int = 3,
-                 opts: EigenSolveOptions | None = None,
-                 min_pairs: int = 0, below: int | None = None) -> EigenSet:
-    """Eigenpairs up to one past the wave number, plus ``extra`` more.
+def eigen_ladder(space: DofSpace, m: int, counts: dict[float, int],
+                 opts: EigenSolveOptions | None = None) -> EigenSet:
+    """The ``m`` smallest eigenpairs (at most ``n_free``), checked against
+    the LDL^T inertia counts the caller holds.
 
-    The ladder length is ``count_below(k2) + extra + 1`` (clamped to the
-    space dimension), which is enough to evaluate both the criterion and
-    the averaged residual indicator.  A caller that already holds the
-    inertia count at ``k2`` passes it as ``below``, saving the LDL^T.
-    Raises :class:`EigenSolveError` when the number of ladder values below
-    ``k2`` differs from the inertia count.
+    ``counts`` maps each shift the caller reads the ladder at to its
+    inertia count there (:func:`helmqo.sparsela.count_below`).  Raises
+    :class:`EigenSolveError` unless exactly ``count`` ladder values lie
+    below each ``shift``, so every index read off the ladder at a shift
+    is the index of that eigenvalue.
     """
     if space.n_free == 0:
         raise ValueError("space has no free degrees of freedom")
-    if below is None:
-        below = count_below(*space.pencil, k2)
-    E = eigenpairs(space, min(max(below + extra + 1, min_pairs),
-                              space.n_free), opts)
-    found = int((E.values < k2).sum())
-    if found != below:
-        raise EigenSolveError(
-            f"{found} ladder values lie below k^2 = {k2!r}, but the LDL^T "
-            f"inertia counts {below}")
+    E = eigenpairs(space, min(m, space.n_free), opts)
+    for shift, count in counts.items():
+        found = int((E.values < shift).sum())
+        if found != count:
+            raise EigenSolveError(
+                f"{found} ladder values lie below {shift!r}, but the LDL^T "
+                f"inertia counts {count}")
     return E
 
 

@@ -323,14 +323,14 @@ def unblocked_sine_sum(C: np.ndarray, x: np.ndarray,
     return 2.0 * ((Sx @ C) * Sy).sum(axis=1)
 
 
-def oneshot_l2_error(u, ref, degree: int = 4) -> float:
+def oneshot_l2_error(u, ref) -> float:
     """``l2_error`` from one evaluation at every quadrature point of the
     finer mesh, no slices: against a callable, an FeFunction on ``u``'s
     mesh in ``u``'s family (values at the rule's points), or any other
     FeFunction on a nested finer mesh (``u`` evaluated in the ancestors)."""
     from helmqo.quadrature import triangle_rule
     from helmqo.spaces import FeFunction, _eval_rhs, shape_values
-    rule = triangle_rule(max(degree, 4))
+    rule = triangle_rule(4)
 
     def values(v):   # v at the rule's points of each of its elements
         return np.einsum("qm,tm->tq", shape_values(v.space.family,
@@ -453,12 +453,23 @@ def drop_lowest_pair(monkeypatch):
 
 
 def drop_first_pair_above(monkeypatch, k2: float):
-    """Make ``spectral.eigen_ladder`` return its ladder without the first
-    pair at or above ``k2``: the count at ``k2``, which eigen_ladder checks
-    itself, stays right."""
+    """Make ``spectral.eigenpairs`` return its ladder without the first
+    pair at or above ``k2``: the count at ``k2`` stays right, and a count
+    at a larger shift past that pair does not."""
     import helmqo.spectral
-    _drop_pair(monkeypatch, helmqo.spectral.eigen_ladder,
+    _drop_pair(monkeypatch, helmqo.spectral.eigenpairs,
                lambda values: np.searchsorted(values, k2))
+
+
+def counted_ladder(space, k2: float, extra: int = 3, min_pairs: int = 0):
+    """``eigen_ladder`` through one past ``k2`` plus ``extra`` more pairs,
+    at least ``min_pairs``, checked against the LDL^T inertia count at
+    ``k2``."""
+    from helmqo.sparsela import count_below
+    from helmqo.spectral import eigen_ladder
+    below = count_below(*space.pencil, k2)
+    return eigen_ladder(space, max(below + extra + 1, min_pairs),
+                        {k2: below})
 
 
 def traced_peak(fn, *args, **kwargs) -> int:

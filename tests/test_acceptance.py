@@ -11,8 +11,8 @@ import time
 import numpy as np
 
 import helmqo as hq
-from conftest import (enumeration_index, enumeration_spectrum,
-                      jacobi_generalized_eigen)
+from conftest import (counted_ladder, enumeration_index,
+                      enumeration_spectrum, jacobi_generalized_eigen)
 
 TWO_PI_SQ = 2 * math.pi ** 2
 
@@ -60,7 +60,7 @@ def test_criterion_2_guaranteed_bounds():
     checked = violations = 0
     for n in (16, 32, 64):
         space = hq.build_space(hq.build_unit_square(n), hq.CR)
-        E = hq.eigen_ladder(space, 1.0, extra=9)   # exactly ten pairs
+        E = counted_ladder(space, 1.0, extra=9)   # exactly ten pairs
         for j, b in enumerate(hq.compute_bounds(E), start=1):
             checked += 1
             if not (b.lower <= exact[j - 1] + 1e-12
@@ -121,7 +121,7 @@ def _first_satisfied_h(family, k2, i_star):
         space = hq.build_space(hq.build_unit_square(n), family)
         if space.n_free < i_star + 1:
             continue
-        E = hq.eigen_ladder(space, k2, extra=1, min_pairs=i_star + 1)
+        E = counted_ladder(space, k2, extra=1, min_pairs=i_star + 1)
         if hq.check_criterion(E, k2, i_star).satisfied:
             return space.mesh.h
     return None
@@ -195,7 +195,7 @@ def test_criterion_6_sign_flip_coercivity():
     for family, n, k2 in ((hq.P1, 32, 100.0), (hq.P1, 32, 144.0),
                           (hq.CR, 16, 30.0)):
         space = hq.build_space(hq.build_unit_square(n), family)
-        E = hq.eigen_ladder(space, k2, extra=3)
+        E = counted_ladder(space, k2, extra=3)
         i_star = int((E.values < k2).sum())
         crit = hq.check_criterion(E, k2, i_star)
         assert crit.satisfied, f"{family} n = {n}: k^2 = {k2} not bracketed"

@@ -3,10 +3,11 @@ helmqo module, and every public method, property, field and instance
 attribute of its classes, is referenced by code outside the tests, so
 nothing lives on for its tests alone, and every exception ``helmqo``
 re-exports is raised in the package.  What two helmqo modules share is
-public: none imports another's underscore name.  The boundary tag codes in
-``Mesh.edge_tag`` are ``mesh.py``'s own format, and the ``--geometry`` and
-``--rhs`` names are ``cli.py``'s own.  Importing the command line does not
-load ``scipy.special``."""
+public: none imports another's underscore name.  Only
+``spectral.eigen_ladder`` checks a ladder against LDL^T inertia counts.
+The boundary tag codes in ``Mesh.edge_tag`` are ``mesh.py``'s own format,
+and the ``--geometry`` and ``--rhs`` names are ``cli.py``'s own.
+Importing the command line does not load ``scipy.special``."""
 
 import ast
 import importlib
@@ -154,6 +155,24 @@ def test_no_module_imports_a_private_name_of_another():
                             for alias in node.names
                             if alias.name.startswith("_")]
     assert not private, f"underscore names imported across modules: {private}"
+
+
+def raises_text(fn: ast.AST, text: str) -> bool:
+    """Whether ``fn`` raises an exception whose message spells ``text``."""
+    return any(isinstance(node, ast.Raise) and text in "".join(
+        c.value for c in ast.walk(node)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str))
+        for node in ast.walk(fn))
+
+
+def test_only_eigen_ladder_checks_a_ladder_against_inertia():
+    # the ladder-versus-inertia rule lives in one function: each caller
+    # hands it the counts it reads the ladder at
+    checkers = sorted(f"{path.stem}.{node.name}" for path in modules()
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.FunctionDef)
+                      and raises_text(node, "inertia counts"))
+    assert checkers == ["spectral.eigen_ladder"]
 
 
 def test_only_mesh_reads_edge_tag_codes():

@@ -13,8 +13,7 @@ from helmqo.mesh import (BoundaryTag, Mesh, build_square_with_hole,
                          refine_bisection, refine_uniform)
 from helmqo.spaces import (CR, P1, P2, assemble_load, build_space,
                            constrain_vector, l2_error)
-from helmqo.spectral import (DEFAULT_KAPPA, BoundedEigen, cr_lower_bound,
-                             eigen_ladder)
+from helmqo.spectral import DEFAULT_KAPPA, BoundedEigen, cr_lower_bound
 from helmqo.sparsela import (RECOUNT_RTOL, EigenSolveError, ResonanceError,
                              count_below, ldlt)
 from helmqo.certify import (GaussianBump, ProblemSpec,
@@ -24,9 +23,9 @@ from helmqo.certify import (GaussianBump, ProblemSpec,
                             study_to_csv, unit_square_index,
                             unit_square_spectrum)
 
-from conftest import (drop_first_pair_above, drop_lowest_pair,
-                      enumeration_index, enumeration_spectrum, traced_peak,
-                      unblocked_sine_sum)
+from conftest import (counted_ladder, drop_first_pair_above,
+                      drop_lowest_pair, enumeration_index,
+                      enumeration_spectrum, traced_peak, unblocked_sine_sum)
 
 
 def wrap_everywhere(monkeypatch, fn, record):
@@ -624,11 +623,11 @@ class TestPencilReuse:
         assert len(set(factorized)) == len(factorized)
         assert counted == []
         monkeypatch.undo()
-        # the ladder is the one eigen_ladder builds
+        # the ladder is eigen_ladder's, counted at k^2 with one more pair
         mesh = build_unit_square(4)
         for rec in recs:
-            E = eigen_ladder(build_space(mesh, P1), 100.0, 1,
-                             min_pairs=unit_square_index(100.0) + 1)
+            E = counted_ladder(build_space(mesh, P1), 100.0, 1,
+                               min_pairs=unit_square_index(100.0) + 1)
             assert (rec.ev_i, rec.ev_ipo) == (E.values[5], E.values[6])
             mesh = refine_uniform(mesh)
 

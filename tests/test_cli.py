@@ -207,6 +207,36 @@ class TestOneMeshSource:
                 "--geometry square-hole only") in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["mesh"],
+        ["eig", "--family", "cr", "--m", "3"],
+        ["certify", "--k2", "30", "--family", "cr", "--estimate", "cr"],
+        ["study", "--k2", "10", "--family", "p1", "--refinements", "1"]],
+        ids=["mesh", "eig", "certify", "study"])
+    def test_tag_beside_both_hole_tags_exit_2(self, tmp_path, command):
+        # --tag was dropped, and the mesh built as without it, with exit 0
+        out = tmp_path / "out"
+        res = run_cli([*command, "--geometry", "square-hole", "--n", "2",
+                       "--tag", "neumann", "--outer-tag", "dirichlet",
+                       "--inner-tag", "dirichlet", "-o", str(out)])
+        assert res.returncode == 2
+        assert ("--tag applies to no boundary when --outer-tag and "
+                "--inner-tag are both given") in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,other", [("--outer-tag", "--inner-tag"),
+                                            ("--inner-tag", "--outer-tag")])
+    def test_tag_beside_one_hole_tag_tags_the_other_side(self, tmp_path,
+                                                         flag, other):
+        hole = ["mesh", "--geometry", "square-hole", "--n", "2", flag,
+                "dirichlet"]
+        files = [tmp_path / f"{i}.mesh" for i in range(3)]
+        for extra, path in zip(([], ["--tag", "neumann"],
+                                [other, "neumann"]), files):
+            assert run_cli([*hole, *extra, "-o", str(path)]).returncode == 0
+        plain, tagged, explicit = (path.read_bytes() for path in files)
+        assert tagged == explicit != plain
+
 
 class TestEigCommand:
     @pytest.mark.parametrize("geometry", cli_choices("--geometry"))

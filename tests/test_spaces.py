@@ -321,8 +321,7 @@ class TestL2Error:
     def test_zero_vs_sine_product(self):
         s = build_space(build_unit_square(16), P1)
         u = FeFunction(s, np.zeros(s.ndof))
-        err = l2_error(u, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
-                       degree=8)
+        err = l2_error(u, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
         assert np.isclose(err, 0.5, atol=2e-4)   # sqrt(1/4 * 1/4 * 4) = 1/2
 
     def test_interpolation_rate(self):
@@ -330,7 +329,7 @@ class TestL2Error:
         fn = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
         for n in (4, 8, 16, 32):
             s = build_space(build_unit_square(n), P1)
-            errs.append(l2_error(interpolate(s, fn), fn, degree=6))
+            errs.append(l2_error(interpolate(s, fn), fn))
             hs.append(math.sqrt(2) / n)
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert abs(slope - 2.0) <= 0.2
@@ -421,11 +420,11 @@ class TestL2ErrorSlices:
 
     @pytest.mark.parametrize("reference", ["callable", "same-level"])
     def test_working_set_is_bounded_on_one_mesh(self, reference):
-        # 73,728 triangles x 25 points: 1.8M points in one shot
-        s = build_space(build_unit_square(192), P1)
+        # 263,538 triangles x 7 points: 1.8M points in one shot
+        s = build_space(build_unit_square(363), P1)
         u = interpolate(s, lambda x, y: x * (1 - x) * y)
         ref = self.fn if reference == "callable" else interpolate(s, self.fn)
-        assert traced_peak(l2_error, u, ref, degree=10) < 32 * 2 ** 20
+        assert traced_peak(l2_error, u, ref) < 32 * 2 ** 20
 
     def test_working_set_is_bounded(self):
         # 73,728 fine triangles x 7 points; 50.1 MiB in one shot

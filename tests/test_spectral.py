@@ -13,7 +13,8 @@ from helmqo.spectral import (MIN_KAPPA, EigenSet, check_criterion,
                              compute_bounds, cr_lower_bound, eigen_ladder,
                              eigenpairs)
 
-from conftest import (drop_lowest_pair, enumeration_index,
+from conftest import (counted_ladder, drop_first_pair_above,
+                      drop_lowest_pair, enumeration_index,
                       enumeration_spectrum, traced_peak)
 
 
@@ -25,9 +26,9 @@ def synthetic_ladder(values, family=P1, n=2):
     return EigenSet(space, values, np.zeros((space.n_free, k)), np.zeros(k))
 
 
-def square_ladder(n, k2, family=P1, extra=3, min_pairs=0):
-    space = build_space(build_unit_square(n), family)
-    return eigen_ladder(space, k2, extra, min_pairs=min_pairs)
+def square_ladder(n, k2, family=P1, extra=3):
+    return counted_ladder(build_space(build_unit_square(n), family), k2,
+                          extra)
 
 
 class TestEigenLadder:
@@ -50,11 +51,17 @@ class TestEigenLadder:
         M = constrain(space, assemble_mass(space))
         lam = A.toarray()[0, 0] / M.toarray()[0, 0]
         with pytest.raises(ResonanceError):
-            eigen_ladder(space, lam)
+            counted_ladder(space, lam)
+
+    def test_length_is_m_at_most_n_free(self):
+        space = build_space(build_unit_square(3), P1)    # four free dofs
+        assert len(eigen_ladder(space, 3, {})) == 3
+        assert len(eigen_ladder(space, 9, {})) == space.n_free == 4
 
 
 class TestLadderInertiaCheck:
-    """eigen_ladder cross-checks its ladder against the inertia count."""
+    """eigen_ladder cross-checks its ladder against every inertia count
+    its caller holds."""
 
     @pytest.mark.parametrize("family,n", [(P1, 8), (CR, 24)], ids=str)
     def test_dropped_pair_raises(self, family, n, monkeypatch):
@@ -65,9 +72,22 @@ class TestLadderInertiaCheck:
     def test_caller_held_count_is_checked(self):
         space = build_space(build_unit_square(8), P1)
         below = count_below(*space.pencil, 100.0)
-        assert len(eigen_ladder(space, 100.0, below=below)) == below + 4
+        assert len(eigen_ladder(space, below + 4, {100.0: below})) == \
+            below + 4
         with pytest.raises(EigenSolveError, match="inertia counts"):
-            eigen_ladder(space, 100.0, below=below + 1)
+            eigen_ladder(space, below + 4, {100.0: below + 1})
+
+    def test_second_count_is_checked(self, monkeypatch):
+        # one value short past 100: the ladder agrees with the count at
+        # 100, not with the one at 200
+        space = build_space(build_unit_square(8), P1)
+        counts = {k2: count_below(*space.pencil, k2) for k2 in (100.0, 200.0)}
+        assert counts[200.0] > counts[100.0]
+        drop_first_pair_above(monkeypatch, 100.0)
+        with pytest.raises(EigenSolveError, match=(
+                f"{counts[200.0] - 1} ladder values lie below 200.0, but "
+                f"the LDL\\^T inertia counts {counts[200.0]}")):
+            eigen_ladder(space, counts[200.0] + 4, counts)
 
 
 class TestCheckCriterion:
@@ -189,7 +209,7 @@ class TestBounds:
         assert peak < 0.5 * s_p2.n_free * len(E) * 8
 
     def test_guaranteed_lower_bounds_hold(self, square_spectrum_20):
-        E = square_ladder(16, 100.0, CR, min_pairs=6)
+        E = square_ladder(16, 100.0, CR)
         for j, b in enumerate(compute_bounds(E), start=1):
             assert b.lower <= square_spectrum_20[j - 1] + 1e-12
 
@@ -258,7 +278,7 @@ class TestCrossValidation:
             space = build_space(build_unit_square(n), P1)
             A = constrain(space, assemble_stiffness(space))
             M = constrain(space, assemble_mass(space))
-            E = eigen_ladder(space, k2, extra=1, min_pairs=i_star + 1)
+            E = counted_ladder(space, k2, extra=1, min_pairs=i_star + 1)
             crit = check_criterion(E, k2, i_star)
             assert crit.satisfied == (count_below(A, M, k2) == i_star)
 
@@ -273,7 +293,7 @@ class TestCrossValidation:
         space = build_space(build_unit_square(16, tags=BoundaryTag.NEUMANN),
                             P1)
         k2 = 5.0   # between 0 and the first nonzero value pi^2
-        E = eigen_ladder(space, k2, extra=2)
+        E = counted_ladder(space, k2, extra=2)
         assert abs(E.values[0]) < 1e-8
         assert abs(E.values[1] - math.pi ** 2) < 0.1
         crit = check_criterion(E, k2, 1)
