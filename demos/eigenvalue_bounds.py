@@ -3,7 +3,9 @@
 The nonconforming ladder is post-processed into a guaranteed lower bound
 lambda / (1 + kappa^2 lambda h^2) (Liu 2015: valid at every index, on every
 mesh, for kappa >= 0.1893) and a guaranteed upper bound (the Ritz values of
-the P2 pencil on the ladder's eigenvectors lifted into P2).  On the unit
+the P2 pencil on the ladder's eigenvectors lifted into P2, whose Gram
+matrices are summed element by element, so the P2 pencil itself is never
+assembled).  On the unit
 square the exact spectrum pi^2 (i^2 + j^2) lets us watch the enclosures at
 work.
 

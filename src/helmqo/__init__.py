@@ -15,8 +15,8 @@ from .mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
 from .quadrature import QuadratureRule, triangle_rule
 from .spaces import (CR, P1, P2, DofSpace, ElementFamily, FeFunction,
                      assemble_load, assemble_mass, assemble_stiffness,
-                     build_space, constrain, constrain_vector, cr_to_p2_lift,
-                     expand_free, interpolate, l2_error)
+                     build_space, constrain, constrain_vector, expand_free,
+                     interpolate, l2_error)
 from .sparsela import (EigenResult, EigenSolveError, EigenSolveOptions,
                        Factorization, ResonanceError, SparseSymMatrix,
                        count_below, count_from_factor, eigs_smallest, ldlt,

@@ -199,16 +199,17 @@ class Mesh:
 
     # -- per-element maps ------------------------------------------------
 
-    def barycentric_gradients(self) -> np.ndarray:
-        """(nt, 3, 2) gradients of the barycentric coordinates, made on
-        each call so that no such array outlives its user."""
-        p = self.vertices[self.triangles]
+    def barycentric_gradients(self, tri_ids=slice(None)) -> np.ndarray:
+        """(nt, 3, 2) gradients of the barycentric coordinates in the
+        triangles ``tri_ids`` (all by default), made on each call so that
+        no such array outlives its user."""
+        p = self.vertices[self.triangles[tri_ids]]
         G = np.empty((len(p), 3, 2))
         for i in range(3):
             e = p[:, (i + 1) % 3] - p[:, (i + 2) % 3]
             G[:, i, 0] = e[:, 1]
             G[:, i, 1] = -e[:, 0]
-        G /= 2.0 * self.areas[:, None, None]     # exactly the doubled area
+        G /= 2.0 * self.areas[tri_ids, None, None]   # exactly the doubled area
         return G
 
     def barycentric(self, tri_ids, pts: np.ndarray) -> np.ndarray:

@@ -7,8 +7,9 @@ free degrees of freedom, which keeps stiffness/mass pencils symmetric
 definite for the eigensolver.
 
 All stiffness and mass entries are integrated exactly (the integrands are
-polynomial); load vectors use quadrature of selectable degree, and L2
-errors the degree-4 rule.
+polynomial); ``element_matrices`` gives the local matrices of any selection
+of triangles, and assembly scatters those of the whole mesh.  Load vectors
+use quadrature of selectable degree, and L2 errors the degree-4 rule.
 ``assemble_load`` and ``l2_error`` (against a callable, a function on the
 same mesh or one on a nested finer mesh) work through the mesh in fixed
 slices of quadrature points, so their working set beyond one value per
@@ -172,42 +173,47 @@ def _scatter(space: DofSpace, local: np.ndarray) -> SparseSymMatrix:
     return SparseSymMatrix(mat.tocsr())
 
 
+def element_matrices(mesh: Mesh, family: ElementFamily,
+                     triangles=slice(None), mass: bool = False) -> np.ndarray:
+    """Exact local stiffness (broken gradients for CR) or, with ``mass``,
+    mass matrices (nt, nloc, nloc) of the triangles ``triangles`` (all by
+    default), in the local dof order of :func:`shape_values`."""
+    areas = mesh.areas[triangles]
+    if mass:
+        if family == P1:
+            ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
+        elif family == CR:
+            ref = np.eye(3) / 3.0
+        else:
+            rule = triangle_rule(4)   # products of P2 basis are quartic
+            N = shape_values(family, rule.points)
+            ref = np.einsum("qm,qn,q->mn", N, N, rule.weights)
+        return ref[None, :, :] * areas[:, None, None]
+    G = mesh.barycentric_gradients(triangles)
+    # |T| grad(lambda_j) . grad(lambda_k): the P1 local matrices
+    gg = np.einsum("tjd,tkd,t->tjk", G, G, areas)
+    if family == P1:
+        return gg
+    if family == CR:
+        return 4.0 * gg
+    rule = triangle_rule(2)   # gradients of P2 are linear
+    dN = shape_gradients(family, rule.points)           # (q, 6, 3)
+    # reference tensor: local[t, m, n] = sum_jk gg[t, j, k] ref[j, k, m, n]
+    ref = np.einsum("qmj,qnk,q->jkmn", dN, dN, rule.weights)
+    local = (gg.reshape(-1, 9) @ ref.reshape(9, 36)).reshape(-1, 6, 6)
+    # the product sums (m, n) and (n, m) in different orders
+    return 0.5 * (local + local.transpose(0, 2, 1))
+
+
 def assemble_stiffness(space: DofSpace) -> SparseSymMatrix:
     """Global stiffness matrix (broken gradients for CR); exact entries."""
-    mesh = space.mesh
-    G = mesh.barycentric_gradients()
-    # |T| grad(lambda_j) . grad(lambda_k): the P1 local matrices
-    gg = np.einsum("tjd,tkd,t->tjk", G, G, mesh.areas)
-    fam = space.family
-    if fam == P1:
-        local = gg
-    elif fam == CR:
-        local = 4.0 * gg
-    else:
-        rule = triangle_rule(2)   # gradients of P2 are linear
-        dN = shape_gradients(fam, rule.points)          # (q, 6, 3)
-        # reference tensor: local[t, m, n] = sum_jk gg[t, j, k] ref[j, k, m, n]
-        ref = np.einsum("qmj,qnk,q->jkmn", dN, dN, rule.weights)
-        local = (gg.reshape(-1, 9) @ ref.reshape(9, 36)).reshape(-1, 6, 6)
-        # the product sums (m, n) and (n, m) in different orders
-        local = 0.5 * (local + local.transpose(0, 2, 1))
-    return _scatter(space, local)
+    return _scatter(space, element_matrices(space.mesh, space.family))
 
 
 def assemble_mass(space: DofSpace) -> SparseSymMatrix:
     """Global mass matrix; exact entries (diagonal for CR)."""
-    areas = space.mesh.areas
-    fam = space.family
-    if fam == P1:
-        ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    elif fam == CR:
-        ref = np.eye(3) / 3.0
-    else:
-        rule = triangle_rule(4)   # products of P2 basis are quartic
-        N = shape_values(fam, rule.points)
-        ref = np.einsum("qm,qn,q->mn", N, N, rule.weights)
-    local = ref[None, :, :] * areas[:, None, None]
-    return _scatter(space, local)
+    return _scatter(space, element_matrices(space.mesh, space.family,
+                                            mass=True))
 
 
 # quadrature points per slice of assemble_load and l2_error
@@ -269,45 +275,6 @@ def interpolate(space: DofSpace, fn) -> FeFunction:
     """Nodal interpolant: evaluate ``fn`` at the dof locations."""
     x, y = space.locations[:, 0], space.locations[:, 1]
     return FeFunction(space, _eval_rhs(fn, x, y))
-
-
-def _cr_vertex_average(mesh: Mesh) -> sp.csr_matrix:
-    """(n_vertices, n_edges) map from CR coefficients to vertex means.
-
-    Row ``v`` averages, over the triangles at ``v``, the elementwise limit
-    ``sum(c_t) - 2 c_i`` of the CR function at ``v`` (local vertex ``i``,
-    whose opposite edge carries ``c_i``).
-    """
-    tris, t2e = mesh.triangles, mesh.tri2edge
-    cnt = np.bincount(tris.ravel(), minlength=mesh.n_vertices)
-    w = 1.0 / np.maximum(cnt, 1)[tris]                  # (nt, 3)
-    # local vertex i: +1 on each of the three edges, -2 on the opposite one
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(t2e, (1, 3)).ravel()
-    coef = np.where(np.eye(3, dtype=bool), -1.0, 1.0)   # (vertex, edge)
-    vals = (w[:, :, None] * coef[None]).ravel()
-    return sp.csr_matrix((vals, (rows, cols)),
-                         shape=(mesh.n_vertices, mesh.n_edges))
-
-
-def cr_to_p2_lift(cr_space: DofSpace, p2_space: DofSpace) -> sp.csr_matrix:
-    """Sparse map from CR free coefficients to P2 free coefficients.
-
-    The lifted function keeps the CR values at the edge midpoints (the edge
-    rows are the identity) and takes at each vertex the mean of the CR
-    function's elementwise limits there; Dirichlet vertices are
-    constrained, so they are 0.  The result is conforming, and the map is
-    injective because every free CR dof reappears as a free P2 edge dof.
-    """
-    if cr_space.family != CR or p2_space.family != P2:
-        raise ValueError("expected a Crouzeix-Raviart and a Lagrange(2) "
-                         "space")
-    mesh = cr_space.mesh
-    if p2_space.mesh is not mesh:
-        raise ValueError("the two spaces must share one mesh")
-    full = sp.vstack([_cr_vertex_average(mesh),
-                      sp.identity(mesh.n_edges, format="csr")], format="csr")
-    return full[p2_space.free_dofs][:, cr_space.free_dofs]
 
 
 def _nesting_level(coarse: Mesh, fine: Mesh) -> int:

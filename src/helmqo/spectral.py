@@ -8,6 +8,11 @@ Crouzeix-Raviart discretizations the ladder can additionally be enclosed by
 guaranteed lower and upper bounds at every index; from those,
 :func:`helmqo.certify.run_gmr` estimates and certifies the number of
 continuous eigenvalues below k^2.
+
+The upper bounds are one Rayleigh-Ritz step on the ladder lifted into P2.
+Its two Gram matrices are summed element by element from the local P2
+matrices, a fixed slice of triangles at a time, so neither the P2 pencil
+nor the lifted block is formed.
 """
 
 from __future__ import annotations
@@ -17,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .spaces import (CR, P2, DofSpace, ElementFamily, FeFunction, build_space,
-                     cr_to_p2_lift, expand_free)
-from .sparsela import (EigenSolveError, EigenSolveOptions, SparseSymMatrix,
-                       eigs_smallest)
+from .spaces import (CR, P2, DofSpace, ElementFamily, FeFunction,
+                     element_matrices, expand_free)
+from .sparsela import EigenSolveError, EigenSolveOptions, eigs_smallest
 
 DEFAULT_KAPPA = 0.1932
 MIN_KAPPA = 0.1893    # Liu's CR interpolation constant C_h / h
-_RITZ_SLICE = 8       # eigenvector columns lifted at a time
+_SLICE_TRIANGLES = 512    # triangles per slice of the Gram sums
 # smallest Cholesky pivot^2 of the lifted Gram matrix, relative to its
 # largest diagonal entry, below which the lifted vectors count as dependent
 _GRAM_RTOL = 1e-8
@@ -157,13 +161,16 @@ def compute_bounds(E: EigenSet,
 
     The lower bounds are :func:`cr_lower_bound`.  The upper bounds are the
     Ritz values of the pencil (A_2, M_2) of the P2 space on the same mesh,
-    taken on the span of the ladder's eigenvectors lifted by
-    :func:`cr_to_p2_lift`: that span is an m-dimensional subspace of the
+    taken on the span of the ladder's eigenvectors lifted into P2 (see
+    :func:`_p2_lifts`): that span is an m-dimensional subspace of the
     conforming space, so by the Poincare min-max principle its j-th Ritz
     value bounds the j-th continuous eigenvalue from above, for every
-    j <= m.  Raises :class:`EigenSolveError` when the lifted vectors are
-    numerically dependent (their Gram matrix in M_2 fails its Cholesky
-    check), which independent eigenvectors cannot cause.
+    j <= m.  The Gram matrices Y^T A_2 Y and Y^T M_2 Y of the lifted
+    vectors Y are summed element by element, ``_SLICE_TRIANGLES``
+    triangles at a time, so neither the P2 pencil nor the lifted block is
+    ever formed.  Raises :class:`EigenSolveError` when the lifted vectors
+    are numerically dependent (their Gram matrix in M_2 fails its
+    Cholesky check), which independent eigenvectors cannot cause.
 
     The continuous operator is semidefinite, so a roundoff-negative
     eigenvalue or upper value (a pure-Neumann zero mode) is read as 0;
@@ -174,33 +181,75 @@ def compute_bounds(E: EigenSet,
         raise ValueError("guaranteed bounds require a Crouzeix-Raviart "
                          "ladder")
     mesh = E.space.mesh
+    m = len(E)
+    G_A = np.zeros((m, m))
+    G_M = np.zeros((m, m))
+    for triangles, Y in _p2_lifts(E.space, E.vectors):
+        Yt = Y.reshape(-1, m).T
+        for G, mass in ((G_A, False), (G_M, True)):
+            local = element_matrices(mesh, P2, triangles, mass)
+            G += Yt @ (local @ Y).reshape(-1, m)
     h = mesh.h
-    p2 = build_space(mesh, P2)
-    uppers = _ritz_values(*p2.pencil, cr_to_p2_lift(E.space, p2), E.vectors)
     out = []
-    for lam, upper in zip(E.values, uppers):
+    for lam, upper in zip(E.values, _ritz_values(G_A, G_M)):
         lam = max(float(lam), 0.0)
         out.append(BoundedEigen(lam, cr_lower_bound(lam, h, kappa),
                                 max(float(upper), 0.0)))
     return out
 
 
-def _ritz_values(A: SparseSymMatrix, M: SparseSymMatrix, L,
-                 X: np.ndarray) -> np.ndarray:
-    """Ascending Ritz values of (A, M) on the span of the columns of L X.
+def _p2_lifts(space: DofSpace, X: np.ndarray):
+    """The CR functions with free coefficient columns ``X``, lifted into
+    P2: per slice of ``_SLICE_TRIANGLES`` triangles, yields the slice and
+    the local P2 coefficients (nt, 6, m) of the lifts there.
 
-    The Gram matrices (L X)^T A (L X) and (L X)^T M (L X) are formed
-    ``_RITZ_SLICE`` columns at a time, so no dense block of A's dimension
-    by more than ``_RITZ_SLICE`` columns is ever held.
+    A lift keeps the CR values at the edge midpoints and takes at each
+    vertex the mean of the CR function's elementwise limits there
+    (:func:`_cr_vertex_average`); Dirichlet dofs are 0.  The result is
+    conforming, and the lift is injective because every free CR dof
+    reappears as a P2 edge dof.
     """
-    m = X.shape[1]
-    G_A = np.empty((m, m))
-    G_M = np.empty((m, m))
-    for lo in range(0, m, _RITZ_SLICE):
-        sl = slice(lo, lo + _RITZ_SLICE)
-        Y = L @ X[:, sl]
-        G_A[:, sl] = X.T @ (L.T @ (A @ Y))
-        G_M[:, sl] = X.T @ (L.T @ (M @ Y))
+    mesh = space.mesh
+    vertex = _cr_vertex_average(space, X)
+    row = np.full(space.ndof, -1)
+    row[space.free_dofs] = np.arange(space.n_free)
+    for lo in range(0, mesh.n_triangles, _SLICE_TRIANGLES):
+        triangles = slice(lo, lo + _SLICE_TRIANGLES)
+        rows = row[mesh.tri2edge[triangles]]
+        edge = np.where(rows[..., None] >= 0, X[rows], 0.0)
+        yield triangles, np.concatenate(
+            [vertex[mesh.triangles[triangles]], edge], axis=1)
+
+
+def _cr_vertex_average(space: DofSpace, X: np.ndarray) -> np.ndarray:
+    """(n_vertices, m) vertex means of the CR functions with free
+    coefficient columns ``X``, 0 at Dirichlet vertices.
+
+    Vertex ``v`` takes the mean, over the triangles at ``v``, of the
+    elementwise limit ``sum(c_t) - 2 c_i`` of the CR function at ``v``
+    (local vertex ``i``, whose opposite edge carries ``c_i``).  The limits
+    are formed one column of ``X`` at a time.
+    """
+    mesh = space.mesh
+    corners = mesh.triangles.ravel()
+    out = np.empty((mesh.n_vertices, X.shape[1]))
+    c = np.zeros(space.ndof)
+    for j in range(X.shape[1]):
+        c[space.free_dofs] = X[:, j]
+        limits = c[mesh.tri2edge]                          # (nt, 3)
+        limits = limits.sum(axis=1, keepdims=True) - 2.0 * limits
+        out[:, j] = np.bincount(corners, limits.ravel(), mesh.n_vertices)
+    # a vertex in no triangle enters no lift
+    out /= np.maximum(np.bincount(corners, minlength=mesh.n_vertices),
+                      1)[:, None]
+    out[mesh.dirichlet_vertices()] = 0.0
+    return out
+
+
+def _ritz_values(G_A: np.ndarray, G_M: np.ndarray) -> np.ndarray:
+    """Ascending Ritz values of the pencil whose Gram matrices on a trial
+    span are ``G_A`` and ``G_M``, after checking that the span's basis is
+    numerically independent."""
     G_A = 0.5 * (G_A + G_A.T)
     G_M = 0.5 * (G_M + G_M.T)
     try:

@@ -297,6 +297,34 @@ def loop_cr_vertex_mean(space, coefficients: np.ndarray) -> np.ndarray:
     return acc / cnt
 
 
+def loop_p2_lift(space, X: np.ndarray) -> np.ndarray:
+    """P2 coefficients on all dofs (n_vertices + n_edges, m) of the lifts of
+    the CR functions with free coefficient columns ``X``, written plainly:
+    vertex means of the elementwise limits (:func:`loop_cr_vertex_mean`),
+    the CR values at the edges, and 0 at every Dirichlet vertex and
+    edge."""
+    mesh = space.mesh
+    Y = np.zeros((mesh.n_vertices + mesh.n_edges, X.shape[1]))
+    for j in range(X.shape[1]):
+        c = np.zeros(space.ndof)
+        c[space.free_dofs] = X[:, j]
+        Y[:mesh.n_vertices, j] = loop_cr_vertex_mean(space, c)
+        Y[mesh.n_vertices:, j] = c
+    Y[mesh.dirichlet_vertices()] = 0.0
+    return Y
+
+
+def dense_ritz_upper_bounds(E) -> np.ndarray:
+    """Ritz values of the assembled P2 pencil on the span of the ladder's
+    lifted eigenvectors (:func:`loop_p2_lift`), in one dense step."""
+    import scipy.linalg
+    from helmqo.spaces import P2, build_space
+    s_p2 = build_space(E.space.mesh, P2)
+    A2, M2 = (B.toarray() for B in s_p2.pencil)
+    Z = loop_p2_lift(E.space, E.vectors)[s_p2.free_dofs]
+    return scipy.linalg.eigh(Z.T @ A2 @ Z, Z.T @ M2 @ Z, eigvals_only=True)
+
+
 def oneshot_assemble_load(space, f, degree: int = 4) -> np.ndarray:
     """Load vector from one evaluation of ``f`` at every quadrature point
     of the mesh, the arithmetic of ``assemble_load`` without slices."""

@@ -318,6 +318,10 @@ class TestMeasures:
         G = m.barycentric_gradients()
         np.testing.assert_allclose(G.sum(axis=1), 0.0,
                                    atol=1e-12 * abs(G).max())
+        # a selection of triangles gets their rows, bit for bit
+        picks = np.array([m.n_triangles - 1, 0, 0])
+        assert np.array_equal(m.barycentric_gradients(picks), G[picks])
+        assert np.array_equal(m.barycentric_gradients(slice(1, 3)), G[1:3])
         eye = np.eye(3)
         for j, k in ((0, 1), (1, 2), (2, 0)):
             # grad lambda_i . (p_j - p_k) = delta_ij - delta_ik

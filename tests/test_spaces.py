@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import helmqo.spaces
 
@@ -11,8 +12,11 @@ from helmqo.mesh import (BoundaryTag, Mesh, build_square_with_hole,
 from helmqo.spaces import (CR, P1, P2, ElementFamily, FeFunction,
                            assemble_load, assemble_mass, assemble_stiffness,
                            build_space, constrain, constrain_vector,
-                           cr_to_p2_lift, expand_free, interpolate, l2_error)
+                           element_matrices, expand_free, interpolate,
+                           l2_error, shape_gradients, shape_values)
+from helmqo.quadrature import triangle_rule
 from helmqo.sparsela import ldlt, solve
+from helmqo.spectral import _p2_lifts, compute_bounds, eigenpairs
 from helmqo.certify import GaussianBump, SineProduct, sine_series_reference
 
 from conftest import (loop_cr_vertex_mean, loop_p2_stiffness,
@@ -217,16 +221,22 @@ class TestConstrain:
 
 
 def lift_to_p2(u):
-    """P2 coefficients of the lift of the CR function ``u``, on all dofs."""
+    """P2 coefficients of the lift of the CR function ``u``, on all dofs:
+    the local coefficients that ``compute_bounds`` sums over, placed at
+    their P2 dofs, where every triangle at a dof must agree."""
     s_cr = u.space
     s_p2 = build_space(s_cr.mesh, P2)
-    L = cr_to_p2_lift(s_cr, s_p2)
-    return expand_free(s_p2, L @ u.coefficients[s_cr.free_dofs])
+    X = u.coefficients[s_cr.free_dofs][:, None]
+    local = np.concatenate([Y[..., 0] for _, Y in _p2_lifts(s_cr, X)])
+    lifted = np.zeros(s_p2.ndof)
+    lifted[s_p2.cell_dofs] = local
+    assert np.array_equal(lifted[s_p2.cell_dofs], local)
+    return lifted
 
 
 class TestAveraging:
-    """The vertex rows of ``cr_to_p2_lift``: per vertex, the mean of the CR
-    function's elementwise limits there."""
+    """The vertex values of the CR-to-P2 lift: per vertex, the mean of the
+    CR function's elementwise limits there."""
 
     def test_continuous_linear_unchanged(self):
         m = build_unit_square(3, tags=N)
@@ -269,16 +279,14 @@ class TestAveraging:
 
 class TestCrToP2Lift:
     def test_edge_rows_identity_vertex_rows_average(self):
-        # Dirichlet outer boundary: free rows and columns only; the edge
-        # rows being the identity makes the lift injective
+        # Dirichlet outer boundary: the edge values are the CR values, which
+        # makes the lift injective
         m = build_unit_square(4)
-        s_cr, s_p2 = build_space(m, CR), build_space(m, P2)
-        L = cr_to_p2_lift(s_cr, s_p2)
-        assert L.shape == (s_p2.n_free, s_cr.n_free)
+        s_cr = build_space(m, CR)
         rng = np.random.default_rng(5)
-        x = rng.standard_normal(s_cr.n_free)
-        lifted = expand_free(s_p2, L @ x)
-        u = FeFunction(s_cr, expand_free(s_cr, x))
+        u = FeFunction(s_cr, expand_free(s_cr,
+                                         rng.standard_normal(s_cr.n_free)))
+        lifted = lift_to_p2(u)
         nv = m.n_vertices
         assert np.array_equal(lifted[nv:], u.coefficients)
         interior = np.setdiff1d(np.arange(nv), m.dirichlet_vertices())
@@ -289,12 +297,61 @@ class TestCrToP2Lift:
         assert np.all(lifted[m.dirichlet_vertices()] == 0.0)
 
     def test_rejects_other_spaces(self):
+        # the lift starts from Crouzeix-Raviart coefficients
         m = build_unit_square(2)
-        with pytest.raises(ValueError):
-            cr_to_p2_lift(build_space(m, P1), build_space(m, P2))
-        with pytest.raises(ValueError):
-            cr_to_p2_lift(build_space(m, CR),
-                          build_space(build_unit_square(2), P2))
+        for fam in (P1, P2):
+            E = eigenpairs(build_space(m, fam), 1)
+            with pytest.raises(ValueError, match="Crouzeix-Raviart"):
+                compute_bounds(E)
+
+
+def reference_local_matrices(mesh, family):
+    """Local stiffness and mass matrices (nt, nloc, nloc), each family's
+    formula written out in one piece; ``element_matrices`` must reproduce
+    them bit for bit."""
+    G = mesh.barycentric_gradients()
+    gg = np.einsum("tjd,tkd,t->tjk", G, G, mesh.areas)
+    if family == P1:
+        K = gg
+        ref = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    elif family == CR:
+        K = 4.0 * gg
+        ref = np.eye(3) / 3.0
+    else:
+        rule = triangle_rule(2)
+        dN = shape_gradients(family, rule.points)
+        tensor = np.einsum("qmj,qnk,q->jkmn", dN, dN, rule.weights)
+        K = (gg.reshape(-1, 9) @ tensor.reshape(9, 36)).reshape(-1, 6, 6)
+        K = 0.5 * (K + K.transpose(0, 2, 1))
+        rule = triangle_rule(4)
+        N = shape_values(family, rule.points)
+        ref = np.einsum("qm,qn,q->mn", N, N, rule.weights)
+    return K, ref[None, :, :] * mesh.areas[:, None, None]
+
+
+def reference_scatter(space, local) -> sp.csr_matrix:
+    nloc = space.cell_dofs.shape[1]
+    dofs = space.cell_dofs.astype(np.int32)
+    rows = np.repeat(dofs, nloc, axis=1).ravel()
+    cols = np.tile(dofs, (1, nloc)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)),
+                         shape=(space.ndof, space.ndof)).tocsr()
+
+
+class TestElementMatrices:
+    @pytest.mark.parametrize("fam", [P1, P2, CR])
+    def test_assembly_bit_identical_to_local_formulas(self, fam):
+        m = build_unit_square_unstructured(6, seed=1)
+        m = refine_uniform(m)
+        s = build_space(m, fam)
+        K, M = reference_local_matrices(m, fam)
+        assert np.array_equal(element_matrices(m, fam), K)
+        assert np.array_equal(element_matrices(m, fam, mass=True), M)
+        for assembled, local in ((assemble_stiffness(s), K),
+                                 (assemble_mass(s), M)):
+            got, want = assembled.to_scipy(), reference_scatter(s, local)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
 class TestRayleighQuotient:

@@ -2,20 +2,24 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from helmqo.mesh import build_unit_square, build_unit_square_unstructured
+import helmqo.spaces
+import helmqo.spectral
+from helmqo.mesh import (BoundaryTag, build_square_with_hole,
+                         build_unit_square, build_unit_square_unstructured,
+                         refine_bisection)
 from helmqo.spaces import CR, P1, P2, assemble_mass, assemble_stiffness, \
-    build_space, constrain, cr_to_p2_lift, interpolate
-from helmqo.sparsela import EigenSolveError, ResonanceError, count_below
+    build_space, constrain, interpolate
+from helmqo.sparsela import (EigenSolveError, ResonanceError,
+                             SparseSymMatrix, count_below)
 from helmqo.spectral import (MIN_KAPPA, EigenSet, check_criterion,
                              compute_bounds, cr_lower_bound, eigen_ladder,
                              eigenpairs)
 
-from conftest import (counted_ladder, drop_first_pair_above,
-                      drop_lowest_pair, enumeration_index,
-                      enumeration_spectrum, traced_peak)
+from conftest import (counted_ladder, dense_ritz_upper_bounds,
+                      drop_first_pair_above, drop_lowest_pair,
+                      enumeration_index, enumeration_spectrum, traced_peak)
 
 
 def synthetic_ladder(values, family=P1, n=2):
@@ -133,20 +137,22 @@ class TestBounds:
 
     def test_lift_keeps_continuous_function(self):
         # a CR function that is already continuous and piecewise affine is
-        # its own P2 lift: the lifted coefficients are the P2 interpolant,
-        # and the Rayleigh quotient does not move
-        from helmqo.mesh import BoundaryTag as BT
-        m = build_unit_square_unstructured(4, seed=3, tags=BT.NEUMANN)
-        s_cr = build_space(m, CR)
-        s_p2 = build_space(m, P2)
+        # its own P2 lift: the lifted local coefficients are the P2
+        # interpolant's, and the Ritz value on its span is its own CR
+        # Rayleigh quotient
+        m = build_unit_square_unstructured(4, seed=3, tags=BoundaryTag.NEUMANN)
+        s_cr, s_p2 = build_space(m, CR), build_space(m, P2)
         f = lambda x, y: 1.0 + x - 2 * y
-        u = interpolate(s_cr, f)
-        lifted = cr_to_p2_lift(s_cr, s_p2) @ u.coefficients
-        assert np.allclose(lifted, interpolate(s_p2, f).coefficients,
+        c = interpolate(s_cr, f).coefficients
+        lifts = helmqo.spectral._p2_lifts(s_cr, c[:, None])
+        lifted = np.concatenate([Y[..., 0] for _, Y in lifts])
+        assert np.allclose(lifted,
+                           interpolate(s_p2, f).coefficients[s_p2.cell_dofs],
                            rtol=0.0, atol=1e-14)
-        (A2, M2), (A, M), c = s_p2.pencil, s_cr.pencil, u.coefficients
-        assert np.isclose((lifted @ (A2 @ lifted)) / (lifted @ (M2 @ lifted)),
-                          (c @ (A @ c)) / (c @ (M @ c)), rtol=1e-13)
+        A, M = s_cr.pencil
+        quotient = (c @ (A @ c)) / (c @ (M @ c))
+        E = EigenSet(s_cr, np.array([quotient]), c[:, None], np.zeros(1))
+        assert np.isclose(compute_bounds(E)[0].upper, quotient, rtol=1e-13)
 
     def test_first_upper_bound_above_exact(self):
         E = square_ladder(32, 100.0, CR)
@@ -159,34 +165,48 @@ class TestBounds:
         b = compute_bounds(E)[0]
         assert b.lower <= 2 * math.pi ** 2 <= b.upper
 
-    def test_one_p2_space_per_ladder(self, monkeypatch):
-        import helmqo.spaces
-        import helmqo.spectral
-        E = square_ladder(8, 100.0, CR)
-        assert len(E) > helmqo.spectral._RITZ_SLICE    # several slices
-        built = []
+    @pytest.mark.parametrize("mesh", ["square", "neumann-hole"])
+    def test_dense_rayleigh_ritz_in_any_slicing(self, monkeypatch, mesh):
+        # the numbers of one dense Rayleigh-Ritz step on the assembled P2
+        # pencil and the whole lifted block, in any slicing of the
+        # triangles; the hole has a Neumann inner boundary and was bisected
+        # part way
+        if mesh == "square":
+            E = square_ladder(8, 100.0, CR)
+        else:
+            m = build_square_with_hole(0.75, 0.3, 4,
+                                       inner_tag=BoundaryTag.NEUMANN)
+            m = refine_bisection(m, np.arange(0, m.n_triangles, 3))
+            E = eigenpairs(build_space(m, CR), 20)
+        ritz = dense_ritz_upper_bounds(E)
+        default = [b.upper for b in compute_bounds(E)]
+        assert np.allclose(default, ritz, rtol=1e-12, atol=0.0)
+        for width in (1, 7, E.space.mesh.n_triangles):
+            monkeypatch.setattr(helmqo.spectral, "_SLICE_TRIANGLES", width)
+            uppers = [b.upper for b in compute_bounds(E)]
+            assert np.allclose(uppers, ritz, rtol=1e-12, atol=0.0)
+            assert np.allclose(uppers, default, rtol=1e-12, atol=0.0)
 
-        def counting(mesh, family):
-            built.append(family)
-            return build_space(mesh, family)
+    def test_builds_no_space_or_sparse_matrix(self, monkeypatch):
+        E = square_ladder(8, 100.0, CR)
+        made = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                made.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+        for cls in (SparseSymMatrix, helmqo.spaces.DofSpace):
+            monkeypatch.setattr(cls, "__init__",
+                                counting(cls.__name__, cls.__init__))
         for mod in (helmqo.spaces, helmqo.spectral):
-            monkeypatch.setattr(mod, "build_space", counting)
+            for name in dir(mod):
+                if name.startswith(("assemble_", "build_space")):
+                    monkeypatch.setattr(mod, name,
+                                        counting(name, getattr(mod, name)))
         bounds = compute_bounds(E)
-        assert built == [P2]
-        monkeypatch.undo()
-        # the numbers of one dense Rayleigh-Ritz step on the whole lifted
-        # block, in any slicing
-        s_p2 = build_space(E.space.mesh, P2)
-        A2, M2 = (B.toarray() for B in s_p2.pencil)
-        Z = cr_to_p2_lift(E.space, s_p2).toarray() @ E.vectors
-        ritz = scipy.linalg.eigh(Z.T @ A2 @ Z, Z.T @ M2 @ Z,
-                                 eigvals_only=True)
-        assert np.allclose([b.upper for b in bounds], ritz, rtol=1e-12,
-                           atol=0.0)
-        for width in (1, 3, len(E)):
-            monkeypatch.setattr(helmqo.spectral, "_RITZ_SLICE", width)
-            assert np.allclose([b.upper for b in compute_bounds(E)], ritz,
-                               rtol=1e-12, atol=0.0)
+        assert made == []
+        assert len(bounds) == len(E)
 
     def test_dependent_eigenvectors_raise(self):
         # a repeated column spans too little for a Ritz step at every index
@@ -196,17 +216,12 @@ class TestBounds:
             compute_bounds(E)
 
     def test_gram_slices_not_full_block(self):
-        # the Gram matrices never hold the n_P2 x m lifted block: the
-        # traced peak stays below half of it
-        import helmqo.spectral
-        space = build_space(build_unit_square(48), CR)
-        E = eigenpairs(space, 64)
-        s_p2 = build_space(space.mesh, P2)
-        A2, M2 = s_p2.pencil
-        L = cr_to_p2_lift(space, s_p2)
-        peak = traced_peak(helmqo.spectral._ritz_values, A2, M2, L,
-                           E.vectors)
-        assert peak < 0.5 * s_p2.n_free * len(E) * 8
+        # the Gram sums hold one slice of triangles at a time, beside one
+        # value per vertex and eigenvector; an assembled P2 pencil and
+        # lift trace 25.6 MB here
+        space = build_space(build_unit_square_unstructured(80, seed=0), CR)
+        E = eigenpairs(space, 50)
+        assert traced_peak(compute_bounds, E) < 12e6
 
     def test_guaranteed_lower_bounds_hold(self, square_spectrum_20):
         E = square_ladder(16, 100.0, CR)
