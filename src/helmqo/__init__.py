@@ -17,10 +17,9 @@ from .spaces import (CR, P1, P2, DofSpace, ElementFamily, FeFunction,
                      assemble_load, assemble_mass, assemble_stiffness,
                      build_space, constrain, constrain_vector, expand_free,
                      interpolate, l2_error)
-from .sparsela import (EigenResult, EigenSolveError, EigenSolveOptions,
-                       Factorization, ResonanceError, SparseSymMatrix,
-                       count_below, count_from_factor, eigs_smallest, ldlt,
-                       solve)
+from .sparsela import (EigenResult, EigenSolveError, Factorization,
+                       ResonanceError, SparseSymMatrix, count_below,
+                       count_from_factor, eigs_smallest, ldlt, solve)
 from .spectral import (MIN_KAPPA, BoundedEigen, Criterion, EigenSet,
                        check_criterion, compute_bounds, cr_lower_bound,
                        eigen_ladder, eigenpairs)

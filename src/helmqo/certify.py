@@ -26,8 +26,8 @@ from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
                      assemble_load, build_space, constrain_vector,
                      expand_free, l2_error)
 from .quadrature import edge_rule
-from .sparsela import (EigenSolveOptions, ResonanceError, count_below,
-                       count_from_factor, ldlt, solve)
+from .sparsela import (ResonanceError, count_below, count_from_factor, ldlt,
+                       solve)
 from .spectral import (DEFAULT_KAPPA, MIN_KAPPA, BoundedEigen, Criterion,
                        check_criterion, compute_bounds, eigen_ladder)
 from .estimator import mark_half_max, residual_indicator
@@ -325,7 +325,7 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
             i_star_source: int | str = "cr",
             max_iters: int = 20, extra: int = 3,
             kappa: float = DEFAULT_KAPPA,
-            opts: EigenSolveOptions | None = None) -> CertificationReport:
+            seed: int = 0) -> CertificationReport:
     """Refine until the eigenvalue ladder brackets the wave number.
 
     Parameters
@@ -338,6 +338,7 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
     extra : additional eigenpairs carried for the indicator average.
     kappa : the trace constant in the CR lower bounds, at least
         ``MIN_KAPPA``.
+    seed : the eigensolver's start vector seed.
 
     The loop estimates first (so an adequate initial mesh terminates
     immediately) and stops when the criterion holds -- in ``"cr"`` mode,
@@ -368,7 +369,7 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
         space = build_space(mesh, spec.family)
         h = mesh.h
         if use_cr:
-            rec, E, bounds = _estimate_cr(space, k2, h, extra, kappa, opts,
+            rec, E, bounds = _estimate_cr(space, k2, h, extra, kappa, seed,
                                           report)
             index = rec.index
         elif space.n_free < int(i_star_source) + 1:
@@ -381,7 +382,7 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
             index = int(i_star_source)
             below = count_below(*space.pencil, k2)
             E = eigen_ladder(space, max(below, index) + extra + 1,
-                             {k2: below}, opts)
+                             {k2: below}, seed)
             crit = check_criterion(E, k2, index)
             rec = IterationRecord(space.n_free, h, index, crit.lambda_lo,
                                   crit.lambda_hi, k2 - crit.lambda_lo,
@@ -430,7 +431,7 @@ def _certification_blockers(mesh: Mesh, bounds: list[BoundedEigen],
 
 
 def _estimate_cr(space: DofSpace, k2: float, h: float, extra: int,
-                 kappa: float, opts: EigenSolveOptions | None,
+                 kappa: float, seed: int,
                  report: CertificationReport):
     """One guaranteed-bounds ESTIMATE; returns (record, ladder, bounds).
 
@@ -453,7 +454,7 @@ def _estimate_cr(space: DofSpace, k2: float, h: float, extra: int,
     need_below = count_below(*space.pencil, lam_need)
     below = count_below(*space.pencil, k2)
     E = eigen_ladder(space, need_below + extra + 1,
-                     {lam_need: need_below, k2: below}, opts)
+                     {lam_need: need_below, k2: below}, seed)
     bounds = compute_bounds(E, kappa)
     for j, b in enumerate(bounds, start=1):
         if (b.lower <= k2 <= b.upper
@@ -503,8 +504,7 @@ def study_to_csv(records: Sequence[StudyRecord]) -> str:
 
 def convergence_study(spec: ProblemSpec, initial_mesh: Mesh,
                       refinements: int, i_star: int | None = None,
-                      opts: EigenSolveOptions | None = None,
-                      ) -> list[StudyRecord]:
+                      seed: int = 0) -> list[StudyRecord]:
     """Solve on a family of uniform refinements and record errors/ladders.
 
     Produces one record per mesh (``refinements`` meshes, ``initial_mesh``
@@ -548,12 +548,12 @@ def convergence_study(spec: ProblemSpec, initial_mesh: Mesh,
             mesh = finest
         elif level:
             mesh = refine_uniform(mesh)
-        records.append(_study_record(spec, mesh, reference, i_star, opts))
+        records.append(_study_record(spec, mesh, reference, i_star, seed))
     return records
 
 
 def _study_record(spec: ProblemSpec, mesh: Mesh, reference, i_star: int,
-                  opts: EigenSolveOptions | None) -> StudyRecord:
+                  seed: int) -> StudyRecord:
     """One mesh's row of :func:`convergence_study`; its space, solution
     and ladder are freed on return."""
     space = build_space(mesh, spec.family)
@@ -562,7 +562,7 @@ def _study_record(spec: ProblemSpec, mesh: Mesh, reference, i_star: int,
     u, below = _solve(spec, space)
     err = l2_error(u, reference)
     E = eigen_ladder(space, max(below + STUDY_EXTRA_PAIRS + 1, i_star + 1),
-                     {spec.k2: below}, opts)
+                     {spec.k2: below}, seed)
 
     def value(j):   # the ladder stops at n_free: no value past it
         return float(E.values[j - 1]) if j <= len(E) else math.nan

@@ -3,16 +3,16 @@ runs and convergence studies.
 
 Exit codes: 0 success, 2 argument errors, 3 file errors, 4 eigensolver
 failure, 5 refinement budget exhausted (partial CSV is still written),
-6 resonant wave number.  The environment variable ``HQO_SEED`` overrides
-the default seed 0; ``--seed`` overrides both.  All numeric output uses
-shortest round-trip decimals, so identical invocations produce
-byte-identical files.
+6 resonant wave number.  ``--seed`` (default 0) is the only source of
+randomness: it seeds the eigensolver's start vector and jitters
+``unit-square-unstructured`` meshes.  All numeric output uses shortest
+round-trip decimals, so identical invocations produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -21,7 +21,7 @@ from .mesh import (BoundaryTag, Mesh, MeshError, build_square_with_hole,
                    build_unit_square, build_unit_square_unstructured,
                    read_mesh, write_mesh)
 from .spaces import CR, ElementFamily, build_space
-from .sparsela import EigenSolveError, EigenSolveOptions, ResonanceError
+from .sparsela import EigenSolveError, ResonanceError
 from .spectral import DEFAULT_KAPPA, MIN_KAPPA, compute_bounds, eigenpairs
 from .certify import (GaussianBump, ProblemSpec, SineProduct,
                       convergence_study, csv_text, dirichlet_unit_square,
@@ -37,16 +37,6 @@ EXIT_RESONANCE = 6
 
 class UsageError(ValueError):
     pass
-
-
-def _default_seed() -> int:
-    env = os.environ.get("HQO_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"HQO_SEED must be an integer, got {env!r}")
 
 
 def _resolve_family(args) -> ElementFamily:
@@ -186,8 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Helmholtz discretization is certifiably stable "
                     "(wave number bracketed by consecutive discrete "
                     "Laplace eigenvalues).")
-    top.add_argument("--seed", type=int, default=None,
-                     help="random seed (default: HQO_SEED env var or 0)")
+    top.add_argument("--seed", type=int, default=0,
+                     help="random seed (default: 0)")
     sub = top.add_subparsers(dest="command", required=True)
     families = [str(f) for f in ElementFamily]
 
@@ -207,8 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="number of eigenpairs (>= 1)")
     pe.add_argument("--kappa", type=float, default=DEFAULT_KAPPA,
                     help="trace constant in the guaranteed lower bound")
-    pe.add_argument("--tol", type=float, default=1e-10,
-                    help="eigensolver residual tolerance")
     pe.add_argument("-o", "--output", metavar="FILE",
                     help="write CSV (index,lambda,lower,upper) to FILE")
 
@@ -231,7 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="extra eigenpairs for the error indicator")
     pc.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     pc.add_argument("--max-iters", type=int, default=20)
-    pc.add_argument("--tol", type=float, default=1e-10)
     pc.add_argument("-o", "--output", metavar="FILE",
                     help="write the certification CSV to FILE")
     pc.add_argument("--mesh-out", metavar="FILE",
@@ -280,8 +267,7 @@ def cmd_eig(args) -> int:
         raise UsageError("--m must be >= 1")
     family = ElementFamily(args.family)
     space = build_space(_mesh(args, args.mesh), family)
-    E = eigenpairs(space, args.m, EigenSolveOptions(tol=args.tol,
-                                                    seed=args.seed))
+    E = eigenpairs(space, args.m, args.seed)
     lower = upper = [None] * args.m
     if family == CR:
         bounds = compute_bounds(E, args.kappa)
@@ -314,7 +300,7 @@ def cmd_certify(args) -> int:
     report = run_gmr(spec, _mesh(args, args.mesh), refine_mode=args.refine,
                      i_star_source=source, max_iters=args.max_iters,
                      extra=args.extra, kappa=args.kappa,
-                     opts=EigenSolveOptions(tol=args.tol, seed=args.seed))
+                     seed=args.seed)
     if args.output:
         _write(args.output, report.to_csv())
     if args.mesh_out and report.final_mesh is not None:
@@ -337,7 +323,7 @@ def cmd_study(args) -> int:
     _check_bump_center(spec.rhs, mesh)
     records = convergence_study(spec, mesh, args.refinements,
                                 i_star=args.istar,
-                                opts=EigenSolveOptions(seed=args.seed))
+                                seed=args.seed)
     csv = study_to_csv(records)
     if args.output:
         _write(args.output, csv)
@@ -355,8 +341,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
         if not getattr(args, "kappa", MIN_KAPPA) >= MIN_KAPPA:
             raise UsageError(f"--kappa must be >= {MIN_KAPPA}, the proven "
                              f"CR interpolation constant, got {args.kappa!r}")

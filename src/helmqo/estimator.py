@@ -42,7 +42,7 @@ class IndicatorField:
 
 
 def residual_indicator(E: EigenSet, i_star: int,
-                       extra: int = 3) -> IndicatorField:
+                       extra: int) -> IndicatorField:
     """Eigenpair residual indicator summed over the first i*+extra pairs,
     divided by i*.
 

@@ -52,6 +52,7 @@ DENSE_EIG_LIMIT = 200
 RECOUNT_RTOL = 1e-8     # relative shift of count_from_factor's recounts
 LANCZOS_MAXITER = 10000     # restarts of one Lanczos run
 LANCZOS_TOL = 1e-14         # Ritz estimate relative to |theta| at convergence
+RESIDUAL_TOL = 1e-10        # |A x - l M x| / (1 + |l|) of an accepted pair
 _SLICE_BYTES = 2 ** 20      # n-sized temporaries, per slice of columns
 
 
@@ -127,25 +128,11 @@ class SparseSymMatrix:
 
 
 @dataclass
-class EigenSolveOptions:
-    """Options for :func:`eigs_smallest`."""
-
-    tol: float = 1e-10
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be positive and finite, got "
-                             f"{self.tol!r}")
-
-
-@dataclass
 class EigenResult:
     """Ascending generalized eigenvalues with M-orthonormal eigenvectors."""
 
     values: np.ndarray       # (m,)
     vectors: np.ndarray      # (n, m)
-    residuals: np.ndarray    # (m,) norms of A x - lambda M x
 
 
 class Factorization:
@@ -353,10 +340,10 @@ def _residual_norms(Asp, Msp, vals, X) -> np.ndarray:
     return res
 
 
-def _check_semidefinite(vals: np.ndarray, tol: float) -> None:
+def _check_semidefinite(vals: np.ndarray) -> None:
     # a zero eigenvalue comes out within 1e-11 on pure-Neumann pencils of up
-    # to 16,641 dofs; -1/2 is nearer the shift -1 than any semidefinite one
-    if vals[0] < -min(0.5, 1e3 * tol):
+    # to 16,641 dofs
+    if vals[0] < -1e3 * RESIDUAL_TOL:
         raise EigenSolveError(
             f"eigenvalue {vals[0]:.6g} is negative; "
             "is A positive semidefinite?")
@@ -446,41 +433,45 @@ def _lanczos(solve, Msp: sp.csr_matrix, m: int, ncv: int,
     return None
 
 
-def _accept(Asp, Msp, vals, X, tol: float) -> EigenResult:
-    _check_semidefinite(vals, tol)
+def _accept(Asp, Msp, vals, X) -> tuple[EigenResult, float]:
+    """The pairs, X M-orthonormalized, and their largest residual
+    ``|A x - l M x| / (1 + |l|)``; a negative eigenvalue raises."""
+    _check_semidefinite(vals)
     X = _m_orthonormalize(X, Msp)
-    return EigenResult(vals, X, _residual_norms(Asp, Msp, vals, X))
+    worst = (_residual_norms(Asp, Msp, vals, X) / (1.0 + abs(vals))).max()
+    return EigenResult(vals, X), worst
 
 
 def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
-                  opts: EigenSolveOptions | None = None) -> EigenResult:
+                  seed: int = 0) -> EigenResult:
     """The ``m`` algebraically smallest eigenpairs of ``A x = l M x``.
 
     A must be symmetric positive semidefinite, M symmetric positive
     definite.  Eigenvalues are ascending with multiplicities; eigenvectors
     are M-orthonormal.  Each returned pair satisfies
-    ``|A x - l M x| <= tol * (1 + |l|)``.
+    ``|A x - l M x| <= RESIDUAL_TOL * (1 + |l|)``, on either path below;
+    a result that misses it raises :class:`EigenSolveError`.
 
     Pencils of at most ``DENSE_EIG_LIMIT`` dofs, and requests with
     ``2m + 1 >= n - 1``, are solved densely.  Otherwise thick-restart
     Lanczos (:func:`_lanczos`) runs on ``(A + M)^-1 M``, the shift-invert
     operator at -1, strictly below the spectrum, from a start vector drawn
-    from ``opts.seed``, with a basis of ``ncv = 2m + 1`` vectors (at least
+    from ``seed``, with a basis of ``ncv = 2m + 1`` vectors (at least
     20).  Its working set is the basis, n (ncv + 1) floats, and the factor
     of ``A + M``; the checks on its result run a few columns at a time.  A
     result that misses the residual bound, or ``LANCZOS_MAXITER`` restarts
-    without convergence, is retried twice with ``ncv`` doubled.
+    without convergence, is retried with ``ncv`` doubled, at most twice
+    and only while ``ncv`` still grows (it is capped at ``n - 1``).
 
     The shift-invert factor's pivots are never read, so it holds no copy
     of its triangular factors.  Two checks guard the semidefinite
     contract and raise :class:`EigenSolveError`: an exactly singular
     ``A + M`` (``Factorization.singular``) before Lanczos starts, and a
-    returned eigenvalue below ``-min(1/2, 1e3 * opts.tol)``, beyond the
-    roundoff of a zero eigenvalue, on both the Lanczos and the dense path.
-    Lanczos takes the Ritz values of largest modulus, so a negative
-    eigenvalue whose shift-invert image is large in modulus is found.
+    returned eigenvalue below ``-1e3 * RESIDUAL_TOL``, beyond the roundoff
+    of a zero eigenvalue, on both the Lanczos and the dense path.  Lanczos
+    takes the Ritz values of largest modulus, so a negative eigenvalue
+    whose shift-invert image is large in modulus is found.
     """
-    opts = opts or EigenSolveOptions()
     n = A.n
     if M.n != n:
         raise ValueError("A and M must have the same dimension")
@@ -492,26 +483,28 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
 
     if n <= DENSE_EIG_LIMIT or 2 * m + 1 >= n - 1:
         vals, X = sla.eigh(Asp.toarray(), Msp.toarray())
-        return _accept(Asp, Msp, vals[:m], X[:, :m], opts.tol)
-
-    F = ldlt(A, -1.0, M)
-    if F.singular:
-        raise EigenSolveError("shift-invert factorization broke down; "
-                              "is A positive semidefinite?")
-    ncv = min(n - 1, max(2 * m + 1, 20))     # Lanczos basis size
-    for attempt in range(3):
-        found = _lanczos(F._raw_solve, Msp, m, ncv, opts.seed)
-        ncv = min(n - 1, 2 * ncv)
+        res, worst = _accept(Asp, Msp, vals[:m], X[:, :m])
+    else:
+        F = ldlt(A, -1.0, M)
+        if F.singular:
+            raise EigenSolveError("shift-invert factorization broke down; "
+                                  "is A positive semidefinite?")
+        ncv = min(n - 1, max(2 * m + 1, 20))     # Lanczos basis size
+        for _ in range(3):
+            found = _lanczos(F._raw_solve, Msp, m, ncv, seed)
+            if found is not None:
+                vals, Q = found
+                res, worst = _accept(Asp, Msp, vals, Q.T)
+                if worst <= RESIDUAL_TOL:
+                    return res
+            if ncv == n - 1:
+                break
+            ncv = min(n - 1, 2 * ncv)
         if found is None:
-            if attempt == 2:
-                raise EigenSolveError(
-                    f"Lanczos iteration did not converge in "
-                    f"{LANCZOS_MAXITER} restarts")
-            continue
-        vals, Q = found
-        res = _accept(Asp, Msp, vals, Q.T, opts.tol)
-        if (res.residuals <= opts.tol * (1.0 + abs(vals))).all():
-            return res
-    raise EigenSolveError(
-        "eigensolver residuals exceed tolerance "
-        f"(max {res.residuals.max():.3e} vs tol {opts.tol:.1e})")
+            raise EigenSolveError(f"Lanczos iteration did not converge in "
+                                  f"{LANCZOS_MAXITER} restarts")
+    if not worst <= RESIDUAL_TOL:
+        raise EigenSolveError(
+            f"relative eigenpair residual {worst:.3e} exceeds "
+            f"{RESIDUAL_TOL:.1e}")
+    return res

@@ -24,7 +24,7 @@ import scipy.linalg as sla
 
 from .spaces import (CR, P2, DofSpace, ElementFamily, FeFunction,
                      element_matrices, expand_free)
-from .sparsela import EigenSolveError, EigenSolveOptions, eigs_smallest
+from .sparsela import EigenSolveError, eigs_smallest
 
 DEFAULT_KAPPA = 0.1932
 MIN_KAPPA = 0.1893    # Liu's CR interpolation constant C_h / h
@@ -45,7 +45,6 @@ class EigenSet:
     space: DofSpace
     values: np.ndarray
     vectors: np.ndarray
-    residuals: np.ndarray
 
     @property
     def family(self) -> ElementFamily:
@@ -81,7 +80,7 @@ class Criterion:
 
 
 def eigen_ladder(space: DofSpace, m: int, counts: dict[float, int],
-                 opts: EigenSolveOptions | None = None) -> EigenSet:
+                 seed: int = 0) -> EigenSet:
     """The ``m`` smallest eigenpairs (at most ``n_free``), checked against
     the LDL^T inertia counts the caller holds.
 
@@ -93,7 +92,7 @@ def eigen_ladder(space: DofSpace, m: int, counts: dict[float, int],
     """
     if space.n_free == 0:
         raise ValueError("space has no free degrees of freedom")
-    E = eigenpairs(space, min(m, space.n_free), opts)
+    E = eigenpairs(space, min(m, space.n_free), seed)
     for shift, count in counts.items():
         found = int((E.values < shift).sum())
         if found != count:
@@ -103,11 +102,10 @@ def eigen_ladder(space: DofSpace, m: int, counts: dict[float, int],
     return E
 
 
-def eigenpairs(space: DofSpace, m: int,
-               opts: EigenSolveOptions | None = None) -> EigenSet:
+def eigenpairs(space: DofSpace, m: int, seed: int = 0) -> EigenSet:
     """The ``m`` smallest eigenpairs of the space's constrained pencil."""
-    res = eigs_smallest(*space.pencil, m, opts)
-    return EigenSet(space, res.values, res.vectors, res.residuals)
+    res = eigs_smallest(*space.pencil, m, seed)
+    return EigenSet(space, res.values, res.vectors)
 
 
 def check_criterion(E: EigenSet, k2: float, i_star: int) -> Criterion:
@@ -175,7 +173,7 @@ def compute_bounds(E: EigenSet,
     The continuous operator is semidefinite, so a roundoff-negative
     eigenvalue or upper value (a pure-Neumann zero mode) is read as 0;
     ``eigs_smallest`` has already rejected anything below
-    -min(1/2, 1e3 tol).
+    ``-1e3 * RESIDUAL_TOL`` = -1e-7 and checked every pair's residual.
     """
     if E.family != CR:
         raise ValueError("guaranteed bounds require a Crouzeix-Raviart "

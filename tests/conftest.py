@@ -388,7 +388,7 @@ def oneshot_l2_error(u, ref) -> float:
                                    corner_geometry(fine)[0])))
 
 
-def loop_residual_indicator(E, i_star: int, extra: int = 3):
+def loop_residual_indicator(E, i_star: int, extra: int):
     """``residual_indicator`` with the edge geometry rebuilt for every
     eigenfunction: edge points located by inverting each neighbour's element
     map, and the normal-gradient jump scattered twice per function."""
@@ -464,8 +464,7 @@ def _drop_pair(monkeypatch, real, pick):
         E = real(*args, **kwargs)
         keep = np.arange(len(E)) != pick(E.values)
         return dataclasses.replace(E, values=E.values[keep],
-                                   vectors=E.vectors[:, keep],
-                                   residuals=E.residuals[keep])
+                                   vectors=E.vectors[:, keep])
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "helmqo":
             for attr, obj in list(vars(mod).items()):

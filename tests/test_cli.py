@@ -17,7 +17,6 @@ def run_cli(args, cwd=None, env_extra=None):
     # the CLI runs in its own interpreter with ``src`` on PYTHONPATH, so a
     # bare ``python -m pytest`` from a checkout tests this checkout
     env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(SRC))
-    env.pop("HQO_SEED", None)
     if env_extra:
         env.update(env_extra)
     res = subprocess.run([sys.executable, "-m", "helmqo.cli", *args],
@@ -282,14 +281,13 @@ class TestEigCommand:
         from helmqo.certify import _fmt
         from helmqo.mesh import build_unit_square
         from helmqo.spaces import ElementFamily, build_space
-        from helmqo.sparsela import EigenSolveOptions
         from helmqo.spectral import compute_bounds, eigenpairs
         out = tmp_path / "eig.csv"
         res = run_cli(["eig", "--geometry", "unit-square", "--n", "12",
                        "--family", family, "--m", "4", "-o", str(out)])
         assert res.returncode == 0, res.stderr
         space = build_space(build_unit_square(12), ElementFamily(family))
-        E = eigenpairs(space, 4, EigenSolveOptions())
+        E = eigenpairs(space, 4)
         bounds = (compute_bounds(E) if family == "cr"
                   else [None] * len(E))
         rows = out.read_text().strip().splitlines()[1:]
@@ -318,14 +316,25 @@ class TestEigCommand:
                        "--m", "0"])
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("command", [
+        ["eig", "--family", "p1", "--m", "3"],
+        ["certify", "--k2", "100", "--family", "p1", "--istar", "6"]],
+        ids=["eig", "certify"])
+    def test_tol_is_not_a_flag(self, command):
+        # the residual bound is fixed: no flag loosens a certificate
+        res = run_cli([*command, "--geometry", "unit-square", "--n", "8",
+                       "--tol", "1e-6"])
+        assert res.returncode == 2
+        assert "unrecognized arguments: --tol 1e-6" in res.stderr
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_nonfinite_tol_exit_2(self, tol):
-        # a NaN tolerance failed every residual check (exit 4); an infinite
-        # one accepted any residual
+        # a NaN tolerance once failed every residual check and an infinite
+        # one accepted any residual; neither can be given now
         res = run_cli(["eig", "--geometry", "unit-square", "--n", "32",
                        "--family", "p1", "--m", "3", "--tol", tol])
         assert res.returncode == 2
-        assert "tol must be positive and finite" in res.stderr
+        assert f"unrecognized arguments: --tol {tol}" in res.stderr
 
 
 class TestCertifyCommand:
@@ -520,12 +529,19 @@ class TestStudyCommand:
         assert [r[4] == "" for r in rows] == empty
         assert all(float(r[3]) > 100.0 for r in rows if r[3])
 
-    def test_seed_env_override(self, tmp_path):
-        out = tmp_path / "s.csv"
-        res = run_cli(["study", "--geometry", "unit-square", "--n", "8",
-                       "--k2", "100", "--family", "p1", "--refinements",
-                       "2", "-o", str(out)], env_extra={"HQO_SEED": "3"})
-        assert res.returncode == 0
+    @pytest.mark.parametrize("command", [
+        ["eig", "--family", "p1", "--m", "3"],
+        ["study", "--k2", "60", "--family", "p1", "--refinements", "1"]],
+        ids=["eig", "study"])
+    def test_seed_env_ignored(self, tmp_path, command):
+        # --seed is the only seed: HQO_SEED in the environment changes no
+        # byte
+        outs = [tmp_path / "plain.csv", tmp_path / "env.csv"]
+        for out, env in zip(outs, [None, {"HQO_SEED": "3"}]):
+            res = run_cli([*command, "--geometry", "unit-square-unstructured",
+                           "--n", "16", "-o", str(out)], env_extra=env)
+            assert res.returncode == 0, res.stderr
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_mesh_file_is_used(self, tmp_path):
         mesh_file = tmp_path / "hole.mesh"

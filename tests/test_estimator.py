@@ -18,8 +18,7 @@ def ladder_with_vectors(n, k2, family=P1, extra=3, min_pairs=10):
 
 
 def synthetic(space, values, vectors):
-    return EigenSet(space, np.asarray(values, dtype=float), vectors,
-                    np.zeros(len(values)))
+    return EigenSet(space, np.asarray(values, dtype=float), vectors)
 
 
 class TestResidualIndicator:
@@ -80,7 +79,7 @@ class TestResidualIndicator:
     def test_scale_covariance(self):
         E = ladder_with_vectors(8, 100.0)
         eta1 = residual_indicator(E, 6, 3)
-        E2 = EigenSet(E.space, E.values, 3.0 * E.vectors, E.residuals)
+        E2 = EigenSet(E.space, E.values, 3.0 * E.vectors)
         eta2 = residual_indicator(E2, 6, 3)
         assert np.allclose(eta2.values, 9.0 * eta1.values, rtol=1e-10)
         assert mark_half_max(eta1) == mark_half_max(eta2)
@@ -222,6 +221,5 @@ class TestLoopOracle:
         rng = np.random.default_rng(0)
         nfun = 24
         E = EigenSet(space, np.arange(1.0, nfun + 1),
-                     rng.standard_normal((space.n_free, nfun)),
-                     np.zeros(nfun))
+                     rng.standard_normal((space.n_free, nfun)))
         assert traced_peak(residual_indicator, E, 20, 4) < 12 * 2 ** 20

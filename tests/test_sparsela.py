@@ -16,10 +16,9 @@ from helmqo.mesh import (BoundaryTag, build_square_with_hole,
 from helmqo.certify import ProblemSpec, SineProduct, solve_helmholtz
 from helmqo.spaces import CR, P1, P2, assemble_load, assemble_mass, \
     assemble_stiffness, build_space, constrain, constrain_vector
-from helmqo.sparsela import (RECOUNT_RTOL, EigenSolveError,
-                             EigenSolveOptions, ResonanceError,
-                             SparseSymMatrix, count_below, count_from_factor,
-                             eigs_smallest, ldlt, solve)
+from helmqo.sparsela import (RECOUNT_RTOL, RESIDUAL_TOL, EigenSolveError,
+                             ResonanceError, SparseSymMatrix, count_below,
+                             count_from_factor, eigs_smallest, ldlt, solve)
 
 from conftest import (enumeration_index, gaussian_elimination_solve,
                       jacobi_generalized_eigen, traced_peak)
@@ -27,6 +26,12 @@ from conftest import (enumeration_index, gaussian_elimination_solve,
 
 def sym(mat):
     return SparseSymMatrix(sp.csr_matrix(np.asarray(mat, dtype=float)))
+
+
+def relative_residuals(res, A, M):
+    """``|A x - l M x| / (1 + |l|)`` of each returned pair."""
+    R = A @ res.vectors - (M @ res.vectors) * res.values
+    return np.linalg.norm(R, axis=0) / (1.0 + np.abs(res.values))
 
 
 def square_pencil(n, family=P1):
@@ -269,21 +274,14 @@ class TestEigsSmallest:
 
     def test_residual_contract(self):
         A, M = square_pencil(32, CR)
-        opts = EigenSolveOptions(tol=1e-10)
-        res = eigs_smallest(A, M, 6, opts)
-        assert np.all(res.residuals <= opts.tol * (1 + np.abs(res.values)))
+        res = eigs_smallest(A, M, 6)
+        assert np.all(relative_residuals(res, A, M) <= RESIDUAL_TOL)
 
     def test_deterministic(self):
         A, M = square_pencil(32)
-        v1 = eigs_smallest(A, M, 5, EigenSolveOptions(seed=7)).values
-        v2 = eigs_smallest(A, M, 5, EigenSolveOptions(seed=7)).values
+        v1 = eigs_smallest(A, M, 5, seed=7).values
+        v2 = eigs_smallest(A, M, 5, seed=7).values
         assert np.array_equal(v1, v2)
-
-    def test_tolerance_stability(self):
-        A, M = square_pencil(32)
-        v1 = eigs_smallest(A, M, 5, EigenSolveOptions(tol=1e-10)).values
-        v2 = eigs_smallest(A, M, 5, EigenSolveOptions(tol=1e-12)).values
-        assert np.abs((v1 - v2) / v1).max() < 1e-8
 
     def test_monotone_conforming_convergence(self, square_spectrum_20):
         prev = None
@@ -296,9 +294,6 @@ class TestEigsSmallest:
             prev = vals
 
     def test_invalid_options(self):
-        for tol in (0.0, -1e-10, math.nan, math.inf):
-            with pytest.raises(ValueError, match="positive and finite"):
-                EigenSolveOptions(tol=tol)
         A, M = square_pencil(2)
         with pytest.raises(ValueError, match="m must be >= 1"):
             eigs_smallest(A, M, 0)
@@ -437,7 +432,7 @@ def assert_matches_dense(res, A, M, w, rtol=1e-10):
     assert np.all(np.abs(res.values - w[:m]) <= rtol * (1 + w[:m]))
     G = res.vectors.T @ (M @ res.vectors)
     assert np.abs(G - np.eye(m)).max() <= 1e-12
-    assert np.all(res.residuals <= 1e-10 * (1 + np.abs(res.values)))
+    assert np.all(relative_residuals(res, A, M) <= RESIDUAL_TOL)
 
 
 class TestThickRestartLanczos:
@@ -506,6 +501,16 @@ class TestThickRestartLanczos:
             eigs_smallest(A, M, 4)
         assert ncv == [20, 40, 80]
 
+    def test_no_retry_once_the_basis_stops_growing(self, monkeypatch):
+        # n = 250, m = 100: the basis grows 201 -> 249 = n - 1 and is capped
+        # there, where a third run would repeat the second one exactly
+        monkeypatch.setattr(helmqo.sparsela, "LANCZOS_MAXITER", 0)
+        A = sym(np.diag(np.arange(1.0, 251.0)))
+        with basis_sizes() as ncv, pytest.raises(EigenSolveError,
+                                                 match="did not converge"):
+            eigs_smallest(A, sym(np.eye(250)), 100)
+        assert ncv == [201, 249]
+
     def test_working_set_is_the_basis(self):
         # CR pencil, 20,008 dofs, m = 20: the basis holds ncv + 1 = 42
         # vectors; ARPACK's copies of it brought the peak to 2.77 times that
@@ -534,6 +539,20 @@ class TestEigsSmallestContract:
         A, M = shifted_pencil(n, family, s)
         assert A.n > helmqo.sparsela.DENSE_EIG_LIMIT
         with pytest.raises(EigenSolveError, match="semidefinite"):
+            eigs_smallest(A, M, 3)
+
+    def test_dense_path_checks_residuals(self, monkeypatch):
+        # eigenvalues 1e-6 off their vectors' Rayleigh quotients miss the
+        # residual bound on the dense path as on the Lanczos one
+        A, M = square_pencil(8)
+        assert A.n <= helmqo.sparsela.DENSE_EIG_LIMIT
+        real = scipy.linalg.eigh
+
+        def corrupted(*args, **kwargs):
+            vals, X = real(*args, **kwargs)
+            return vals * (1.0 + 1e-6), X
+        monkeypatch.setattr(helmqo.sparsela.sla, "eigh", corrupted)
+        with pytest.raises(EigenSolveError, match="residual"):
             eigs_smallest(A, M, 3)
 
     def test_dense_path_applies_the_same_check(self):

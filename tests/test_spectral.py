@@ -27,7 +27,7 @@ def synthetic_ladder(values, family=P1, n=2):
     space = build_space(build_unit_square(n), family)
     values = np.asarray(values, dtype=float)
     k = len(values)
-    return EigenSet(space, values, np.zeros((space.n_free, k)), np.zeros(k))
+    return EigenSet(space, values, np.zeros((space.n_free, k)))
 
 
 def square_ladder(n, k2, family=P1, extra=3):
@@ -151,7 +151,7 @@ class TestBounds:
                            rtol=0.0, atol=1e-14)
         A, M = s_cr.pencil
         quotient = (c @ (A @ c)) / (c @ (M @ c))
-        E = EigenSet(s_cr, np.array([quotient]), c[:, None], np.zeros(1))
+        E = EigenSet(s_cr, np.array([quotient]), c[:, None])
         assert np.isclose(compute_bounds(E)[0].upper, quotient, rtol=1e-13)
 
     def test_first_upper_bound_above_exact(self):
