@@ -21,8 +21,8 @@ from .sparsela import (EigenResult, EigenSolveError, Factorization,
                        ResonanceError, SparseSymMatrix, count_below,
                        count_from_factor, eigs_smallest, ldlt, solve)
 from .spectral import (MIN_KAPPA, BoundedEigen, Criterion, EigenSet,
-                       check_criterion, compute_bounds, cr_lower_bound,
-                       eigen_ladder, eigenpairs)
+                       check_complete, check_criterion, compute_bounds,
+                       cr_lower_bound, eigen_ladder, eigenpairs)
 from .estimator import IndicatorField, mark_half_max, residual_indicator
 from .certify import (CertificationReport, GaussianBump, IterationRecord,
                       ProblemSpec, SineProduct, StudyRecord,

@@ -407,6 +407,9 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
                 marked |= _certification_blockers(mesh, bounds, k2, kappa)
             mesh = (refine_bisection(mesh, marked) if marked
                     else refine_uniform(mesh))
+        # no step on the next mesh reads this mesh's pencil, ladder or
+        # indicator: free them before its factorizations and eigensolve
+        space = E = bounds = eta = None
     report.final_mesh = mesh
     return report
 

@@ -2,8 +2,9 @@
 runs and convergence studies.
 
 Exit codes: 0 success, 2 argument errors, 3 file errors, 4 eigensolver
-failure, 5 refinement budget exhausted (partial CSV is still written),
-6 resonant wave number.  ``--seed`` (default 0) is the only source of
+failure (also an ``eig`` ladder that an inertia count proves incomplete),
+5 refinement budget exhausted (partial CSV is still written), 6 resonant
+wave number.  ``--seed`` (default 0) is the only source of
 randomness: it seeds the eigensolver's start vector and jitters
 ``unit-square-unstructured`` meshes.  All numeric output uses shortest
 round-trip decimals, so identical invocations produce byte-identical
@@ -22,7 +23,8 @@ from .mesh import (BoundaryTag, Mesh, MeshError, build_square_with_hole,
                    read_mesh, write_mesh)
 from .spaces import CR, ElementFamily, build_space
 from .sparsela import EigenSolveError, ResonanceError
-from .spectral import DEFAULT_KAPPA, MIN_KAPPA, compute_bounds, eigenpairs
+from .spectral import (DEFAULT_KAPPA, MIN_KAPPA, check_complete,
+                       compute_bounds, eigenpairs)
 from .certify import (GaussianBump, ProblemSpec, SineProduct,
                       convergence_study, csv_text, dirichlet_unit_square,
                       run_gmr, study_to_csv)
@@ -273,8 +275,11 @@ def cmd_eig(args) -> int:
         bounds = compute_bounds(E, args.kappa)
         lower = [b.lower for b in bounds]
         upper = [b.upper for b in bounds]
+    values = E.values
+    del E   # the eigenvectors are freed before the count's factor is made
+    check_complete(space, values)
     csv = csv_text("index,lambda,lower,upper",
-                   zip(range(1, args.m + 1), E.values, lower, upper))
+                   zip(range(1, args.m + 1), values, lower, upper))
     if args.output:
         _write(args.output, csv)
         print(f"wrote {args.output} ({args.m} eigenpairs, "

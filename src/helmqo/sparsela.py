@@ -15,19 +15,12 @@ when every wanted Ritz estimate is at most ``LANCZOS_TOL`` relative to its
 Ritz value; the result is then checked against the pencil itself (see
 :func:`eigs_smallest`).
 
-Every factorization is an RCM pre-order, then
-symmetric-mode SuperLU: the reverse Cuthill-McKee order of A's pattern
-(:attr:`SparseSymMatrix.ordering`, computed once per matrix) renumbers
-``A - sigma*M`` before SuperLU's own ``MMD_AT_PLUS_A`` ordering, and the LU
-is restricted to diagonal pivoting, which yields a unit-lower/diagonal
-decomposition with a diagonal D.  SuperLU's minimum-degree ordering depends
-on the incoming numbering: on the numbering that mesh refinement leaves it
-took up to 9 times as long, with up to a third more fill, as after the
-pre-order (P1 and CR pencils; P2 pencils of bisected meshes fill more after
-it).  The pre-order is read from A alone, so it is the same at every shift
-and ignores entries that cancel in ``A - sigma*M``; it suits the pencil as
-long as M's pattern lies inside A's, as it does for every Laplace pencil of
-:mod:`helmqo.spaces`.
+Every factorization is symmetric-mode SuperLU with its own
+``MMD_AT_PLUS_A`` ordering, restricted to diagonal pivoting, which yields a
+unit-lower/diagonal decomposition with a diagonal D.  It factors
+``A - sigma*M`` in the numbering the pencil comes in, so that numbering
+decides the fill: the pencils of :mod:`helmqo.spaces` come numbered in the
+reverse Cuthill-McKee order of their free dofs (see there).
 
 Sparse pivots are read only where an inertia count is needed
 (:func:`count_below`, :func:`solve`, or a read of a factorization's
@@ -40,16 +33,15 @@ makes them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee, structural_rank
+from scipy.sparse.csgraph import structural_rank
 
 DENSE_EIG_LIMIT = 200
-RECOUNT_RTOL = 1e-8     # relative shift of count_from_factor's recounts
+RECOUNT_RTOL = 1e-8     # relative offset of a recount from its shift or value
 LANCZOS_MAXITER = 10000     # restarts of one Lanczos run
 LANCZOS_TOL = 1e-14         # Ritz estimate relative to |theta| at convergence
 RESIDUAL_TOL = 1e-10        # |A x - l M x| / (1 + |l|) of an accepted pair
@@ -67,18 +59,20 @@ class EigenSolveError(RuntimeError):
 class SparseSymMatrix:
     """Symmetric sparse matrix in CSR form storing the full pattern.
 
-    The wrapped matrix must be exactly symmetric, explicitly stored zeros
-    included: it must equal its transpose entry for entry (this is
+    Explicitly stored zeros are dropped, and what is left must be exactly
+    symmetric: it must equal its transpose entry for entry (this is
     checked).
     """
 
     def __init__(self, mat):
         m = sp.csr_matrix(mat)
         m.sum_duplicates()
+        m.eliminate_zeros()
         m.sort_indices()
         if m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
-        # summing duplicates leaves views on the longer arrays before it
+        # summing duplicates or dropping zeros may leave views on the
+        # longer arrays before it
         if m.indices.base is not None:
             m.indices = m.indices.copy()
         if m.data.base is not None:
@@ -106,14 +100,6 @@ class SparseSymMatrix:
     def data(self) -> np.ndarray:
         return self._m.data
 
-    @cached_property
-    def ordering(self) -> np.ndarray:
-        """Reverse Cuthill-McKee order of the pattern, computed on first use
-        and kept: row ``ordering[i]`` of the matrix is row ``i`` of the
-        reordered one."""
-        return reverse_cuthill_mckee(self._m, symmetric_mode=True).astype(
-            np.intp)
-
     def to_scipy(self) -> sp.csr_matrix:
         return self._m
 
@@ -140,8 +126,9 @@ class Factorization:
 
     ``inertia`` counts the negative, zero and positive pivots.  ``L`` is
     the unit lower triangular factor; SuperLU's U is D L^T with D diagonal.
-    The factor keeps the pencil (A, M) it was made from, for
-    :func:`count_from_factor`'s recounts.
+    The factor keeps SuperLU's factor and the pencil (A, M) it was made
+    from, for :func:`count_from_factor`'s recounts and :func:`solve`'s
+    residuals, but not K.
 
     An exactly singular factor knows its inertia at construction.
     Otherwise the first read of ``inertia`` (or ``n_neg``, ``n_zero``) or
@@ -150,21 +137,16 @@ class Factorization:
     need neither.
     """
 
-    def __init__(self, matrix: sp.csr_matrix, sigma: float,
+    def __init__(self, sigma: float,
                  pencil: tuple[SparseSymMatrix, SparseSymMatrix],
                  inertia: tuple[int, int, int] | None,
-                 payload, tol: float = 0.0,
-                 order: np.ndarray | None = None):
-        self.matrix = matrix
+                 payload, tol: float = 0.0):
         self.sigma = sigma
-        self.n = matrix.shape[0]
+        self.n = pencil[0].n
         self._pencil = pencil
         self._inertia = inertia
         self._tol = tol
         self._payload = payload
-        # the pre-order SuperLU's matrix is in, and its inverse
-        self._order = order
-        self._unorder = None if order is None else np.argsort(order)
 
     @property
     def singular(self) -> bool:
@@ -199,13 +181,12 @@ class Factorization:
 
     @property
     def L(self):
-        """Unit lower-triangular factor of K reordered by the RCM pre-order,
-        then SuperLU's column order."""
+        """Unit lower-triangular factor of K reordered by SuperLU's column
+        order."""
         return self._payload.L
 
     def _raw_solve(self, b: np.ndarray) -> np.ndarray:
-        y = self._payload.solve(b.take(self._order, axis=0))
-        return y.take(self._unorder, axis=0)
+        return self._payload.solve(b)
 
 
 def ldlt(A: SparseSymMatrix, sigma: float,
@@ -217,11 +198,13 @@ def ldlt(A: SparseSymMatrix, sigma: float,
     reported through ``n_zero > 0`` (the shift is numerically an
     eigenvalue), not raised.  Sparse pivots are read on the first inertia
     query, not here (see :class:`Factorization`).  SuperLU factors the
-    matrix reordered by ``A.ordering``.
+    CSC view ``K.T`` of ``K = A - sigma*M`` in the pencil's own numbering,
+    and K is freed on return.
     """
     if M.n != A.n:
         raise ValueError("A and M must have the same dimension")
-    K = (A.to_scipy() - sigma * M.to_scipy()).tocsr()
+    # exactly symmetric, so its transpose K.T is a CSC view of K itself
+    K = A.to_scipy() - sigma * M.to_scipy()
     # zero detection is relative to the unshifted data, not to K,
     # which may be uniformly tiny near a resonance
     scale = max(abs(A.data).max() if len(A.data) else 0.0,
@@ -235,10 +218,9 @@ def ldlt(A: SparseSymMatrix, sigma: float,
     # matrix; only a zero on the diagonal makes one possible
     singular = (K.diagonal() == 0.0).any() and structural_rank(K) < n
     if not singular:
-        order = A.ordering
         try:
-            lu = spla.splu(K[order][:, order].tocsc(),
-                           permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            lu = spla.splu(K.T, permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
                            options=dict(SymmetricMode=True, Equil=False))
         except RuntimeError as exc:
             if "singular" not in str(exc):
@@ -246,35 +228,38 @@ def ldlt(A: SparseSymMatrix, sigma: float,
             singular = True
     if singular:
         # an exactly singular factor leaves the pivot signs unknown
-        return Factorization(K, sigma, (A, M), (0, n, 0), None)
-    return Factorization(K, sigma, (A, M), None, lu, tol, order)
+        return Factorization(sigma, (A, M), (0, n, 0), None)
+    return Factorization(sigma, (A, M), None, lu, tol)
 
 
 def solve(F: Factorization, b: np.ndarray) -> np.ndarray:
     """Solve ``(A - sigma*M) x = b`` by F's LDL^T, or by partial-pivoting LU
     when F has a zero pivot, then up to three steps of iterative refinement.
     A relative residual above 1e-10 after them, or a matrix that LU finds
-    singular, raises :class:`ResonanceError`."""
+    singular, raises :class:`ResonanceError`.  ``A - sigma*M`` is formed
+    from F's pencil once per call, for the residuals and the LU."""
     b = np.asarray(b, dtype=np.float64)
     nb = np.linalg.norm(b)
     if nb == 0.0:
         return np.zeros_like(b)
+    A, M = F._pencil
+    K = A.to_scipy() - F.sigma * M.to_scipy()
     base = F._raw_solve
     if F.n_zero > 0:
         try:
-            base = spla.splu(F.matrix.tocsc()).solve
+            base = spla.splu(K.T).solve
         except RuntimeError as exc:
             if "singular" not in str(exc):
                 raise
             raise ResonanceError(f"shift {F.sigma!r} is an eigenvalue of "
                                  "the pencil (exactly singular)") from exc
     x = base(b)
-    r = b - F.matrix @ x
+    r = b - K @ x
     for _ in range(3):
         if np.linalg.norm(r) <= 1e-10 * nb:
             return x
         x = x + base(r)
-        r = b - F.matrix @ x
+        r = b - K @ x
     if np.linalg.norm(r) <= 1e-10 * nb:
         return x
     raise ResonanceError(

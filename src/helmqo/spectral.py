@@ -24,7 +24,8 @@ import scipy.linalg as sla
 
 from .spaces import (CR, P2, DofSpace, ElementFamily, FeFunction,
                      element_matrices, expand_free)
-from .sparsela import EigenSolveError, eigs_smallest
+from .sparsela import (RECOUNT_RTOL, RESIDUAL_TOL, EigenSolveError,
+                       count_below, eigs_smallest)
 
 DEFAULT_KAPPA = 0.1932
 MIN_KAPPA = 0.1893    # Liu's CR interpolation constant C_h / h
@@ -93,13 +94,36 @@ def eigen_ladder(space: DofSpace, m: int, counts: dict[float, int],
     if space.n_free == 0:
         raise ValueError("space has no free degrees of freedom")
     E = eigenpairs(space, min(m, space.n_free), seed)
+    _check_counts(E.values, counts)
+    return E
+
+
+def check_complete(space: DofSpace, values: np.ndarray) -> None:
+    """Prove that the ladder ``values`` of the space's pencil misses no
+    eigenvalue below its last value: one inertia count at
+    ``values[-1] * (1 - RECOUNT_RTOL)`` must equal the number of ladder
+    values below that shift, or :class:`EigenSolveError` is raised.
+
+    A ladder whose last value is at most ``1e3 * RESIDUAL_TOL`` needs no
+    count: the pencil is semidefinite, so its eigenvalues at those indices
+    lie between 0 and the ladder's values (a pure-Neumann zero mode).
+    """
+    top = float(values[-1])
+    if top <= 1e3 * RESIDUAL_TOL:
+        return
+    shift = top * (1.0 - RECOUNT_RTOL)
+    _check_counts(values, {shift: count_below(*space.pencil, shift)})
+
+
+def _check_counts(values: np.ndarray, counts: dict[float, int]) -> None:
+    """Raise :class:`EigenSolveError` unless exactly ``count`` of the
+    ladder ``values`` lie below each ``shift: count`` of ``counts``."""
     for shift, count in counts.items():
-        found = int((E.values < shift).sum())
+        found = int((values < shift).sum())
         if found != count:
             raise EigenSolveError(
                 f"{found} ladder values lie below {shift!r}, but the LDL^T "
                 f"inertia counts {count}")
-    return E
 
 
 def eigenpairs(space: DofSpace, m: int, seed: int = 0) -> EigenSet:

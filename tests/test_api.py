@@ -3,8 +3,8 @@ helmqo module, and every public method, property, field and instance
 attribute of its classes, is referenced by code outside the tests, so
 nothing lives on for its tests alone, and every exception ``helmqo``
 re-exports is raised in the package.  What two helmqo modules share is
-public: none imports another's underscore name.  Only
-``spectral.eigen_ladder`` checks a ladder against LDL^T inertia counts.
+public: none imports another's underscore name.  One function,
+``spectral._check_counts``, checks a ladder against LDL^T inertia counts.
 The boundary tag codes in ``Mesh.edge_tag`` are ``mesh.py``'s own format,
 and the ``--geometry`` and ``--rhs`` names are ``cli.py``'s own.
 Importing the command line does not load ``scipy.special``."""
@@ -165,14 +165,15 @@ def raises_text(fn: ast.AST, text: str) -> bool:
         for node in ast.walk(fn))
 
 
-def test_only_eigen_ladder_checks_a_ladder_against_inertia():
-    # the ladder-versus-inertia rule lives in one function: each caller
-    # hands it the counts it reads the ladder at
+def test_one_function_checks_a_ladder_against_inertia():
+    # the ladder-versus-inertia rule lives in one function: eigen_ladder
+    # hands it the counts its caller reads the ladder at, check_complete
+    # its count at the ladder's last value
     checkers = sorted(f"{path.stem}.{node.name}" for path in modules()
                       for node in ast.walk(ast.parse(path.read_text()))
                       if isinstance(node, ast.FunctionDef)
                       and raises_text(node, "inertia counts"))
-    assert checkers == ["spectral.eigen_ladder"]
+    assert checkers == ["spectral._check_counts"]
 
 
 def test_only_mesh_reads_edge_tag_codes():

@@ -606,6 +606,30 @@ class TestPencilReuse:
         assert len(cr_spaces) == 3
         assert len({id(s) for s in cr_spaces}) == len(cr_spaces)
 
+    @pytest.mark.parametrize("family, mesh, k2, source", [
+        (CR, build_square_with_hole(0.75, 0.3, 10), 400.0, "cr"),
+        (P1, build_unit_square(4), 100.0, 6)], ids=["cr", "oracle"])
+    def test_each_space_freed_before_the_next_is_counted(
+            self, monkeypatch, family, mesh, k2, source):
+        # no step on the next mesh reads a mesh's pencil, ladder or
+        # indicator, so none of them is alive beside its factorizations
+        import gc
+        import weakref
+        import helmqo.spaces
+        import helmqo.sparsela
+        spaces = []
+        wrap_everywhere(monkeypatch, helmqo.spaces.build_space,
+                        lambda a, s: spaces.append(weakref.ref(s)))
+
+        def only_the_last_alive(a, count):
+            gc.collect()
+            assert [r() is None for r in spaces] == \
+                [True] * (len(spaces) - 1) + [False]
+        wrap_everywhere(monkeypatch, helmqo.sparsela.count_below,
+                        only_the_last_alive)
+        rep = run_gmr(ProblemSpec(family, k2), mesh, "adaptive", source)
+        assert rep.certified and len(spaces) == len(rep.iterations) >= 2
+
     def test_study_factorizes_each_mesh_once(self, monkeypatch):
         import helmqo.sparsela
         factorized = []

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import cli_choices
@@ -310,6 +311,38 @@ class TestEigCommand:
         assert lower <= 0.0 <= upper
         for lower, upper in rows[1:]:
             assert lower <= math.pi ** 2 <= upper
+
+    def test_ladder_missing_a_copy_exit_4(self, tmp_path):
+        # the flagship hole's CR pencil (224 dofs) has a 4-fold eigenvalue
+        # at indices 27-30; Lanczos finds three copies, so its 30-value
+        # ladder ends one eigenvalue too high, and the count just below
+        # that last value finds 30, not 29
+        import scipy.linalg
+        from helmqo.mesh import build_square_with_hole
+        from helmqo.spaces import CR, build_space
+        A, M = build_space(build_square_with_hole(0.75, 0.3, 10), CR).pencil
+        w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        assert np.allclose(w[26:30], w[26], rtol=1e-9) and w[30] > w[26]
+        out = tmp_path / "eig.csv"
+        res = run_cli(["eig", "--geometry", "square-hole", "--outer", "0.75",
+                       "--inner", "0.3", "--n", "10", "--family", "cr",
+                       "--m", "30", "-o", str(out)])
+        assert res.returncode == 4, res.stderr
+        assert "29 ladder values lie below" in res.stderr
+        assert "inertia counts 30" in res.stderr
+        assert not out.exists()
+
+    def test_ladder_ending_inside_a_double_eigenvalue_exit_0(self, tmp_path):
+        # lambda_5 = lambda_6 on the CR unit square: the count just below
+        # lambda_5 finds the four values below it
+        out = tmp_path / "eig.csv"
+        res = run_cli(["eig", "--geometry", "unit-square", "--n", "64",
+                       "--family", "cr", "--m", "5", "-o", str(out)])
+        assert res.returncode == 0, res.stderr
+        lam = [float(line.split(",")[1])
+               for line in out.read_text().strip().splitlines()[1:]]
+        assert lam[3] < lam[4] * (1 - 1e-8)
+        assert lam[4] == pytest.approx(10 * math.pi ** 2, rel=1e-2)
 
     def test_m_zero_exit_2(self):
         res = run_cli(["eig", "--geometry", "unit-square", "--family", "p1",

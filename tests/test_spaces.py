@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import helmqo.spaces
 
 from helmqo.mesh import (BoundaryTag, Mesh, build_square_with_hole,
                          build_unit_square, build_unit_square_unstructured,
-                         refine_uniform)
+                         refine_bisection, refine_uniform)
 from helmqo.spaces import (CR, P1, P2, ElementFamily, FeFunction,
                            assemble_load, assemble_mass, assemble_stiffness,
                            build_space, constrain, constrain_vector,
@@ -58,9 +59,58 @@ class TestFamilies:
         m = build_unit_square(2)
         s = build_space(m, P2)
         assert s.ndof == m.n_vertices + m.n_edges
-        # the free dofs, ascending, are those off the Dirichlet boundary
+        # the free dofs, in some order, are those off the Dirichlet boundary
         inside = ((s.locations > 0) & (s.locations < 1)).all(axis=1)
-        assert np.array_equal(s.free_dofs, np.flatnonzero(inside))
+        assert np.array_equal(np.sort(s.free_dofs), np.flatnonzero(inside))
+
+
+def bisected_hole():
+    mesh = build_square_with_hole(0.75, 0.3, 4)
+    return refine_bisection(mesh, range(0, mesh.n_triangles, 3))
+
+
+NUMBERED_MESHES = {
+    "square": lambda: build_unit_square(6),
+    "hole": lambda: build_square_with_hole(0.75, 0.3, 4, inner_tag=N),
+    "unstructured": lambda: build_unit_square_unstructured(6, seed=1),
+    "bisected-hole": bisected_hole,
+}
+
+
+@pytest.mark.parametrize("family", [P1, P2, CR])
+@pytest.mark.parametrize("geometry", list(NUMBERED_MESHES))
+class TestFreeDofNumbering:
+    def test_reverse_cuthill_mckee_of_the_cell_graph(self, geometry,
+                                                     family):
+        # oracle: the dense graph joining free dofs that share a triangle,
+        # in ascending dof order, then SciPy's RCM of it
+        s = build_space(NUMBERED_MESHES[geometry](), family)
+        ascending = np.sort(s.free_dofs)
+        assert len(np.unique(s.free_dofs)) == s.n_free
+        position = {int(d): i for i, d in enumerate(ascending)}
+        graph = np.zeros((s.n_free, s.n_free), dtype=bool)
+        for cell in s.cell_dofs:
+            local = [position[int(d)] for d in cell if int(d) in position]
+            graph[np.ix_(local, local)] = True
+        rcm = reverse_cuthill_mckee(sp.csr_matrix(graph), symmetric_mode=True)
+        assert np.array_equal(s.free_dofs, ascending[rcm])
+
+    def test_pencil_is_the_ascending_pencil_renumbered(self, geometry,
+                                                      family):
+        # entry for entry, once the ascending pencil's zeros are dropped
+        s = build_space(NUMBERED_MESHES[geometry](), family)
+        ascending = np.sort(s.free_dofs)
+        order = np.searchsorted(ascending, s.free_dofs)
+        for mine, full in zip(s.pencil,
+                              (assemble_stiffness(s), assemble_mass(s))):
+            ref = full.to_scipy()[ascending][:, ascending]
+            ref = ref[order][:, order].tocsr()
+            ref.eliminate_zeros()
+            ref.sort_indices()
+            got = mine.to_scipy()
+            assert (got.data != 0.0).all()
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
 
 
 class TestStiffness:
@@ -116,6 +166,14 @@ class TestMass:
         M = assemble_mass(build_space(build_unit_square(4), CR)).to_scipy()
         off = M - scipy.sparse.diags(M.diagonal())
         assert (abs(off).max() if off.nnz else 0.0) == 0.0
+
+    @pytest.mark.parametrize("tag", [BoundaryTag.DIRICHLET, N])
+    def test_cr_pencil_mass_stores_its_diagonal(self, tag):
+        s = build_space(build_square_with_hole(0.75, 0.3, 6, inner_tag=tag),
+                        CR)
+        M = s.pencil[1].to_scipy()
+        assert M.nnz == s.n_free
+        assert (M.diagonal() > 0.0).all()
 
     def test_partition_of_unity(self):
         M = assemble_mass(build_space(build_unit_square(5), P1))
@@ -334,8 +392,10 @@ def reference_scatter(space, local) -> sp.csr_matrix:
     dofs = space.cell_dofs.astype(np.int32)
     rows = np.repeat(dofs, nloc, axis=1).ravel()
     cols = np.tile(dofs, (1, nloc)).ravel()
-    return sp.coo_matrix((local.ravel(), (rows, cols)),
-                         shape=(space.ndof, space.ndof)).tocsr()
+    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
+                        shape=(space.ndof, space.ndof)).tocsr()
+    mat.eliminate_zeros()    # assembly stores no zeros, cancelled or not
+    return mat
 
 
 class TestElementMatrices:

@@ -41,10 +41,37 @@ def square_pencil(n, family=P1):
     return A, M
 
 
+def shifted(A, sigma, M):
+    """``A - sigma M`` as a SciPy matrix, formed outside the factor."""
+    return A.to_scipy() - sigma * M.to_scipy()
+
+
 class TestSparseSymMatrix:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
             sym([[1.0, 2.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("upper, lower", [
+        (2.0, 2.0 * (1 + 2 ** -52)), (2.0, -2.0), (1e-300, 0.0)])
+    def test_rejects_values_that_differ_from_the_transpose(self, upper,
+                                                           lower):
+        # the patterns agree, or differ only by one tiny stored entry
+        with pytest.raises(ValueError, match="symmetric"):
+            sym([[1.0, upper], [lower, 1.0]])
+
+    def test_stores_no_explicit_zeros(self):
+        # a zero stored on one side only is no asymmetry: it is dropped
+        mat = sp.csr_matrix((np.array([1.0, 0.0, 3.0]), np.array([0, 1, 1]),
+                             np.array([0, 2, 3])))
+        assert mat.nnz == 3
+        S = SparseSymMatrix(mat)
+        assert (S.indptr.tolist(), S.indices.tolist(), S.data.tolist()) \
+            == ([0, 1, 2], [0, 1], [1.0, 3.0])
+        asymmetric = sp.csr_matrix((np.array([1.0, 0.0, 5.0, 3.0]),
+                                    np.array([0, 1, 0, 1]),
+                                    np.array([0, 2, 4])))
+        with pytest.raises(ValueError, match="symmetric"):
+            SparseSymMatrix(asymmetric)
 
 
 class TestLdlt:
@@ -94,9 +121,8 @@ class TestLdlt:
 
     @staticmethod
     def permutation(F):
-        """The RCM pre-order composed with SuperLU's column order:
-        ``K[p][:, p] == L D L^T``."""
-        return F._order[np.argsort(F._payload.perm_c)]
+        """SuperLU's column order: ``K[p][:, p] == L D L^T``."""
+        return np.argsort(F._payload.perm_c)
 
     def assert_reconstructs(self, F, K, atol):
         L = F.L.toarray()
@@ -119,32 +145,15 @@ class TestLdlt:
         self.assert_reconstructs(ldlt(A, 50.0, M), K, 1e-8)
 
     def test_reconstruction_on_a_bisected_mesh(self):
-        # the RCM pre-order and SuperLU's order compose into the permutation
+        # the P2 pencil comes in its space's numbering, which bisection
+        # leaves far from ascending; SuperLU's order alone permutes it
         mesh = build_square_with_hole(0.75, 0.3, 6)
         mesh = refine_bisection(mesh, range(0, mesh.n_triangles, 3))
-        A, M = build_space(mesh, P2).pencil
-        K = (A.to_scipy() - 400.0 * M.to_scipy()).toarray()
-        F = ldlt(A, 400.0, M)
-        assert not np.array_equal(self.permutation(F),
-                                  np.argsort(F._payload.perm_c))
-        self.assert_reconstructs(F, K, 1e-8)
-
-    def test_ordering_computed_once_per_matrix(self, monkeypatch):
-        # three inertia counts (8192 is flagged and recounted twice) and the
-        # shift-invert factor all reorder by the one RCM order of A
-        calls = []
-        rcm = helmqo.sparsela.reverse_cuthill_mckee
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return rcm(*args, **kwargs)
-        monkeypatch.setattr(helmqo.sparsela, "reverse_cuthill_mckee", counted)
-        A, M = build_space(build_unit_square(32), P1).pencil
-        assert ldlt(A, 8192.0, M).singular
-        for sigma in (100.0, 400.0, 8192.0):
-            count_below(A, M, sigma)
-        eigs_smallest(A, M, 3)
-        assert len(calls) == 1
+        space = build_space(mesh, P2)
+        assert not (np.diff(space.free_dofs) > 0).all()
+        A, M = space.pencil
+        K = shifted(A, 400.0, M).toarray()
+        self.assert_reconstructs(ldlt(A, 400.0, M), K, 1e-8)
 
     def test_recount_refactors_the_factors_own_pencil(self, monkeypatch):
         # P1 n = 32 at sigma = 8192 is flagged: the recounts factor the A
@@ -167,13 +176,15 @@ class TestLdlt:
 
     def test_fill_below_superlu_alone_on_a_bisected_mesh(self):
         # the CR pencil of the flagship geometry bisected thrice, 15,904
-        # dofs: bisection leaves a numbering on which SuperLU's minimum
-        # degree order alone fills more
+        # dofs: bisection leaves an ascending numbering on which SuperLU's
+        # minimum degree order alone fills more than on the space's
         mesh = build_square_with_hole(0.75, 0.3, 10)
         for _ in range(3):
             mesh = refine_bisection(mesh, range(mesh.n_triangles))
-        A, M = build_space(mesh, CR).pencil
-        K = (A.to_scipy() - 1500.0 * M.to_scipy()).tocsc()
+        space = build_space(mesh, CR)
+        A, M = space.pencil
+        ascending = np.argsort(space.free_dofs)
+        K = shifted(A, 1500.0, M)[ascending][:, ascending].tocsc()
         alone = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                           options=dict(SymmetricMode=True, Equil=False))
         assert ldlt(A, 1500.0, M).L.nnz < alone.L.nnz
@@ -190,7 +201,7 @@ class TestSolve:
         F = ldlt(A, 10.0, M)
         e1 = np.zeros(A.n)
         e1[0] = 1.0
-        b = F.matrix @ e1
+        b = shifted(A, 10.0, M) @ e1
         assert np.allclose(solve(F, b), e1, atol=1e-10)
 
     def test_random_spd_vs_gaussian_elimination(self):
@@ -208,7 +219,16 @@ class TestSolve:
         rng = np.random.default_rng(1)
         b = rng.standard_normal(A.n)
         x = solve(F, b)
-        assert np.linalg.norm(F.matrix @ x - b) <= 1e-10 * np.linalg.norm(b)
+        K = shifted(A, 100.0, M)
+        assert np.linalg.norm(K @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_factor_keeps_no_shifted_matrix(self):
+        # the factor holds SuperLU's factor and the pencil, nothing n x n
+        # besides; solve forms A - sigma M from the pencil
+        A, M = square_pencil(24)
+        F = ldlt(A, 100.0, M)
+        assert not [v for v in vars(F).values() if sp.issparse(v)]
+        assert F._pencil[0] is A and F._pencil[1] is M
 
     def test_flagged_factor_solved_by_partial_pivoting(self):
         # P1 n = 32 at sigma = 8192: the LDL^T is forced off the diagonal,
@@ -219,8 +239,20 @@ class TestSolve:
         assert F.n_zero > 0
         b = np.random.default_rng(4).standard_normal(A.n)
         x = solve(F, b)
-        assert np.linalg.norm(F.matrix @ x - b) <= 1e-10 * np.linalg.norm(b)
-        assert np.array_equal(x, spla.splu(F.matrix.tocsc()).solve(b))
+        K = shifted(A, 8192.0, M)
+        assert np.linalg.norm(K @ x - b) <= 1e-10 * np.linalg.norm(b)
+        assert np.array_equal(x, spla.splu(K.tocsc()).solve(b))
+
+    def test_singular_lu_fallback_raises(self):
+        # the diagonal pencil at its eigenvalue 3: the factor has a zero
+        # pivot and the partial-pivoting LU of A - 3 M, formed from the
+        # pencil, finds it exactly singular
+        A = SparseSymMatrix(sp.diags(np.arange(1.0, 301.0)))
+        M = SparseSymMatrix(sp.identity(A.n))
+        F = ldlt(A, 3.0, M)
+        assert F.n_zero > 0
+        with pytest.raises(ResonanceError, match="exactly singular"):
+            solve(F, np.ones(A.n))
 
     def test_inaccurate_base_solve_raises(self, monkeypatch):
         # refinement cannot reach the bound from a base solve that returns

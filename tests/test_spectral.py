@@ -13,9 +13,9 @@ from helmqo.spaces import CR, P1, P2, assemble_mass, assemble_stiffness, \
     build_space, constrain, interpolate
 from helmqo.sparsela import (EigenSolveError, ResonanceError,
                              SparseSymMatrix, count_below)
-from helmqo.spectral import (MIN_KAPPA, EigenSet, check_criterion,
-                             compute_bounds, cr_lower_bound, eigen_ladder,
-                             eigenpairs)
+from helmqo.spectral import (MIN_KAPPA, EigenSet, check_complete,
+                             check_criterion, compute_bounds, cr_lower_bound,
+                             eigen_ladder, eigenpairs)
 
 from conftest import (counted_ladder, dense_ritz_upper_bounds,
                       drop_first_pair_above, drop_lowest_pair,
@@ -94,6 +94,47 @@ class TestLadderInertiaCheck:
             eigen_ladder(space, counts[200.0] + 4, counts)
 
 
+class TestCheckComplete:
+    """check_complete proves a ladder misses no eigenvalue below its last
+    value by one inertia count just below that value."""
+
+    @staticmethod
+    def dense_values(space):
+        import scipy.linalg
+        A, M = space.pencil
+        return scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+
+    def test_complete_ladder_passes(self):
+        # m = 2 and 5 end inside the double eigenvalues at indices 2-3 and
+        # 5-6 of the CR square
+        space = build_space(build_unit_square(8), CR)
+        w = self.dense_values(space)
+        assert w[2] == pytest.approx(w[1], rel=1e-12)
+        assert w[5] == pytest.approx(w[4], rel=1e-12)
+        for m in (1, 2, 3, 5, 7):
+            check_complete(space, w[:m])
+
+    @pytest.mark.parametrize("missing", [0, 1, 4])
+    def test_missing_value_raises(self, missing):
+        space = build_space(build_unit_square(8), CR)
+        w = np.delete(self.dense_values(space)[:7], missing)
+        with pytest.raises(EigenSolveError, match=(
+                "5 ladder values lie below .*, but the LDL\\^T inertia "
+                "counts 6")):
+            check_complete(space, w)
+
+    def test_zero_ladder_needs_no_count(self, monkeypatch):
+        # a pure-Neumann zero mode: no shift just below it could be
+        # counted, and none is
+        def count(*args):
+            raise AssertionError("counted")
+        monkeypatch.setattr(helmqo.spectral, "count_below", count)
+        space = build_space(build_unit_square(8, tags=BoundaryTag.NEUMANN),
+                            P1)
+        check_complete(space, np.array([-1e-13]))
+        check_complete(space, np.array([-1e-13, 1e-12]))
+
+
 class TestCheckCriterion:
     ladder = [19.7, 49.3, 49.3, 79.0, 98.7, 98.7, 128.3]
 
@@ -143,7 +184,8 @@ class TestBounds:
         m = build_unit_square_unstructured(4, seed=3, tags=BoundaryTag.NEUMANN)
         s_cr, s_p2 = build_space(m, CR), build_space(m, P2)
         f = lambda x, y: 1.0 + x - 2 * y
-        c = interpolate(s_cr, f).coefficients
+        # every dof is free; the pencil numbers them as free_dofs does
+        c = interpolate(s_cr, f).coefficients[s_cr.free_dofs]
         lifts = helmqo.spectral._p2_lifts(s_cr, c[:, None])
         lifted = np.concatenate([Y[..., 0] for _, Y in lifts])
         assert np.allclose(lifted,
