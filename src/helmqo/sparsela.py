@@ -5,15 +5,20 @@ extraction (Sylvester eigenvalue counting), residual-checked solves with
 iterative refinement, and a shift-invert Lanczos eigensolver for the smallest
 generalized eigenpairs.
 
-The eigensolver is a thick-restart (symmetric Krylov-Schur) Lanczos on
+The eigensolver is a block thick-restart (Krylov-Schur) Lanczos on
 ``(A + M)^-1 M``, written here rather than called through ARPACK: its
-basis of ``ncv + 1`` vectors is the only n-sized storage it keeps.  Each
-step solves with the factor of ``A + M`` and M-orthogonalizes the new
-vector against the whole basis twice; each restart, and the Ritz vectors
-at the end, overwrite the basis's leading vectors in place.  A run stops
-when every wanted Ritz estimate is at most ``LANCZOS_TOL`` relative to its
-Ritz value; the result is then checked against the pencil itself (see
-:func:`eigs_smallest`).
+basis of ``ncv + LANCZOS_BLOCK`` vectors, about 3m/2 + 4 for m pairs, is
+the only n-sized storage it keeps besides two blocks of
+``LANCZOS_BLOCK`` vectors.  Each step solves with the factor of ``A + M``
+for a block of ``LANCZOS_BLOCK = 4`` right-hand sides in one call, so a
+restart cycle can hold four copies of an eigenvalue, and M-orthogonalizes
+the new block against the whole basis twice, each time followed by
+orthonormalization within the block; a direction that vanishes is replaced
+by a fresh vector.  Each restart, and the Ritz vectors at the end,
+overwrite the basis's leading vectors in place.  A run stops when every
+wanted Ritz estimate is at most ``LANCZOS_TOL`` relative to its Ritz value
+in a cycle that took no fresh vector and did not start from one; the
+result is then checked against the pencil itself (see :func:`eigs_smallest`).
 
 Every factorization is symmetric-mode SuperLU with its own
 ``MMD_AT_PLUS_A`` ordering, restricted to diagonal pivoting, which yields a
@@ -36,13 +41,17 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import dgemm
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import structural_rank
 
 DENSE_EIG_LIMIT = 200
 RECOUNT_RTOL = 1e-8     # relative offset of a recount from its shift or value
+LANCZOS_BLOCK = 4           # vectors per Lanczos step
 LANCZOS_MAXITER = 10000     # restarts of one Lanczos run
+_VANISH_RTOL = 1e-10        # share of a Lanczos direction's M-norm that is
+#                             noise (5e-15 to 2e-14) when it vanished
 LANCZOS_TOL = 1e-14         # Ritz estimate relative to |theta| at convergence
 RESIDUAL_TOL = 1e-10        # |A x - l M x| / (1 + |l|) of an accepted pair
 _SLICE_BYTES = 2 ** 20      # n-sized temporaries, per slice of columns
@@ -303,18 +312,21 @@ def count_from_factor(F: Factorization) -> int:
 
 def _column_slices(X: np.ndarray) -> list[slice]:
     """Slices of X's columns with at most ``_SLICE_BYTES`` in each."""
-    step = max(1, _SLICE_BYTES // (8 * X.shape[0]))
+    step = max(1, _SLICE_BYTES // (8 * max(1, X.shape[0])))
     return [slice(lo, lo + step) for lo in range(0, X.shape[1], step)]
 
 
-def _m_orthonormalize(X: np.ndarray, Msp: sp.csr_matrix) -> np.ndarray:
+def _m_orthonormalize(X: np.ndarray, Msp: sp.csr_matrix) -> None:
+    """M-orthonormalize X's columns in place, one slice of X's rows at a
+    time, unless they already are to 1e-13."""
     G = np.empty((X.shape[1], X.shape[1]))
     for sl in _column_slices(X):
         G[:, sl] = X.T @ (Msp @ X[:, sl])
     if abs(G - np.eye(G.shape[0])).max() <= 1e-13:
-        return X
+        return
     R = sla.cholesky(G, lower=False)
-    return sla.solve_triangular(R, X.T, lower=False, trans="T").T
+    for sl in _column_slices(X.T):
+        X[sl] = sla.solve_triangular(R, X[sl].T, lower=False, trans="T").T
 
 
 def _residual_norms(Asp, Msp, vals, X) -> np.ndarray:
@@ -334,33 +346,75 @@ def _check_semidefinite(vals: np.ndarray) -> None:
             "is A positive semidefinite?")
 
 
-def _append(Q: np.ndarray, j: int, w: np.ndarray, Msp: sp.csr_matrix,
-            rng: np.random.Generator):
-    """Store ``w``, M-orthogonalized against ``Q[:j]``, as the M-unit row
-    ``Q[j]``; ``w`` is overwritten.  Returns the coefficients removed,
-    the M-norm that was left (the Lanczos beta) and ``M Q[j]``.
+def _within(V: np.ndarray, MV: np.ndarray, Msp: sp.csr_matrix,
+            R: np.ndarray, floor: np.ndarray) -> None:
+    """M-orthonormalize the rows of V among themselves in place by modified
+    Gram-Schmidt, so that ``V_in = R^T V``; ``MV[i]`` receives ``M V[i]``.
+    A row whose M-norm ends at most ``floor[i]`` vanishes: it is left zero,
+    with ``R[i, i] = 0``."""
+    for i, v in enumerate(V):
+        for k in range(i):
+            R[k, i] = MV[k] @ v
+            v -= R[k, i] * V[k]
+        Mv = Msp @ v
+        R[i, i] = np.sqrt(max(v @ Mv, 0.0))
+        if R[i, i] > floor[i]:
+            v /= R[i, i]
+            np.divide(Mv, R[i, i], out=MV[i])
+        else:
+            R[i, i] = 0.0
+            v[:] = MV[i] = 0.0
 
-    Two classical Gram-Schmidt passes in the M inner product.  When the
-    second removes more than ``1 - 1/sqrt(2)`` of what the first left, ``w``
-    lay in the span of ``Q[:j]`` to working precision (Kahan-Parlett): that
-    span is invariant, the Lanczos recurrence has broken down, and a fresh
-    vector from ``rng`` takes ``w``'s place with beta = 0.
+
+def _extend(Q: np.ndarray, j: int, W: np.ndarray, MW: np.ndarray,
+            Msp: sp.csr_matrix, rng: np.random.Generator):
+    """Store the rows of ``W``, M-orthonormalized against ``Q[:j]`` and
+    each other, as ``Q[j:j + b]``, and ``M Q[j:j + b]`` in the rows of
+    ``MW``; ``W`` is overwritten.  Returns H, R and whether a direction
+    vanished, where ``W_in = H^T Q[:j] + R^T Q[j:j + b]``.
+
+    Two passes, each block classical Gram-Schmidt against ``Q[:j]`` and
+    then modified Gram-Schmidt within the block (BCGS2).  A row vanishes
+    when the first pass leaves at most ``_VANISH_RTOL`` of its M-norm, which
+    only rounding noise does, or when the second leaves less than
+    ``1/sqrt(2)`` of the first's unit result (Kahan-Parlett): it lay in the
+    span of ``Q[:j]`` and the other rows to working precision, so the
+    Krylov space is invariant in that direction.  The rows that vanished
+    go last, each replaced by a fresh vector from ``rng`` with coupling 0
+    (a zero row of R), never by the noise that was left.
     """
-    h = np.zeros(j)
-    Mw = Msp @ w
-    norms = []
-    for _ in range(2):
-        c = Q[:j] @ Mw
-        w -= c @ Q[:j]
-        h += c
-        Mw = Msp @ w
-        norms.append(np.sqrt(max(w @ Mw, 0.0)))
-    beta = norms[1]
-    if not beta > 0.717 * norms[0]:
-        _, _, Mq = _append(Q, j, rng.standard_normal(len(w)), Msp, rng)
-        return h, 0.0, Mq
-    np.divide(w, beta, out=Q[j])
-    return h, beta, Mw / beta
+    b, n = W.shape
+    R1, R2 = np.zeros((b, b)), np.zeros((b, b))
+    floor = np.empty(b)
+    for i, w in enumerate(W):
+        MW[i] = Msp @ w
+        floor[i] = _VANISH_RTOL * np.sqrt(max(w @ MW[i], 0.0))
+    H = _project(Q[:j], W, MW)
+    _within(W, MW, Msp, R1, floor)
+    C = _project(Q[:j], W, MW)
+    _within(W, MW, Msp, R2, np.full(b, 0.717))
+    kept = np.flatnonzero(R2.diagonal())
+    for slot, i in enumerate(kept):
+        Q[j + slot] = W[i]
+        MW[slot] = MW[i]
+    for slot in range(len(kept), b):
+        _extend(Q, j + slot, rng.standard_normal((1, n)), MW[slot:slot + 1],
+                Msp, rng)
+    R = np.zeros((b, b))
+    R[:len(kept)] = R2[kept] @ R1
+    return H + C @ R1, R, len(kept) < b
+
+
+def _project(Q: np.ndarray, W: np.ndarray, MW: np.ndarray) -> np.ndarray:
+    """Remove from the rows of W their M-projections on the M-orthonormal
+    rows of Q, given ``MW = M W``, in place; returns the coefficients, of
+    shape (len(Q), len(W)).  W must be C-contiguous: BLAS writes the update
+    through its transpose, and would update a copy of any other layout."""
+    C = np.zeros((len(Q), len(W)))
+    for sl in _column_slices(Q):    # BLAS is faster on slices that fit cache
+        C += Q[:, sl] @ MW[:, sl].T
+    dgemm(-1.0, Q.T, C, 1.0, W.T, overwrite_c=True)     # W -= C^T Q
+    return C
 
 
 def _rotate(Q: np.ndarray, Y: np.ndarray) -> None:
@@ -373,48 +427,65 @@ def _rotate(Q: np.ndarray, Y: np.ndarray) -> None:
 
 def _lanczos(solve, Msp: sp.csr_matrix, m: int, ncv: int,
              seed: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Thick-restart Lanczos for ``OP = solve(M .)``, self-adjoint in the M
-    inner product: the ``m`` Ritz values theta of largest modulus, as the
-    eigenvalues ``1/theta - 1`` of the pencil in ascending order, and their
-    M-orthonormal Ritz vectors as the rows of an (m, n) array.  None when
-    ``LANCZOS_MAXITER`` restarts leave a wanted pair unconverged.
+    """Block thick-restart Lanczos for ``OP = solve(M .)``, self-adjoint in
+    the M inner product: the ``m`` Ritz values theta of largest modulus, as
+    the eigenvalues ``1/theta - 1`` of the pencil in ascending order, and
+    their M-orthonormal Ritz vectors as the rows of an (m, n) array.  None
+    when ``LANCZOS_MAXITER`` restarts leave a wanted pair unconverged.
 
-    The basis Q holds ``ncv + 1`` rows and is all the n-sized storage: the
-    symmetric Krylov-Schur restart (Wu & Simon, SIAM J. Matrix Anal. Appl.
-    2000; Stewart, ibid. 2001) keeps the ``(m + ncv) // 2`` Ritz vectors of
-    largest |theta| in Q's leading rows, and the returned vectors are Q's
-    first m rows, shrunk in place.  A pair has converged when its Ritz
-    estimate ``|beta y_last|`` is at most ``LANCZOS_TOL * |theta|``.
+    Each step applies OP to a block of ``b = LANCZOS_BLOCK`` vectors, one
+    solve with b right-hand sides, so a cycle's Krylov space holds up to b
+    copies of an eigenvalue.  The basis Q holds ``ncv + b`` rows, ncv a
+    multiple of b, and is all the n-sized storage besides the block M Q
+    and the solve's result: the block Krylov-Schur restart (Zhou & Saad,
+    Numer. Algorithms 2008; Stewart, SIAM J. Matrix Anal. Appl. 2001) keeps
+    the ``(m + ncv) / 2`` Ritz vectors of largest |theta|, rounded up to a
+    multiple of b and at most ``ncv - b``, in Q's leading rows, and the
+    returned vectors are Q's first m rows, shrunk in place.  A pair has
+    converged when its Ritz estimate ``|R y_last|`` is at most
+    ``LANCZOS_TOL * |theta|``, in a cycle that took no fresh vector and
+    did not start from a residual block that took one: a fresh vector's
+    coupling reads 0, and the copies it would find are missing from the
+    Ritz values until a cycle has expanded it.
     """
+    b = LANCZOS_BLOCK
     n = Msp.shape[0]
     rng = np.random.default_rng(seed)
-    Q = np.empty((ncv + 1, n))
+    Q = np.empty((ncv + b, n))
     T = np.zeros((ncv, ncv))        # the projection Q^T M OP Q
-    _, _, Mq = _append(Q, 0, rng.standard_normal(n), Msp, rng)
+    MQ = np.empty((b, n))
+    _extend(Q, 0, rng.standard_normal((b, n)), MQ, Msp, rng)
     k = 0
+    fresh = False
     for _ in range(LANCZOS_MAXITER):
-        for j in range(k, ncv):
-            h, beta, Mq = _append(Q, j + 1, solve(Mq), Msp, rng)
-            T[j, j] = h[j]
-            if j + 1 < ncv:
-                T[j, j + 1] = T[j + 1, j] = beta
+        for j in range(k, ncv, b):
+            H, R, vanished = _extend(Q, j + b, solve(MQ.T).T, MQ, Msp, rng)
+            fresh |= vanished
+            T[j:j + b, j:j + b] = 0.5 * (H[j:] + H[j:].T)
+            if j + b < ncv:
+                T[j + b:j + 2 * b, j:j + b] = R
+                T[j:j + b, j + b:j + 2 * b] = R.T
         theta, Y = np.linalg.eigh(T)
         order = np.argsort(-abs(theta), kind="stable")
         wanted = order[:m]
-        if (abs(beta * Y[-1, wanted])
-                <= LANCZOS_TOL * abs(theta[wanted])).all():
+        S = R @ Y[-b:]              # the residual block's Ritz coupling
+        converged = (np.linalg.norm(S[:, wanted], axis=0)
+                     <= LANCZOS_TOL * abs(theta[wanted])).all()
+        if converged and not fresh:
             vals = 1.0 / theta[wanted] - 1.0
             ascending = np.argsort(vals, kind="stable")
             _rotate(Q, Y[:, wanted[ascending]])
             Q.resize((m, n), refcheck=False)   # no view of Q is left
             return vals[ascending], Q
-        k = (m + ncv) // 2
+        fresh = vanished
+        k = min(ncv - b, b * -(-(m + ncv) // (2 * b)))
         keep = order[:k]
         _rotate(Q, Y[:, keep])
-        Q[k] = Q[ncv]
+        Q[k:k + b] = Q[ncv:]
         T[:] = 0.0
         T[:k, :k] = np.diag(theta[keep])
-        T[k, :k] = T[:k, k] = beta * Y[-1, keep]
+        T[k:k + b, :k] = S[:, keep]
+        T[:k, k:k + b] = S[:, keep].T
     return None
 
 
@@ -422,7 +493,7 @@ def _accept(Asp, Msp, vals, X) -> tuple[EigenResult, float]:
     """The pairs, X M-orthonormalized, and their largest residual
     ``|A x - l M x| / (1 + |l|)``; a negative eigenvalue raises."""
     _check_semidefinite(vals)
-    X = _m_orthonormalize(X, Msp)
+    _m_orthonormalize(X, Msp)
     worst = (_residual_norms(Asp, Msp, vals, X) / (1.0 + abs(vals))).max()
     return EigenResult(vals, X), worst
 
@@ -437,16 +508,20 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
     ``|A x - l M x| <= RESIDUAL_TOL * (1 + |l|)``, on either path below;
     a result that misses it raises :class:`EigenSolveError`.
 
-    Pencils of at most ``DENSE_EIG_LIMIT`` dofs, and requests with
-    ``2m + 1 >= n - 1``, are solved densely.  Otherwise thick-restart
-    Lanczos (:func:`_lanczos`) runs on ``(A + M)^-1 M``, the shift-invert
-    operator at -1, strictly below the spectrum, from a start vector drawn
-    from ``seed``, with a basis of ``ncv = 2m + 1`` vectors (at least
-    20).  Its working set is the basis, n (ncv + 1) floats, and the factor
-    of ``A + M``; the checks on its result run a few columns at a time.  A
+    Pencils of at most ``DENSE_EIG_LIMIT`` dofs, and requests whose
+    Lanczos basis of ``ncv + LANCZOS_BLOCK`` vectors would fill the space,
+    are solved densely.  Otherwise block thick-restart Lanczos
+    (:func:`_lanczos`) runs on ``(A + M)^-1 M``, the shift-invert operator
+    at -1, strictly below the spectrum, from a start block drawn from
+    ``seed``, with ``ncv = 3m/2`` rounded up to a multiple of
+    ``LANCZOS_BLOCK`` (at least 32).  Its working set is the basis,
+    ``n (ncv + LANCZOS_BLOCK)`` floats, two more blocks, and the factor of
+    ``A + M``; the checks on its result run a few columns at a time.  A
     result that misses the residual bound, or ``LANCZOS_MAXITER`` restarts
-    without convergence, is retried with ``ncv`` doubled, at most twice
-    and only while ``ncv`` still grows (it is capped at ``n - 1``).
+    without convergence, is retried with ``ncv`` doubled, at most twice and
+    only while ``ncv`` still grows (the basis is capped below n vectors).
+    Each cycle finds up to ``LANCZOS_BLOCK`` copies of an eigenvalue; more
+    copies need restarts, and the callers' inertia counts guard the ladder.
 
     The shift-invert factor's pivots are never read, so it holds no copy
     of its triangular factors.  Two checks guard the semidefinite
@@ -466,7 +541,11 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
         raise ValueError(f"requested {m} pairs from a dimension-{n} pencil")
     Asp, Msp = A.to_scipy(), M.to_scipy()
 
-    if n <= DENSE_EIG_LIMIT or 2 * m + 1 >= n - 1:
+    b = LANCZOS_BLOCK
+    # the Lanczos basis size: at least 8 block steps, since with 5 a ladder
+    # of 8 took three times the right-hand sides
+    ncv = max(32, b * -(-3 * m // (2 * b)))
+    if n <= DENSE_EIG_LIMIT or ncv + b >= n:
         vals, X = sla.eigh(Asp.toarray(), Msp.toarray())
         res, worst = _accept(Asp, Msp, vals[:m], X[:, :m])
     else:
@@ -474,7 +553,7 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
         if F.singular:
             raise EigenSolveError("shift-invert factorization broke down; "
                                   "is A positive semidefinite?")
-        ncv = min(n - 1, max(2 * m + 1, 20))     # Lanczos basis size
+        cap = b * ((n - 1) // b) - b    # the largest with ncv + b < n
         for _ in range(3):
             found = _lanczos(F._raw_solve, Msp, m, ncv, seed)
             if found is not None:
@@ -482,9 +561,9 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
                 res, worst = _accept(Asp, Msp, vals, Q.T)
                 if worst <= RESIDUAL_TOL:
                     return res
-            if ncv == n - 1:
+            if ncv == cap:
                 break
-            ncv = min(n - 1, 2 * ncv)
+            ncv = min(cap, 2 * ncv)
         if found is None:
             raise EigenSolveError(f"Lanczos iteration did not converge in "
                                   f"{LANCZOS_MAXITER} restarts")

@@ -312,11 +312,13 @@ class TestEigCommand:
         for lower, upper in rows[1:]:
             assert lower <= math.pi ** 2 <= upper
 
-    def test_ladder_missing_a_copy_exit_4(self, tmp_path):
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_every_copy_of_a_four_fold_eigenvalue_exit_0(self, tmp_path,
+                                                         seed):
         # the flagship hole's CR pencil (224 dofs) has a 4-fold eigenvalue
-        # at indices 27-30; Lanczos finds three copies, so its 30-value
-        # ladder ends one eigenvalue too high, and the count just below
-        # that last value finds 30, not 29
+        # at indices 27-30; a block of 4 start vectors finds every copy, so
+        # the 30-value ladder ends on the fourth and the count just below it
+        # finds the 26 values below the multiplet
         import scipy.linalg
         from helmqo.mesh import build_square_with_hole
         from helmqo.spaces import CR, build_space
@@ -324,12 +326,38 @@ class TestEigCommand:
         w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
         assert np.allclose(w[26:30], w[26], rtol=1e-9) and w[30] > w[26]
         out = tmp_path / "eig.csv"
-        res = run_cli(["eig", "--geometry", "square-hole", "--outer", "0.75",
-                       "--inner", "0.3", "--n", "10", "--family", "cr",
-                       "--m", "30", "-o", str(out)])
-        assert res.returncode == 4, res.stderr
-        assert "29 ladder values lie below" in res.stderr
-        assert "inertia counts 30" in res.stderr
+        res = run_cli(["--seed", str(seed), "eig", "--geometry",
+                       "square-hole", "--outer", "0.75", "--inner", "0.3",
+                       "--n", "10", "--family", "cr", "--m", "30",
+                       "-o", str(out)])
+        assert res.returncode == 0, res.stderr
+        lam = [float(line.split(",")[1])
+               for line in out.read_text().strip().splitlines()[1:]]
+        assert np.allclose(lam, w[:30], rtol=1e-10)
+        assert np.allclose(lam[26:30], w[26], rtol=1e-10)
+
+    def test_ladder_missing_a_copy_exit_4(self, tmp_path, monkeypatch,
+                                          capsys):
+        # a ladder that lost one copy of the 4-fold eigenvalue at indices
+        # 27-30 ends one eigenvalue too high, and the count just below that
+        # last value finds 30, not 29
+        import helmqo.cli
+        from helmqo.spectral import EigenSet, eigenpairs
+
+        def dropping(space, m, seed=0):
+            E = eigenpairs(space, m + 1, seed)
+            keep = np.delete(np.arange(m + 1), 27)
+            return EigenSet(space, E.values[keep], E.vectors[:, keep])
+        monkeypatch.setattr(helmqo.cli, "eigenpairs", dropping)
+        out = tmp_path / "eig.csv"
+        code = helmqo.cli.main(["eig", "--geometry", "square-hole",
+                                "--outer", "0.75", "--inner", "0.3", "--n",
+                                "10", "--family", "cr", "--m", "30", "-o",
+                                str(out)])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert "29 ladder values lie below" in err
+        assert "inertia counts 30" in err
         assert not out.exists()
 
     def test_ladder_ending_inside_a_double_eigenvalue_exit_0(self, tmp_path):

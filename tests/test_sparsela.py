@@ -446,6 +446,14 @@ def lanczos_pencil(family, n, rgap):
     return A, M, w, double
 
 
+def basis(m):
+    """The Lanczos basis size ``ncv`` for ``m`` pairs: 3m/2 rounded up to a
+    multiple of the block, at least 32.  The basis holds ncv + block
+    vectors."""
+    b = helmqo.sparsela.LANCZOS_BLOCK
+    return max(32, b * math.ceil(1.5 * m / b))
+
+
 @contextlib.contextmanager
 def basis_sizes():
     """The ``ncv`` of each Lanczos run inside the block, in call order."""
@@ -468,7 +476,7 @@ def assert_matches_dense(res, A, M, w, rtol=1e-10):
 
 
 class TestThickRestartLanczos:
-    """The shift-invert Lanczos path against dense ``eigh``."""
+    """The shift-invert block Lanczos path against dense ``eigh``."""
 
     @pytest.mark.parametrize("past", [0, 1], ids=["inside", "past"])
     @pytest.mark.parametrize("which", [0, 1])
@@ -491,8 +499,8 @@ class TestThickRestartLanczos:
     def test_matches_dense_on_drawn_meshes(self, family, mesh, data):
         # every pencil with room for the basis takes the Lanczos path
         A, M = build_space(mesh, family).pencil
-        assume(A.n >= 6)
-        m = data.draw(st.integers(1, min(12, (A.n - 4) // 2)))
+        assume(A.n > basis(12) + helmqo.sparsela.LANCZOS_BLOCK)
+        m = data.draw(st.integers(1, 12))
         w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
         with mock.patch.object(helmqo.sparsela, "DENSE_EIG_LIMIT", 0), \
                 basis_sizes() as ncv:
@@ -500,19 +508,21 @@ class TestThickRestartLanczos:
         assert ncv
         assert_matches_dense(res, A, M, w, rtol=1e-9)
 
-    @pytest.mark.parametrize("m,lanczos", [(110, True), (111, False),
-                                           (144, False)])
+    @pytest.mark.parametrize("m,lanczos", [(110, True), (144, True),
+                                           (145, False)])
     def test_dense_when_the_basis_fills_the_space(self, m, lanczos):
-        # the flagship's first mesh, 224 dofs: 2m + 1 = 221 vectors still
-        # fit below n - 1 = 223, 223 do not and the dense path answers;
-        # the flagship at k^2 = 1500 asks for m = 144 there
+        # the flagship's first mesh, 224 dofs: at m = 144 (which the
+        # flagship at k^2 = 1500 asks for) the basis of 216 + 4 vectors
+        # still fits below n, at m = 145 one of 220 + 4 would fill the
+        # space and the dense path answers
         space = build_space(build_square_with_hole(0.75, 0.3, 10), CR)
         A, M = space.pencil
         assert A.n == 224
+        assert (basis(m) + helmqo.sparsela.LANCZOS_BLOCK < A.n) == lanczos
         w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
         with basis_sizes() as ncv:
             assert_matches_dense(eigs_smallest(A, M, m), A, M, w)
-        assert ncv == ([2 * m + 1] if lanczos else [])
+        assert ncv == ([basis(m)] if lanczos else [])
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_breakdown_restarts_from_a_fresh_vector(self, m):
@@ -525,30 +535,89 @@ class TestThickRestartLanczos:
         assert np.abs(res.vectors.T @ res.vectors - np.eye(m)).max() <= 1e-12
         assert np.abs(res.vectors[100:]).max() <= 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_twelve_copies_past_the_block_size(self, seed):
+        # the block Krylov space of four start vectors is invariant after
+        # five steps and holds four copies of each eigenvalue; a cycle that
+        # took fresh vectors is never accepted, nor one that starts from
+        # them, so restarts bring in the other copies of 1
+        A = sym(np.diag(np.repeat(np.arange(1.0, 6.0), 100)))
+        res = eigs_smallest(A, sym(np.eye(500)), 12, seed=seed)
+        assert np.all(np.abs(res.values - 1.0) <= 1e-12)
+        assert np.abs(res.vectors.T @ res.vectors - np.eye(12)).max() <= 1e-12
+        assert np.abs(res.vectors[100:]).max() <= 1e-12
+
+    def test_rows_in_the_span_vanish_into_fresh_vectors(self):
+        # three of four rows lie in the basis's span and leave only
+        # rounding noise after the first pass; fresh vectors with coupling 0
+        # take their places, after the one row that survives
+        rng = np.random.default_rng(0)
+        n, b = 300, helmqo.sparsela.LANCZOS_BLOCK
+        Msp = sp.identity(n, format="csr")
+        Q = np.zeros((2 * b, n))
+        Q[:b] = np.linalg.qr(rng.standard_normal((n, b)))[0].T
+        W = np.array([Q[0] + Q[1], Q[2], rng.standard_normal(n), Q[0] - Q[3]])
+        W_in, MW = W.copy(), np.empty((b, n))
+        H, R, vanished = helmqo.sparsela._extend(Q, b, W, MW, Msp, rng)
+        assert vanished
+        assert np.array_equal(np.flatnonzero(R.any(axis=1)), [0])
+        assert np.abs(R[0, [0, 1, 3]]).max() <= 1e-13 < R[0, 2]
+        assert np.abs(H.T @ Q[:b] + R.T @ Q[b:] - W_in).max() <= 1e-13
+        assert np.abs(Q @ Q.T - np.eye(2 * b)).max() <= 1e-14
+        assert np.array_equal(MW, Q[b:])
+
+    def test_flagship_ladders_match_dense(self):
+        # the flagship's first mesh, 224 dofs, has a 4-fold eigenvalue at
+        # indices 27-30 and double ones below it; every ladder length up to
+        # 60 at three seeds is the dense one
+        A, M = build_space(build_square_with_hole(0.75, 0.3, 10), CR).pencil
+        w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        assert np.allclose(w[26:30], w[26], rtol=1e-9) and w[30] > w[26]
+        wrong = [(m, seed) for m in range(2, 61, 2) for seed in range(3)
+                 if not np.allclose(eigs_smallest(A, M, m, seed=seed).values,
+                                    w[:m], rtol=1e-9)]
+        assert wrong == []
+
     def test_unconverged_runs_double_the_basis_then_raise(self, monkeypatch):
         monkeypatch.setattr(helmqo.sparsela, "LANCZOS_MAXITER", 0)
         A, M = square_pencil(16)
         with basis_sizes() as ncv, pytest.raises(EigenSolveError,
                                                  match="did not converge"):
             eigs_smallest(A, M, 4)
-        assert ncv == [20, 40, 80]
+        assert ncv == [basis(4), 2 * basis(4), 4 * basis(4)] == [32, 64, 128]
 
     def test_no_retry_once_the_basis_stops_growing(self, monkeypatch):
-        # n = 250, m = 100: the basis grows 201 -> 249 = n - 1 and is capped
-        # there, where a third run would repeat the second one exactly
+        # n = 250, m = 100: the basis grows 152 -> 244 and is capped there,
+        # the largest multiple of the block that leaves room for the
+        # residual block below n; a third run would repeat the second one
         monkeypatch.setattr(helmqo.sparsela, "LANCZOS_MAXITER", 0)
         A = sym(np.diag(np.arange(1.0, 251.0)))
         with basis_sizes() as ncv, pytest.raises(EigenSolveError,
                                                  match="did not converge"):
             eigs_smallest(A, sym(np.eye(250)), 100)
-        assert ncv == [201, 249]
+        assert ncv == [basis(100), 244] == [152, 244]
 
     def test_working_set_is_the_basis(self):
-        # CR pencil, 20,008 dofs, m = 20: the basis holds ncv + 1 = 42
-        # vectors; ARPACK's copies of it brought the peak to 2.77 times that
+        # CR pencil, 20,008 dofs, m = 20: the basis holds ncv + 4 = 36
+        # vectors, a step keeps two blocks of 4 beside it (its right-hand
+        # sides and their M-products), and 4 vectors' slack covers the rest;
+        # a basis of 2m + 2 = 42 vectors would not fit
         A, M = square_pencil(82, CR)
-        basis = 8 * A.n * (2 * 20 + 2)
-        assert traced_peak(eigs_smallest, A, M, 20) < 2 * basis
+        b = helmqo.sparsela.LANCZOS_BLOCK
+        rows = (basis(20) + b) + 2 * b + 4
+        assert rows == 48
+        assert traced_peak(eigs_smallest, A, M, 20) < 8 * A.n * rows
+
+    def test_m_orthonormalize_works_in_slices(self):
+        # columns scaled by 2 force the Cholesky branch; it allocates about
+        # one slice at a time, not a second copy of the 16 MB block
+        A, M = square_pencil(82, CR)
+        X = 2.0 * eigs_smallest(A, M, 100).vectors
+        assert X.nbytes > 15 * 2 ** 20
+        Msp = M.to_scipy()
+        peak = traced_peak(helmqo.sparsela._m_orthonormalize, X, Msp)
+        assert peak < 3 * helmqo.sparsela._SLICE_BYTES
+        assert np.abs(X.T @ (Msp @ X) - np.eye(100)).max() <= 1e-13
 
 
 def shifted_pencil(n, family, s):
