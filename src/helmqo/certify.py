@@ -23,8 +23,7 @@ import numpy as np
 
 from .mesh import Mesh, refine_bisection, refine_uniform
 from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
-                     assemble_load, build_space, constrain_vector,
-                     expand_free, l2_error)
+                     assemble_load, build_space, expand_free, l2_error)
 from .quadrature import edge_rule
 from .sparsela import (ResonanceError, count_below, count_from_factor, ldlt,
                        solve)
@@ -143,8 +142,7 @@ def _solve(spec: ProblemSpec, space: DofSpace) -> tuple[FeFunction, int]:
     if space.n_free == 0:
         raise ValueError("space has no free degrees of freedom")
     A, M = space.pencil
-    b = constrain_vector(space,
-                         assemble_load(space, spec.rhs, spec.load_degree))
+    b = assemble_load(space, spec.rhs, spec.load_degree)
     F = ldlt(A, spec.k2, M)
     below = count_from_factor(F)
     return FeFunction(space, expand_free(space, solve(F, b))), below

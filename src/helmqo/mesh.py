@@ -329,28 +329,29 @@ def build_unit_square(n: int,
     return Mesh.from_triangulation(*_grid(n, 0.0, 1.0), tags)
 
 
+_JITTER = 0.25    # largest shift of an unstructured grid point, in cells
+
+
 def build_unit_square_unstructured(n: int, seed: int = 0,
-                                   jitter: float = 0.25,
                                    tags: TagAssignment = BoundaryTag.DIRICHLET,
                                    ) -> Mesh:
     """Irregular Delaunay mesh of [0,1]^2 from a jittered n-by-n grid.
 
     Interior grid points are displaced by a deterministic pseudo-random
-    amount (at most ``jitter`` cell widths), which breaks the directional
-    alignment of the structured pattern.  Useful when mesh-direction
-    cancellation effects (superconvergence) must be avoided.
+    amount (at most a quarter cell width per coordinate), which breaks the
+    directional alignment of the structured pattern.  Useful when
+    mesh-direction cancellation effects (superconvergence) must be avoided.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if not 0 <= jitter < 0.5:
-        raise ValueError("jitter must be in [0, 0.5)")
     from scipy.spatial import Delaunay
 
     pts, _ = _grid(n, 0.0, 1.0)
     interior = ((pts[:, 0] > 0) & (pts[:, 0] < 1)
                 & (pts[:, 1] > 0) & (pts[:, 1] < 1))
     rng = np.random.default_rng(seed)
-    shift = rng.uniform(-jitter / n, jitter / n, size=(interior.sum(), 2))
+    shift = rng.uniform(-_JITTER / n, _JITTER / n,
+                        size=(interior.sum(), 2))
     pts[interior] += shift
     tri = Delaunay(pts).simplices.astype(np.int64)
     flip = _doubled_signed_areas(pts[tri]) < 0

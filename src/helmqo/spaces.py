@@ -18,19 +18,21 @@ point does not grow with the mesh.
 A space numbers its free dofs once, when it is built, in the reverse
 Cuthill-McKee order of the graph that joins two free dofs when they share
 a triangle: ``free_dofs[i]`` is the dof numbered ``i``, and the pencil,
-every free-dof vector and every eigenvector come in that order.  The graph
-is the pattern that assembly stores before it drops zeros, and it holds
-the mass matrix's, so the order suits ``A - sigma*M`` at every shift and
-ignores entries that cancel there.  SuperLU's minimum-degree ordering
-(:mod:`helmqo.sparsela`) depends on the numbering it is given: on the
-numbering that mesh refinement leaves it took up to 9 times as long, with
-up to a third more fill, as on this one (P1 and CR pencils; P2 pencils of
-bisected meshes fill more on it).
+the load, every free-dof vector and every eigenvector come in that order.
+The full-dof numbering is internal: other modules read free coefficients
+per triangle through ``cell_free``.  The graph is the pattern that
+assembly stores before it drops zeros, and it holds the mass matrix's, so
+the order suits ``A - sigma*M`` at every shift and ignores entries that
+cancel there.  SuperLU's minimum-degree ordering (:mod:`helmqo.sparsela`)
+depends on the numbering it is given: on the numbering that mesh
+refinement leaves it took up to 9 times as long, with up to a third more
+fill, as on this one (P1 and CR pencils; P2 pencils of bisected meshes
+fill more on it).
 
 ``DofSpace.pencil`` is the Dirichlet-constrained Laplace pencil (A, M) on
-the free dofs.  It is assembled and constrained on first use and cached on
-the space, so the inertia counts, eigenpairs and Helmholtz solve on one
-space share the same two matrices; they live as long as the space does.
+the free dofs.  It is assembled on first use and cached on the space, so
+the inertia counts, eigenpairs and Helmholtz solve on one space share the
+same two matrices; they live as long as the space does.
 """
 
 from __future__ import annotations
@@ -108,6 +110,9 @@ class DofSpace:
     locations : (ndof, 2) geometric dof positions
     free_dofs : the dofs not constrained by Dirichlet tags, in the
         reverse Cuthill-McKee order of the free dofs' graph
+    cell_free : (nt, nloc) int32 free number of each local dof, -1 if
+        constrained, built on first read; outside this module, the one
+        view of the full-dof numbering (``cell_dofs``, ``free_dofs``)
     """
 
     def __init__(self, mesh: Mesh, family: ElementFamily):
@@ -141,10 +146,13 @@ class DofSpace:
         return len(self.free_dofs)
 
     @cached_property
+    def cell_free(self) -> np.ndarray:
+        return _local_numbers(self.cell_dofs, self.free_dofs, self.ndof)
+
+    @cached_property
     def pencil(self) -> tuple[SparseSymMatrix, SparseSymMatrix]:
         """Constrained stiffness and mass (A, M), assembled once."""
-        return (constrain(self, assemble_stiffness(self)),
-                constrain(self, assemble_mass(self)))
+        return assemble_stiffness(self), assemble_mass(self)
 
     def __repr__(self) -> str:
         return (f"DofSpace({self.family}, ndof={self.ndof}, "
@@ -158,9 +166,7 @@ def _rcm_order(cell_dofs: np.ndarray, free: np.ndarray,
     ``free``."""
     if len(free) == 0:
         return free
-    index = np.full(ndof, -1, dtype=np.int32)
-    index[free] = np.arange(len(free), dtype=np.int32)
-    dofs = index[cell_dofs]
+    dofs = _local_numbers(cell_dofs, free, ndof)
     nloc = dofs.shape[1]
     rows = np.repeat(dofs, nloc, axis=1).ravel()
     cols = np.tile(dofs, (1, nloc)).ravel()
@@ -169,6 +175,14 @@ def _rcm_order(cell_dofs: np.ndarray, free: np.ndarray,
                            (rows[both], cols[both])),
                           shape=(len(free), len(free)))
     return reverse_cuthill_mckee(graph, symmetric_mode=True)
+
+
+def _local_numbers(cell_dofs: np.ndarray, dofs: np.ndarray,
+                   ndof: int) -> np.ndarray:
+    """Position (int32) in ``dofs`` of each of ``cell_dofs``, or -1."""
+    index = np.full(ndof, -1, dtype=np.int32)
+    index[dofs] = np.arange(len(dofs), dtype=np.int32)
+    return index[cell_dofs]
 
 
 def build_space(mesh: Mesh, family: ElementFamily) -> DofSpace:
@@ -197,14 +211,20 @@ class FeFunction:
         return np.einsum("qm,tm->tq", N, c)
 
 
-def _scatter(space: DofSpace, local: np.ndarray) -> SparseSymMatrix:
+def _scatter(space: DofSpace, local: np.ndarray) -> sp.csr_matrix:
     nloc = space.cell_dofs.shape[1]
     dofs = space.cell_dofs.astype(np.int32)
     rows = np.repeat(dofs, nloc, axis=1).ravel()
     cols = np.tile(dofs, (1, nloc)).ravel()
     mat = sp.coo_matrix((local.ravel(), (rows, cols)),
                         shape=(space.ndof, space.ndof))
-    return SparseSymMatrix(mat.tocsr())
+    return mat.tocsr()
+
+
+def _free_block(space: DofSpace, full: sp.csr_matrix) -> SparseSymMatrix:
+    """The free x free block of ``full``, in the order of ``free_dofs``."""
+    free = space.free_dofs
+    return SparseSymMatrix(full[free][:, free])
 
 
 def element_matrices(mesh: Mesh, family: ElementFamily,
@@ -240,14 +260,16 @@ def element_matrices(mesh: Mesh, family: ElementFamily,
 
 
 def assemble_stiffness(space: DofSpace) -> SparseSymMatrix:
-    """Global stiffness matrix (broken gradients for CR); exact entries."""
-    return _scatter(space, element_matrices(space.mesh, space.family))
+    """Free-dof stiffness matrix (broken gradients for CR); exact entries."""
+    # the block is taken once the scatter has freed its index arrays
+    return _free_block(space, _scatter(space, element_matrices(
+        space.mesh, space.family)))
 
 
 def assemble_mass(space: DofSpace) -> SparseSymMatrix:
-    """Global mass matrix; exact entries (diagonal for CR)."""
-    return _scatter(space, element_matrices(space.mesh, space.family,
-                                            mass=True))
+    """Free-dof mass matrix; exact entries (diagonal for CR)."""
+    return _free_block(space, _scatter(space, element_matrices(
+        space.mesh, space.family, mass=True)))
 
 
 # quadrature points per slice of assemble_load and l2_error
@@ -255,7 +277,7 @@ _SLICE_POINTS = 65_536
 
 
 def assemble_load(space: DofSpace, f, degree: int = 4) -> np.ndarray:
-    """Load vector with entries ``int f * phi_i`` by quadrature.
+    """Free-dof load vector with entries ``int f * phi_i`` by quadrature.
 
     ``f`` is called as ``f(x, y)`` on coordinate arrays, one slice of
     triangles at a time; scalar-only callables are vectorized
@@ -274,7 +296,7 @@ def assemble_load(space: DofSpace, f, degree: int = 4) -> np.ndarray:
         local = np.einsum("tq,qm,q,t->tm", fvals, N, rule.weights,
                           mesh.areas[sl])
         np.add.at(b, space.cell_dofs[sl].ravel(), local.ravel())
-    return b
+    return b[space.free_dofs]
 
 
 def _eval_rhs(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -283,20 +305,6 @@ def _eval_rhs(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if vals.shape != x.shape:
         vals = np.vectorize(f)(x, y).astype(np.float64)
     return vals
-
-
-def constrain(space: DofSpace, A: SparseSymMatrix) -> SparseSymMatrix:
-    """Restrict a matrix assembled on all dofs to the free x free block,
-    rows and columns in the order of ``space.free_dofs``."""
-    if A.n != space.ndof:
-        raise ValueError("matrix dimension does not match the space")
-    free = space.free_dofs
-    sub = A.to_scipy()[free][:, free]
-    return SparseSymMatrix(sub)
-
-
-def constrain_vector(space: DofSpace, b: np.ndarray) -> np.ndarray:
-    return np.asarray(b)[space.free_dofs]
 
 
 def expand_free(space: DofSpace, x_free: np.ndarray) -> np.ndarray:

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .spaces import (CR, P2, DofSpace, ElementFamily, FeFunction,
-                     element_matrices, expand_free)
+from .spaces import CR, P2, DofSpace, ElementFamily, element_matrices
 from .sparsela import (RECOUNT_RTOL, RESIDUAL_TOL, EigenSolveError,
                        count_below, eigs_smallest)
 
@@ -39,8 +38,9 @@ _GRAM_RTOL = 1e-8
 class EigenSet:
     """Ascending generalized eigenpairs of the constrained Laplace pencil.
 
-    ``vectors`` holds free-dof eigenvector columns; ``eigenfunction(i)``
-    embeds pair ``i`` (1-based, like the ladder) into the full dof set.
+    ``vectors`` holds the eigenvectors as columns of free-dof coefficients,
+    in the order of the pencil; ``space.cell_free`` maps them to the
+    triangles.
     """
 
     space: DofSpace
@@ -53,12 +53,6 @@ class EigenSet:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def eigenfunction(self, i: int) -> FeFunction:
-        if not 1 <= i <= len(self):
-            raise IndexError(f"eigenpair index {i} out of range 1..{len(self)}")
-        return FeFunction(self.space,
-                          expand_free(self.space, self.vectors[:, i - 1]))
 
 
 @dataclass(frozen=True)
@@ -233,11 +227,9 @@ def _p2_lifts(space: DofSpace, X: np.ndarray):
     """
     mesh = space.mesh
     vertex = _cr_vertex_average(space, X)
-    row = np.full(space.ndof, -1)
-    row[space.free_dofs] = np.arange(space.n_free)
     for lo in range(0, mesh.n_triangles, _SLICE_TRIANGLES):
         triangles = slice(lo, lo + _SLICE_TRIANGLES)
-        rows = row[mesh.tri2edge[triangles]]
+        rows = space.cell_free[triangles]
         edge = np.where(rows[..., None] >= 0, X[rows], 0.0)
         yield triangles, np.concatenate(
             [vertex[mesh.triangles[triangles]], edge], axis=1)
@@ -254,11 +246,10 @@ def _cr_vertex_average(space: DofSpace, X: np.ndarray) -> np.ndarray:
     """
     mesh = space.mesh
     corners = mesh.triangles.ravel()
+    rows = space.cell_free
     out = np.empty((mesh.n_vertices, X.shape[1]))
-    c = np.zeros(space.ndof)
     for j in range(X.shape[1]):
-        c[space.free_dofs] = X[:, j]
-        limits = c[mesh.tri2edge]                          # (nt, 3)
+        limits = np.where(rows >= 0, X[:, j].take(rows), 0.0)   # (nt, 3)
         limits = limits.sum(axis=1, keepdims=True) - 2.0 * limits
         out[:, j] = np.bincount(corners, limits.ravel(), mesh.n_vertices)
     # a vertex in no triangle enters no lift

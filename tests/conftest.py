@@ -120,6 +120,27 @@ def square_spectrum_20():
     return enumeration_spectrum(20)
 
 
+def jittered_square(n: int, seed: int, jitter: float,
+                    tags=BoundaryTag.DIRICHLET):
+    """Delaunay mesh of [0,1]^2 from the n-by-n grid whose interior points
+    are moved by up to ``jitter`` cell widths in each coordinate, drawn
+    from ``seed``; at ``jitter = 0.25`` the mesh that
+    ``build_unit_square_unstructured(n, seed, tags)`` builds."""
+    from scipy.spatial import Delaunay
+    from helmqo.mesh import Mesh
+    xs = np.linspace(0.0, 1.0, n + 1)
+    pts = np.array([(x, y) for y in xs for x in xs])
+    interior = ((pts > 0.0) & (pts < 1.0)).all(axis=1)
+    rng = np.random.default_rng(seed)
+    pts[interior] += rng.uniform(-jitter / n, jitter / n,
+                                 size=(interior.sum(), 2))
+    tri = Delaunay(pts).simplices.astype(np.int64)
+    (x0, y0), (x1, y1), (x2, y2) = pts[tri].transpose(1, 2, 0)
+    clockwise = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) < 0
+    tri[clockwise] = tri[clockwise][:, [0, 2, 1]]
+    return Mesh.from_triangulation(pts, tri, tags)
+
+
 def loop_edge_table(triangles: np.ndarray):
     """Edge table by row-wise ``np.unique`` and a per-edge ``edge2tri`` fill.
 
@@ -394,7 +415,7 @@ def loop_residual_indicator(E, i_star: int, extra: int):
     map, and the normal-gradient jump scattered twice per function."""
     from helmqo.estimator import IndicatorField, _laplacian_coefficients
     from helmqo.quadrature import edge_rule, triangle_rule
-    from helmqo.spaces import shape_values
+    from helmqo.spaces import expand_free, shape_values
     nfun = i_star + extra
     mesh = E.space.mesh
     space = E.space
@@ -417,7 +438,7 @@ def loop_residual_indicator(E, i_star: int, extra: int):
     eta = np.zeros(mesh.n_triangles)
     for i in range(1, nfun + 1):
         lam = float(E.values[i - 1])
-        c = E.eigenfunction(i).coefficients[space.cell_dofs]   # (nt, nloc)
+        c = expand_free(space, E.vectors[:, i - 1])[space.cell_dofs]
         # volume term: |laplace(e) + lambda e|^2 on each element
         vals = np.einsum("qm,tm->tq", N, c)
         lap = (lap_coeff * c).sum(axis=1)                      # constant

@@ -6,7 +6,9 @@ re-exports is raised in the package.  What two helmqo modules share is
 public: none imports another's underscore name.  One function,
 ``spectral._check_counts``, checks a ladder against LDL^T inertia counts.
 The boundary tag codes in ``Mesh.edge_tag`` are ``mesh.py``'s own format,
-and the ``--geometry`` and ``--rhs`` names are ``cli.py``'s own.
+the full-dof numbering (``free_dofs``, ``cell_dofs``) is ``spaces.py``'s,
+and the ``--geometry`` and ``--rhs`` names are ``cli.py``'s own.  Every
+parameter with a default is passed by some call outside the tests.
 Importing the command line does not load ``scipy.special``."""
 
 import ast
@@ -185,6 +187,82 @@ def test_only_mesh_reads_edge_tag_codes():
                          and node.attr == "edge_tag"
                          for node in ast.walk(ast.parse(path.read_text()))))
     assert not readers, f"edge_tag read outside mesh.py: {readers}"
+
+
+def test_only_spaces_reads_the_full_dof_numbering():
+    # other modules read free coefficients per triangle through
+    # DofSpace.cell_free, so the numbering of all dofs and the Dirichlet
+    # constraint can change in spaces.py alone
+    readers = sorted(f"{path.relative_to(ROOT)}: {node.attr}"
+                     for path in callers() if path.name != "spaces.py"
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute)
+                     and node.attr in {"free_dofs", "cell_dofs"})
+    assert not readers, f"full-dof numbering read outside spaces.py: " \
+        f"{readers}"
+
+
+def public_functions(path: Path):
+    """``(qualified name, called as, definition, bound)`` for every public
+    function of ``path`` and every public method and constructor of its
+    public classes; ``bound`` counts the leading ``self`` or ``cls``."""
+    for node in ast.parse(path.read_text()).body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and (
+                        fn.name == "__init__" or not fn.name.startswith("_")):
+                    yield (f"{node.name}.{fn.name}",
+                           node.name if fn.name == "__init__" else fn.name,
+                           fn, 1)
+
+
+def defaulted_parameters(path: Path):
+    """``(qualified name, called as, parameter, position)`` for every
+    parameter with a default of :func:`public_functions`; the position
+    leaves out ``self`` and ``cls`` and is None for a keyword-only
+    parameter."""
+    for qual, called, fn, bound in public_functions(path):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        for i in range(len(positional) - len(args.defaults),
+                       len(positional)):
+            yield (f"{path.stem}.{qual}", called, positional[i].arg,
+                   i - bound)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{path.stem}.{qual}", called, arg.arg, None
+
+
+def passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    """Whether ``call`` may pass ``parameter``, by keyword or, at
+    ``position``, by position; ``*args`` and ``**kwargs`` may pass any."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or position < len(call.args))
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    # a keyword that only tests set is a setting the program never uses
+    calls = {}
+    for path in callers():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) \
+                    or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = sorted(f"{qual}({parameter})" for path in modules()
+                      for qual, called, parameter, position
+                      in defaulted_parameters(path)
+                      if not any(passes(call, parameter, position)
+                                 for call in calls.get(called, [])))
+    assert not unpassed, f"parameters passed only by tests: {unpassed}"
 
 
 def string_literals(path: Path) -> set[str]:

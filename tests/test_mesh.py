@@ -10,8 +10,8 @@ from helmqo.mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
                          read_mesh, refine_bisection, refine_uniform,
                          write_mesh)
 
-from conftest import (corner_geometry, loop_edge_table, loop_edge_tags,
-                      loop_refine_bisection)
+from conftest import (corner_geometry, jittered_square, loop_edge_table,
+                      loop_edge_tags, loop_refine_bisection)
 
 D, N = BoundaryTag.DIRICHLET, BoundaryTag.NEUMANN
 
@@ -91,6 +91,15 @@ class TestBuilders:
         m2 = build_unit_square_unstructured(6, seed=1)
         assert_valid(m1)
         assert m1 == m2
+
+    @pytest.mark.parametrize("tags", [D, N])
+    def test_unstructured_is_the_quarter_cell_jitter(self, tags):
+        # the tests' own builder, which takes the jitter, at a quarter
+        # cell width
+        for n in (2, 5, 12):
+            for seed in (0, 1, 7):
+                assert build_unit_square_unstructured(n, seed, tags) \
+                    == jittered_square(n, seed, 0.25, tags)
 
 
 class TestConstructorErrors:
@@ -291,7 +300,7 @@ class TestMeasures:
            data=st.data())
     def test_geometry_matches_corner_oracle(self, n, seed, jitter, child,
                                             data):
-        m = build_unit_square_unstructured(n, seed=seed, jitter=jitter)
+        m = jittered_square(n, seed, jitter)
         if child == "red":
             m = refine_uniform(m)
         elif child == "bisected":

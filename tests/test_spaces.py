@@ -12,31 +12,39 @@ from helmqo.mesh import (BoundaryTag, Mesh, build_square_with_hole,
                          refine_bisection, refine_uniform)
 from helmqo.spaces import (CR, P1, P2, ElementFamily, FeFunction,
                            assemble_load, assemble_mass, assemble_stiffness,
-                           build_space, constrain, constrain_vector,
-                           element_matrices, expand_free, interpolate,
-                           l2_error, shape_gradients, shape_values)
+                           build_space, element_matrices, expand_free,
+                           interpolate, l2_error, shape_gradients,
+                           shape_values)
 from helmqo.quadrature import triangle_rule
 from helmqo.sparsela import ldlt, solve
 from helmqo.spectral import _p2_lifts, compute_bounds, eigenpairs
 from helmqo.certify import GaussianBump, SineProduct, sine_series_reference
 
-from conftest import (loop_cr_vertex_mean, loop_p2_stiffness,
-                      oneshot_assemble_load, oneshot_l2_error,
-                      traced_peak)
+from conftest import (jittered_square, loop_cr_vertex_mean,
+                      loop_p2_stiffness, oneshot_assemble_load,
+                      oneshot_l2_error, traced_peak)
 
 N = BoundaryTag.NEUMANN
 
 
 def reference_mesh():
+    """The reference triangle, Neumann on its sides: every dof is free."""
     return Mesh.from_triangulation(
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        np.array([[0, 1, 2]]))
+        np.array([[0, 1, 2]]), N)
+
+
+def on_all_dofs(space, A) -> np.ndarray:
+    """The free-dof matrix ``A`` as a dense matrix on all dofs, zero in
+    the rows and columns of constrained dofs."""
+    full = np.zeros((space.ndof, space.ndof))
+    full[np.ix_(space.free_dofs, space.free_dofs)] = A.toarray()
+    return full
 
 
 def laplace_solution(space, f, degree=6):
-    A = constrain(space, assemble_stiffness(space))
-    M = constrain(space, assemble_mass(space))
-    b = constrain_vector(space, assemble_load(space, f, degree))
+    A, M = assemble_stiffness(space), assemble_mass(space)
+    b = assemble_load(space, f, degree)
     x = solve(ldlt(A, 0.0, M), b)
     return FeFunction(space, expand_free(space, x))
 
@@ -74,6 +82,7 @@ NUMBERED_MESHES = {
     "hole": lambda: build_square_with_hole(0.75, 0.3, 4, inner_tag=N),
     "unstructured": lambda: build_unit_square_unstructured(6, seed=1),
     "bisected-hole": bisected_hole,
+    "neumann": lambda: build_unit_square(4, tags=N),
 }
 
 
@@ -97,13 +106,16 @@ class TestFreeDofNumbering:
 
     def test_pencil_is_the_ascending_pencil_renumbered(self, geometry,
                                                       family):
-        # entry for entry, once the ascending pencil's zeros are dropped
+        # entry for entry, once the ascending pencil's zeros are dropped;
+        # the ascending pencil is the free block of the local matrices
+        # scattered to all dofs
         s = build_space(NUMBERED_MESHES[geometry](), family)
         ascending = np.sort(s.free_dofs)
         order = np.searchsorted(ascending, s.free_dofs)
-        for mine, full in zip(s.pencil,
-                              (assemble_stiffness(s), assemble_mass(s))):
-            ref = full.to_scipy()[ascending][:, ascending]
+        for mine, mass in zip(s.pencil, (False, True)):
+            full = reference_scatter(s, element_matrices(s.mesh, s.family,
+                                                         mass=mass))
+            ref = full[ascending][:, ascending]
             ref = ref[order][:, order].tocsr()
             ref.eliminate_zeros()
             ref.sort_indices()
@@ -112,10 +124,24 @@ class TestFreeDofNumbering:
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, name), getattr(ref, name))
 
+    def test_cell_free_is_the_free_number_of_each_local_dof(self, geometry,
+                                                            family):
+        s = build_space(NUMBERED_MESHES[geometry](), family)
+        # built on first read: assembly does not build it
+        assert s.pencil and assemble_load(s, lambda x, y: x + y) is not None
+        assert "cell_free" not in vars(s)
+        number = {int(d): i for i, d in enumerate(s.free_dofs)}
+        expected = [[number.get(int(d), -1) for d in cell]
+                    for cell in s.cell_dofs]
+        assert s.cell_free.dtype == np.int32
+        assert np.array_equal(s.cell_free,
+                              np.reshape(expected, s.cell_dofs.shape))
+
 
 class TestStiffness:
     def test_p1_local_reference(self):
-        K = assemble_stiffness(build_space(reference_mesh(), P1)).toarray()
+        s = build_space(reference_mesh(), P1)
+        K = on_all_dofs(s, assemble_stiffness(s))
         expected = np.array([[1.0, -0.5, -0.5],
                              [-0.5, 0.5, 0.0],
                              [-0.5, 0.0, 0.5]])
@@ -123,15 +149,18 @@ class TestStiffness:
 
     def test_cr_is_four_times_p1_with_edge_map(self):
         m = reference_mesh()
-        Kp = assemble_stiffness(build_space(m, P1)).toarray()
-        Kc = assemble_stiffness(build_space(m, CR)).toarray()
+        s_p1, s_cr = build_space(m, P1), build_space(m, CR)
+        Kp = on_all_dofs(s_p1, assemble_stiffness(s_p1))
+        Kc = on_all_dofs(s_cr, assemble_stiffness(s_cr))
         idx = m.tri2edge[0]   # edge dof opposite each vertex
         assert np.allclose(Kc[np.ix_(idx, idx)], 4.0 * Kp, atol=1e-14)
 
     def test_row_sums_vanish(self):
-        # constants lie in the kernel before constraints
+        # constants lie in the kernel when no dof is constrained
         for fam in (P1, P2):
-            A = assemble_stiffness(build_space(build_unit_square(3), fam))
+            s = build_space(build_unit_square(3, N), fam)
+            A = assemble_stiffness(s)
+            assert A.n == s.ndof
             assert np.allclose(A.to_scipy().sum(axis=1), 0.0, atol=1e-12)
 
     def test_exact_symmetry(self):
@@ -143,22 +172,23 @@ class TestStiffness:
     def test_p2_reference_tensor_against_loop(self):
         # the reference-tensor product sums in another order than the loop;
         # 16 ulp of the largest entry covers it
-        s = build_space(build_unit_square_unstructured(8, seed=3, jitter=0.4),
-                        P2)
+        s = build_space(jittered_square(8, 3, 0.4), P2)
         K = assemble_stiffness(s).toarray()
-        expected = loop_p2_stiffness(s)
+        expected = loop_p2_stiffness(s)[np.ix_(s.free_dofs, s.free_dofs)]
         scale = abs(expected).max()
         assert np.abs(K - expected).max() <= 16 * np.finfo(float).eps * scale
 
 
 class TestMass:
     def test_p1_local_reference(self):
-        M = assemble_mass(build_space(reference_mesh(), P1)).toarray()
+        s = build_space(reference_mesh(), P1)
+        M = on_all_dofs(s, assemble_mass(s))
         assert np.allclose(M, (0.5 / 12) * (np.ones((3, 3)) + np.eye(3)),
                            atol=1e-15)
 
     def test_cr_local_diagonal(self):
-        M = assemble_mass(build_space(reference_mesh(), CR)).toarray()
+        s = build_space(reference_mesh(), CR)
+        M = on_all_dofs(s, assemble_mass(s))
         assert np.allclose(M, (0.5 / 3) * np.eye(3), atol=1e-15)
 
     def test_cr_global_diagonal(self):
@@ -176,21 +206,24 @@ class TestMass:
         assert (M.diagonal() > 0.0).all()
 
     def test_partition_of_unity(self):
-        M = assemble_mass(build_space(build_unit_square(5), P1))
+        s = build_space(build_unit_square(5, N), P1)
+        M = assemble_mass(s)
+        assert M.n == s.ndof
         ones = np.ones(M.n)
         assert np.isclose(ones @ (M @ ones), 1.0, atol=1e-12)
 
     def test_positive_definite(self):
         for fam in (P1, P2, CR):
             s = build_space(build_unit_square(4), fam)
-            M = constrain(s, assemble_mass(s)).toarray()
+            M = assemble_mass(s).toarray()
             np.linalg.cholesky(M)   # raises if not SPD
 
 
 class TestLoad:
     def test_constant_sums_to_area(self):
         for fam in (P1, CR):
-            s = build_space(build_unit_square(4), fam)
+            s = build_space(build_unit_square(4, N), fam)
+            assert s.n_free == s.ndof
             b = assemble_load(s, lambda x, y: np.ones_like(x))
             assert np.isclose(b.sum(), 1.0, atol=1e-12)
 
@@ -201,7 +234,7 @@ class TestLoad:
     def test_gaussian_bump_total_integral(self):
         # closed-form oracle: integral over the plane is amp * pi / width^2
         bump = GaussianBump(5e4, 40.0, (0.75, -0.75))
-        m = build_square_with_hole(2.0, 0.5, 128)
+        m = build_square_with_hole(2.0, 0.5, 128, outer_tag=N, inner_tag=N)
         assert (2.0 * math.sqrt(2) / 128) < 1.0 / 40  # h below bump scale
         s = build_space(m, P1)
         b = assemble_load(s, bump)
@@ -232,7 +265,8 @@ class TestLoadSlices:
         s = build_space(build_unit_square(40), fam)
         bump = GaussianBump(5e4, 40.0, (0.6, 0.7))
         assert np.array_equal(assemble_load(s, bump, degree),
-                              oneshot_assemble_load(s, bump, degree))
+                              oneshot_assemble_load(s, bump,
+                                                    degree)[s.free_dofs])
 
     @pytest.mark.parametrize("fam", [P1, P2, CR], ids=str)
     def test_many_slices_and_a_one_triangle_tail(self, fam, monkeypatch):
@@ -241,13 +275,14 @@ class TestLoadSlices:
         s = build_space(build_unit_square(40), fam)
         f = SineProduct(((3, 4, 1.0), (4, 3, 1.0)))
         assert np.array_equal(assemble_load(s, f, 10),
-                              oneshot_assemble_load(s, f, 10))
+                              oneshot_assemble_load(s, f, 10)[s.free_dofs])
 
     def test_scalar_only_callable(self, monkeypatch):
         monkeypatch.setattr(helmqo.spaces, "_SLICE_POINTS", 5 * 6)
         s = build_space(build_square_with_hole(2.0, 0.5, 6), P2)
         b = assemble_load(s, scalar_only)
-        assert np.array_equal(b, oneshot_assemble_load(s, scalar_only))
+        assert np.array_equal(
+            b, oneshot_assemble_load(s, scalar_only)[s.free_dofs])
         assert b.any()
 
     def test_working_set_is_bounded(self):
@@ -258,23 +293,28 @@ class TestLoadSlices:
 
 
 class TestConstrain:
+    """Assembly keeps the free x free block of the matrix on all dofs."""
+
     def test_identity_when_no_dirichlet(self):
         m = build_unit_square(2, tags=N)
         s = build_space(m, P1)
         A = assemble_stiffness(s)
-        assert constrain(s, A).n == A.n
+        assert A.n == s.ndof == m.n_vertices
+        full = reference_scatter(s, element_matrices(m, P1)).toarray()
+        assert np.array_equal(A.toarray(), full[np.ix_(s.free_dofs,
+                                                       s.free_dofs)])
 
     def test_all_dirichlet_single_dof(self):
         s = build_space(build_unit_square(2), P1)
-        full = assemble_stiffness(s)
-        A = constrain(s, full)
+        full = reference_scatter(s, element_matrices(s.mesh, P1)).toarray()
+        A = assemble_stiffness(s)
         assert A.n == 1
         (i,) = s.free_dofs
-        assert A.toarray()[0, 0] == full.toarray()[i, i]
+        assert A.toarray()[0, 0] == full[i, i]
 
     def test_constrained_stiffness_positive_definite(self):
         s = build_space(build_unit_square(4), P1)
-        A = constrain(s, assemble_stiffness(s)).toarray()
+        A = assemble_stiffness(s).toarray()
         assert np.linalg.eigvalsh(A).min() > 0
 
 
@@ -407,9 +447,12 @@ class TestElementMatrices:
         K, M = reference_local_matrices(m, fam)
         assert np.array_equal(element_matrices(m, fam), K)
         assert np.array_equal(element_matrices(m, fam, mass=True), M)
+        free = s.free_dofs
         for assembled, local in ((assemble_stiffness(s), K),
                                  (assemble_mass(s), M)):
-            got, want = assembled.to_scipy(), reference_scatter(s, local)
+            want = reference_scatter(s, local)[free][:, free].tocsr()
+            want.sort_indices()
+            got = assembled.to_scipy()
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
@@ -419,8 +462,9 @@ class TestRayleighQuotient:
         vals = []
         for n in (16, 32):
             s = build_space(build_unit_square(n), P1)
+            # the sine vanishes on the boundary: its free coefficients
             u = interpolate(s, lambda x, y: np.sin(np.pi * x)
-                            * np.sin(np.pi * y)).coefficients
+                            * np.sin(np.pi * y)).coefficients[s.free_dofs]
             vals.append((u @ (assemble_stiffness(s) @ u))
                         / (u @ (assemble_mass(s) @ u)))
         exact = 2 * math.pi ** 2
@@ -563,12 +607,10 @@ class TestGalerkinEnergy:
         # interpolant's (conforming family)
         for n in (4, 8, 16):
             s = build_space(build_unit_square(n), P1)
-            uh = laplace_solution(s, self.rhs)
-            Iu = interpolate(s, self.exact).coefficients
-            Iu = expand_free(s, Iu[s.free_dofs])
+            uh = laplace_solution(s, self.rhs).coefficients[s.free_dofs]
+            Iu = interpolate(s, self.exact).coefficients[s.free_dofs]
             A = assemble_stiffness(s)
-            assert uh.coefficients @ (A @ uh.coefficients) <= \
-                Iu @ (A @ Iu) + 1e-12
+            assert uh @ (A @ uh) <= Iu @ (A @ Iu) + 1e-12
 
     def test_variational_minimality_both_families(self):
         # u_h minimizes J(v) = a(v,v)/2 - (f,v) over the discrete space,
@@ -576,13 +618,12 @@ class TestGalerkinEnergy:
         for fam in (P1, CR):
             for n in (4, 8):
                 s = build_space(build_unit_square(n), fam)
-                uh = laplace_solution(s, self.rhs)
+                uh = laplace_solution(s, self.rhs).coefficients
                 Iu = interpolate(s, self.exact).coefficients
-                Iu = expand_free(s, Iu[s.free_dofs])
                 A = assemble_stiffness(s)
                 b = assemble_load(s, self.rhs, degree=6)
                 J = lambda c: 0.5 * c @ (A @ c) - b @ c
-                assert J(uh.coefficients) <= J(Iu) + 1e-12
+                assert J(uh[s.free_dofs]) <= J(Iu[s.free_dofs]) + 1e-12
 
 
 class TestElementEvaluation:

@@ -11,17 +11,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 import helmqo.sparsela
 from helmqo.mesh import (BoundaryTag, build_square_with_hole,
-                         build_unit_square, build_unit_square_unstructured,
-                         refine_bisection)
+                         build_unit_square, refine_bisection)
 from helmqo.certify import ProblemSpec, SineProduct, solve_helmholtz
 from helmqo.spaces import CR, P1, P2, assemble_load, assemble_mass, \
-    assemble_stiffness, build_space, constrain, constrain_vector
+    assemble_stiffness, build_space
 from helmqo.sparsela import (RECOUNT_RTOL, RESIDUAL_TOL, EigenSolveError,
                              ResonanceError, SparseSymMatrix, count_below,
                              count_from_factor, eigs_smallest, ldlt, solve)
 
 from conftest import (enumeration_index, gaussian_elimination_solve,
-                      jacobi_generalized_eigen, traced_peak)
+                      jacobi_generalized_eigen, jittered_square,
+                      traced_peak)
 
 
 def sym(mat):
@@ -36,9 +36,7 @@ def relative_residuals(res, A, M):
 
 def square_pencil(n, family=P1):
     space = build_space(build_unit_square(n), family)
-    A = constrain(space, assemble_stiffness(space))
-    M = constrain(space, assemble_mass(space))
-    return A, M
+    return assemble_stiffness(space), assemble_mass(space)
 
 
 def shifted(A, sigma, M):
@@ -333,8 +331,8 @@ class TestEigsSmallest:
             eigs_smallest(A, M, 5)
 
 
-jittered_squares = st.builds(build_unit_square_unstructured,
-                             st.integers(3, 12), seed=st.integers(0, 2 ** 16),
+jittered_squares = st.builds(jittered_square, st.integers(3, 12),
+                             seed=st.integers(0, 2 ** 16),
                              jitter=st.floats(0.0, 0.45))
 
 
@@ -423,8 +421,7 @@ class TestCountBelow:
         else:
             assert count == int((w < sigma).sum())
         spec = ProblemSpec(family, sigma, rhs=SineProduct())
-        b = constrain_vector(space, assemble_load(space, spec.rhs,
-                                                  spec.load_degree))
+        b = assemble_load(space, spec.rhs, spec.load_degree)
         try:
             u = solve_helmholtz(spec, space.mesh)
         except ResonanceError:
