@@ -2,19 +2,18 @@
 
 The nonconforming ladder is post-processed into a guaranteed lower bound
 lambda / (1 + kappa^2 lambda h^2) (Liu 2015: valid at every index, on every
-mesh, for kappa >= 0.1893) and a guaranteed upper bound (the Ritz values of
-the P2 pencil on the ladder's eigenvectors lifted into P2, whose Gram
-matrices are summed element by element, so the P2 pencil itself is never
-assembled).  On the unit
-square the exact spectrum pi^2 (i^2 + j^2) lets us watch the enclosures at
-work.
+mesh, for kappa >= 0.1893; helmqo fixes kappa = KAPPA = 0.1932) and a
+guaranteed upper bound (the Ritz values of the P2 pencil on the ladder's
+eigenvectors lifted into P2, whose Gram matrices are summed element by
+element, so the P2 pencil itself is never assembled).  On the unit square
+the exact spectrum pi^2 (i^2 + j^2) lets us watch the enclosures at work.
 
 Run with:  python demos/eigenvalue_bounds.py
 """
 
 import numpy as np
 
-from helmqo import (CR, MIN_KAPPA, build_space, build_unit_square,
+from helmqo import (CR, KAPPA, build_space, build_unit_square,
                     build_unit_square_unstructured, compute_bounds,
                     count_below, eigen_ladder, eigenpairs,
                     unit_square_spectrum)
@@ -50,16 +49,16 @@ Notes
   span of the lifted ladder lies above the j-th exact eigenvalue.
 """)
 
-# every eigenvalue of a coarse jittered mesh, at the proven constant
+# every eigenvalue of a coarse jittered mesh
 mesh = build_unit_square_unstructured(6, seed=1)
 space = build_space(mesh, CR)
-bounds = compute_bounds(eigenpairs(space, space.n_free), MIN_KAPPA)
+bounds = compute_bounds(eigenpairs(space, space.n_free))
 h = mesh.h
 exact = unit_square_spectrum(len(bounds))
 lower = np.array([b.lower for b in bounds])
 upper = np.array([b.upper for b in bounds])
 print(f"jittered n=6 square (h = {h:.4f}), all {len(bounds)} CR eigenvalues "
-      f"at kappa = {MIN_KAPPA}:\n  every exact value enclosed: "
+      f"at kappa = {KAPPA}:\n  every exact value enclosed: "
       f"{bool(((lower <= exact) & (exact <= upper)).all())}; smallest "
       f"exact/lower = {(exact / lower).min():.4f}, smallest upper/exact = "
       f"{(upper / exact).min():.4f}")

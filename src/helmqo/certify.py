@@ -27,14 +27,15 @@ from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
 from .quadrature import edge_rule
 from .sparsela import (ResonanceError, count_below, count_from_factor, ldlt,
                        solve)
-from .spectral import (DEFAULT_KAPPA, MIN_KAPPA, BoundedEigen, Criterion,
-                       check_criterion, compute_bounds, eigen_ladder)
+from .spectral import (KAPPA, BoundedEigen, Criterion, check_criterion,
+                       compute_bounds, eigen_ladder)
 from .estimator import mark_half_max, residual_indicator
 
 ALPHA_WARN_THRESHOLD = 1e-6
 RESONANCE_ENCLOSURE_RTOL = 1e-3
 SINE_STABILITY_RTOL = 1e-8   # sampled change that ends the series' growth
 STUDY_EXTRA_PAIRS = 1        # study ladder pairs past the first above k^2
+INDICATOR_EXTRA_PAIRS = 3    # pairs past i* in the averaged indicator
 
 
 # -- right-hand sides -------------------------------------------------------
@@ -103,6 +104,9 @@ class ProblemSpec:
         if not 0 < self.k2 < math.inf:
             raise ValueError(f"k2 must be positive and finite, got "
                              f"{self.k2!r}")
+        if self.load_degree < 1:
+            raise ValueError(f"load_degree must be >= 1, got "
+                             f"{self.load_degree!r}")
 
 
 def dirichlet_unit_square(mesh: Mesh) -> bool:
@@ -321,37 +325,29 @@ def _fmt(v) -> str:
 def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
             refine_mode: str = "uniform",
             i_star_source: int | str = "cr",
-            max_iters: int = 20, extra: int = 3,
-            kappa: float = DEFAULT_KAPPA,
-            seed: int = 0) -> CertificationReport:
+            max_iters: int = 20, seed: int = 0) -> CertificationReport:
     """Refine until the eigenvalue ladder brackets the wave number.
 
     Parameters
     ----------
-    refine_mode : "uniform" (red refinement) or "adaptive" (half-max
-        marking on the averaged residual indicator + bisection).
+    refine_mode : "uniform" (red refinement) or "adaptive" (bisection of
+        the elements that half-max marking picks on the residual
+        indicator, averaged over i* + ``INDICATOR_EXTRA_PAIRS`` pairs).
     i_star_source : an integer index known from a modal analysis, or
         ``"cr"`` to estimate and certify it from guaranteed
         Crouzeix-Raviart bounds (requires a CR family).
-    extra : additional eigenpairs carried for the indicator average.
-    kappa : the trace constant in the CR lower bounds, at least
-        ``MIN_KAPPA``.
     seed : the eigensolver's start vector seed.
 
-    The loop estimates first (so an adequate initial mesh terminates
-    immediately) and stops when the criterion holds -- in ``"cr"`` mode,
-    additionally when the index estimate is certified.  Exhausting
-    ``max_iters`` leaves a report with ``termination == "budget"``.
+    The CR lower bounds use the fixed ``spectral.KAPPA``.  The loop
+    estimates first (so an adequate initial mesh terminates immediately)
+    and stops when the criterion holds -- in ``"cr"`` mode, additionally
+    when the index estimate is certified.  Exhausting ``max_iters`` leaves
+    a report with ``termination == "budget"``.
     """
     if refine_mode not in ("uniform", "adaptive"):
         raise ValueError(f"unknown refine mode {refine_mode!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if extra < 0:
-        raise ValueError(f"extra must be >= 0, got {extra}")
-    if not kappa >= MIN_KAPPA:
-        raise ValueError(f"kappa must be >= {MIN_KAPPA} (the proven CR "
-                         f"interpolation constant), got {kappa!r}")
     use_cr = i_star_source == "cr"
     if use_cr and spec.family != CR:
         raise ValueError("guaranteed index estimation requires the "
@@ -367,8 +363,7 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
         space = build_space(mesh, spec.family)
         h = mesh.h
         if use_cr:
-            rec, E, bounds = _estimate_cr(space, k2, h, extra, kappa, seed,
-                                          report)
+            rec, E, bounds = _estimate_cr(space, k2, h, seed, report)
             index = rec.index
         elif space.n_free < int(i_star_source) + 1:
             # the space cannot hold enough eigenpairs to bracket k^2
@@ -379,7 +374,8 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
         else:
             index = int(i_star_source)
             below = count_below(*space.pencil, k2)
-            E = eigen_ladder(space, max(below, index) + extra + 1,
+            E = eigen_ladder(space,
+                             max(below, index) + INDICATOR_EXTRA_PAIRS + 1,
                              {k2: below}, seed)
             crit = check_criterion(E, k2, index)
             rec = IterationRecord(space.n_free, h, index, crit.lambda_lo,
@@ -393,16 +389,16 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
         if len(report.iterations) >= max_iters:
             break
         if (refine_mode == "uniform" or E is None or not index
-                or len(E) < index + extra):
+                or len(E) < index + INDICATOR_EXTRA_PAIRS):
             # adaptive marking needs an indicator, which needs at least one
             # eigenvalue below k^2 and a long enough ladder
             mesh = refine_uniform(mesh)
         else:
-            eta = residual_indicator(E, index, extra)
+            eta = residual_indicator(E, index, INDICATOR_EXTRA_PAIRS)
             rec.eta_total = float(eta.values.sum())
             marked = mark_half_max(eta)
             if use_cr:
-                marked |= _certification_blockers(mesh, bounds, k2, kappa)
+                marked |= _certification_blockers(mesh, bounds, k2)
             mesh = (refine_bisection(mesh, marked) if marked
                     else refine_uniform(mesh))
         # no step on the next mesh reads this mesh's pencil, ladder or
@@ -413,15 +409,15 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
 
 
 def _certification_blockers(mesh: Mesh, bounds: list[BoundedEigen],
-                            k2: float, kappa: float) -> set[int]:
+                            k2: float) -> set[int]:
     """Elements larger than the largest global h that could certify.
 
     With i = #{lambda_h < k^2}: (A) lower^(i+1) >= k^2 and (B) for i >= 1,
     width^(i) < k^2 - lambda_h^(i); lower(lam, h) >= t holds for
-    h <= sqrt(1/t - 1/lam) / kappa, and for every h when t <= 0.
+    h <= sqrt(1/t - 1/lam) / KAPPA, and for every h when t <= 0.
     """
     def h_max(lam: float, t: float) -> float:
-        return (math.sqrt(max(1.0 / t - 1.0 / lam, 0.0)) / kappa if t > 0
+        return (math.sqrt(max(1.0 / t - 1.0 / lam, 0.0)) / KAPPA if t > 0
                 else math.inf)
     i = sum(b.lam < k2 for b in bounds)
     threshold = h_max(bounds[i].lam, k2)
@@ -431,32 +427,32 @@ def _certification_blockers(mesh: Mesh, bounds: list[BoundedEigen],
     return set(np.flatnonzero(mesh.diameters > threshold).tolist())
 
 
-def _estimate_cr(space: DofSpace, k2: float, h: float, extra: int,
-                 kappa: float, seed: int,
+def _estimate_cr(space: DofSpace, k2: float, h: float, seed: int,
                  report: CertificationReport):
     """One guaranteed-bounds ESTIMATE; returns (record, ladder, bounds).
 
     Liu's lower bound is increasing in lambda and reaches k^2 at lam_need,
-    so j* is the inertia count there.  The ladder holds j* + extra + 1
-    pairs and must agree with the inertia counts at lam_need and at k^2,
-    else :class:`EigenSolveError`.  j* is certified when the criterion
-    holds and the j*-th enclosure is narrower than k^2 - lambda_h^(j*):
-    then the index can no longer change under refinement."""
+    so j* is the inertia count there.  The ladder holds
+    j* + INDICATOR_EXTRA_PAIRS + 1 pairs and must agree with the inertia
+    counts at lam_need and at k^2, else :class:`EigenSolveError`.  j* is
+    certified when the criterion holds and the j*-th enclosure is narrower
+    than k^2 - lambda_h^(j*): then the index can no longer change under
+    refinement."""
     no_estimate = (IterationRecord(space.n_free, h, None, None, None, None,
                                    None, False), None, None)
-    # the lower bound saturates at 1/(kappa h)^2: below that, no ladder
+    # the lower bound saturates at 1/(KAPPA h)^2: below that, no ladder
     # length can clear k^2 and the mesh must be refined first
-    cap = 1.0 / (kappa * h) ** 2
+    cap = 1.0 / (KAPPA * h) ** 2
     if cap <= k2 * 1.01:
         return no_estimate
-    lam_need = k2 / (1.0 - k2 * (kappa * h) ** 2)
-    # j* is the count below lam_need; carry `extra` more pairs for the
-    # averaged indicator plus one for the criterion check
+    lam_need = k2 / (1.0 - k2 * (KAPPA * h) ** 2)
+    # j* is the count below lam_need; carry INDICATOR_EXTRA_PAIRS more pairs
+    # for the averaged indicator plus one for the criterion check
     need_below = count_below(*space.pencil, lam_need)
     below = count_below(*space.pencil, k2)
-    E = eigen_ladder(space, need_below + extra + 1,
+    E = eigen_ladder(space, need_below + INDICATOR_EXTRA_PAIRS + 1,
                      {lam_need: need_below, k2: below}, seed)
-    bounds = compute_bounds(E, kappa)
+    bounds = compute_bounds(E)
     for j, b in enumerate(bounds, start=1):
         if (b.lower <= k2 <= b.upper
                 and b.upper - b.lower <= RESONANCE_ENCLOSURE_RTOL * k2):

@@ -23,8 +23,7 @@ from .mesh import (BoundaryTag, Mesh, MeshError, build_square_with_hole,
                    read_mesh, write_mesh)
 from .spaces import CR, ElementFamily, build_space
 from .sparsela import EigenSolveError, ResonanceError
-from .spectral import (DEFAULT_KAPPA, MIN_KAPPA, check_complete,
-                       compute_bounds, eigenpairs)
+from .spectral import check_complete, compute_bounds, eigenpairs
 from .certify import (GaussianBump, ProblemSpec, SineProduct,
                       convergence_study, csv_text, dirichlet_unit_square,
                       run_gmr, study_to_csv)
@@ -197,8 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="element family")
     pe.add_argument("--m", type=int, required=True,
                     help="number of eigenpairs (>= 1)")
-    pe.add_argument("--kappa", type=float, default=DEFAULT_KAPPA,
-                    help="trace constant in the guaranteed lower bound")
     pe.add_argument("-o", "--output", metavar="FILE",
                     help="write CSV (index,lambda,lower,upper) to FILE")
 
@@ -217,9 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          "or guaranteed CR bounds")
     pc.add_argument("--istar", type=int,
                     help="pivotal index for --estimate oracle")
-    pc.add_argument("--l", type=int, default=3, dest="extra",
-                    help="extra eigenpairs for the error indicator")
-    pc.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     pc.add_argument("--max-iters", type=int, default=20)
     pc.add_argument("-o", "--output", metavar="FILE",
                     help="write the certification CSV to FILE")
@@ -272,7 +266,7 @@ def cmd_eig(args) -> int:
     E = eigenpairs(space, args.m, args.seed)
     lower = upper = [None] * args.m
     if family == CR:
-        bounds = compute_bounds(E, args.kappa)
+        bounds = compute_bounds(E)
         lower = [b.lower for b in bounds]
         upper = [b.upper for b in bounds]
     values = E.values
@@ -304,7 +298,6 @@ def cmd_certify(args) -> int:
     spec = ProblemSpec(family, args.k2)
     report = run_gmr(spec, _mesh(args, args.mesh), refine_mode=args.refine,
                      i_star_source=source, max_iters=args.max_iters,
-                     extra=args.extra, kappa=args.kappa,
                      seed=args.seed)
     if args.output:
         _write(args.output, report.to_csv())
@@ -346,9 +339,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if not getattr(args, "kappa", MIN_KAPPA) >= MIN_KAPPA:
-            raise UsageError(f"--kappa must be >= {MIN_KAPPA}, the proven "
-                             f"CR interpolation constant, got {args.kappa!r}")
         handler = {"mesh": cmd_mesh, "eig": cmd_eig,
                    "certify": cmd_certify, "study": cmd_study}[args.command]
         return handler(args)

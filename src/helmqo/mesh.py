@@ -79,6 +79,8 @@ class Mesh:
             raise MeshError("vertices must be an (nv, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must be an (nt, 3) array")
+        if not len(self.triangles):
+            raise MeshError("a mesh needs at least one triangle")
         if not np.isfinite(self.vertices).all():
             raise MeshError("vertex coordinates must be finite")
 
@@ -547,16 +549,16 @@ def read_mesh(text: str) -> Mesh:
         if count < 0:
             raise MeshFormatError(f"negative count in ${name} header", lineno)
         pos += 1
+        # checked before the section's arrays are allocated
+        if count > len(stripped) - pos:
+            raise MeshFormatError(f"${name} header counts {count} lines but "
+                                  f"only {len(stripped) - pos} remain", lineno)
         return count
 
     def take(count: int, nfields: int, kind: str):
         nonlocal pos
         rows = []
         for _ in range(count):
-            if pos >= len(stripped):
-                last = stripped[-1][0] if stripped else 1
-                raise MeshFormatError(f"unexpected end of {kind} section",
-                                      last)
             lineno, line = stripped[pos]
             parts = line.split()
             if len(parts) != nfields:

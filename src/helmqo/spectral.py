@@ -26,8 +26,8 @@ from .spaces import CR, P2, DofSpace, ElementFamily, element_matrices
 from .sparsela import (RECOUNT_RTOL, RESIDUAL_TOL, EigenSolveError,
                        count_below, eigs_smallest)
 
-DEFAULT_KAPPA = 0.1932
-MIN_KAPPA = 0.1893    # Liu's CR interpolation constant C_h / h
+# the CR interpolation constant C_h / h in the lower bound; Liu proved 0.1893
+KAPPA = 0.1932
 _SLICE_TRIANGLES = 512    # triangles per slice of the Gram sums
 # smallest Cholesky pivot^2 of the lifted Gram matrix, relative to its
 # largest diagonal entry, below which the lifted vectors count as dependent
@@ -146,9 +146,8 @@ def check_criterion(E: EigenSet, k2: float, i_star: int) -> Criterion:
     return Criterion(lambda_lo, lambda_hi, satisfied, alpha)
 
 
-def cr_lower_bound(lam: float, h: float,
-                   kappa: float = DEFAULT_KAPPA) -> float:
-    """Guaranteed lower bound lambda / (1 + kappa^2 lambda h^2).
+def cr_lower_bound(lam: float, h: float) -> float:
+    """Guaranteed lower bound lambda / (1 + KAPPA^2 lambda h^2).
 
     Liu, "A framework of verified eigenvalue bounds for self-adjoint
     differential operators" (Appl. Math. Comput. 2015): if the CR
@@ -156,28 +155,25 @@ def cr_lower_bound(lam: float, h: float,
     means, and CR gradients are elementwise constant) and
     ||u - Pi_h u|| <= C_h ||grad_h (u - Pi_h u)|| with C_h = 0.1893 h, then
     lambda_j >= lambda_h,j / (1 + C_h^2 lambda_h,j) for every
-    j <= dim V_h, with no condition on the mesh size.  A larger kappa only
-    lowers the bound, so every ``kappa >= MIN_KAPPA`` is valid; a smaller
-    one raises :class:`ValueError`.  ``lam`` is the j-th CR eigenvalue and
-    ``h`` the global mesh size (largest element diameter).
+    j <= dim V_h, with no condition on the mesh size.  ``KAPPA`` = 0.1932
+    only lowers the bound below the one at 0.1893, so it is valid too.
+    ``lam`` is the j-th CR eigenvalue and ``h`` the global mesh size
+    (largest element diameter).
     """
-    if not kappa >= MIN_KAPPA:
-        raise ValueError(f"kappa must be >= {MIN_KAPPA} (the proven CR "
-                         f"interpolation constant), got {kappa!r}")
     if lam < 0:
         raise ValueError("eigenvalue must be nonnegative")
     if h <= 0:
         raise ValueError("mesh size must be positive")
-    return lam / (1.0 + kappa ** 2 * lam * h ** 2)
+    return lam / (1.0 + KAPPA ** 2 * lam * h ** 2)
 
 
-def compute_bounds(E: EigenSet,
-                   kappa: float = DEFAULT_KAPPA) -> list[BoundedEigen]:
+def compute_bounds(E: EigenSet) -> list[BoundedEigen]:
     """Guaranteed lower and upper bounds for a CR ladder, at every index.
 
-    The lower bounds are :func:`cr_lower_bound`.  The upper bounds are the
-    Ritz values of the pencil (A_2, M_2) of the P2 space on the same mesh,
-    taken on the span of the ladder's eigenvectors lifted into P2 (see
+    The lower bounds are :func:`cr_lower_bound`, at the fixed ``KAPPA``.
+    The upper bounds are the Ritz values of the pencil (A_2, M_2) of the
+    P2 space on the same mesh, taken on the span of the ladder's
+    eigenvectors lifted into P2 (see
     :func:`_p2_lifts`): that span is an m-dimensional subspace of the
     conforming space, so by the Poincare min-max principle its j-th Ritz
     value bounds the j-th continuous eigenvalue from above, for every
@@ -209,7 +205,7 @@ def compute_bounds(E: EigenSet,
     out = []
     for lam, upper in zip(E.values, _ritz_values(G_A, G_M)):
         lam = max(float(lam), 0.0)
-        out.append(BoundedEigen(lam, cr_lower_bound(lam, h, kappa),
+        out.append(BoundedEigen(lam, cr_lower_bound(lam, h),
                                 max(float(upper), 0.0)))
     return out
 

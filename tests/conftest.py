@@ -46,6 +46,19 @@ def enumeration_index(k2: float) -> int:
     return cnt
 
 
+# Liu's proved CR interpolation constant C_h / h (Appl. Math. Comput. 2015);
+# helmqo's fixed ``spectral.KAPPA`` may not lie below it
+MIN_KAPPA = 0.1893
+
+
+def liu_lower_bounds(values, h: float) -> np.ndarray:
+    """Liu's lower bounds lambda / (1 + MIN_KAPPA^2 lambda h^2) of a CR
+    ladder, at the proved constant; the bound helmqo reports, at its
+    larger KAPPA, lies below these."""
+    lam = np.maximum(np.asarray(values, dtype=float), 0.0)
+    return lam / (1.0 + MIN_KAPPA ** 2 * lam * h ** 2)
+
+
 def gaussian_elimination_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense Gaussian elimination with partial pivoting, written plainly."""
     A = np.array(A, dtype=float)

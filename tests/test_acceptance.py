@@ -12,7 +12,8 @@ import numpy as np
 
 import helmqo as hq
 from conftest import (counted_ladder, enumeration_index,
-                      enumeration_spectrum, jacobi_generalized_eigen)
+                      enumeration_spectrum, jacobi_generalized_eigen,
+                      liu_lower_bounds)
 
 TWO_PI_SQ = 2 * math.pi ** 2
 
@@ -76,10 +77,10 @@ def test_criterion_2_guaranteed_bounds():
                        for seed in (0, 1, 2))):
             space = hq.build_space(mesh, hq.CR)
             E = hq.eigenpairs(space, space.n_free)
-            for j, b in enumerate(hq.compute_bounds(E, hq.MIN_KAPPA),
-                                  start=1):
+            lower = liu_lower_bounds(E.values, mesh.h)
+            for j, b in enumerate(hq.compute_bounds(E), start=1):
                 lower_checked += 1
-                if not (b.lower <= exact[j - 1] + 1e-12
+                if not (b.lower <= lower[j - 1] <= exact[j - 1] + 1e-12
                         and exact[j - 1] <= b.upper):
                     violations += 1
     report(2, checked == 30 and lower_checked >= 7000 and violations == 0,

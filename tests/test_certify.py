@@ -12,7 +12,7 @@ from helmqo.mesh import (BoundaryTag, Mesh, build_square_with_hole,
                          build_unit_square, build_unit_square_unstructured,
                          refine_bisection, refine_uniform)
 from helmqo.spaces import CR, P1, P2, assemble_load, build_space, l2_error
-from helmqo.spectral import DEFAULT_KAPPA, BoundedEigen, cr_lower_bound
+from helmqo.spectral import BoundedEigen, cr_lower_bound
 from helmqo.sparsela import (RECOUNT_RTOL, EigenSolveError, ResonanceError,
                              count_below, ldlt)
 from helmqo.certify import (GaussianBump, ProblemSpec,
@@ -370,8 +370,7 @@ class TestRunGmr:
         k2 = 100.0
         bounds = [BoundedEigen(lam, cr_lower_bound(lam, 0.2), up)
                   for lam, up in bounds]
-        marked = helmqo.certify._certification_blockers(mesh, bounds, k2,
-                                                        DEFAULT_KAPPA)
+        marked = helmqo.certify._certification_blockers(mesh, bounds, k2)
         i = sum(b.lam < k2 for b in bounds)
 
         def certifiable(h):
@@ -392,18 +391,6 @@ class TestRunGmr:
         with pytest.raises(EigenSolveError, match="inertia counts 12"):
             run_gmr(ProblemSpec(CR, 400.0),
                     build_square_with_hole(0.75, 0.3, 10), "adaptive", "cr")
-
-    @pytest.mark.parametrize("kappa", [math.nan, 0.0, 0.1, -DEFAULT_KAPPA])
-    def test_kappa_below_proven_constant_rejected(self, monkeypatch, kappa):
-        # nan once read as a resonant shift, 0 divided by zero, and 0.1 was
-        # rejected only after the factorizations and a Lanczos run
-        shifts = []
-        wrap_everywhere(monkeypatch, helmqo.sparsela.ldlt,
-                        lambda a, F: shifts.append(a[1]))
-        with pytest.raises(ValueError, match="kappa must be >= 0.1893"):
-            run_gmr(ProblemSpec(CR, 30.0), build_unit_square(4), "uniform",
-                    "cr", kappa=kappa)
-        assert shifts == []
 
     def test_cr_estimate_requires_cr(self):
         spec = ProblemSpec(P1, 30.0)
@@ -477,8 +464,8 @@ class TestCrEstimate:
         k2 = 30.0
         real = helmqo.certify.compute_bounds
 
-        def widened(E, kappa):
-            bounds = real(E, kappa)
+        def widened(E):
+            bounds = real(E)
             j = sum(b.lam < k2 for b in bounds)
             lam = bounds[j - 1].lam
             # width k^2 - lam + excess * gap, exactly the gap at excess 0
@@ -509,6 +496,11 @@ class TestProblemSpec:
     def test_rejects_k2_outside_positive_finite(self, k2):
         with pytest.raises(ValueError, match="positive and finite"):
             ProblemSpec(P1, k2)
+
+    @pytest.mark.parametrize("degree", [0, -5])
+    def test_rejects_load_degree_below_one(self, degree):
+        with pytest.raises(ValueError, match="load_degree must be >= 1"):
+            ProblemSpec(P1, 10.0, load_degree=degree)
 
 
 class TestConvergenceStudy:

@@ -1,5 +1,7 @@
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from conftest import cli_choices
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 EXIT_CODES = {0, 2, 3, 4, 5, 6}    # the codes the CLI documents
 
 
@@ -68,6 +71,21 @@ class TestHelp:
         res = run_cli(["mesh", "--geometry", "unit-square", "--frobnicate"])
         assert res.returncode == 2
 
+    def test_readme_commands_parse(self):
+        # a README that still shows a deleted flag fails here
+        from helmqo.cli import _build_parser
+        block = re.search(r"## Command line\n+```bash\n(.*?)```",
+                          README.read_text(), re.S).group(1)
+        commands = [shlex.split(line)[1:] for line
+                    in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("helmqo ")]
+        assert len(commands) == 7
+        for argv in commands:
+            try:
+                _build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {argv}")
+
 
 class TestMeshCommand:
     def test_generate_unit_square(self, tmp_path):
@@ -117,6 +135,42 @@ class TestMeshCommand:
     def test_missing_file_exit_3(self):
         res = run_cli(["mesh", "--validate", "/nonexistent.mesh"])
         assert res.returncode == 3
+
+    @pytest.mark.parametrize("text,line", [
+        ("$Vertices 1000000000000\n0 0\n", 1),
+        ("$Vertices 3\n0 0\n1 0\n0 1\n$Triangles 100000000000000\n"
+         "0 1 2\n$BoundaryEdges 0\n", 5)], ids=["vertices", "triangles"])
+    def test_huge_section_count_exit_3(self, tmp_path, text, line):
+        # numpy once failed to allocate the section: a traceback, exit 1
+        bad = tmp_path / "huge.mesh"
+        bad.write_text(text)
+        res = run_cli(["mesh", "--validate", str(bad)])
+        assert res.returncode == 3
+        assert f"error: line {line}:" in res.stderr
+
+
+class TestEmptyMesh:
+    """A mesh file with no triangles is a file error (exit 3) in every
+    subcommand that reads one."""
+
+    @pytest.fixture
+    def empty(self, tmp_path):
+        path = tmp_path / "empty.mesh"
+        path.write_text("$Vertices 0\n$Triangles 0\n$BoundaryEdges 0\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["mesh", "--validate"],
+        # once a ZeroDivisionError at the bound's cap 1/(kappa h)^2
+        ["certify", "--family", "cr", "--estimate", "cr", "--k2", "10",
+         "--mesh"],
+        # once exit 2: "zero-size array to reduction operation minimum"
+        ["study", "--family", "p1", "--k2", "10", "--refinements", "1",
+         "--mesh"]], ids=["mesh", "certify", "study"])
+    def test_no_triangles_exit_3(self, empty, argv):
+        res = run_cli([*argv, empty])
+        assert res.returncode == 3
+        assert "error: a mesh needs at least one triangle" in res.stderr
 
 
 class TestOneMeshSource:
@@ -482,12 +536,13 @@ class TestCertifyCommand:
         assert "max_iters must be >= 1" in res.stderr
         assert "Traceback" not in res.stderr
 
-    def test_negative_extra_pairs_exit_2(self):
+    def test_l_is_not_a_flag(self):
+        # the indicator's extra pairs are certify.INDICATOR_EXTRA_PAIRS
         res = run_cli(["certify", "--geometry", "unit-square", "--n", "4",
                        "--k2", "30", "--family", "p1", "--istar", "2",
-                       "--l", "-1"])
+                       "--l", "3"])
         assert res.returncode == 2
-        assert "extra must be >= 0" in res.stderr
+        assert "unrecognized arguments: --l 3" in res.stderr
 
     @pytest.mark.parametrize("k2", ["nan", "inf"])
     def test_nonfinite_k2_exit_2(self, k2):
@@ -521,8 +576,8 @@ class TestCertifyCommand:
         assert not out.exists()
 
 
-class TestKappaGuard:
-    """--kappa below Liu's proven CR constant 0.1893 is an argument error."""
+class TestKappa:
+    """Liu's constant is ``spectral.KAPPA``: no flag sets it."""
 
     EIG = ["eig", "--geometry", "unit-square", "--n", "4", "--family", "cr",
            "--m", "2"]
@@ -530,20 +585,13 @@ class TestKappaGuard:
                "30", "--family", "cr", "--estimate", "cr"]
 
     @pytest.mark.parametrize("cmd", ["eig", "certify"])
-    @pytest.mark.parametrize("kappa", ["0.1892", "nan"])
-    def test_below_proven_constant_exit_2(self, tmp_path, cmd, kappa):
+    def test_kappa_is_not_a_flag(self, tmp_path, cmd):
         out = tmp_path / "out.csv"
         args = self.EIG if cmd == "eig" else self.CERTIFY
-        res = run_cli([*args, "--kappa", kappa, "-o", str(out)])
+        res = run_cli([*args, "--kappa", "0.2", "-o", str(out)])
         assert res.returncode == 2
-        assert "--kappa must be >= 0.1893" in res.stderr
+        assert "unrecognized arguments: --kappa 0.2" in res.stderr
         assert not out.exists()
-
-    @pytest.mark.parametrize("cmd", ["eig", "certify"])
-    def test_proven_constant_accepted(self, cmd):
-        args = self.EIG if cmd == "eig" else self.CERTIFY
-        res = run_cli([*args, "--kappa", "0.1893"])
-        assert res.returncode == 0, res.stderr
 
 
 class TestStudyCommand:
@@ -677,6 +725,16 @@ class TestStudyCommand:
                        "--family", "p1", "--refinements", "2"])
         assert res.returncode == 2
         assert "k2 must be positive and finite" in res.stderr
+
+    def test_load_degree_below_one_exit_2(self, tmp_path):
+        # assemble_load once used degree 4 in its place, and exit 0
+        out = tmp_path / "study.csv"
+        res = run_cli(["study", "--geometry", "unit-square", "--n", "4",
+                       "--k2", "10", "--family", "p1", "--refinements", "2",
+                       "--load-degree", "-5", "-o", str(out)])
+        assert res.returncode == 2
+        assert "load_degree must be >= 1, got -5" in res.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("istar", ["-1", "-2"])
     def test_negative_istar_exit_2(self, tmp_path, istar):

@@ -112,6 +112,10 @@ class TestConstructorErrors:
         with pytest.raises(MeshError, match="duplicate boundary edge"):
             Mesh(m.vertices, m.triangles, m.boundary_edges + [((b, a), N)])
 
+    def test_no_triangles(self):
+        with pytest.raises(MeshError, match="at least one triangle"):
+            Mesh(np.zeros((0, 2)), np.zeros((0, 3), dtype=int), [])
+
     def test_missing_boundary_edge(self):
         m = self.square()
         with pytest.raises(MeshError, match="do not match"):
@@ -391,6 +395,21 @@ class TestSerialization:
     def test_malformed_header(self):
         with pytest.raises(MeshFormatError):
             read_mesh("$Points 3\n")
+
+    @pytest.mark.parametrize("section,line", [("Vertices", 1),
+                                              ("Triangles", 5),
+                                              ("BoundaryEdges", 7)])
+    def test_count_past_the_end_rejected_at_header(self, section, line):
+        # checked before allocating: such a count once ran numpy out of
+        # memory instead
+        n = {"Vertices": 3, "Triangles": 1, "BoundaryEdges": 3}
+        n[section] = 10 ** 14
+        text = (f"$Vertices {n['Vertices']}\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+                f"$Triangles {n['Triangles']}\n0 1 2\n"
+                f"$BoundaryEdges {n['BoundaryEdges']}\n0 1 D\n1 2 D\n0 2 D\n")
+        with pytest.raises(MeshFormatError, match="only") as exc:
+            read_mesh(text)
+        assert exc.value.line == line
 
     def test_immutability(self):
         m = build_unit_square(2)

@@ -13,14 +13,14 @@ from helmqo.spaces import CR, P1, P2, assemble_mass, assemble_stiffness, \
     build_space, interpolate
 from helmqo.sparsela import (EigenSolveError, ResonanceError,
                              SparseSymMatrix, count_below)
-from helmqo.spectral import (MIN_KAPPA, EigenSet, check_complete,
+from helmqo.spectral import (KAPPA, EigenSet, check_complete,
                              check_criterion, compute_bounds, cr_lower_bound,
                              eigen_ladder, eigenpairs)
 
-from conftest import (counted_ladder, dense_ritz_upper_bounds,
+from conftest import (MIN_KAPPA, counted_ladder, dense_ritz_upper_bounds,
                       drop_first_pair_above, drop_lowest_pair,
                       enumeration_index, enumeration_spectrum,
-                      jittered_square, traced_peak)
+                      jittered_square, liu_lower_bounds, traced_peak)
 
 
 def synthetic_ladder(values, family=P1, n=2):
@@ -168,13 +168,10 @@ class TestBounds:
         assert np.isclose(cr_lower_bound(50.0, 1e-9), 50.0)
         assert cr_lower_bound(50.0, 0.3) <= 50.0
 
-    def test_kappa_below_proven_constant_raises(self):
+    def test_kappa_at_least_proven_constant(self):
         # Liu's CR interpolation constant; a larger kappa lowers the bound
-        assert MIN_KAPPA == 0.1893
-        assert cr_lower_bound(19.8, 0.1, MIN_KAPPA) > cr_lower_bound(19.8, 0.1)
-        for kappa in (0.1892, 0.0, -0.1932, math.nan):
-            with pytest.raises(ValueError, match="kappa"):
-                cr_lower_bound(19.8, 0.1, kappa)
+        assert KAPPA >= MIN_KAPPA == 0.1893
+        assert cr_lower_bound(19.8, 0.1) <= liu_lower_bounds([19.8], 0.1)[0]
 
     def test_lift_keeps_continuous_function(self):
         # a CR function that is already continuous and piecewise affine is
@@ -286,11 +283,10 @@ class TestLowerBoundSoundness:
         E = eigenpairs(space, space.n_free)
         h = mesh.h
         exact = enumeration_spectrum(len(E))
-        lower = np.array([cr_lower_bound(lam, h, MIN_KAPPA)
-                          for lam in E.values])
+        lower = liu_lower_bounds(E.values, h)
         assert (lower <= exact).all()
-        bounds = compute_bounds(E, MIN_KAPPA)
-        assert [b.lower for b in bounds] == lower.tolist()
+        bounds = compute_bounds(E)
+        assert (np.array([b.lower for b in bounds]) <= lower).all()
         assert (exact <= np.array([b.upper for b in bounds])).all()
 
 
