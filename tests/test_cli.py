@@ -576,7 +576,7 @@ class TestCertifyCommand:
         assert not out.exists()
 
 
-class TestKappa:
+class TestKappaGuard:
     """Liu's constant is ``spectral.KAPPA``: no flag sets it."""
 
     EIG = ["eig", "--geometry", "unit-square", "--n", "4", "--family", "cr",
@@ -591,6 +591,18 @@ class TestKappa:
         res = run_cli([*args, "--kappa", "0.2", "-o", str(out)])
         assert res.returncode == 2
         assert "unrecognized arguments: --kappa 0.2" in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["eig", "certify"])
+    @pytest.mark.parametrize("kappa", ["0.1892", "nan"])
+    def test_below_proven_constant_exit_2(self, tmp_path, cmd, kappa):
+        # A kappa below Liu's proven 0.1893 is still refused, and nothing
+        # is written: the flag it was passed by no longer exists.
+        out = tmp_path / "out.csv"
+        args = self.EIG if cmd == "eig" else self.CERTIFY
+        res = run_cli([*args, "--kappa", kappa, "-o", str(out)])
+        assert res.returncode == 2
+        assert f"unrecognized arguments: --kappa {kappa}" in res.stderr
         assert not out.exists()
 
 
