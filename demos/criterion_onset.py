@@ -42,7 +42,7 @@ stability.
 """)
 
 data = SineProduct(((3, 4, 1.0), (4, 3, 1.0)))
-spec = ProblemSpec(P1, K2, rhs=data, load_degree=10)
+spec = ProblemSpec(P1, K2, rhs=data)
 records = convergence_study(spec, build_unit_square(12), 5)
 
 print("Convergence study against the spectral reference "

@@ -44,9 +44,9 @@ INDICATOR_EXTRA_PAIRS = 3    # pairs past i* in the averaged indicator
 class GaussianBump:
     """f(x, y) = amplitude * exp(-width^2 * |x - center|^2)."""
 
-    amplitude: float = 5e4
-    width: float = 40.0
-    center: tuple[float, float] = (0.0, 0.0)
+    amplitude: float
+    width: float
+    center: tuple[float, float]
 
     def __post_init__(self):
         if not (math.isfinite(self.amplitude) and self.amplitude != 0
@@ -65,7 +65,7 @@ class GaussianBump:
 class SineProduct:
     """Combination of normalized sine modes 2 sin(i pi x) sin(j pi y)."""
 
-    modes: tuple[tuple[int, int, float], ...] = ((1, 1, 1.0),)
+    modes: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
         if not self.modes or not all(i >= 1 and j >= 1 and math.isfinite(c)
@@ -98,15 +98,11 @@ class ProblemSpec:
     family: ElementFamily
     k2: float
     rhs: Rhs | None = None
-    load_degree: int = 4
 
     def __post_init__(self):
         if not 0 < self.k2 < math.inf:
             raise ValueError(f"k2 must be positive and finite, got "
                              f"{self.k2!r}")
-        if self.load_degree < 1:
-            raise ValueError(f"load_degree must be >= 1, got "
-                             f"{self.load_degree!r}")
 
 
 def dirichlet_unit_square(mesh: Mesh) -> bool:
@@ -146,7 +142,7 @@ def _solve(spec: ProblemSpec, space: DofSpace) -> tuple[FeFunction, int]:
     if space.n_free == 0:
         raise ValueError("space has no free degrees of freedom")
     A, M = space.pencil
-    b = assemble_load(space, spec.rhs, spec.load_degree)
+    b = assemble_load(space, spec.rhs)
     F = ldlt(A, spec.k2, M)
     below = count_from_factor(F)
     return FeFunction(space, expand_free(space, solve(F, b))), below
@@ -509,54 +505,49 @@ def convergence_study(spec: ProblemSpec, initial_mesh: Mesh,
     (:func:`dirichlet_unit_square`), the error reference is the spectral
     sine series and the pivotal index comes from the exact spectrum; on
     other meshes the reference is a P1 solution two uniform refinements
-    past the finest mesh (``spec`` with ``family=P1``, so its load degree
-    too), and the index is counted by inertia on the finest mesh.  The
-    meshes are refined one at a time, so a coarser mesh and its pencil are
-    freed before the next one is solved on; off the unit square the finest
-    mesh is built first, without keeping those between, and reused last.
+    past the finest mesh (``spec`` with ``family=P1``), and the index is
+    the inertia count of the finest mesh's solve.  The meshes are refined
+    one at a time, so a coarser mesh and its pencil are freed before the
+    next one is solved on; off the unit square the finest mesh is built
+    (keeping none between) and solved on first, and its record put last.
     """
     if refinements < 1:
         raise ValueError("refinements must be >= 1")
     if i_star is not None and i_star < 0:
         raise ValueError(f"i_star must be >= 0, got {i_star}")
-    on_square = dirichlet_unit_square(initial_mesh)
-    finest = None
-    if not on_square:
+    last = []
+    if dirichlet_unit_square(initial_mesh):
+        if i_star is None:
+            i_star = unit_square_index(spec.k2)
+        reference = sine_series_reference(spec.rhs, spec.k2)
+    else:
         finest = initial_mesh
         for _ in range(refinements - 1):
             finest = refine_uniform(finest)
-    if i_star is None:
-        if on_square:
-            i_star = unit_square_index(spec.k2)
-        else:
-            i_star = count_below(*build_space(finest, spec.family).pencil,
-                                 spec.k2)
-
-    if on_square:
-        reference = sine_series_reference(spec.rhs, spec.k2)
-    else:
         reference = solve_helmholtz(
             replace(spec, family=P1), refine_uniform(refine_uniform(finest)))
+        record, i_star = _study_record(spec, finest, reference, i_star, seed)
+        last = [record]
 
     records = []
     mesh = initial_mesh
-    for level in range(refinements):
-        if level == refinements - 1 and finest is not None:
-            mesh = finest
-        elif level:
+    for level in range(refinements - len(last)):
+        if level:
             mesh = refine_uniform(mesh)
-        records.append(_study_record(spec, mesh, reference, i_star, seed))
-    return records
+        records.append(_study_record(spec, mesh, reference, i_star, seed)[0])
+    return records + last
 
 
-def _study_record(spec: ProblemSpec, mesh: Mesh, reference, i_star: int,
-                  seed: int) -> StudyRecord:
-    """One mesh's row of :func:`convergence_study`; its space, solution
-    and ladder are freed on return."""
+def _study_record(spec: ProblemSpec, mesh: Mesh, reference,
+                  i_star: int | None, seed: int) -> tuple[StudyRecord, int]:
+    """One mesh's row of :func:`convergence_study` and i*, by default the
+    mesh's count below k^2; its space, solution and ladder are freed."""
     space = build_space(mesh, spec.family)
     # the solve's factorization also counts the eigenvalues below k^2,
     # so the ladder needs no second LDL^T
     u, below = _solve(spec, space)
+    if i_star is None:
+        i_star = below
     err = l2_error(u, reference)
     E = eigen_ladder(space, max(below + STUDY_EXTRA_PAIRS + 1, i_star + 1),
                      {spec.k2: below}, seed)
@@ -564,4 +555,5 @@ def _study_record(spec: ProblemSpec, mesh: Mesh, reference, i_star: int,
     def value(j):   # the ladder stops at n_free: no value past it
         return float(E.values[j - 1]) if j <= len(E) else math.nan
     return StudyRecord(mesh.h, space.n_free, err,
-                       value(i_star) if i_star else 0.0, value(i_star + 1))
+                       value(i_star) if i_star else 0.0,
+                       value(i_star + 1)), i_star

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -42,11 +43,10 @@ class UsageError(ValueError):
 
 def _resolve_family(args) -> ElementFamily:
     fam = ElementFamily(args.family)
-    p = getattr(args, "p", None)
-    if p is not None:
+    if args.p is not None:
         if fam == CR:
             raise UsageError("--p applies to the conforming family only")
-        fam = ElementFamily(f"p{p}")
+        fam = ElementFamily(f"p{args.p}")
     return fam
 
 
@@ -86,6 +86,11 @@ _RHS = {
     "gaussian-bump": lambda a: GaussianBump(a.rhs_amplitude, a.rhs_width,
                                             tuple(a.rhs_center)),
 }
+# the --rhs-* flags: the --rhs that reads each, and its value when omitted
+_RHS_FLAGS = {"rhs_modes": ("sine-product", "3,4,1;4,3,1"),
+              "rhs_amplitude": ("gaussian-bump", 5e4),
+              "rhs_width": ("gaussian-bump", 40.0),
+              "rhs_center": ("gaussian-bump", (0.6, 0.7))}
 
 
 def _write(path: str, text: str) -> None:
@@ -119,6 +124,18 @@ def _mesh(args, path: str | None, path_flag: str = "--mesh") -> Mesh:
     vars(args).update({name: value for name, value in _GEOMETRY_FLAGS.items()
                        if name not in given})
     return _GEOMETRIES[args.geometry](args)
+
+
+def _rhs(args):
+    """The right-hand side the flags give.  A --rhs-* flag that the chosen
+    --rhs would not read is a usage error."""
+    for name, (kind, value) in _RHS_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+        elif kind != args.rhs:
+            raise UsageError(f"--{name.replace('_', '-')} applies to --rhs "
+                             f"{kind} only")
+    return _RHS[args.rhs](args)
 
 
 def _check_bump_center(rhs, mesh) -> None:
@@ -156,30 +173,18 @@ def _add_geometry_args(p: argparse.ArgumentParser, with_mesh: bool = True):
                    help="tag for the hole boundary (square-hole)")
 
 
-def _add_rhs_args(p: argparse.ArgumentParser):
-    kinds = list(_RHS)
-    p.add_argument("--rhs", choices=kinds, default=kinds[0],
-                   help="right-hand side data")
-    p.add_argument("--rhs-modes", default="3,4,1;4,3,1",
-                   help="sine-product modes as 'i,j,coef;…'")
-    p.add_argument("--rhs-amplitude", type=float, default=5e4,
-                   help="gaussian-bump amplitude")
-    p.add_argument("--rhs-width", type=float, default=40.0,
-                   help="gaussian-bump inverse width")
-    p.add_argument("--rhs-center", type=float, nargs=2, default=(0.6, 0.7),
-                   metavar=("X", "Y"), help="gaussian-bump center")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
-        prog="helmqo",
+        prog="helmqo", allow_abbrev=False,
         description="Finite element toolkit that refines meshes until the "
                     "Helmholtz discretization is certifiably stable "
                     "(wave number bracketed by consecutive discrete "
                     "Laplace eigenvalues).")
     top.add_argument("--seed", type=int, default=0,
                      help="random seed (default: 0)")
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True,
+                             parser_class=partial(argparse.ArgumentParser,
+                                                  allow_abbrev=False))
     families = [str(f) for f in ElementFamily]
 
     pm = sub.add_parser("mesh", help="generate or validate a mesh file")
@@ -231,9 +236,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--istar", type=int,
                     help="pivotal index (default: exact enumeration on the "
                          "square, inertia count elsewhere)")
-    ps.add_argument("--load-degree", type=int, default=10,
-                    help="quadrature degree for load assembly")
-    _add_rhs_args(ps)
+    ps.add_argument("--rhs", choices=list(_RHS), default=next(iter(_RHS)),
+                    help="right-hand side data")
+    ps.add_argument("--rhs-modes", help="sine-product modes as 'i,j,coef;…'")
+    ps.add_argument("--rhs-amplitude", type=float,
+                    help="gaussian-bump amplitude")
+    ps.add_argument("--rhs-width", type=float,
+                    help="gaussian-bump inverse width")
+    ps.add_argument("--rhs-center", type=float, nargs=2, metavar=("X", "Y"),
+                    help="gaussian-bump center")
     ps.add_argument("-o", "--output", metavar="FILE",
                     help="write the study CSV to FILE")
     return top
@@ -314,19 +325,15 @@ def cmd_certify(args) -> int:
 def cmd_study(args) -> int:
     if args.refinements < 1:
         raise UsageError("--refinements must be >= 1")
-    family = _resolve_family(args)
-    spec = ProblemSpec(family, args.k2, rhs=_RHS[args.rhs](args),
-                       load_degree=args.load_degree)
+    spec = ProblemSpec(_resolve_family(args), args.k2, rhs=_rhs(args))
     mesh = _mesh(args, args.mesh)
     _check_bump_center(spec.rhs, mesh)
     records = convergence_study(spec, mesh, args.refinements,
-                                i_star=args.istar,
-                                seed=args.seed)
+                                i_star=args.istar, seed=args.seed)
     csv = study_to_csv(records)
     if args.output:
         _write(args.output, csv)
-        ref_note = ("spectral sine series"
-                    if dirichlet_unit_square(mesh)
+        ref_note = ("spectral sine series" if dirichlet_unit_square(mesh)
                     else "conforming solution on two extra refinements")
         print(f"wrote {args.output} ({len(records)} meshes, "
               f"error reference: {ref_note})")

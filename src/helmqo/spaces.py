@@ -9,11 +9,11 @@ definite for the eigensolver.
 All stiffness and mass entries are integrated exactly (the integrands are
 polynomial); ``element_matrices`` gives the local matrices of any selection
 of triangles, and assembly scatters those of the whole mesh.  Load vectors
-use quadrature of selectable degree, and L2 errors the degree-4 rule.
-``assemble_load`` and ``l2_error`` (against a callable, a function on the
-same mesh or one on a nested finer mesh) work through the mesh in fixed
-slices of quadrature points, so their working set beyond one value per
-point does not grow with the mesh.
+use the rule of degree ``LOAD_DEGREE``, and L2 errors that of degree 4.
+``assemble_load`` and ``l2_error`` (against data ``f(x, y)`` that give one
+value per point, a function on the same mesh or one on a nested finer
+mesh) work through the mesh in fixed slices of quadrature points, so their
+working set beyond one value per point does not grow with the mesh.
 
 A space numbers its free dofs once, when it is built, in the reverse
 Cuthill-McKee order of the graph that joins two free dofs when they share
@@ -274,17 +274,18 @@ def assemble_mass(space: DofSpace) -> SparseSymMatrix:
 
 # quadrature points per slice of assemble_load and l2_error
 _SLICE_POINTS = 65_536
+LOAD_DEGREE = 10   # of the load's quadrature rule
 
 
-def assemble_load(space: DofSpace, f, degree: int = 4) -> np.ndarray:
+def assemble_load(space: DofSpace, f) -> np.ndarray:
     """Free-dof load vector with entries ``int f * phi_i`` by quadrature.
 
     ``f`` is called as ``f(x, y)`` on coordinate arrays, one slice of
-    triangles at a time; scalar-only callables are vectorized
-    transparently.  Slices are summed in triangle order, so the result
-    does not depend on the slice size.
+    triangles at a time, and returns one value per point.  Slices are
+    summed in triangle order, so the result does not depend on the slice
+    size.
     """
-    rule = triangle_rule(max(degree, 4))
+    rule = triangle_rule(LOAD_DEGREE)
     mesh = space.mesh
     N = shape_values(space.family, rule.points)
     step = max(1, _SLICE_POINTS // len(rule.weights))
@@ -300,10 +301,9 @@ def assemble_load(space: DofSpace, f, degree: int = 4) -> np.ndarray:
 
 
 def _eval_rhs(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    vals = f(x, y)
-    vals = np.asarray(vals, dtype=np.float64)
+    vals = np.asarray(f(x, y), dtype=np.float64)
     if vals.shape != x.shape:
-        vals = np.vectorize(f)(x, y).astype(np.float64)
+        raise ValueError("data must give one value per point")
     return vals
 
 
@@ -347,10 +347,8 @@ def l2_error(u: FeFunction, ref) -> float:
         level = _nesting_level(u.space.mesh, mesh)
         # on u's own mesh and in u's family both share the rule's points
         nested = level > 0 or u.space.family != ref.space.family
-    elif callable(ref):
-        mesh, nested = u.space.mesh, False
     else:
-        raise TypeError("ref must be callable or an FeFunction")
+        mesh, nested = u.space.mesh, False
     sq = np.empty((mesh.n_triangles, len(rule.weights)))
     step = max(1, _SLICE_POINTS // len(rule.weights))
     for lo in range(0, mesh.n_triangles, step):

@@ -359,12 +359,12 @@ def dense_ritz_upper_bounds(E) -> np.ndarray:
     return scipy.linalg.eigh(Z.T @ A2 @ Z, Z.T @ M2 @ Z, eigvals_only=True)
 
 
-def oneshot_assemble_load(space, f, degree: int = 4) -> np.ndarray:
+def oneshot_assemble_load(space, f) -> np.ndarray:
     """Load vector from one evaluation of ``f`` at every quadrature point
     of the mesh, the arithmetic of ``assemble_load`` without slices."""
     from helmqo.quadrature import triangle_rule
-    from helmqo.spaces import _eval_rhs, shape_values
-    rule = triangle_rule(max(degree, 4))
+    from helmqo.spaces import LOAD_DEGREE, _eval_rhs, shape_values
+    rule = triangle_rule(LOAD_DEGREE)
     mesh = space.mesh
     pts = np.einsum("qk,tkd->tqd", rule.points, mesh.vertices[mesh.triangles])
     fvals = _eval_rhs(f, pts[..., 0], pts[..., 1])

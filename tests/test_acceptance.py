@@ -90,7 +90,7 @@ def test_criterion_2_guaranteed_bounds():
 
 def _study_slope(family, n0, refinements):
     data = hq.SineProduct(((3, 4, 1.0), (4, 3, 1.0)))
-    spec = hq.ProblemSpec(family, 100.0, rhs=data, load_degree=10)
+    spec = hq.ProblemSpec(family, 100.0, rhs=data)
     recs = hq.convergence_study(spec, hq.build_unit_square(n0), refinements)
     sat = np.array([r.ev_i < 100.0 < r.ev_ipo for r in recs])
     onset = int(np.argmax(sat)) if sat.any() else None

@@ -198,13 +198,13 @@ class TestSolveHelmholtz:
     def test_flagged_factor_solved(self, n, k2, monkeypatch):
         # k^2 = a_ii / m_ii for some i: SuperLU's LDL^T is flagged and
         # cannot solve, but k^2 is no discrete eigenvalue
-        spec = ProblemSpec(P1, k2, rhs=GaussianBump(center=(0.6, 0.7)))
+        spec = ProblemSpec(P1, k2, rhs=GaussianBump(5e4, 40.0, (0.6, 0.7)))
         mesh = build_unit_square(n)
         space = build_space(mesh, P1)
         A, M = space.pencil
         assert ldlt(A, k2, M).n_zero > 0
         K = A.toarray() - k2 * M.toarray()
-        b = assemble_load(space, spec.rhs, spec.load_degree)
+        b = assemble_load(space, spec.rhs)
         x = np.linalg.solve(K, b)
         shifts = []
         wrap_everywhere(monkeypatch, helmqo.sparsela.ldlt,
@@ -244,7 +244,8 @@ class TestSineSeriesReference:
 
     def test_resonant_wave_number(self):
         with pytest.raises(ResonanceError):
-            sine_series_reference(SineProduct(), 2 * math.pi ** 2)
+            sine_series_reference(SineProduct(((1, 1, 1.0),)),
+                                  2 * math.pi ** 2)
 
 
 class TestSineBlocks:
@@ -497,22 +498,16 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match="positive and finite"):
             ProblemSpec(P1, k2)
 
-    @pytest.mark.parametrize("degree", [0, -5])
-    def test_rejects_load_degree_below_one(self, degree):
-        with pytest.raises(ValueError, match="load_degree must be >= 1"):
-            ProblemSpec(P1, 10.0, load_degree=degree)
-
 
 class TestConvergenceStudy:
     @pytest.mark.parametrize("i_star", [-1, -2])
     def test_negative_istar_rejected(self, i_star):
-        spec = ProblemSpec(P1, 100.0, rhs=SineProduct())
+        spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((1, 1, 1.0),)))
         with pytest.raises(ValueError, match="i_star must be >= 0"):
             convergence_study(spec, build_unit_square(4), 2, i_star=i_star)
 
     def test_csv_schema_and_monotone_errors(self):
-        spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((3, 4, 1.0),)),
-                           load_degree=8)
+        spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((3, 4, 1.0),)))
         recs = convergence_study(spec, build_unit_square(16), 3)
         csv = study_to_csv(recs)
         lines = csv.strip().splitlines()
@@ -553,15 +548,14 @@ class TestConvergenceStudy:
 
     def test_reference_keeps_load_degree(self, monkeypatch):
         # off the square the reference is the study's spec with P1
-        # elements: same data, same load quadrature
+        # elements: same data (the load has one quadrature rule)
         refs = []
         wrap_everywhere(monkeypatch, helmqo.certify.solve_helmholtz,
                         lambda a, u: refs.append(a[0]))
-        spec = ProblemSpec(CR, 50.0, rhs=GaussianBump(100.0, 10.0, (0.3, 0.3)),
-                           load_degree=10)
+        spec = ProblemSpec(CR, 50.0, rhs=GaussianBump(100.0, 10.0, (0.3, 0.3)))
         convergence_study(spec, build_square_with_hole(2.0, 1.0, 4), 1)
         [ref] = refs
-        assert (ref.family, ref.load_degree) == (P1, 10)
+        assert ref.family == P1
         assert (ref.k2, ref.rhs) == (spec.k2, spec.rhs)
 
     def test_round_trip_floats(self):
@@ -644,6 +638,29 @@ class TestPencilReuse:
                                min_pairs=unit_square_index(100.0) + 1)
             assert (rec.ev_i, rec.ev_ipo) == (E.values[5], E.values[6])
             mesh = refine_uniform(mesh)
+
+    def test_off_square_study_factorizes_each_pencil_once(self,
+                                                          monkeypatch):
+        # i* is the finest mesh's own count, read from its solve: no second
+        # CR space of that mesh, and no second factor at k^2
+        import helmqo.spaces
+        import helmqo.sparsela
+        factorized, spaces = [], []
+        wrap_everywhere(monkeypatch, helmqo.sparsela.ldlt,
+                        lambda a, F: factorized.append(
+                            (matrix_digest(a[0]), matrix_digest(a[2]),
+                             a[1])))
+        wrap_everywhere(monkeypatch, helmqo.spaces.build_space,
+                        lambda a, s: spaces.append(s))
+        spec = ProblemSpec(CR, 400.0,
+                           rhs=SineProduct(((3, 4, 1.0), (4, 3, 1.0))))
+        recs = convergence_study(spec, build_square_with_hole(0.75, 0.3, 10),
+                                 2)
+        assert len(set(factorized)) == len(factorized)
+        assert sorted(s.mesh.n_triangles for s in spaces
+                      if s.family == CR) == [168, 672]
+        assert [r.ndof for r in recs] == [224, 952]
+        assert recs[-1].ev_i < 400.0 <= recs[-1].ev_ipo
 
     def test_study_checks_ladder_against_inertia(self, monkeypatch):
         import helmqo.sparsela

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_choices
+from helmqo.certify import GaussianBump, SineProduct
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -70,6 +71,20 @@ class TestHelp:
     def test_unknown_flag_rejected(self):
         res = run_cli(["mesh", "--geometry", "unit-square", "--frobnicate"])
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        # --k once parsed as --k2 100, with exit 0
+        ["certify", "--geometry", "unit-square", "--n", "8", "--k", "100",
+         "--family", "p1", "--istar", "6"],
+        ["study", "--geometry", "unit-square", "--n", "4", "--k2", "10",
+         "--family", "p1", "--refine", "2"],
+        ["--se", "1", "mesh", "--geometry", "unit-square"],
+    ], ids=["certify-k", "study-refine", "top-seed"])
+    def test_prefix_of_a_flag_exit_2(self, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        res = run_cli([*argv, "-o", str(out)])
+        assert res.returncode == 2
+        assert not out.exists()
 
     def test_readme_commands_parse(self):
         # a README that still shows a deleted flag fails here
@@ -738,14 +753,15 @@ class TestStudyCommand:
         assert res.returncode == 2
         assert "k2 must be positive and finite" in res.stderr
 
-    def test_load_degree_below_one_exit_2(self, tmp_path):
-        # assemble_load once used degree 4 in its place, and exit 0
+    def test_load_degree_is_not_a_flag(self, tmp_path):
+        # the load is integrated by the one rule of degree
+        # spaces.LOAD_DEGREE
         out = tmp_path / "study.csv"
         res = run_cli(["study", "--geometry", "unit-square", "--n", "4",
                        "--k2", "10", "--family", "p1", "--refinements", "2",
-                       "--load-degree", "-5", "-o", str(out)])
+                       "--load-degree", "10", "-o", str(out)])
         assert res.returncode == 2
-        assert "load_degree must be >= 1, got -5" in res.stderr
+        assert "unrecognized arguments: --load-degree 10" in res.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("istar", ["-1", "-2"])
@@ -837,6 +853,33 @@ class TestStudyCommand:
         errors = [float(line.split(",")[2])
                   for line in out.read_text().splitlines()[1:]]
         assert len(errors) == 2 and min(errors) > 1e-6
+
+    @pytest.mark.parametrize("rhs,stray", [
+        (["--rhs-width", "3", "--rhs-center", "9", "9"],
+         "--rhs-width applies to --rhs gaussian-bump only"),
+        (["--rhs", "gaussian-bump", "--rhs-modes", "1,1,1"],
+         "--rhs-modes applies to --rhs sine-product only"),
+    ], ids=["bump-flags-on-sines", "modes-on-bump"])
+    def test_rhs_flag_not_read_exit_2(self, tmp_path, rhs, stray):
+        # both once wrote the bytes of the argv without the stray flags
+        out = tmp_path / "study.csv"
+        res = run_cli(["study", *self.SQUARE, "--k2", "10", "--family",
+                       "p1", "--refinements", "2", *rhs, "-o", str(out)])
+        assert res.returncode == 2
+        assert stray in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rhs,expected", [
+        ([], SineProduct(((3, 4, 1.0), (4, 3, 1.0)))),
+        (["--rhs", "gaussian-bump", "--rhs-width", "30"],
+         GaussianBump(5e4, 30.0, (0.6, 0.7))),
+    ], ids=["sine-product", "bump-width"])
+    def test_omitted_rhs_flags_keep_their_defaults(self, rhs, expected):
+        from helmqo.cli import _build_parser, _rhs
+        args = _build_parser().parse_args(
+            ["study", *self.SQUARE, "--k2", "10", "--family", "p1",
+             "--refinements", "1", *rhs])
+        assert _rhs(args) == expected
 
 
 class TestDeepValidation:

@@ -10,11 +10,11 @@ import helmqo.spaces
 from helmqo.mesh import (BoundaryTag, Mesh, build_square_with_hole,
                          build_unit_square, build_unit_square_unstructured,
                          refine_bisection, refine_uniform)
-from helmqo.spaces import (CR, P1, P2, ElementFamily, FeFunction,
-                           assemble_load, assemble_mass, assemble_stiffness,
-                           build_space, element_matrices, expand_free,
-                           interpolate, l2_error, shape_gradients,
-                           shape_values)
+from helmqo.spaces import (CR, LOAD_DEGREE, P1, P2, ElementFamily,
+                           FeFunction, assemble_load, assemble_mass,
+                           assemble_stiffness, build_space, element_matrices,
+                           expand_free, interpolate, l2_error,
+                           shape_gradients, shape_values)
 from helmqo.quadrature import triangle_rule
 from helmqo.sparsela import ldlt, solve
 from helmqo.spectral import _p2_lifts, compute_bounds, eigenpairs
@@ -42,9 +42,9 @@ def on_all_dofs(space, A) -> np.ndarray:
     return full
 
 
-def laplace_solution(space, f, degree=6):
+def laplace_solution(space, f):
     A, M = assemble_stiffness(space), assemble_mass(space)
-    b = assemble_load(space, f, degree)
+    b = assemble_load(space, f)
     x = solve(ldlt(A, 0.0, M), b)
     return FeFunction(space, expand_free(space, x))
 
@@ -242,11 +242,18 @@ class TestLoad:
         assert abs(b.sum() - exact) < 0.01 * exact
 
     def test_scalar_callable_vectorized(self):
+        # data that also take scalars are called on arrays, never per point
         s = build_space(build_unit_square(2), P1)
+        seen = []
+
+        def either(x, y):
+            seen.append(np.isscalar(x))
+            return float(x) + float(y) if np.isscalar(x) else x + y
+
         b1 = assemble_load(s, lambda x, y: x + y)
-        b2 = assemble_load(s, lambda x, y: float(x) + float(y)
-                           if np.isscalar(x) else x + y)
+        b2 = assemble_load(s, either)
         assert np.allclose(b1, b2, atol=1e-15)
+        assert seen and not any(seen)
 
 
 def scalar_only(x, y):
@@ -259,37 +266,44 @@ class TestLoadSlices:
     bit for bit, and its working set does not grow with the mesh."""
 
     @pytest.mark.parametrize("fam", [P1, P2, CR], ids=str)
-    @pytest.mark.parametrize("degree", [4, 10])
-    def test_bit_identical_to_one_shot(self, fam, degree):
-        # 3200 triangles: two slices at degree 10, the last one partial
+    @pytest.mark.parametrize("slices", [4, 10])
+    def test_bit_identical_to_one_shot(self, fam, slices, monkeypatch):
+        # 3200 triangles: two slices at the default size, then 4 or 10
+        # slices; the last one partial each time
         s = build_space(build_unit_square(40), fam)
         bump = GaussianBump(5e4, 40.0, (0.6, 0.7))
-        assert np.array_equal(assemble_load(s, bump, degree),
-                              oneshot_assemble_load(s, bump,
-                                                    degree)[s.free_dofs])
+        want = oneshot_assemble_load(s, bump)[s.free_dofs]
+        assert np.array_equal(assemble_load(s, bump), want)
+        points = len(triangle_rule(LOAD_DEGREE).weights)
+        monkeypatch.setattr(helmqo.spaces, "_SLICE_POINTS",
+                            (3200 // slices + 1) * points)
+        assert np.array_equal(assemble_load(s, bump), want)
 
     @pytest.mark.parametrize("fam", [P1, P2, CR], ids=str)
     def test_many_slices_and_a_one_triangle_tail(self, fam, monkeypatch):
-        # 7 triangles per 25-point slice: 3200 = 457 * 7 + 1
-        monkeypatch.setattr(helmqo.spaces, "_SLICE_POINTS", 7 * 25)
+        # 7 triangles per slice: 3200 = 457 * 7 + 1
+        points = len(triangle_rule(LOAD_DEGREE).weights)
+        monkeypatch.setattr(helmqo.spaces, "_SLICE_POINTS", 7 * points)
         s = build_space(build_unit_square(40), fam)
         f = SineProduct(((3, 4, 1.0), (4, 3, 1.0)))
-        assert np.array_equal(assemble_load(s, f, 10),
-                              oneshot_assemble_load(s, f, 10)[s.free_dofs])
+        assert np.array_equal(assemble_load(s, f),
+                              oneshot_assemble_load(s, f)[s.free_dofs])
 
-    def test_scalar_only_callable(self, monkeypatch):
-        monkeypatch.setattr(helmqo.spaces, "_SLICE_POINTS", 5 * 6)
+    def test_scalar_only_callable(self):
+        # data give one value per point: the np.vectorize fallback that
+        # once called such data point by point is deleted
         s = build_space(build_square_with_hole(2.0, 0.5, 6), P2)
-        b = assemble_load(s, scalar_only)
-        assert np.array_equal(
-            b, oneshot_assemble_load(s, scalar_only)[s.free_dofs])
-        assert b.any()
+        u = FeFunction(s, np.zeros(s.ndof))
+        with pytest.raises(ValueError, match="one value per point"):
+            assemble_load(s, scalar_only)
+        with pytest.raises(ValueError, match="one value per point"):
+            l2_error(u, scalar_only)
 
     def test_working_set_is_bounded(self):
-        # 73,728 triangles x 25 points: 1.8M points in one shot
+        # 73,728 triangles x 36 points: 2.7M points in one shot
         s = build_space(build_unit_square(192), P1)
         f = SineProduct(((3, 4, 1.0), (4, 3, 1.0)))
-        assert traced_peak(assemble_load, s, f, degree=10) < 32 * 2 ** 20
+        assert traced_peak(assemble_load, s, f) < 32 * 2 ** 20
 
 
 class TestConstrain:
@@ -621,7 +635,7 @@ class TestGalerkinEnergy:
                 uh = laplace_solution(s, self.rhs).coefficients
                 Iu = interpolate(s, self.exact).coefficients
                 A = assemble_stiffness(s)
-                b = assemble_load(s, self.rhs, degree=6)
+                b = assemble_load(s, self.rhs)
                 J = lambda c: 0.5 * c @ (A @ c) - b @ c
                 assert J(uh[s.free_dofs]) <= J(Iu[s.free_dofs]) + 1e-12
 

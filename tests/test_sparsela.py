@@ -420,8 +420,8 @@ class TestCountBelow:
             assert np.abs(w - sigma).min() <= 2e-8 * sigma
         else:
             assert count == int((w < sigma).sum())
-        spec = ProblemSpec(family, sigma, rhs=SineProduct())
-        b = assemble_load(space, spec.rhs, spec.load_degree)
+        spec = ProblemSpec(family, sigma, rhs=SineProduct(((1, 1, 1.0),)))
+        b = assemble_load(space, spec.rhs)
         try:
             u = solve_helmholtz(spec, space.mesh)
         except ResonanceError:
