@@ -15,7 +15,7 @@ from .mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
 from .quadrature import QuadratureRule, triangle_rule
 from .spaces import (CR, P1, P2, DofSpace, ElementFamily, FeFunction,
                      assemble_load, assemble_mass, assemble_stiffness,
-                     build_space, expand_free, interpolate, l2_error)
+                     build_space, l2_error)
 from .sparsela import (EigenResult, EigenSolveError, Factorization,
                        ResonanceError, SparseSymMatrix, count_below,
                        count_from_factor, eigs_smallest, ldlt, solve)

@@ -23,19 +23,19 @@ import numpy as np
 
 from .mesh import Mesh, refine_bisection, refine_uniform
 from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
-                     assemble_load, build_space, expand_free, l2_error)
+                     assemble_load, build_space, l2_error, point_values)
 from .quadrature import edge_rule
 from .sparsela import (ResonanceError, count_below, count_from_factor, ldlt,
                        solve)
 from .spectral import (KAPPA, BoundedEigen, Criterion, check_criterion,
                        compute_bounds, eigen_ladder)
-from .estimator import mark_half_max, residual_indicator
+from .estimator import (INDICATOR_EXTRA_PAIRS, mark_half_max,
+                        residual_indicator)
 
 ALPHA_WARN_THRESHOLD = 1e-6
 RESONANCE_ENCLOSURE_RTOL = 1e-3
 SINE_STABILITY_RTOL = 1e-8   # sampled change that ends the series' growth
 STUDY_EXTRA_PAIRS = 1        # study ladder pairs past the first above k^2
-INDICATOR_EXTRA_PAIRS = 3    # pairs past i* in the averaged indicator
 
 
 # -- right-hand sides -------------------------------------------------------
@@ -145,7 +145,7 @@ def _solve(spec: ProblemSpec, space: DofSpace) -> tuple[FeFunction, int]:
     b = assemble_load(space, spec.rhs)
     F = ldlt(A, spec.k2, M)
     below = count_from_factor(F)
-    return FeFunction(space, expand_free(space, solve(F, b))), below
+    return FeFunction(space, solve(F, b)), below
 
 
 # -- unit-square spectrum oracle -------------------------------------------
@@ -211,7 +211,7 @@ def _sine_coefficients(f: Rhs, k2: float, N: int) -> np.ndarray:
         raise ResonanceError(f"k^2 = {k2!r} coincides with a unit-square "
                              "eigenvalue")
     x, w = edge_rule(2 * max(2 * N, 128) - 1)
-    F = np.asarray(f(x[:, None], x[None, :]), dtype=np.float64)
+    F = point_values(f, *np.meshgrid(x, x, indexing="ij"))
     S = np.sin(np.pi * np.outer(np.arange(1, N + 1), x)) * w  # (N, q)
     fij = 2.0 * (S @ F @ S.T)
     return fij / (lam - k2)
@@ -328,7 +328,8 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
     ----------
     refine_mode : "uniform" (red refinement) or "adaptive" (bisection of
         the elements that half-max marking picks on the residual
-        indicator, averaged over i* + ``INDICATOR_EXTRA_PAIRS`` pairs).
+        indicator, averaged over i* + ``estimator.INDICATOR_EXTRA_PAIRS``
+        pairs).
     i_star_source : an integer index known from a modal analysis, or
         ``"cr"`` to estimate and certify it from guaranteed
         Crouzeix-Raviart bounds (requires a CR family).
@@ -390,7 +391,7 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
             # eigenvalue below k^2 and a long enough ladder
             mesh = refine_uniform(mesh)
         else:
-            eta = residual_indicator(E, index, INDICATOR_EXTRA_PAIRS)
+            eta = residual_indicator(E, index)
             rec.eta_total = float(eta.values.sum())
             marked = mark_half_max(eta)
             if use_cr:

@@ -3,8 +3,8 @@
 The per-element indicator combines the elementwise eigen-residual
 ``h_K^2 |laplace(e) + lambda e|^2`` with the squared normal-derivative jump
 across interior edges, weighted by ``h_K / 2`` on each adjacent element.
-It is summed over the first ``i* + extra`` eigenfunctions and divided by
-``i*``, not by ``i* + extra``; marking is scale-free, so the divisor only
+It is summed over the first ``i* + INDICATOR_EXTRA_PAIRS`` eigenfunctions
+and divided by ``i*`` alone; marking is scale-free, so the divisor only
 scales ``eta_total``.  Boundary edges (Dirichlet and Neumann alike) do not
 contribute.
 
@@ -28,6 +28,8 @@ from .quadrature import edge_rule, triangle_rule
 from .spaces import P2, ElementFamily, shape_gradients, shape_values
 from .spectral import EigenSet
 
+INDICATOR_EXTRA_PAIRS = 3    # pairs past i* in the averaged indicator
+
 
 @dataclass
 class IndicatorField:
@@ -41,18 +43,17 @@ class IndicatorField:
             raise ValueError("indicator values must be nonnegative")
 
 
-def residual_indicator(E: EigenSet, i_star: int,
-                       extra: int) -> IndicatorField:
-    """Eigenpair residual indicator summed over the first i*+extra pairs,
-    divided by i*.
+def residual_indicator(E: EigenSet, i_star: int) -> IndicatorField:
+    """Eigenpair residual indicator summed over the first
+    i* + ``INDICATOR_EXTRA_PAIRS`` pairs, divided by i*.
 
-    Requires ``i_star >= 1`` and a ladder with at least ``i_star + extra``
-    pairs.  For piecewise-linear families the volume term reduces to
+    Requires ``i_star >= 1`` and a ladder with at least that many pairs.
+    For piecewise-linear families the volume term reduces to
     ``h_K^2 lambda^2 |e|_K^2`` since the broken Laplacian vanishes.
     """
     if i_star < 1:
         raise ValueError("i_star must be >= 1")
-    nfun = i_star + extra
+    nfun = i_star + INDICATOR_EXTRA_PAIRS
     if len(E) < nfun:
         raise ValueError(f"ladder has {len(E)} pairs, need {nfun}")
     mesh = E.space.mesh
@@ -76,11 +77,10 @@ def residual_indicator(E: EigenSet, i_star: int,
                              normal, epts) for tri in sides]
     jump2 = np.zeros(len(interior))
 
-    rows = space.cell_free
     eta = np.zeros(mesh.n_triangles)
     for i in range(1, nfun + 1):
         lam = float(E.values[i - 1])
-        c = np.where(rows >= 0, E.vectors[:, i - 1].take(rows), 0.0)
+        c = space.cell_values(E.vectors[:, i - 1])
         # volume term: |laplace(e) + lambda e|^2 on each element
         vals = np.einsum("qm,tm->tq", N, c)
         lap = (lap_coeff * c).sum(axis=1)                      # constant

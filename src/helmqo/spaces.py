@@ -19,8 +19,9 @@ A space numbers its free dofs once, when it is built, in the reverse
 Cuthill-McKee order of the graph that joins two free dofs when they share
 a triangle: ``free_dofs[i]`` is the dof numbered ``i``, and the pencil,
 the load, every free-dof vector and every eigenvector come in that order.
-The full-dof numbering is internal: other modules read free coefficients
-per triangle through ``cell_free``.  The graph is the pattern that
+The full-dof numbering is internal: a finite element function is its
+free coefficients, and other modules read them per triangle through
+``cell_values`` (0 at constrained dofs).  The graph is the pattern that
 assembly stores before it drops zeros, and it holds the mass matrix's, so
 the order suits ``A - sigma*M`` at every shift and ignores entries that
 cancel there.  SuperLU's minimum-degree ordering (:mod:`helmqo.sparsela`)
@@ -107,35 +108,29 @@ class DofSpace:
     ----------
     ndof : total number of degrees of freedom
     cell_dofs : (nt, nloc) global dof indices per triangle
-    locations : (ndof, 2) geometric dof positions
     free_dofs : the dofs not constrained by Dirichlet tags, in the
         reverse Cuthill-McKee order of the free dofs' graph
     cell_free : (nt, nloc) int32 free number of each local dof, -1 if
-        constrained, built on first read; outside this module, the one
-        view of the full-dof numbering (``cell_dofs``, ``free_dofs``)
+        constrained, built on first read; outside this module, free-dof
+        vectors are read per triangle through ``cell_values`` alone
     """
 
     def __init__(self, mesh: Mesh, family: ElementFamily):
         self.mesh = mesh
         self.family = family
         nv, ne = mesh.n_vertices, mesh.n_edges
-        midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
-                           + mesh.vertices[mesh.edges[:, 1]])
         if family == P1:
             self.ndof = nv
             self.cell_dofs = mesh.triangles.copy()
-            self.locations = mesh.vertices.copy()
             constrained = mesh.dirichlet_vertices()
         elif family == CR:
             self.ndof = ne
             self.cell_dofs = mesh.tri2edge.copy()
-            self.locations = midpoints
             constrained = mesh.dirichlet_edge_ids
         else:  # P2
             self.ndof = nv + ne
             self.cell_dofs = np.hstack([mesh.triangles,
                                         nv + mesh.tri2edge])
-            self.locations = np.vstack([mesh.vertices, midpoints])
             constrained = np.concatenate([mesh.dirichlet_vertices(),
                                           nv + mesh.dirichlet_edge_ids])
         free = np.setdiff1d(np.arange(self.ndof), constrained)
@@ -148,6 +143,18 @@ class DofSpace:
     @cached_property
     def cell_free(self) -> np.ndarray:
         return _local_numbers(self.cell_dofs, self.free_dofs, self.ndof)
+
+    def cell_values(self, x: np.ndarray, triangles=slice(None)) -> np.ndarray:
+        """Values (nt, nloc) + x.shape[1:] of the free-dof vector or block
+        ``x`` at the local dofs of the triangles ``triangles`` (all by
+        default), 0 where a dof is constrained."""
+        rows = self.cell_free[triangles]
+        if not len(x):    # no free dofs: the zero function
+            return np.zeros(rows.shape + x.shape[1:])
+        # take is fastest on a vector but copies a non-C-ordered block whole
+        values = x.take(rows) if x.ndim == 1 else x[rows]
+        values[rows < 0] = 0.0
+        return values
 
     @cached_property
     def pencil(self) -> tuple[SparseSymMatrix, SparseSymMatrix]:
@@ -192,14 +199,16 @@ def build_space(mesh: Mesh, family: ElementFamily) -> DofSpace:
 
 @dataclass
 class FeFunction:
-    """Finite element function: a space plus one coefficient per dof."""
+    """Finite element function: a space plus its ``n_free`` free
+    coefficients, in the order of the pencil; it is 0 at constrained
+    dofs."""
 
     space: DofSpace
     coefficients: np.ndarray
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
-        if self.coefficients.shape != (self.space.ndof,):
+        if self.coefficients.shape != (self.space.n_free,):
             raise ValueError("coefficient length does not match the space")
 
     def values_on_elements(self, bary: np.ndarray,
@@ -207,7 +216,7 @@ class FeFunction:
         """Values at barycentric points of the elements ``triangles`` (all
         by default); shape (nt, q)."""
         N = shape_values(self.space.family, bary)
-        c = self.coefficients[self.space.cell_dofs[triangles]]
+        c = self.space.cell_values(self.coefficients, triangles)
         return np.einsum("qm,tm->tq", N, c)
 
 
@@ -293,31 +302,20 @@ def assemble_load(space: DofSpace, f) -> np.ndarray:
     for lo in range(0, mesh.n_triangles, step):
         sl = slice(lo, lo + step)
         pts = mesh.physical_points(sl, rule.points)
-        fvals = _eval_rhs(f, pts[..., 0], pts[..., 1])
+        fvals = point_values(f, pts[..., 0], pts[..., 1])
         local = np.einsum("tq,qm,q,t->tm", fvals, N, rule.weights,
                           mesh.areas[sl])
         np.add.at(b, space.cell_dofs[sl].ravel(), local.ravel())
     return b[space.free_dofs]
 
 
-def _eval_rhs(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def point_values(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``f(x, y)`` as floats; data must give one value per point, else
+    ``ValueError``."""
     vals = np.asarray(f(x, y), dtype=np.float64)
     if vals.shape != x.shape:
         raise ValueError("data must give one value per point")
     return vals
-
-
-def expand_free(space: DofSpace, x_free: np.ndarray) -> np.ndarray:
-    """Embed free-dof coefficients into the full dof set (zeros elsewhere)."""
-    full = np.zeros(space.ndof)
-    full[space.free_dofs] = x_free
-    return full
-
-
-def interpolate(space: DofSpace, fn) -> FeFunction:
-    """Nodal interpolant: evaluate ``fn`` at the dof locations."""
-    x, y = space.locations[:, 0], space.locations[:, 1]
-    return FeFunction(space, _eval_rhs(fn, x, y))
 
 
 def _nesting_level(coarse: Mesh, fine: Mesh) -> int:
@@ -357,7 +355,7 @@ def l2_error(u: FeFunction, ref) -> float:
             ref_vals = ref.values_on_elements(rule.points, sl)
         else:
             pts = mesh.physical_points(sl, rule.points)
-            ref_vals = _eval_rhs(ref, pts[..., 0], pts[..., 1])
+            ref_vals = point_values(ref, pts[..., 0], pts[..., 1])
         if nested:
             u_vals = _values_in_ancestors(u, mesh, sl, level, rule.points)
         else:
@@ -381,5 +379,5 @@ def _values_in_ancestors(u: FeFunction, fine: Mesh, sl: slice, level: int,
         raise ValueError("point outside its claimed ancestor triangle; "
                          "meshes are not nested")
     N = shape_values(u.space.family, lam)                 # (t, q, nloc)
-    cu = u.coefficients[u.space.cell_dofs[ancestors]]     # (t, nloc)
+    cu = u.space.cell_values(u.coefficients, ancestors)   # (t, nloc)
     return np.einsum("tqm,tm->tq", N, cu)

@@ -39,8 +39,8 @@ class EigenSet:
     """Ascending generalized eigenpairs of the constrained Laplace pencil.
 
     ``vectors`` holds the eigenvectors as columns of free-dof coefficients,
-    in the order of the pencil; ``space.cell_free`` maps them to the
-    triangles.
+    in the order of the pencil; ``space.cell_values`` reads them per
+    triangle.
     """
 
     space: DofSpace
@@ -225,10 +225,9 @@ def _p2_lifts(space: DofSpace, X: np.ndarray):
     vertex = _cr_vertex_average(space, X)
     for lo in range(0, mesh.n_triangles, _SLICE_TRIANGLES):
         triangles = slice(lo, lo + _SLICE_TRIANGLES)
-        rows = space.cell_free[triangles]
-        edge = np.where(rows[..., None] >= 0, X[rows], 0.0)
         yield triangles, np.concatenate(
-            [vertex[mesh.triangles[triangles]], edge], axis=1)
+            [vertex[mesh.triangles[triangles]],
+             space.cell_values(X, triangles)], axis=1)
 
 
 def _cr_vertex_average(space: DofSpace, X: np.ndarray) -> np.ndarray:
@@ -242,10 +241,9 @@ def _cr_vertex_average(space: DofSpace, X: np.ndarray) -> np.ndarray:
     """
     mesh = space.mesh
     corners = mesh.triangles.ravel()
-    rows = space.cell_free
     out = np.empty((mesh.n_vertices, X.shape[1]))
     for j in range(X.shape[1]):
-        limits = np.where(rows >= 0, X[:, j].take(rows), 0.0)   # (nt, 3)
+        limits = space.cell_values(X[:, j])                     # (nt, 3)
         limits = limits.sum(axis=1, keepdims=True) - 2.0 * limits
         out[:, j] = np.bincount(corners, limits.ravel(), mesh.n_vertices)
     # a vertex in no triangle enters no lift

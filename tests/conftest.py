@@ -296,6 +296,40 @@ def inverse_jacobian_gradients(mesh) -> np.ndarray:
     return np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
 
 
+def dof_locations(space) -> np.ndarray:
+    """(ndof, 2) position of every dof, constrained ones included:
+    vertices (P1), edge midpoints (CR), or vertices then edge midpoints
+    (P2), in the space's full-dof numbering."""
+    from helmqo.spaces import CR, P1
+    mesh = space.mesh
+    midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]]
+                       + mesh.vertices[mesh.edges[:, 1]])
+    if space.family == P1:
+        return mesh.vertices
+    if space.family == CR:
+        return midpoints
+    return np.vstack([mesh.vertices, midpoints])
+
+
+def full_coefficients(space, x: np.ndarray) -> np.ndarray:
+    """The free-dof vector ``x`` on all dofs, 0 at constrained ones."""
+    full = np.zeros(space.ndof)
+    full[space.free_dofs] = x
+    return full
+
+
+def interpolate(space, fn):
+    """Nodal interpolant of ``fn`` as an FeFunction of free coefficients.
+    ``fn`` must vanish at the constrained dofs, so that the interpolant
+    is the function of the space with those nodal values."""
+    from helmqo.spaces import FeFunction, point_values
+    at = dof_locations(space)
+    values = point_values(fn, at[:, 0], at[:, 1])
+    constrained = np.setdiff1d(np.arange(space.ndof), space.free_dofs)
+    assert np.allclose(values[constrained], 0.0, rtol=0.0, atol=1e-12)
+    return FeFunction(space, values[space.free_dofs])
+
+
 def loop_p2_stiffness(space) -> np.ndarray:
     """Dense P2 stiffness matrix, one triangle and one quadrature point at a
     time: the dot products of the physical basis gradients, written
@@ -340,8 +374,7 @@ def loop_p2_lift(space, X: np.ndarray) -> np.ndarray:
     mesh = space.mesh
     Y = np.zeros((mesh.n_vertices + mesh.n_edges, X.shape[1]))
     for j in range(X.shape[1]):
-        c = np.zeros(space.ndof)
-        c[space.free_dofs] = X[:, j]
+        c = full_coefficients(space, X[:, j])
         Y[:mesh.n_vertices, j] = loop_cr_vertex_mean(space, c)
         Y[mesh.n_vertices:, j] = c
     Y[mesh.dirichlet_vertices()] = 0.0
@@ -363,11 +396,11 @@ def oneshot_assemble_load(space, f) -> np.ndarray:
     """Load vector from one evaluation of ``f`` at every quadrature point
     of the mesh, the arithmetic of ``assemble_load`` without slices."""
     from helmqo.quadrature import triangle_rule
-    from helmqo.spaces import LOAD_DEGREE, _eval_rhs, shape_values
+    from helmqo.spaces import LOAD_DEGREE, point_values, shape_values
     rule = triangle_rule(LOAD_DEGREE)
     mesh = space.mesh
     pts = np.einsum("qk,tkd->tqd", rule.points, mesh.vertices[mesh.triangles])
-    fvals = _eval_rhs(f, pts[..., 0], pts[..., 1])
+    fvals = point_values(f, pts[..., 0], pts[..., 1])
     N = shape_values(space.family, rule.points)
     local = np.einsum("tq,qm,q,t->tm", fvals, N, rule.weights,
                       corner_geometry(mesh)[0])
@@ -391,13 +424,16 @@ def oneshot_l2_error(u, ref) -> float:
     mesh in ``u``'s family (values at the rule's points), or any other
     FeFunction on a nested finer mesh (``u`` evaluated in the ancestors)."""
     from helmqo.quadrature import triangle_rule
-    from helmqo.spaces import FeFunction, _eval_rhs, shape_values
+    from helmqo.spaces import FeFunction, point_values, shape_values
     rule = triangle_rule(4)
+
+    def local(v, triangles=slice(None)):   # v's coefficients per element
+        return full_coefficients(v.space, v.coefficients)[
+            v.space.cell_dofs[triangles]]
 
     def values(v):   # v at the rule's points of each of its elements
         return np.einsum("qm,tm->tq", shape_values(v.space.family,
-                                                   rule.points),
-                         v.coefficients[v.space.cell_dofs])
+                                                   rule.points), local(v))
 
     coarse = u.space.mesh
     fine = ref.space.mesh if isinstance(ref, FeFunction) else coarse
@@ -405,7 +441,7 @@ def oneshot_l2_error(u, ref) -> float:
     if isinstance(ref, FeFunction):
         ref_vals = values(ref)
     else:
-        ref_vals = _eval_rhs(ref, pts[..., 0], pts[..., 1])
+        ref_vals = point_values(ref, pts[..., 0], pts[..., 1])
     per_ancestor = fine.n_triangles // coarse.n_triangles   # 4 ** level
     if per_ancestor == 1 and (not isinstance(ref, FeFunction)
                               or ref.space.family == u.space.family):
@@ -414,8 +450,7 @@ def oneshot_l2_error(u, ref) -> float:
         ancestors = np.arange(fine.n_triangles) // per_ancestor
         N = shape_values(u.space.family,
                          corner_barycentric(coarse, ancestors, pts))
-        u_vals = np.einsum("tqm,tm->tq", N,
-                           u.coefficients[u.space.cell_dofs[ancestors]])
+        u_vals = np.einsum("tqm,tm->tq", N, local(u, ancestors))
     diff = u_vals - ref_vals
     return float(np.sqrt(np.einsum("tq,q,t->", diff ** 2,
                                    rule.weights,
@@ -428,7 +463,7 @@ def loop_residual_indicator(E, i_star: int, extra: int):
     map, and the normal-gradient jump scattered twice per function."""
     from helmqo.estimator import IndicatorField, _laplacian_coefficients
     from helmqo.quadrature import edge_rule, triangle_rule
-    from helmqo.spaces import expand_free, shape_values
+    from helmqo.spaces import shape_values
     nfun = i_star + extra
     mesh = E.space.mesh
     space = E.space
@@ -451,7 +486,7 @@ def loop_residual_indicator(E, i_star: int, extra: int):
     eta = np.zeros(mesh.n_triangles)
     for i in range(1, nfun + 1):
         lam = float(E.values[i - 1])
-        c = expand_free(space, E.vectors[:, i - 1])[space.cell_dofs]
+        c = full_coefficients(space, E.vectors[:, i - 1])[space.cell_dofs]
         # volume term: |laplace(e) + lambda e|^2 on each element
         vals = np.einsum("qm,tm->tq", N, c)
         lap = (lap_coeff * c).sum(axis=1)                      # constant

@@ -6,10 +6,11 @@ re-exports is raised in the package.  What two helmqo modules share is
 public: none imports another's underscore name.  One function,
 ``spectral._check_counts``, checks a ladder against LDL^T inertia counts.
 The boundary tag codes in ``Mesh.edge_tag`` are ``mesh.py``'s own format,
-the full-dof numbering (``free_dofs``, ``cell_dofs``) is ``spaces.py``'s,
-and the ``--geometry`` and ``--rhs`` names are ``cli.py``'s own.  Every
-parameter with a default is passed by some call outside the tests.
-Importing the command line does not load ``scipy.special``."""
+the full-dof numbering (``free_dofs``, ``cell_dofs``, ``cell_free``) is
+``spaces.py``'s, and the ``--geometry`` and ``--rhs`` names are
+``cli.py``'s own.  Every parameter with a default is passed by some call
+outside the tests.  Importing the command line does not load
+``scipy.special``."""
 
 import ast
 import importlib
@@ -23,10 +24,6 @@ from conftest import cli_choices
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "helmqo"
 
-# public names that need no caller in the package, demos or benchmark
-UNUSED_ALLOWED = {
-    "interpolate",    # the nodal interpolant, for users' own data
-}
 # public class members that need no reader there
 UNREAD_ALLOWED = {
     "MeshFormatError.line",    # the line number for callers that catch it
@@ -69,9 +66,7 @@ def callers() -> list[Path]:
 def test_every_reexport_has_a_caller_outside_tests():
     exported = reexported_names()
     used = set().union(*(referenced_names(p) for p in callers()))
-    # an exception that gains a caller or leaves the package is dropped
-    assert UNUSED_ALLOWED <= exported - used
-    unused = exported - used - UNUSED_ALLOWED
+    unused = exported - used
     assert not unused, (f"re-exported but referenced only by tests: "
                         f"{sorted(unused)}")
 
@@ -82,9 +77,8 @@ def test_every_module_function_and_class_has_a_caller_outside_tests():
                for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and not node.name.startswith("_")}
-    assert UNUSED_ALLOWED <= set(defined.values()) - used
     unused = sorted(qual for qual, name in defined.items()
-                    if name not in used | UNUSED_ALLOWED)
+                    if name not in used)
     assert not unused, f"defined but referenced only by tests: {unused}"
 
 
@@ -191,13 +185,14 @@ def test_only_mesh_reads_edge_tag_codes():
 
 def test_only_spaces_reads_the_full_dof_numbering():
     # other modules read free coefficients per triangle through
-    # DofSpace.cell_free, so the numbering of all dofs and the Dirichlet
+    # DofSpace.cell_values, so the numbering of all dofs and the Dirichlet
     # constraint can change in spaces.py alone
     readers = sorted(f"{path.relative_to(ROOT)}: {node.attr}"
                      for path in callers() if path.name != "spaces.py"
                      for node in ast.walk(ast.parse(path.read_text()))
                      if isinstance(node, ast.Attribute)
-                     and node.attr in {"free_dofs", "cell_dofs"})
+                     and node.attr in {"free_dofs", "cell_dofs",
+                                       "cell_free"})
     assert not readers, f"full-dof numbering read outside spaces.py: " \
         f"{readers}"
 

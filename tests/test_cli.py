@@ -552,7 +552,7 @@ class TestCertifyCommand:
         assert "Traceback" not in res.stderr
 
     def test_l_is_not_a_flag(self):
-        # the indicator's extra pairs are certify.INDICATOR_EXTRA_PAIRS
+        # the indicator's extra pairs are estimator.INDICATOR_EXTRA_PAIRS
         res = run_cli(["certify", "--geometry", "unit-square", "--n", "4",
                        "--k2", "30", "--family", "p1", "--istar", "2",
                        "--l", "3"])

@@ -13,14 +13,14 @@ from helmqo.mesh import (BoundaryTag, Mesh, build_square_with_hole,
 from helmqo.spaces import (CR, LOAD_DEGREE, P1, P2, ElementFamily,
                            FeFunction, assemble_load, assemble_mass,
                            assemble_stiffness, build_space, element_matrices,
-                           expand_free, interpolate, l2_error,
-                           shape_gradients, shape_values)
+                           l2_error, shape_gradients, shape_values)
 from helmqo.quadrature import triangle_rule
 from helmqo.sparsela import ldlt, solve
 from helmqo.spectral import _p2_lifts, compute_bounds, eigenpairs
 from helmqo.certify import GaussianBump, SineProduct, sine_series_reference
 
-from conftest import (jittered_square, loop_cr_vertex_mean,
+from conftest import (dof_locations, full_coefficients, interpolate,
+                      jittered_square, loop_cr_vertex_mean,
                       loop_p2_stiffness, oneshot_assemble_load,
                       oneshot_l2_error, traced_peak)
 
@@ -45,8 +45,7 @@ def on_all_dofs(space, A) -> np.ndarray:
 def laplace_solution(space, f):
     A, M = assemble_stiffness(space), assemble_mass(space)
     b = assemble_load(space, f)
-    x = solve(ldlt(A, 0.0, M), b)
-    return FeFunction(space, expand_free(space, x))
+    return FeFunction(space, solve(ldlt(A, 0.0, M), b))
 
 
 class TestFamilies:
@@ -68,7 +67,8 @@ class TestFamilies:
         s = build_space(m, P2)
         assert s.ndof == m.n_vertices + m.n_edges
         # the free dofs, in some order, are those off the Dirichlet boundary
-        inside = ((s.locations > 0) & (s.locations < 1)).all(axis=1)
+        at = dof_locations(s)
+        inside = ((at > 0) & (at < 1)).all(axis=1)
         assert np.array_equal(np.sort(s.free_dofs), np.flatnonzero(inside))
 
 
@@ -136,6 +136,32 @@ class TestFreeDofNumbering:
         assert s.cell_free.dtype == np.int32
         assert np.array_equal(s.cell_free,
                               np.reshape(expected, s.cell_dofs.shape))
+
+    def test_cell_values_against_a_per_triangle_loop(self, geometry,
+                                                     family):
+        # oracle: each local dof of each triangle looked up by its global
+        # number, 0 where the dof is constrained
+        s = build_space(NUMBERED_MESHES[geometry](), family)
+        number = {int(d): i for i, d in enumerate(s.free_dofs)}
+        X = np.random.default_rng(7).standard_normal((s.n_free, 3))
+
+        def loop(x, triangles):
+            out = np.zeros((len(triangles),) + s.cell_dofs.shape[1:]
+                           + x.shape[1:])
+            for k, t in enumerate(triangles):
+                for a, d in enumerate(s.cell_dofs[t]):
+                    if int(d) in number:
+                        out[k, a] = x[number[int(d)]]
+            return out
+
+        every = np.arange(s.mesh.n_triangles)
+        # a strided column, a C-ordered block and a Fortran-ordered one,
+        # as eigenvectors come
+        for x in (X[:, 1], X, np.asfortranarray(X)):
+            assert np.array_equal(s.cell_values(x), loop(x, every))
+            for triangles in (slice(2, None, 3), np.array([5, 0, 5])):
+                assert np.array_equal(s.cell_values(x, triangles),
+                                      loop(x, every[triangles]))
 
 
 class TestStiffness:
@@ -293,7 +319,7 @@ class TestLoadSlices:
         # data give one value per point: the np.vectorize fallback that
         # once called such data point by point is deleted
         s = build_space(build_square_with_hole(2.0, 0.5, 6), P2)
-        u = FeFunction(s, np.zeros(s.ndof))
+        u = FeFunction(s, np.zeros(s.n_free))
         with pytest.raises(ValueError, match="one value per point"):
             assemble_load(s, scalar_only)
         with pytest.raises(ValueError, match="one value per point"):
@@ -338,7 +364,7 @@ def lift_to_p2(u):
     their P2 dofs, where every triangle at a dof must agree."""
     s_cr = u.space
     s_p2 = build_space(s_cr.mesh, P2)
-    X = u.coefficients[s_cr.free_dofs][:, None]
+    X = u.coefficients[:, None]
     local = np.concatenate([Y[..., 0] for _, Y in _p2_lifts(s_cr, X)])
     lifted = np.zeros(s_p2.ndof)
     lifted[s_p2.cell_dofs] = local
@@ -361,9 +387,10 @@ class TestAveraging:
         m = build_unit_square_unstructured(3, seed=2, tags=N)
         s = build_space(m, CR)
         rng = np.random.default_rng(4)
-        u = FeFunction(s, rng.standard_normal(s.ndof))
+        u = FeFunction(s, rng.standard_normal(s.n_free))
         assert np.allclose(lift_to_p2(u)[:m.n_vertices],
-                           loop_cr_vertex_mean(s, u.coefficients),
+                           loop_cr_vertex_mean(
+                               s, full_coefficients(s, u.coefficients)),
                            rtol=0.0, atol=1e-13)
 
     def test_two_element_mean_on_shared_edge(self):
@@ -373,8 +400,8 @@ class TestAveraging:
         # triangle 1 sees -1
         m = build_unit_square(1, tags=N)
         s = build_space(m, CR)
-        coeffs = np.zeros(s.ndof)
-        coeffs[s.cell_dofs[0]] = 1.0
+        coeffs = np.zeros(s.n_free)
+        coeffs[s.cell_free[0]] = 1.0
         lifted = lift_to_p2(FeFunction(s, coeffs))
         shared = set(m.triangles[0]) & set(m.triangles[1])
         only_t1 = set(m.triangles[1]) - set(m.triangles[0])
@@ -384,8 +411,11 @@ class TestAveraging:
             assert np.isclose(lifted[v], -1.0)
 
     def test_dirichlet_constraint_exact(self):
+        # the limits at a Dirichlet vertex from its triangles need not
+        # vanish; the lift sets the vertex to 0
         m = build_unit_square(3)
-        u = interpolate(build_space(m, CR), lambda x, y: 1.0 + x * y)
+        s = build_space(m, CR)
+        u = FeFunction(s, np.random.default_rng(6).standard_normal(s.n_free))
         assert np.all(lift_to_p2(u)[m.dirichlet_vertices()] == 0.0)
 
 
@@ -396,15 +426,14 @@ class TestCrToP2Lift:
         m = build_unit_square(4)
         s_cr = build_space(m, CR)
         rng = np.random.default_rng(5)
-        u = FeFunction(s_cr, expand_free(s_cr,
-                                         rng.standard_normal(s_cr.n_free)))
+        u = FeFunction(s_cr, rng.standard_normal(s_cr.n_free))
+        full = full_coefficients(s_cr, u.coefficients)
         lifted = lift_to_p2(u)
         nv = m.n_vertices
-        assert np.array_equal(lifted[nv:], u.coefficients)
+        assert np.array_equal(lifted[nv:], full)
         interior = np.setdiff1d(np.arange(nv), m.dirichlet_vertices())
         assert np.allclose(lifted[interior],
-                           loop_cr_vertex_mean(s_cr,
-                                               u.coefficients)[interior],
+                           loop_cr_vertex_mean(s_cr, full)[interior],
                            rtol=0.0, atol=1e-14)
         assert np.all(lifted[m.dirichlet_vertices()] == 0.0)
 
@@ -478,7 +507,7 @@ class TestRayleighQuotient:
             s = build_space(build_unit_square(n), P1)
             # the sine vanishes on the boundary: its free coefficients
             u = interpolate(s, lambda x, y: np.sin(np.pi * x)
-                            * np.sin(np.pi * y)).coefficients[s.free_dofs]
+                            * np.sin(np.pi * y)).coefficients
             vals.append((u @ (assemble_stiffness(s) @ u))
                         / (u @ (assemble_mass(s) @ u)))
         exact = 2 * math.pi ** 2
@@ -489,13 +518,21 @@ class TestRayleighQuotient:
 
 class TestL2Error:
     def test_self_distance_zero(self):
-        s = build_space(build_unit_square(3), P1)
+        s = build_space(build_unit_square(3, N), P1)
         u = interpolate(s, lambda x, y: x * y)
         assert l2_error(u, FeFunction(s, u.coefficients.copy())) == 0.0
 
+    def test_space_without_free_dofs(self):
+        # the zero function is the only one there
+        s = build_space(build_unit_square(1), P1)
+        assert s.n_free == 0
+        u = FeFunction(s, np.zeros(0))
+        assert np.isclose(l2_error(u, lambda x, y: x * y), 1 / 3,
+                          rtol=1e-14)
+
     def test_zero_vs_sine_product(self):
         s = build_space(build_unit_square(16), P1)
-        u = FeFunction(s, np.zeros(s.ndof))
+        u = FeFunction(s, np.zeros(s.n_free))
         err = l2_error(u, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
         assert np.isclose(err, 0.5, atol=2e-4)   # sqrt(1/4 * 1/4 * 4) = 1/2
 
@@ -521,16 +558,16 @@ class TestL2Error:
 
     def test_nested_cr_broken_evaluation(self):
         fn = lambda x, y: x * (1 - x) * y
-        coarse = build_unit_square(4)
+        coarse = build_unit_square(4, N)
         fine = refine_uniform(coarse)
         u = interpolate(build_space(coarse, CR), fn)
         ref = interpolate(build_space(fine, P1), fn)
         assert l2_error(u, ref) < 0.05
 
     def test_non_nested_rejected(self):
-        u = interpolate(build_space(build_unit_square(4), P1),
+        u = interpolate(build_space(build_unit_square(4, N), P1),
                         lambda x, y: x)
-        ref = interpolate(build_space(build_unit_square(6), P1),
+        ref = interpolate(build_space(build_unit_square(6, N), P1),
                           lambda x, y: x)
         with pytest.raises(ValueError):
             l2_error(u, ref)
@@ -558,7 +595,7 @@ class TestL2ErrorSlices:
             ref = interpolate(build_space(fine, P1), self.fn)
         else:
             ref = interpolate(build_space(fine, fam),
-                              lambda x, y: x * (1 - x) * y)
+                              lambda x, y: x * (1 - x) * y * (1 - y))
         err = l2_error(u, ref)
         assert err > 0.0
         assert err == oneshot_l2_error(u, ref)
@@ -586,7 +623,7 @@ class TestL2ErrorSlices:
         # series is the study's reference, evaluated in its own blocks
         monkeypatch.setattr(helmqo.spaces, "_SLICE_POINTS", 7 * 7)
         u = interpolate(build_space(build_unit_square(40), fam),
-                        lambda x, y: x * (1 - x) * y)
+                        lambda x, y: x * (1 - x) * y * (1 - y))
         ref = self.fn if reference == "function" else sine_series_reference(
             SineProduct(((3, 4, 1.0), (4, 3, 1.0))), 100.0)
         err = l2_error(u, ref)
@@ -597,7 +634,7 @@ class TestL2ErrorSlices:
     def test_working_set_is_bounded_on_one_mesh(self, reference):
         # 263,538 triangles x 7 points: 1.8M points in one shot
         s = build_space(build_unit_square(363), P1)
-        u = interpolate(s, lambda x, y: x * (1 - x) * y)
+        u = interpolate(s, lambda x, y: x * (1 - x) * y * (1 - y))
         ref = self.fn if reference == "callable" else interpolate(s, self.fn)
         assert traced_peak(l2_error, u, ref) < 32 * 2 ** 20
 
@@ -621,8 +658,8 @@ class TestGalerkinEnergy:
         # interpolant's (conforming family)
         for n in (4, 8, 16):
             s = build_space(build_unit_square(n), P1)
-            uh = laplace_solution(s, self.rhs).coefficients[s.free_dofs]
-            Iu = interpolate(s, self.exact).coefficients[s.free_dofs]
+            uh = laplace_solution(s, self.rhs).coefficients
+            Iu = interpolate(s, self.exact).coefficients
             A = assemble_stiffness(s)
             assert uh @ (A @ uh) <= Iu @ (A @ Iu) + 1e-12
 
@@ -637,7 +674,7 @@ class TestGalerkinEnergy:
                 A = assemble_stiffness(s)
                 b = assemble_load(s, self.rhs)
                 J = lambda c: 0.5 * c @ (A @ c) - b @ c
-                assert J(uh[s.free_dofs]) <= J(Iu[s.free_dofs]) + 1e-12
+                assert J(uh) <= J(Iu) + 1e-12
 
 
 class TestElementEvaluation:
@@ -645,7 +682,7 @@ class TestElementEvaluation:
         # sum of the coefficients times the barycentric gradients
         s = build_space(build_unit_square(3, tags=N), P1)
         u = interpolate(s, lambda x, y: 2.0 * x - 3.0 * y)
-        g = np.einsum("tj,tjd->td", u.coefficients[s.cell_dofs],
+        g = np.einsum("tj,tjd->td", s.cell_values(u.coefficients),
                       s.mesh.barycentric_gradients())
         assert np.allclose(g[:, 0], 2.0, atol=1e-13)
         assert np.allclose(g[:, 1], -3.0, atol=1e-13)

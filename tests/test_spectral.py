@@ -10,7 +10,7 @@ from helmqo.mesh import (BoundaryTag, build_square_with_hole,
                          build_unit_square, build_unit_square_unstructured,
                          refine_bisection)
 from helmqo.spaces import CR, P1, P2, assemble_mass, assemble_stiffness, \
-    build_space, interpolate
+    build_space
 from helmqo.sparsela import (EigenSolveError, ResonanceError,
                              SparseSymMatrix, count_below)
 from helmqo.spectral import (KAPPA, EigenSet, check_complete,
@@ -20,7 +20,8 @@ from helmqo.spectral import (KAPPA, EigenSet, check_complete,
 from conftest import (MIN_KAPPA, counted_ladder, dense_ritz_upper_bounds,
                       drop_first_pair_above, drop_lowest_pair,
                       enumeration_index, enumeration_spectrum,
-                      jittered_square, liu_lower_bounds, traced_peak)
+                      interpolate, jittered_square, liu_lower_bounds,
+                      traced_peak)
 
 
 def synthetic_ladder(values, family=P1, n=2):
@@ -181,12 +182,11 @@ class TestBounds:
         m = build_unit_square_unstructured(4, seed=3, tags=BoundaryTag.NEUMANN)
         s_cr, s_p2 = build_space(m, CR), build_space(m, P2)
         f = lambda x, y: 1.0 + x - 2 * y
-        # every dof is free; the pencil numbers them as free_dofs does
-        c = interpolate(s_cr, f).coefficients[s_cr.free_dofs]
+        c = interpolate(s_cr, f).coefficients
         lifts = helmqo.spectral._p2_lifts(s_cr, c[:, None])
         lifted = np.concatenate([Y[..., 0] for _, Y in lifts])
         assert np.allclose(lifted,
-                           interpolate(s_p2, f).coefficients[s_p2.cell_dofs],
+                           s_p2.cell_values(interpolate(s_p2, f).coefficients),
                            rtol=0.0, atol=1e-14)
         A, M = s_cr.pencil
         quotient = (c @ (A @ c)) / (c @ (M @ c))
