@@ -27,8 +27,9 @@ from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
 from .quadrature import edge_rule
 from .sparsela import (ResonanceError, count_below, count_from_factor, ldlt,
                        solve)
-from .spectral import (KAPPA, BoundedEigen, Criterion, check_criterion,
-                       compute_bounds, eigen_ladder)
+from .spectral import (BoundedEigen, Criterion, check_criterion,
+                       compute_bounds, cr_bound_preimage, cr_certifies,
+                       eigen_ladder)
 from .estimator import (INDICATOR_EXTRA_PAIRS, mark_half_max,
                         residual_indicator)
 
@@ -335,11 +336,10 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
         Crouzeix-Raviart bounds (requires a CR family).
     seed : the eigensolver's start vector seed.
 
-    The CR lower bounds use the fixed ``spectral.KAPPA``.  The loop
-    estimates first (so an adequate initial mesh terminates immediately)
-    and stops when the criterion holds -- in ``"cr"`` mode, additionally
-    when the index estimate is certified.  Exhausting ``max_iters`` leaves
-    a report with ``termination == "budget"``.
+    The loop estimates first (so an adequate initial mesh terminates
+    immediately) and stops when the criterion holds -- in ``"cr"`` mode,
+    additionally when the index estimate is certified.  Exhausting
+    ``max_iters`` leaves a report with ``termination == "budget"``.
     """
     if refine_mode not in ("uniform", "adaptive"):
         raise ValueError(f"unknown refine mode {refine_mode!r}")
@@ -407,21 +407,11 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
 
 def _certification_blockers(mesh: Mesh, bounds: list[BoundedEigen],
                             k2: float) -> set[int]:
-    """Elements larger than the largest global h that could certify.
-
-    With i = #{lambda_h < k^2}: (A) lower^(i+1) >= k^2 and (B) for i >= 1,
-    width^(i) < k^2 - lambda_h^(i); lower(lam, h) >= t holds for
-    h <= sqrt(1/t - 1/lam) / KAPPA, and for every h when t <= 0.
-    """
-    def h_max(lam: float, t: float) -> float:
-        return (math.sqrt(max(1.0 / t - 1.0 / lam, 0.0)) / KAPPA if t > 0
-                else math.inf)
+    """Elements at whose diameter, as the mesh size, the ladder would not
+    certify i = #{lambda_h < k^2} (:func:`cr_certifies`)."""
     i = sum(b.lam < k2 for b in bounds)
-    threshold = h_max(bounds[i].lam, k2)
-    if i:
-        b = bounds[i - 1]
-        threshold = min(threshold, h_max(b.lam, b.upper - (k2 - b.lam)))
-    return set(np.flatnonzero(mesh.diameters > threshold).tolist())
+    return set(np.flatnonzero(
+        ~cr_certifies(bounds, k2, i, mesh.diameters)).tolist())
 
 
 def _estimate_cr(space: DofSpace, k2: float, h: float, seed: int,
@@ -432,17 +422,15 @@ def _estimate_cr(space: DofSpace, k2: float, h: float, seed: int,
     so j* is the inertia count there.  The ladder holds
     j* + INDICATOR_EXTRA_PAIRS + 1 pairs and must agree with the inertia
     counts at lam_need and at k^2, else :class:`EigenSolveError`.  j* is
-    certified when the criterion holds and the j*-th enclosure is narrower
-    than k^2 - lambda_h^(j*): then the index can no longer change under
-    refinement."""
+    certified when the criterion holds and the ladder certifies it at h
+    (:func:`cr_certifies`)."""
     no_estimate = (IterationRecord(space.n_free, h, None, None, None, None,
                                    None, False), None, None)
-    # the lower bound saturates at 1/(KAPPA h)^2: below that, no ladder
-    # length can clear k^2 and the mesh must be refined first
-    cap = 1.0 / (KAPPA * h) ** 2
-    if cap <= k2 * 1.01:
+    # unless the lower bound can reach 1.01 k^2 at this h, no ladder length
+    # clears k^2 and the mesh must be refined first
+    if cr_bound_preimage(k2 * 1.01, h) == np.inf:
         return no_estimate
-    lam_need = k2 / (1.0 - k2 * (KAPPA * h) ** 2)
+    lam_need = cr_bound_preimage(k2, h)
     # j* is the count below lam_need; carry INDICATOR_EXTRA_PAIRS more pairs
     # for the averaged indicator plus one for the criterion check
     need_below = count_below(*space.pencil, lam_need)
@@ -464,7 +452,7 @@ def _estimate_cr(space: DofSpace, k2: float, h: float, seed: int,
         return no_estimate
     crit = check_criterion(E, k2, j)
     width = bounds[j - 1].upper - bounds[j - 1].lower if j else 0.0
-    certified = crit.satisfied and (not j or width < k2 - bounds[j - 1].lam)
+    certified = crit.satisfied and cr_certifies(bounds, k2, j, h)
     rec = IterationRecord(space.n_free, h, j, crit.lambda_lo,
                           crit.lambda_hi, k2 - crit.lambda_lo, width,
                           certified)

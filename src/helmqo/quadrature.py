@@ -34,10 +34,6 @@ class QuadratureRule:
             raise ValueError("quadrature weights must sum to 1")
 
 
-def _centroid_rule() -> QuadratureRule:
-    return QuadratureRule(np.array([[1, 1, 1]]) / 3.0, np.array([1.0]), 1)
-
-
 def _midpoint_rule() -> QuadratureRule:
     pts = np.array([[0.5, 0.5, 0.0],
                     [0.0, 0.5, 0.5],
@@ -89,7 +85,7 @@ def _conical_rule(degree: int) -> QuadratureRule:
     return QuadratureRule(lam, 2.0 * W, 2 * npts - 1)
 
 
-_STOCK = [_centroid_rule(), _midpoint_rule(), _seven_point_rule()]
+_STOCK = [_midpoint_rule(), _seven_point_rule()]
 
 
 def triangle_rule(degree: int) -> QuadratureRule:

@@ -54,6 +54,7 @@ _VANISH_RTOL = 1e-10        # share of a Lanczos direction's M-norm that is
 #                             noise (5e-15 to 2e-14) when it vanished
 LANCZOS_TOL = 1e-14         # Ritz estimate relative to |theta| at convergence
 RESIDUAL_TOL = 1e-10        # |A x - l M x| / (1 + |l|) of an accepted pair
+ZERO_EIGENVALUE_TOL = 1e3 * RESIDUAL_TOL    # roundoff of a zero eigenvalue
 _SLICE_BYTES = 2 ** 20      # n-sized temporaries, per slice of columns
 
 
@@ -111,12 +112,6 @@ class SparseSymMatrix:
 
     def to_scipy(self) -> sp.csr_matrix:
         return self._m
-
-    def toarray(self) -> np.ndarray:
-        return self._m.toarray()
-
-    def __matmul__(self, other):
-        return self._m @ other
 
     def __repr__(self) -> str:
         return f"SparseSymMatrix(n={self.n}, nnz={self._m.nnz})"
@@ -340,7 +335,7 @@ def _residual_norms(Asp, Msp, vals, X) -> np.ndarray:
 def _check_semidefinite(vals: np.ndarray) -> None:
     # a zero eigenvalue comes out within 1e-11 on pure-Neumann pencils of up
     # to 16,641 dofs
-    if vals[0] < -1e3 * RESIDUAL_TOL:
+    if vals[0] < -ZERO_EIGENVALUE_TOL:
         raise EigenSolveError(
             f"eigenvalue {vals[0]:.6g} is negative; "
             "is A positive semidefinite?")
@@ -527,7 +522,7 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
     of its triangular factors.  Two checks guard the semidefinite
     contract and raise :class:`EigenSolveError`: an exactly singular
     ``A + M`` (``Factorization.singular``) before Lanczos starts, and a
-    returned eigenvalue below ``-1e3 * RESIDUAL_TOL``, beyond the roundoff
+    returned eigenvalue below ``-ZERO_EIGENVALUE_TOL``, beyond the roundoff
     of a zero eigenvalue, on both the Lanczos and the dense path.  Lanczos
     takes the Ritz values of largest modulus, so a negative eigenvalue
     whose shift-invert image is large in modulus is found.

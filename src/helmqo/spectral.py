@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .spaces import CR, P2, DofSpace, ElementFamily, element_matrices
-from .sparsela import (RECOUNT_RTOL, RESIDUAL_TOL, EigenSolveError,
+from .sparsela import (RECOUNT_RTOL, ZERO_EIGENVALUE_TOL, EigenSolveError,
                        count_below, eigs_smallest)
 
 # the CR interpolation constant C_h / h in the lower bound; Liu proved 0.1893
@@ -98,12 +98,12 @@ def check_complete(space: DofSpace, values: np.ndarray) -> None:
     ``values[-1] * (1 - RECOUNT_RTOL)`` must equal the number of ladder
     values below that shift, or :class:`EigenSolveError` is raised.
 
-    A ladder whose last value is at most ``1e3 * RESIDUAL_TOL`` needs no
+    A ladder whose last value is at most ``ZERO_EIGENVALUE_TOL`` needs no
     count: the pencil is semidefinite, so its eigenvalues at those indices
     lie between 0 and the ladder's values (a pure-Neumann zero mode).
     """
     top = float(values[-1])
-    if top <= 1e3 * RESIDUAL_TOL:
+    if top <= ZERO_EIGENVALUE_TOL:
         return
     shift = top * (1.0 - RECOUNT_RTOL)
     _check_counts(values, {shift: count_below(*space.pencil, shift)})
@@ -146,7 +146,7 @@ def check_criterion(E: EigenSet, k2: float, i_star: int) -> Criterion:
     return Criterion(lambda_lo, lambda_hi, satisfied, alpha)
 
 
-def cr_lower_bound(lam: float, h: float) -> float:
+def cr_lower_bound(lam: float, h: float | np.ndarray) -> float | np.ndarray:
     """Guaranteed lower bound lambda / (1 + KAPPA^2 lambda h^2).
 
     Liu, "A framework of verified eigenvalue bounds for self-adjoint
@@ -158,13 +158,33 @@ def cr_lower_bound(lam: float, h: float) -> float:
     j <= dim V_h, with no condition on the mesh size.  ``KAPPA`` = 0.1932
     only lowers the bound below the one at 0.1893, so it is valid too.
     ``lam`` is the j-th CR eigenvalue and ``h`` the global mesh size
-    (largest element diameter).
+    (largest element diameter), or an array of sizes, each positive.
     """
     if lam < 0:
         raise ValueError("eigenvalue must be nonnegative")
-    if h <= 0:
+    if np.min(h) <= 0:
         raise ValueError("mesh size must be positive")
     return lam / (1.0 + KAPPA ** 2 * lam * h ** 2)
+
+
+def cr_bound_preimage(t: float, h: float) -> float:
+    """The lambda whose :func:`cr_lower_bound` at mesh size ``h`` is ``t``,
+    t / (1 - t (KAPPA h)^2); inf when t >= 1/(KAPPA h)^2, the value the
+    bound approaches as lambda grows but never reaches."""
+    return (np.inf if t >= 1.0 / (KAPPA * h) ** 2
+            else t / (1.0 - t * (KAPPA * h) ** 2))
+
+
+def cr_certifies(bounds: list[BoundedEigen], k2: float, i: int, h):
+    """Whether the CR ``bounds`` certify index ``i`` at mesh size ``h``
+    (elementwise for an array): (A) lower^(i+1) >= k^2 and, for i >= 1,
+    (B) the i-th enclosure is narrower than k^2 - lambda_h^(i), the lower
+    bounds taken at ``h``.  Then the index can no longer change."""
+    ok = cr_lower_bound(bounds[i].lam, h) >= k2
+    if i:
+        b = bounds[i - 1]
+        ok = ok & (b.upper - cr_lower_bound(b.lam, h) < k2 - b.lam)
+    return ok
 
 
 def compute_bounds(E: EigenSet) -> list[BoundedEigen]:
@@ -187,7 +207,7 @@ def compute_bounds(E: EigenSet) -> list[BoundedEigen]:
     The continuous operator is semidefinite, so a roundoff-negative
     eigenvalue or upper value (a pure-Neumann zero mode) is read as 0;
     ``eigs_smallest`` has already rejected anything below
-    ``-1e3 * RESIDUAL_TOL`` = -1e-7 and checked every pair's residual.
+    ``-ZERO_EIGENVALUE_TOL`` = -1e-7 and checked every pair's residual.
     """
     if E.family != CR:
         raise ValueError("guaranteed bounds require a Crouzeix-Raviart "

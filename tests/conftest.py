@@ -381,13 +381,25 @@ def loop_p2_lift(space, X: np.ndarray) -> np.ndarray:
     return Y
 
 
+def dense(S) -> np.ndarray:
+    """The ``SparseSymMatrix`` ``S`` as a dense array."""
+    return S.to_scipy().toarray()
+
+
+def dense_spectrum(A, M) -> np.ndarray:
+    """Every eigenvalue of the pencil (A, M), ascending, by one dense
+    generalized eigensolve."""
+    import scipy.linalg
+    return scipy.linalg.eigh(dense(A), dense(M), eigvals_only=True)
+
+
 def dense_ritz_upper_bounds(E) -> np.ndarray:
     """Ritz values of the assembled P2 pencil on the span of the ladder's
     lifted eigenvectors (:func:`loop_p2_lift`), in one dense step."""
     import scipy.linalg
     from helmqo.spaces import P2, build_space
     s_p2 = build_space(E.space.mesh, P2)
-    A2, M2 = (B.toarray() for B in s_p2.pencil)
+    A2, M2 = (dense(B) for B in s_p2.pencil)
     Z = loop_p2_lift(E.space, E.vectors)[s_p2.free_dofs]
     return scipy.linalg.eigh(Z.T @ A2 @ Z, Z.T @ M2 @ Z, eigvals_only=True)
 

@@ -7,10 +7,10 @@ public: none imports another's underscore name.  One function,
 ``spectral._check_counts``, checks a ladder against LDL^T inertia counts.
 The boundary tag codes in ``Mesh.edge_tag`` are ``mesh.py``'s own format,
 the full-dof numbering (``free_dofs``, ``cell_dofs``, ``cell_free``) is
-``spaces.py``'s, and the ``--geometry`` and ``--rhs`` names are
-``cli.py``'s own.  Every parameter with a default is passed by some call
-outside the tests.  Importing the command line does not load
-``scipy.special``."""
+``spaces.py``'s, Liu's ``KAPPA`` is ``spectral.py``'s, and the
+``--geometry`` and ``--rhs`` names are ``cli.py``'s own.  Every parameter
+with a default is passed by some call outside the tests.  Importing the
+command line does not load ``scipy.special``."""
 
 import ast
 import importlib
@@ -195,6 +195,15 @@ def test_only_spaces_reads_the_full_dof_numbering():
                                        "cell_free"})
     assert not readers, f"full-dof numbering read outside spaces.py: " \
         f"{readers}"
+
+
+def test_only_spectral_spells_kappa():
+    # the CR bound's algebra (the bound, its preimage and the certification
+    # rule) lives in spectral.py, so replacing the bound changes one module
+    spellers = sorted(path.name for path in modules()
+                      if path.name != "spectral.py"
+                      and "KAPPA" in path.read_text())
+    assert not spellers, f"KAPPA spelled outside spectral.py: {spellers}"
 
 
 def public_functions(path: Path):

@@ -12,7 +12,7 @@ from helmqo.mesh import (BoundaryTag, Mesh, build_square_with_hole,
                          build_unit_square, build_unit_square_unstructured,
                          refine_bisection, refine_uniform)
 from helmqo.spaces import CR, P1, P2, assemble_load, build_space, l2_error
-from helmqo.spectral import BoundedEigen, cr_lower_bound
+from helmqo.spectral import KAPPA, BoundedEigen, cr_lower_bound
 from helmqo.sparsela import (RECOUNT_RTOL, EigenSolveError, ResonanceError,
                              count_below, ldlt)
 from helmqo.certify import (GaussianBump, ProblemSpec,
@@ -22,7 +22,7 @@ from helmqo.certify import (GaussianBump, ProblemSpec,
                             study_to_csv, unit_square_index,
                             unit_square_spectrum)
 
-from conftest import (counted_ladder, drop_first_pair_above,
+from conftest import (counted_ladder, dense, drop_first_pair_above,
                       drop_lowest_pair, enumeration_index,
                       enumeration_spectrum, traced_peak, unblocked_sine_sum)
 
@@ -203,7 +203,7 @@ class TestSolveHelmholtz:
         space = build_space(mesh, P1)
         A, M = space.pencil
         assert ldlt(A, k2, M).n_zero > 0
-        K = A.toarray() - k2 * M.toarray()
+        K = dense(A) - k2 * dense(M)
         b = assemble_load(space, spec.rhs)
         x = np.linalg.solve(K, b)
         shifts = []
@@ -374,14 +374,17 @@ class TestRunGmr:
         marked = helmqo.certify._certification_blockers(mesh, bounds, k2)
         i = sum(b.lam < k2 for b in bounds)
 
-        def certifiable(h):
-            ok = cr_lower_bound(bounds[i].lam, h) >= k2
-            if i:
-                b = bounds[i - 1]
-                ok &= b.upper - cr_lower_bound(b.lam, h) < k2 - b.lam
-            return ok
+        # the oracle solves the rule for h: lower(lam, h) >= t holds for
+        # h <= sqrt(1/t - 1/lam) / KAPPA, and for every h when t <= 0
+        def h_max(lam, t):
+            return (math.sqrt(max(1.0 / t - 1.0 / lam, 0.0)) / KAPPA
+                    if t > 0 else math.inf)
+        threshold = h_max(bounds[i].lam, k2)
+        if i:
+            b = bounds[i - 1]
+            threshold = min(threshold, h_max(b.lam, b.upper - (k2 - b.lam)))
         assert marked == {t for t, d in enumerate(mesh.diameters)
-                          if not certifiable(d)}
+                          if d > threshold}
         assert (len(marked) == mesh.n_triangles) == everything
         assert marked
 
@@ -468,9 +471,12 @@ class TestCrEstimate:
         def widened(E):
             bounds = real(E)
             j = sum(b.lam < k2 for b in bounds)
-            lam = bounds[j - 1].lam
-            # width k^2 - lam + excess * gap, exactly the gap at excess 0
-            bounds[j - 1] = BoundedEigen(lam, lam, k2 + excess * (k2 - lam))
+            b = bounds[j - 1]
+            # width (1 + excess) times the gap k^2 - lam over the lower
+            # bound at h, exactly the gap at excess 0 (the first assert
+            # below checks it)
+            bounds[j - 1] = BoundedEigen(
+                b.lam, b.lower, b.lower + (1.0 + excess) * (k2 - b.lam))
             return bounds
         monkeypatch.setattr(helmqo.certify, "compute_bounds", widened)
         rep = run_gmr(ProblemSpec(CR, k2), build_unit_square(4), "uniform",

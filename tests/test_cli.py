@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cli_choices
+from conftest import cli_choices, dense_spectrum
 from helmqo.certify import GaussianBump, SineProduct
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -388,11 +388,10 @@ class TestEigCommand:
         # at indices 27-30; a block of 4 start vectors finds every copy, so
         # the 30-value ladder ends on the fourth and the count just below it
         # finds the 26 values below the multiplet
-        import scipy.linalg
         from helmqo.mesh import build_square_with_hole
         from helmqo.spaces import CR, build_space
         A, M = build_space(build_square_with_hole(0.75, 0.3, 10), CR).pencil
-        w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        w = dense_spectrum(A, M)
         assert np.allclose(w[26:30], w[26], rtol=1e-9) and w[30] > w[26]
         out = tmp_path / "eig.csv"
         res = run_cli(["--seed", str(seed), "eig", "--geometry",

@@ -19,7 +19,7 @@ from helmqo.sparsela import ldlt, solve
 from helmqo.spectral import _p2_lifts, compute_bounds, eigenpairs
 from helmqo.certify import GaussianBump, SineProduct, sine_series_reference
 
-from conftest import (dof_locations, full_coefficients, interpolate,
+from conftest import (dense, dof_locations, full_coefficients, interpolate,
                       jittered_square, loop_cr_vertex_mean,
                       loop_p2_stiffness, oneshot_assemble_load,
                       oneshot_l2_error, traced_peak)
@@ -38,7 +38,7 @@ def on_all_dofs(space, A) -> np.ndarray:
     """The free-dof matrix ``A`` as a dense matrix on all dofs, zero in
     the rows and columns of constrained dofs."""
     full = np.zeros((space.ndof, space.ndof))
-    full[np.ix_(space.free_dofs, space.free_dofs)] = A.toarray()
+    full[np.ix_(space.free_dofs, space.free_dofs)] = dense(A)
     return full
 
 
@@ -199,7 +199,7 @@ class TestStiffness:
         # the reference-tensor product sums in another order than the loop;
         # 16 ulp of the largest entry covers it
         s = build_space(jittered_square(8, 3, 0.4), P2)
-        K = assemble_stiffness(s).toarray()
+        K = dense(assemble_stiffness(s))
         expected = loop_p2_stiffness(s)[np.ix_(s.free_dofs, s.free_dofs)]
         scale = abs(expected).max()
         assert np.abs(K - expected).max() <= 16 * np.finfo(float).eps * scale
@@ -236,12 +236,12 @@ class TestMass:
         M = assemble_mass(s)
         assert M.n == s.ndof
         ones = np.ones(M.n)
-        assert np.isclose(ones @ (M @ ones), 1.0, atol=1e-12)
+        assert np.isclose(ones @ (M.to_scipy() @ ones), 1.0, atol=1e-12)
 
     def test_positive_definite(self):
         for fam in (P1, P2, CR):
             s = build_space(build_unit_square(4), fam)
-            M = assemble_mass(s).toarray()
+            M = dense(assemble_mass(s))
             np.linalg.cholesky(M)   # raises if not SPD
 
 
@@ -341,8 +341,8 @@ class TestConstrain:
         A = assemble_stiffness(s)
         assert A.n == s.ndof == m.n_vertices
         full = reference_scatter(s, element_matrices(m, P1)).toarray()
-        assert np.array_equal(A.toarray(), full[np.ix_(s.free_dofs,
-                                                       s.free_dofs)])
+        assert np.array_equal(dense(A), full[np.ix_(s.free_dofs,
+                                                    s.free_dofs)])
 
     def test_all_dirichlet_single_dof(self):
         s = build_space(build_unit_square(2), P1)
@@ -350,11 +350,11 @@ class TestConstrain:
         A = assemble_stiffness(s)
         assert A.n == 1
         (i,) = s.free_dofs
-        assert A.toarray()[0, 0] == full[i, i]
+        assert dense(A)[0, 0] == full[i, i]
 
     def test_constrained_stiffness_positive_definite(self):
         s = build_space(build_unit_square(4), P1)
-        A = assemble_stiffness(s).toarray()
+        A = dense(assemble_stiffness(s))
         assert np.linalg.eigvalsh(A).min() > 0
 
 
@@ -508,8 +508,8 @@ class TestRayleighQuotient:
             # the sine vanishes on the boundary: its free coefficients
             u = interpolate(s, lambda x, y: np.sin(np.pi * x)
                             * np.sin(np.pi * y)).coefficients
-            vals.append((u @ (assemble_stiffness(s) @ u))
-                        / (u @ (assemble_mass(s) @ u)))
+            A, M = (B.to_scipy() for B in s.pencil)
+            vals.append((u @ (A @ u)) / (u @ (M @ u)))
         exact = 2 * math.pi ** 2
         assert vals[0] >= exact and vals[1] >= exact
         assert vals[1] < vals[0]
@@ -660,7 +660,7 @@ class TestGalerkinEnergy:
             s = build_space(build_unit_square(n), P1)
             uh = laplace_solution(s, self.rhs).coefficients
             Iu = interpolate(s, self.exact).coefficients
-            A = assemble_stiffness(s)
+            A = assemble_stiffness(s).to_scipy()
             assert uh @ (A @ uh) <= Iu @ (A @ Iu) + 1e-12
 
     def test_variational_minimality_both_families(self):
@@ -671,7 +671,7 @@ class TestGalerkinEnergy:
                 s = build_space(build_unit_square(n), fam)
                 uh = laplace_solution(s, self.rhs).coefficients
                 Iu = interpolate(s, self.exact).coefficients
-                A = assemble_stiffness(s)
+                A = assemble_stiffness(s).to_scipy()
                 b = assemble_load(s, self.rhs)
                 J = lambda c: 0.5 * c @ (A @ c) - b @ c
                 assert J(uh) <= J(Iu) + 1e-12

@@ -19,7 +19,8 @@ from helmqo.sparsela import (RECOUNT_RTOL, RESIDUAL_TOL, EigenSolveError,
                              ResonanceError, SparseSymMatrix, count_below,
                              count_from_factor, eigs_smallest, ldlt, solve)
 
-from conftest import (enumeration_index, gaussian_elimination_solve,
+from conftest import (dense_spectrum, enumeration_index,
+                      gaussian_elimination_solve,
                       jacobi_generalized_eigen, jittered_square,
                       traced_peak)
 
@@ -30,6 +31,7 @@ def sym(mat):
 
 def relative_residuals(res, A, M):
     """``|A x - l M x| / (1 + |l|)`` of each returned pair."""
+    A, M = A.to_scipy(), M.to_scipy()
     R = A @ res.vectors - (M @ res.vectors) * res.values
     return np.linalg.norm(R, axis=0) / (1.0 + np.abs(res.values))
 
@@ -166,7 +168,7 @@ class TestLdlt:
             factored.append((A_, sigma, M_))
             return factor(A_, sigma, M_)
         monkeypatch.setattr(helmqo.sparsela, "ldlt", recorded)
-        w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        w = dense_spectrum(A, M)
         assert count_from_factor(F) == (w < 8192.0).sum()
         assert [(a is A, sigma, m is M) for a, sigma, m in factored] == [
             (True, 8192.0 * (1 - RECOUNT_RTOL), True),
@@ -299,7 +301,7 @@ class TestEigsSmallest:
     def test_m_orthonormality(self):
         A, M = square_pencil(32)
         res = eigs_smallest(A, M, 8)
-        G = res.vectors.T @ (M @ res.vectors)
+        G = res.vectors.T @ (M.to_scipy() @ res.vectors)
         assert np.abs(G - np.eye(8)).max() <= 1e-8
 
     def test_residual_contract(self):
@@ -381,7 +383,7 @@ class TestCountBelow:
         A, M = square_pencil(32)
         sigma = 8192.0
         assert ldlt(A, sigma, M).singular
-        w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        w = dense_spectrum(A, M)
         assert np.abs(w - sigma).min() > 30.0
         assert count_below(A, M, sigma) == int((w < sigma).sum()) == 407
 
@@ -393,8 +395,7 @@ class TestCountBelow:
             sigma = 250.0
             A = SparseSymMatrix(sp.block_diag((A1.to_scipy(), [[sigma]])))
             M = SparseSymMatrix(sp.block_diag((M1.to_scipy(), [[1.0]])))
-            w = scipy.linalg.eigh(A.toarray(), M.toarray(),
-                                  eigvals_only=True)
+            w = dense_spectrum(A, M)
             assert np.abs(w - sigma).min() == 0.0
             with pytest.raises(ResonanceError):
                 count_below(A, M, sigma)
@@ -413,7 +414,7 @@ class TestCountBelow:
         A, M = space.pencil
         i = data.draw(st.integers(0, A.n - 1))
         sigma = A.to_scipy()[i, i] / M.to_scipy()[i, i]
-        w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        w = dense_spectrum(A, M)
         try:
             count = count_below(A, M, sigma)
         except ResonanceError:
@@ -437,7 +438,7 @@ def lanczos_pencil(family, n, rgap):
     """The unit-square pencil, its dense spectrum, and the 0-based indices
     i of its first two pairs with w[i + 1] - w[i] <= rgap * w[i + 1]."""
     A, M = square_pencil(n, family)
-    w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+    w = dense_spectrum(A, M)
     double = np.flatnonzero(np.diff(w) <= rgap * w[1:])[:2]
     assert len(double) == 2 and A.n > helmqo.sparsela.DENSE_EIG_LIMIT
     return A, M, w, double
@@ -467,7 +468,7 @@ def basis_sizes():
 def assert_matches_dense(res, A, M, w, rtol=1e-10):
     m = len(res.values)
     assert np.all(np.abs(res.values - w[:m]) <= rtol * (1 + w[:m]))
-    G = res.vectors.T @ (M @ res.vectors)
+    G = res.vectors.T @ (M.to_scipy() @ res.vectors)
     assert np.abs(G - np.eye(m)).max() <= 1e-12
     assert np.all(relative_residuals(res, A, M) <= RESIDUAL_TOL)
 
@@ -498,7 +499,7 @@ class TestThickRestartLanczos:
         A, M = build_space(mesh, family).pencil
         assume(A.n > basis(12) + helmqo.sparsela.LANCZOS_BLOCK)
         m = data.draw(st.integers(1, 12))
-        w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        w = dense_spectrum(A, M)
         with mock.patch.object(helmqo.sparsela, "DENSE_EIG_LIMIT", 0), \
                 basis_sizes() as ncv:
             res = eigs_smallest(A, M, m)
@@ -516,7 +517,7 @@ class TestThickRestartLanczos:
         A, M = space.pencil
         assert A.n == 224
         assert (basis(m) + helmqo.sparsela.LANCZOS_BLOCK < A.n) == lanczos
-        w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        w = dense_spectrum(A, M)
         with basis_sizes() as ncv:
             assert_matches_dense(eigs_smallest(A, M, m), A, M, w)
         assert ncv == ([basis(m)] if lanczos else [])
@@ -568,7 +569,7 @@ class TestThickRestartLanczos:
         # indices 27-30 and double ones below it; every ladder length up to
         # 60 at three seeds is the dense one
         A, M = build_space(build_square_with_hole(0.75, 0.3, 10), CR).pencil
-        w = scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        w = dense_spectrum(A, M)
         assert np.allclose(w[26:30], w[26], rtol=1e-9) and w[30] > w[26]
         wrong = [(m, seed) for m in range(2, 61, 2) for seed in range(3)
                  if not np.allclose(eigs_smallest(A, M, m, seed=seed).values,

@@ -14,10 +14,12 @@ from helmqo.spaces import CR, P1, P2, assemble_mass, assemble_stiffness, \
 from helmqo.sparsela import (EigenSolveError, ResonanceError,
                              SparseSymMatrix, count_below)
 from helmqo.spectral import (KAPPA, EigenSet, check_complete,
-                             check_criterion, compute_bounds, cr_lower_bound,
+                             check_criterion, compute_bounds,
+                             cr_bound_preimage, cr_lower_bound,
                              eigen_ladder, eigenpairs)
 
-from conftest import (MIN_KAPPA, counted_ladder, dense_ritz_upper_bounds,
+from conftest import (MIN_KAPPA, counted_ladder, dense,
+                      dense_ritz_upper_bounds, dense_spectrum,
                       drop_first_pair_above, drop_lowest_pair,
                       enumeration_index, enumeration_spectrum,
                       interpolate, jittered_square, liu_lower_bounds,
@@ -54,7 +56,7 @@ class TestEigenLadder:
         # one free dof: its eigenvalue is exactly representable
         space = build_space(build_unit_square(2), P1)
         A, M = assemble_stiffness(space), assemble_mass(space)
-        lam = A.toarray()[0, 0] / M.toarray()[0, 0]
+        lam = dense(A)[0, 0] / dense(M)[0, 0]
         with pytest.raises(ResonanceError):
             counted_ladder(space, lam)
 
@@ -101,9 +103,7 @@ class TestCheckComplete:
 
     @staticmethod
     def dense_values(space):
-        import scipy.linalg
-        A, M = space.pencil
-        return scipy.linalg.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+        return dense_spectrum(*space.pencil)
 
     def test_complete_ladder_passes(self):
         # m = 2 and 5 end inside the double eigenvalues at indices 2-3 and
@@ -169,6 +169,22 @@ class TestBounds:
         assert np.isclose(cr_lower_bound(50.0, 1e-9), 50.0)
         assert cr_lower_bound(50.0, 0.3) <= 50.0
 
+    @given(st.floats(1e-3, 1e7), st.floats(1e-4, 10.0))
+    def test_preimage_inverts_lower_bound(self, t, h):
+        # the bound approaches 1/(KAPPA h)^2 and never reaches it
+        lam = cr_bound_preimage(t, h)
+        assert (lam == math.inf) == (t >= 1.0 / (KAPPA * h) ** 2)
+        if lam < math.inf:
+            assert lam >= t
+            assert abs(cr_lower_bound(lam, h) - t) <= 8 * np.spacing(t)
+
+    def test_lower_bound_takes_array_of_sizes(self):
+        h = np.array([0.1, 0.3])
+        assert list(cr_lower_bound(19.8, h)) == [cr_lower_bound(19.8, 0.1),
+                                                 cr_lower_bound(19.8, 0.3)]
+        with pytest.raises(ValueError):
+            cr_lower_bound(19.8, np.array([0.1, 0.0]))
+
     def test_kappa_at_least_proven_constant(self):
         # Liu's CR interpolation constant; a larger kappa lowers the bound
         assert KAPPA >= MIN_KAPPA == 0.1893
@@ -188,7 +204,7 @@ class TestBounds:
         assert np.allclose(lifted,
                            s_p2.cell_values(interpolate(s_p2, f).coefficients),
                            rtol=0.0, atol=1e-14)
-        A, M = s_cr.pencil
+        A, M = (B.to_scipy() for B in s_cr.pencil)
         quotient = (c @ (A @ c)) / (c @ (M @ c))
         E = EigenSet(s_cr, np.array([quotient]), c[:, None])
         assert np.isclose(compute_bounds(E)[0].upper, quotient, rtol=1e-13)
