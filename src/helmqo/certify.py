@@ -537,9 +537,11 @@ def _study_record(spec: ProblemSpec, mesh: Mesh, reference,
     u, below = _solve(spec, space)
     if i_star is None:
         i_star = below
-    err = l2_error(u, reference)
+    # the ladder factors A + M before l2_error runs: glibc may keep the
+    # heap that l2_error frees, and the factor would stack on it
     E = eigen_ladder(space, max(below + STUDY_EXTRA_PAIRS + 1, i_star + 1),
                      {spec.k2: below}, seed)
+    err = l2_error(u, reference)
 
     def value(j):   # the ladder stops at n_free: no value past it
         return float(E.values[j - 1]) if j <= len(E) else math.nan

@@ -8,7 +8,8 @@ wave number.  ``--seed`` (default 0) is the only source of
 randomness: it seeds the eigensolver's start vector and jitters
 ``unit-square-unstructured`` meshes.  All numeric output uses shortest
 round-trip decimals, so identical invocations produce byte-identical
-files.
+files at a fixed BLAS thread count: BLAS sums in an order that depends on
+its threads, so the last digits can move with the count.
 """
 
 from __future__ import annotations

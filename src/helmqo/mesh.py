@@ -31,6 +31,9 @@ TagAssignment = BoundaryTag | Callable[[float, float], BoundaryTag]
 # BoundaryTag of each ``Mesh.edge_tag`` code (interior edges carry -1)
 _TAGS = (BoundaryTag.DIRICHLET, BoundaryTag.NEUMANN)
 
+# the largest index a mesh's int32 tables hold
+_INDEX_MAX = np.iinfo(np.int32).max
+
 
 class MeshError(ValueError):
     """Invalid mesh topology or geometry."""
@@ -69,23 +72,32 @@ class Mesh:
     ``edge_lengths`` (n_edges,), ``diameters`` (nt,), the longest edge of
     each triangle, and ``h``, the largest diameter.  The tag codes of
     ``edge_tag`` are this module's own; others read ``boundary_edges``.
+
+    The index tables, ``triangles`` and the five of the topology, are
+    int32.  They are stored after the range checks: a mesh whose vertex
+    count plus three times its triangle count exceeds int32's range (which
+    also bounds the P2 dofs of :mod:`helmqo.spaces`) is rejected, so no
+    index wraps.
     """
 
     def __init__(self, vertices, triangles, boundary_edges,
                  refinement_edge=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+        t = np.asarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
-        if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
+        if t.ndim != 2 or t.shape[1] != 3:
             raise MeshError("triangles must be an (nt, 3) array")
-        if not len(self.triangles):
+        if not len(t):
             raise MeshError("a mesh needs at least one triangle")
         if not np.isfinite(self.vertices).all():
             raise MeshError("vertex coordinates must be finite")
 
-        t = self.triangles
         _check_vertex_range(t, len(self.vertices))
+        # bounds every vertex, edge and triangle index, and every P2 dof
+        if len(self.vertices) + 3 * len(t) > _INDEX_MAX:
+            raise MeshError("mesh too large for int32 index tables")
+        self.triangles = t = t.astype(np.int32)
         if ((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2])
                 | (t[:, 0] == t[:, 2])).any():
             raise MeshError("triangle with repeated vertex")
@@ -167,16 +179,16 @@ class Mesh:
         if (counts > 2).any():
             raise MeshError("non-conforming mesh: edge shared by more than "
                             "two triangles")
-        self.tri2edge = np.ascontiguousarray(inv.reshape(3, nt).T)
+        self.tri2edge = inv.reshape(3, nt).T.astype(np.int32, order="C")
         # the triangles of each edge in ascending order: the first goes to
         # slot 0, the second (if any) to slot 1
         tri_of = np.tile(np.arange(nt), 3)[np.argsort(inv, kind="stable")]
         first = np.cumsum(counts) - counts
         two = counts == 2
-        self.edge2tri = np.full((len(self.edges), 2), -1, dtype=np.int64)
+        self.edge2tri = np.full((len(self.edges), 2), -1, dtype=np.int32)
         self.edge2tri[:, 0] = tri_of[first]
         self.edge2tri[two, 1] = tri_of[first[two] + 1]
-        self.boundary_edge_ids = np.flatnonzero(counts == 1)
+        self.boundary_edge_ids = np.flatnonzero(counts == 1).astype(np.int32)
 
     # -- basic queries ---------------------------------------------------
 
@@ -254,15 +266,17 @@ def _edge_table(triangles: np.ndarray, base: int):
 
     Edge ``k`` of a triangle is opposite local vertex ``k``; the inverse
     lists all edges 0, then all edges 1, then all edges 2.  Each edge
-    (a, b), a < b, is keyed as ``a*base + b``, so ``base`` must exceed
-    every vertex index; the keys sort like the rows (a, b).
+    (a, b), a < b, is keyed as ``a*base + b`` in int64, so ``base`` must
+    exceed every vertex index; the keys sort like the rows (a, b).  The
+    edges come in the dtype of ``triangles``.
     """
     t = triangles
     raw = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
     raw.sort(axis=1)
-    keys, inv, counts = np.unique(raw[:, 0] * base + raw[:, 1],
+    keys, inv, counts = np.unique(raw[:, 0].astype(np.int64) * base
+                                  + raw[:, 1],
                                   return_inverse=True, return_counts=True)
-    edges = np.empty((len(keys), 2), dtype=np.int64)
+    edges = np.empty((len(keys), 2), dtype=raw.dtype)
     edges[inv] = raw
     return edges, inv, counts
 

@@ -107,8 +107,9 @@ class DofSpace:
     Attributes
     ----------
     ndof : total number of degrees of freedom
-    cell_dofs : (nt, nloc) global dof indices per triangle
-    free_dofs : the dofs not constrained by Dirichlet tags, in the
+    cell_dofs : (nt, nloc) int32 global dof indices per triangle, read-only:
+        the mesh's own ``triangles`` (P1) or ``tri2edge`` (CR), not a copy
+    free_dofs : int32, the dofs not constrained by Dirichlet tags, in the
         reverse Cuthill-McKee order of the free dofs' graph
     cell_free : (nt, nloc) int32 free number of each local dof, -1 if
         constrained, built on first read; outside this module, free-dof
@@ -121,19 +122,21 @@ class DofSpace:
         nv, ne = mesh.n_vertices, mesh.n_edges
         if family == P1:
             self.ndof = nv
-            self.cell_dofs = mesh.triangles.copy()
+            self.cell_dofs = mesh.triangles
             constrained = mesh.dirichlet_vertices()
         elif family == CR:
             self.ndof = ne
-            self.cell_dofs = mesh.tri2edge.copy()
+            self.cell_dofs = mesh.tri2edge
             constrained = mesh.dirichlet_edge_ids
         else:  # P2
             self.ndof = nv + ne
             self.cell_dofs = np.hstack([mesh.triangles,
                                         nv + mesh.tri2edge])
+            self.cell_dofs.flags.writeable = False
             constrained = np.concatenate([mesh.dirichlet_vertices(),
                                           nv + mesh.dirichlet_edge_ids])
-        free = np.setdiff1d(np.arange(self.ndof), constrained)
+        free = np.setdiff1d(np.arange(self.ndof, dtype=np.int32),
+                            constrained)
         self.free_dofs = free[_rcm_order(self.cell_dofs, free, self.ndof)]
 
     @property
@@ -221,8 +224,8 @@ class FeFunction:
 
 
 def _scatter(space: DofSpace, local: np.ndarray) -> sp.csr_matrix:
-    nloc = space.cell_dofs.shape[1]
-    dofs = space.cell_dofs.astype(np.int32)
+    dofs = space.cell_dofs
+    nloc = dofs.shape[1]
     rows = np.repeat(dofs, nloc, axis=1).ravel()
     cols = np.tile(dofs, (1, nloc)).ravel()
     mat = sp.coo_matrix((local.ravel(), (rows, cols)),

@@ -27,6 +27,11 @@ unit-lower/diagonal decomposition with a diagonal D.  It factors
 decides the fill: the pencils of :mod:`helmqo.spaces` come numbered in the
 reverse Cuthill-McKee order of their free dofs (see there).
 
+``A - sigma*M`` is formed in two places only: by :func:`ldlt` for
+SuperLU, which frees it on return, and by :func:`solve` for its
+partial-pivoting fallback when the factor has a zero pivot.  Residuals
+are computed from the pencil, as ``A x - sigma (M x)``.
+
 Sparse pivots are read only where an inertia count is needed
 (:func:`count_below`, :func:`solve`, or a read of a factorization's
 ``inertia`` or ``L``).  SuperLU answers such a read with CSC copies of both
@@ -240,30 +245,35 @@ def solve(F: Factorization, b: np.ndarray) -> np.ndarray:
     """Solve ``(A - sigma*M) x = b`` by F's LDL^T, or by partial-pivoting LU
     when F has a zero pivot, then up to three steps of iterative refinement.
     A relative residual above 1e-10 after them, or a matrix that LU finds
-    singular, raises :class:`ResonanceError`.  ``A - sigma*M`` is formed
-    from F's pencil once per call, for the residuals and the LU."""
+    singular, raises :class:`ResonanceError`.  Each residual is
+    ``b - (A x - sigma (M x))`` from F's pencil; ``A - sigma*M`` itself is
+    formed only for the LU, so a solve by F's own factor holds no n x n
+    matrix besides it."""
     b = np.asarray(b, dtype=np.float64)
     nb = np.linalg.norm(b)
     if nb == 0.0:
         return np.zeros_like(b)
-    A, M = F._pencil
-    K = A.to_scipy() - F.sigma * M.to_scipy()
+    Asp, Msp = (P.to_scipy() for P in F._pencil)
     base = F._raw_solve
     if F.n_zero > 0:
         try:
-            base = spla.splu(K.T).solve
+            base = spla.splu((Asp - F.sigma * Msp).T).solve
         except RuntimeError as exc:
             if "singular" not in str(exc):
                 raise
             raise ResonanceError(f"shift {F.sigma!r} is an eigenvalue of "
                                  "the pencil (exactly singular)") from exc
+
+    def residual(x):
+        return b - (Asp @ x - F.sigma * (Msp @ x))
+
     x = base(b)
-    r = b - K @ x
+    r = residual(x)
     for _ in range(3):
         if np.linalg.norm(r) <= 1e-10 * nb:
             return x
         x = x + base(r)
-        r = b - K @ x
+        r = residual(x)
     if np.linalg.norm(r) <= 1e-10 * nb:
         return x
     raise ResonanceError(

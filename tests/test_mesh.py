@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helmqo.mesh
 from helmqo.mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
                          build_square_with_hole, build_unit_square,
                          build_unit_square_unstructured, minimum_angle,
@@ -151,6 +152,15 @@ class TestConstructorErrors:
             Mesh.from_triangulation(m.vertices, m.triangles,
                                     lambda x, y: None)
 
+    def test_too_large_for_int32_index_tables(self, monkeypatch):
+        # 9 vertices and 8 triangles: 9 + 3 * 8 = 33 > 32
+        m = self.square()
+        monkeypatch.setattr(helmqo.mesh, "_INDEX_MAX", 32)
+        with pytest.raises(MeshError, match="too large for int32"):
+            Mesh(m.vertices, m.triangles, m.boundary_edges)
+        monkeypatch.setattr(helmqo.mesh, "_INDEX_MAX", 33)
+        assert Mesh(m.vertices, m.triangles, m.boundary_edges) == m
+
     def test_boundary_edges_from_a_generator(self):
         m = self.square()
         g = Mesh(m.vertices, m.triangles, (x for x in m.boundary_edges))
@@ -185,6 +195,12 @@ def assert_tables_match_loops(m: Mesh):
 
 
 class TestLoopOracle:
+    def test_edge_keys_past_the_int32_range(self):
+        # 47,089 vertices: the edge key a*base + b passes 2**31 - 1
+        m = build_unit_square(216)
+        assert (m.n_vertices - 1) * m.n_vertices > np.iinfo(np.int32).max
+        assert_tables_match_loops(m)
+
     @settings(max_examples=25)
     @given(base=base_meshes(), data=st.data())
     def test_bisection_bit_identical(self, base, data):
@@ -410,6 +426,14 @@ class TestSerialization:
         with pytest.raises(MeshFormatError, match="only") as exc:
             read_mesh(text)
         assert exc.value.line == line
+
+    def test_index_tables_are_int32(self):
+        m = refine_bisection(build_square_with_hole(0.75, 0.3, 4,
+                                                    inner_tag=N), [0, 5])
+        for name in ("triangles", "edges", "tri2edge", "edge2tri",
+                     "boundary_edge_ids", "dirichlet_edge_ids"):
+            assert getattr(m, name).dtype == np.int32, name
+        assert read_mesh(write_mesh(m)).triangles.dtype == np.int32
 
     def test_immutability(self):
         m = build_unit_square(2)

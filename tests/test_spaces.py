@@ -71,6 +71,18 @@ class TestFamilies:
         inside = ((at > 0) & (at < 1)).all(axis=1)
         assert np.array_equal(np.sort(s.free_dofs), np.flatnonzero(inside))
 
+    @pytest.mark.parametrize("family, table", [(P1, "triangles"),
+                                               (CR, "tri2edge"), (P2, None)])
+    def test_dof_tables_are_int32_and_p1_cr_views_of_the_mesh(self, family,
+                                                              table):
+        m = build_square_with_hole(0.75, 0.3, 4, inner_tag=N)
+        s = build_space(m, family)
+        assert s.cell_dofs.dtype == s.free_dofs.dtype == np.int32
+        assert not s.cell_dofs.flags.writeable
+        if table is not None:
+            assert s.cell_dofs is getattr(m, table)
+            assert np.shares_memory(s.cell_dofs, getattr(m, table))
+
 
 def bisected_hole():
     mesh = build_square_with_hole(0.75, 0.3, 4)

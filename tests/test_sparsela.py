@@ -224,11 +224,22 @@ class TestSolve:
 
     def test_factor_keeps_no_shifted_matrix(self):
         # the factor holds SuperLU's factor and the pencil, nothing n x n
-        # besides; solve forms A - sigma M from the pencil
+        # besides; solve computes its residuals from the pencil
         A, M = square_pencil(24)
         F = ldlt(A, 100.0, M)
         assert not [v for v in vars(F).values() if sp.issparse(v)]
         assert F._pencil[0] is A and F._pencil[1] is M
+
+    def test_solve_by_the_factor_forms_no_shifted_matrix(self):
+        # residuals come from the pencil as A x - sigma (M x): a solve by
+        # F's own factor traces n-sized vectors only, far below the
+        # 12 bytes per entry of a CSR copy of A - sigma M
+        A, M = square_pencil(120)    # 14,161 dofs
+        F = ldlt(A, 100.0, M)
+        assert F.n_zero == 0         # the pivots are read before the trace
+        nnz = max(len(A.data), len(M.data))
+        b = np.random.default_rng(2).standard_normal(A.n)
+        assert traced_peak(solve, F, b) < 12 * nnz
 
     def test_flagged_factor_solved_by_partial_pivoting(self):
         # P1 n = 32 at sigma = 8192: the LDL^T is forced off the diagonal,
