@@ -21,8 +21,7 @@ print(f"k^2 = {spec.k2} on a {0.75} x {0.75} square with a {0.3}-hole; "
       f"initial mesh: {initial}")
 
 for mode in ("adaptive", "uniform"):
-    report = run_gmr(spec, initial, refine_mode=mode, i_star_source="cr",
-                     max_iters=20)
+    report = run_gmr(spec, initial, refine_mode=mode, max_iters=20)
     print(f"\n{mode.upper()} refinement -> {report.termination} after "
           f"{len(report.iterations)} estimates")
     print(f"{'iter':>4} {'ndof':>7} {'h':>8} {'j*':>4} {'k2-lambda':>11} "

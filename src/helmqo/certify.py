@@ -3,10 +3,11 @@
 ``run_gmr`` refines a mesh (uniformly or adaptively) until the eigenvalue
 ladder brackets the wave number: then the Helmholtz discretization is
 stable and quasi-optimal.  The pivotal index is either supplied externally
-(``i_star_source=<int>``, e.g. from a modal analysis) or estimated and
-certified from guaranteed Crouzeix-Raviart eigenvalue bounds
-(``i_star_source="cr"``): the estimate j* is the LDL^T inertia count at
-the lambda where Liu's lower bound reaches k^2.
+(``i_star=<int>``, e.g. from a modal analysis) or, with ``i_star=None``,
+estimated and certified from guaranteed Crouzeix-Raviart eigenvalue
+bounds: the estimate j* is the LDL^T inertia count at the lambda where
+Liu's lower bound reaches k^2.  One step, the same for both, runs on every
+mesh: counts, ladder, criterion, record.
 
 The module also provides the indefinite Helmholtz solve, a spectral
 reference solution on the unit square, and uniform-refinement convergence
@@ -27,9 +28,8 @@ from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
 from .quadrature import edge_rule
 from .sparsela import (ResonanceError, count_below, count_from_factor, ldlt,
                        solve)
-from .spectral import (BoundedEigen, Criterion, check_criterion,
-                       compute_bounds, cr_bound_preimage, cr_certifies,
-                       eigen_ladder)
+from .spectral import (BoundedEigen, check_criterion, compute_bounds,
+                       cr_bound_preimage, cr_certifies, eigen_ladder)
 from .estimator import (INDICATOR_EXTRA_PAIRS, mark_half_max,
                         residual_indicator)
 
@@ -320,8 +320,7 @@ def _fmt(v) -> str:
 # -- the refinement loop ------------------------------------------------------
 
 def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
-            refine_mode: str = "uniform",
-            i_star_source: int | str = "cr",
+            refine_mode: str = "uniform", i_star: int | None = None,
             max_iters: int = 20, seed: int = 0) -> CertificationReport:
     """Refine until the eigenvalue ladder brackets the wave number.
 
@@ -331,60 +330,40 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
         the elements that half-max marking picks on the residual
         indicator, averaged over i* + ``estimator.INDICATOR_EXTRA_PAIRS``
         pairs).
-    i_star_source : an integer index known from a modal analysis, or
-        ``"cr"`` to estimate and certify it from guaranteed
-        Crouzeix-Raviart bounds (requires a CR family).
+    i_star : the pivotal index, known from a modal analysis, or ``None``
+        to estimate and certify it from guaranteed Crouzeix-Raviart
+        bounds (requires a CR family).
     seed : the eigensolver's start vector seed.
 
-    The loop estimates first (so an adequate initial mesh terminates
-    immediately) and stops when the criterion holds -- in ``"cr"`` mode,
-    additionally when the index estimate is certified.  Exhausting
-    ``max_iters`` leaves a report with ``termination == "budget"``.
+    Each mesh takes one :func:`_estimate` step.  The loop estimates first
+    (so an adequate initial mesh terminates immediately) and stops when
+    the criterion holds -- with ``i_star=None``, additionally when the
+    index estimate is certified.  Exhausting ``max_iters`` leaves a report
+    with ``termination == "budget"``.
     """
     if refine_mode not in ("uniform", "adaptive"):
         raise ValueError(f"unknown refine mode {refine_mode!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    use_cr = i_star_source == "cr"
-    if use_cr and spec.family != CR:
+    if i_star is None and spec.family != CR:
         raise ValueError("guaranteed index estimation requires the "
                          "Crouzeix-Raviart family")
-    if not use_cr and (not isinstance(i_star_source, (int, np.integer))
-                       or i_star_source < 0):
-        raise ValueError("i_star_source must be 'cr' or a nonnegative index")
+    if i_star is not None and i_star < 0:
+        raise ValueError(f"i_star must be >= 0, got {i_star}")
 
     report = CertificationReport()
     mesh = initial_mesh
-    k2 = spec.k2
     while len(report.iterations) < max_iters:
-        space = build_space(mesh, spec.family)
-        h = mesh.h
-        if use_cr:
-            rec, E, bounds = _estimate_cr(space, k2, h, seed, report)
-            index = rec.index
-        elif space.n_free < int(i_star_source) + 1:
-            # the space cannot hold enough eigenpairs to bracket k^2
-            index = int(i_star_source)
-            E = None
-            rec = IterationRecord(space.n_free, h, index, None, None,
-                                  None, None, False)
-        else:
-            index = int(i_star_source)
-            below = count_below(*space.pencil, k2)
-            E = eigen_ladder(space,
-                             max(below, index) + INDICATOR_EXTRA_PAIRS + 1,
-                             {k2: below}, seed)
-            crit = check_criterion(E, k2, index)
-            rec = IterationRecord(space.n_free, h, index, crit.lambda_lo,
-                                  crit.lambda_hi, k2 - crit.lambda_lo,
-                                  None, crit.satisfied)
-            _warn_if_nearly_resonant(crit, report)
+        rec, E, bounds = _estimate(build_space(mesh, spec.family), spec.k2,
+                                   i_star, seed, report)
         report.iterations.append(rec)
         if rec.certified:
-            report.termination = "certified" if use_cr else "satisfied"
+            report.termination = ("certified" if i_star is None
+                                  else "satisfied")
             break
         if len(report.iterations) >= max_iters:
             break
+        index = rec.index
         if (refine_mode == "uniform" or E is None or not index
                 or len(E) < index + INDICATOR_EXTRA_PAIRS):
             # adaptive marking needs an indicator, which needs at least one
@@ -394,13 +373,13 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
             eta = residual_indicator(E, index)
             rec.eta_total = float(eta.values.sum())
             marked = mark_half_max(eta)
-            if use_cr:
-                marked |= _certification_blockers(mesh, bounds, k2)
+            if bounds is not None:
+                marked |= _certification_blockers(mesh, bounds, spec.k2)
             mesh = (refine_bisection(mesh, marked) if marked
                     else refine_uniform(mesh))
         # no step on the next mesh reads this mesh's pencil, ladder or
         # indicator: free them before its factorizations and eigensolve
-        space = E = bounds = eta = None
+        E = bounds = eta = None
     report.final_mesh = mesh
     return report
 
@@ -414,57 +393,66 @@ def _certification_blockers(mesh: Mesh, bounds: list[BoundedEigen],
         ~cr_certifies(bounds, k2, i, mesh.diameters)).tolist())
 
 
-def _estimate_cr(space: DofSpace, k2: float, h: float, seed: int,
-                 report: CertificationReport):
-    """One guaranteed-bounds ESTIMATE; returns (record, ladder, bounds).
+def _estimate(space: DofSpace, k2: float, i_star: int | None, seed: int,
+              report: CertificationReport):
+    """One ESTIMATE on ``space``; returns (record, ladder, bounds).
 
-    Liu's lower bound is increasing in lambda and reaches k^2 at lam_need,
-    so j* is the inertia count there.  The ladder holds
-    j* + INDICATOR_EXTRA_PAIRS + 1 pairs and must agree with the inertia
-    counts at lam_need and at k^2, else :class:`EigenSolveError`.  j* is
-    certified when the criterion holds and the ladder certifies it at h
-    (:func:`cr_certifies`)."""
-    no_estimate = (IterationRecord(space.n_free, h, None, None, None, None,
-                                   None, False), None, None)
-    # unless the lower bound can reach 1.01 k^2 at this h, no ladder length
-    # clears k^2 and the mesh must be refined first
-    if cr_bound_preimage(k2 * 1.01, h) == np.inf:
-        return no_estimate
-    lam_need = cr_bound_preimage(k2, h)
-    # j* is the count below lam_need; carry INDICATOR_EXTRA_PAIRS more pairs
-    # for the averaged indicator plus one for the criterion check
-    need_below = count_below(*space.pencil, lam_need)
-    below = count_below(*space.pencil, k2)
-    E = eigen_ladder(space, need_below + INDICATOR_EXTRA_PAIRS + 1,
-                     {lam_need: need_below, k2: below}, seed)
-    bounds = compute_bounds(E)
-    for j, b in enumerate(bounds, start=1):
-        if (b.lower <= k2 <= b.upper
-                and b.upper - b.lower <= RESONANCE_ENCLOSURE_RTOL * k2):
-            raise ResonanceError(
-                f"k^2 = {k2!r} lies in the certified enclosure "
-                f"[{b.lower!r}, {b.upper!r}] of eigenvalue {j}; the problem "
-                "is resonant")
-    j = need_below
-    # a space with no eigenvalue past lam_need gives no estimate; the
-    # floating-point lower bound at j + 1 must clear k^2 too
-    if len(bounds) <= j or bounds[j].lower < k2:
-        return no_estimate
-    crit = check_criterion(E, k2, j)
-    width = bounds[j - 1].upper - bounds[j - 1].lower if j else 0.0
-    certified = crit.satisfied and cr_certifies(bounds, k2, j, h)
-    rec = IterationRecord(space.n_free, h, j, crit.lambda_lo,
-                          crit.lambda_hi, k2 - crit.lambda_lo, width,
-                          certified)
-    _warn_if_nearly_resonant(crit, report)
-    return rec, E, bounds
-
-
-def _warn_if_nearly_resonant(crit: Criterion, report: CertificationReport) -> None:
+    The index is ``i_star`` or, when it is ``None``, the estimate j*: Liu's
+    lower bound is increasing in lambda and reaches k^2 at lam_need, so j*
+    is the inertia count there.  The ladder holds
+    max(#{lambda_h < k^2}, index) + INDICATOR_EXTRA_PAIRS + 1 pairs and
+    must agree with every inertia count taken, else
+    :class:`EigenSolveError`.  A given index is certified when the
+    criterion holds; j* when, besides, the CR ladder certifies it at h
+    (:func:`cr_certifies`).  A space that cannot bracket k^2 gives a
+    record with no ladder, and (record, None, None)."""
+    h = space.mesh.h
+    no_ladder = (IterationRecord(space.n_free, h, i_star, None, None, None,
+                                 None, False), None, None)
+    counts = {}
+    if i_star is None:
+        # unless the lower bound can reach 1.01 k^2 at this h, no ladder
+        # length clears k^2 and the mesh must be refined first
+        if cr_bound_preimage(k2 * 1.01, h) == np.inf:
+            return no_ladder
+        lam_need = cr_bound_preimage(k2, h)
+        index = counts[lam_need] = count_below(*space.pencil, lam_need)
+    elif space.n_free < i_star + 1:
+        # the space cannot hold enough eigenpairs to bracket k^2
+        return no_ladder
+    else:
+        index = i_star
+    below = counts[k2] = count_below(*space.pencil, k2)
+    # INDICATOR_EXTRA_PAIRS more pairs for the averaged indicator, plus one
+    # for the criterion check
+    E = eigen_ladder(space, max(below, index) + INDICATOR_EXTRA_PAIRS + 1,
+                     counts, seed)
+    bounds = width = None
+    if i_star is None:
+        bounds = compute_bounds(E)
+        for j, b in enumerate(bounds, start=1):
+            if (b.lower <= k2 <= b.upper
+                    and b.upper - b.lower <= RESONANCE_ENCLOSURE_RTOL * k2):
+                raise ResonanceError(
+                    f"k^2 = {k2!r} lies in the certified enclosure "
+                    f"[{b.lower!r}, {b.upper!r}] of eigenvalue {j}; the "
+                    "problem is resonant")
+        # a space with no eigenvalue past lam_need gives no estimate; the
+        # floating-point lower bound at j* + 1 must clear k^2 too
+        if len(bounds) <= index or bounds[index].lower < k2:
+            return no_ladder
+        width = (bounds[index - 1].upper - bounds[index - 1].lower
+                 if index else 0.0)
+    crit = check_criterion(E, k2, index)
+    certified = crit.satisfied and (bounds is None
+                                    or cr_certifies(bounds, k2, index, h))
     if crit.satisfied and crit.alpha_star < ALPHA_WARN_THRESHOLD:
         report.warnings.append(
             f"iteration {len(report.iterations)}: coercivity constant "
             f"{crit.alpha_star:.2e} is tiny; k^2 is nearly resonant")
+    return (IterationRecord(space.n_free, h, index, crit.lambda_lo,
+                            crit.lambda_hi, k2 - crit.lambda_lo, width,
+                            certified), E, bounds)
 
 
 # -- convergence studies ------------------------------------------------------

@@ -300,16 +300,14 @@ def cmd_certify(args) -> int:
     if args.estimate == "oracle":
         if args.istar is None:
             raise UsageError("--estimate oracle requires --istar")
-        source: int | str = args.istar
     else:
-        source = "cr"
         if args.istar is not None:
             raise UsageError("--istar applies to --estimate oracle only")
         if family != CR:
             raise UsageError("--estimate cr requires --family cr")
     spec = ProblemSpec(family, args.k2)
     report = run_gmr(spec, _mesh(args, args.mesh), refine_mode=args.refine,
-                     i_star_source=source, max_iters=args.max_iters,
+                     i_star=args.istar, max_iters=args.max_iters,
                      seed=args.seed)
     if args.output:
         _write(args.output, report.to_csv())

@@ -59,6 +59,7 @@ _VANISH_RTOL = 1e-10        # share of a Lanczos direction's M-norm that is
 #                             noise (5e-15 to 2e-14) when it vanished
 LANCZOS_TOL = 1e-14         # Ritz estimate relative to |theta| at convergence
 RESIDUAL_TOL = 1e-10        # |A x - l M x| / (1 + |l|) of an accepted pair
+_SOLVE_RTOL = 1e-10         # |b - (A - sigma M) x| / |b| of an accepted solve
 ZERO_EIGENVALUE_TOL = 1e3 * RESIDUAL_TOL    # roundoff of a zero eigenvalue
 _SLICE_BYTES = 2 ** 20      # n-sized temporaries, per slice of columns
 
@@ -244,8 +245,9 @@ def ldlt(A: SparseSymMatrix, sigma: float,
 def solve(F: Factorization, b: np.ndarray) -> np.ndarray:
     """Solve ``(A - sigma*M) x = b`` by F's LDL^T, or by partial-pivoting LU
     when F has a zero pivot, then up to three steps of iterative refinement.
-    A relative residual above 1e-10 after them, or a matrix that LU finds
-    singular, raises :class:`ResonanceError`.  Each residual is
+    A relative residual above ``_SOLVE_RTOL`` = 1e-10 after them, or a
+    matrix that LU finds singular, raises :class:`ResonanceError`.  Each
+    residual is
     ``b - (A x - sigma (M x))`` from F's pencil; ``A - sigma*M`` itself is
     formed only for the LU, so a solve by F's own factor holds no n x n
     matrix besides it."""
@@ -270,15 +272,15 @@ def solve(F: Factorization, b: np.ndarray) -> np.ndarray:
     x = base(b)
     r = residual(x)
     for _ in range(3):
-        if np.linalg.norm(r) <= 1e-10 * nb:
+        if np.linalg.norm(r) <= _SOLVE_RTOL * nb:
             return x
         x = x + base(r)
         r = residual(x)
-    if np.linalg.norm(r) <= 1e-10 * nb:
+    if np.linalg.norm(r) <= _SOLVE_RTOL * nb:
         return x
     raise ResonanceError(
         f"shift {F.sigma!r} is numerically an eigenvalue of the pencil: "
-        f"relative residual {np.linalg.norm(r) / nb:.1e} > 1e-10")
+        f"relative residual {np.linalg.norm(r) / nb:.1e} > {_SOLVE_RTOL:.0e}")
 
 
 def count_below(A: SparseSymMatrix, M: SparseSymMatrix, sigma: float) -> int:

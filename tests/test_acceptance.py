@@ -220,8 +220,8 @@ def test_criterion_7_certification_end_to_end():
     degrees of freedom than the uniform run."""
     spec = hq.ProblemSpec(hq.CR, 400.0)
     m0 = hq.build_square_with_hole(0.75, 0.3, 10)
-    rep_a = hq.run_gmr(spec, m0, "adaptive", "cr", max_iters=20)
-    rep_u = hq.run_gmr(spec, m0, "uniform", "cr", max_iters=20)
+    rep_a = hq.run_gmr(spec, m0, "adaptive", None, max_iters=20)
+    rep_u = hq.run_gmr(spec, m0, "uniform", None, max_iters=20)
     last_a = rep_a.iterations[-1]
     last_u = rep_u.iterations[-1]
     ok = (rep_a.termination == "certified"

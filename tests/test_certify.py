@@ -316,6 +316,15 @@ class TestRunGmr:
         assert rep.termination == "satisfied"
         assert len(rep.iterations) <= 12
 
+    def test_space_too_small_to_bracket_gives_a_blank_row(self):
+        # one free dof cannot hold the 7 pairs that bracket k^2 at i* = 6
+        rep = run_gmr(ProblemSpec(P1, 100.0), build_unit_square(2),
+                      "uniform", 6, max_iters=1)
+        rec = rep.iterations[0]
+        assert (rec.ndof, rec.index) == (1, 6)
+        assert (rec.lambda_lo, rec.lambda_hi, rec.condition, rec.enclosure,
+                rec.certified) == (None,) * 4 + (False,)
+
     def test_adaptive_oracle(self):
         spec = ProblemSpec(P1, 100.0)
         rep = run_gmr(spec, build_unit_square(8), "adaptive", 6,
@@ -333,7 +342,7 @@ class TestRunGmr:
 
     def test_cr_estimate_on_square(self):
         spec = ProblemSpec(CR, 30.0)
-        rep = run_gmr(spec, build_unit_square(8), "uniform", "cr",
+        rep = run_gmr(spec, build_unit_square(8), "uniform", None,
                       max_iters=8)
         assert rep.termination == "certified"
         last = rep.iterations[-1]
@@ -346,8 +355,7 @@ class TestRunGmr:
         # certificate's lower bound on lambda^(i*+1) an upper one
         spec = ProblemSpec(CR, 1500.0)
         rep = run_gmr(spec, build_square_with_hole(0.75, 0.3, 10), "uniform",
-                      "cr",
-                      max_iters=6)
+                      None, max_iters=6)
         assert rep.termination == "certified"
         assert rep.iterations[-1].index == 41
         fine = build_square_with_hole(0.75, 0.3, 10)
@@ -394,17 +402,17 @@ class TestRunGmr:
         drop_first_pair_above(monkeypatch, 400.0)
         with pytest.raises(EigenSolveError, match="inertia counts 12"):
             run_gmr(ProblemSpec(CR, 400.0),
-                    build_square_with_hole(0.75, 0.3, 10), "adaptive", "cr")
+                    build_square_with_hole(0.75, 0.3, 10), "adaptive", None)
 
     def test_cr_estimate_requires_cr(self):
         spec = ProblemSpec(P1, 30.0)
         with pytest.raises(ValueError):
-            run_gmr(spec, build_unit_square(4), "uniform", "cr")
+            run_gmr(spec, build_unit_square(4), "uniform", None)
 
     def test_resonance_detected_in_cr_mode(self):
         spec = ProblemSpec(CR, 2 * math.pi ** 2)
         with pytest.raises(ResonanceError):
-            run_gmr(spec, build_unit_square(8), "uniform", "cr",
+            run_gmr(spec, build_unit_square(8), "uniform", None,
                     max_iters=8)
 
     def test_csv_schema(self):
@@ -427,29 +435,29 @@ class TestCrEstimate:
     def flagship(self):
         """The README flagship's report and (record, bounds) per row."""
         rows = []
-        real = helmqo.certify._estimate_cr
+        real = helmqo.certify._estimate
 
         def recorded(*args):
             out = real(*args)
             rows.append((out[0], out[2]))
             return out
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(helmqo.certify, "_estimate_cr", recorded)
+            mp.setattr(helmqo.certify, "_estimate", recorded)
             rep = run_gmr(ProblemSpec(CR, 400.0),
                           build_square_with_hole(0.75, 0.3, 10), "adaptive",
-                          "cr", max_iters=6)
+                          None, max_iters=6)
         return rep, rows
 
     def test_below_the_whole_spectrum(self):
         rep = run_gmr(ProblemSpec(CR, 15.0), build_unit_square(4),
-                      "adaptive", "cr", max_iters=1)
+                      "adaptive", None, max_iters=1)
         rec = rep.iterations[0]
         assert rec.index == 0 and rec.enclosure == 0.0 and rec.certified
 
     def test_exhausted_ladder_gives_a_blank_row(self):
         # 8 free dofs; lam_need ~ 746 lies above all 8 CR eigenvalues
         rep = run_gmr(ProblemSpec(CR, 50.0), build_unit_square(2),
-                      "adaptive", "cr", max_iters=1)
+                      "adaptive", None, max_iters=1)
         rec = rep.iterations[0]
         assert rec.ndof == 8
         assert (rec.index, rec.lambda_lo, rec.lambda_hi, rec.condition,
@@ -480,7 +488,7 @@ class TestCrEstimate:
             return bounds
         monkeypatch.setattr(helmqo.certify, "compute_bounds", widened)
         rep = run_gmr(ProblemSpec(CR, k2), build_unit_square(4), "uniform",
-                      "cr", max_iters=1)
+                      None, max_iters=1)
         rec = rep.iterations[0]
         assert rec.index == 1 and rec.condition > 0
         assert (rec.enclosure < rec.condition) == certified
@@ -600,7 +608,7 @@ class TestPencilReuse:
         wrap_everywhere(monkeypatch, helmqo.spaces.assemble_stiffness,
                         lambda a, K: stiffness.append(a[0]))
         rep = run_gmr(ProblemSpec(CR, 100.0), build_unit_square(4),
-                      "uniform", "cr", max_iters=3)
+                      "uniform", None, max_iters=3)
         assert len(rep.iterations) == 3 and not rep.certified
         # at least count_below(lam_need) and count_below(k2) per step
         assert len(factorized) >= 2 * 3
@@ -609,11 +617,11 @@ class TestPencilReuse:
         assert len(cr_spaces) == 3
         assert len({id(s) for s in cr_spaces}) == len(cr_spaces)
 
-    @pytest.mark.parametrize("family, mesh, k2, source", [
-        (CR, build_square_with_hole(0.75, 0.3, 10), 400.0, "cr"),
+    @pytest.mark.parametrize("family, mesh, k2, i_star", [
+        (CR, build_square_with_hole(0.75, 0.3, 10), 400.0, None),
         (P1, build_unit_square(4), 100.0, 6)], ids=["cr", "oracle"])
     def test_each_space_freed_before_the_next_is_counted(
-            self, monkeypatch, family, mesh, k2, source):
+            self, monkeypatch, family, mesh, k2, i_star):
         # no step on the next mesh reads a mesh's pencil, ladder or
         # indicator, so none of them is alive beside its factorizations
         import gc
@@ -630,7 +638,7 @@ class TestPencilReuse:
                 [True] * (len(spaces) - 1) + [False]
         wrap_everywhere(monkeypatch, helmqo.sparsela.count_below,
                         only_the_last_alive)
-        rep = run_gmr(ProblemSpec(family, k2), mesh, "adaptive", source)
+        rep = run_gmr(ProblemSpec(family, k2), mesh, "adaptive", i_star)
         assert rep.certified and len(spaces) == len(rep.iterations) >= 2
 
     def test_study_factorizes_each_mesh_once(self, monkeypatch):

@@ -324,6 +324,19 @@ class TestEigCommand:
         assert run_cli([*eig, *flags, "-o", str(built)]).returncode == 0
         assert read.read_bytes() == built.read_bytes()
 
+    def test_same_bytes_at_a_fixed_blas_thread_count(self, tmp_path):
+        # the promise is per thread count: whether 1 and 2 threads agree
+        # depends on the BLAS build, so that is not asserted
+        args = ["eig", "--geometry", "unit-square-unstructured", "--n", "60",
+                "--family", "cr", "--m", "30"]
+        for threads in ("1", "2"):
+            outs = [tmp_path / f"{threads}-{run}.csv" for run in (0, 1)]
+            for out in outs:
+                res = run_cli([*args, "-o", str(out)],
+                              env_extra={"OPENBLAS_NUM_THREADS": threads})
+                assert res.returncode == 0, res.stderr
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_p1_first_eigenvalue(self, tmp_path):
         out = tmp_path / "eig.csv"
         res = run_cli(["eig", "--geometry", "unit-square", "--n", "64",
@@ -580,6 +593,14 @@ class TestCertifyCommand:
                        "--estimate", "cr", "--istar", "3", "-o", str(out)])
         assert res.returncode == 2
         assert "--istar applies to --estimate oracle only" in res.stderr
+        assert not out.exists()
+
+    def test_cr_estimate_requires_cr_family_exit_2(self, tmp_path):
+        out = tmp_path / "cert.csv"
+        res = run_cli(["certify", "--geometry", "unit-square", "--k2", "30",
+                       "--family", "p1", "--estimate", "cr", "-o", str(out)])
+        assert res.returncode == 2
+        assert "--estimate cr requires --family cr" in res.stderr
         assert not out.exists()
 
     def test_no_output_file_on_usage_error(self, tmp_path):
