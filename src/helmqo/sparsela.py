@@ -247,10 +247,9 @@ def solve(F: Factorization, b: np.ndarray) -> np.ndarray:
     when F has a zero pivot, then up to three steps of iterative refinement.
     A relative residual above ``_SOLVE_RTOL`` = 1e-10 after them, or a
     matrix that LU finds singular, raises :class:`ResonanceError`.  Each
-    residual is
-    ``b - (A x - sigma (M x))`` from F's pencil; ``A - sigma*M`` itself is
-    formed only for the LU, so a solve by F's own factor holds no n x n
-    matrix besides it."""
+    residual is ``b - (A x - sigma (M x))`` from F's pencil;
+    ``A - sigma*M`` itself is formed only for the LU, so a solve by F's own
+    factor holds no n x n matrix besides it."""
     b = np.asarray(b, dtype=np.float64)
     nb = np.linalg.norm(b)
     if nb == 0.0:
