@@ -27,7 +27,7 @@ from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
                      assemble_load, build_space, l2_error, point_values)
 from .quadrature import edge_rule
 from .sparsela import (ResonanceError, count_below, count_from_factor, ldlt,
-                       solve)
+                       solve, trim_heap)
 from .spectral import (BoundedEigen, check_criterion, compute_bounds,
                        cr_bound_preimage, cr_certifies, eigen_ladder)
 from .estimator import (INDICATOR_EXTRA_PAIRS, mark_half_max,
@@ -36,6 +36,7 @@ from .estimator import (INDICATOR_EXTRA_PAIRS, mark_half_max,
 ALPHA_WARN_THRESHOLD = 1e-6
 RESONANCE_ENCLOSURE_RTOL = 1e-3
 SINE_STABILITY_RTOL = 1e-8   # sampled change that ends the series' growth
+SINE_RESONANCE_RTOL = 1e-9   # least distance of k^2 from the exact spectrum
 STUDY_EXTRA_PAIRS = 1        # study ladder pairs past the first above k^2
 
 
@@ -129,15 +130,19 @@ def solve_helmholtz(spec: ProblemSpec, mesh: Mesh) -> FeFunction:
     or one SuperLU had to pivot off the diagonal, is first recounted:
     :func:`count_from_factor` either proves that no discrete eigenvalue
     lies within 1e-8 of k^2 (relative), and ``solve`` then uses
-    partial-pivoting LU, or raises :class:`ResonanceError`.
+    partial-pivoting LU where the factor cannot meet the bound, or raises
+    :class:`ResonanceError`.
     """
     return _solve(spec, build_space(mesh, spec.family))[0]
 
 
-def _solve(spec: ProblemSpec, space: DofSpace) -> tuple[FeFunction, int]:
-    """The solution and, by Sylvester's law of inertia, the number of
-    discrete eigenvalues below k^2.  The count comes first, so a resonant
-    k^2 fails with the recount's message."""
+def _solve(spec: ProblemSpec, space: DofSpace,
+           below: int | None = None) -> tuple[FeFunction, int]:
+    """The solution and the number of discrete eigenvalues below k^2:
+    ``below`` when the caller has proved it, else read from the solve's
+    factor by Sylvester's law of inertia.  A count that is read comes
+    first, so a resonant k^2 fails with the recount's message.  The factor
+    is dropped, and the heap it held trimmed, before returning."""
     if spec.rhs is None:
         raise ValueError("problem has no right-hand side")
     if space.n_free == 0:
@@ -145,8 +150,12 @@ def _solve(spec: ProblemSpec, space: DofSpace) -> tuple[FeFunction, int]:
     A, M = space.pencil
     b = assemble_load(space, spec.rhs)
     F = ldlt(A, spec.k2, M)
-    below = count_from_factor(F)
-    return FeFunction(space, solve(F, b)), below
+    if below is None:
+        below = count_from_factor(F)
+    x = solve(F, b)
+    del F
+    trim_heap()
+    return FeFunction(space, x), below
 
 
 # -- unit-square spectrum oracle -------------------------------------------
@@ -183,8 +192,10 @@ def sine_series_reference(f: Rhs, k2: float):
     """Reference Helmholtz solution on the all-Dirichlet unit square.
 
     Expands f in the normalized sine basis and divides each coefficient by
-    (lambda_ij - k^2).  The truncation is grown from 32 modes in steps of
-    16 until the sampled solution is stable to ``SINE_STABILITY_RTOL``.
+    (lambda_ij - k^2); a k^2 within ``SINE_RESONANCE_RTOL`` (relative, or
+    absolute below 1) of some lambda_ij raises :class:`ResonanceError`.
+    The truncation is grown from 32 modes in steps of 16 until the sampled
+    solution is stable to ``SINE_STABILITY_RTOL``.
     """
     N = 32
     xs = np.linspace(0.0, 1.0, 33)
@@ -208,7 +219,7 @@ def sine_series_reference(f: Rhs, k2: float):
 
 def _sine_coefficients(f: Rhs, k2: float, N: int) -> np.ndarray:
     lam = _square_eigenvalues(N)
-    if abs(lam - k2).min() <= 1e-9 * max(k2, 1.0):
+    if abs(lam - k2).min() <= SINE_RESONANCE_RTOL * max(k2, 1.0):
         raise ResonanceError(f"k^2 = {k2!r} coincides with a unit-square "
                              "eigenvalue")
     x, w = edge_rule(2 * max(2 * N, 128) - 1)
@@ -483,46 +494,82 @@ def convergence_study(spec: ProblemSpec, initial_mesh: Mesh,
     sine series and the pivotal index comes from the exact spectrum; on
     other meshes the reference is a P1 solution two uniform refinements
     past the finest mesh (``spec`` with ``family=P1``), and the index is
-    the inertia count of the finest mesh's solve.  The meshes are refined
-    one at a time, so a coarser mesh and its pencil are freed before the
-    next one is solved on; off the unit square the finest mesh is built
-    (keeping none between) and solved on first, and its record put last.
+    the inertia count of the finest mesh's solve.
+
+    Each mesh's count below k^2, which its ladder is checked against, is
+    read from the pivots of its solve's factor until one mesh's count
+    equals the one :func:`_kept_count` says every finer mesh keeps; the
+    finer meshes take that count as proved and factor A - k^2 M only to
+    solve.  The meshes are refined one at a time, so a coarser mesh and
+    its pencil are freed before the next one is solved on; off the unit
+    square the finest mesh is built (keeping none between) and solved on
+    first, and its record put last.
     """
     if refinements < 1:
         raise ValueError("refinements must be >= 1")
     if i_star is not None and i_star < 0:
         raise ValueError(f"i_star must be >= 0, got {i_star}")
     last = []
+    kept = None
     if dirichlet_unit_square(initial_mesh):
         if i_star is None:
             i_star = unit_square_index(spec.k2)
         reference = sine_series_reference(spec.rhs, spec.k2)
+        kept = _kept_count(spec)
     else:
         finest = initial_mesh
         for _ in range(refinements - 1):
             finest = refine_uniform(finest)
         reference = solve_helmholtz(
             replace(spec, family=P1), refine_uniform(refine_uniform(finest)))
-        record, i_star = _study_record(spec, finest, reference, i_star, seed)
+        record, below = _study_record(spec, finest, reference, i_star, seed)
+        if i_star is None:
+            i_star = below
         last = [record]
 
     records = []
     mesh = initial_mesh
+    proved = None   # the count below k^2 of this mesh and every finer one
     for level in range(refinements - len(last)):
         if level:
             mesh = refine_uniform(mesh)
-        records.append(_study_record(spec, mesh, reference, i_star, seed)[0])
+        record, below = _study_record(spec, mesh, reference, i_star, seed,
+                                      proved)
+        records.append(record)
+        if below == kept:
+            proved = below
     return records + last
 
 
+def _kept_count(spec: ProblemSpec) -> int | None:
+    """The count below k^2 that a uniform-refinement study on the
+    all-Dirichlet unit square keeps on every finer mesh once one mesh
+    reaches it: ``unit_square_index(k^2)`` for the conforming families
+    (P1, P2), None for CR, whose eigenvalues are no upper bounds.
+
+    A conforming space's eigenvalues bound the exact ones from above,
+    lambda_h^(j) >= lambda^(j), and by Courant-Fischer fall under uniform
+    refinement, whose spaces are nested.  So a mesh's count #{lambda_h^(j)
+    < k^2} is at most i* = #{lambda^(j) < k^2} and never falls from a mesh
+    to its refinement: once it equals i*, every finer mesh's count is i*.
+    The sine-series reference, built first, has checked that k^2 lies at
+    least ``SINE_RESONANCE_RTOL`` from the exact spectrum; that margin
+    keeps lambda_h^(i*+1) >= lambda^(i*+1) off k^2 on those meshes, so
+    their A - k^2 M is not near singular and solves by its LDL^T."""
+    return None if spec.family == CR else unit_square_index(spec.k2)
+
+
 def _study_record(spec: ProblemSpec, mesh: Mesh, reference,
-                  i_star: int | None, seed: int) -> tuple[StudyRecord, int]:
-    """One mesh's row of :func:`convergence_study` and i*, by default the
-    mesh's count below k^2; its space, solution and ladder are freed."""
+                  i_star: int | None, seed: int,
+                  below: int | None = None) -> tuple[StudyRecord, int]:
+    """One mesh's row of :func:`convergence_study` and its count below
+    k^2: ``below`` where the study has proved it, else read from the
+    solve's factor.  i* defaults to the count; the mesh's space, solution
+    and ladder are freed."""
     space = build_space(mesh, spec.family)
-    # the solve's factorization also counts the eigenvalues below k^2,
-    # so the ladder needs no second LDL^T
-    u, below = _solve(spec, space)
+    # an unproved count is read from the solve's factorization, so the
+    # ladder needs no second LDL^T; a proved one reads no pivots
+    u, below = _solve(spec, space, below)
     if i_star is None:
         i_star = below
     # the ladder factors A + M before l2_error runs: glibc may keep the
@@ -535,4 +582,4 @@ def _study_record(spec: ProblemSpec, mesh: Mesh, reference,
         return float(E.values[j - 1]) if j <= len(E) else math.nan
     return StudyRecord(mesh.h, space.n_free, err,
                        value(i_star) if i_star else 0.0,
-                       value(i_star + 1)), i_star
+                       value(i_star + 1)), below

@@ -33,15 +33,19 @@ partial-pivoting fallback when the factor has a zero pivot.  Residuals
 are computed from the pencil, as ``A x - sigma (M x)``.
 
 Sparse pivots are read only where an inertia count is needed
-(:func:`count_below`, :func:`solve`, or a read of a factorization's
-``inertia`` or ``L``).  SuperLU answers such a read with CSC copies of both
-triangular factors, about 12 bytes per factor entry, kept for as long as
-the factor lives; the shift-invert factor of :func:`eigs_smallest` never
-makes them.
+(:func:`count_below`, :func:`count_from_factor`, or a read of a
+factorization's ``inertia`` or ``L``), and by :func:`solve` only when its
+refined residual misses the bound.  SuperLU answers such a read with CSC
+copies of both triangular factors, about 12 bytes per factor entry, kept
+for as long as the factor lives; the shift-invert factor of
+:func:`eigs_smallest`, and a factor that only solves, never makes them.
+A freed factor leaves glibc's heap resident until :func:`trim_heap`
+returns it to the OS.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +66,7 @@ RESIDUAL_TOL = 1e-10        # |A x - l M x| / (1 + |l|) of an accepted pair
 _SOLVE_RTOL = 1e-10         # |b - (A - sigma M) x| / |b| of an accepted solve
 ZERO_EIGENVALUE_TOL = 1e3 * RESIDUAL_TOL    # roundoff of a zero eigenvalue
 _SLICE_BYTES = 2 ** 20      # n-sized temporaries, per slice of columns
+_LIBC = ctypes.CDLL(None)   # the C library the interpreter is linked with
 
 
 class ResonanceError(RuntimeError):
@@ -143,8 +148,9 @@ class Factorization:
     An exactly singular factor knows its inertia at construction.
     Otherwise the first read of ``inertia`` (or ``n_neg``, ``n_zero``) or
     ``L`` reads the pivots, and SuperLU keeps CSC copies of L and U for the
-    factor's lifetime; the inertia is cached.  ``singular`` and solves
-    need neither.
+    factor's lifetime; the inertia is cached.  ``singular`` needs neither,
+    and :func:`solve` reads ``n_zero`` only when the factor's refined
+    residual misses its bound.
     """
 
     def __init__(self, sigma: float,
@@ -243,43 +249,67 @@ def ldlt(A: SparseSymMatrix, sigma: float,
 
 
 def solve(F: Factorization, b: np.ndarray) -> np.ndarray:
-    """Solve ``(A - sigma*M) x = b`` by F's LDL^T, or by partial-pivoting LU
-    when F has a zero pivot, then up to three steps of iterative refinement.
-    A relative residual above ``_SOLVE_RTOL`` = 1e-10 after them, or a
-    matrix that LU finds singular, raises :class:`ResonanceError`.  Each
-    residual is ``b - (A x - sigma (M x))`` from F's pencil;
-    ``A - sigma*M`` itself is formed only for the LU, so a solve by F's own
-    factor holds no n x n matrix besides it."""
+    """Solve ``(A - sigma*M) x = b`` by F's LDL^T, then up to three steps
+    of iterative refinement; each residual is ``b - (A x - sigma (M x))``
+    from F's pencil.  A factor known singular (``F.singular``), or one
+    whose refined residual misses ``_SOLVE_RTOL`` = 1e-10 and which has a
+    zero pivot, is replaced by partial-pivoting LU of ``A - sigma*M``,
+    refined the same way.  A relative residual above ``_SOLVE_RTOL`` that
+    no zero pivot explains, or after the LU, or a matrix that LU finds
+    singular, raises :class:`ResonanceError`.
+
+    The pivots are read only to explain a missed residual: a solve that
+    meets the bound by F's own factor leaves them unread, so SuperLU makes
+    no copies of L and U, and ``A - sigma*M`` is formed only for the LU,
+    so such a solve holds no n x n matrix besides F."""
     b = np.asarray(b, dtype=np.float64)
     nb = np.linalg.norm(b)
     if nb == 0.0:
         return np.zeros_like(b)
     Asp, Msp = (P.to_scipy() for P in F._pencil)
-    base = F._raw_solve
-    if F.n_zero > 0:
+
+    def residual(x):
+        return b - (Asp @ x - F.sigma * (Msp @ x))
+
+    def refined(base):
+        """x from ``base`` and up to three refinement steps, and its
+        relative residual."""
+        x = base(b)
+        r = residual(x)
+        for _ in range(3):
+            if np.linalg.norm(r) <= _SOLVE_RTOL * nb:
+                break
+            x = x + base(r)
+            r = residual(x)
+        return x, np.linalg.norm(r) / nb
+
+    if not F.singular:
+        x, rel = refined(F._raw_solve)
+        if rel <= _SOLVE_RTOL:
+            return x
+    if F.singular or F.n_zero > 0:
         try:
-            base = spla.splu((Asp - F.sigma * Msp).T).solve
+            lu = spla.splu((Asp - F.sigma * Msp).T)
         except RuntimeError as exc:
             if "singular" not in str(exc):
                 raise
             raise ResonanceError(f"shift {F.sigma!r} is an eigenvalue of "
                                  "the pencil (exactly singular)") from exc
-
-    def residual(x):
-        return b - (Asp @ x - F.sigma * (Msp @ x))
-
-    x = base(b)
-    r = residual(x)
-    for _ in range(3):
-        if np.linalg.norm(r) <= _SOLVE_RTOL * nb:
+        x, rel = refined(lu.solve)
+        if rel <= _SOLVE_RTOL:
             return x
-        x = x + base(r)
-        r = residual(x)
-    if np.linalg.norm(r) <= _SOLVE_RTOL * nb:
-        return x
     raise ResonanceError(
         f"shift {F.sigma!r} is numerically an eigenvalue of the pencil: "
-        f"relative residual {np.linalg.norm(r) / nb:.1e} > {_SOLVE_RTOL:.0e}")
+        f"relative residual {rel:.1e} > {_SOLVE_RTOL:.0e}")
+
+
+def trim_heap() -> None:
+    """Return the heap that the C library keeps after large frees, such as
+    a dropped factor's, to the OS: ``malloc_trim(0)`` where the library
+    has it (glibc), nothing elsewhere."""
+    trim = getattr(_LIBC, "malloc_trim", None)
+    if trim is not None:
+        trim(0)
 
 
 def count_below(A: SparseSymMatrix, M: SparseSymMatrix, sigma: float) -> int:

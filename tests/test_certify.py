@@ -217,6 +217,31 @@ class TestSolveHelmholtz:
                           k2 * (1 + RECOUNT_RTOL)]
 
 
+    def test_heap_trimmed_once_the_factor_is_dropped(self, monkeypatch):
+        import types
+        import weakref
+        factors, trims = [], []
+        wrap_everywhere(monkeypatch, helmqo.sparsela.ldlt,
+                        lambda a, F: factors.append(weakref.ref(F)))
+
+        def malloc_trim(pad):
+            trims.append((pad, [f() is None for f in factors]))
+        monkeypatch.setattr(helmqo.sparsela, "_LIBC",
+                            types.SimpleNamespace(malloc_trim=malloc_trim))
+        spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((1, 2, 1.0),)))
+        solve_helmholtz(spec, build_unit_square(8))
+        assert trims == [(0, [True])]
+
+    def test_solve_where_the_c_library_has_no_malloc_trim(self,
+                                                          monkeypatch):
+        spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((1, 2, 1.0),)))
+        mesh = build_unit_square(16)
+        u = solve_helmholtz(spec, mesh)
+        monkeypatch.setattr(helmqo.sparsela, "_LIBC", object())
+        assert np.array_equal(solve_helmholtz(spec, mesh).coefficients,
+                              u.coefficients)
+
+
 class TestSineSeriesReference:
     def test_single_mode(self):
         k2 = 50.0
@@ -591,6 +616,85 @@ class TestConvergenceStudy:
         line = study_to_csv(recs).strip().splitlines()[1].split(",")
         assert float(line[0]) == recs[0].h
         assert float(line[2]) == recs[0].error
+
+
+class TestNestedCountProof:
+    """On the all-Dirichlet unit square, a conforming study takes the count
+    below k^2 as proved on every mesh finer than one whose count is the
+    exact index, and reads no pivots there."""
+
+    PI2 = math.pi ** 2
+    # well inside gaps, and 2e-6 (relative) above or below an eigenvalue
+    K2 = (30.0, 60.0, 100.0, 150.0, 200.0, 260.0, 400.0,
+          5 * PI2 * (1 + 2e-6), 8 * PI2 * (1 - 2e-6),
+          10 * PI2 * (1 + 2e-6), 13 * PI2 * (1 - 2e-6))
+
+    @pytest.mark.parametrize("family", [P1, P2])
+    def test_exact_count_kept_on_finer_meshes(self, family):
+        exact = unit_square_spectrum(100)
+        mesh, levels = build_unit_square(4), []
+        for _ in range(4):
+            levels.append(build_space(mesh, family).pencil)
+            mesh = refine_uniform(mesh)
+        proved = 0
+        for k2 in self.K2:
+            assert abs(exact - k2).min() >= 1e-6 * k2
+            i_star = unit_square_index(k2)
+            counts = [count_below(A, M, k2) for A, M in levels]
+            # conforming counts never exceed the exact one and never fall
+            # under refinement ...
+            assert all(c <= i_star for c in counts)
+            assert counts == sorted(counts)
+            # ... so once one level reaches it, every finer level keeps it
+            if i_star in counts:
+                first = counts.index(i_star)
+                assert counts[first:] == [i_star] * (len(counts) - first)
+                proved += len(counts) - 1 - first
+        assert proved >= 10
+
+    @staticmethod
+    def study(family, k2, refinements):
+        spec = ProblemSpec(family, k2,
+                           rhs=SineProduct(((3, 4, 1.0), (4, 3, 1.0))))
+        return convergence_study(spec, build_unit_square(4), refinements)
+
+    @pytest.mark.parametrize("family, k2, read", [
+        (P1, 60.0, [9, 49]), (P2, 100.0, [49, 225]), (P2, 150.0, [49])])
+    def test_proved_meshes_read_no_pivots(self, monkeypatch, family, k2,
+                                          read):
+        # counts [1, 3, 3, 3], [4, 6, 6, 6] and [8, 8, 8, 8]: pivots are
+        # read up to the first mesh whose count is the exact index
+        import helmqo.spectral
+        factorization = helmqo.sparsela.Factorization
+        inertia = factorization.inertia
+        reads, checks = [], []
+        monkeypatch.setattr(factorization, "inertia", property(
+            lambda F: reads.append((F.n, F.sigma)) or inertia.fget(F)))
+        wrap_everywhere(monkeypatch, helmqo.spectral.eigen_ladder,
+                        lambda a, E: checks.append(a[2]))
+        recs = self.study(family, k2, 4)
+        assert sorted(set(reads)) == [(n, k2) for n in read]
+        assert [r.ndof for r in recs[:len(read)]] == read
+        # a proved count is still the ladder's cross-check
+        assert checks[len(read) - 1:] == \
+            [{k2: unit_square_index(k2)}] * (5 - len(read))
+
+    @pytest.mark.parametrize("family, k2", [(P1, 60.0), (P1, 100.0),
+                                            (P2, 100.0)])
+    def test_proof_leaves_the_csv_unchanged(self, monkeypatch, family, k2):
+        proved = study_to_csv(self.study(family, k2, 4))
+        monkeypatch.setattr(helmqo.certify, "_kept_count", lambda spec: None)
+        assert study_to_csv(self.study(family, k2, 4)) == proved
+
+    def test_cr_reads_every_count(self, monkeypatch):
+        # CR eigenvalues lie on either side of the exact ones: no proof
+        factorization = helmqo.sparsela.Factorization
+        inertia = factorization.inertia
+        reads = []
+        monkeypatch.setattr(factorization, "inertia", property(
+            lambda F: reads.append(F.n) or inertia.fget(F)))
+        recs = self.study(CR, 100.0, 3)
+        assert sorted(set(reads)) == [r.ndof for r in recs]
 
 
 class TestPencilReuse:
