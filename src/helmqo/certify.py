@@ -27,7 +27,7 @@ from .spaces import (CR, P1, DofSpace, ElementFamily, FeFunction,
                      assemble_load, build_space, l2_error, point_values)
 from .quadrature import edge_rule
 from .sparsela import (ResonanceError, count_below, count_from_factor, ldlt,
-                       solve, trim_heap)
+                       solve)
 from .spectral import (BoundedEigen, check_criterion, compute_bounds,
                        cr_bound_preimage, cr_certifies, eigen_ladder)
 from .estimator import (INDICATOR_EXTRA_PAIRS, mark_half_max,
@@ -141,8 +141,7 @@ def _solve(spec: ProblemSpec, space: DofSpace,
     """The solution and the number of discrete eigenvalues below k^2:
     ``below`` when the caller has proved it, else read from the solve's
     factor by Sylvester's law of inertia.  A count that is read comes
-    first, so a resonant k^2 fails with the recount's message.  The factor
-    is dropped, and the heap it held trimmed, before returning."""
+    first, so a resonant k^2 fails with the recount's message."""
     if spec.rhs is None:
         raise ValueError("problem has no right-hand side")
     if space.n_free == 0:
@@ -152,10 +151,7 @@ def _solve(spec: ProblemSpec, space: DofSpace,
     F = ldlt(A, spec.k2, M)
     if below is None:
         below = count_from_factor(F)
-    x = solve(F, b)
-    del F
-    trim_heap()
-    return FeFunction(space, x), below
+    return FeFunction(space, solve(F, b)), below
 
 
 # -- unit-square spectrum oracle -------------------------------------------

@@ -39,8 +39,17 @@ refined residual misses the bound.  SuperLU answers such a read with CSC
 copies of both triangular factors, about 12 bytes per factor entry, kept
 for as long as the factor lives; the shift-invert factor of
 :func:`eigs_smallest`, and a factor that only solves, never makes them.
-A freed factor leaves glibc's heap resident until :func:`trim_heap`
-returns it to the OS.
+
+Besides the factor, SuperLU's ``dgstrf`` holds a workspace of about
+16 bytes x panel width x n while it factors (its dense, ``repfnz`` and
+``panel_lsub`` arrays); :func:`ldlt` factors one column per panel, so the
+workspace stays small.  A freed factor or workspace leaves the C
+library's heap resident, and this module returns it to the OS itself
+(``malloc_trim(0)`` where the library has it, glibc): :func:`ldlt`
+before it forms ``A - sigma*M`` for SuperLU and again after SuperLU
+returns, and :func:`eigs_smallest` and :func:`count_below` once they have
+dropped their own factor.  A caller that drops a factor it holds leaves
+that heap to the next factorization's trim.
 """
 
 from __future__ import annotations
@@ -67,6 +76,15 @@ _SOLVE_RTOL = 1e-10         # |b - (A - sigma M) x| / |b| of an accepted solve
 ZERO_EIGENVALUE_TOL = 1e3 * RESIDUAL_TOL    # roundoff of a zero eigenvalue
 _SLICE_BYTES = 2 ** 20      # n-sized temporaries, per slice of columns
 _LIBC = ctypes.CDLL(None)   # the C library the interpreter is linked with
+# columns per SuperLU panel, which sizes dgstrf's workspace (see above) but
+# not the fill: on the 76,480-dof CR pencil of A + M, lu.nnz is 2,753,062
+# at width 1 and at SciPy's default 20, and the factorization's peak above
+# the factor it leaves (K included) falls from 29.1-29.4 to 7.0-7.2 MiB
+# (15.1-18.4 to 3.3-6.5 MiB on the 36,481-dof P1 pencil at k^2 = 100).
+# Width 1 also factors faster (285-348 -> 146-163 ms there, 126 -> 94 ms
+# on the P1 pencil; solves are unchanged), and the 224-dof flagship pencil
+# counts 29 at 814.8608240817107 at widths 1 and 20 but 27 at 4.
+_PANEL_SIZE = 1
 
 
 class ResonanceError(RuntimeError):
@@ -216,9 +234,17 @@ def ldlt(A: SparseSymMatrix, sigma: float,
     query, not here (see :class:`Factorization`).  SuperLU factors the
     CSC view ``K.T`` of ``K = A - sigma*M`` in the pencil's own numbering,
     and K is freed on return.
+
+    SuperLU factors one column per panel (``_PANEL_SIZE``), so its
+    workspace is a few n-sized arrays rather than a dense panel block.
+    The C library's heap is trimmed before K is formed, returning what the
+    caller freed, such as a factor it dropped, so that K and SuperLU do
+    not settle among free pages that stay resident; and again after
+    SuperLU returns, returning the workspace.
     """
     if M.n != A.n:
         raise ValueError("A and M must have the same dimension")
+    _trim_heap()
     # exactly symmetric, so its transpose K.T is a CSC view of K itself
     K = A.to_scipy() - sigma * M.to_scipy()
     # zero detection is relative to the unshifted data, not to K,
@@ -236,12 +262,13 @@ def ldlt(A: SparseSymMatrix, sigma: float,
     if not singular:
         try:
             lu = spla.splu(K.T, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
+                           diag_pivot_thresh=0.0, panel_size=_PANEL_SIZE,
                            options=dict(SymmetricMode=True, Equil=False))
         except RuntimeError as exc:
             if "singular" not in str(exc):
                 raise
             singular = True
+        _trim_heap()
     if singular:
         # an exactly singular factor leaves the pivot signs unknown
         return Factorization(sigma, (A, M), (0, n, 0), None)
@@ -303,7 +330,7 @@ def solve(F: Factorization, b: np.ndarray) -> np.ndarray:
         f"relative residual {rel:.1e} > {_SOLVE_RTOL:.0e}")
 
 
-def trim_heap() -> None:
+def _trim_heap() -> None:
     """Return the heap that the C library keeps after large frees, such as
     a dropped factor's, to the OS: ``malloc_trim(0)`` where the library
     has it (glibc), nothing elsewhere."""
@@ -314,8 +341,11 @@ def trim_heap() -> None:
 
 def count_below(A: SparseSymMatrix, M: SparseSymMatrix, sigma: float) -> int:
     """Exact number of generalized eigenvalues of (A, M) below ``sigma``,
-    from Sylvester inertia (see :func:`count_from_factor`)."""
-    return count_from_factor(ldlt(A, sigma, M))
+    from Sylvester inertia (see :func:`count_from_factor`).  The factor is
+    dropped, and the heap it held trimmed, before returning."""
+    count = count_from_factor(ldlt(A, sigma, M))
+    _trim_heap()
+    return count
 
 
 def count_from_factor(F: Factorization) -> int:
@@ -560,11 +590,13 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
     copies need restarts, and the callers' inertia counts guard the ladder.
 
     The shift-invert factor's pivots are never read, so it holds no copy
-    of its triangular factors.  Two checks guard the semidefinite
-    contract and raise :class:`EigenSolveError`: an exactly singular
-    ``A + M`` (``Factorization.singular``) before Lanczos starts, and a
-    returned eigenvalue below ``-ZERO_EIGENVALUE_TOL``, beyond the roundoff
-    of a zero eigenvalue, on both the Lanczos and the dense path.  Lanczos
+    of its triangular factors; it is dropped, and the heap it held
+    trimmed, before the result is returned or a Lanczos failure raised.
+    Two checks guard the semidefinite contract and raise
+    :class:`EigenSolveError`: an exactly singular ``A + M``
+    (``Factorization.singular``) before Lanczos starts, and a returned
+    eigenvalue below ``-ZERO_EIGENVALUE_TOL``, beyond the roundoff of a
+    zero eigenvalue, on both the Lanczos and the dense path.  Lanczos
     takes the Ritz values of largest modulus, so a negative eigenvalue
     whose shift-invert image is large in modulus is found.
     """
@@ -596,10 +628,12 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
                 vals, Q = found
                 res, worst = _accept(Asp, Msp, vals, Q.T)
                 if worst <= RESIDUAL_TOL:
-                    return res
+                    break
             if ncv == cap:
                 break
             ncv = min(cap, 2 * ncv)
+        del F
+        _trim_heap()
         if found is None:
             raise EigenSolveError(f"Lanczos iteration did not converge in "
                                   f"{LANCZOS_MAXITER} restarts")

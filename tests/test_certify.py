@@ -14,7 +14,7 @@ from helmqo.mesh import (BoundaryTag, Mesh, build_square_with_hole,
 from helmqo.spaces import CR, P1, P2, assemble_load, build_space, l2_error
 from helmqo.spectral import KAPPA, BoundedEigen, cr_lower_bound
 from helmqo.sparsela import (RECOUNT_RTOL, EigenSolveError, ResonanceError,
-                             count_below, ldlt)
+                             count_below, eigs_smallest, ldlt)
 from helmqo.certify import (GaussianBump, ProblemSpec,
                             SineProduct, convergence_study,
                             dirichlet_unit_square, run_gmr,
@@ -216,30 +216,22 @@ class TestSolveHelmholtz:
         assert shifts == [k2, k2 * (1 - RECOUNT_RTOL),
                           k2 * (1 + RECOUNT_RTOL)]
 
-
-    def test_heap_trimmed_once_the_factor_is_dropped(self, monkeypatch):
-        import types
-        import weakref
-        factors, trims = [], []
-        wrap_everywhere(monkeypatch, helmqo.sparsela.ldlt,
-                        lambda a, F: factors.append(weakref.ref(F)))
-
-        def malloc_trim(pad):
-            trims.append((pad, [f() is None for f in factors]))
-        monkeypatch.setattr(helmqo.sparsela, "_LIBC",
-                            types.SimpleNamespace(malloc_trim=malloc_trim))
-        spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((1, 2, 1.0),)))
-        solve_helmholtz(spec, build_unit_square(8))
-        assert trims == [(0, [True])]
-
     def test_solve_where_the_c_library_has_no_malloc_trim(self,
                                                           monkeypatch):
+        # and the sparsela calls that trim once their own factor is dead
         spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((1, 2, 1.0),)))
         mesh = build_unit_square(16)
+        A, M = build_space(mesh, P1).pencil
         u = solve_helmholtz(spec, mesh)
+        pairs = eigs_smallest(A, M, 6)
+        below = count_below(A, M, 100.0)
         monkeypatch.setattr(helmqo.sparsela, "_LIBC", object())
         assert np.array_equal(solve_helmholtz(spec, mesh).coefficients,
                               u.coefficients)
+        again = eigs_smallest(A, M, 6)
+        assert np.array_equal(again.values, pairs.values)
+        assert np.array_equal(again.vectors, pairs.vectors)
+        assert count_below(A, M, 100.0) == below
 
 
 class TestSineSeriesReference:

@@ -1,5 +1,11 @@
 import contextlib
 import math
+import os
+import subprocess
+import sys
+import types
+import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -728,3 +734,93 @@ class TestEigsSmallestContract:
         assert F._inertia is None and not F.singular
         assert F.inertia == (6, 0, A.n - 6)
         assert F.inertia is F.inertia
+
+
+class TestHeapPolicy:
+    """Each factorization returns the heap it leaves inside sparsela."""
+
+    # peak RSS a 36,481-dof P1 factorization may add above the factor it
+    # leaves held: K = A - sigma M (3.0 MiB) and SuperLU's workspace,
+    # measured 3.3-6.5 MiB over ten runs at one column per panel and
+    # 15.1-18.4 MiB at SciPy's default of 20
+    PEAK_MARGIN_MIB = 10.0
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """Log each SuperLU factorization ("splu") and each heap trim
+        ("trim", or "trim, dead" once every factor ``ldlt`` made is)."""
+        events, factors = [], []
+        ldlt_, splu = helmqo.sparsela.ldlt, spla.splu
+
+        def traced_ldlt(*args):
+            F = ldlt_(*args)
+            factors.append(weakref.ref(F))
+            return F
+
+        def traced_splu(*args, **kwargs):
+            events.append("splu")
+            return splu(*args, **kwargs)
+
+        def malloc_trim(pad):
+            assert pad == 0
+            dead = factors and all(f() is None for f in factors)
+            events.append("trim, dead" if dead else "trim")
+        monkeypatch.setattr(helmqo.sparsela, "ldlt", traced_ldlt)
+        monkeypatch.setattr(spla, "splu", traced_splu)
+        monkeypatch.setattr(helmqo.sparsela, "_LIBC",
+                            types.SimpleNamespace(malloc_trim=malloc_trim))
+        return events
+
+    @pytest.mark.parametrize("call,expect", [
+        # trimmed around SuperLU; a factor the caller holds is its own
+        (lambda A, M: helmqo.sparsela.ldlt(A, 100.0, M),
+         ["trim", "splu", "trim"]),
+        # and once the call's own factor is dead
+        (lambda A, M: count_below(A, M, 100.0),
+         ["trim", "splu", "trim", "trim, dead"]),
+        (lambda A, M: eigs_smallest(A, M, 6),
+         ["trim", "splu", "trim", "trim, dead"]),
+        # the solve's factor is left to the next factorization's trim
+        (lambda A, M: solve_helmholtz(
+            ProblemSpec(P1, 100.0, rhs=SineProduct(((1, 2, 1.0),))),
+            build_unit_square(16)),
+         ["trim", "splu", "trim"]),
+    ], ids=["ldlt", "count_below", "eigs_smallest", "solve_helmholtz"])
+    def test_each_factorization_returns_its_heap(self, events, call, expect):
+        A, M = square_pencil(16)        # 225 dofs, so Lanczos factorizes
+        call(A, M)
+        assert events == expect
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/self/status")
+    def test_factor_peak_is_the_held_factor_plus_margin(self):
+        # in a fresh interpreter, so no earlier test's heap is in the way;
+        # the study's finest pencil, 36,481 P1 dofs at k^2 = 100
+        # (its peak is read as VmHWM: ru_maxrss would carry this process's
+        # own peak across the exec)
+        script = """if True:
+            from helmqo.mesh import build_unit_square
+            from helmqo.spaces import P1, build_space
+            from helmqo.sparsela import _trim_heap, ldlt
+
+            def status(key):
+                with open("/proc/self/status") as f:
+                    return next(int(line.split()[1]) for line in f
+                                if line.startswith(key)) / 1024
+
+            A, M = build_space(build_unit_square(192), P1).pencil
+            _trim_heap()
+            before = status("VmRSS:")
+            F = ldlt(A, 100.0, M)
+            print(A.n, status("VmRSS:") - before, status("VmHWM:") - before)
+        """
+        src = Path(helmqo.sparsela.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
+                   OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        n, held, grown = res.stdout.split()
+        assert int(n) == 36481
+        # grown counts from the RSS before the factorization, not from the
+        # higher peak that building the space left, so it is not hidden
+        assert float(grown) <= float(held) + self.PEAK_MARGIN_MIB
