@@ -357,22 +357,39 @@ def build_unit_square_unstructured(n: int, seed: int = 0,
     amount (at most a quarter cell width per coordinate), which breaks the
     directional alignment of the structured pattern.  Useful when
     mesh-direction cancellation effects (superconvergence) must be avoided.
+
+    The cells stay convex, and each is cut into two triangles along the
+    diagonal that passes Lawson's in-circle test: along v00-v11, as in
+    ``build_unit_square``, unless v01 lies strictly inside the
+    circumcircle of (v00, v10, v11), and then along v10-v01.  A shift of
+    at most a quarter cell leaves the grid edges locally Delaunay as well,
+    so by Lawson's theorem the mesh is a Delaunay triangulation of the
+    points; the tests check it against Qhull's.  The triangles come in
+    row-major cell order, two per cell.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    from scipy.spatial import Delaunay
-
-    pts, _ = _grid(n, 0.0, 1.0)
+    pts, tris = _grid(n, 0.0, 1.0)
     interior = ((pts[:, 0] > 0) & (pts[:, 0] < 1)
                 & (pts[:, 1] > 0) & (pts[:, 1] < 1))
     rng = np.random.default_rng(seed)
     shift = rng.uniform(-_JITTER / n, _JITTER / n,
                         size=(interior.sum(), 2))
     pts[interior] += shift
-    tri = Delaunay(pts).simplices.astype(np.int64)
-    flip = _doubled_signed_areas(pts[tri]) < 0
-    tri[flip] = tri[flip][:, [0, 2, 1]]
-    return Mesh.from_triangulation(pts, tri, tags)
+    first, second = tris[0::2], tris[1::2]  # (v00, v10, v11), (v00, v11, v01)
+    # the in-circle determinant of the counter-clockwise (v00, v10, v11)
+    # about v01
+    a, b, c = (pts[first[:, k]] - pts[second[:, 2]] for k in range(3))
+
+    def cross(p, q):
+        return p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+
+    in_circle = ((a * a).sum(axis=1) * cross(b, c)
+                 + (b * b).sum(axis=1) * cross(c, a)
+                 + (c * c).sum(axis=1) * cross(a, b)) > 0
+    first[in_circle, 2] = second[in_circle, 2]    # (v00, v10, v01)
+    second[in_circle, 0] = first[in_circle, 1]    # (v10, v11, v01)
+    return Mesh.from_triangulation(pts, tris, tags)
 
 
 def build_square_with_hole(outer: float, inner: float, n: int = 16,

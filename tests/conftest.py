@@ -137,8 +137,10 @@ def jittered_square(n: int, seed: int, jitter: float,
                     tags=BoundaryTag.DIRICHLET):
     """Delaunay mesh of [0,1]^2 from the n-by-n grid whose interior points
     are moved by up to ``jitter`` cell widths in each coordinate, drawn
-    from ``seed``; at ``jitter = 0.25`` the mesh that
-    ``build_unit_square_unstructured(n, seed, tags)`` builds."""
+    from ``seed``, triangulated by Qhull.  At ``jitter = 0.25`` it is the
+    oracle of ``build_unit_square_unstructured(n, seed, tags)``, which
+    cuts each grid cell by an in-circle test: the same vertices and
+    triangulation, in another order."""
     from scipy.spatial import Delaunay
     from helmqo.mesh import Mesh
     xs = np.linspace(0.0, 1.0, n + 1)

@@ -10,7 +10,9 @@ the full-dof numbering (``free_dofs``, ``cell_dofs``, ``cell_free``) is
 ``spaces.py``'s, Liu's ``KAPPA`` is ``spectral.py``'s, and the
 ``--geometry`` and ``--rhs`` names are ``cli.py``'s own.  Every parameter
 with a default is passed by some call outside the tests.  Importing the
-command line does not load ``scipy.special``."""
+command line does not load ``scipy.special``, building its meshes loads
+neither it nor ``scipy.spatial``, and ``helmqo`` imports no SciPy module
+but its linear algebra and sparse ones."""
 
 import ast
 import importlib
@@ -294,11 +296,46 @@ def test_only_cli_spells_geometry_and_rhs_names():
 
 def test_cli_import_leaves_scipy_special_unloaded():
     # scipy.special costs every CLI process memory and import time; the
-    # quadrature rules are built with NumPy alone
+    # quadrature rules are built with NumPy alone, and the built-in meshes
+    # need no scipy.spatial (which loads scipy.special)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    loaded = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, helmqo.cli; print('scipy.special' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert loaded.strip() == "False"
+    script = """
+import contextlib, io, sys
+import helmqo.cli as cli
+print('scipy.special' in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["mesh", "--geometry", name, "--n", "4"])
+             for name in cli._GEOMETRIES]
+print(codes, sorted(name for name in ("scipy.special", "scipy.spatial")
+                    if name in sys.modules))
+"""
+    loaded = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout.splitlines()
+    assert loaded == ["False", "[0, 0, 0] []"]
+
+
+# the SciPy modules helmqo may import: linear algebra and sparse matrices
+SCIPY_ALLOWED = {"scipy.linalg", "scipy.linalg.blas", "scipy.sparse",
+                 "scipy.sparse.linalg", "scipy.sparse.csgraph"}
+
+
+def test_helmqo_imports_scipy_linear_algebra_and_sparse_only():
+    # a static check, so it also sees imports inside functions on paths
+    # that the subprocess above does not run
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                found = {f"scipy.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                found = {node.module}
+            else:
+                continue
+            imported |= {f"{path.name}: {name}" for name in found
+                         if name.split(".")[0] == "scipy"
+                         and name not in SCIPY_ALLOWED}
+    assert not imported, f"SciPy modules past linalg and sparse: {imported}"

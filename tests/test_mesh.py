@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -95,12 +96,16 @@ class TestBuilders:
 
     @pytest.mark.parametrize("tags", [D, N])
     def test_unstructured_is_the_quarter_cell_jitter(self, tags):
-        # the tests' own builder, which takes the jitter, at a quarter
-        # cell width
-        for n in (2, 5, 12):
-            for seed in (0, 1, 7):
-                assert build_unit_square_unstructured(n, seed, tags) \
-                    == jittered_square(n, seed, 0.25, tags)
+        # Qhull's Delaunay triangulation of the same points, through the
+        # tests' own builder at a quarter cell width: the same triangles,
+        # in another order, and the same boundary tags
+        for n, seed in itertools.product((2, 3, 5, 12, 40), range(10)):
+            m = build_unit_square_unstructured(n, seed, tags)
+            qhull = jittered_square(n, seed, 0.25, tags)
+            assert np.array_equal(m.vertices, qhull.vertices)
+            assert ({tuple(sorted(t)) for t in m.triangles.tolist()}
+                    == {tuple(sorted(t)) for t in qhull.triangles.tolist()})
+            assert m.boundary_edges == qhull.boundary_edges
 
 
 class TestConstructorErrors:
