@@ -70,7 +70,10 @@ class Mesh:
     ascending ``boundary_edge_ids`` and, among them, ``dirichlet_edge_ids``)
     the mesh keeps, read-only: ``areas`` (nt,),
     ``edge_lengths`` (n_edges,), ``diameters`` (nt,), the longest edge of
-    each triangle, and ``h``, the largest diameter.  The tag codes of
+    each triangle, and ``h``, the largest diameter.  Every vertex lies in
+    a triangle, and the areas and edge lengths are finite: a vertex that no
+    triangle uses, or coordinates whose areas or edge lengths overflow,
+    are rejected.  The tag codes of
     ``edge_tag`` are this module's own; others read ``boundary_edges``.
 
     The index tables, ``triangles`` and the five of the topology, are
@@ -101,16 +104,27 @@ class Mesh:
         if ((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2])
                 | (t[:, 0] == t[:, 2])).any():
             raise MeshError("triangle with repeated vertex")
-        self.areas = 0.5 * _doubled_signed_areas(self.vertices[t])
+        unused = np.flatnonzero(np.bincount(t.ravel(),
+                                            minlength=len(self.vertices)) == 0)
+        if len(unused):
+            raise MeshError(f"vertex {unused[0]} is in no triangle")
+        # an overflow is raised below as a MeshError, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.areas = 0.5 * _doubled_signed_areas(self.vertices[t])
+        if not np.isfinite(self.areas).all():
+            raise MeshError("triangle areas overflow")
         if (self.areas <= 0).any():
             bad = int(np.argmin(self.areas))
             raise MeshError(f"triangle {bad} is not counter-clockwise "
                             "(non-positive signed area)")
 
         self._build_edge_table()
-        self.edge_lengths = np.linalg.norm(
-            self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]],
-            axis=1)
+        with np.errstate(over="ignore"):
+            self.edge_lengths = np.linalg.norm(
+                self.vertices[self.edges[:, 1]]
+                - self.vertices[self.edges[:, 0]], axis=1)
+        if not np.isfinite(self.edge_lengths).all():
+            raise MeshError("edge lengths overflow")
         local_lengths = self.edge_lengths[self.tri2edge]
         self.diameters = local_lengths.max(axis=1)
         self.h = float(self.diameters.max(initial=0.0))
@@ -611,12 +625,14 @@ def read_mesh(text: str) -> Mesh:
     triangles = np.empty((nt, 3), dtype=np.int64)
     for i, (lineno, parts) in enumerate(take(nt, 3, "triangle")):
         try:
-            triangles[i] = [int(p) for p in parts]
+            row = [int(p) for p in parts]
         except ValueError:
             raise MeshFormatError("bad triangle vertex index", lineno)
-        if (triangles[i] < 0).any() or (triangles[i] >= nv).any():
+        # checked on Python's ints, before int64 could overflow
+        if not all(0 <= v < nv for v in row):
             raise MeshFormatError(
                 f"triangle vertex index out of range (0..{nv - 1})", lineno)
+        triangles[i] = row
 
     nb = expect_header("BoundaryEdges")
     boundary = []

@@ -8,17 +8,20 @@ generalized eigenpairs.
 The eigensolver is a block thick-restart (Krylov-Schur) Lanczos on
 ``(A + M)^-1 M``, written here rather than called through ARPACK: its
 basis of ``ncv + LANCZOS_BLOCK`` vectors, about 3m/2 + 4 for m pairs, is
-the only n-sized storage it keeps besides two blocks of
-``LANCZOS_BLOCK`` vectors.  Each step solves with the factor of ``A + M``
-for a block of ``LANCZOS_BLOCK = 4`` right-hand sides in one call, so a
-restart cycle can hold four copies of an eigenvalue, and M-orthogonalizes
-the new block against the whole basis twice, each time followed by
-orthonormalization within the block; a direction that vanishes is replaced
-by a fresh vector.  Each restart, and the Ritz vectors at the end,
-overwrite the basis's leading vectors in place.  A run stops when every
-wanted Ritz estimate is at most ``LANCZOS_TOL`` relative to its Ritz value
-in a cycle that took no fresh vector and did not start from one; the
-result is then checked against the pencil itself (see :func:`eigs_smallest`).
+the only n-sized storage it keeps besides the block ``M Q`` of
+``LANCZOS_BLOCK`` vectors; each step's solve allocates its own result and
+SuperLU's n x ``LANCZOS_BLOCK`` work array, so at the peak of a 50-pair
+run about 16 n-vectors sit beyond its 80-vector basis.  Each step solves
+with the factor of ``A + M`` for a block of ``LANCZOS_BLOCK = 4``
+right-hand sides in one call, so a restart cycle can hold four copies of
+an eigenvalue, and M-orthogonalizes the new block against the whole basis
+twice, each time followed by orthonormalization within the block; a
+direction that vanishes is replaced by a fresh vector.  Each restart, and
+the Ritz vectors at the end, overwrite the basis's leading vectors in
+place.  A run stops when every wanted Ritz estimate is at most
+``LANCZOS_TOL`` relative to its Ritz value in a cycle that took no fresh
+vector and did not start from one; the result is then checked against the
+pencil itself (see :func:`eigs_smallest`).
 
 Every factorization is symmetric-mode SuperLU with its own
 ``MMD_AT_PLUS_A`` ordering, restricted to diagonal pivoting, which yields a
@@ -28,9 +31,10 @@ decides the fill: the pencils of :mod:`helmqo.spaces` come numbered in the
 reverse Cuthill-McKee order of their free dofs (see there).
 
 ``A - sigma*M`` is formed in two places only: by :func:`ldlt` for
-SuperLU, which frees it on return, and by :func:`solve` for its
-partial-pivoting fallback when the factor has a zero pivot.  Residuals
-are computed from the pencil, as ``A x - sigma (M x)``.
+SuperLU, which frees it as soon as SuperLU returns, before it trims the
+heap, and by :func:`solve` for its partial-pivoting fallback when the
+factor has a zero pivot.  Residuals are computed from the pencil, as
+``A x - sigma (M x)``.
 
 Sparse pivots are read only where an inertia count is needed
 (:func:`count_below`, :func:`count_from_factor`, or a read of a
@@ -46,10 +50,11 @@ Besides the factor, SuperLU's ``dgstrf`` holds a workspace of about
 workspace stays small.  A freed factor or workspace leaves the C
 library's heap resident, and this module returns it to the OS itself
 (``malloc_trim(0)`` where the library has it, glibc): :func:`ldlt`
-before it forms ``A - sigma*M`` for SuperLU and again after SuperLU
-returns, and :func:`eigs_smallest` and :func:`count_below` once they have
-dropped their own factor.  A caller that drops a factor it holds leaves
-that heap to the next factorization's trim.
+before it forms ``A - sigma*M`` for SuperLU and again once SuperLU has
+returned and that matrix is freed, and :func:`eigs_smallest` and
+:func:`count_below` once they have dropped their own factor.  A caller
+that drops a factor it holds leaves that heap to the next factorization's
+trim.
 """
 
 from __future__ import annotations
@@ -233,14 +238,15 @@ def ldlt(A: SparseSymMatrix, sigma: float,
     eigenvalue), not raised.  Sparse pivots are read on the first inertia
     query, not here (see :class:`Factorization`).  SuperLU factors the
     CSC view ``K.T`` of ``K = A - sigma*M`` in the pencil's own numbering,
-    and K is freed on return.
+    and K is freed as soon as SuperLU returns.
 
     SuperLU factors one column per panel (``_PANEL_SIZE``), so its
     workspace is a few n-sized arrays rather than a dense panel block.
     The C library's heap is trimmed before K is formed, returning what the
     caller freed, such as a factor it dropped, so that K and SuperLU do
     not settle among free pages that stay resident; and again after
-    SuperLU returns, returning the workspace.
+    SuperLU returns, returning the workspace and K, so that neither stays
+    resident under the factor.
     """
     if M.n != A.n:
         raise ValueError("A and M must have the same dimension")
@@ -268,6 +274,7 @@ def ldlt(A: SparseSymMatrix, sigma: float,
             if "singular" not in str(exc):
                 raise
             singular = True
+        del K       # so that the trim returns its pages too
         _trim_heap()
     if singular:
         # an exactly singular factor leaves the pivot signs unknown
@@ -502,9 +509,10 @@ def _lanczos(solve, Msp: sp.csr_matrix, m: int, ncv: int,
     Each step applies OP to a block of ``b = LANCZOS_BLOCK`` vectors, one
     solve with b right-hand sides, so a cycle's Krylov space holds up to b
     copies of an eigenvalue.  The basis Q holds ``ncv + b`` rows, ncv a
-    multiple of b, and is all the n-sized storage besides the block M Q
-    and the solve's result: the block Krylov-Schur restart (Zhou & Saad,
-    Numer. Algorithms 2008; Stewart, SIAM J. Matrix Anal. Appl. 2001) keeps
+    multiple of b, and is all the n-sized storage besides the block M Q,
+    the solve's result and the work array the solve allocates: the block
+    Krylov-Schur restart (Zhou & Saad, Numer. Algorithms 2008; Stewart,
+    SIAM J. Matrix Anal. Appl. 2001) keeps
     the ``(m + ncv) / 2`` Ritz vectors of largest |theta|, rounded up to a
     multiple of b and at most ``ncv - b``, in Q's leading rows, and the
     returned vectors are Q's first m rows, shrunk in place.  A pair has
@@ -580,12 +588,16 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
     (:func:`_lanczos`) runs on ``(A + M)^-1 M``, the shift-invert operator
     at -1, strictly below the spectrum, from a start block drawn from
     ``seed``, with ``ncv = 3m/2`` rounded up to a multiple of
-    ``LANCZOS_BLOCK`` (at least 32).  Its working set is the basis,
-    ``n (ncv + LANCZOS_BLOCK)`` floats, two more blocks, and the factor of
-    ``A + M``; the checks on its result run a few columns at a time.  A
-    result that misses the residual bound, or ``LANCZOS_MAXITER`` restarts
-    without convergence, is retried with ``ncv`` doubled, at most twice and
-    only while ``ncv`` still grows (the basis is capped below n vectors).
+    ``LANCZOS_BLOCK`` (at least 32).  Its working set is the factor of
+    ``A + M``, the basis, ``n (ncv + LANCZOS_BLOCK)`` floats, and a few
+    blocks of ``LANCZOS_BLOCK`` n-vectors: M times the newest block, and
+    each step's solve, which allocates its own result and SuperLU's
+    n x ``LANCZOS_BLOCK`` work array (about 16 n-vectors beyond the basis
+    at the peak of a 50-pair run); the checks on its result run a few
+    columns at a time.  A result that misses the residual bound, or
+    ``LANCZOS_MAXITER`` restarts without convergence, is retried with
+    ``ncv`` doubled, at most twice and only while ``ncv`` still grows (the
+    basis is capped below n vectors).
     Each cycle finds up to ``LANCZOS_BLOCK`` copies of an eigenvalue; more
     copies need restarts, and the callers' inertia counts guard the ladder.
 

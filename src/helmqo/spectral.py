@@ -266,9 +266,8 @@ def _cr_vertex_average(space: DofSpace, X: np.ndarray) -> np.ndarray:
         limits = space.cell_values(X[:, j])                     # (nt, 3)
         limits = limits.sum(axis=1, keepdims=True) - 2.0 * limits
         out[:, j] = np.bincount(corners, limits.ravel(), mesh.n_vertices)
-    # a vertex in no triangle enters no lift
-    out /= np.maximum(np.bincount(corners, minlength=mesh.n_vertices),
-                      1)[:, None]
+    # no zero count: Mesh puts every vertex in a triangle
+    out /= np.bincount(corners)[:, None]
     out[mesh.dirichlet_vertices()] = 0.0
     return out
 

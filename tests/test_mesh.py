@@ -148,6 +148,29 @@ class TestConstructorErrors:
             Mesh.from_triangulation([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
                                     [[0, 1, 9]])
 
+    def test_vertex_in_no_triangle(self):
+        # an unused vertex once gave the P1 and P2 pencils an empty row
+        m = build_unit_square(6)
+        with pytest.raises(MeshError, match="vertex 49 is in no triangle"):
+            Mesh(np.vstack([m.vertices, [0.5, 0.5]]), m.triangles,
+                 m.boundary_edges)
+        head, rest = write_mesh(m).split("$Triangles")
+        text = (head.replace("$Vertices 49", "$Vertices 50")
+                + "0.5 0.5\n$Triangles" + rest)
+        with pytest.raises(MeshError, match="in no triangle"):
+            read_mesh(text)
+
+    @pytest.mark.parametrize("vertices,triangles,message", [
+        # a scaled square: every area overflows, and h read inf
+        (build_unit_square(4).vertices * 1e160,
+         build_unit_square(4).triangles, "areas overflow"),
+        # a sliver of finite area whose long edges overflow
+        ([[0.0, 0.0], [2e154, 0.0], [0.0, 1e-160]], [[0, 1, 2]],
+         "lengths overflow")], ids=["areas", "edge-lengths"])
+    def test_overflowing_geometry(self, vertices, triangles, message):
+        with pytest.raises(MeshError, match=message):
+            Mesh.from_triangulation(vertices, triangles)
+
     def test_unknown_boundary_tag(self):
         m = self.square()
         (pair, _), *rest = m.boundary_edges
@@ -398,6 +421,16 @@ class TestSerialization:
             read_mesh(text)
         assert exc.value.line == 6
         assert "line 6" in str(exc.value)
+
+    def test_index_past_int64_out_of_range(self):
+        # once an OverflowError from numpy, which the CLI did not catch
+        text = ("$Vertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+                "$Triangles 1\n0 1 99999999999999999999999\n"
+                "$BoundaryEdges 0\n")
+        with pytest.raises(MeshFormatError,
+                           match="triangle vertex index out of range") as exc:
+            read_mesh(text)
+        assert exc.value.line == 6
 
     def test_negative_area_rejected(self):
         text = ("$Vertices 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"

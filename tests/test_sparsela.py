@@ -747,9 +747,11 @@ class TestHeapPolicy:
 
     @pytest.fixture
     def events(self, monkeypatch):
-        """Log each SuperLU factorization ("splu") and each heap trim
-        ("trim", or "trim, dead" once every factor ``ldlt`` made is)."""
-        events, factors = [], []
+        """Log each SuperLU factorization ("splu") and each heap trim:
+        "trim", then what is dead by then: "K" once the matrix last handed
+        to SuperLU is (the array that owns its ``.data`` is freed), and
+        "factor" once every factor ``ldlt`` made is."""
+        events, factors, handed = [], [], []
         ldlt_, splu = helmqo.sparsela.ldlt, spla.splu
 
         def traced_ldlt(*args):
@@ -757,14 +759,20 @@ class TestHeapPolicy:
             factors.append(weakref.ref(F))
             return F
 
-        def traced_splu(*args, **kwargs):
+        def traced_splu(K, *args, **kwargs):
             events.append("splu")
-            return splu(*args, **kwargs)
+            data = K.data
+            while isinstance(data.base, np.ndarray):
+                data = data.base        # K.T's data is a view of K's
+            handed[:] = [weakref.ref(data)]
+            return splu(K, *args, **kwargs)
 
         def malloc_trim(pad):
             assert pad == 0
-            dead = factors and all(f() is None for f in factors)
-            events.append("trim, dead" if dead else "trim")
+            dead = [name for name, refs in (("K", handed),
+                                            ("factor", factors))
+                    if refs and all(r() is None for r in refs)]
+            events.append("trim: " + ", ".join(dead) if dead else "trim")
         monkeypatch.setattr(helmqo.sparsela, "ldlt", traced_ldlt)
         monkeypatch.setattr(spla, "splu", traced_splu)
         monkeypatch.setattr(helmqo.sparsela, "_LIBC",
@@ -772,19 +780,20 @@ class TestHeapPolicy:
         return events
 
     @pytest.mark.parametrize("call,expect", [
-        # trimmed around SuperLU; a factor the caller holds is its own
+        # trimmed around SuperLU, with K freed before the second trim; a
+        # factor the caller holds is its own
         (lambda A, M: helmqo.sparsela.ldlt(A, 100.0, M),
-         ["trim", "splu", "trim"]),
+         ["trim", "splu", "trim: K"]),
         # and once the call's own factor is dead
         (lambda A, M: count_below(A, M, 100.0),
-         ["trim", "splu", "trim", "trim, dead"]),
+         ["trim", "splu", "trim: K", "trim: K, factor"]),
         (lambda A, M: eigs_smallest(A, M, 6),
-         ["trim", "splu", "trim", "trim, dead"]),
+         ["trim", "splu", "trim: K", "trim: K, factor"]),
         # the solve's factor is left to the next factorization's trim
         (lambda A, M: solve_helmholtz(
             ProblemSpec(P1, 100.0, rhs=SineProduct(((1, 2, 1.0),))),
             build_unit_square(16)),
-         ["trim", "splu", "trim"]),
+         ["trim", "splu", "trim: K"]),
     ], ids=["ldlt", "count_below", "eigs_smallest", "solve_helmholtz"])
     def test_each_factorization_returns_its_heap(self, events, call, expect):
         A, M = square_pencil(16)        # 225 dofs, so Lanczos factorizes
