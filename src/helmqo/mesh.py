@@ -73,7 +73,8 @@ class Mesh:
     each triangle, and ``h``, the largest diameter.  Every vertex lies in
     a triangle, and the areas and edge lengths are finite: a vertex that no
     triangle uses, or coordinates whose areas or edge lengths overflow,
-    are rejected.  The tag codes of
+    are rejected, as are two triangles on the same side of their shared
+    edge.  The tag codes of
     ``edge_tag`` are this module's own; others read ``boundary_edges``.
 
     The index tables, ``triangles`` and the five of the topology, are
@@ -202,6 +203,16 @@ class Mesh:
         self.edge2tri = np.full((len(self.edges), 2), -1, dtype=np.int32)
         self.edge2tri[:, 0] = tri_of[first]
         self.edge2tri[two, 1] = tri_of[first[two] + 1]
+        # local edge k runs from vertex k + 1 to k + 2: the two triangles of
+        # an interior edge run it in opposite senses unless they overlap
+        up = np.concatenate([t[:, 1] < t[:, 2], t[:, 2] < t[:, 0],
+                             t[:, 0] < t[:, 1]])
+        folded = np.flatnonzero(two & (np.bincount(inv, up) != 1))
+        if len(folded):
+            a, b = self.edge2tri[folded[0]]
+            u, v = self.edges[folded[0]]
+            raise MeshError(f"triangles {a} and {b} overlap across their "
+                            f"shared edge ({u}, {v})")
         self.boundary_edge_ids = np.flatnonzero(counts == 1).astype(np.int32)
 
     # -- basic queries ---------------------------------------------------

@@ -6,22 +6,18 @@ iterative refinement, and a shift-invert Lanczos eigensolver for the smallest
 generalized eigenpairs.
 
 The eigensolver is a block thick-restart (Krylov-Schur) Lanczos on
-``(A + M)^-1 M``, written here rather than called through ARPACK: its
-basis of ``ncv + LANCZOS_BLOCK`` vectors, about 3m/2 + 4 for m pairs, is
-the only n-sized storage it keeps besides the block ``M Q`` of
-``LANCZOS_BLOCK`` vectors; each step's solve allocates its own result and
-SuperLU's n x ``LANCZOS_BLOCK`` work array, so at the peak of a 50-pair
-run about 16 n-vectors sit beyond its 80-vector basis.  Each step solves
-with the factor of ``A + M`` for a block of ``LANCZOS_BLOCK = 4``
-right-hand sides in one call, so a restart cycle can hold four copies of
-an eigenvalue, and M-orthogonalizes the new block against the whole basis
-twice, each time followed by orthonormalization within the block; a
-direction that vanishes is replaced by a fresh vector.  Each restart, and
-the Ritz vectors at the end, overwrite the basis's leading vectors in
-place.  A run stops when every wanted Ritz estimate is at most
-``LANCZOS_TOL`` relative to its Ritz value in a cycle that took no fresh
-vector and did not start from one; the result is then checked against the
-pencil itself (see :func:`eigs_smallest`).
+``(A + M)^-1 M``, written here rather than called through ARPACK.  Each
+step solves with the factor of ``A + M`` for a block of
+``LANCZOS_BLOCK = 4`` right-hand sides in one call, so a restart cycle can
+hold four copies of an eigenvalue, and M-orthogonalizes the new block
+against the whole basis twice, each time followed by orthonormalization
+within the block; a direction that vanishes is replaced by a fresh vector.
+Each restart, and the Ritz vectors at the end, overwrite the basis's
+leading vectors in place.  A run stops when every wanted Ritz estimate is
+at most ``LANCZOS_TOL`` relative to its Ritz value in a cycle that took no
+fresh vector and did not start from one.  Its working set, and the one
+rule that accepts or rejects its result, are stated in
+:func:`eigs_smallest`.
 
 Every factorization is symmetric-mode SuperLU with its own
 ``MMD_AT_PLUS_A`` ordering, restricted to diagonal pivoting, which yields a
@@ -389,19 +385,6 @@ def _column_slices(X: np.ndarray) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, X.shape[1], step)]
 
 
-def _m_orthonormalize(X: np.ndarray, Msp: sp.csr_matrix) -> None:
-    """M-orthonormalize X's columns in place, one slice of X's rows at a
-    time, unless they already are to 1e-13."""
-    G = np.empty((X.shape[1], X.shape[1]))
-    for sl in _column_slices(X):
-        G[:, sl] = X.T @ (Msp @ X[:, sl])
-    if abs(G - np.eye(G.shape[0])).max() <= 1e-13:
-        return
-    R = sla.cholesky(G, lower=False)
-    for sl in _column_slices(X.T):
-        X[sl] = sla.solve_triangular(R, X[sl].T, lower=False, trans="T").T
-
-
 def _residual_norms(Asp, Msp, vals, X) -> np.ndarray:
     res = np.empty(len(vals))
     for sl in _column_slices(X):
@@ -509,11 +492,9 @@ def _lanczos(solve, Msp: sp.csr_matrix, m: int, ncv: int,
     Each step applies OP to a block of ``b = LANCZOS_BLOCK`` vectors, one
     solve with b right-hand sides, so a cycle's Krylov space holds up to b
     copies of an eigenvalue.  The basis Q holds ``ncv + b`` rows, ncv a
-    multiple of b, and is all the n-sized storage besides the block M Q,
-    the solve's result and the work array the solve allocates: the block
-    Krylov-Schur restart (Zhou & Saad, Numer. Algorithms 2008; Stewart,
-    SIAM J. Matrix Anal. Appl. 2001) keeps
-    the ``(m + ncv) / 2`` Ritz vectors of largest |theta|, rounded up to a
+    multiple of b: the block Krylov-Schur restart (Zhou & Saad, Numer.
+    Algorithms 2008; Stewart, SIAM J. Matrix Anal. Appl. 2001) keeps the
+    ``(m + ncv) / 2`` Ritz vectors of largest |theta|, rounded up to a
     multiple of b and at most ``ncv - b``, in Q's leading rows, and the
     returned vectors are Q's first m rows, shrunk in place.  A pair has
     converged when its Ritz estimate ``|R y_last|`` is at most
@@ -563,13 +544,16 @@ def _lanczos(solve, Msp: sp.csr_matrix, m: int, ncv: int,
     return None
 
 
-def _accept(Asp, Msp, vals, X) -> tuple[EigenResult, float]:
-    """The pairs, X M-orthonormalized, and their largest residual
-    ``|A x - l M x| / (1 + |l|)``; a negative eigenvalue raises."""
+def _accept(Asp, Msp, vals, X) -> EigenResult:
+    """The pairs, once they pass the acceptance rule of
+    :func:`eigs_smallest`."""
     _check_semidefinite(vals)
-    _m_orthonormalize(X, Msp)
     worst = (_residual_norms(Asp, Msp, vals, X) / (1.0 + abs(vals))).max()
-    return EigenResult(vals, X), worst
+    if not worst <= RESIDUAL_TOL:
+        raise EigenSolveError(
+            f"relative eigenpair residual {worst:.3e} exceeds "
+            f"{RESIDUAL_TOL:.1e}")
+    return EigenResult(vals, X)
 
 
 def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
@@ -578,15 +562,13 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
 
     A must be symmetric positive semidefinite, M symmetric positive
     definite.  Eigenvalues are ascending with multiplicities; eigenvectors
-    are M-orthonormal.  Each returned pair satisfies
-    ``|A x - l M x| <= RESIDUAL_TOL * (1 + |l|)``, on either path below;
-    a result that misses it raises :class:`EigenSolveError`.
+    are M-orthonormal.
 
     Pencils of at most ``DENSE_EIG_LIMIT`` dofs, and requests whose
     Lanczos basis of ``ncv + LANCZOS_BLOCK`` vectors would fill the space,
-    are solved densely.  Otherwise block thick-restart Lanczos
-    (:func:`_lanczos`) runs on ``(A + M)^-1 M``, the shift-invert operator
-    at -1, strictly below the spectrum, from a start block drawn from
+    are solved densely.  Otherwise one run of block thick-restart Lanczos
+    (:func:`_lanczos`) on ``(A + M)^-1 M``, the shift-invert operator at
+    -1, strictly below the spectrum, starts from a block drawn from
     ``seed``, with ``ncv = 3m/2`` rounded up to a multiple of
     ``LANCZOS_BLOCK`` (at least 32).  Its working set is the factor of
     ``A + M``, the basis, ``n (ncv + LANCZOS_BLOCK)`` floats, and a few
@@ -594,23 +576,25 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
     each step's solve, which allocates its own result and SuperLU's
     n x ``LANCZOS_BLOCK`` work array (about 16 n-vectors beyond the basis
     at the peak of a 50-pair run); the checks on its result run a few
-    columns at a time.  A result that misses the residual bound, or
-    ``LANCZOS_MAXITER`` restarts without convergence, is retried with
-    ``ncv`` doubled, at most twice and only while ``ncv`` still grows (the
-    basis is capped below n vectors).
-    Each cycle finds up to ``LANCZOS_BLOCK`` copies of an eigenvalue; more
-    copies need restarts, and the callers' inertia counts guard the ladder.
+    columns at a time.  Each cycle finds up to ``LANCZOS_BLOCK`` copies of
+    an eigenvalue; more copies need restarts, and the callers' inertia
+    counts guard the ladder.
+
+    Both paths accept a result by one rule (:func:`_accept`): no returned
+    eigenvalue lies below ``-ZERO_EIGENVALUE_TOL``, beyond the roundoff of
+    a zero eigenvalue, and every pair satisfies
+    ``|A x - l M x| <= RESIDUAL_TOL * (1 + |l|)``.  A result that breaks
+    it raises :class:`EigenSolveError`, as do an exactly singular
+    ``A + M`` (``Factorization.singular``), before Lanczos starts, and a
+    run that leaves a wanted pair unconverged after ``LANCZOS_MAXITER``
+    restarts.  Lanczos takes the Ritz values of largest modulus, so a
+    negative eigenvalue whose shift-invert image is large in modulus is
+    found.
 
     The shift-invert factor's pivots are never read, so it holds no copy
     of its triangular factors; it is dropped, and the heap it held
-    trimmed, before the result is returned or a Lanczos failure raised.
-    Two checks guard the semidefinite contract and raise
-    :class:`EigenSolveError`: an exactly singular ``A + M``
-    (``Factorization.singular``) before Lanczos starts, and a returned
-    eigenvalue below ``-ZERO_EIGENVALUE_TOL``, beyond the roundoff of a
-    zero eigenvalue, on both the Lanczos and the dense path.  Lanczos
-    takes the Ritz values of largest modulus, so a negative eigenvalue
-    whose shift-invert image is large in modulus is found.
+    trimmed, as soon as Lanczos returns, before its result is checked or
+    its failure raised.
     """
     n = A.n
     if M.n != n:
@@ -627,30 +611,16 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
     ncv = max(32, b * -(-3 * m // (2 * b)))
     if n <= DENSE_EIG_LIMIT or ncv + b >= n:
         vals, X = sla.eigh(Asp.toarray(), Msp.toarray())
-        res, worst = _accept(Asp, Msp, vals[:m], X[:, :m])
-    else:
-        F = ldlt(A, -1.0, M)
-        if F.singular:
-            raise EigenSolveError("shift-invert factorization broke down; "
-                                  "is A positive semidefinite?")
-        cap = b * ((n - 1) // b) - b    # the largest with ncv + b < n
-        for _ in range(3):
-            found = _lanczos(F._raw_solve, Msp, m, ncv, seed)
-            if found is not None:
-                vals, Q = found
-                res, worst = _accept(Asp, Msp, vals, Q.T)
-                if worst <= RESIDUAL_TOL:
-                    break
-            if ncv == cap:
-                break
-            ncv = min(cap, 2 * ncv)
-        del F
-        _trim_heap()
-        if found is None:
-            raise EigenSolveError(f"Lanczos iteration did not converge in "
-                                  f"{LANCZOS_MAXITER} restarts")
-    if not worst <= RESIDUAL_TOL:
-        raise EigenSolveError(
-            f"relative eigenpair residual {worst:.3e} exceeds "
-            f"{RESIDUAL_TOL:.1e}")
-    return res
+        return _accept(Asp, Msp, vals[:m], X[:, :m])
+    F = ldlt(A, -1.0, M)
+    if F.singular:
+        raise EigenSolveError("shift-invert factorization broke down; "
+                              "is A positive semidefinite?")
+    found = _lanczos(F._raw_solve, Msp, m, ncv, seed)
+    del F
+    _trim_heap()
+    if found is None:
+        raise EigenSolveError(f"Lanczos iteration did not converge in "
+                              f"{LANCZOS_MAXITER} restarts")
+    vals, Q = found
+    return _accept(Asp, Msp, vals, Q.T)

@@ -1,10 +1,11 @@
 """The public surface stays in use: every public function and class of every
 helmqo module, and every public method, property, field and instance
-attribute of its classes, is referenced by code outside the tests, so
-nothing lives on for its tests alone, and every exception ``helmqo``
-re-exports is raised in the package.  What two helmqo modules share is
-public: none imports another's underscore name.  One function,
-``spectral._check_counts``, checks a ladder against LDL^T inertia counts.
+attribute of its classes, is referenced by code outside the tests, and
+every module-level constant is loaded there, so nothing lives on for its
+tests alone; every exception ``helmqo`` re-exports is raised in the
+package.  What two helmqo modules share is public: none imports
+another's underscore name.  One function, ``spectral._check_counts``,
+checks a ladder against LDL^T inertia counts.
 The boundary tag codes in ``Mesh.edge_tag`` are ``mesh.py``'s own format,
 the full-dof numbering (``free_dofs``, ``cell_dofs``, ``cell_free``) is
 ``spaces.py``'s, Liu's ``KAPPA`` is ``spectral.py``'s, and the
@@ -17,6 +18,7 @@ but its linear algebra and sparse ones."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +84,32 @@ def test_every_module_function_and_class_has_a_caller_outside_tests():
     unused = sorted(qual for qual, name in defined.items()
                     if name not in used)
     assert not unused, f"defined but referenced only by tests: {unused}"
+
+
+def loaded_names(path: Path) -> set[str]:
+    """Names ``path`` loads, bare or as an attribute; an import or an
+    assignment alone loads nothing."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_constant_is_loaded_outside_tests():
+    # a module-level UPPER_CASE name, with or without a leading underscore,
+    # that only tests read is a setting the program no longer has
+    loaded = set().union(*(loaded_names(p) for p in callers()))
+    defined = {f"{path.stem}.{target.id}": target.id for path in modules()
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in ast.walk(node)
+               if isinstance(target, ast.Name)
+               and isinstance(target.ctx, ast.Store)
+               and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)}
+    assert len(defined) > 30
+    unloaded = sorted(qual for qual, name in defined.items()
+                      if name not in loaded)
+    assert not unloaded, f"constants loaded only by tests: {unloaded}"
 
 
 def class_members(cls: ast.ClassDef) -> set[str]:

@@ -139,6 +139,30 @@ class TestConstructorErrors:
         with pytest.raises(MeshError, match="more than two triangles"):
             Mesh(vertices, [[0, 1, 2], [1, 3, 2], [4, 1, 2]], [])
 
+    @pytest.mark.parametrize("vertices,triangles,boundary", [
+        # a fold: both triangles lie above their shared edge 0-1
+        ([(0, 0), (1, 0), (0.5, 1), (0.5, 0.5)], [(0, 1, 2), (0, 1, 3)],
+         [(0, 2), (0, 3), (1, 2), (1, 3)]),
+        # one triangle listed twice, so that every edge is interior
+        ([(0, 0), (1, 0), (0.5, 1)], [(0, 1, 2), (0, 1, 2)], [])],
+        ids=["fold", "twice"])
+    def test_overlapping_triangles_across_a_shared_edge(self, vertices,
+                                                        triangles, boundary):
+        # both are counter-clockwise and no edge lies in more than two
+        # triangles, but the two triangles of edge 0-1 run it the same way
+        with pytest.raises(MeshError, match=r"triangles 0 and 1 overlap "
+                                            r"across their shared edge"
+                                            r" \(0, 1\)"):
+            Mesh(vertices, triangles, [(pair, D) for pair in boundary])
+        sections = {"Vertices": vertices, "Triangles": triangles,
+                    "BoundaryEdges": [(*pair, "D") for pair in boundary]}
+        text = "".join(f"${name} {len(rows)}\n"
+                       + "".join(" ".join(map(str, row)) + "\n"
+                                 for row in rows)
+                       for name, rows in sections.items())
+        with pytest.raises(MeshError, match="overlap"):
+            read_mesh(text)
+
     def test_repeated_vertex(self):
         with pytest.raises(MeshError, match="repeated vertex"):
             Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 1]], [])
