@@ -15,7 +15,7 @@ import numpy as np
 
 from helmqo import (CR, KAPPA, build_space, build_unit_square,
                     build_unit_square_unstructured, compute_bounds,
-                    count_below, eigen_ladder, eigenpairs,
+                    count_below, eigen_ladder, eigs_smallest,
                     unit_square_spectrum)
 
 exact = unit_square_spectrum(8)
@@ -25,7 +25,7 @@ for n in (4, 16, 64):
     space = build_space(mesh, CR)
     # eight pairs, checked against the LDL^T count below 1 (none)
     ladder = eigen_ladder(space, 8, {1.0: count_below(*space.pencil, 1.0)})
-    bounds = compute_bounds(ladder)
+    bounds = compute_bounds(space, ladder)
     h = np.sqrt(2) / n
     print(f"\nCR ladder on the n={n} square (h = {h:.4f}, "
           f"{space.n_free} unknowns)")
@@ -52,7 +52,7 @@ Notes
 # every eigenvalue of a coarse jittered mesh
 mesh = build_unit_square_unstructured(6, seed=1)
 space = build_space(mesh, CR)
-bounds = compute_bounds(eigenpairs(space, space.n_free))
+bounds = compute_bounds(space, eigs_smallest(*space.pencil, space.n_free))
 h = mesh.h
 exact = unit_square_spectrum(len(bounds))
 lower = np.array([b.lower for b in bounds])

@@ -19,9 +19,9 @@ from .spaces import (CR, P1, P2, DofSpace, ElementFamily, FeFunction,
 from .sparsela import (EigenResult, EigenSolveError, Factorization,
                        ResonanceError, SparseSymMatrix, count_below,
                        count_from_factor, eigs_smallest, ldlt, solve)
-from .spectral import (KAPPA, BoundedEigen, Criterion, EigenSet,
-                       check_complete, check_criterion, compute_bounds,
-                       cr_lower_bound, eigen_ladder, eigenpairs)
+from .spectral import (KAPPA, BoundedEigen, Criterion, check_complete,
+                       check_criterion, compute_bounds, cr_lower_bound,
+                       eigen_ladder)
 from .estimator import IndicatorField, mark_half_max, residual_indicator
 from .certify import (CertificationReport, GaussianBump, IterationRecord,
                       ProblemSpec, SineProduct, StudyRecord,

@@ -133,6 +133,8 @@ def solve_helmholtz(spec: ProblemSpec, mesh: Mesh) -> FeFunction:
     partial-pivoting LU where the factor cannot meet the bound, or raises
     :class:`ResonanceError`.
     """
+    if spec.rhs is None:
+        raise ValueError("problem has no right-hand side")
     return _solve(spec, build_space(mesh, spec.family))[0]
 
 
@@ -141,9 +143,8 @@ def _solve(spec: ProblemSpec, space: DofSpace,
     """The solution and the number of discrete eigenvalues below k^2:
     ``below`` when the caller has proved it, else read from the solve's
     factor by Sylvester's law of inertia.  A count that is read comes
-    first, so a resonant k^2 fails with the recount's message."""
-    if spec.rhs is None:
-        raise ValueError("problem has no right-hand side")
+    first, so a resonant k^2 fails with the recount's message.  Its
+    callers have checked that ``spec`` has a right-hand side."""
     if space.n_free == 0:
         raise ValueError("space has no free degrees of freedom")
     A, M = space.pencil
@@ -361,8 +362,8 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
     report = CertificationReport()
     mesh = initial_mesh
     while len(report.iterations) < max_iters:
-        rec, E, bounds = _estimate(build_space(mesh, spec.family), spec.k2,
-                                   i_star, seed, report)
+        space = build_space(mesh, spec.family)
+        rec, E, bounds = _estimate(space, spec.k2, i_star, seed, report)
         report.iterations.append(rec)
         if rec.certified:
             report.termination = ("certified" if i_star is None
@@ -372,32 +373,33 @@ def run_gmr(spec: ProblemSpec, initial_mesh: Mesh,
             break
         index = rec.index
         if (refine_mode == "uniform" or E is None or not index
-                or len(E) < index + INDICATOR_EXTRA_PAIRS):
+                or len(E.values) < index + INDICATOR_EXTRA_PAIRS):
             # adaptive marking needs an indicator, which needs at least one
             # eigenvalue below k^2 and a long enough ladder
             mesh = refine_uniform(mesh)
         else:
-            eta = residual_indicator(E, index)
+            eta = residual_indicator(space, E, index)
             rec.eta_total = float(eta.values.sum())
             marked = mark_half_max(eta)
             if bounds is not None:
-                marked |= _certification_blockers(mesh, bounds, spec.k2)
-            mesh = (refine_bisection(mesh, marked) if marked
+                marked = np.union1d(marked, _certification_blockers(
+                    mesh, bounds, spec.k2))
+            mesh = (refine_bisection(mesh, marked) if len(marked)
                     else refine_uniform(mesh))
         # no step on the next mesh reads this mesh's pencil, ladder or
         # indicator: free them before its factorizations and eigensolve
-        E = bounds = eta = None
+        space = E = bounds = eta = None
     report.final_mesh = mesh
     return report
 
 
 def _certification_blockers(mesh: Mesh, bounds: list[BoundedEigen],
-                            k2: float) -> set[int]:
-    """Elements at whose diameter, as the mesh size, the ladder would not
-    certify i = #{lambda_h < k^2} (:func:`cr_certifies`)."""
+                            k2: float) -> np.ndarray:
+    """Ascending ids of the elements at whose diameter, as the mesh size,
+    the ladder would not certify i = #{lambda_h < k^2}
+    (:func:`cr_certifies`)."""
     i = sum(b.lam < k2 for b in bounds)
-    return set(np.flatnonzero(
-        ~cr_certifies(bounds, k2, i, mesh.diameters)).tolist())
+    return np.flatnonzero(~cr_certifies(bounds, k2, i, mesh.diameters))
 
 
 def _estimate(space: DofSpace, k2: float, i_star: int | None, seed: int,
@@ -436,7 +438,7 @@ def _estimate(space: DofSpace, k2: float, i_star: int | None, seed: int,
                      counts, seed)
     bounds = width = None
     if i_star is None:
-        bounds = compute_bounds(E)
+        bounds = compute_bounds(space, E)
         for j, b in enumerate(bounds, start=1):
             if (b.lower <= k2 <= b.upper
                     and b.upper - b.lower <= RESONANCE_ENCLOSURE_RTOL * k2):
@@ -505,6 +507,8 @@ def convergence_study(spec: ProblemSpec, initial_mesh: Mesh,
         raise ValueError("refinements must be >= 1")
     if i_star is not None and i_star < 0:
         raise ValueError(f"i_star must be >= 0, got {i_star}")
+    if spec.rhs is None:
+        raise ValueError("problem has no right-hand side")
     last = []
     kept = None
     if dirichlet_unit_square(initial_mesh):
@@ -575,7 +579,7 @@ def _study_record(spec: ProblemSpec, mesh: Mesh, reference,
     err = l2_error(u, reference)
 
     def value(j):   # the ladder stops at n_free: no value past it
-        return float(E.values[j - 1]) if j <= len(E) else math.nan
+        return float(E.values[j - 1]) if j <= len(E.values) else math.nan
     return StudyRecord(mesh.h, space.n_free, err,
                        value(i_star) if i_star else 0.0,
                        value(i_star + 1)), below

@@ -24,8 +24,8 @@ from .mesh import (BoundaryTag, Mesh, MeshError, build_square_with_hole,
                    build_unit_square, build_unit_square_unstructured,
                    read_mesh, write_mesh)
 from .spaces import CR, ElementFamily, build_space
-from .sparsela import EigenSolveError, ResonanceError
-from .spectral import check_complete, compute_bounds, eigenpairs
+from .sparsela import EigenSolveError, ResonanceError, eigs_smallest
+from .spectral import check_complete, compute_bounds
 from .certify import (GaussianBump, ProblemSpec, SineProduct,
                       convergence_study, csv_text, dirichlet_unit_square,
                       run_gmr, study_to_csv)
@@ -275,10 +275,10 @@ def cmd_eig(args) -> int:
         raise UsageError("--m must be >= 1")
     family = ElementFamily(args.family)
     space = build_space(_mesh(args, args.mesh), family)
-    E = eigenpairs(space, args.m, args.seed)
+    E = eigs_smallest(*space.pencil, args.m, args.seed)
     lower = upper = [None] * args.m
     if family == CR:
-        bounds = compute_bounds(E)
+        bounds = compute_bounds(space, E)
         lower = [b.lower for b in bounds]
         upper = [b.upper for b in bounds]
     values = E.values

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import edge_rule, triangle_rule
-from .spaces import P2, ElementFamily, shape_gradients, shape_values
-from .spectral import EigenSet
+from .spaces import P2, DofSpace, ElementFamily, shape_gradients, shape_values
+from .sparsela import EigenResult
 
 INDICATOR_EXTRA_PAIRS = 3    # pairs past i* in the averaged indicator
 
@@ -43,9 +43,11 @@ class IndicatorField:
             raise ValueError("indicator values must be nonnegative")
 
 
-def residual_indicator(E: EigenSet, i_star: int) -> IndicatorField:
-    """Eigenpair residual indicator summed over the first
-    i* + ``INDICATOR_EXTRA_PAIRS`` pairs, divided by i*.
+def residual_indicator(space: DofSpace, E: EigenResult,
+                       i_star: int) -> IndicatorField:
+    """Eigenpair residual indicator of the ladder ``E`` of ``space``,
+    summed over the first i* + ``INDICATOR_EXTRA_PAIRS`` pairs, divided
+    by i*.
 
     Requires ``i_star >= 1`` and a ladder with at least that many pairs.
     For piecewise-linear families the volume term reduces to
@@ -54,10 +56,9 @@ def residual_indicator(E: EigenSet, i_star: int) -> IndicatorField:
     if i_star < 1:
         raise ValueError("i_star must be >= 1")
     nfun = i_star + INDICATOR_EXTRA_PAIRS
-    if len(E) < nfun:
-        raise ValueError(f"ladder has {len(E)} pairs, need {nfun}")
-    mesh = E.space.mesh
-    space = E.space
+    if len(E.values) < nfun:
+        raise ValueError(f"ladder has {len(E.values)} pairs, need {nfun}")
+    mesh = space.mesh
     hK = mesh.diameters
     G = mesh.barycentric_gradients()
 
@@ -130,12 +131,10 @@ def _laplacian_coefficients(family: ElementFamily,
     return out
 
 
-def mark_half_max(eta: IndicatorField) -> set[int]:
-    """Elements whose indicator exceeds half the maximum value."""
+def mark_half_max(eta: IndicatorField) -> np.ndarray:
+    """Ascending ids of the elements whose indicator exceeds half the
+    maximum value; none when every value is 0."""
     v = eta.values
     if len(v) == 0:
         raise ValueError("empty indicator field")
-    vmax = v.max()
-    if vmax == 0.0:
-        return set()
-    return set(np.flatnonzero(v > 0.5 * vmax).tolist())
+    return np.flatnonzero(v > 0.5 * v.max())

@@ -28,9 +28,6 @@ class BoundaryTag(enum.Enum):
 # callable evaluated at the edge midpoint.
 TagAssignment = BoundaryTag | Callable[[float, float], BoundaryTag]
 
-# BoundaryTag of each ``Mesh.edge_tag`` code (interior edges carry -1)
-_TAGS = (BoundaryTag.DIRICHLET, BoundaryTag.NEUMANN)
-
 # the largest index a mesh's int32 tables hold
 _INDEX_MAX = np.iinfo(np.int32).max
 
@@ -74,8 +71,8 @@ class Mesh:
     a triangle, and the areas and edge lengths are finite: a vertex that no
     triangle uses, or coordinates whose areas or edge lengths overflow,
     are rejected, as are two triangles on the same side of their shared
-    edge.  The tag codes of
-    ``edge_tag`` are this module's own; others read ``boundary_edges``.
+    edge.  ``dirichlet_edge_ids`` is the mesh's one record of the boundary
+    tags: every other boundary edge is Neumann.
 
     The index tables, ``triangles`` and the five of the topology, are
     int32.  They are stored after the range checks: a mesh whose vertex
@@ -133,24 +130,21 @@ class Mesh:
         # read once: boundary_edges may be a one-shot iterable
         given = list(boundary_edges)
         for _, tag in given:
-            if tag not in _TAGS:
+            if not isinstance(tag, BoundaryTag):
                 raise MeshError(f"boundary tag {tag!r} is not a BoundaryTag")
         pairs = np.array([pair for pair, _ in given],
                          dtype=np.int64).reshape(-1, 2)
-        codes = np.array([_TAGS.index(tag) for _, tag in given],
-                         dtype=np.int8)
+        dirichlet = np.array([tag is BoundaryTag.DIRICHLET
+                              for _, tag in given], dtype=bool)
         pairs.sort(axis=1)
         order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        pairs, codes = pairs[order], codes[order]
+        pairs, dirichlet = pairs[order], dirichlet[order]
         if (pairs[1:] == pairs[:-1]).all(axis=1).any():
             raise MeshError("duplicate boundary edge (conflicting tags?)")
         if not np.array_equal(pairs, self.edges[self.boundary_edge_ids]):
             raise MeshError("boundary_edges do not match the edges adjacent "
                             "to exactly one triangle")
-        self.edge_tag = np.full(len(self.edges), -1, dtype=np.int8)
-        self.edge_tag[self.boundary_edge_ids] = codes
-        self.dirichlet_edge_ids = self.boundary_edge_ids[
-            codes == _TAGS.index(BoundaryTag.DIRICHLET)]
+        self.dirichlet_edge_ids = self.boundary_edge_ids[dirichlet]
 
         if refinement_edge is None:
             self.refinement_edge = np.argmax(local_lengths,
@@ -163,9 +157,8 @@ class Mesh:
 
         for arr in (self.vertices, self.triangles, self.edges, self.tri2edge,
                     self.edge2tri, self.boundary_edge_ids,
-                    self.dirichlet_edge_ids, self.edge_tag,
-                    self.refinement_edge, self.areas, self.edge_lengths,
-                    self.diameters):
+                    self.dirichlet_edge_ids, self.refinement_edge,
+                    self.areas, self.edge_lengths, self.diameters):
             arr.flags.writeable = False
 
     # -- construction helpers -------------------------------------------
@@ -233,8 +226,10 @@ class Mesh:
     def boundary_edges(self) -> list[tuple[tuple[int, int], BoundaryTag]]:
         """Boundary edges as ((v0, v1), tag), sorted by vertex pair."""
         ids = self.boundary_edge_ids
-        return [((int(a), int(b)), _TAGS[code])
-                for (a, b), code in zip(self.edges[ids], self.edge_tag[ids])]
+        dirichlet = np.isin(ids, self.dirichlet_edge_ids)
+        return [((int(a), int(b)),
+                 BoundaryTag.DIRICHLET if d else BoundaryTag.NEUMANN)
+                for (a, b), d in zip(self.edges[ids], dirichlet)]
 
     # -- per-element maps ------------------------------------------------
 
@@ -279,7 +274,8 @@ class Mesh:
         return (self.vertices.shape == other.vertices.shape
                 and np.array_equal(self.vertices, other.vertices)
                 and np.array_equal(self.triangles, other.triangles)
-                and np.array_equal(self.edge_tag, other.edge_tag))
+                and np.array_equal(self.dirichlet_edge_ids,
+                                   other.dirichlet_edge_ids))
 
     def __repr__(self) -> str:
         return (f"Mesh(nv={self.n_vertices}, nt={self.n_triangles}, "

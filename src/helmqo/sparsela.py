@@ -611,7 +611,8 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
     ncv = max(32, b * -(-3 * m // (2 * b)))
     if n <= DENSE_EIG_LIMIT or ncv + b >= n:
         vals, X = sla.eigh(Asp.toarray(), Msp.toarray())
-        return _accept(Asp, Msp, vals[:m], X[:, :m])
+        # an owned copy, so the result does not keep all n columns alive
+        return _accept(Asp, Msp, vals[:m], X[:, :m].copy(order="F"))
     F = ldlt(A, -1.0, M)
     if F.singular:
         raise EigenSolveError("shift-invert factorization broke down; "

@@ -1,7 +1,9 @@
 """Eigenvalue ladders, the stability criterion, and guaranteed CR bounds.
 
 The central object is the ordered ladder of discrete Laplace eigenvalues on
-the free (Dirichlet-constrained) space.  A wave number k^2 placed strictly
+the free (Dirichlet-constrained) space, held as the eigensolver's
+:class:`helmqo.sparsela.EigenResult`; the functions that read the mesh
+take the space beside it.  A wave number k^2 placed strictly
 between two consecutive ladder values makes the Helmholtz bilinear form
 stable (sign-flipping coercivity) with an explicit constant; for
 Crouzeix-Raviart discretizations the ladder can additionally be enclosed by
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .spaces import CR, P2, DofSpace, ElementFamily, element_matrices
-from .sparsela import (RECOUNT_RTOL, ZERO_EIGENVALUE_TOL, EigenSolveError,
-                       count_below, eigs_smallest)
+from .spaces import CR, P2, DofSpace, element_matrices
+from .sparsela import (RECOUNT_RTOL, ZERO_EIGENVALUE_TOL, EigenResult,
+                       EigenSolveError, count_below, eigs_smallest)
 
 # the CR interpolation constant C_h / h in the lower bound; Liu proved 0.1893
 KAPPA = 0.1932
@@ -32,27 +34,6 @@ _SLICE_TRIANGLES = 512    # triangles per slice of the Gram sums
 # smallest Cholesky pivot^2 of the lifted Gram matrix, relative to its
 # largest diagonal entry, below which the lifted vectors count as dependent
 _GRAM_RTOL = 1e-8
-
-
-@dataclass
-class EigenSet:
-    """Ascending generalized eigenpairs of the constrained Laplace pencil.
-
-    ``vectors`` holds the eigenvectors as columns of free-dof coefficients,
-    in the order of the pencil; ``space.cell_values`` reads them per
-    triangle.
-    """
-
-    space: DofSpace
-    values: np.ndarray
-    vectors: np.ndarray
-
-    @property
-    def family(self) -> ElementFamily:
-        return self.space.family
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -75,9 +56,10 @@ class Criterion:
 
 
 def eigen_ladder(space: DofSpace, m: int, counts: dict[float, int],
-                 seed: int = 0) -> EigenSet:
-    """The ``m`` smallest eigenpairs (at most ``n_free``), checked against
-    the LDL^T inertia counts the caller holds.
+                 seed: int = 0) -> EigenResult:
+    """The ``m`` smallest eigenpairs (at most ``n_free``) of the space's
+    constrained pencil, as :func:`helmqo.sparsela.eigs_smallest` returns
+    them, checked against the LDL^T inertia counts the caller holds.
 
     ``counts`` maps each shift the caller reads the ladder at to its
     inertia count there (:func:`helmqo.sparsela.count_below`).  Raises
@@ -87,7 +69,7 @@ def eigen_ladder(space: DofSpace, m: int, counts: dict[float, int],
     """
     if space.n_free == 0:
         raise ValueError("space has no free degrees of freedom")
-    E = eigenpairs(space, min(m, space.n_free), seed)
+    E = eigs_smallest(*space.pencil, min(m, space.n_free), seed)
     _check_counts(E.values, counts)
     return E
 
@@ -120,13 +102,7 @@ def _check_counts(values: np.ndarray, counts: dict[float, int]) -> None:
                 f"inertia counts {count}")
 
 
-def eigenpairs(space: DofSpace, m: int, seed: int = 0) -> EigenSet:
-    """The ``m`` smallest eigenpairs of the space's constrained pencil."""
-    res = eigs_smallest(*space.pencil, m, seed)
-    return EigenSet(space, res.values, res.vectors)
-
-
-def check_criterion(E: EigenSet, k2: float, i_star: int) -> Criterion:
+def check_criterion(E: EigenResult, k2: float, i_star: int) -> Criterion:
     """Check lambda^(i*) < k^2 < lambda^(i*+1) on the ladder.
 
     ``i_star = 0`` means k^2 is expected below the whole spectrum and only
@@ -136,8 +112,9 @@ def check_criterion(E: EigenSet, k2: float, i_star: int) -> Criterion:
     """
     if i_star < 0:
         raise ValueError("i_star must be >= 0")
-    if len(E) < i_star + 1:
-        raise ValueError(f"ladder has {len(E)} pairs, need {i_star + 1}")
+    if len(E.values) < i_star + 1:
+        raise ValueError(f"ladder has {len(E.values)} pairs, "
+                         f"need {i_star + 1}")
     lam = E.values
     lambda_lo = float(lam[i_star - 1]) if i_star >= 1 else 0.0
     lambda_hi = float(lam[i_star])
@@ -187,8 +164,9 @@ def cr_certifies(bounds: list[BoundedEigen], k2: float, i: int, h):
     return ok
 
 
-def compute_bounds(E: EigenSet) -> list[BoundedEigen]:
-    """Guaranteed lower and upper bounds for a CR ladder, at every index.
+def compute_bounds(space: DofSpace, E: EigenResult) -> list[BoundedEigen]:
+    """Guaranteed lower and upper bounds for the ladder ``E`` of the CR
+    ``space``, at every index.
 
     The lower bounds are :func:`cr_lower_bound`, at the fixed ``KAPPA``.
     The upper bounds are the Ritz values of the pencil (A_2, M_2) of the
@@ -209,14 +187,14 @@ def compute_bounds(E: EigenSet) -> list[BoundedEigen]:
     ``eigs_smallest`` has already rejected anything below
     ``-ZERO_EIGENVALUE_TOL`` = -1e-7 and checked every pair's residual.
     """
-    if E.family != CR:
+    if space.family != CR:
         raise ValueError("guaranteed bounds require a Crouzeix-Raviart "
                          "ladder")
-    mesh = E.space.mesh
-    m = len(E)
+    mesh = space.mesh
+    m = len(E.values)
     G_A = np.zeros((m, m))
     G_M = np.zeros((m, m))
-    for triangles, Y in _p2_lifts(E.space, E.vectors):
+    for triangles, Y in _p2_lifts(space, E.vectors):
         Yt = Y.reshape(-1, m).T
         for G, mass in ((G_A, False), (G_M, True)):
             local = element_matrices(mesh, P2, triangles, mass)

@@ -395,14 +395,15 @@ def dense_spectrum(A, M) -> np.ndarray:
     return scipy.linalg.eigh(dense(A), dense(M), eigvals_only=True)
 
 
-def dense_ritz_upper_bounds(E) -> np.ndarray:
-    """Ritz values of the assembled P2 pencil on the span of the ladder's
-    lifted eigenvectors (:func:`loop_p2_lift`), in one dense step."""
+def dense_ritz_upper_bounds(space, E) -> np.ndarray:
+    """Ritz values of the assembled P2 pencil on the span of the lifted
+    eigenvectors (:func:`loop_p2_lift`) of the CR ladder ``E`` of
+    ``space``, in one dense step."""
     import scipy.linalg
     from helmqo.spaces import P2, build_space
-    s_p2 = build_space(E.space.mesh, P2)
+    s_p2 = build_space(space.mesh, P2)
     A2, M2 = (dense(B) for B in s_p2.pencil)
-    Z = loop_p2_lift(E.space, E.vectors)[s_p2.free_dofs]
+    Z = loop_p2_lift(space, E.vectors)[s_p2.free_dofs]
     return scipy.linalg.eigh(Z.T @ A2 @ Z, Z.T @ M2 @ Z, eigvals_only=True)
 
 
@@ -471,7 +472,7 @@ def oneshot_l2_error(u, ref) -> float:
                                    corner_geometry(fine)[0])))
 
 
-def loop_residual_indicator(E, i_star: int, extra: int):
+def loop_residual_indicator(space, E, i_star: int, extra: int):
     """``residual_indicator`` with the edge geometry rebuilt for every
     eigenfunction: edge points located by inverting each neighbour's element
     map, and the normal-gradient jump scattered twice per function."""
@@ -479,8 +480,7 @@ def loop_residual_indicator(E, i_star: int, extra: int):
     from helmqo.quadrature import edge_rule, triangle_rule
     from helmqo.spaces import shape_values
     nfun = i_star + extra
-    mesh = E.space.mesh
-    space = E.space
+    mesh = space.mesh
     areas, _, hK, _, _ = corner_geometry(mesh)
     G = inverse_jacobian_gradients(mesh)
 
@@ -488,7 +488,7 @@ def loop_residual_indicator(E, i_star: int, extra: int):
     N = shape_values(space.family, rule.points)        # (q, nloc)
     lap_coeff = _laplacian_coefficients(space.family, G)   # (nt, nloc)
 
-    interior = np.flatnonzero(mesh.edge_tag == -1)
+    interior = np.flatnonzero(mesh.edge2tri[:, 1] >= 0)
     epts, ewts = edge_rule(4)
     edge_vec = (mesh.vertices[mesh.edges[interior, 1]]
                 - mesh.vertices[mesh.edges[interior, 0]])
@@ -545,7 +545,7 @@ def _drop_pair(monkeypatch, real, pick):
     ladder without the pair at index ``pick(values)``."""
     def short(*args, **kwargs):
         E = real(*args, **kwargs)
-        keep = np.arange(len(E)) != pick(E.values)
+        keep = np.arange(len(E.values)) != pick(E.values)
         return dataclasses.replace(E, values=E.values[keep],
                                    vectors=E.vectors[:, keep])
     for name, mod in list(sys.modules.items()):
@@ -556,18 +556,18 @@ def _drop_pair(monkeypatch, real, pick):
 
 
 def drop_lowest_pair(monkeypatch):
-    """Make ``spectral.eigenpairs`` return its ladder without the lowest
-    pair."""
-    import helmqo.spectral
-    _drop_pair(monkeypatch, helmqo.spectral.eigenpairs, lambda values: 0)
+    """Make ``sparsela.eigs_smallest`` return its ladder without the
+    lowest pair."""
+    import helmqo.sparsela
+    _drop_pair(monkeypatch, helmqo.sparsela.eigs_smallest, lambda values: 0)
 
 
 def drop_first_pair_above(monkeypatch, k2: float):
-    """Make ``spectral.eigenpairs`` return its ladder without the first
+    """Make ``sparsela.eigs_smallest`` return its ladder without the first
     pair at or above ``k2``: the count at ``k2`` stays right, and a count
     at a larger shift past that pair does not."""
-    import helmqo.spectral
-    _drop_pair(monkeypatch, helmqo.spectral.eigenpairs,
+    import helmqo.sparsela
+    _drop_pair(monkeypatch, helmqo.sparsela.eigs_smallest,
                lambda values: np.searchsorted(values, k2))
 
 

@@ -61,7 +61,7 @@ def test_criterion_2_guaranteed_bounds():
     for n in (16, 32, 64):
         space = hq.build_space(hq.build_unit_square(n), hq.CR)
         E = counted_ladder(space, 1.0, extra=9)   # exactly ten pairs
-        for j, b in enumerate(hq.compute_bounds(E), start=1):
+        for j, b in enumerate(hq.compute_bounds(space, E), start=1):
             checked += 1
             if not (b.lower <= exact[j - 1] + 1e-12
                     and exact[j - 1] <= b.upper):
@@ -76,9 +76,9 @@ def test_criterion_2_guaranteed_bounds():
                      *(hq.build_unit_square_unstructured(n, seed=seed)
                        for seed in (0, 1, 2))):
             space = hq.build_space(mesh, hq.CR)
-            E = hq.eigenpairs(space, space.n_free)
+            E = hq.eigs_smallest(*space.pencil, space.n_free)
             lower = liu_lower_bounds(E.values, mesh.h)
-            for j, b in enumerate(hq.compute_bounds(E), start=1):
+            for j, b in enumerate(hq.compute_bounds(space, E), start=1):
                 lower_checked += 1
                 if not (b.lower <= lower[j - 1] <= exact[j - 1] + 1e-12
                         and exact[j - 1] <= b.upper):
@@ -199,12 +199,13 @@ def test_criterion_6_sign_flip_coercivity():
         crit = hq.check_criterion(E, k2, i_star)
         assert crit.satisfied, f"{family} n = {n}: k^2 = {k2} not bracketed"
         alpha = crit.alpha_star
-        A, M = E.space.pencil
+        A, M = space.pencil
         Ah = A.to_scipy() - k2 * M.to_scipy()
-        signs = np.where(np.arange(1, len(E) + 1) <= i_star, -1.0, 1.0)
+        signs = np.where(np.arange(1, len(E.values) + 1) <= i_star, -1.0,
+                         1.0)
         rng = np.random.default_rng(7)
         for _ in range(100):
-            c = rng.standard_normal(len(E))
+            c = rng.standard_normal(len(E.values))
             u = E.vectors @ c
             tu = E.vectors @ (signs * c)
             total += 1

@@ -6,9 +6,8 @@ tests alone; every exception ``helmqo`` re-exports is raised in the
 package.  What two helmqo modules share is public: none imports
 another's underscore name.  One function, ``spectral._check_counts``,
 checks a ladder against LDL^T inertia counts.
-The boundary tag codes in ``Mesh.edge_tag`` are ``mesh.py``'s own format,
-the full-dof numbering (``free_dofs``, ``cell_dofs``, ``cell_free``) is
-``spaces.py``'s, Liu's ``KAPPA`` is ``spectral.py``'s, and the
+The full-dof numbering (``free_dofs``, ``cell_dofs``, ``cell_free``) is
+``spaces.py``'s own, Liu's ``KAPPA`` is ``spectral.py``'s, and the
 ``--geometry`` and ``--rhs`` names are ``cli.py``'s own.  Every parameter
 with a default is passed by some call outside the tests.  Importing the
 command line does not load ``scipy.special``, building its meshes loads
@@ -200,17 +199,6 @@ def test_one_function_checks_a_ladder_against_inertia():
                       if isinstance(node, ast.FunctionDef)
                       and raises_text(node, "inertia counts"))
     assert checkers == ["spectral._check_counts"]
-
-
-def test_only_mesh_reads_edge_tag_codes():
-    # other modules read the tags as BoundaryTag members or through
-    # Mesh.dirichlet_edge_ids, so the codes can change in mesh.py alone
-    readers = sorted(str(path.relative_to(ROOT)) for path in callers()
-                     if path.name != "mesh.py" and any(
-                         isinstance(node, ast.Attribute)
-                         and node.attr == "edge_tag"
-                         for node in ast.walk(ast.parse(path.read_text()))))
-    assert not readers, f"edge_tag read outside mesh.py: {readers}"
 
 
 def test_only_spaces_reads_the_full_dof_numbering():

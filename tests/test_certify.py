@@ -12,7 +12,8 @@ from helmqo.mesh import (BoundaryTag, Mesh, build_square_with_hole,
                          build_unit_square, build_unit_square_unstructured,
                          refine_bisection, refine_uniform)
 from helmqo.spaces import CR, P1, P2, assemble_load, build_space, l2_error
-from helmqo.spectral import KAPPA, BoundedEigen, cr_lower_bound
+from helmqo.spectral import (KAPPA, BoundedEigen, cr_bound_preimage,
+                             cr_lower_bound)
 from helmqo.sparsela import (RECOUNT_RTOL, EigenSolveError, ResonanceError,
                              count_below, eigs_smallest, ldlt)
 from helmqo.certify import (GaussianBump, ProblemSpec,
@@ -126,7 +127,7 @@ class TestDirichletUnitSquare:
 
     def test_slit_passes_every_check_but_the_boundary_length(self):
         m = slit_square(4)
-        assert (m.edge_tag[m.boundary_edge_ids] == 0).all()
+        assert np.array_equal(m.dirichlet_edge_ids, m.boundary_edge_ids)
         assert m.vertices.min() == 0.0 and m.vertices.max() == 1.0
         assert m.areas.sum() == 1.0
         assert m.edge_lengths[m.boundary_edge_ids].sum() == 5.0
@@ -408,10 +409,10 @@ class TestRunGmr:
         if i:
             b = bounds[i - 1]
             threshold = min(threshold, h_max(b.lam, b.upper - (k2 - b.lam)))
-        assert marked == {t for t, d in enumerate(mesh.diameters)
-                          if d > threshold}
+        assert marked.tolist() == [t for t, d in enumerate(mesh.diameters)
+                                   if d > threshold]
         assert (len(marked) == mesh.n_triangles) == everything
-        assert marked
+        assert len(marked)
 
     def test_cr_ladder_checked_where_j_star_is_read(self, monkeypatch):
         # without the first pair above k^2 the flagship once certified
@@ -471,6 +472,27 @@ class TestCrEstimate:
         rec = rep.iterations[0]
         assert rec.index == 0 and rec.enclosure == 0.0 and rec.certified
 
+    def test_mesh_too_coarse_for_the_bound_gives_a_blank_row(self,
+                                                             monkeypatch):
+        # at h = sqrt(2)/2 the lower bound stays below 1.01 * 60 however
+        # large lambda grows: the 8-dof mesh is refined without a count or
+        # a ladder (its preimage of 60 is inf too), and the 40-dof mesh
+        # estimates j* = 6
+        factored = []
+        wrap_everywhere(monkeypatch, helmqo.sparsela.ldlt,
+                        lambda a, F: factored.append(a[0].n))
+        rep = run_gmr(ProblemSpec(CR, 60.0), build_unit_square(2),
+                      "adaptive", None, max_iters=2)
+        first, second = rep.iterations
+        h = first.h
+        assert cr_bound_preimage(60.0 * 1.01, h) == math.inf
+        assert cr_bound_preimage(60.0, h) == math.inf
+        assert first.ndof == 8 and 8 not in factored
+        assert (first.index, first.lambda_lo, first.lambda_hi,
+                first.condition, first.enclosure, first.certified) == \
+            (None,) * 5 + (False,)
+        assert second.ndof == 40 and second.index == 6
+
     def test_exhausted_ladder_gives_a_blank_row(self):
         # 8 free dofs; lam_need ~ 746 lies above all 8 CR eigenvalues
         rep = run_gmr(ProblemSpec(CR, 50.0), build_unit_square(2),
@@ -493,8 +515,8 @@ class TestCrEstimate:
         k2 = 30.0
         real = helmqo.certify.compute_bounds
 
-        def widened(E):
-            bounds = real(E)
+        def widened(space, E):
+            bounds = real(space, E)
             j = sum(b.lam < k2 for b in bounds)
             b = bounds[j - 1]
             # width (1 + excess) times the gap k^2 - lam over the lower
@@ -536,6 +558,14 @@ class TestConvergenceStudy:
         spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((1, 1, 1.0),)))
         with pytest.raises(ValueError, match="i_star must be >= 0"):
             convergence_study(spec, build_unit_square(4), 2, i_star=i_star)
+
+    @pytest.mark.parametrize("mesh", [build_unit_square(4),
+                                      build_square_with_hole(1.0, 0.5, 4)],
+                             ids=["square", "hole"])
+    def test_missing_rhs(self, mesh):
+        # on and off the unit square alike, before any reference is built
+        with pytest.raises(ValueError, match="no right-hand side"):
+            convergence_study(ProblemSpec(P1, 50.0), mesh, 1)
 
     def test_csv_schema_and_monotone_errors(self):
         spec = ProblemSpec(P1, 100.0, rhs=SineProduct(((3, 4, 1.0),)))

@@ -364,15 +364,16 @@ class TestEigCommand:
         from helmqo.certify import _fmt
         from helmqo.mesh import build_unit_square
         from helmqo.spaces import ElementFamily, build_space
-        from helmqo.spectral import compute_bounds, eigenpairs
+        from helmqo.sparsela import eigs_smallest
+        from helmqo.spectral import compute_bounds
         out = tmp_path / "eig.csv"
         res = run_cli(["eig", "--geometry", "unit-square", "--n", "12",
                        "--family", family, "--m", "4", "-o", str(out)])
         assert res.returncode == 0, res.stderr
         space = build_space(build_unit_square(12), ElementFamily(family))
-        E = eigenpairs(space, 4)
-        bounds = (compute_bounds(E) if family == "cr"
-                  else [None] * len(E))
+        E = eigs_smallest(*space.pencil, 4)
+        bounds = (compute_bounds(space, E) if family == "cr"
+                  else [None] * 4)
         rows = out.read_text().strip().splitlines()[1:]
         assert len(rows) == 4
         for i, (row, lam, b) in enumerate(zip(rows, E.values, bounds)):
@@ -423,13 +424,13 @@ class TestEigCommand:
         # 27-30 ends one eigenvalue too high, and the count just below that
         # last value finds 30, not 29
         import helmqo.cli
-        from helmqo.spectral import EigenSet, eigenpairs
+        from helmqo.sparsela import EigenResult, eigs_smallest
 
-        def dropping(space, m, seed=0):
-            E = eigenpairs(space, m + 1, seed)
+        def dropping(A, M, m, seed=0):
+            E = eigs_smallest(A, M, m + 1, seed)
             keep = np.delete(np.arange(m + 1), 27)
-            return EigenSet(space, E.values[keep], E.vectors[:, keep])
-        monkeypatch.setattr(helmqo.cli, "eigenpairs", dropping)
+            return EigenResult(E.values[keep], E.vectors[:, keep])
+        monkeypatch.setattr(helmqo.cli, "eigs_smallest", dropping)
         out = tmp_path / "eig.csv"
         code = helmqo.cli.main(["eig", "--geometry", "square-hole",
                                 "--outer", "0.75", "--inner", "0.3", "--n",

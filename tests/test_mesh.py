@@ -129,7 +129,7 @@ class TestConstructorErrors:
 
     def test_interior_edge_listed(self):
         m = self.square()
-        interior = tuple(int(v) for v in m.edges[m.edge_tag == -1][0])
+        interior = tuple(int(v) for v in m.edges[m.edge2tri[:, 1] >= 0][0])
         with pytest.raises(MeshError, match="do not match"):
             Mesh(m.vertices, m.triangles, m.boundary_edges + [(interior, D)])
 
@@ -216,7 +216,8 @@ class TestConstructorErrors:
     def test_boundary_edges_from_a_generator(self):
         m = self.square()
         g = Mesh(m.vertices, m.triangles, (x for x in m.boundary_edges))
-        assert np.array_equal(g.edge_tag, m.edge_tag)
+        assert np.array_equal(g.boundary_edge_ids, m.boundary_edge_ids)
+        assert np.array_equal(g.dirichlet_edge_ids, m.dirichlet_edge_ids)
         assert np.array_equal(g.dirichlet_vertices(), m.dirichlet_vertices())
         assert len(g.dirichlet_vertices()) == 8
 
@@ -241,8 +242,13 @@ def assert_tables_match_loops(m: Mesh):
     assert np.array_equal(m.edges, edges)
     assert np.array_equal(m.tri2edge, tri2edge)
     assert np.array_equal(m.edge2tri, edge2tri)
-    tags = loop_edge_tags(edges, m.boundary_edges)
-    assert np.array_equal(m.edge_tag, tags)
+    assert_tags_match(m, loop_edge_tags(edges, m.boundary_edges))
+
+
+def assert_tags_match(m: Mesh, tags: np.ndarray):
+    """``m``'s boundary and Dirichlet edges are those of the tag codes
+    ``tags`` (:func:`loop_edge_tags`)."""
+    assert np.array_equal(m.boundary_edge_ids, np.flatnonzero(tags >= 0))
     assert np.array_equal(m.dirichlet_edge_ids, np.flatnonzero(tags == 0))
 
 
@@ -270,8 +276,7 @@ class TestLoopOracle:
             assert m.vertices.tobytes() == vertices.tobytes()
             assert np.array_equal(m.triangles, tris)
             assert np.array_equal(m.refinement_edge, ref)
-            assert m.edge_tag.tobytes() == loop_edge_tags(
-                m.edges, boundary).tobytes()
+            assert_tags_match(m, loop_edge_tags(m.edges, boundary))
             assert_tables_match_loops(m)
 
 

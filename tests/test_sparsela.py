@@ -701,6 +701,16 @@ class TestEigsSmallestContract:
         with pytest.raises(EigenSolveError, match="residual"):
             eigs_smallest(A, M, 3)
 
+    def test_dense_path_returns_owned_vectors(self):
+        # the flagship hole's 224-dof CR pencil: 145 pairs fill the Lanczos
+        # basis, so eigh solves it and the result must not keep eigh's
+        # 224 x 224 eigenvector array alive
+        A, M = build_space(build_square_with_hole(0.75, 0.3, 10), CR).pencil
+        res = eigs_smallest(A, M, 145)
+        assert A.n == 224 and res.vectors.shape == (224, 145)
+        assert res.vectors.base is None
+        assert res.vectors.flags.f_contiguous
+
     def test_dense_path_applies_the_same_check(self):
         A, M = shifted_pencil(8, P1, 1.0)
         assert A.n <= helmqo.sparsela.DENSE_EIG_LIMIT

@@ -11,12 +11,12 @@ from helmqo.mesh import (BoundaryTag, build_square_with_hole,
                          refine_bisection)
 from helmqo.spaces import CR, P1, P2, assemble_mass, assemble_stiffness, \
     build_space
-from helmqo.sparsela import (EigenSolveError, ResonanceError,
-                             SparseSymMatrix, count_below)
-from helmqo.spectral import (KAPPA, EigenSet, check_complete,
+from helmqo.sparsela import (EigenResult, EigenSolveError, ResonanceError,
+                             SparseSymMatrix, count_below, eigs_smallest)
+from helmqo.spectral import (KAPPA, check_complete,
                              check_criterion, compute_bounds,
                              cr_bound_preimage, cr_lower_bound,
-                             eigen_ladder, eigenpairs)
+                             eigen_ladder)
 
 from conftest import (MIN_KAPPA, counted_ladder, dense,
                       dense_ritz_upper_bounds, dense_spectrum,
@@ -26,29 +26,28 @@ from conftest import (MIN_KAPPA, counted_ladder, dense,
                       traced_peak)
 
 
-def synthetic_ladder(values, family=P1, n=2):
-    """EigenSet with prescribed eigenvalues on a small real space."""
-    space = build_space(build_unit_square(n), family)
+def synthetic_ladder(values):
+    """A ladder with prescribed eigenvalues and zero eigenvectors."""
     values = np.asarray(values, dtype=float)
-    k = len(values)
-    return EigenSet(space, values, np.zeros((space.n_free, k)))
+    return EigenResult(values, np.zeros((1, len(values))))
 
 
 def square_ladder(n, k2, family=P1, extra=3):
-    return counted_ladder(build_space(build_unit_square(n), family), k2,
-                          extra)
+    """The space of the n x n square and its :func:`counted_ladder`."""
+    space = build_space(build_unit_square(n), family)
+    return space, counted_ladder(space, k2, extra)
 
 
 class TestEigenLadder:
     def test_length_at_100(self):
         # six eigenvalues below 100 (once the mesh resolves them),
         # plus extra + 1
-        E = square_ladder(32, 100.0)
-        assert len(E) == 6 + 3 + 1
+        _, E = square_ladder(32, 100.0)
+        assert len(E.values) == 6 + 3 + 1
 
     def test_coercive_regime(self):
-        E = square_ladder(8, 10.0)
-        assert len(E) == 4
+        _, E = square_ladder(8, 10.0)
+        assert len(E.values) == 4
         crit = check_criterion(E, 10.0, 0)
         assert crit.satisfied and crit.lambda_lo == 0.0
 
@@ -62,8 +61,22 @@ class TestEigenLadder:
 
     def test_length_is_m_at_most_n_free(self):
         space = build_space(build_unit_square(3), P1)    # four free dofs
-        assert len(eigen_ladder(space, 3, {})) == 3
-        assert len(eigen_ladder(space, 9, {})) == space.n_free == 4
+        assert len(eigen_ladder(space, 3, {}).values) == 3
+        assert len(eigen_ladder(space, 9, {}).values) == space.n_free == 4
+
+    def test_returns_the_solvers_result(self, monkeypatch):
+        # the ladder is the eigensolver's own result, not a copy or wrapper
+        space = build_space(build_unit_square(8), P1)
+        solved = []
+        real = helmqo.spectral.eigs_smallest
+
+        def recorded(*args):
+            solved.append(real(*args))
+            return solved[-1]
+        monkeypatch.setattr(helmqo.spectral, "eigs_smallest", recorded)
+        E = eigen_ladder(space, 5, {100.0: count_below(*space.pencil,
+                                                       100.0)})
+        assert len(solved) == 1 and E is solved[0]
 
 
 class TestLadderInertiaCheck:
@@ -79,8 +92,8 @@ class TestLadderInertiaCheck:
     def test_caller_held_count_is_checked(self):
         space = build_space(build_unit_square(8), P1)
         below = count_below(*space.pencil, 100.0)
-        assert len(eigen_ladder(space, below + 4, {100.0: below})) == \
-            below + 4
+        assert len(eigen_ladder(space, below + 4,
+                                {100.0: below}).values) == below + 4
         with pytest.raises(EigenSolveError, match="inertia counts"):
             eigen_ladder(space, below + 4, {100.0: below + 1})
 
@@ -206,18 +219,19 @@ class TestBounds:
                            rtol=0.0, atol=1e-14)
         A, M = (B.to_scipy() for B in s_cr.pencil)
         quotient = (c @ (A @ c)) / (c @ (M @ c))
-        E = EigenSet(s_cr, np.array([quotient]), c[:, None])
-        assert np.isclose(compute_bounds(E)[0].upper, quotient, rtol=1e-13)
+        E = EigenResult(np.array([quotient]), c[:, None])
+        assert np.isclose(compute_bounds(s_cr, E)[0].upper, quotient,
+                          rtol=1e-13)
 
     def test_first_upper_bound_above_exact(self):
-        E = square_ladder(32, 100.0, CR)
-        bounds = compute_bounds(E)
+        space, E = square_ladder(32, 100.0, CR)
+        bounds = compute_bounds(space, E)
         assert bounds[0].upper >= 2 * math.pi ** 2
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_first_eigenvalue_enclosure(self, n):
-        E = square_ladder(n, 30.0, CR)
-        b = compute_bounds(E)[0]
+        space, E = square_ladder(n, 30.0, CR)
+        b = compute_bounds(space, E)[0]
         assert b.lower <= 2 * math.pi ** 2 <= b.upper
 
     @pytest.mark.parametrize("mesh", ["square", "neumann-hole"])
@@ -227,23 +241,24 @@ class TestBounds:
         # triangles; the hole has a Neumann inner boundary and was bisected
         # part way
         if mesh == "square":
-            E = square_ladder(8, 100.0, CR)
+            space, E = square_ladder(8, 100.0, CR)
         else:
             m = build_square_with_hole(0.75, 0.3, 4,
                                        inner_tag=BoundaryTag.NEUMANN)
             m = refine_bisection(m, np.arange(0, m.n_triangles, 3))
-            E = eigenpairs(build_space(m, CR), 20)
-        ritz = dense_ritz_upper_bounds(E)
-        default = [b.upper for b in compute_bounds(E)]
+            space = build_space(m, CR)
+            E = eigs_smallest(*space.pencil, 20)
+        ritz = dense_ritz_upper_bounds(space, E)
+        default = [b.upper for b in compute_bounds(space, E)]
         assert np.allclose(default, ritz, rtol=1e-12, atol=0.0)
-        for width in (1, 7, E.space.mesh.n_triangles):
+        for width in (1, 7, space.mesh.n_triangles):
             monkeypatch.setattr(helmqo.spectral, "_SLICE_TRIANGLES", width)
-            uppers = [b.upper for b in compute_bounds(E)]
+            uppers = [b.upper for b in compute_bounds(space, E)]
             assert np.allclose(uppers, ritz, rtol=1e-12, atol=0.0)
             assert np.allclose(uppers, default, rtol=1e-12, atol=0.0)
 
     def test_builds_no_space_or_sparse_matrix(self, monkeypatch):
-        E = square_ladder(8, 100.0, CR)
+        space, E = square_ladder(8, 100.0, CR)
         made = []
 
         def counting(name, fn):
@@ -259,28 +274,28 @@ class TestBounds:
                 if name.startswith(("assemble_", "build_space")):
                     monkeypatch.setattr(mod, name,
                                         counting(name, getattr(mod, name)))
-        bounds = compute_bounds(E)
+        bounds = compute_bounds(space, E)
         assert made == []
-        assert len(bounds) == len(E)
+        assert len(bounds) == len(E.values)
 
     def test_dependent_eigenvectors_raise(self):
         # a repeated column spans too little for a Ritz step at every index
-        E = square_ladder(8, 100.0, CR)
+        space, E = square_ladder(8, 100.0, CR)
         E.vectors[:, 3] = E.vectors[:, 2]
         with pytest.raises(EigenSolveError, match="dependent"):
-            compute_bounds(E)
+            compute_bounds(space, E)
 
     def test_gram_slices_not_full_block(self):
         # the Gram sums hold one slice of triangles at a time, beside one
         # value per vertex and eigenvector; an assembled P2 pencil and
         # lift trace 25.6 MB here
         space = build_space(build_unit_square_unstructured(80, seed=0), CR)
-        E = eigenpairs(space, 50)
-        assert traced_peak(compute_bounds, E) < 12e6
+        E = eigs_smallest(*space.pencil, 50)
+        assert traced_peak(compute_bounds, space, E) < 12e6
 
     def test_guaranteed_lower_bounds_hold(self, square_spectrum_20):
-        E = square_ladder(16, 100.0, CR)
-        for j, b in enumerate(compute_bounds(E), start=1):
+        space, E = square_ladder(16, 100.0, CR)
+        for j, b in enumerate(compute_bounds(space, E), start=1):
             assert b.lower <= square_spectrum_20[j - 1] + 1e-12
 
 
@@ -296,12 +311,12 @@ class TestLowerBoundSoundness:
     def test_lower_below_exact_at_every_index(self, n, seed, jitter):
         mesh = jittered_square(n, seed, jitter)
         space = build_space(mesh, CR)
-        E = eigenpairs(space, space.n_free)
+        E = eigs_smallest(*space.pencil, space.n_free)
         h = mesh.h
-        exact = enumeration_spectrum(len(E))
+        exact = enumeration_spectrum(len(E.values))
         lower = liu_lower_bounds(E.values, h)
         assert (lower <= exact).all()
-        bounds = compute_bounds(E)
+        bounds = compute_bounds(space, E)
         assert (np.array([b.lower for b in bounds]) <= lower).all()
         assert (exact <= np.array([b.upper for b in bounds])).all()
 
@@ -351,8 +366,8 @@ class TestCrossValidation:
             assert crit.satisfied == (count_below(A, M, k2) == i_star)
 
     def test_conforming_one_sided(self, square_spectrum_20):
-        E = square_ladder(16, 100.0)
-        assert np.all(E.values >= square_spectrum_20[:len(E)])
+        _, E = square_ladder(16, 100.0)
+        assert np.all(E.values >= square_spectrum_20[:len(E.values)])
 
     def test_pure_neumann_constant_mode(self):
         # all-Neumann square: the ladder starts at 0 (constants) and the
@@ -371,17 +386,18 @@ class TestCrossValidation:
         # evaluate the Helmholtz form against the sign-flipped argument in
         # the discrete eigenbasis; the coercivity constant bounds it below
         k2 = 100.0
-        E = square_ladder(32, k2)
+        space, E = square_ladder(32, k2)
         i_star = int((E.values < k2).sum())
         crit = check_criterion(E, k2, i_star)
         assert crit.satisfied
         alpha = crit.alpha_star
-        A, M = E.space.pencil
+        A, M = space.pencil
         Ah = A.to_scipy() - k2 * M.to_scipy()
-        signs = np.where(np.arange(1, len(E) + 1) <= i_star, -1.0, 1.0)
+        signs = np.where(np.arange(1, len(E.values) + 1) <= i_star, -1.0,
+                         1.0)
         rng = np.random.default_rng(2)
         for _ in range(20):
-            c = rng.standard_normal(len(E))
+            c = rng.standard_normal(len(E.values))
             u = E.vectors @ c
             tu = E.vectors @ (signs * c)
             lhs = u @ (Ah @ tu)
