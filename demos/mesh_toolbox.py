@@ -24,11 +24,9 @@ hole = build_square_with_hole(2.0, 1.0, 8,
 V, E, F = hole.n_vertices, hole.n_edges, hole.n_triangles
 print(f"square with hole: {hole}")
 print(f"  Euler characteristic V - E + F = {V - E + F} (annulus: 0)")
-print(f"  boundary tags: "
-      f"{sum(1 for _, t in hole.boundary_edges if t == BoundaryTag.NEUMANN)}"
-      f" Neumann (outer), "
-      f"{sum(1 for _, t in hole.boundary_edges if t == BoundaryTag.DIRICHLET)}"
-      f" Dirichlet (hole)")
+n_dirichlet = len(hole.dirichlet_edge_ids)
+print(f"  boundary tags: {len(hole.boundary_edge_ids) - n_dirichlet} Neumann "
+      f"(outer), {n_dirichlet} Dirichlet (hole)")
 
 jittered = build_unit_square_unstructured(6, seed=0)
 print(f"unstructured square: {jittered}, min angle "

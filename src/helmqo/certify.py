@@ -102,6 +102,8 @@ class ProblemSpec:
     rhs: Rhs | None = None
 
     def __post_init__(self):
+        if not isinstance(self.family, ElementFamily):
+            raise ValueError(f"family {self.family!r} is not an ElementFamily")
         if not 0 < self.k2 < math.inf:
             raise ValueError(f"k2 must be positive and finite, got "
                              f"{self.k2!r}")

@@ -44,12 +44,6 @@ class MeshFormatError(MeshError):
         self.line = line
 
 
-def _as_tag_fn(tags: TagAssignment) -> Callable[[float, float], BoundaryTag]:
-    if isinstance(tags, BoundaryTag):
-        return lambda x, y: tags
-    return tags
-
-
 class Mesh:
     """Conforming triangulation of a polygonal 2D domain.
 
@@ -57,11 +51,12 @@ class Mesh:
     ----------
     vertices : (nv, 2) float array
     triangles : (nt, 3) int array, counter-clockwise vertex indices
-    boundary_edges : iterable of ((v0, v1), BoundaryTag)
-        Must list exactly the edges adjacent to one triangle.
+    dirichlet : (k, 2) int array-like
+        The Dirichlet edges as vertex pairs, in either order: boundary
+        edges, each once.  Every other boundary edge is Neumann.
     refinement_edge : (nt,) int array, optional
-        Local index (edge ``k`` is opposite vertex ``k``) of the edge used
-        by newest-vertex bisection.  Defaults to the longest edge.
+        Local edge 0, 1 or 2 (edge ``k`` is opposite vertex ``k``) that
+        newest-vertex bisection splits; defaults to the longest edge.
 
     Besides the topology (``edges``, ``tri2edge``, ``edge2tri``, the
     ascending ``boundary_edge_ids`` and, among them, ``dirichlet_edge_ids``)
@@ -71,8 +66,8 @@ class Mesh:
     a triangle, and the areas and edge lengths are finite: a vertex that no
     triangle uses, or coordinates whose areas or edge lengths overflow,
     are rejected, as are two triangles on the same side of their shared
-    edge.  ``dirichlet_edge_ids`` is the mesh's one record of the boundary
-    tags: every other boundary edge is Neumann.
+    edge.  ``dirichlet_edge_ids``, the ascending ids of the ``dirichlet``
+    edges, is the mesh's one record of the boundary tags.
 
     The index tables, ``triangles`` and the five of the topology, are
     int32.  They are stored after the range checks: a mesh whose vertex
@@ -81,8 +76,7 @@ class Mesh:
     index wraps.
     """
 
-    def __init__(self, vertices, triangles, boundary_edges,
-                 refinement_edge=None):
+    def __init__(self, vertices, triangles, dirichlet, refinement_edge=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         t = np.asarray(triangles, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -127,33 +121,31 @@ class Mesh:
         self.diameters = local_lengths.max(axis=1)
         self.h = float(self.diameters.max(initial=0.0))
 
-        # read once: boundary_edges may be a one-shot iterable
-        given = list(boundary_edges)
-        for _, tag in given:
-            if not isinstance(tag, BoundaryTag):
-                raise MeshError(f"boundary tag {tag!r} is not a BoundaryTag")
-        pairs = np.array([pair for pair, _ in given],
-                         dtype=np.int64).reshape(-1, 2)
-        dirichlet = np.array([tag is BoundaryTag.DIRICHLET
-                              for _, tag in given], dtype=bool)
-        pairs.sort(axis=1)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        pairs, dirichlet = pairs[order], dirichlet[order]
-        if (pairs[1:] == pairs[:-1]).all(axis=1).any():
-            raise MeshError("duplicate boundary edge (conflicting tags?)")
-        if not np.array_equal(pairs, self.edges[self.boundary_edge_ids]):
-            raise MeshError("boundary_edges do not match the edges adjacent "
-                            "to exactly one triangle")
-        self.dirichlet_edge_ids = self.boundary_edge_ids[dirichlet]
+        # each pair is looked up by its edge key a*nv + b; comparing the
+        # rows found also rejects a pair that is no edge at all
+        nv = len(self.vertices)
+        pairs = np.sort(np.asarray(dirichlet, dtype=np.int64).reshape(-1, 2),
+                        axis=1)
+        keys = self.edges[:, 0].astype(np.int64) * nv + self.edges[:, 1]
+        ids = np.searchsorted(keys, pairs[:, 0] * nv + pairs[:, 1]).clip(
+            max=len(keys) - 1)
+        self.dirichlet_edge_ids = np.unique(ids).astype(np.int32)
+        if (len(self.dirichlet_edge_ids) < len(ids)
+                or (self.edges[ids] != pairs).any()
+                or (self.edge2tri[ids, 1] >= 0).any()):
+            raise MeshError("Dirichlet edges must be boundary edges, each "
+                            "listed once")
 
         if refinement_edge is None:
             self.refinement_edge = np.argmax(local_lengths,
                                              axis=1).astype(np.int8)
         else:
-            self.refinement_edge = np.ascontiguousarray(refinement_edge,
-                                                        dtype=np.int8)
-            if self.refinement_edge.shape != (len(t),):
-                raise MeshError("refinement_edge has wrong length")
+            # checked before the int8 cast, which would wrap 258 to 2
+            r = np.asarray(refinement_edge)
+            if r.shape != (len(t),) or not np.isin(r, (0, 1, 2)).all():
+                raise MeshError("refinement_edge must hold 0, 1 or 2 per "
+                                "triangle")
+            self.refinement_edge = np.ascontiguousarray(r, dtype=np.int8)
 
         for arr in (self.vertices, self.triangles, self.edges, self.tri2edge,
                     self.edge2tri, self.boundary_edge_ids,
@@ -170,15 +162,17 @@ class Mesh:
         """Build a mesh deriving boundary edges and tagging them via `tags`."""
         vertices = np.asarray(vertices, dtype=np.float64)
         triangles = np.asarray(triangles, dtype=np.int64)
-        tag_fn = _as_tag_fn(tags)
         _check_vertex_range(triangles, len(vertices))
         edges, _, counts = _edge_table(triangles,
                                        int(triangles.max(initial=0)) + 1)
         pairs = edges[counts == 1]
-        mids = vertices[pairs].mean(axis=1)
-        boundary = [((int(a), int(b)), tag_fn(mx, my))
-                    for (a, b), (mx, my) in zip(pairs, mids)]
-        return cls(vertices, triangles, boundary)
+        tagged = [tags if isinstance(tags, BoundaryTag) else tags(mx, my)
+                  for mx, my in vertices[pairs].mean(axis=1)]
+        for tag in tagged:
+            if not isinstance(tag, BoundaryTag):
+                raise MeshError(f"boundary tag {tag!r} is not a BoundaryTag")
+        return cls(vertices, triangles,
+                   pairs[[tag is BoundaryTag.DIRICHLET for tag in tagged]])
 
     def _build_edge_table(self):
         t = self.triangles
@@ -221,15 +215,6 @@ class Mesh:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def boundary_edges(self) -> list[tuple[tuple[int, int], BoundaryTag]]:
-        """Boundary edges as ((v0, v1), tag), sorted by vertex pair."""
-        ids = self.boundary_edge_ids
-        dirichlet = np.isin(ids, self.dirichlet_edge_ids)
-        return [((int(a), int(b)),
-                 BoundaryTag.DIRICHLET if d else BoundaryTag.NEUMANN)
-                for (a, b), d in zip(self.edges[ids], dirichlet)]
 
     # -- per-element maps ------------------------------------------------
 
@@ -459,9 +444,10 @@ def build_square_with_hole(outer: float, inner: float, n: int = 16,
 def _split_edges(m: Mesh, marked_edge: np.ndarray):
     """Midpoints of the marked edges appended to the vertices.
 
-    Returns ``(vertices, new_of_edge, boundary)``: ``new_of_edge`` maps an
-    edge to its midpoint vertex (-1 if unsplit), and ``boundary`` lists the
-    boundary edges of the refined mesh, halves inheriting the parent's tag.
+    Returns ``(vertices, new_of_edge, dirichlet)``: ``new_of_edge`` maps an
+    edge to its midpoint vertex (-1 if unsplit), and ``dirichlet`` pairs
+    the Dirichlet edges of the refined mesh: the parent's unsplit ones
+    (a, b) and the halves (a, m) and (m, b) of its split ones.
     """
     nv = m.n_vertices
     split_ids = np.flatnonzero(marked_edge)
@@ -469,14 +455,11 @@ def _split_edges(m: Mesh, marked_edge: np.ndarray):
     new_of_edge[split_ids] = nv + np.arange(len(split_ids))
     mids = 0.5 * (m.vertices[m.edges[split_ids, 0]]
                   + m.vertices[m.edges[split_ids, 1]])
-    boundary = []
-    for e, ((va, vb), tag) in zip(m.boundary_edge_ids, m.boundary_edges):
-        if marked_edge[e]:
-            vm = int(new_of_edge[e])
-            boundary += [((va, vm), tag), ((vm, vb), tag)]
-        else:
-            boundary.append(((va, vb), tag))
-    return np.vstack([m.vertices, mids]), new_of_edge, boundary
+    d = m.dirichlet_edge_ids
+    (a, b), vm = m.edges[d].T, new_of_edge[d]
+    dirichlet = np.vstack([np.column_stack([a, np.where(vm >= 0, vm, b)]),
+                           np.column_stack([vm, b])[vm >= 0]])
+    return np.vstack([m.vertices, mids]), new_of_edge, dirichlet
 
 
 def refine_uniform(m: Mesh) -> Mesh:
@@ -486,7 +469,7 @@ def refine_uniform(m: Mesh) -> Mesh:
     mesh and the parent's vertices keep their indices, so uniform families
     are nested with a trivial ancestry map.
     """
-    vertices, new_of_edge, boundary = _split_edges(
+    vertices, new_of_edge, dirichlet = _split_edges(
         m, np.ones(m.n_edges, dtype=bool))
     a, b, c = m.triangles.T
     m0, m1, m2 = new_of_edge[m.tri2edge].T
@@ -495,7 +478,7 @@ def refine_uniform(m: Mesh) -> Mesh:
     tris[1::4] = np.column_stack([b, m0, m2])
     tris[2::4] = np.column_stack([c, m1, m0])
     tris[3::4] = np.column_stack([m0, m1, m2])
-    return Mesh(vertices, tris, boundary)
+    return Mesh(vertices, tris, dirichlet)
 
 
 def refine_bisection(m: Mesh, marked: Iterable[int] | np.ndarray) -> Mesh:
@@ -523,7 +506,7 @@ def refine_bisection(m: Mesh, marked: Iterable[int] | np.ndarray) -> Mesh:
             break
         marked_edge[ref_glob[need]] = True
 
-    vertices, new_of_edge, boundary = _split_edges(m, marked_edge)
+    vertices, new_of_edge, dirichlet = _split_edges(m, marked_edge)
 
     # rotate each triangle so its refinement edge is opposite local vertex 0
     rot = (m.refinement_edge[:, None] + np.arange(3)) % 3
@@ -548,7 +531,7 @@ def refine_bisection(m: Mesh, marked: Iterable[int] | np.ndarray) -> Mesh:
             (split0 & ~split1, second, (p, m0, vb), 1)):
         tris[slot[mask]] = np.column_stack([c[mask] for c in child])
         refinement_edge[slot[mask]] = ref
-    return Mesh(vertices, tris, boundary, refinement_edge)
+    return Mesh(vertices, tris, dirichlet, refinement_edge)
 
 
 # -- serialization --------------------------------------------------------
@@ -565,9 +548,10 @@ def write_mesh(m: Mesh) -> str:
     lines.append(f"$Triangles {m.n_triangles}")
     for a, b, c in m.triangles:
         lines.append(f"{a} {b} {c}")
-    bedges = m.boundary_edges
-    lines.append(f"$BoundaryEdges {len(bedges)}")
-    for (a, b), tag in bedges:
+    ids = m.boundary_edge_ids
+    lines.append(f"$BoundaryEdges {len(ids)}")
+    for (a, b), d in zip(m.edges[ids], np.isin(ids, m.dirichlet_edge_ids)):
+        tag = BoundaryTag.DIRICHLET if d else BoundaryTag.NEUMANN
         lines.append(f"{a} {b} {tag.value}")
     return "\n".join(lines) + "\n"
 
@@ -642,8 +626,9 @@ def read_mesh(text: str) -> Mesh:
         triangles[i] = row
 
     nb = expect_header("BoundaryEdges")
-    boundary = []
-    for lineno, parts in take(nb, 3, "boundary edge"):
+    pairs = np.empty((nb, 2), dtype=np.int64)
+    dirichlet = np.empty(nb, dtype=bool)
+    for i, (lineno, parts) in enumerate(take(nb, 3, "boundary edge")):
         try:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
@@ -657,8 +642,14 @@ def read_mesh(text: str) -> Mesh:
         except ValueError:
             raise MeshFormatError(f"unknown boundary tag {parts[2]!r} "
                                   "(expected D or N)", lineno)
-        boundary.append(((a, b), tag))
+        pairs[i], dirichlet[i] = (a, b), tag is BoundaryTag.DIRICHLET
     if pos != len(stripped):
         raise MeshFormatError("trailing content after $BoundaryEdges section",
                               stripped[pos][0])
-    return Mesh(vertices, triangles, boundary)
+    m = Mesh(vertices, triangles, pairs[dirichlet])
+    # the mesh keeps the D edges; the file lists each boundary edge once
+    listed = np.sort(pairs, axis=1)
+    listed = listed[np.lexsort(listed.T[::-1])]
+    if not np.array_equal(listed, m.edges[m.boundary_edge_ids]):
+        raise MeshError("$BoundaryEdges must list each boundary edge once")
+    return m

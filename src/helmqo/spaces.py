@@ -117,6 +117,9 @@ class DofSpace:
     """
 
     def __init__(self, mesh: Mesh, family: ElementFamily):
+        # every branch below reads a family that is not P1 or CR as P2
+        if not isinstance(family, ElementFamily):
+            raise ValueError(f"family {family!r} is not an ElementFamily")
         self.mesh = mesh
         self.family = family
         nv, ne = mesh.n_vertices, mesh.n_edges

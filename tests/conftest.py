@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from helmqo.mesh import BoundaryTag
+from helmqo.mesh import BoundaryTag, build_unit_square, write_mesh
 
 # property tests are reproducible and untimed; each sets its max_examples
 settings.register_profile("helmqo", derandomize=True, database=None,
@@ -178,22 +178,37 @@ def loop_edge_table(triangles: np.ndarray):
     return edges, tri2edge, edge2tri
 
 
-def loop_edge_tags(edges: np.ndarray, boundary) -> np.ndarray:
-    """Tag code per edge (0 Dirichlet, 1 Neumann, -1 interior) by lookup."""
+def loop_edge_tags(edges: np.ndarray, edge2tri: np.ndarray,
+                   dirichlet) -> np.ndarray:
+    """Tag code per edge (0 Dirichlet, 1 Neumann, -1 interior): an edge of
+    one triangle is Neumann unless the vertex pairs ``dirichlet`` name it."""
     key = {tuple(e): i for i, e in enumerate(edges.tolist())}
-    tags = np.full(len(edges), -1, dtype=np.int8)
-    for (a, b), tag in boundary:
-        tags[key[(min(a, b), max(a, b))]] = (
-            0 if tag == BoundaryTag.DIRICHLET else 1)
+    tags = np.where(edge2tri[:, 1] < 0, 1, -1).astype(np.int8)
+    for a, b in dirichlet:
+        tags[key[(min(a, b), max(a, b))]] = 0
     return tags
+
+
+def boundary_section_case(case: str, tag: str) -> str:
+    """The file of ``build_unit_square(1)`` with its four boundary edges
+    tagged ``tag`` and its $BoundaryEdges section broken by ``case``: the
+    first edge again, the last one left out, the diagonal (0, 3) added, or
+    the first edge again with the other tag."""
+    head, section = write_mesh(build_unit_square(1)).split("$BoundaryEdges")
+    rows = [line[:-1] + tag for line in section.splitlines()[1:]]
+    other = "N" if tag == "D" else "D"
+    rows = {"duplicate": rows + rows[:1], "missing": rows[:-1],
+            "interior": rows + [f"3 0 {tag}"],
+            "conflicting": rows + [rows[0][:-1] + other]}[case]
+    return f"{head}$BoundaryEdges {len(rows)}\n" + "\n".join(rows) + "\n"
 
 
 def loop_refine_bisection(m, marked):
     """Newest-vertex bisection one triangle at a time.
 
-    Returns ``(vertices, triangles, refinement_edge, boundary_edges)`` of
-    the refined mesh, children in parent order, using only the parent's
-    edge table.
+    Returns ``(vertices, triangles, refinement_edge, dirichlet)`` of the
+    refined mesh, children in parent order, using only the parent's edge
+    table; ``dirichlet`` lists the Dirichlet edges as vertex pairs.
     """
     marked = np.asarray(sorted(set(int(t) for t in marked)), dtype=np.int64)
     marked_edge = np.zeros(m.n_edges, dtype=bool)
@@ -241,15 +256,16 @@ def loop_refine_bisection(m, marked):
             out_tris.append([p, m0, vb])
             out_ref.append(1)
 
-    boundary = []
-    for e, ((va, vb), tag) in zip(m.boundary_edge_ids, m.boundary_edges):
+    dirichlet = []
+    for e in m.dirichlet_edge_ids:
+        va, vb = (int(v) for v in m.edges[e])
         if marked_edge[e]:
             vm = int(new_of_edge[e])
-            boundary += [((va, vm), tag), ((vm, vb), tag)]
+            dirichlet += [(va, vm), (vm, vb)]
         else:
-            boundary.append(((va, vb), tag))
+            dirichlet.append((va, vb))
     return (vertices, np.array(out_tris, dtype=np.int64),
-            np.array(out_ref, dtype=np.int8), boundary)
+            np.array(out_ref, dtype=np.int8), dirichlet)
 
 
 def corner_geometry(mesh):

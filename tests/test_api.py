@@ -7,12 +7,14 @@ package.  What two helmqo modules share is public: none imports
 another's underscore name.  One function, ``spectral._check_counts``,
 checks a ladder against LDL^T inertia counts.
 The full-dof numbering (``free_dofs``, ``cell_dofs``, ``cell_free``) is
-``spaces.py``'s own, Liu's ``KAPPA`` is ``spectral.py``'s, and the
-``--geometry`` and ``--rhs`` names are ``cli.py``'s own.  Every parameter
-with a default is passed by some call outside the tests.  Importing the
-command line does not load ``scipy.special``, building its meshes loads
-neither it nor ``scipy.spatial``, and ``helmqo`` imports no SciPy module
-but its linear algebra and sparse ones."""
+``spaces.py``'s own, Liu's ``KAPPA`` is ``spectral.py``'s, the
+``--geometry`` and ``--rhs`` names are ``cli.py``'s own, and only
+``mesh.py`` calls ``Mesh(...)`` or spells ``BoundaryTag.DIRICHLET`` and
+``BoundaryTag.NEUMANN``.  Every parameter with a default is passed by some
+call outside the tests.  Importing the command line does not load
+``scipy.special``, building its meshes loads neither it nor
+``scipy.spatial``, and ``helmqo`` imports no SciPy module but its linear
+algebra and sparse ones."""
 
 import ast
 import importlib
@@ -213,6 +215,21 @@ def test_only_spaces_reads_the_full_dof_numbering():
                                        "cell_free"})
     assert not readers, f"full-dof numbering read outside spaces.py: " \
         f"{readers}"
+
+
+def test_only_mesh_builds_a_mesh_and_spells_its_tags():
+    # other modules take meshes from mesh.py's builders, refinements and
+    # reader, and read the tags through dirichlet_edge_ids, so the boundary
+    # record can change in mesh.py alone
+    found = sorted(f"{path.name}: {ast.unparse(node)}"
+                   for path in modules() if path.name != "mesh.py"
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "id",
+                               getattr(node.func, "attr", None)) == "Mesh"
+                   or isinstance(node, ast.Attribute)
+                   and node.attr in {"DIRICHLET", "NEUMANN"})
+    assert not found, f"Mesh built or tags spelled outside mesh.py: {found}"
 
 
 def test_only_spectral_spells_kappa():

@@ -60,7 +60,7 @@ D, N = BoundaryTag.DIRICHLET, BoundaryTag.NEUMANN
 def moved(mesh, scale=1.0, shift=(0.0, 0.0)):
     """``mesh`` with its vertices scaled, then shifted; tags kept."""
     return Mesh(mesh.vertices * scale + shift, mesh.triangles,
-                mesh.boundary_edges)
+                mesh.edges[mesh.dirichlet_edge_ids])
 
 
 def slit_square(n):
@@ -550,6 +550,13 @@ class TestProblemSpec:
     def test_rejects_k2_outside_positive_finite(self, k2):
         with pytest.raises(ValueError, match="positive and finite"):
             ProblemSpec(P1, k2)
+
+    @pytest.mark.parametrize("family", ["cr", "p1", None])
+    def test_rejects_a_family_that_is_not_an_element_family(self, family):
+        # "cr" once reached run_gmr, which answered that an adaptive run
+        # without --istar requires the Crouzeix-Raviart family
+        with pytest.raises(ValueError, match="is not an ElementFamily"):
+            ProblemSpec(family, 10.0)
 
 
 class TestConvergenceStudy:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cli_choices, dense_spectrum
+from conftest import boundary_section_case, cli_choices, dense_spectrum
 from helmqo.certify import GaussianBump, SineProduct
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -146,6 +146,15 @@ class TestMeshCommand:
         res = run_cli(["mesh", "--validate", str(bad)])
         assert res.returncode == 3
         assert "line 5" in res.stderr
+
+    @pytest.mark.parametrize("case", ["duplicate", "missing", "interior",
+                                      "conflicting"])
+    def test_boundary_section_not_the_boundary_exit_3(self, tmp_path, case):
+        bad = tmp_path / "bad.mesh"
+        bad.write_text(boundary_section_case(case, "N"))
+        res = run_cli(["mesh", "--validate", str(bad)])
+        assert res.returncode == 3
+        assert "boundary edge" in res.stderr
 
     def test_missing_file_exit_3(self):
         res = run_cli(["mesh", "--validate", "/nonexistent.mesh"])

@@ -95,7 +95,7 @@ class TestResidualIndicator:
     def test_permutation_equivariance(self):
         m = build_unit_square(3)
         perm = np.random.default_rng(1).permutation(m.n_triangles)
-        m2 = Mesh(m.vertices, m.triangles[perm], m.boundary_edges,
+        m2 = Mesh(m.vertices, m.triangles[perm], m.edges[m.dirichlet_edge_ids],
                   m.refinement_edge[perm])
         s1 = build_space(m, P1)
         s2 = build_space(m2, P1)
@@ -167,7 +167,7 @@ def rotate_vertices(m: Mesh, shifts: np.ndarray) -> Mesh:
     """``m`` with triangle t's vertex list rotated by ``shifts[t]``."""
     idx = (np.arange(3) + shifts[:, None]) % 3
     return Mesh(m.vertices, np.take_along_axis(m.triangles, idx, axis=1),
-                m.boundary_edges,
+                m.edges[m.dirichlet_edge_ids],
                 ((m.refinement_edge - shifts) % 3).astype(np.int8))
 
 

@@ -12,15 +12,17 @@ from helmqo.mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
                          read_mesh, refine_bisection, refine_uniform,
                          write_mesh)
 
-from conftest import (corner_geometry, jittered_square, loop_edge_table,
-                      loop_edge_tags, loop_refine_bisection)
+from conftest import (boundary_section_case, corner_geometry,
+                      jittered_square, loop_edge_table, loop_edge_tags,
+                      loop_refine_bisection)
 
 D, N = BoundaryTag.DIRICHLET, BoundaryTag.NEUMANN
+DIRICHLET_MESSAGE = "Dirichlet edges must be boundary edges, each listed once"
 
 
 def assert_valid(m: Mesh):
     """Re-derive the edge table and check the conformity invariants."""
-    rebuilt = Mesh(m.vertices, m.triangles, m.boundary_edges,
+    rebuilt = Mesh(m.vertices, m.triangles, dirichlet_pairs(m),
                    m.refinement_edge)
     assert np.array_equal(rebuilt.edges, m.edges)
     assert np.array_equal(rebuilt.tri2edge, m.tri2edge)
@@ -32,12 +34,24 @@ def assert_valid(m: Mesh):
     assert (m.areas > 0).all()
 
 
+def dirichlet_pairs(m: Mesh) -> np.ndarray:
+    """``m``'s Dirichlet edges as vertex pairs, the constructor's input."""
+    return m.edges[m.dirichlet_edge_ids]
+
+
+def assert_dirichlet_pairs(m: Mesh, pairs):
+    """``m``'s Dirichlet edges are the vertex pairs ``pairs``, each taken
+    in either order."""
+    want = np.unique(np.sort(np.reshape(pairs, (-1, 2)), axis=1), axis=0)
+    assert np.array_equal(dirichlet_pairs(m), want)
+
+
 class TestBuilders:
     def test_minimal_split(self):
         m = build_unit_square(1)
         assert m.n_triangles == 2
         assert m.n_vertices == 4
-        assert len(m.boundary_edges) == 4
+        assert len(m.boundary_edge_ids) == 4
 
     def test_counting(self):
         m = build_unit_square(4)
@@ -53,7 +67,7 @@ class TestBuilders:
 
     def test_default_all_dirichlet(self):
         m = build_unit_square(3)
-        assert all(tag == D for _, tag in m.boundary_edges)
+        assert np.array_equal(m.dirichlet_edge_ids, m.boundary_edge_ids)
 
     def test_hole_euler_characteristic(self):
         m = build_square_with_hole(2.0, 1.0, 4)
@@ -66,9 +80,10 @@ class TestBuilders:
     def test_hole_tag_split_inherited(self):
         m = build_square_with_hole(2.0, 1.0, 8, outer_tag=N, inner_tag=D)
         r = refine_uniform(m)
-        for (a, b), tag in r.boundary_edges:
-            on_outer = np.abs(r.vertices[[a, b]]).max() >= 1.0 - 1e-12
-            assert tag == (N if on_outer else D)
+        ids = r.boundary_edge_ids
+        on_outer = (np.abs(r.vertices[r.edges[ids]]).max(axis=(1, 2))
+                    >= 1.0 - 1e-12)
+        assert np.array_equal(ids[~on_outer], r.dirichlet_edge_ids)
 
     def test_hole_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -105,7 +120,9 @@ class TestBuilders:
             assert np.array_equal(m.vertices, qhull.vertices)
             assert ({tuple(sorted(t)) for t in m.triangles.tolist()}
                     == {tuple(sorted(t)) for t in qhull.triangles.tolist()})
-            assert m.boundary_edges == qhull.boundary_edges
+            for ids in ("boundary_edge_ids", "dirichlet_edge_ids"):
+                assert np.array_equal(m.edges[getattr(m, ids)],
+                                      qhull.edges[getattr(qhull, ids)])
 
 
 class TestConstructorErrors:
@@ -114,24 +131,34 @@ class TestConstructorErrors:
 
     def test_duplicate_boundary_edge(self):
         m = self.square()
-        (a, b), _ = m.boundary_edges[0]
-        with pytest.raises(MeshError, match="duplicate boundary edge"):
-            Mesh(m.vertices, m.triangles, m.boundary_edges + [((b, a), N)])
+        (a, b), *_ = dirichlet_pairs(m)
+        with pytest.raises(MeshError, match=DIRICHLET_MESSAGE):
+            Mesh(m.vertices, m.triangles, [*dirichlet_pairs(m), (b, a)])
 
     def test_no_triangles(self):
         with pytest.raises(MeshError, match="at least one triangle"):
             Mesh(np.zeros((0, 2)), np.zeros((0, 3), dtype=int), [])
 
-    def test_missing_boundary_edge(self):
-        m = self.square()
-        with pytest.raises(MeshError, match="do not match"):
-            Mesh(m.vertices, m.triangles, m.boundary_edges[1:])
-
     def test_interior_edge_listed(self):
         m = self.square()
-        interior = tuple(int(v) for v in m.edges[m.edge2tri[:, 1] >= 0][0])
-        with pytest.raises(MeshError, match="do not match"):
-            Mesh(m.vertices, m.triangles, m.boundary_edges + [(interior, D)])
+        a, b = m.edges[m.edge2tri[:, 1] >= 0][0]
+        with pytest.raises(MeshError, match=DIRICHLET_MESSAGE):
+            Mesh(m.vertices, m.triangles, [*dirichlet_pairs(m), (b, a)])
+
+    @pytest.mark.parametrize("pair", [(0, 8), (0, 9), (-1, 0), (0, 0)],
+                             ids=["no-edge", "no-vertex", "negative", "loop"])
+    def test_dirichlet_pair_that_is_no_edge(self, pair):
+        m = self.square()
+        with pytest.raises(MeshError, match=DIRICHLET_MESSAGE):
+            Mesh(m.vertices, m.triangles, [pair])
+
+    def test_unlisted_boundary_edges_are_neumann(self):
+        m = self.square()
+        pairs = dirichlet_pairs(m)
+        for given in ([], pairs[::2], pairs[::-1, ::-1]):
+            r = Mesh(m.vertices, m.triangles, given)
+            assert_dirichlet_pairs(r, given)
+            assert r.dirichlet_edge_ids.dtype == np.int32
 
     def test_edge_shared_by_three_triangles(self):
         vertices = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
@@ -153,7 +180,7 @@ class TestConstructorErrors:
         with pytest.raises(MeshError, match=r"triangles 0 and 1 overlap "
                                             r"across their shared edge"
                                             r" \(0, 1\)"):
-            Mesh(vertices, triangles, [(pair, D) for pair in boundary])
+            Mesh(vertices, triangles, boundary)
         sections = {"Vertices": vertices, "Triangles": triangles,
                     "BoundaryEdges": [(*pair, "D") for pair in boundary]}
         text = "".join(f"${name} {len(rows)}\n"
@@ -177,7 +204,7 @@ class TestConstructorErrors:
         m = build_unit_square(6)
         with pytest.raises(MeshError, match="vertex 49 is in no triangle"):
             Mesh(np.vstack([m.vertices, [0.5, 0.5]]), m.triangles,
-                 m.boundary_edges)
+                 dirichlet_pairs(m))
         head, rest = write_mesh(m).split("$Triangles")
         text = (head.replace("$Vertices 49", "$Vertices 50")
                 + "0.5 0.5\n$Triangles" + rest)
@@ -197,29 +224,28 @@ class TestConstructorErrors:
 
     def test_unknown_boundary_tag(self):
         m = self.square()
-        (pair, _), *rest = m.boundary_edges
-        with pytest.raises(MeshError, match="'D' is not a BoundaryTag"):
-            Mesh(m.vertices, m.triangles, [(pair, "D"), *rest])
-        with pytest.raises(MeshError, match="is not a BoundaryTag"):
+        with pytest.raises(MeshError, match="None is not a BoundaryTag"):
             Mesh.from_triangulation(m.vertices, m.triangles,
                                     lambda x, y: None)
+
+    @pytest.mark.parametrize("value", [5, -1, 258])
+    def test_refinement_edge_out_of_range(self, value):
+        # 5 once reached refine_bisection as an IndexError, -1 picked
+        # edge 2, and 258 wrapped to 2 in the int8 cast
+        m = self.square()
+        ref = np.zeros(m.n_triangles, dtype=np.int64)
+        ref[3] = value
+        with pytest.raises(MeshError, match="must hold 0, 1 or 2"):
+            Mesh(m.vertices, m.triangles, dirichlet_pairs(m), ref)
 
     def test_too_large_for_int32_index_tables(self, monkeypatch):
         # 9 vertices and 8 triangles: 9 + 3 * 8 = 33 > 32
         m = self.square()
         monkeypatch.setattr(helmqo.mesh, "_INDEX_MAX", 32)
         with pytest.raises(MeshError, match="too large for int32"):
-            Mesh(m.vertices, m.triangles, m.boundary_edges)
+            Mesh(m.vertices, m.triangles, dirichlet_pairs(m))
         monkeypatch.setattr(helmqo.mesh, "_INDEX_MAX", 33)
-        assert Mesh(m.vertices, m.triangles, m.boundary_edges) == m
-
-    def test_boundary_edges_from_a_generator(self):
-        m = self.square()
-        g = Mesh(m.vertices, m.triangles, (x for x in m.boundary_edges))
-        assert np.array_equal(g.boundary_edge_ids, m.boundary_edge_ids)
-        assert np.array_equal(g.dirichlet_edge_ids, m.dirichlet_edge_ids)
-        assert np.array_equal(g.dirichlet_vertices(), m.dirichlet_vertices())
-        assert len(g.dirichlet_vertices()) == 8
+        assert Mesh(m.vertices, m.triangles, dirichlet_pairs(m)) == m
 
 
 @st.composite
@@ -242,7 +268,7 @@ def assert_tables_match_loops(m: Mesh):
     assert np.array_equal(m.edges, edges)
     assert np.array_equal(m.tri2edge, tri2edge)
     assert np.array_equal(m.edge2tri, edge2tri)
-    assert_tags_match(m, loop_edge_tags(edges, m.boundary_edges))
+    assert_tags_match(m, loop_edge_tags(edges, edge2tri, dirichlet_pairs(m)))
 
 
 def assert_tags_match(m: Mesh, tags: np.ndarray):
@@ -271,13 +297,51 @@ class TestLoopOracle:
                 data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
             marked = set(np.flatnonzero(rng.random(m.n_triangles) < frac)
                          .tolist()) | {int(rng.integers(m.n_triangles))}
-            vertices, tris, ref, boundary = loop_refine_bisection(m, marked)
+            vertices, tris, ref, dirichlet = loop_refine_bisection(m, marked)
             m = refine_bisection(m, marked)
             assert m.vertices.tobytes() == vertices.tobytes()
             assert np.array_equal(m.triangles, tris)
             assert np.array_equal(m.refinement_edge, ref)
-            assert_tags_match(m, loop_edge_tags(m.edges, boundary))
+            assert_tags_match(m, loop_edge_tags(m.edges, m.edge2tri,
+                                                dirichlet))
             assert_tables_match_loops(m)
+
+
+@st.composite
+def two_sided_meshes(draw):
+    """Jittered squares whose Dirichlet and Neumann sides a drawn line
+    x + y = c parts, and holes with drawn inner and outer tags."""
+    if draw(st.booleans()):
+        cut = draw(st.floats(0.2, 1.8), label="cut")
+        return build_unit_square_unstructured(
+            draw(st.integers(2, 6), label="n"),
+            draw(st.integers(0, 2 ** 16), label="seed"),
+            lambda x, y: D if x + y < cut else N)
+    return build_square_with_hole(
+        2.0, draw(st.sampled_from([0.5, 1.0])), draw(st.integers(4, 8)),
+        outer_tag=draw(st.sampled_from([D, N]), label="outer"),
+        inner_tag=draw(st.sampled_from([D, N]), label="inner"))
+
+
+class TestDirichletRecord:
+    @settings(max_examples=25)
+    @given(m=two_sided_meshes(), data=st.data())
+    def test_refinement_keeps_dirichlet_edges_and_their_halves(self, m,
+                                                                data):
+        # with every triangle marked, the loop splits every edge, as red
+        # refinement does, and numbers the midpoints alike
+        red = refine_uniform(m)
+        vertices, _, _, dirichlet = loop_refine_bisection(
+            m, range(m.n_triangles))
+        assert red.vertices.tobytes() == vertices.tobytes()
+        assert_dirichlet_pairs(red, dirichlet)
+        marked = data.draw(st.sets(st.integers(0, m.n_triangles - 1),
+                                   min_size=1), label="marked")
+        bisected = refine_bisection(m, marked)
+        assert_dirichlet_pairs(bisected,
+                               loop_refine_bisection(m, marked)[3])
+        for r in (m, red, bisected):
+            assert read_mesh(write_mesh(r)) == r
 
 
 class TestUniformRefinement:
@@ -307,10 +371,10 @@ class TestUniformRefinement:
         assert_valid(r)
         # Dirichlet point coverage is preserved: parent endpoints still lie
         # on Dirichlet-tagged child edges
-        d_before = {tuple(m.vertices[v]) for (a, b), t in m.boundary_edges
-                    if t == D for v in (a, b)}
-        d_after = {tuple(r.vertices[v]) for (a, b), t in r.boundary_edges
-                   if t == D for v in (a, b)}
+        d_before = {tuple(p) for p in m.vertices[m.dirichlet_vertices()]
+                    .tolist()}
+        d_after = {tuple(p) for p in r.vertices[r.dirichlet_vertices()]
+                   .tolist()}
         assert d_before <= d_after
 
 
@@ -352,10 +416,10 @@ class TestBisection:
     def test_boundary_tags_preserved(self):
         m = build_square_with_hole(2.0, 1.0, 4, outer_tag=N, inner_tag=D)
         r = refine_bisection(m, {0, 5, 7})
-        d_before = {tuple(m.vertices[v]) for (a, b), t in m.boundary_edges
-                    if t == D for v in (a, b)}
-        d_after = {tuple(r.vertices[v]) for (a, b), t in r.boundary_edges
-                   if t == D for v in (a, b)}
+        d_before = {tuple(p) for p in m.vertices[m.dirichlet_vertices()]
+                    .tolist()}
+        d_after = {tuple(p) for p in r.vertices[r.dirichlet_vertices()]
+                   .tolist()}
         assert d_before <= d_after
 
 
@@ -474,6 +538,20 @@ class TestSerialization:
         with pytest.raises(MeshFormatError) as exc:
             read_mesh(text)
         assert exc.value.line == 8
+
+    @pytest.mark.parametrize("tag", ["D", "N"])
+    @pytest.mark.parametrize("case", ["duplicate", "missing", "interior",
+                                      "conflicting"])
+    def test_boundary_section_lists_each_boundary_edge_once(self, case,
+                                                             tag):
+        # the constructor takes the Dirichlet edges alone and rejects a D
+        # edge listed twice or an interior one; the reader rejects every
+        # other section that is not exactly the boundary, each edge once
+        by_constructor = tag == "D" and case in ("duplicate", "interior")
+        message = (DIRICHLET_MESSAGE if by_constructor else
+                   r"\$BoundaryEdges must list each boundary edge once")
+        with pytest.raises(MeshError, match=message):
+            read_mesh(boundary_section_case(case, tag))
 
     def test_malformed_header(self):
         with pytest.raises(MeshFormatError):

@@ -56,6 +56,12 @@ class TestFamilies:
         with pytest.raises(ValueError):
             ElementFamily("p3")
 
+    @pytest.mark.parametrize("family", ["cr", "p2", 1, None])
+    def test_rejects_a_family_that_is_not_an_element_family(self, family):
+        # "cr" once built the P2 space: DofSpace(cr, ndof=25, free=9)
+        with pytest.raises(ValueError, match="is not an ElementFamily"):
+            build_space(build_unit_square(2), family)
+
     def test_dof_counts(self):
         assert build_space(build_unit_square(1), P1).ndof == 4
         assert build_space(build_unit_square(1), P1).n_free == 0
@@ -622,7 +628,7 @@ class TestL2ErrorSlices:
         order = np.arange(fine.n_triangles)
         order[12:16], order[20:24] = order[20:24], order[12:16].copy()
         shuffled = Mesh(fine.vertices, fine.triangles[order],
-                        fine.boundary_edges)
+                        fine.edges[fine.dirichlet_edge_ids])
         u = interpolate(build_space(coarse, P1), self.fn)
         ref = interpolate(build_space(shuffled, P1), self.fn)
         with pytest.raises(ValueError, match="not nested"):
