@@ -50,10 +50,13 @@ class Mesh:
     Parameters
     ----------
     vertices : (nv, 2) float array
-    triangles : (nt, 3) int array, counter-clockwise vertex indices
-    dirichlet : (k, 2) int array-like
+    triangles : (nt, 3) integer array, counter-clockwise vertex indices
+    dirichlet : (k, 2) integer array-like, or TagAssignment
         The Dirichlet edges as vertex pairs, in either order: boundary
-        edges, each once.  Every other boundary edge is Neumann.
+        edges, each once.  Or one :class:`BoundaryTag` for the whole
+        boundary, or a callable ``tag(x, y)`` evaluated at the midpoint of
+        each boundary edge, in ascending edge order.  Every boundary edge
+        not made Dirichlet is Neumann.
     refinement_edge : (nt,) int array, optional
         Local edge 0, 1 or 2 (edge ``k`` is opposite vertex ``k``) that
         newest-vertex bisection splits; defaults to the longest edge.
@@ -78,7 +81,7 @@ class Mesh:
 
     def __init__(self, vertices, triangles, dirichlet, refinement_edge=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-        t = np.asarray(triangles, dtype=np.int64)
+        t = _integers(triangles, "triangle vertex indices")
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
         if t.ndim != 2 or t.shape[1] != 3:
@@ -88,16 +91,17 @@ class Mesh:
         if not np.isfinite(self.vertices).all():
             raise MeshError("vertex coordinates must be finite")
 
-        _check_vertex_range(t, len(self.vertices))
+        nv, nt = len(self.vertices), len(t)
+        if t.min() < 0 or t.max() >= nv:
+            raise MeshError("triangle vertex index out of range")
         # bounds every vertex, edge and triangle index, and every P2 dof
-        if len(self.vertices) + 3 * len(t) > _INDEX_MAX:
+        if nv + 3 * nt > _INDEX_MAX:
             raise MeshError("mesh too large for int32 index tables")
         self.triangles = t = t.astype(np.int32)
         if ((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2])
                 | (t[:, 0] == t[:, 2])).any():
             raise MeshError("triangle with repeated vertex")
-        unused = np.flatnonzero(np.bincount(t.ravel(),
-                                            minlength=len(self.vertices)) == 0)
+        unused = np.flatnonzero(np.bincount(t.ravel(), minlength=nv) == 0)
         if len(unused):
             raise MeshError(f"vertex {unused[0]} is in no triangle")
         # an overflow is raised below as a MeshError, not warned about
@@ -110,74 +114,7 @@ class Mesh:
             raise MeshError(f"triangle {bad} is not counter-clockwise "
                             "(non-positive signed area)")
 
-        self._build_edge_table()
-        with np.errstate(over="ignore"):
-            self.edge_lengths = np.linalg.norm(
-                self.vertices[self.edges[:, 1]]
-                - self.vertices[self.edges[:, 0]], axis=1)
-        if not np.isfinite(self.edge_lengths).all():
-            raise MeshError("edge lengths overflow")
-        local_lengths = self.edge_lengths[self.tri2edge]
-        self.diameters = local_lengths.max(axis=1)
-        self.h = float(self.diameters.max(initial=0.0))
-
-        # each pair is looked up by its edge key a*nv + b; comparing the
-        # rows found also rejects a pair that is no edge at all
-        nv = len(self.vertices)
-        pairs = np.sort(np.asarray(dirichlet, dtype=np.int64).reshape(-1, 2),
-                        axis=1)
-        keys = self.edges[:, 0].astype(np.int64) * nv + self.edges[:, 1]
-        ids = np.searchsorted(keys, pairs[:, 0] * nv + pairs[:, 1]).clip(
-            max=len(keys) - 1)
-        self.dirichlet_edge_ids = np.unique(ids).astype(np.int32)
-        if (len(self.dirichlet_edge_ids) < len(ids)
-                or (self.edges[ids] != pairs).any()
-                or (self.edge2tri[ids, 1] >= 0).any()):
-            raise MeshError("Dirichlet edges must be boundary edges, each "
-                            "listed once")
-
-        if refinement_edge is None:
-            self.refinement_edge = np.argmax(local_lengths,
-                                             axis=1).astype(np.int8)
-        else:
-            # checked before the int8 cast, which would wrap 258 to 2
-            r = np.asarray(refinement_edge)
-            if r.shape != (len(t),) or not np.isin(r, (0, 1, 2)).all():
-                raise MeshError("refinement_edge must hold 0, 1 or 2 per "
-                                "triangle")
-            self.refinement_edge = np.ascontiguousarray(r, dtype=np.int8)
-
-        for arr in (self.vertices, self.triangles, self.edges, self.tri2edge,
-                    self.edge2tri, self.boundary_edge_ids,
-                    self.dirichlet_edge_ids, self.refinement_edge,
-                    self.areas, self.edge_lengths, self.diameters):
-            arr.flags.writeable = False
-
-    # -- construction helpers -------------------------------------------
-
-    @classmethod
-    def from_triangulation(cls, vertices, triangles,
-                           tags: TagAssignment = BoundaryTag.DIRICHLET
-                           ) -> "Mesh":
-        """Build a mesh deriving boundary edges and tagging them via `tags`."""
-        vertices = np.asarray(vertices, dtype=np.float64)
-        triangles = np.asarray(triangles, dtype=np.int64)
-        _check_vertex_range(triangles, len(vertices))
-        edges, _, counts = _edge_table(triangles,
-                                       int(triangles.max(initial=0)) + 1)
-        pairs = edges[counts == 1]
-        tagged = [tags if isinstance(tags, BoundaryTag) else tags(mx, my)
-                  for mx, my in vertices[pairs].mean(axis=1)]
-        for tag in tagged:
-            if not isinstance(tag, BoundaryTag):
-                raise MeshError(f"boundary tag {tag!r} is not a BoundaryTag")
-        return cls(vertices, triangles,
-                   pairs[[tag is BoundaryTag.DIRICHLET for tag in tagged]])
-
-    def _build_edge_table(self):
-        t = self.triangles
-        nt = len(t)
-        self.edges, inv, counts = _edge_table(t, len(self.vertices))
+        self.edges, inv, counts = _edge_table(t, nv)
         if (counts > 2).any():
             raise MeshError("non-conforming mesh: edge shared by more than "
                             "two triangles")
@@ -201,6 +138,58 @@ class Mesh:
             raise MeshError(f"triangles {a} and {b} overlap across their "
                             f"shared edge ({u}, {v})")
         self.boundary_edge_ids = np.flatnonzero(counts == 1).astype(np.int32)
+        with np.errstate(over="ignore"):
+            self.edge_lengths = np.linalg.norm(
+                self.vertices[self.edges[:, 1]]
+                - self.vertices[self.edges[:, 0]], axis=1)
+        if not np.isfinite(self.edge_lengths).all():
+            raise MeshError("edge lengths overflow")
+        local_lengths = self.edge_lengths[self.tri2edge]
+        self.diameters = local_lengths.max(axis=1)
+        self.h = float(self.diameters.max(initial=0.0))
+
+        if isinstance(dirichlet, BoundaryTag) or callable(dirichlet):
+            ids = self.boundary_edge_ids
+            tags = [dirichlet if isinstance(dirichlet, BoundaryTag)
+                    else dirichlet(mx, my)
+                    for mx, my in self.vertices[self.edges[ids]].mean(axis=1)]
+            for tag in tags:
+                if not isinstance(tag, BoundaryTag):
+                    raise MeshError(f"boundary tag {tag!r} is not a "
+                                    "BoundaryTag")
+            self.dirichlet_edge_ids = ids[[tag is BoundaryTag.DIRICHLET
+                                           for tag in tags]]
+        else:
+            # each pair is looked up by its edge key a*nv + b; comparing
+            # the rows found also rejects a pair that is no edge at all
+            pairs = np.sort(_integers(dirichlet, "Dirichlet edge vertex "
+                                      "indices").reshape(-1, 2), axis=1)
+            keys = self.edges[:, 0].astype(np.int64) * nv + self.edges[:, 1]
+            ids = np.searchsorted(keys, pairs[:, 0] * nv + pairs[:, 1]).clip(
+                max=len(keys) - 1)
+            self.dirichlet_edge_ids = np.unique(ids).astype(np.int32)
+            if (len(self.dirichlet_edge_ids) < len(ids)
+                    or (self.edges[ids] != pairs).any()
+                    or (self.edge2tri[ids, 1] >= 0).any()):
+                raise MeshError("Dirichlet edges must be boundary edges, "
+                                "each listed once")
+
+        if refinement_edge is None:
+            self.refinement_edge = np.argmax(local_lengths,
+                                             axis=1).astype(np.int8)
+        else:
+            # checked before the int8 cast, which would wrap 258 to 2
+            r = np.asarray(refinement_edge)
+            if r.shape != (nt,) or not np.isin(r, (0, 1, 2)).all():
+                raise MeshError("refinement_edge must hold 0, 1 or 2 per "
+                                "triangle")
+            self.refinement_edge = np.ascontiguousarray(r, dtype=np.int8)
+
+        for arr in (self.vertices, self.triangles, self.edges, self.tri2edge,
+                    self.edge2tri, self.boundary_edge_ids,
+                    self.dirichlet_edge_ids, self.refinement_edge,
+                    self.areas, self.edge_lengths, self.diameters):
+            arr.flags.writeable = False
 
     # -- basic queries ---------------------------------------------------
 
@@ -256,8 +245,7 @@ class Mesh:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mesh):
             return NotImplemented
-        return (self.vertices.shape == other.vertices.shape
-                and np.array_equal(self.vertices, other.vertices)
+        return (np.array_equal(self.vertices, other.vertices)
                 and np.array_equal(self.triangles, other.triangles)
                 and np.array_equal(self.dirichlet_edge_ids,
                                    other.dirichlet_edge_ids))
@@ -267,16 +255,15 @@ class Mesh:
                 f"ne={self.n_edges})")
 
 
-def _edge_table(triangles: np.ndarray, base: int):
-    """Sorted unique edges of ``triangles`` with inverse and counts.
+def _edge_table(t: np.ndarray, base: int):
+    """Sorted unique edges of the triangles ``t`` with inverse and counts.
 
     Edge ``k`` of a triangle is opposite local vertex ``k``; the inverse
     lists all edges 0, then all edges 1, then all edges 2.  Each edge
     (a, b), a < b, is keyed as ``a*base + b`` in int64, so ``base`` must
     exceed every vertex index; the keys sort like the rows (a, b).  The
-    edges come in the dtype of ``triangles``.
+    edges come in the dtype of ``t``.
     """
-    t = triangles
     raw = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
     raw.sort(axis=1)
     keys, inv, counts = np.unique(raw[:, 0].astype(np.int64) * base
@@ -287,9 +274,12 @@ def _edge_table(triangles: np.ndarray, base: int):
     return edges, inv, counts
 
 
-def _check_vertex_range(triangles: np.ndarray, nv: int) -> None:
-    if triangles.size and (triangles.min() < 0 or triangles.max() >= nv):
-        raise MeshError("triangle vertex index out of range")
+def _integers(values, what: str, error=MeshError) -> np.ndarray:
+    """``values`` as int64, if empty or of an integer dtype (bool is not)."""
+    a = np.asarray(values)
+    if a.size and not np.issubdtype(a.dtype, np.integer):
+        raise error(f"{what} must be integers, not {a.dtype}")
+    return a.astype(np.int64)
 
 
 # -- measures -------------------------------------------------------------
@@ -348,7 +338,7 @@ def build_unit_square(n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Mesh.from_triangulation(*_grid(n, 0.0, 1.0), tags)
+    return Mesh(*_grid(n, 0.0, 1.0), tags)
 
 
 _JITTER = 0.25    # largest shift of an unstructured grid point, in cells
@@ -395,7 +385,7 @@ def build_unit_square_unstructured(n: int, seed: int = 0,
                  + (c * c).sum(axis=1) * cross(a, b)) > 0
     first[in_circle, 2] = second[in_circle, 2]    # (v00, v10, v01)
     second[in_circle, 0] = first[in_circle, 1]    # (v10, v11, v01)
-    return Mesh.from_triangulation(pts, tris, tags)
+    return Mesh(pts, tris, tags)
 
 
 def build_square_with_hole(outer: float, inner: float, n: int = 16,
@@ -436,7 +426,7 @@ def build_square_with_hole(outer: float, inner: float, n: int = 16,
             return inner_tag
         return outer_tag
 
-    return Mesh.from_triangulation(vertices, tris, tag_fn)
+    return Mesh(vertices, tris, tag_fn)
 
 
 # -- refinement -----------------------------------------------------------
@@ -487,9 +477,12 @@ def refine_bisection(m: Mesh, marked: Iterable[int] | np.ndarray) -> Mesh:
     All three edges of a marked triangle are scheduled for splitting, then
     the marking is closed so that a triangle with any split edge also splits
     its refinement edge.  The result is conforming and the generated
-    triangles fall into finitely many similarity classes.
+    triangles fall into finitely many similarity classes.  ``marked``
+    holds triangle ids: integers, not a boolean mask.
     """
-    marked = np.unique(np.fromiter(marked, dtype=np.int64))
+    marked = np.unique(_integers(
+        marked if isinstance(marked, np.ndarray) else list(marked),
+        "marked triangle ids", ValueError))
     if marked.size == 0:
         return m
     if marked.min() < 0 or marked.max() >= m.n_triangles:

@@ -599,6 +599,9 @@ def eigs_smallest(A: SparseSymMatrix, M: SparseSymMatrix, m: int,
     n = A.n
     if M.n != n:
         raise ValueError("A and M must have the same dimension")
+    # checked here, as the dense path would ignore it
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > n:

@@ -153,7 +153,7 @@ def jittered_square(n: int, seed: int, jitter: float,
     (x0, y0), (x1, y1), (x2, y2) = pts[tri].transpose(1, 2, 0)
     clockwise = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) < 0
     tri[clockwise] = tri[clockwise][:, [0, 2, 1]]
-    return Mesh.from_triangulation(pts, tri, tags)
+    return Mesh(pts, tri, tags)
 
 
 def loop_edge_table(triangles: np.ndarray):

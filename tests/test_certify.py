@@ -75,7 +75,7 @@ def slit_square(n):
     tris = m.triangles.copy()
     right = v[tris].mean(axis=1)[:, 0] > 0.5
     tris[right] = copy_of[tris[right]]
-    return Mesh.from_triangulation(np.vstack([v, v[on_cut]]), tris)
+    return Mesh(np.vstack([v, v[on_cut]]), tris, BoundaryTag.DIRICHLET)
 
 
 @st.composite

@@ -918,3 +918,17 @@ class TestDeepValidation:
                        "--family", "p1", "--m", "5"])
         assert res.returncode == 2
         assert "error:" in res.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["eig", "--geometry", "unit-square", "--n", "4", "--family", "p1",
+         "--m", "3"],
+        ["study", "--geometry", "unit-square", "--n", "2", "--k2", "10",
+         "--family", "p1", "--refinements", "1"],
+        ["eig", "--geometry", "unit-square", "--n", "64", "--family", "p1",
+         "--m", "3"]], ids=["eig-dense", "study-dense", "eig-lanczos"])
+    def test_negative_seed_exit_2(self, argv):
+        # the dense eigensolver path once ignored the seed and exited 0,
+        # while Lanczos failed in NumPy's "expected non-negative integer"
+        res = run_cli(["--seed", "-1", *argv])
+        assert res.returncode == 2
+        assert res.stderr == "error: seed must be non-negative, got -1\n"

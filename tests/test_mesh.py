@@ -20,6 +20,11 @@ D, N = BoundaryTag.DIRICHLET, BoundaryTag.NEUMANN
 DIRICHLET_MESSAGE = "Dirichlet edges must be boundary edges, each listed once"
 
 
+def below_the_diagonal(x, y) -> BoundaryTag:
+    """A tag function: Dirichlet below the line x + y = 1, else Neumann."""
+    return D if x + y < 1 else N
+
+
 def assert_valid(m: Mesh):
     """Re-derive the edge table and check the conformity invariants."""
     rebuilt = Mesh(m.vertices, m.triangles, dirichlet_pairs(m),
@@ -68,6 +73,28 @@ class TestBuilders:
     def test_default_all_dirichlet(self):
         m = build_unit_square(3)
         assert np.array_equal(m.dirichlet_edge_ids, m.boundary_edge_ids)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_unit_square(3),
+        lambda: build_unit_square(3, below_the_diagonal),
+        lambda: build_unit_square_unstructured(4, 1, N),
+        lambda: build_unit_square_unstructured(4, 1, below_the_diagonal),
+        lambda: build_square_with_hole(2.0, 1.0, 4, N, D)],
+        ids=["square-tag", "square-function", "unstructured-tag",
+             "unstructured-function", "hole"])
+    def test_one_edge_table_per_build(self, build, monkeypatch):
+        # the builders once sorted the edge keys twice: first to tag the
+        # boundary edges, then again in the constructor
+        calls = []
+        edge_table = helmqo.mesh._edge_table
+
+        def counted(t, base):
+            calls.append(len(t))
+            return edge_table(t, base)
+
+        monkeypatch.setattr(helmqo.mesh, "_edge_table", counted)
+        build()
+        assert len(calls) == 1
 
     def test_hole_euler_characteristic(self):
         m = build_square_with_hole(2.0, 1.0, 4)
@@ -194,10 +221,35 @@ class TestConstructorErrors:
         with pytest.raises(MeshError, match="repeated vertex"):
             Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 1]], [])
 
-    def test_vertex_index_out_of_range_from_triangulation(self):
+    def test_vertex_index_out_of_range_with_a_tag(self):
         with pytest.raises(MeshError, match="index out of range"):
-            Mesh.from_triangulation([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
-                                    [[0, 1, 9]])
+            Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 9]], D)
+
+    @pytest.mark.parametrize("triangles", [
+        [[0.9, 1.2, 2.7]], [[0.0, 1.0, 2.0]],
+        np.array([[True, True, False]])], ids=["fractional", "whole-float",
+                                                "bool"])
+    def test_non_integer_triangles(self, triangles):
+        # the int64 cast once built (0.9, 1.2, 2.7) as the triangle (0, 1, 2)
+        with pytest.raises(MeshError, match="triangle vertex indices must be "
+                                            "integers, not "):
+            Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], triangles, [])
+
+    @pytest.mark.parametrize("pairs", [
+        [[0.5, 1.2]], [[0.0, 1.0]], np.array([[False, True]])],
+        ids=["fractional", "whole-float", "bool"])
+    def test_non_integer_dirichlet_pairs(self, pairs):
+        # the int64 cast once tagged (0.5, 1.2) as the edge (0, 1)
+        with pytest.raises(MeshError, match="Dirichlet edge vertex indices "
+                                            "must be integers"):
+            Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]], pairs)
+
+    @pytest.mark.parametrize("empty", [[], (), np.zeros((0, 2))],
+                             ids=["list", "tuple", "float-array"])
+    def test_empty_dirichlet_input_is_all_neumann(self, empty):
+        m = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]], empty)
+        assert m.dirichlet_edge_ids.size == 0
+        assert m == Mesh(m.vertices, m.triangles, N)
 
     def test_vertex_in_no_triangle(self):
         # an unused vertex once gave the P1 and P2 pencils an empty row
@@ -220,13 +272,12 @@ class TestConstructorErrors:
          "lengths overflow")], ids=["areas", "edge-lengths"])
     def test_overflowing_geometry(self, vertices, triangles, message):
         with pytest.raises(MeshError, match=message):
-            Mesh.from_triangulation(vertices, triangles)
+            Mesh(vertices, triangles, D)
 
     def test_unknown_boundary_tag(self):
         m = self.square()
         with pytest.raises(MeshError, match="None is not a BoundaryTag"):
-            Mesh.from_triangulation(m.vertices, m.triangles,
-                                    lambda x, y: None)
+            Mesh(m.vertices, m.triangles, lambda x, y: None)
 
     @pytest.mark.parametrize("value", [5, -1, 258])
     def test_refinement_edge_out_of_range(self, value):
@@ -401,6 +452,30 @@ class TestBisection:
         with pytest.raises(ValueError):
             refine_bisection(build_unit_square(2), {99})
 
+    def test_marked_ids_not_a_mask(self):
+        # a mask marking triangle 5 once refined the ids {0, 1} into 20
+        # triangles, where [5] gives 12
+        m = build_unit_square(2)
+        assert refine_bisection(m, [5]).n_triangles == 12
+        with pytest.raises(ValueError, match="must be integers, not bool"):
+            refine_bisection(m, np.arange(m.n_triangles) == 5)
+
+    @pytest.mark.parametrize("marked", [[1.7], np.array([1.0, 5.0]),
+                                        [True]],
+                             ids=["fractional", "whole-float", "bool-list"])
+    def test_marked_ids_not_integers(self, marked):
+        # 1.7 was once truncated to triangle 1
+        with pytest.raises(ValueError, match="must be integers"):
+            refine_bisection(build_unit_square(2), marked)
+
+    @pytest.mark.parametrize("marked", [
+        {3, 5}, range(3, 6, 2), np.array([5, 3], dtype=np.int32),
+        np.array([3, 5, 5]), (i for i in (3, 5))],
+        ids=["set", "range", "int32", "int64-repeated", "generator"])
+    def test_marked_integer_collections(self, marked):
+        m = build_unit_square(2)
+        assert refine_bisection(m, marked) == refine_bisection(m, [3, 5])
+
     def test_shape_regularity_random_rounds(self):
         rng = np.random.default_rng(5)
         m = build_unit_square(2)
@@ -425,9 +500,8 @@ class TestBisection:
 
 class TestMeasures:
     def test_reference_triangle_diameter(self):
-        m = Mesh.from_triangulation(
-            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-            np.array([[0, 1, 2]]))
+        m = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                 np.array([[0, 1, 2]]), D)
         assert np.isclose(m.diameters[0], math.sqrt(2))
 
     def test_structured_global_size(self):

@@ -362,6 +362,13 @@ class TestEigsSmallest:
         with pytest.raises(ValueError):
             eigs_smallest(A, M, 5)
 
+    @pytest.mark.parametrize("n", [2, 32], ids=["dense", "lanczos"])
+    def test_negative_seed_on_either_path(self, n):
+        A, M = square_pencil(n)
+        with pytest.raises(ValueError, match="seed must be non-negative, "
+                                             "got -1"):
+            eigs_smallest(A, M, 1, seed=-1)
+
 
 jittered_squares = st.builds(jittered_square, st.integers(3, 12),
                              seed=st.integers(0, 2 ** 16),
